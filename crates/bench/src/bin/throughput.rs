@@ -1,5 +1,6 @@
-//! Per-stage hot-path throughput in records/sec: acquisition, spectral
-//! transforms (historical complex FFT vs the packed real-input FFT),
+//! Per-stage hot-path throughput in records/sec: acquisition, the
+//! sensor-batched 16-sensor sweep, spectral transforms (historical
+//! complex FFT vs the packed real-input FFT),
 //! the production spectrum pipeline, monitor ticks, and an
 //! engine-parallel campaign stage.
 //!
@@ -32,14 +33,14 @@ use psa_runtime::Campaign;
 /// The sensor every stage reads — the paper's best-coupled PSA coil.
 const SENSOR: usize = 10;
 
-/// Per-stage record counts: `(acquire, transforms, monitor ticks,
-/// campaign jobs)`.
-fn record_counts() -> (usize, usize, usize, usize) {
+/// Per-stage record counts: `(acquire, sensor-sweep records per
+/// sensor, transforms, monitor ticks, campaign jobs)`.
+fn record_counts() -> (usize, usize, usize, usize, usize) {
     let fast = std::env::var("PSA_BENCH_FAST").is_ok_and(|v| v != "0");
     if fast {
-        (2, 8, 4, 2)
+        (2, 1, 8, 4, 2)
     } else {
-        (32, 256, 24, 32)
+        (32, 2, 256, 24, 32)
     }
 }
 
@@ -55,7 +56,7 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let engine = psa_bench::harness::engine_from_cli(&args);
     let json_path = bench_json_path(&args, "BENCH_throughput.json");
-    let (n_acquire, n_transform, n_ticks, n_jobs) = record_counts();
+    let (n_acquire, n_sweep, n_transform, n_ticks, n_jobs) = record_counts();
     let mut timer = ThroughputTimer::new();
 
     let chip = psa_bench::experiments::build_chip();
@@ -76,6 +77,25 @@ fn main() {
     println!(
         "stage acquire: {n_acquire} records, digest {}",
         digest(&acquire_rms)
+    );
+
+    // Stage 1b: one sensor-batched sweep of the whole array — one
+    // activity pass per record feeding all 16 sensors' EMF, front end
+    // and spectrum. Counted in sensor records (sweep records × sensors),
+    // the unit of the one-sensor `acquire` stage.
+    let n_sensors = chip.sensor_bank().len();
+    let spectra = timer.time("sensor_sweep", (n_sweep * n_sensors) as u64, || {
+        ctx.sensor_sweep_db(&scenario, n_sweep, psa_core::calib::RECORD_CYCLES, &[])
+            .expect("built-in sensor sweep")
+    });
+    let sweep_peaks: Vec<f64> = spectra
+        .iter()
+        .map(|s| s.iter().fold(f64::NEG_INFINITY, |a, &b| a.max(b)))
+        .collect();
+    println!(
+        "stage sensor_sweep: {} records, digest {}",
+        n_sweep * n_sensors,
+        digest(&sweep_peaks)
     );
 
     // Stages 2–3: the transform the tentpole halved, old vs new on the

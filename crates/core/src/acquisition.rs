@@ -15,6 +15,15 @@
 //!   thread one context; record after record then runs with no hot-path
 //!   allocations. Outputs are bit-identical to [`Acquisition`]'s, which
 //!   is what makes parallel campaigns byte-identical to serial ones.
+//!
+//! Every record runs one body in two halves. The chip half (activity
+//! simulation, current synthesis, emitter toggles) depends only on the
+//! scenario and the record's start cycle; the sensor half (EMF
+//! superposition, analog front end) depends on the sensor too. A
+//! one-sensor acquisition runs both halves per record;
+//! [`AcqContext::sensor_sweep_db`] runs the chip half once per record
+//! and the sensor half once per PSA sensor, so all 16 sensors share one
+//! activity pass.
 
 use crate::calib;
 use crate::chip::{ChipVariation, CustomSensor, SensorSelect, TestChip};
@@ -23,7 +32,7 @@ use crate::scenario::Scenario;
 use psa_analog::frontend::AnalogFrontEnd;
 use psa_analog::specan::SpectrumAnalyzer;
 use psa_array::program::CoilProgram;
-use psa_dsp::batch::SpectrumScratch;
+use psa_dsp::batch::{mean_amplitude_db_in_place, SpectrumScratch};
 use psa_dsp::window::Window;
 use psa_field::induction::induced_emf_into;
 use psa_gatesim::activity::{ActivitySimulator, Source};
@@ -44,6 +53,20 @@ pub struct InjectedEmitter<'e> {
     pub charge_fc: f64,
     /// Effective coupling into the measured sensor, Wb per A·m².
     pub coupling: f64,
+}
+
+/// A synthetic emitter injected into a whole-array sweep
+/// ([`AcqContext::sensor_sweep_db`]): the [`InjectedEmitter`] of every
+/// PSA sensor at once, with one coupling per sensor.
+#[derive(Debug, Clone, Copy)]
+pub struct ArrayEmitter<'e> {
+    /// The emitter's switching signature and drive.
+    pub trojan: &'e SyntheticTrojan,
+    /// Mean switching charge per toggle, fC.
+    pub charge_fc: f64,
+    /// Effective coupling into each PSA sensor, in sensor-index order,
+    /// Wb per A·m².
+    pub couplings: &'e [f64],
 }
 
 /// A set of digitized records from one sensor under one scenario.
@@ -175,11 +198,10 @@ pub struct AcqContext<'c> {
     specan: SpectrumAnalyzer,
     fullres: SpectrumScratch,
     display: SpectrumScratch,
-    currents: Vec<(Source, Vec<f64>)>,
-    extra_toggles: Vec<f64>,
-    extra_currents: Vec<Vec<f64>>,
-    flux: Vec<f64>,
-    emf: Vec<f64>,
+    scratch: RecordScratch,
+    /// One digitized record of a sensor sweep, recycled across sensors
+    /// and records.
+    record: Vec<f64>,
     concat: Vec<f64>,
     traces: TraceSet,
     /// Per-worker cache of synthesized custom programmings: deriving a
@@ -214,11 +236,8 @@ impl<'c> AcqContext<'c> {
             specan,
             fullres: SpectrumScratch::new(Window::Hann),
             display,
-            currents: Vec::new(),
-            extra_toggles: Vec::new(),
-            extra_currents: Vec::new(),
-            flux: Vec::new(),
-            emf: Vec::new(),
+            scratch: RecordScratch::default(),
+            record: Vec::new(),
             concat: Vec::new(),
             traces: TraceSet::default(),
             customs: Vec::new(),
@@ -366,45 +385,128 @@ impl<'c> AcqContext<'c> {
         emitters: &[InjectedEmitter<'_>],
         out: &mut TraceSet,
     ) -> Result<(), CoreError> {
-        if n_records == 0 {
+        check_record_shape(n_records, record_cycles)?;
+        let chain = self.sensor_chain(scenario, sensor, emitters.iter().map(|e| e.coupling))?;
+        let mut sim = start_activity(scenario);
+        out.fs_hz = calib::sample_rate_hz();
+        out.sensor = sensor;
+        out.records.truncate(n_records);
+        while out.records.len() < n_records {
+            out.records.push(Vec::new());
+        }
+        for (rec_idx, record) in out.records.iter_mut().enumerate() {
+            self.scratch.run_chip(
+                self.chip,
+                &mut sim,
+                record_cycles,
+                emitters.iter().map(|e| (e.trojan, e.charge_fc)),
+            );
+            self.scratch.sense(&chain, rec_idx, record)?;
+        }
+        Ok(())
+    }
+
+    /// Every PSA sensor's full-resolution averaged amplitude spectrum
+    /// (dB), in sensor-index order, while the chip runs `scenario` with
+    /// `emitters` superposed — the 16-sensor sweep of detection,
+    /// baseline learning and localization.
+    ///
+    /// The sweep is record-major. Per record the chip runs once: one
+    /// activity pass, one current synthesis, one toggle train per
+    /// emitter. Then each sensor superposes its EMF, captures the
+    /// record through its front end and adds the record's amplitude
+    /// spectrum into its own accumulator. Only the 16 one-sided
+    /// accumulators are held, never the records.
+    ///
+    /// Sensor `i`'s spectrum is bit-identical to
+    /// [`acquire_len_with_emitters_into`] on `SensorSelect::Psa(i)`
+    /// (each emitter's coupling being `couplings[i]`) followed by
+    /// [`fullres_spectrum_db`]: the activity is the same for every
+    /// sensor, the front-end noise is keyed by the scenario seed and
+    /// the record index only, the front end holds no state between
+    /// records, and the accumulation adds the same rows in the same
+    /// record order.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::InvalidParameter`] for `n_records == 0`,
+    /// `record_cycles == 0`, or an emitter with fewer couplings than the
+    /// array has sensors; acquisition/DSP errors otherwise.
+    ///
+    /// [`acquire_len_with_emitters_into`]: Self::acquire_len_with_emitters_into
+    /// [`fullres_spectrum_db`]: Self::fullres_spectrum_db
+    pub fn sensor_sweep_db(
+        &mut self,
+        scenario: &Scenario,
+        n_records: usize,
+        record_cycles: usize,
+        emitters: &[ArrayEmitter<'_>],
+    ) -> Result<Vec<Vec<f64>>, CoreError> {
+        check_record_shape(n_records, record_cycles)?;
+        let n_sensors = self.chip.sensor_bank().len();
+        if emitters.iter().any(|e| e.couplings.len() < n_sensors) {
             return Err(CoreError::InvalidParameter {
-                what: "record count must be at least 1",
+                what: "emitter coupling row is missing sensors",
             });
         }
-        if record_cycles == 0 {
-            return Err(CoreError::InvalidParameter {
-                what: "record length must be at least 1 cycle",
-            });
+        let chains = (0..n_sensors)
+            .map(|i| {
+                self.sensor_chain(
+                    scenario,
+                    SensorSelect::Psa(i),
+                    emitters.iter().map(|e| e.couplings[i]),
+                )
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        let half = psa_dsp::fft::one_sided_len(record_cycles * calib::SAMPLES_PER_CYCLE);
+        let mut sums = vec![vec![0.0; half]; n_sensors];
+        let mut sim = start_activity(scenario);
+        for rec_idx in 0..n_records {
+            self.scratch.run_chip(
+                self.chip,
+                &mut sim,
+                record_cycles,
+                emitters.iter().map(|e| (e.trojan, e.charge_fc)),
+            );
+            for (chain, sum) in chains.iter().zip(&mut sums) {
+                self.scratch.sense(chain, rec_idx, &mut self.record)?;
+                self.fullres.add_amplitude_spectrum(&self.record, sum)?;
+            }
         }
+        for sum in &mut sums {
+            mean_amplitude_db_in_place(sum, n_records);
+        }
+        Ok(sums)
+    }
+
+    /// The measurement chain of `sensor` for one call, with `emitter_couplings`
+    /// (one per injected emitter, in order) appended to its source couplings.
+    fn sensor_chain(
+        &mut self,
+        scenario: &Scenario,
+        sensor: SensorSelect,
+        emitter_couplings: impl Iterator<Item = f64>,
+    ) -> Result<SensorChain, CoreError> {
         let fs = calib::sample_rate_hz();
-        // Custom programmings borrow their (cached) synthesized row so
-        // the per-record loop stays free of coupling recomputation; the
-        // fixed selections read the chip's precomputed columns. Both
-        // paths feed the identical pipeline below, which is why
-        // Custom(preset-shaped) acquisitions are bit-identical to Psa.
-        let preset_couplings: Vec<f64>;
-        let couplings: &[f64];
-        let noise_vrms: f64;
-        match sensor {
+        // Custom programmings read their (cached) synthesized row so no
+        // call repeats the coupling integral; the fixed selections read
+        // the chip's precomputed columns. Both feed the identical
+        // pipeline, which is why Custom(preset-shaped) acquisitions are
+        // bit-identical to Psa.
+        let (mut weights, noise_vrms) = match sensor {
             SensorSelect::Custom(program) => {
                 let idx = self.ensure_custom(&program)?;
-                noise_vrms = self.customs[idx].noise_vrms(
-                    self.chip.tgate(),
-                    fs / 2.0,
-                    scenario.vdd,
-                    scenario.temp_c,
-                );
-                couplings = self.customs[idx].couplings();
+                let custom = &self.customs[idx];
+                let noise =
+                    custom.noise_vrms(self.chip.tgate(), fs / 2.0, scenario.vdd, scenario.temp_c);
+                (custom.couplings().to_vec(), noise)
             }
-            _ => {
-                preset_couplings = self.chip.couplings_for(sensor)?;
-                noise_vrms =
-                    self.chip
-                        .sensor_noise_vrms(sensor, fs / 2.0, scenario.vdd, scenario.temp_c);
-                couplings = &preset_couplings;
-            }
-        }
-        let frontend = frontend_for(sensor, scenario.seed ^ 0xFE);
+            _ => (
+                self.chip.couplings_for(sensor)?,
+                self.chip
+                    .sensor_noise_vrms(sensor, fs / 2.0, scenario.vdd, scenario.temp_c),
+            ),
+        };
         // Die-level process variation: scale the coupled signal and the
         // thermal-noise floor. `1.0 × x` is bit-exact for finite x, so
         // the unvaried path stays byte-identical.
@@ -412,70 +514,17 @@ impl<'c> AcqContext<'c> {
             Some(v) => (v.signal_scale(&sensor), v.noise_scale()),
             None => (1.0, 1.0),
         };
-        let noise_vrms = noise_vrms * noise_scale;
-
-        let mut sim = ActivitySimulator::new(scenario.chip_config());
-        if scenario.warmup_cycles > 0 {
-            let _ = sim.advance(scenario.warmup_cycles);
+        let n_sources = weights.len();
+        weights.extend(emitter_couplings);
+        for w in &mut weights {
+            *w *= signal_scale;
         }
-
-        if self.extra_currents.len() < emitters.len() {
-            self.extra_currents.resize_with(emitters.len(), Vec::new);
-        }
-        out.fs_hz = fs;
-        out.sensor = sensor;
-        out.records.truncate(n_records);
-        while out.records.len() < n_records {
-            out.records.push(Vec::new());
-        }
-        for (rec_idx, record) in out.records.iter_mut().enumerate() {
-            let record_start_cycle = sim.cycle();
-            let trace = sim.advance(record_cycles);
-            trace_to_currents_into(
-                &trace,
-                self.chip.charges_fc(),
-                calib::CLK_HZ,
-                &mut self.currents,
-            );
-            // Pair each source's current with its coupling (both follow
-            // Source::ALL order).
-            let mut pairs: Vec<(&[f64], f64)> = self
-                .currents
-                .iter()
-                .zip(couplings)
-                .map(|((_, wave), &k)| (wave.as_slice(), k * signal_scale))
-                .collect();
-            // Each emitter is pure in the absolute cycle, so records
-            // join seamlessly exactly like the chip's own sources; the
-            // superposition is ordered by the emitter slice, keeping the
-            // accumulation (and its rounding) deterministic.
-            for (j, e) in emitters.iter().enumerate() {
-                e.trojan.toggles_into(
-                    record_start_cycle,
-                    record_cycles,
-                    calib::CLK_HZ,
-                    &mut self.extra_toggles,
-                );
-                toggles_to_current_into(
-                    &self.extra_toggles,
-                    e.charge_fc,
-                    calib::CLK_HZ,
-                    &mut self.extra_currents[j],
-                );
-            }
-            for (j, e) in emitters.iter().enumerate() {
-                pairs.push((self.extra_currents[j].as_slice(), e.coupling * signal_scale));
-            }
-            induced_emf_into(
-                &pairs,
-                calib::EFFECTIVE_MOMENT_AREA_M2,
-                fs,
-                &mut self.flux,
-                &mut self.emf,
-            )?;
-            frontend.capture_record_into(&self.emf, fs, noise_vrms, rec_idx as u64, record)?;
-        }
-        Ok(())
+        Ok(SensorChain {
+            weights,
+            n_sources,
+            noise_vrms: noise_vrms * noise_scale,
+            frontend: frontend_for(sensor, scenario.seed ^ 0xFE),
+        })
     }
 
     /// Acquires into a fresh [`TraceSet`] (convenience; prefer
@@ -829,6 +878,139 @@ fn frontend_for(sensor: SensorSelect, seed: u64) -> AnalogFrontEnd {
     }
 }
 
+/// Rejects empty record counts and zero-length records.
+fn check_record_shape(n_records: usize, record_cycles: usize) -> Result<(), CoreError> {
+    if n_records == 0 {
+        return Err(CoreError::InvalidParameter {
+            what: "record count must be at least 1",
+        });
+    }
+    if record_cycles == 0 {
+        return Err(CoreError::InvalidParameter {
+            what: "record length must be at least 1 cycle",
+        });
+    }
+    Ok(())
+}
+
+/// The chip running `scenario`, past its warm-up, at the first record's
+/// start cycle.
+fn start_activity(scenario: &Scenario) -> ActivitySimulator {
+    let mut sim = ActivitySimulator::new(scenario.chip_config());
+    if scenario.warmup_cycles > 0 {
+        let _ = sim.advance(scenario.warmup_cycles);
+    }
+    sim
+}
+
+/// One sensor's measurement chain, fixed for the length of one call:
+/// the EMF superposition weights (the chip sources' couplings, then one
+/// per injected emitter, each times the die's signal scale), the
+/// sensor-referred noise floor, and the analog front end.
+struct SensorChain {
+    weights: Vec<f64>,
+    /// How many leading `weights` belong to the chip's own sources.
+    n_sources: usize,
+    noise_vrms: f64,
+    frontend: AnalogFrontEnd,
+}
+
+/// The per-record scratch of the shared record body: the chip half
+/// ([`run_chip`](Self::run_chip)) fills the current waveforms, the
+/// sensor half ([`sense`](Self::sense)) turns them into one sensor's
+/// digitized record.
+#[derive(Debug, Default)]
+struct RecordScratch {
+    currents: Vec<(Source, Vec<f64>)>,
+    extra_toggles: Vec<f64>,
+    extra_currents: Vec<Vec<f64>>,
+    flux: Vec<f64>,
+    emf: Vec<f64>,
+    /// The `(waveform, weight)` list handed to the EMF superposition.
+    /// Always empty between records; it only keeps the allocation.
+    pairs: Vec<(&'static [f64], f64)>,
+}
+
+impl RecordScratch {
+    /// The chip half of a record: advance the activity one record and
+    /// synthesize every source's current, then each emitter's. Each
+    /// emitter is pure in the absolute cycle, so records join
+    /// seamlessly exactly like the chip's own sources.
+    fn run_chip<'t>(
+        &mut self,
+        chip: &TestChip,
+        sim: &mut ActivitySimulator,
+        record_cycles: usize,
+        emitters: impl ExactSizeIterator<Item = (&'t SyntheticTrojan, f64)>,
+    ) {
+        let record_start_cycle = sim.cycle();
+        let trace = sim.advance(record_cycles);
+        trace_to_currents_into(&trace, chip.charges_fc(), calib::CLK_HZ, &mut self.currents);
+        if self.extra_currents.len() < emitters.len() {
+            self.extra_currents.resize_with(emitters.len(), Vec::new);
+        }
+        for ((trojan, charge_fc), current) in emitters.zip(&mut self.extra_currents) {
+            trojan.toggles_into(
+                record_start_cycle,
+                record_cycles,
+                calib::CLK_HZ,
+                &mut self.extra_toggles,
+            );
+            toggles_to_current_into(&self.extra_toggles, charge_fc, calib::CLK_HZ, current);
+        }
+    }
+
+    /// The sensor half of a record: superpose the currents of the last
+    /// [`run_chip`](Self::run_chip) through `chain`'s weights into an
+    /// EMF and capture it as record `rec_idx` into `out`. The sources
+    /// come first in `Source::ALL` order, then the emitters in slice
+    /// order, which keeps the accumulation (and its rounding) fixed.
+    fn sense(
+        &mut self,
+        chain: &SensorChain,
+        rec_idx: usize,
+        out: &mut Vec<f64>,
+    ) -> Result<(), CoreError> {
+        let fs = calib::sample_rate_hz();
+        let (source_weights, emitter_weights) = chain.weights.split_at(chain.n_sources);
+        let mut pairs = recycle(std::mem::take(&mut self.pairs));
+        pairs.extend(
+            self.currents
+                .iter()
+                .zip(source_weights)
+                .map(|((_, wave), &w)| (wave.as_slice(), w)),
+        );
+        pairs.extend(
+            self.extra_currents
+                .iter()
+                .zip(emitter_weights)
+                .map(|(wave, &w)| (wave.as_slice(), w)),
+        );
+        let emf = induced_emf_into(
+            &pairs,
+            calib::EFFECTIVE_MOMENT_AREA_M2,
+            fs,
+            &mut self.flux,
+            &mut self.emf,
+        );
+        self.pairs = recycle(pairs);
+        emf?;
+        chain
+            .frontend
+            .capture_record_into(&self.emf, fs, chain.noise_vrms, rec_idx as u64, out)?;
+        Ok(())
+    }
+}
+
+/// Empties `pairs` and hands its allocation to a list of another
+/// lifetime. No element survives, so any lifetime is sound; the
+/// in-place collect keeps the buffer, so the record loop does not
+/// reallocate the list.
+fn recycle<'b>(mut pairs: Vec<(&[f64], f64)>) -> Vec<(&'b [f64], f64)> {
+    pairs.clear();
+    pairs.into_iter().map(|(_, w)| (&[][..], w)).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -964,6 +1146,134 @@ mod tests {
             )
             .unwrap();
         assert_eq!(both, again);
+    }
+
+    /// Asserts that `sweep` holds, bit for bit, what each PSA sensor's
+    /// own acquisition plus `fullres_spectrum_db` produces.
+    fn assert_sweep_matches_per_sensor(
+        ctx: &mut AcqContext<'_>,
+        scenario: &Scenario,
+        n_records: usize,
+        record_cycles: usize,
+        emitters: &[ArrayEmitter<'_>],
+    ) {
+        let sweep = ctx
+            .sensor_sweep_db(scenario, n_records, record_cycles, emitters)
+            .unwrap();
+        assert_eq!(sweep.len(), chip().sensor_bank().len());
+        let mut traces = TraceSet::default();
+        for (i, batched) in sweep.iter().enumerate() {
+            let injected: Vec<InjectedEmitter<'_>> = emitters
+                .iter()
+                .map(|e| InjectedEmitter {
+                    trojan: e.trojan,
+                    charge_fc: e.charge_fc,
+                    coupling: e.couplings[i],
+                })
+                .collect();
+            ctx.acquire_len_with_emitters_into(
+                scenario,
+                SensorSelect::Psa(i),
+                n_records,
+                record_cycles,
+                &injected,
+                &mut traces,
+            )
+            .unwrap();
+            let single = ctx.fullres_spectrum_db(&traces).unwrap();
+            assert_eq!(batched.len(), single.len());
+            assert!(
+                batched
+                    .iter()
+                    .zip(&single)
+                    .all(|(a, b)| a.to_bits() == b.to_bits()),
+                "sensor {i}, {} emitter(s), {record_cycles} cycles, variation {:?}",
+                emitters.len(),
+                ctx.variation()
+            );
+        }
+    }
+
+    #[test]
+    fn sensor_sweep_matches_per_sensor_acquisition_bitwise() {
+        // The sensor-batched ≡ per-sensor invariant: one activity pass
+        // per record feeding all 16 sensors must reproduce every
+        // sensor's own acquisition exactly.
+        let trojans = [
+            SyntheticTrojan::am_reference(800.0),
+            SyntheticTrojan::am_reference(1200.0),
+            SyntheticTrojan::am_reference(500.0),
+        ];
+        let k = chip()
+            .couplings_for(SensorSelect::Psa(10))
+            .unwrap()
+            .iter()
+            .fold(0.0f64, |a, b| a.max(b.abs()));
+        // Distinct, signed couplings per (emitter, sensor).
+        let rows: Vec<Vec<f64>> = (0..trojans.len())
+            .map(|j| {
+                (0..16)
+                    .map(|i| k * (1.0 + i as f64) / 16.0 * if j % 2 == 0 { 1.0 } else { -0.5 })
+                    .collect()
+            })
+            .collect();
+        let emitters: Vec<ArrayEmitter<'_>> = trojans
+            .iter()
+            .zip(&rows)
+            .map(|(trojan, row)| ArrayEmitter {
+                trojan,
+                charge_fc: 2.0,
+                couplings: row,
+            })
+            .collect();
+        let scenario = Scenario::trojan_active(TrojanKind::T3).with_seed(23);
+        let mut ctx = AcqContext::new(chip());
+        for variation in [None, Some(ChipVariation::new(7))] {
+            ctx.set_variation(variation);
+            for n_emitters in [0, 1, 3] {
+                assert_sweep_matches_per_sensor(
+                    &mut ctx,
+                    &scenario,
+                    2,
+                    2048,
+                    &emitters[..n_emitters],
+                );
+            }
+        }
+        // Full-length records: the plain sweep of detection and
+        // baseline learning, and the widest emitter set on a varied die.
+        ctx.set_variation(None);
+        assert_sweep_matches_per_sensor(&mut ctx, &scenario, 2, calib::RECORD_CYCLES, &[]);
+        ctx.set_variation(Some(ChipVariation::new(7)));
+        assert_sweep_matches_per_sensor(&mut ctx, &scenario, 1, calib::RECORD_CYCLES, &emitters);
+    }
+
+    #[test]
+    fn sensor_sweep_rejects_bad_shapes() {
+        let mut ctx = AcqContext::new(chip());
+        let scenario = Scenario::baseline();
+        assert!(ctx.sensor_sweep_db(&scenario, 0, 256, &[]).is_err());
+        assert!(ctx.sensor_sweep_db(&scenario, 1, 0, &[]).is_err());
+        let trojan = SyntheticTrojan::am_reference(800.0);
+        let short = [1.0e-12; 15];
+        let e = ArrayEmitter {
+            trojan: &trojan,
+            charge_fc: 2.0,
+            couplings: &short,
+        };
+        assert!(ctx.sensor_sweep_db(&scenario, 1, 256, &[e]).is_err());
+    }
+
+    #[test]
+    fn record_loop_keeps_its_pairs_buffer() {
+        // The superposition list is recycled across records and calls,
+        // so a warm context does not allocate it per record.
+        let mut ctx = AcqContext::new(chip());
+        let mut out = TraceSet::default();
+        ctx.acquire_len_into(&Scenario::baseline(), SensorSelect::Psa(3), 2, 64, &mut out)
+            .unwrap();
+        assert!(ctx.scratch.pairs.is_empty());
+        assert!(ctx.scratch.pairs.capacity() >= Source::ALL.len());
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //! so `psa_runtime::atlas::AtlasCampaign` fans placements × corners ×
 //! seeds across workers with byte-identical output.
 
-use crate::acquisition::{AcqContext, InjectedEmitter, TraceSet};
+use crate::acquisition::{AcqContext, ArrayEmitter, TraceSet};
 use crate::calib;
 use crate::chip::{SensorSelect, TestChip};
 use crate::cross_domain::{merge_adjacent_bins, Baseline};
@@ -259,8 +259,11 @@ impl<'c> PlacementSweep<'c> {
         ctx.fullres_spectrum_db(&traces)
     }
 
-    /// Learns the 16-sensor atlas baseline serially on one context (the
-    /// campaign layer fans sensors out instead).
+    /// Learns the 16-sensor atlas baseline on one context with one
+    /// sensor sweep, bit-identical to
+    /// [`baseline_sensor_db_with`](Self::baseline_sensor_db_with) per
+    /// sensor (the campaign layer fans sensors out across workers
+    /// instead).
     ///
     /// # Errors
     ///
@@ -270,9 +273,12 @@ impl<'c> PlacementSweep<'c> {
         ctx: &mut AcqContext<'_>,
         scenario: &Scenario,
     ) -> Result<Baseline, CoreError> {
-        let per_sensor_db = (0..self.chip.sensor_bank().len())
-            .map(|i| self.baseline_sensor_db_with(ctx, scenario, i))
-            .collect::<Result<_, _>>()?;
+        let per_sensor_db = ctx.sensor_sweep_db(
+            scenario,
+            self.config.records_per_sensor,
+            self.config.record_cycles,
+            &[],
+        )?;
         Ok(Baseline { per_sensor_db })
     }
 
@@ -316,34 +322,32 @@ impl<'c> PlacementSweep<'c> {
             .iter()
             .map(|e| self.coupling_row(&e.site))
             .collect::<Result<_, _>>()?;
-
-        let mut spectra = Vec::with_capacity(n_sensors);
-        let mut components: Vec<Vec<(usize, f64)>> = Vec::with_capacity(n_sensors);
-        let mut traces = TraceSet::default();
-        let mut injected: Vec<InjectedEmitter<'_>> = Vec::with_capacity(emitters.len());
-        for i in 0..n_sensors {
-            injected.clear();
-            for (e, row) in emitters.iter().zip(&rows) {
-                injected.push(InjectedEmitter {
-                    trojan: &e.trojan,
-                    charge_fc: e.charge_fc,
-                    coupling: row[i],
-                });
-            }
-            ctx.acquire_len_with_emitters_into(
-                scenario,
-                SensorSelect::Psa(i),
-                self.config.records_per_sensor,
-                self.config.record_cycles,
-                &injected,
-                &mut traces,
-            )?;
-            let spec = ctx.fullres_spectrum_db(&traces)?;
-            let hits =
-                peak::excess_over_baseline_db(&spec, &envelopes[i], self.config.threshold_db);
-            components.push(merge_adjacent_bins(&hits));
-            spectra.push(spec);
-        }
+        let injected: Vec<ArrayEmitter<'_>> = emitters
+            .iter()
+            .zip(&rows)
+            .map(|(e, row)| ArrayEmitter {
+                trojan: &e.trojan,
+                charge_fc: e.charge_fc,
+                couplings: row,
+            })
+            .collect();
+        let spectra = ctx.sensor_sweep_db(
+            scenario,
+            self.config.records_per_sensor,
+            self.config.record_cycles,
+            &injected,
+        )?;
+        let components = spectra
+            .iter()
+            .zip(envelopes)
+            .map(|(spec, env)| {
+                merge_adjacent_bins(&peak::excess_over_baseline_db(
+                    spec,
+                    env,
+                    self.config.threshold_db,
+                ))
+            })
+            .collect();
         Ok(SensedArray {
             spectra,
             components,

@@ -15,7 +15,7 @@
 //!    emergent frequency and classify the recovered envelope to
 //!    *identify* which Trojan is active (Fig 5).
 
-use crate::acquisition::{AcqContext, TraceSet};
+use crate::acquisition::AcqContext;
 use crate::calib;
 use crate::chip::{SensorSelect, TestChip};
 use crate::error::CoreError;
@@ -41,19 +41,23 @@ impl Baseline {
     /// campaign engine, detector construction) never pay for the
     /// analyzer's identification template library.
     ///
+    /// One sensor sweep ([`AcqContext::sensor_sweep_db`]) learns all 16
+    /// sensors, bit-identical to [`sensor_db_with`](Self::sensor_db_with)
+    /// per sensor.
+    ///
     /// # Panics
     ///
-    /// Never panics; built-in sensor indices are in range by
-    /// construction.
-    pub fn learn_with(
-        chip: &TestChip,
-        config: &AnalyzerConfig,
-        ctx: &mut AcqContext<'_>,
-        seed: u64,
-    ) -> Baseline {
-        let per_sensor_db = (0..chip.sensor_bank().len())
-            .map(|i| Self::sensor_db_with(config, ctx, seed, i))
-            .collect();
+    /// When `config.traces_per_sensor` is zero; built-in sensor indices
+    /// are in range by construction.
+    pub fn learn_with(config: &AnalyzerConfig, ctx: &mut AcqContext<'_>, seed: u64) -> Baseline {
+        let per_sensor_db = ctx
+            .sensor_sweep_db(
+                &Scenario::baseline().with_seed(seed),
+                config.traces_per_sensor,
+                calib::RECORD_CYCLES,
+                &[],
+            )
+            .expect("built-in sensors are valid");
         Baseline { per_sensor_db }
     }
 
@@ -228,7 +232,7 @@ impl<'a> CrossDomainAnalyzer<'a> {
     ///
     /// Same as [`learn_baseline`](Self::learn_baseline).
     pub fn learn_baseline_with(&self, ctx: &mut AcqContext<'_>, seed: u64) -> Baseline {
-        Baseline::learn_with(self.chip, &self.config, ctx, seed)
+        Baseline::learn_with(&self.config, ctx, seed)
     }
 
     /// One sensor's learned-baseline spectrum (the per-job unit of the
@@ -271,33 +275,14 @@ impl<'a> CrossDomainAnalyzer<'a> {
         // FFT resolution (the detector's RBW). The comparison uses a
         // local-max envelope of the baseline so per-bin noise flicker
         // between the learning and test windows cannot false-alarm.
-        let mut ranking = Vec::with_capacity(self.chip.sensor_bank().len());
-        let mut spectra = Vec::with_capacity(self.chip.sensor_bank().len());
-        let mut base_envs = Vec::with_capacity(self.chip.sensor_bank().len());
+        let spectra = sweep_with_baseline(ctx, scenario, self.config.traces_per_sensor, baseline)?;
+        let mut ranking = Vec::with_capacity(spectra.len());
+        let mut base_envs = Vec::with_capacity(spectra.len());
         let mut peak_excess_db = f64::NEG_INFINITY;
-        let mut traces = TraceSet::default();
-        for i in 0..self.chip.sensor_bank().len() {
-            ctx.acquire_into(
-                scenario,
-                SensorSelect::Psa(i),
-                self.config.traces_per_sensor,
-                &mut traces,
-            )?;
-            let spec = ctx.fullres_spectrum_db(&traces)?;
-            let base = baseline
-                .per_sensor_db
-                .get(i)
-                .ok_or(CoreError::InvalidParameter {
-                    what: "baseline missing a sensor",
-                })?;
+        for (i, (spec, base)) in spectra.iter().zip(&baseline.per_sensor_db).enumerate() {
             let base_env = local_max_envelope(base, 8);
-            let sensor_peak = spec
-                .iter()
-                .zip(&base_env)
-                .map(|(s, b)| s - b)
-                .fold(f64::NEG_INFINITY, f64::max);
-            peak_excess_db = peak_excess_db.max(sensor_peak);
-            let hits = peak::excess_over_baseline_db(&spec, &base_env, self.config.threshold_db);
+            peak_excess_db = peak_excess_over(spec, &base_env, peak_excess_db);
+            let hits = peak::excess_over_baseline_db(spec, &base_env, self.config.threshold_db);
             let merged = merge_adjacent_bins(&hits);
             let energy: f64 = merged.iter().map(|(_, e)| e).sum();
             let components: Vec<(f64, f64)> = merged
@@ -310,7 +295,6 @@ impl<'a> CrossDomainAnalyzer<'a> {
                 amplitude_v: 0.0, // filled in once the common line is known
                 components,
             });
-            spectra.push(spec);
             base_envs.push(base_env);
         }
 
@@ -400,6 +384,31 @@ impl<'a> CrossDomainAnalyzer<'a> {
 }
 
 use psa_dsp::peak::local_max_envelope;
+
+/// The full-resolution 16-sensor sweep of one decision, after checking
+/// that `baseline` covers every sensor.
+pub(crate) fn sweep_with_baseline(
+    ctx: &mut AcqContext<'_>,
+    scenario: &Scenario,
+    traces_per_sensor: usize,
+    baseline: &Baseline,
+) -> Result<Vec<Vec<f64>>, CoreError> {
+    if baseline.per_sensor_db.len() < ctx.chip().sensor_bank().len() {
+        return Err(CoreError::InvalidParameter {
+            what: "baseline missing a sensor",
+        });
+    }
+    ctx.sensor_sweep_db(scenario, traces_per_sensor, calib::RECORD_CYCLES, &[])
+}
+
+/// Folds the largest per-bin excess of `spec` over `base_env` into
+/// `peak` — the detection statistic, before thresholding.
+pub(crate) fn peak_excess_over(spec: &[f64], base_env: &[f64], peak: f64) -> f64 {
+    spec.iter()
+        .zip(base_env)
+        .map(|(s, b)| s - b)
+        .fold(peak, f64::max)
+}
 
 /// Collapses runs of adjacent excess bins into their strongest member,
 /// so one spectral line is one component (shared with the placement

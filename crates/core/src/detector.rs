@@ -45,7 +45,9 @@ pub mod reference_free;
 
 use crate::acquisition::{AcqContext, TraceSet};
 use crate::chip::{SensorSelect, TestChip};
-use crate::cross_domain::{AnalyzerConfig, Baseline, CrossDomainAnalyzer};
+use crate::cross_domain::{
+    peak_excess_over, sweep_with_baseline, AnalyzerConfig, Baseline, CrossDomainAnalyzer,
+};
 use crate::error::CoreError;
 use crate::identify::TemplateLibrary;
 use crate::scenario::Scenario;
@@ -220,7 +222,6 @@ impl CrossDomainDetector {
     /// detection and cached).
     pub fn new(chip: &TestChip, baseline_seed: u64) -> Self {
         Self::with_baseline(Baseline::learn_with(
-            chip,
             &AnalyzerConfig::default(),
             &mut AcqContext::new(chip),
             baseline_seed,
@@ -299,31 +300,14 @@ impl ScoredDetector for CrossDomainDetector {
     /// identification, no template library, which makes it the cheap
     /// per-cell unit of the bake-off.
     fn score_with(&self, ctx: &mut AcqContext<'_>, scenario: &Scenario) -> Result<f64, CoreError> {
-        let mut traces = TraceSet::default();
-        let mut peak = f64::NEG_INFINITY;
-        for i in 0..ctx.chip().sensor_bank().len() {
-            ctx.acquire_into(
-                scenario,
-                SensorSelect::Psa(i),
-                self.config.traces_per_sensor,
-                &mut traces,
-            )?;
-            let spec = ctx.fullres_spectrum_db(&traces)?;
-            let base = self
-                .baseline
-                .per_sensor_db
-                .get(i)
-                .ok_or(CoreError::InvalidParameter {
-                    what: "baseline missing a sensor",
-                })?;
-            let base_env = local_max_envelope(base, 8);
-            peak = spec
-                .iter()
-                .zip(&base_env)
-                .map(|(s, b)| s - b)
-                .fold(peak, f64::max);
-        }
-        Ok(peak)
+        let spectra =
+            sweep_with_baseline(ctx, scenario, self.config.traces_per_sensor, &self.baseline)?;
+        Ok(spectra
+            .iter()
+            .zip(&self.baseline.per_sensor_db)
+            .fold(f64::NEG_INFINITY, |peak, (spec, base)| {
+                peak_excess_over(spec, &local_max_envelope(base, 8), peak)
+            }))
     }
 }
 

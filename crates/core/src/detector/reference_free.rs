@@ -31,9 +31,8 @@
 //! `score > threshold`.
 
 use super::{Capabilities, Detector, ScoredDetector};
-use crate::acquisition::{AcqContext, TraceSet};
+use crate::acquisition::AcqContext;
 use crate::calib;
-use crate::chip::SensorSelect;
 use crate::error::CoreError;
 use crate::scenario::Scenario;
 use psa_dsp::filter::sliding_median;
@@ -199,19 +198,16 @@ impl ScoredDetector for SpectralOutlierDetector {
 
     fn score_with(&self, ctx: &mut AcqContext<'_>, scenario: &Scenario) -> Result<f64, CoreError> {
         let n_samples = self.config.record_cycles * calib::SAMPLES_PER_CYCLE;
-        let mut traces = TraceSet::default();
+        let spectra = ctx.sensor_sweep_db(
+            scenario,
+            self.config.traces_per_sensor,
+            self.config.record_cycles,
+            &[],
+        )?;
         let mut worst = 0.0f64;
-        for i in 0..ctx.chip().sensor_bank().len() {
-            ctx.acquire_len_into(
-                scenario,
-                SensorSelect::Psa(i),
-                self.config.traces_per_sensor,
-                self.config.record_cycles,
-                &mut traces,
-            )?;
-            let spec = ctx.fullres_spectrum_db(&traces)?;
+        for spec in &spectra {
             let mask = harmonic_mask(n_samples, spec.len(), self.config.harmonic_guard_bins);
-            let residual = floor_residual(&spec, self.config.floor_half_window);
+            let residual = floor_residual(spec, self.config.floor_half_window);
             let Some(z) = masked_zscores(&residual, &mask) else {
                 continue;
             };
@@ -317,47 +313,38 @@ impl ScoredDetector for CrossScalePersistenceDetector {
             });
         }
         let coarsest = scales.iter().copied().min().expect("non-empty scale list");
-        let mut traces = TraceSet::default();
-        let mut score = f64::NEG_INFINITY;
-        for i in 0..ctx.chip().sensor_bank().len() {
-            // Per-scale robust-z spectra. Each scale acquires its own
-            // records (decorrelated noise), seed-offset so scales never
-            // share a noise stream even at equal record counts.
-            let mut zs: Vec<Vec<f64>> = Vec::with_capacity(scales.len());
-            let mut ratios: Vec<usize> = Vec::with_capacity(scales.len());
-            for (si, &cycles) in scales.iter().enumerate() {
-                let scen = scenario
-                    .clone()
-                    .with_seed(scenario.seed ^ (0x5CA1E + si as u64).wrapping_mul(0x9E37_79B9));
-                ctx.acquire_len_into(
-                    &scen,
-                    SensorSelect::Psa(i),
-                    self.config.traces_per_scale,
-                    cycles,
-                    &mut traces,
-                )?;
-                let spec = ctx.fullres_spectrum_db(&traces)?;
-                let n_samples = cycles * calib::SAMPLES_PER_CYCLE;
+        let n_sensors = ctx.chip().sensor_bank().len();
+        // Per-sensor, per-scale robust-z spectra, one sweep of the array
+        // per scale. Each scale acquires its own records (decorrelated
+        // noise), seed-offset so scales never share a noise stream even
+        // at equal record counts. `None` marks a sensor with a
+        // degenerate scale: it cannot confirm persistence at any
+        // frequency, so it contributes no score.
+        let mut sensor_zs: Vec<Option<Vec<Vec<f64>>>> =
+            vec![Some(Vec::with_capacity(scales.len())); n_sensors];
+        let ratios: Vec<usize> = scales.iter().map(|&c| c / coarsest).collect();
+        for (si, &cycles) in scales.iter().enumerate() {
+            let scen = scenario
+                .clone()
+                .with_seed(scenario.seed ^ (0x5CA1E + si as u64).wrapping_mul(0x9E37_79B9));
+            let spectra = ctx.sensor_sweep_db(&scen, self.config.traces_per_scale, cycles, &[])?;
+            let n_samples = cycles * calib::SAMPLES_PER_CYCLE;
+            for (zs, spec) in sensor_zs.iter_mut().zip(&spectra) {
+                let Some(list) = zs else { continue };
                 let mask = harmonic_mask(n_samples, spec.len(), self.config.harmonic_guard_bins);
-                let residual = floor_residual(&spec, self.config.floor_half_window);
+                let residual = floor_residual(spec, self.config.floor_half_window);
                 match masked_zscores(&residual, &mask) {
-                    Some(z) => zs.push(z),
-                    // A degenerate scale cannot confirm persistence at
-                    // any frequency: the sensor contributes no score.
-                    None => {
-                        zs.clear();
-                        break;
-                    }
+                    Some(z) => list.push(z),
+                    None => *zs = None,
                 }
-                ratios.push(cycles / coarsest);
             }
-            if zs.is_empty() {
-                continue;
-            }
-            let base_idx = scales
-                .iter()
-                .position(|&c| c == coarsest)
-                .expect("coarsest comes from this list");
+        }
+        let base_idx = scales
+            .iter()
+            .position(|&c| c == coarsest)
+            .expect("coarsest comes from this list");
+        let mut score = f64::NEG_INFINITY;
+        for zs in sensor_zs.iter().flatten() {
             let base_len = zs[base_idx].len();
             for k in 0..base_len {
                 // Persistence: the outlier must show at the aligned bin
@@ -436,19 +423,12 @@ impl ScoredDetector for SpectralKurtosisDetector {
 
     fn score_with(&self, ctx: &mut AcqContext<'_>, scenario: &Scenario) -> Result<f64, CoreError> {
         let n_samples = self.record_cycles * calib::SAMPLES_PER_CYCLE;
-        let mut traces = TraceSet::default();
+        let spectra =
+            ctx.sensor_sweep_db(scenario, self.traces_per_sensor, self.record_cycles, &[])?;
         let mut score = f64::NEG_INFINITY;
-        for i in 0..ctx.chip().sensor_bank().len() {
-            ctx.acquire_len_into(
-                scenario,
-                SensorSelect::Psa(i),
-                self.traces_per_sensor,
-                self.record_cycles,
-                &mut traces,
-            )?;
-            let spec = ctx.fullres_spectrum_db(&traces)?;
+        for spec in &spectra {
             let mask = harmonic_mask(n_samples, spec.len(), self.harmonic_guard_bins);
-            let residual = floor_residual(&spec, self.floor_half_window);
+            let residual = floor_residual(spec, self.floor_half_window);
             let unmasked: Vec<f64> = residual
                 .iter()
                 .zip(&mask)

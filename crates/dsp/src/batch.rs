@@ -335,26 +335,67 @@ impl SpectrumScratch {
         let half = fft::one_sided_len(n);
         self.acc.clear();
         self.acc.resize(half, 0.0);
-        // Swap the accumulator out so `amplitude_spectrum` can borrow
-        // `self` mutably inside the loop.
+        // Swap the accumulator out so `add_amplitude_spectrum` can
+        // borrow `self` mutably inside the loop.
         let mut acc = std::mem::take(&mut self.acc);
-        for r in records {
+        let result = records.iter().try_for_each(|r| {
             if r.len() != n {
-                self.acc = acc;
                 return Err(DspError::InvalidLength {
                     what: "trace length (all traces must match)",
                     got: r.len(),
                 });
             }
-            let amp = self.amplitude_spectrum(r)?;
-            for (a, v) in acc.iter_mut().zip(amp) {
-                *a += v;
-            }
-        }
-        let k = records.len() as f64;
-        let out: Vec<f64> = acc.iter().map(|a| spectrum::amplitude_db(a / k)).collect();
+            self.add_amplitude_spectrum(r, &mut acc)
+        });
+        let out = result.map(|()| {
+            let mut out = acc.clone();
+            mean_amplitude_db_in_place(&mut out, records.len());
+            out
+        });
         self.acc = acc;
-        Ok(out)
+        out
+    }
+
+    /// Adds `signal`'s one-sided amplitude spectrum into `acc`, bin by
+    /// bin: one addend of [`averaged_spectrum_db`]. Summing records in
+    /// order and finishing with [`mean_amplitude_db_in_place`] is
+    /// bit-identical to [`averaged_spectrum_db`] over the same records,
+    /// without holding the records.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DspError::EmptyInput`] when `signal` is empty and
+    /// [`DspError::InvalidLength`] when `acc` is not one-sided length.
+    ///
+    /// [`averaged_spectrum_db`]: Self::averaged_spectrum_db
+    pub fn add_amplitude_spectrum(
+        &mut self,
+        signal: &[f64],
+        acc: &mut [f64],
+    ) -> Result<(), DspError> {
+        if signal.is_empty() {
+            return Err(DspError::EmptyInput);
+        }
+        if acc.len() != fft::one_sided_len(signal.len()) {
+            return Err(DspError::InvalidLength {
+                what: "spectrum accumulator (must be one-sided length)",
+                got: acc.len(),
+            });
+        }
+        let amp = self.amplitude_spectrum(signal)?;
+        for (a, v) in acc.iter_mut().zip(amp) {
+            *a += v;
+        }
+        Ok(())
+    }
+}
+
+/// Turns a sum of `count` amplitude spectra into their mean in dB, in
+/// place: the last step of [`SpectrumScratch::averaged_spectrum_db`].
+pub fn mean_amplitude_db_in_place(sums: &mut [f64], count: usize) {
+    let k = count as f64;
+    for a in sums {
+        *a = spectrum::amplitude_db(*a / k);
     }
 }
 
@@ -512,5 +553,29 @@ mod tests {
             .is_err());
         // And the scratch stays usable after an error.
         assert!(scratch.averaged_spectrum_db(&[vec![1.0; 8]]).is_ok());
+    }
+
+    #[test]
+    fn streamed_sum_matches_averaged_db_bitwise() {
+        // The record-at-a-time path (sum rows, then finish) is the
+        // batch path without holding the records.
+        let records: Vec<Vec<f64>> = (0..3)
+            .map(|k| signal(512).iter().map(|v| v * (1.0 + k as f64)).collect())
+            .collect();
+        let mut scratch = SpectrumScratch::new(Window::Hann);
+        let held = scratch.averaged_spectrum_db(&records).unwrap();
+        let mut sum = vec![0.0; fft::one_sided_len(512)];
+        for r in &records {
+            scratch.add_amplitude_spectrum(r, &mut sum).unwrap();
+        }
+        mean_amplitude_db_in_place(&mut sum, records.len());
+        assert!(held
+            .iter()
+            .zip(&sum)
+            .all(|(a, b)| a.to_bits() == b.to_bits()));
+        assert!(scratch
+            .add_amplitude_spectrum(&records[0], &mut [0.0; 8])
+            .is_err());
+        assert!(scratch.add_amplitude_spectrum(&[], &mut [0.0; 1]).is_err());
     }
 }
