@@ -1,7 +1,8 @@
 //! Per-stage hot-path throughput in records/sec: acquisition, the
 //! sensor-batched 16-sensor sweep, spectral transforms (historical
 //! complex FFT vs the packed real-input FFT),
-//! the production spectrum pipeline, monitor ticks, and an
+//! the production spectrum pipeline, monitor ticks, Trojan
+//! identification (zero-span envelope, then envelope features), and an
 //! engine-parallel campaign stage.
 //!
 //! ```text
@@ -18,29 +19,38 @@
 //!
 //! A "record" is one full-resolution capture:
 //! `calib::RECORD_CYCLES × calib::SAMPLES_PER_CYCLE` samples
-//! (8192 × 8 = 65 536 at 264 MS/s).
+//! (8192 × 8 = 65 536 at 264 MS/s). The `zero_span` and `identify`
+//! stages count envelopes instead: one envelope is the identification
+//! zero-span of six concatenated records.
 
 use psa_bench::harness::{bench_json_path, ThroughputTimer};
 use psa_core::acquisition::{AcqContext, TraceSet};
 use psa_core::chip::SensorSelect;
 use psa_core::cross_domain::{AnalyzerConfig, Baseline};
+use psa_core::identify::extract_features;
 use psa_core::monitor::{ActivationSchedule, SlidingConfig, SlidingDetector, StreamSource};
 use psa_core::scenario::Scenario;
 use psa_dsp::window::Window;
+use psa_dsp::zero_span::ZeroSpan;
 use psa_gatesim::trojan::TrojanKind;
 use psa_runtime::Campaign;
 
 /// The sensor every stage reads — the paper's best-coupled PSA coil.
 const SENSOR: usize = 10;
 
+/// Records concatenated into one identification envelope, as
+/// `identify::signature_from_parts_with` acquires them.
+const IDENTIFY_RECORDS: usize = 6;
+
 /// Per-stage record counts: `(acquire, sensor-sweep records per
-/// sensor, transforms, monitor ticks, campaign jobs)`.
-fn record_counts() -> (usize, usize, usize, usize, usize) {
+/// sensor, transforms, monitor ticks, identification envelopes,
+/// campaign jobs)`.
+fn record_counts() -> (usize, usize, usize, usize, usize, usize) {
     let fast = std::env::var("PSA_BENCH_FAST").is_ok_and(|v| v != "0");
     if fast {
-        (2, 1, 8, 4, 2)
+        (2, 1, 8, 4, 1, 2)
     } else {
-        (32, 2, 256, 24, 32)
+        (32, 2, 256, 24, 8, 32)
     }
 }
 
@@ -56,7 +66,7 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let engine = psa_bench::harness::engine_from_cli(&args);
     let json_path = bench_json_path(&args, "BENCH_throughput.json");
-    let (n_acquire, n_sweep, n_transform, n_ticks, n_jobs) = record_counts();
+    let (n_acquire, n_sweep, n_transform, n_ticks, n_envelopes, n_jobs) = record_counts();
     let mut timer = ThroughputTimer::new();
 
     let chip = psa_bench::experiments::build_chip();
@@ -200,7 +210,47 @@ fn main() {
         digest(&mid_bins)
     );
 
-    // Stage 6: engine-parallel acquisition — one record per job across
+    // Stages 6–7: Trojan identification on one T1 capture — the
+    // zero-span envelope of the 48 MHz line (mixer + two decimating FIR
+    // stages over six concatenated records), then its feature vector.
+    // The acquisition is outside both timers.
+    let t1 = Scenario::trojan_active(TrojanKind::T1).with_seed(0x1D);
+    ctx.acquire_into(
+        &t1,
+        SensorSelect::Psa(SENSOR),
+        IDENTIFY_RECORDS,
+        &mut traces,
+    )
+    .expect("built-in sensor acquisition");
+    let mut capture = Vec::new();
+    traces.concat_into(&mut capture);
+    let zs = ZeroSpan::with_rbw(48.0e6, traces.fs_hz, psa_core::calib::IDENTIFY_RBW_HZ)
+        .expect("identification zero-span configuration");
+    let mut envelope = Vec::new();
+    timer.time("zero_span", n_envelopes as u64, || {
+        for _ in 0..n_envelopes {
+            envelope = zs.envelope_trimmed(&capture).expect("six-record capture");
+        }
+    });
+    println!(
+        "stage zero_span: {n_envelopes} envelopes of {} samples, digest {}",
+        envelope.len(),
+        digest(&envelope)
+    );
+    let mut features = Vec::new();
+    timer.time("identify", n_envelopes as u64, || {
+        for _ in 0..n_envelopes {
+            features = extract_features(&envelope, zs.output_fs_hz())
+                .expect("envelope long enough for features")
+                .to_vec();
+        }
+    });
+    println!(
+        "stage identify: {n_envelopes} envelopes, digest {}",
+        digest(&features)
+    );
+
+    // Stage 8: engine-parallel acquisition — one record per job across
     // distinct scenario seeds, reduced in submission order so stdout is
     // byte-identical at any worker count.
     let campaign = Campaign::new(&chip, engine);

@@ -117,7 +117,7 @@ pub fn extract_features(envelope: &[f64], fs_hz: f64) -> Result<EnvelopeFeatures
 
     let max_lag = (envelope.len() / 2).min(4096);
     let ac = correlate::autocorrelation(envelope, max_lag)?;
-    let period_samples = correlate::dominant_period(envelope, max_lag);
+    let period_samples = correlate::dominant_period_of(&ac);
     let (period_us, periodicity) = match period_samples {
         Some(lag) if lag > 0 => {
             let strength = ac.get(lag).copied().unwrap_or(0.0).max(0.0);
@@ -126,8 +126,10 @@ pub fn extract_features(envelope: &[f64], fs_hz: f64) -> Result<EnvelopeFeatures
         _ => (0.0, 0.0),
     };
 
-    let p95 = stats::percentile(envelope, 95.0);
-    let p5 = stats::percentile(envelope, 5.0);
+    let mut sorted = envelope.to_vec();
+    sorted.sort_by(|a, b| a.total_cmp(b));
+    let p95 = stats::percentile_sorted(&sorted, 95.0);
+    let p5 = stats::percentile_sorted(&sorted, 5.0);
     let depth = if p95 + p5 > 0.0 {
         ((p95 - p5) / (p95 + p5)).clamp(0.0, 1.0)
     } else {
@@ -137,8 +139,8 @@ pub fn extract_features(envelope: &[f64], fs_hz: f64) -> Result<EnvelopeFeatures
     let kurtosis = stats::kurtosis_excess(envelope);
 
     // Telegraph score: closeness to a two-level distribution.
-    let lo = stats::percentile(envelope, 25.0);
-    let hi = stats::percentile(envelope, 75.0);
+    let lo = stats::percentile_sorted(&sorted, 25.0);
+    let hi = stats::percentile_sorted(&sorted, 75.0);
     let band = (hi - lo).max(1e-12) * 0.25;
     let near_levels = envelope
         .iter()
@@ -273,7 +275,7 @@ impl TemplateLibrary {
                 let baseline = Scenario::baseline()
                     .with_key(*key)
                     .with_seed(0xBEEF + ki as u64);
-                let sig = acquire_signature(chip, &acq, &scenario, &baseline, 10, 48.0e6)?;
+                let sig = acquire_signature(&acq, &scenario, &baseline, 10, 48.0e6)?;
                 samples.push(sig.to_vec());
                 kinds.push(kind);
             }
@@ -347,7 +349,6 @@ impl TemplateLibrary {
 ///
 /// Propagates acquisition/DSP errors.
 pub fn acquire_signature(
-    chip: &TestChip,
     acq: &crate::acquisition::Acquisition<'_>,
     scenario: &crate::scenario::Scenario,
     baseline_scenario: &crate::scenario::Scenario,
@@ -355,7 +356,6 @@ pub fn acquire_signature(
     line_freq_hz: f64,
 ) -> Result<TrojanSignature, CoreError> {
     use crate::chip::SensorSelect;
-    let _ = chip;
     let traces = acq.acquire(
         scenario,
         SensorSelect::Psa(sensor),

@@ -1,9 +1,10 @@
-//! Auto- and cross-correlation.
+//! Autocorrelation, envelope periodicity and Pearson correlation.
 //!
-//! The Trojan identification stage compares zero-span envelopes against
-//! stored templates (normalized cross-correlation) and extracts envelope
-//! periodicity from the autocorrelation, so all four Trojans can be told
-//! apart without supervision (paper Fig 5).
+//! The Trojan identification stage extracts a zero-span envelope's
+//! dominant period and its strength from the autocorrelation; those
+//! become two of the scale-free features that k-NN matches against the
+//! reference templates, so all four Trojans can be told apart without
+//! supervision (paper Fig 5).
 
 use crate::error::DspError;
 use crate::stats;
@@ -35,16 +36,45 @@ pub fn autocorrelation(x: &[f64], max_lag: usize) -> Result<Vec<f64>, DspError> 
     if denom <= scale * 1e-24 {
         return Ok(vec![0.0; max_lag]);
     }
+    let n = x.len();
     let mut out = Vec::with_capacity(max_lag);
-    for lag in 0..max_lag {
+    // Lags in blocks of LAG_BLOCK, one accumulator per lag: every lag
+    // still sums `i = 0..n-lag` in ascending order (bit-identical to one
+    // lag at a time), but the block's add chains are independent.
+    let mut lag0 = 0;
+    while lag0 + LAG_BLOCK <= max_lag {
+        let mut acc = [0.0f64; LAG_BLOCK];
+        // Every lag of the block covers `i < common`; lag0 + k then
+        // finishes its own last LAG_BLOCK - 1 - k terms.
+        let common = n - (lag0 + LAG_BLOCK - 1);
+        let shifted = &centered[lag0..];
+        for (i, &ci) in centered[..common].iter().enumerate() {
+            let window = &shifted[i..i + LAG_BLOCK];
+            for (a, &cj) in acc.iter_mut().zip(window) {
+                *a += ci * cj;
+            }
+        }
+        for (k, a) in acc.iter_mut().enumerate() {
+            let lag = lag0 + k;
+            for i in common..n - lag {
+                *a += centered[i] * centered[i + lag];
+            }
+            out.push(*a / denom);
+        }
+        lag0 += LAG_BLOCK;
+    }
+    for lag in lag0..max_lag {
         let mut acc = 0.0;
-        for i in 0..x.len() - lag {
+        for i in 0..n - lag {
             acc += centered[i] * centered[i + lag];
         }
         out.push(acc / denom);
     }
     Ok(out)
 }
+
+/// Lags computed per pass of [`autocorrelation`] over the signal.
+const LAG_BLOCK: usize = 16;
 
 /// Pearson correlation coefficient between two equal-length signals, in
 /// `[-1, 1]`. Returns 0 if either input has zero variance.
@@ -89,39 +119,17 @@ pub fn pearson(a: &[f64], b: &[f64]) -> Result<f64, DspError> {
     Ok(num / (da * db).sqrt())
 }
 
-/// Maximum normalized cross-correlation over all circular shifts of `b`
-/// relative to `a` — a shift-invariant template match score in `[-1, 1]`.
-///
-/// # Errors
-///
-/// Same conditions as [`pearson`].
-pub fn max_circular_correlation(a: &[f64], b: &[f64]) -> Result<f64, DspError> {
-    if a.is_empty() || b.is_empty() {
-        return Err(DspError::EmptyInput);
-    }
-    if a.len() != b.len() {
-        return Err(DspError::InvalidLength {
-            what: "correlation operand length (must match)",
-            got: b.len(),
-        });
-    }
-    let n = a.len();
-    let mut best = -1.0f64;
-    let mut shifted = vec![0.0; n];
-    for shift in 0..n {
-        for i in 0..n {
-            shifted[i] = b[(i + shift) % n];
-        }
-        best = best.max(pearson(a, &shifted)?);
-    }
-    Ok(best)
-}
-
 /// Estimates the dominant period of a signal (in samples) from the first
 /// prominent autocorrelation peak after lag 0. Returns `None` when no
 /// periodicity is found.
 pub fn dominant_period(x: &[f64], max_lag: usize) -> Option<usize> {
     let ac = autocorrelation(x, max_lag.min(x.len())).ok()?;
+    dominant_period_of(&ac)
+}
+
+/// [`dominant_period`] on an autocorrelation the caller already holds
+/// (as returned by [`autocorrelation`], lag 0 first).
+pub fn dominant_period_of(ac: &[f64]) -> Option<usize> {
     if ac.len() < 3 {
         return None;
     }
@@ -169,6 +177,71 @@ mod tests {
         assert!(autocorrelation(&[1.0, 2.0], 5).is_err());
     }
 
+    /// The one-lag-at-a-time loop the lag-blocked kernel replaced.
+    fn autocorrelation_reference(x: &[f64], max_lag: usize) -> Vec<f64> {
+        let m = stats::mean(x);
+        let centered: Vec<f64> = x.iter().map(|v| v - m).collect();
+        let denom: f64 = centered.iter().map(|v| v * v).sum();
+        let scale = x.iter().map(|v| v * v).sum::<f64>().max(f64::MIN_POSITIVE);
+        if denom <= scale * 1e-24 {
+            return vec![0.0; max_lag];
+        }
+        (0..max_lag)
+            .map(|lag| {
+                let mut acc = 0.0;
+                for i in 0..x.len() - lag {
+                    acc += centered[i] * centered[i + lag];
+                }
+                acc / denom
+            })
+            .collect()
+    }
+
+    #[test]
+    fn blocked_autocorrelation_matches_one_lag_at_a_time_bitwise() {
+        let mut state = 0x5EED_AC0Fu64;
+        let mut lcg = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 11) as f64 / (1u64 << 53) as f64 - 0.5
+        };
+        for len in 1..=40usize {
+            let noisy: Vec<f64> = (0..len).map(|_| lcg()).collect();
+            // Integer ramp symmetric about 0: exact zeros after centring.
+            let ramp: Vec<f64> = (0..len).map(|i| i as f64 - (len / 2) as f64).collect();
+            // Mostly-zero signal with sparse spikes: exact-zero products.
+            let sparse: Vec<f64> = (0..len)
+                .map(|i| if i % 5 == 2 { 1.0 + lcg() } else { 0.0 })
+                .collect();
+            let constant = vec![0.37; len];
+            for x in [&noisy, &ramp, &sparse, &constant] {
+                for max_lag in 0..=len {
+                    let fast: Vec<u64> = autocorrelation(x, max_lag)
+                        .unwrap()
+                        .iter()
+                        .map(|v| v.to_bits())
+                        .collect();
+                    let slow: Vec<u64> = autocorrelation_reference(x, max_lag)
+                        .iter()
+                        .map(|v| v.to_bits())
+                        .collect();
+                    assert_eq!(fast, slow, "len {len}, max_lag {max_lag}, x {x:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn dominant_period_of_reuses_an_autocorrelation() {
+        let x: Vec<f64> = (0..600)
+            .map(|i| (2.0 * PI * i as f64 / 30.0).sin())
+            .collect();
+        let ac = autocorrelation(&x, 150).unwrap();
+        assert_eq!(dominant_period_of(&ac), dominant_period(&x, 150));
+        assert_eq!(dominant_period_of(&ac[..2]), None);
+    }
+
     #[test]
     fn autocorrelation_of_constant_is_zero() {
         let ac = autocorrelation(&[4.2; 50], 10).unwrap();
@@ -193,36 +266,6 @@ mod tests {
     fn pearson_validates() {
         assert!(pearson(&[], &[]).is_err());
         assert!(pearson(&[1.0], &[1.0, 2.0]).is_err());
-    }
-
-    #[test]
-    fn circular_correlation_is_shift_invariant() {
-        let n = 64;
-        let a: Vec<f64> = (0..n).map(|i| (2.0 * PI * i as f64 / 16.0).sin()).collect();
-        let mut b = vec![0.0; n];
-        for i in 0..n {
-            b[i] = a[(i + 7) % n];
-        }
-        let score = max_circular_correlation(&a, &b).unwrap();
-        assert!(score > 0.999, "score {score}");
-    }
-
-    #[test]
-    fn circular_correlation_distinguishes_different_shapes() {
-        let n = 128;
-        // Sine vs pseudo-random telegraph: low best correlation.
-        let a: Vec<f64> = (0..n).map(|i| (2.0 * PI * i as f64 / 16.0).sin()).collect();
-        let b: Vec<f64> = (0..n)
-            .map(|i| {
-                if (i * 2654435761usize) % 97 < 48 {
-                    1.0
-                } else {
-                    -1.0
-                }
-            })
-            .collect();
-        let cross = max_circular_correlation(&a, &b).unwrap();
-        assert!(cross < 0.6, "cross {cross}");
     }
 
     #[test]

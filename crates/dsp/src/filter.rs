@@ -163,6 +163,73 @@ impl FirFilter {
         full.into_iter().skip(delay).take(signal.len()).collect()
     }
 
+    /// [`filter`](Self::filter) followed by keeping every `factor`-th
+    /// output, computing only the kept outputs.
+    ///
+    /// Each kept output sums the same products in the same ascending
+    /// signal order as [`convolve`] (zero samples skipped as there), so
+    /// the result equals `filter(signal).into_iter().step_by(factor)`
+    /// bit for bit.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DspError::NonPositive`] when `factor == 0`.
+    pub fn filter_decimated(&self, signal: &[f64], factor: usize) -> Result<Vec<f64>, DspError> {
+        if factor == 0 {
+            return Err(DspError::NonPositive {
+                what: "decimation factor",
+            });
+        }
+        let n = signal.len();
+        if n == 0 {
+            return Ok(Vec::new());
+        }
+        let m = self.taps.len();
+        let delay = (m - 1) / 2;
+        // Output k is full-convolution sample j = k + delay, which sums
+        // signal[i]·taps[j − i] over i in j+1−m ..= j clipped to the
+        // signal. Away from the edges all m taps apply, in reverse order.
+        let edge = |k: usize| {
+            let j = k + delay;
+            let lo = j.saturating_sub(m - 1);
+            let mut acc = 0.0;
+            for (i, &x) in (lo..).zip(&signal[lo..=j.min(n - 1)]) {
+                mac(&mut acc, x, self.taps[j - i]);
+            }
+            acc
+        };
+        let reversed: Vec<f64> = self.taps.iter().rev().copied().collect();
+        let n_out = n.div_ceil(factor);
+        // Outputs q·factor with delay + q·factor in m−1 ..= n−1.
+        let first = (m - 1 - delay).div_ceil(factor).min(n_out);
+        let end = if n > delay {
+            ((n - 1 - delay) / factor + 1).min(n_out).max(first)
+        } else {
+            first
+        };
+        let mut out = Vec::with_capacity(n_out);
+        out.extend((0..first).map(|q| edge(q * factor)));
+        // Four interior outputs per pass over the taps, one accumulator
+        // each, so four independent add chains.
+        let mut q = first;
+        while q + 4 <= end {
+            let start = |r: usize| (q + r) * factor + delay + 1 - m;
+            let (w0, w1) = (&signal[start(0)..][..m], &signal[start(1)..][..m]);
+            let (w2, w3) = (&signal[start(2)..][..m], &signal[start(3)..][..m]);
+            let mut acc = [0.0f64; 4];
+            for (t, &tap) in reversed.iter().enumerate() {
+                mac(&mut acc[0], w0[t], tap);
+                mac(&mut acc[1], w1[t], tap);
+                mac(&mut acc[2], w2[t], tap);
+                mac(&mut acc[3], w3[t], tap);
+            }
+            out.extend_from_slice(&acc);
+            q += 4;
+        }
+        out.extend((q..n_out).map(|q| edge(q * factor)));
+        Ok(out)
+    }
+
     /// Magnitude response at frequency `freq_hz` for sample rate `fs_hz`.
     pub fn magnitude_at(&self, freq_hz: f64, fs_hz: f64) -> f64 {
         let fc = freq_hz / fs_hz;
@@ -174,6 +241,15 @@ impl FirFilter {
             im += t * ph.sin();
         }
         re.hypot(im)
+    }
+}
+
+/// One multiply-accumulate step of [`convolve`], zero-sample skip
+/// included.
+#[inline(always)]
+fn mac(acc: &mut f64, x: f64, tap: f64) {
+    if x != 0.0 {
+        *acc += x * tap;
     }
 }
 
@@ -360,6 +436,48 @@ mod tests {
         let y = lp.filter(&x);
         // Steady-state (after the transient) equals the input level.
         assert!((y[200] - 2.5).abs() < 1e-9);
+    }
+
+    #[test]
+    fn decimated_filter_matches_filter_then_step_bitwise() {
+        let mut state = 0xF1D0_0DEAu64;
+        let mut lcg = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 11) as f64 / (1u64 << 53) as f64 - 0.5
+        };
+        for n_taps in [1usize, 2, 3, 129, 301] {
+            let taps: Vec<f64> = (0..n_taps).map(|_| lcg()).collect();
+            let fir = FirFilter::from_taps(taps).unwrap();
+            for len in [0usize, 1, 2, 5, 64, 150, 300, 301, 302, 1000] {
+                // Exact zeros of both signs among the samples.
+                let signal: Vec<f64> = (0..len)
+                    .map(|i| match i % 7 {
+                        3 => 0.0,
+                        5 => -0.0,
+                        _ => lcg(),
+                    })
+                    .collect();
+                for factor in [1usize, 2, 3, 16, 17] {
+                    let fast: Vec<u64> = fir
+                        .filter_decimated(&signal, factor)
+                        .unwrap()
+                        .iter()
+                        .map(|v| v.to_bits())
+                        .collect();
+                    let slow: Vec<u64> = fir
+                        .filter(&signal)
+                        .into_iter()
+                        .step_by(factor)
+                        .map(f64::to_bits)
+                        .collect();
+                    assert_eq!(fast, slow, "taps {n_taps}, len {len}, factor {factor}");
+                }
+            }
+        }
+        let fir = FirFilter::from_taps(vec![1.0]).unwrap();
+        assert!(fir.filter_decimated(&[1.0], 0).is_err());
     }
 
     #[test]

@@ -75,11 +75,17 @@ pub fn median(x: &[f64]) -> f64 {
 /// Percentile in `[0, 100]` with linear interpolation between order
 /// statistics. Returns 0 for an empty slice; clamps `p` into range.
 pub fn percentile(x: &[f64], p: f64) -> f64 {
-    if x.is_empty() {
-        return 0.0;
-    }
     let mut sorted = x.to_vec();
     sorted.sort_by(|a, b| a.total_cmp(b));
+    percentile_sorted(&sorted, p)
+}
+
+/// [`percentile`] of a slice already sorted ascending (by
+/// `f64::total_cmp`), so several percentiles share one sort.
+pub fn percentile_sorted(sorted: &[f64], p: f64) -> f64 {
+    if sorted.is_empty() {
+        return 0.0;
+    }
     let p = p.clamp(0.0, 100.0);
     let pos = p / 100.0 * (sorted.len() - 1) as f64;
     let lo = pos.floor() as usize;
@@ -299,6 +305,11 @@ mod tests {
         // Out-of-range p is clamped.
         assert_eq!(percentile(&x, -5.0), 10.0);
         assert_eq!(percentile(&x, 150.0), 40.0);
+        assert_eq!(percentile_sorted(&[], 50.0), 0.0);
+        assert_eq!(
+            percentile_sorted(&x, 25.0),
+            percentile(&[40.0, 10.0, 30.0, 20.0], 25.0)
+        );
     }
 
     #[test]

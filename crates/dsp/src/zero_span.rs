@@ -155,31 +155,11 @@ impl ZeroSpan {
             .map(|(n, &x)| -x * (w * n as f64).sin())
             .collect();
         // Stage 1 filter + decimate.
-        let i1: Vec<f64> = self
-            .stage1
-            .filter(&i_mixed)
-            .into_iter()
-            .step_by(self.decim1)
-            .collect();
-        let q1: Vec<f64> = self
-            .stage1
-            .filter(&q_mixed)
-            .into_iter()
-            .step_by(self.decim1)
-            .collect();
+        let i1 = self.stage1.filter_decimated(&i_mixed, self.decim1)?;
+        let q1 = self.stage1.filter_decimated(&q_mixed, self.decim1)?;
         // Stage 2 filter + decimate.
-        let i2: Vec<f64> = self
-            .stage2
-            .filter(&i1)
-            .into_iter()
-            .step_by(self.decim2)
-            .collect();
-        let q2: Vec<f64> = self
-            .stage2
-            .filter(&q1)
-            .into_iter()
-            .step_by(self.decim2)
-            .collect();
+        let i2 = self.stage2.filter_decimated(&i1, self.decim2)?;
+        let q2 = self.stage2.filter_decimated(&q1, self.decim2)?;
         Ok(i2
             .into_iter()
             .zip(q2)

@@ -16,7 +16,7 @@ fn main() {
         for (name, key, seed) in keys {
             let scen = Scenario::trojan_active(kind).with_key(key).with_seed(seed);
             let base = Scenario::baseline().with_key(key).with_seed(seed);
-            let sig = acquire_signature(&chip, &acq, &scen, &base, 10, 48.0e6).unwrap();
+            let sig = acquire_signature(&acq, &scen, &base, 10, 48.0e6).unwrap();
             let v: Vec<String> = sig.to_vec().iter().map(|x| format!("{x:8.3}")).collect();
             println!("{kind} {name}: [{}]", v.join(", "));
         }
