@@ -29,7 +29,7 @@ use crate::calib;
 use crate::chip::{ChipVariation, CustomSensor, SensorSelect, TestChip};
 use crate::error::CoreError;
 use crate::scenario::Scenario;
-use psa_analog::frontend::AnalogFrontEnd;
+use psa_analog::frontend::{AnalogFrontEnd, UnitNoise};
 use psa_analog::specan::SpectrumAnalyzer;
 use psa_array::program::CoilProgram;
 use psa_dsp::batch::{mean_amplitude_db_in_place, SpectrumScratch};
@@ -413,10 +413,11 @@ impl<'c> AcqContext<'c> {
     ///
     /// The sweep is record-major. Per record the chip runs once: one
     /// activity pass, one current synthesis, one toggle train per
-    /// emitter. Then each sensor superposes its EMF, captures the
-    /// record through its front end and adds the record's amplitude
-    /// spectrum into its own accumulator. Only the 16 one-sided
-    /// accumulators are held, never the records.
+    /// emitter, and one unit-normal front-end noise draw. Then each
+    /// sensor superposes its EMF, captures the record through its front
+    /// end (scaling the shared draw by its own σ) and adds the record's
+    /// amplitude spectrum into its own accumulator. Only the 16
+    /// one-sided accumulators are held, never the records.
     ///
     /// Sensor `i`'s spectrum is bit-identical to
     /// [`acquire_len_with_emitters_into`] on `SensorSelect::Psa(i)`
@@ -864,16 +865,7 @@ impl<'a> Acquisition<'a> {
 /// ICR probe set ships its own wide-band low-noise preamp.
 fn frontend_for(sensor: SensorSelect, seed: u64) -> AnalogFrontEnd {
     match sensor {
-        SensorSelect::IcrHh100 => AnalogFrontEnd::new(
-            psa_analog::opamp::OpAmp {
-                dc_gain: 31.62, // 30 dB
-                gbw_hz: 1.5e9,
-                vout_max: 3.3,
-                input_noise_v_per_rthz: 1.5e-9,
-            },
-            psa_analog::adc::Adc::rasc(),
-            seed,
-        ),
+        SensorSelect::IcrHh100 => AnalogFrontEnd::icr_hh100(seed),
         _ => AnalogFrontEnd::date24(seed),
     }
 }
@@ -926,6 +918,10 @@ struct RecordScratch {
     extra_currents: Vec<Vec<f64>>,
     flux: Vec<f64>,
     emf: Vec<f64>,
+    /// The record's unit-normal front-end noise. It is keyed by the
+    /// front-end seed and the record index, not by the sensor, so every
+    /// sensor of a sweep record applies the one draw with its own σ.
+    noise: UnitNoise,
     /// The `(waveform, weight)` list handed to the EMF superposition.
     /// Always empty between records; it only keeps the allocation.
     pairs: Vec<(&'static [f64], f64)>,
@@ -960,18 +956,33 @@ impl RecordScratch {
         }
     }
 
-    /// The sensor half of a record: superpose the currents of the last
-    /// [`run_chip`](Self::run_chip) through `chain`'s weights into an
-    /// EMF and capture it as record `rec_idx` into `out`. The sources
-    /// come first in `Source::ALL` order, then the emitters in slice
-    /// order, which keeps the accumulation (and its rounding) fixed.
+    /// The sensor half of a record: superpose `chain`'s EMF
+    /// ([`superpose`](Self::superpose)) and capture it as record
+    /// `rec_idx` into `out`. The front end draws the record's unit noise
+    /// only on the first sensor that captures it.
     fn sense(
         &mut self,
         chain: &SensorChain,
         rec_idx: usize,
         out: &mut Vec<f64>,
     ) -> Result<(), CoreError> {
-        let fs = calib::sample_rate_hz();
+        self.superpose(chain)?;
+        chain.frontend.capture_shared_into(
+            &self.emf,
+            calib::sample_rate_hz(),
+            chain.noise_vrms,
+            rec_idx as u64,
+            &mut self.noise,
+            out,
+        )?;
+        Ok(())
+    }
+
+    /// Superposes the currents of the last [`run_chip`](Self::run_chip)
+    /// through `chain`'s weights into `self.emf`. The sources come first
+    /// in `Source::ALL` order, then the emitters in slice order, which
+    /// keeps the accumulation (and its rounding) fixed.
+    fn superpose(&mut self, chain: &SensorChain) -> Result<(), CoreError> {
         let (source_weights, emitter_weights) = chain.weights.split_at(chain.n_sources);
         let mut pairs = recycle(std::mem::take(&mut self.pairs));
         pairs.extend(
@@ -989,15 +1000,12 @@ impl RecordScratch {
         let emf = induced_emf_into(
             &pairs,
             calib::EFFECTIVE_MOMENT_AREA_M2,
-            fs,
+            calib::sample_rate_hz(),
             &mut self.flux,
             &mut self.emf,
         );
         self.pairs = recycle(pairs);
         emf?;
-        chain
-            .frontend
-            .capture_record_into(&self.emf, fs, chain.noise_vrms, rec_idx as u64, out)?;
         Ok(())
     }
 }
@@ -1246,6 +1254,74 @@ mod tests {
         assert_sweep_matches_per_sensor(&mut ctx, &scenario, 2, calib::RECORD_CYCLES, &[]);
         ctx.set_variation(Some(ChipVariation::new(7)));
         assert_sweep_matches_per_sensor(&mut ctx, &scenario, 1, calib::RECORD_CYCLES, &emitters);
+    }
+
+    /// The front-end capture as it was before sweeps shared one noise
+    /// draw per record: the σ-scaled Box–Muller stream added sample by
+    /// sample.
+    fn streaming_capture(
+        fe: &AnalogFrontEnd,
+        seed: u64,
+        sensor_v: &[f64],
+        sensor_noise_vrms: f64,
+        record_index: u64,
+    ) -> Vec<f64> {
+        let fs = calib::sample_rate_hz();
+        let amp_noise = fe.amp().input_noise_vrms(fs / 2.0);
+        let sigma = (sensor_noise_vrms * sensor_noise_vrms + amp_noise * amp_noise).sqrt();
+        let mut out = sensor_v.to_vec();
+        if sigma > 0.0 {
+            psa_field::noise::GaussianNoise::new(
+                sigma,
+                seed ^ record_index.wrapping_mul(0x9E3779B97F4A7C15),
+            )
+            .add_to(&mut out);
+        }
+        fe.amp().amplify_in_place(&mut out, fs);
+        fe.adc().quantize_in_place(&mut out);
+        out
+    }
+
+    #[test]
+    fn sensor_sweep_matches_streaming_noise_reference_bitwise() {
+        // One sensor of the sweep against the pre-sharing arithmetic:
+        // the same chip half, then a per-sensor σ-scaled noise stream
+        // keyed by the scenario seed and the record index.
+        const SENSOR: usize = 10;
+        let (n_records, record_cycles) = (3, 2048);
+        let scenario = Scenario::trojan_active(TrojanKind::T3).with_seed(23);
+        let mut ctx = AcqContext::new(chip());
+        ctx.set_variation(Some(ChipVariation::new(7)));
+        let sweep = ctx
+            .sensor_sweep_db(&scenario, n_records, record_cycles, &[])
+            .unwrap();
+        let chain = ctx
+            .sensor_chain(&scenario, SensorSelect::Psa(SENSOR), std::iter::empty())
+            .unwrap();
+        let mut scratch = RecordScratch::default();
+        let mut sim = start_activity(&scenario);
+        let mut sum = vec![0.0; sweep[SENSOR].len()];
+        for rec in 0..n_records {
+            scratch.run_chip(chip(), &mut sim, record_cycles, std::iter::empty());
+            scratch.superpose(&chain).unwrap();
+            let record = streaming_capture(
+                &chain.frontend,
+                scenario.seed ^ 0xFE,
+                &scratch.emf,
+                chain.noise_vrms,
+                rec as u64,
+            );
+            ctx.fullres
+                .add_amplitude_spectrum(&record, &mut sum)
+                .unwrap();
+        }
+        mean_amplitude_db_in_place(&mut sum, n_records);
+        assert!(
+            sum.iter()
+                .zip(&sweep[SENSOR])
+                .all(|(a, b)| a.to_bits() == b.to_bits()),
+            "sensor {SENSOR} sweep differs from the streaming-noise reference"
+        );
     }
 
     #[test]

@@ -61,6 +61,18 @@ impl Baseline {
         Baseline { per_sensor_db }
     }
 
+    /// Every sensor's local-max envelope (half-width 8 bins): the
+    /// reference the detection threshold compares a sweep against, so
+    /// per-bin noise flicker between the learning and test windows
+    /// cannot false-alarm. Callers that decide many times against one
+    /// baseline compute this once.
+    pub(crate) fn envelopes(&self) -> Vec<Vec<f64>> {
+        self.per_sensor_db
+            .iter()
+            .map(|base| peak::local_max_envelope(base, 8))
+            .collect()
+    }
+
     /// One sensor's learned-baseline spectrum (the per-job unit of the
     /// parallel baseline learning). Depends only on `(seed, sensor)` and
     /// the trace budget, so engine workers can fan the 16 sensors out
@@ -271,18 +283,27 @@ impl<'a> CrossDomainAnalyzer<'a> {
         scenario: &Scenario,
         baseline: &Baseline,
     ) -> Result<Verdict, CoreError> {
+        self.analyze_against(ctx, scenario, baseline, &baseline.envelopes())
+    }
+
+    /// [`analyze_with`](Self::analyze_with) against `baseline`'s
+    /// precomputed [`envelopes`](Baseline::envelopes).
+    pub(crate) fn analyze_against(
+        &self,
+        ctx: &mut AcqContext<'_>,
+        scenario: &Scenario,
+        baseline: &Baseline,
+        base_envs: &[Vec<f64>],
+    ) -> Result<Verdict, CoreError> {
         // Stage 1+2: frequency-domain sweep over all sensors, at full
-        // FFT resolution (the detector's RBW). The comparison uses a
-        // local-max envelope of the baseline so per-bin noise flicker
-        // between the learning and test windows cannot false-alarm.
+        // FFT resolution (the detector's RBW), compared against the
+        // baseline's local-max envelopes.
         let spectra = sweep_with_baseline(ctx, scenario, self.config.traces_per_sensor, baseline)?;
         let mut ranking = Vec::with_capacity(spectra.len());
-        let mut base_envs = Vec::with_capacity(spectra.len());
         let mut peak_excess_db = f64::NEG_INFINITY;
-        for (i, (spec, base)) in spectra.iter().zip(&baseline.per_sensor_db).enumerate() {
-            let base_env = local_max_envelope(base, 8);
-            peak_excess_db = peak_excess_over(spec, &base_env, peak_excess_db);
-            let hits = peak::excess_over_baseline_db(spec, &base_env, self.config.threshold_db);
+        for (i, (spec, base_env)) in spectra.iter().zip(base_envs).enumerate() {
+            peak_excess_db = peak_excess_over(spec, base_env, peak_excess_db);
+            let hits = peak::excess_over_baseline_db(spec, base_env, self.config.threshold_db);
             let merged = merge_adjacent_bins(&hits);
             let energy: f64 = merged.iter().map(|(_, e)| e).sum();
             let components: Vec<(f64, f64)> = merged
@@ -295,7 +316,6 @@ impl<'a> CrossDomainAnalyzer<'a> {
                 amplitude_v: 0.0, // filled in once the common line is known
                 components,
             });
-            base_envs.push(base_env);
         }
 
         let detected = ranking
@@ -382,8 +402,6 @@ impl<'a> CrossDomainAnalyzer<'a> {
         &self.templates
     }
 }
-
-use psa_dsp::peak::local_max_envelope;
 
 /// The full-resolution 16-sensor sweep of one decision, after checking
 /// that `baseline` covers every sensor.

@@ -51,7 +51,6 @@ use crate::cross_domain::{
 use crate::error::CoreError;
 use crate::identify::TemplateLibrary;
 use crate::scenario::Scenario;
-use psa_dsp::peak::local_max_envelope;
 use psa_dsp::spectrum;
 use psa_gatesim::trojan::TrojanKind;
 use psa_ml::distance::euclidean;
@@ -214,6 +213,9 @@ pub struct CrossDomainDetector {
     /// baseline, it is chip-specific, so a detector (whose baseline
     /// already binds it to one chip) must not be reused across chips.
     templates: OnceLock<TemplateLibrary>,
+    /// The baseline's local-max envelopes, computed on first use and
+    /// compared against every decision's sweep thereafter.
+    envelopes: OnceLock<Vec<Vec<f64>>>,
 }
 
 impl CrossDomainDetector {
@@ -235,6 +237,7 @@ impl CrossDomainDetector {
             baseline,
             config: AnalyzerConfig::default(),
             templates: OnceLock::new(),
+            envelopes: OnceLock::new(),
         }
     }
 
@@ -244,13 +247,9 @@ impl CrossDomainDetector {
     /// same chip (the library is a pure function of the chip, so sharing
     /// one build is result-identical to rebuilding).
     pub fn with_baseline_and_templates(baseline: Baseline, templates: TemplateLibrary) -> Self {
-        let slot = OnceLock::new();
-        let _ = slot.set(templates);
-        CrossDomainDetector {
-            baseline,
-            config: AnalyzerConfig::default(),
-            templates: slot,
-        }
+        let detector = Self::with_baseline(baseline);
+        let _ = detector.templates.set(templates);
+        detector
     }
 
     /// Overrides the analyzer configuration (trace budget, emergent
@@ -268,6 +267,11 @@ impl CrossDomainDetector {
     /// The analyzer configuration in use.
     pub fn config(&self) -> &AnalyzerConfig {
         &self.config
+    }
+
+    /// The baseline's local-max envelopes, computed once per detector.
+    fn envelopes(&self) -> &[Vec<f64>] {
+        self.envelopes.get_or_init(|| self.baseline.envelopes())
     }
 }
 
@@ -304,9 +308,9 @@ impl ScoredDetector for CrossDomainDetector {
             sweep_with_baseline(ctx, scenario, self.config.traces_per_sensor, &self.baseline)?;
         Ok(spectra
             .iter()
-            .zip(&self.baseline.per_sensor_db)
-            .fold(f64::NEG_INFINITY, |peak, (spec, base)| {
-                peak_excess_over(spec, &local_max_envelope(base, 8), peak)
+            .zip(self.envelopes())
+            .fold(f64::NEG_INFINITY, |peak, (spec, base_env)| {
+                peak_excess_over(spec, base_env, peak)
             }))
     }
 }
@@ -337,7 +341,7 @@ impl Detector for CrossDomainDetector {
         };
         let analyzer =
             CrossDomainAnalyzer::with_templates(ctx.chip(), self.config.clone(), templates.clone());
-        let verdict = analyzer.analyze_with(ctx, scenario, &self.baseline)?;
+        let verdict = analyzer.analyze_against(ctx, scenario, &self.baseline, self.envelopes())?;
         Ok(DetectionOutcome {
             detected: verdict.detected,
             score: verdict.peak_excess_db,
