@@ -1,4 +1,5 @@
-//! Per-stage hot-path throughput in records/sec: acquisition, the
+//! Per-stage hot-path throughput in records/sec: acquisition, the chip
+//! half of a record (warm-up, activity and currents), the
 //! sensor-batched 16-sensor sweep, spectral transforms (historical
 //! complex FFT vs the packed real-input FFT),
 //! the production spectrum pipeline, monitor ticks, Trojan
@@ -32,6 +33,8 @@ use psa_core::monitor::{ActivationSchedule, SlidingConfig, SlidingDetector, Stre
 use psa_core::scenario::Scenario;
 use psa_dsp::window::Window;
 use psa_dsp::zero_span::ZeroSpan;
+use psa_gatesim::activity::ActivitySimulator;
+use psa_gatesim::current::trace_to_currents_into;
 use psa_gatesim::trojan::TrojanKind;
 use psa_runtime::Campaign;
 
@@ -87,6 +90,31 @@ fn main() {
     println!(
         "stage acquire: {n_acquire} records, digest {}",
         digest(&acquire_rms)
+    );
+
+    // Stage 1a: the chip half of a one-sensor record, as a monitor tick
+    // pays it — a fresh simulator past its warm-up, one record of
+    // activity, and every source's current synthesized.
+    let mut currents = Vec::new();
+    let mut charge_sums = Vec::with_capacity(n_acquire);
+    timer.time("gatesim", n_acquire as u64, || {
+        for record in 0..n_acquire as u64 {
+            let scenario = scenario.clone().with_seed(0x7B + record);
+            let mut sim = ActivitySimulator::new(scenario.chip_config());
+            let _ = sim.advance(scenario.warmup_cycles);
+            let trace = sim.advance(psa_core::calib::RECORD_CYCLES);
+            trace_to_currents_into(
+                &trace,
+                chip.charges_fc(),
+                psa_core::calib::CLK_HZ,
+                &mut currents,
+            );
+            charge_sums.push(currents.iter().flat_map(|(_, i)| i).sum::<f64>());
+        }
+    });
+    println!(
+        "stage gatesim: {n_acquire} records, digest {}",
+        digest(&charge_sums)
     );
 
     // Stage 1b: one sensor-batched sweep of the whole array — one

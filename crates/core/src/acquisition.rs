@@ -887,7 +887,7 @@ fn check_record_shape(n_records: usize, record_cycles: usize) -> Result<(), Core
 
 /// The chip running `scenario`, past its warm-up, at the first record's
 /// start cycle.
-fn start_activity(scenario: &Scenario) -> ActivitySimulator {
+pub(crate) fn start_activity(scenario: &Scenario) -> ActivitySimulator {
     let mut sim = ActivitySimulator::new(scenario.chip_config());
     if scenario.warmup_cycles > 0 {
         let _ = sim.advance(scenario.warmup_cycles);

@@ -586,16 +586,11 @@ impl BackscatterDetector {
         record_index: u64,
         scratch: &mut psa_dsp::batch::SpectrumScratch,
     ) -> Result<Vec<f64>, CoreError> {
-        use psa_gatesim::activity::ActivitySimulator;
         let fs = crate::calib::sample_rate_hz();
-        let mut sim = ActivitySimulator::new(
-            Scenario {
-                seed: scenario.seed + record_index,
-                ..scenario.clone()
-            }
-            .chip_config(),
-        );
-        let _ = sim.advance(scenario.warmup_cycles);
+        let mut sim = crate::acquisition::start_activity(&Scenario {
+            seed: scenario.seed + record_index,
+            ..scenario.clone()
+        });
         let trace = sim.advance(crate::calib::RECORD_CYCLES);
         // Total activity per cycle across all sources → impedance
         // modulation index.

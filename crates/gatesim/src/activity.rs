@@ -161,7 +161,7 @@ pub struct ActivitySimulator {
     trojans: Vec<Trojan>,
     cycle: u64,
     // Current block state.
-    block_hds: Vec<u32>,
+    block_hds: [u32; 11],
     block_plaintext: [u8; 16],
     block_start: u64,
     uart_byte_index: u64,
@@ -199,7 +199,7 @@ impl ActivitySimulator {
             uart,
             trojans,
             cycle: 0,
-            block_hds: Vec::new(),
+            block_hds: [0; 11],
             block_plaintext: [0u8; 16],
             block_start: 0,
             uart_byte_index: 0,
@@ -257,10 +257,9 @@ impl ActivitySimulator {
     pub fn advance(&mut self, n: usize) -> ActivityTrace {
         let start_cycle = self.cycle;
         let (aes_cells, uart_cells, ctrl_cells) = self.config.cell_counts;
-        let mut per_source: BTreeMap<Source, Vec<f64>> = Source::ALL
-            .iter()
-            .map(|&s| (s, Vec::with_capacity(n)))
-            .collect();
+        // One lane per source, in `Source::ALL` order.
+        let mut lanes: [Vec<f64>; 7] = std::array::from_fn(|_| Vec::with_capacity(n));
+        let [aes_lane, uart_lane, ctrl_lane, trojan_lanes @ ..] = &mut lanes;
 
         let clock_factor = match self.config.aes_mode {
             AesMode::Idle => Self::IDLE_FACTOR,
@@ -282,10 +281,7 @@ impl ActivitySimulator {
                 };
                 aes_toggles += aes_cells as f64 * Self::AES_DATA_FACTOR * hd / 128.0;
             }
-            per_source
-                .get_mut(&Source::AesCore)
-                .expect("source present")
-                .push(aes_toggles);
+            aes_lane.push(aes_toggles);
 
             // UART: clock share plus streaming activity when paced.
             let mut uart_toggles = uart_cells as f64 * clock_factor;
@@ -297,18 +293,12 @@ impl ActivitySimulator {
                     self.uart_byte_index += 1;
                 }
             }
-            per_source
-                .get_mut(&Source::UartFifo)
-                .expect("source present")
-                .push(uart_toggles);
+            uart_lane.push(uart_toggles);
 
             // PSA control: static except its clock share.
-            per_source
-                .get_mut(&Source::PsaControl)
-                .expect("source present")
-                .push(ctrl_cells as f64 * clock_factor);
+            ctrl_lane.push(ctrl_cells as f64 * clock_factor);
 
-            // Trojans.
+            // Trojans, in `TrojanKind::ALL` order like their lanes.
             let ctx_template = CycleContext {
                 cycle: self.cycle,
                 clk_hz: self.config.clk_hz,
@@ -317,14 +307,15 @@ impl ActivitySimulator {
                 aes_busy: busy,
                 external_enable: false,
             };
-            for (i, trojan) in self.trojans.iter_mut().enumerate() {
+            for ((trojan, lane), &enabled) in self
+                .trojans
+                .iter_mut()
+                .zip(trojan_lanes.iter_mut())
+                .zip(&self.config.trojan_enables)
+            {
                 let mut c = ctx_template;
-                c.external_enable = self.config.trojan_enables[i];
-                let toggles = trojan.step(&c);
-                per_source
-                    .get_mut(&Source::for_trojan(TrojanKind::ALL[i]))
-                    .expect("source present")
-                    .push(toggles);
+                c.external_enable = enabled;
+                lane.push(trojan.step(&c));
             }
 
             // Advance the block schedule.
@@ -346,7 +337,7 @@ impl ActivitySimulator {
         }
         ActivityTrace {
             start_cycle,
-            per_source,
+            per_source: Source::ALL.into_iter().zip(lanes).collect(),
         }
     }
 }
@@ -459,6 +450,15 @@ mod tests {
         let busy_cycles = aes.iter().filter(|&&v| v > clock_only + 1.0).count();
         // Only ~12 of every 5280 cycles encrypt.
         assert!((12..160).contains(&busy_cycles), "busy {busy_cycles}");
+    }
+
+    #[test]
+    fn trojan_lanes_follow_source_order() {
+        // `advance` fills the lanes after the three chip sources in
+        // `TrojanKind::ALL` order.
+        for kind in TrojanKind::ALL {
+            assert_eq!(Source::ALL[3 + kind.index()], Source::for_trojan(kind));
+        }
     }
 
     #[test]

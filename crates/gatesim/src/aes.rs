@@ -95,10 +95,7 @@ impl Aes128 {
 
     /// Encrypts one block.
     pub fn encrypt_block(&self, plaintext: &[u8; 16]) -> [u8; 16] {
-        *self
-            .encrypt_trace(plaintext)
-            .last()
-            .expect("trace always has 12 states")
+        self.encrypt_visiting(plaintext, |_, _| {})
     }
 
     /// Encrypts one block, returning all intermediate states:
@@ -107,30 +104,45 @@ impl Aes128 {
     pub fn encrypt_trace(&self, plaintext: &[u8; 16]) -> Vec<[u8; 16]> {
         let mut states = Vec::with_capacity(12);
         states.push(*plaintext);
-        let mut s = *plaintext;
-        add_round_key(&mut s, &self.round_keys[0]);
-        states.push(s);
-        for round in 1..=10 {
-            sub_bytes(&mut s);
-            shift_rows(&mut s);
-            if round != 10 {
-                mix_columns(&mut s);
-            }
-            add_round_key(&mut s, &self.round_keys[round]);
-            states.push(s);
-        }
+        self.encrypt_visiting(plaintext, |_, state| states.push(*state));
         states
     }
 
     /// Per-round Hamming distances of the state register: 11 values, one
     /// per register update (load + 10 rounds). This is the standard
     /// side-channel switching model for a round-per-cycle AES core.
-    pub fn round_hamming_distances(&self, plaintext: &[u8; 16]) -> Vec<u32> {
-        let states = self.encrypt_trace(plaintext);
-        states
-            .windows(2)
-            .map(|w| hamming_distance(&w[0], &w[1]))
-            .collect()
+    pub fn round_hamming_distances(&self, plaintext: &[u8; 16]) -> [u32; 11] {
+        let mut hds = [0u32; 11];
+        let mut prev = u128::from_le_bytes(*plaintext);
+        self.encrypt_visiting(plaintext, |update, state| {
+            let next = u128::from_le_bytes(*state);
+            hds[update] = (prev ^ next).count_ones();
+            prev = next;
+        });
+        hds
+    }
+
+    /// The one AES round body: hands each of the 11 state-register
+    /// updates (`plaintext⊕k0`, then rounds 1–10) to `visit` with its
+    /// index, and returns the ciphertext.
+    #[inline]
+    fn encrypt_visiting(
+        &self,
+        plaintext: &[u8; 16],
+        mut visit: impl FnMut(usize, &[u8; 16]),
+    ) -> [u8; 16] {
+        let mut s = *plaintext;
+        add_round_key(&mut s, &self.round_keys[0]);
+        visit(0, &s);
+        for round in 1..=10 {
+            s = sub_shift(&s);
+            if round != 10 {
+                mix_columns(&mut s);
+            }
+            add_round_key(&mut s, &self.round_keys[round]);
+            visit(round, &s);
+        }
+        s
     }
 }
 
@@ -140,21 +152,16 @@ fn add_round_key(state: &mut [u8; 16], rk: &[u8; 16]) {
     }
 }
 
-fn sub_bytes(state: &mut [u8; 16]) {
-    for s in state.iter_mut() {
-        *s = SBOX[*s as usize];
-    }
-}
+/// ShiftRows as a gather: output byte `i` is input byte
+/// `SHIFT_ROWS[i]`. State layout: byte `i` is row `i % 4`, column
+/// `i / 4` (FIPS-197 column-major convention), and row `r` rotates left
+/// by `r` columns.
+const SHIFT_ROWS: [usize; 16] = [0, 5, 10, 15, 4, 9, 14, 3, 8, 13, 2, 7, 12, 1, 6, 11];
 
-/// State layout: byte `i` is row `i % 4`, column `i / 4` (FIPS-197
-/// column-major convention).
-fn shift_rows(state: &mut [u8; 16]) {
-    let s = *state;
-    for row in 1..4 {
-        for col in 0..4 {
-            state[row + 4 * col] = s[row + 4 * ((col + row) % 4)];
-        }
-    }
+/// SubBytes and ShiftRows in one pass (S-box lookups commute with the
+/// byte permutation).
+fn sub_shift(state: &[u8; 16]) -> [u8; 16] {
+    std::array::from_fn(|i| SBOX[state[SHIFT_ROWS[i]] as usize])
 }
 
 fn mix_columns(state: &mut [u8; 16]) {
@@ -174,12 +181,12 @@ fn mix_columns(state: &mut [u8; 16]) {
 
 /// Number of differing bits between two 16-byte blocks.
 pub fn hamming_distance(a: &[u8; 16], b: &[u8; 16]) -> u32 {
-    a.iter().zip(b).map(|(x, y)| (x ^ y).count_ones()).sum()
+    (u128::from_le_bytes(*a) ^ u128::from_le_bytes(*b)).count_ones()
 }
 
 /// Number of set bits in a block.
 pub fn hamming_weight(a: &[u8; 16]) -> u32 {
-    a.iter().map(|x| x.count_ones()).sum()
+    u128::from_le_bytes(*a).count_ones()
 }
 
 #[cfg(test)]
@@ -289,11 +296,8 @@ mod tests {
     #[test]
     fn shift_rows_reference() {
         // Column-major layout: state[r + 4c]. Row 1 rotates left by 1.
-        let mut s = [0u8; 16];
-        for (i, v) in s.iter_mut().enumerate() {
-            *v = i as u8;
-        }
-        shift_rows(&mut s);
+        // As a gather, output byte i is input byte SHIFT_ROWS[i].
+        let s = SHIFT_ROWS;
         // Row 0 unchanged: bytes 0,4,8,12.
         assert_eq!([s[0], s[4], s[8], s[12]], [0, 4, 8, 12]);
         // Row 1 rotated: 1,5,9,13 -> 5,9,13,1.
@@ -302,5 +306,87 @@ mod tests {
         assert_eq!([s[2], s[6], s[10], s[14]], [10, 14, 2, 6]);
         // Row 3 rotated by 3.
         assert_eq!([s[3], s[7], s[11], s[15]], [15, 3, 7, 11]);
+    }
+
+    /// The byte-at-a-time FIPS-197 pipeline the fused round replaced:
+    /// separate SubBytes and ShiftRows passes, every state collected
+    /// into a `Vec`, byte-wise Hamming distances.
+    mod reference {
+        use super::super::{add_round_key, mix_columns, SBOX};
+
+        fn shift_rows(state: &mut [u8; 16]) {
+            let s = *state;
+            for row in 1..4 {
+                for col in 0..4 {
+                    state[row + 4 * col] = s[row + 4 * ((col + row) % 4)];
+                }
+            }
+        }
+
+        pub fn encrypt_trace(round_keys: &[[u8; 16]; 11], pt: &[u8; 16]) -> Vec<[u8; 16]> {
+            let mut states = vec![*pt];
+            let mut s = *pt;
+            add_round_key(&mut s, &round_keys[0]);
+            states.push(s);
+            for (round, rk) in round_keys.iter().enumerate().skip(1) {
+                for b in s.iter_mut() {
+                    *b = SBOX[*b as usize];
+                }
+                shift_rows(&mut s);
+                if round != 10 {
+                    mix_columns(&mut s);
+                }
+                add_round_key(&mut s, rk);
+                states.push(s);
+            }
+            states
+        }
+
+        pub fn round_hamming_distances(round_keys: &[[u8; 16]; 11], pt: &[u8; 16]) -> Vec<u32> {
+            encrypt_trace(round_keys, pt)
+                .windows(2)
+                .map(|w| {
+                    w[0].iter()
+                        .zip(&w[1])
+                        .map(|(x, y)| (x ^ y).count_ones())
+                        .sum()
+                })
+                .collect()
+        }
+    }
+
+    #[test]
+    fn fused_rounds_match_reference_pipeline() {
+        let mut pts = crate::lfsr::Lfsr::new_31bit(0x5EED);
+        for key in [[0u8; 16], fips_key(), [0xff; 16], [0x2b; 16]] {
+            let aes = Aes128::new(&key);
+            let rk = aes.round_keys();
+            for i in 0..256 {
+                let pt = match i {
+                    0 => [0u8; 16],
+                    1 => [0xff; 16],
+                    _ => pts.next_block(),
+                };
+                let trace = reference::encrypt_trace(rk, &pt);
+                assert_eq!(aes.encrypt_trace(&pt), trace);
+                assert_eq!(aes.encrypt_block(&pt), trace[11]);
+                assert_eq!(
+                    aes.round_hamming_distances(&pt).as_slice(),
+                    reference::round_hamming_distances(rk, &pt).as_slice()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn wide_hamming_helpers_match_bytewise_counts() {
+        let mut l = crate::lfsr::Lfsr::new_16bit(0xACE1);
+        for _ in 0..256 {
+            let a = l.next_block();
+            let b = l.next_block();
+            let bytewise: u32 = a.iter().zip(&b).map(|(x, y)| (x ^ y).count_ones()).sum();
+            assert_eq!(hamming_distance(&a, &b), bytewise);
+            assert_eq!(hamming_weight(&a), a.iter().map(|x| x.count_ones()).sum());
+        }
     }
 }

@@ -44,8 +44,15 @@ pub fn toggles_to_current(
     out
 }
 
-/// [`toggles_to_current`] into a caller-owned buffer (cleared first), so
-/// per-record synthesis in the acquisition hot path reuses allocations.
+/// [`toggles_to_current`] into a caller-owned buffer (resized to the
+/// output length), so per-record synthesis in the acquisition hot path
+/// reuses allocations.
+///
+/// Each cycle writes one [`SAMPLES_PER_CYCLE`] chunk. A cycle whose
+/// toggle count has the same bits as the previous cycle's copies that
+/// cycle's pulse: the same IEEE operations on the same operands give
+/// the same bits, and most sources repeat their count cycle after
+/// cycle.
 pub fn toggles_to_current_into(
     toggles_per_cycle: &[f64],
     charge_per_toggle_fc: f64,
@@ -54,13 +61,23 @@ pub fn toggles_to_current_into(
 ) {
     let dt = 1.0 / (clk_hz * SAMPLES_PER_CYCLE as f64);
     let q_scale = charge_per_toggle_fc * 1.0e-15; // fC → C
-    out.clear();
-    out.reserve(toggles_per_cycle.len() * SAMPLES_PER_CYCLE);
-    for &toggles in toggles_per_cycle {
-        let q_total = toggles * q_scale;
-        for &shape in PULSE_SHAPE.iter() {
-            out.push(q_total * shape / dt);
-        }
+    out.resize(toggles_per_cycle.len() * SAMPLES_PER_CYCLE, 0.0);
+    let mut memo: Option<(u64, [f64; SAMPLES_PER_CYCLE])> = None;
+    for (chunk, &toggles) in out
+        .chunks_exact_mut(SAMPLES_PER_CYCLE)
+        .zip(toggles_per_cycle)
+    {
+        let key = toggles.to_bits();
+        let pulse = match memo {
+            Some((bits, pulse)) if bits == key => pulse,
+            _ => {
+                let q_total = toggles * q_scale;
+                let pulse = PULSE_SHAPE.map(|shape| q_total * shape / dt);
+                memo = Some((key, pulse));
+                pulse
+            }
+        };
+        chunk.copy_from_slice(&pulse);
     }
 }
 
@@ -199,5 +216,59 @@ mod tests {
         let clock = project(33.0e6);
         let off = project(19.7e6);
         assert!(clock > 100.0 * off, "clock {clock} vs off-harmonic {off}");
+    }
+
+    /// The push-and-divide synthesis the memoized one replaced.
+    fn naive_current(toggles: &[f64], q_fc: f64, clk_hz: f64) -> Vec<f64> {
+        let dt = 1.0 / (clk_hz * SAMPLES_PER_CYCLE as f64);
+        let q_scale = q_fc * 1.0e-15;
+        let mut out = Vec::new();
+        for &t in toggles {
+            let q_total = t * q_scale;
+            for &shape in PULSE_SHAPE.iter() {
+                out.push(q_total * shape / dt);
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn memoized_pulses_match_naive_synthesis_bitwise() {
+        let inputs: [&[f64]; 6] = [
+            &[954.0; 64],
+            &[1.0, 2.0, 1.0, 2.0, 1.0, 2.0, 2.0, 2.0, 1.0],
+            &[0.0, -0.0, -0.0, 0.0, 0.0, -0.0, 5.0, 5.0, -0.0],
+            &[
+                f64::NAN,
+                f64::NAN,
+                3.0,
+                f64::NAN,
+                f64::INFINITY,
+                f64::INFINITY,
+            ],
+            &[
+                -f64::NAN,
+                f64::NAN,
+                -f64::NAN,
+                1e-300,
+                1e-300,
+                f64::MIN_POSITIVE,
+            ],
+            &[],
+        ];
+        // One reused buffer: it shrinks, grows and keeps stale values.
+        let mut out = vec![7.0; 1000];
+        for toggles in inputs {
+            for (q_fc, clk) in [(2.5, 33.0e6), (-3.9, 17.0e6), (0.0, 1.0)] {
+                toggles_to_current_into(toggles, q_fc, clk, &mut out);
+                let want = naive_current(toggles, q_fc, clk);
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&out), bits(&want), "{toggles:?} at {q_fc} fC");
+            }
+        }
+        // ±0.0 are distinct keys: a negative charge makes −0.0 and +0.0
+        // pulses differ in sign.
+        toggles_to_current_into(&[0.0, -0.0], -1.0, 33.0e6, &mut out);
+        assert!(out[0].is_sign_negative() && out[SAMPLES_PER_CYCLE].is_sign_positive());
     }
 }
