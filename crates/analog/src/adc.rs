@@ -5,6 +5,7 @@
 //! ideal-SNR helper for sizing.
 
 use crate::error::AnalogError;
+use psa_dsp::fastmath;
 
 /// A uniform mid-tread quantizer with a bipolar full-scale range.
 ///
@@ -83,7 +84,7 @@ impl Adc {
         let lsb = self.lsb();
         for x in signal.iter_mut() {
             let clamped = x.clamp(-half, half);
-            *x = (clamped / lsb).round() * lsb;
+            *x = fastmath::round(clamped / lsb) * lsb;
         }
     }
 
@@ -96,7 +97,7 @@ impl Adc {
             .iter()
             .map(|&x| {
                 let clamped = x.clamp(-half, half);
-                ((clamped / lsb).round() as i64).clamp(-max_code - 1, max_code) as i32
+                (fastmath::round(clamped / lsb) as i64).clamp(-max_code - 1, max_code) as i32
             })
             .collect()
     }
@@ -157,6 +158,36 @@ mod tests {
         assert_eq!(codes[1], 0);
         assert!(codes[0] >= -128 && codes[0] <= -120);
         assert_eq!(codes[2], 127);
+    }
+
+    #[test]
+    fn quantizer_matches_libm_round_bitwise() {
+        // The in-tree round must leave every quantized sample and code
+        // exactly as `f64::round` produced them.
+        let adc = Adc::rasc();
+        let lsb = adc.lsb();
+        let half = 3.3;
+        let mut xs = vec![0.0, f64::NAN, half, 2.0 * half, f64::INFINITY, 1e-300];
+        for k in [0.0, 1.0, 2.0, 7.0, 1000.0, 2046.0, 2047.0, 2048.0] {
+            let tie = (k + 0.5) * lsb;
+            let (up, down) = (tie.to_bits() + 1, tie.to_bits() - 1);
+            xs.extend([k * lsb, tie, f64::from_bits(up), f64::from_bits(down)]);
+        }
+        for x in xs.clone() {
+            xs.push(-x);
+        }
+        let libm = |x: f64| (x.clamp(-half, half) / lsb).round();
+        let quantized = adc.quantize(&xs);
+        let codes = adc.codes(&xs);
+        let max_code = (1i64 << (adc.bits() - 1)) - 1;
+        for ((x, q), c) in xs.iter().zip(&quantized).zip(&codes) {
+            assert_eq!(q.to_bits(), (libm(*x) * lsb).to_bits(), "quantize({x:e})");
+            assert_eq!(
+                i64::from(*c),
+                (libm(*x) as i64).clamp(-max_code - 1, max_code),
+                "code({x:e})"
+            );
+        }
     }
 
     #[test]

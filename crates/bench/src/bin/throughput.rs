@@ -1,7 +1,7 @@
 //! Per-stage hot-path throughput in records/sec: acquisition, the chip
-//! half of a record (warm-up, activity and currents), the
-//! sensor-batched 16-sensor sweep, spectral transforms (historical
-//! complex FFT vs the packed real-input FFT),
+//! half of a record (warm-up, activity and currents), the front-end
+//! noise sampler, the sensor-batched 16-sensor sweep, spectral
+//! transforms (historical complex FFT vs the packed real-input FFT),
 //! the production spectrum pipeline, monitor ticks, Trojan
 //! identification (zero-span envelope, then envelope features), and an
 //! engine-parallel campaign stage.
@@ -33,6 +33,7 @@ use psa_core::monitor::{ActivationSchedule, SlidingConfig, SlidingDetector, Stre
 use psa_core::scenario::Scenario;
 use psa_dsp::window::Window;
 use psa_dsp::zero_span::ZeroSpan;
+use psa_field::noise::GaussianNoise;
 use psa_gatesim::activity::ActivitySimulator;
 use psa_gatesim::current::trace_to_currents_into;
 use psa_gatesim::trojan::TrojanKind;
@@ -46,8 +47,8 @@ const SENSOR: usize = 10;
 const IDENTIFY_RECORDS: usize = 6;
 
 /// Per-stage record counts: `(acquire, sensor-sweep records per
-/// sensor, transforms, monitor ticks, identification envelopes,
-/// campaign jobs)`.
+/// sensor, noise draws and transforms, monitor ticks, identification
+/// envelopes, campaign jobs)`.
 fn record_counts() -> (usize, usize, usize, usize, usize, usize) {
     let fast = std::env::var("PSA_BENCH_FAST").is_ok_and(|v| v != "0");
     if fast {
@@ -117,7 +118,23 @@ fn main() {
         digest(&charge_sums)
     );
 
-    // Stage 1b: one sensor-batched sweep of the whole array — one
+    // Stage 1b: the front end's unit-normal noise draw — one record's
+    // Box–Muller stream filled in place, as each acquired record pays it.
+    let record_len = psa_core::calib::RECORD_CYCLES * psa_core::calib::SAMPLES_PER_CYCLE;
+    let mut unit = vec![0.0; record_len];
+    let mut noise_sums = Vec::with_capacity(n_transform);
+    timer.time("noise", n_transform as u64, || {
+        for record in 0..n_transform as u64 {
+            GaussianNoise::new(1.0, 0x7B ^ record).fill(&mut unit);
+            noise_sums.push(unit.iter().sum::<f64>());
+        }
+    });
+    println!(
+        "stage noise: {n_transform} records, digest {}",
+        digest(&noise_sums)
+    );
+
+    // Stage 1c: one sensor-batched sweep of the whole array — one
     // activity pass per record feeding all 16 sensors' EMF, front end
     // and spectrum. Counted in sensor records (sweep records × sensors),
     // the unit of the one-sensor `acquire` stage.

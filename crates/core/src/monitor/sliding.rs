@@ -8,45 +8,7 @@ use crate::error::CoreError;
 use crate::monitor::stream::StreamSource;
 use crate::scenario::Scenario;
 use psa_dsp::peak;
-use psa_dsp::sliding::{SlidingMode, SlidingSpectrum};
-
-/// How a lane maintains its rolling window-averaged spectrum.
-///
-/// Either way, each stream tick transforms only the **newly pulled
-/// record** (one FFT) and reuses cached per-record amplitude rows for
-/// the rest of the window — the batch path's one-FFT-per-window-record
-/// cost is gone from the steady state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SpectrumUpdate {
-    /// Re-sum the cached rows every tick. The summation order matches
-    /// the batch window recompute exactly, so spectra — and therefore
-    /// monitor event logs — are **bit-identical** to the pre-caching
-    /// implementation. The default.
-    #[default]
-    CachedExact,
-    /// Sliding-DFT-style `O(bins)` accumulator update (one add and one
-    /// subtract per bin per tick), with an exact recompute every
-    /// `resync_every` ticks to bound floating-point drift. Opt-in:
-    /// spectra can differ from the batch path in the last few ulp
-    /// between resyncs (drift is bounded by tests in
-    /// [`psa_dsp::sliding`]).
-    Incremental {
-        /// Ticks between forced exact recomputes (≥ 1).
-        resync_every: usize,
-    },
-}
-
-impl SpectrumUpdate {
-    /// The DSP-layer mode implementing this policy.
-    fn mode(self) -> SlidingMode {
-        match self {
-            SpectrumUpdate::CachedExact => SlidingMode::Exact,
-            SpectrumUpdate::Incremental { resync_every } => {
-                SlidingMode::Incremental { resync_every }
-            }
-        }
-    }
-}
+use psa_dsp::sliding::SlidingSpectrum;
 
 /// Configuration of the sliding detector.
 ///
@@ -77,10 +39,6 @@ pub struct SlidingConfig {
     /// absorbs slow operating-condition drift instead of alarming on
     /// it.
     pub recalibrate_after: Option<usize>,
-    /// How the window-averaged spectrum is maintained between ticks
-    /// (cached-row exact re-sum by default; opt-in `O(bins)`
-    /// incremental accumulator).
-    pub spectrum_update: SpectrumUpdate,
 }
 
 impl Default for SlidingConfig {
@@ -92,21 +50,22 @@ impl Default for SlidingConfig {
             envelope_half_window: 8,
             clear_after_quiet: 1,
             recalibrate_after: None,
-            spectrum_update: SpectrumUpdate::CachedExact,
         }
     }
 }
 
 /// One watched sensor's streaming state.
+///
+/// A tick transforms only the record it pulls; the rest of the window
+/// lives on as cached amplitude rows. So no record outlives its tick:
+/// `fresh` holds the one just pulled, and its buffer is refilled in
+/// place by the next pull.
 #[derive(Debug)]
 struct Lane {
     sensor: usize,
-    /// Rolling record window; evicted record buffers are recycled
-    /// through `fresh` so the steady-state stream never allocates.
-    window: TraceSet,
     fresh: TraceSet,
-    /// Cached per-record amplitude rows mirroring `window` (one FFT per
-    /// tick; the window average is maintained from these).
+    /// Cached per-record amplitude rows of the last `window_records`
+    /// pulls, averaged in dB each tick.
     rows: SlidingSpectrum,
     base_env: Vec<f64>,
     alarmed: bool,
@@ -172,14 +131,6 @@ impl SlidingDetector {
                 what: "warm-fill minimum exceeds the rolling window depth",
             });
         }
-        if matches!(
-            config.spectrum_update,
-            SpectrumUpdate::Incremental { resync_every: 0 }
-        ) {
-            return Err(CoreError::InvalidParameter {
-                what: "incremental spectrum resync interval must be at least one tick",
-            });
-        }
         let lanes = sensors
             .iter()
             .map(|&sensor| {
@@ -192,12 +143,8 @@ impl SlidingDetector {
                         })?;
                 Ok(Lane {
                     sensor,
-                    window: TraceSet::default(),
                     fresh: TraceSet::default(),
-                    rows: SlidingSpectrum::new(
-                        config.window_records,
-                        config.spectrum_update.mode(),
-                    )?,
+                    rows: SlidingSpectrum::new(config.window_records)?,
                     base_env: peak::local_max_envelope(base, config.envelope_half_window),
                     alarmed: false,
                     quiet_ticks: 0,
@@ -229,8 +176,9 @@ impl SlidingDetector {
     }
 
     /// Processes one stream tick for lane `lane_idx`: pull the record,
-    /// roll the window, render the spectrum, compare, and update the
-    /// alarm / recalibration state machine.
+    /// push its amplitude row into the window, render the window
+    /// spectrum, compare, and update the alarm / recalibration state
+    /// machine.
     ///
     /// The acquisition→comparison sequence is bit-identical to one
     /// iteration of the batch MTTD replay loop.
@@ -251,24 +199,12 @@ impl SlidingDetector {
     ) -> Result<LaneObservation, CoreError> {
         let lane = &mut self.lanes[lane_idx];
         stream.pull_scenario_into(ctx, scenario, lane.sensor, &mut lane.fresh)?;
-        roll_window(
-            &mut lane.window,
-            &mut lane.fresh,
-            self.config.window_records,
-        );
-        // Transform only the record that just entered the window; the
-        // cached rows of the older records are reused, so a steady-state
-        // tick costs one FFT instead of `window_records`.
-        {
-            let newest = lane
-                .window
-                .records
-                .last()
-                .expect("roll_window always leaves at least one record");
-            let row = ctx.fullres_amplitude_row(newest)?;
-            lane.rows.push_row(row)?;
-        }
-        if lane.window.records.len() < self.config.min_window_records {
+        // Transform only the record just pulled; the cached rows of the
+        // older records are reused, so a steady-state tick costs one FFT
+        // instead of `window_records`.
+        let row = ctx.fullres_amplitude_row(&lane.fresh.records[0])?;
+        lane.rows.push_row(row)?;
+        if lane.rows.len() < self.config.min_window_records {
             // Warm fill: the window is still too shallow for a stable
             // spectrum; no comparison, no state-machine movement.
             return Ok(LaneObservation {
@@ -283,9 +219,9 @@ impl SlidingDetector {
             });
         }
         // Window average from the cached rows — bit-identical to
-        // `ctx.fullres_spectrum_db(&lane.window)` in the default
-        // `CachedExact` mode (a regression test replays whole sessions
-        // against the full recompute).
+        // `ctx.fullres_spectrum_db` over the last `window_records` pulls
+        // (a regression test replays whole sessions against that full
+        // recompute).
         let spec = lane.rows.averaged_db()?;
         let hits = peak::excess_over_baseline_db(&spec, &lane.base_env, self.config.threshold_db);
 
@@ -351,25 +287,6 @@ fn top_hit(hits: &[(usize, f64)]) -> Option<(usize, f64)> {
     hits.iter().copied().max_by(|a, b| a.1.total_cmp(&b.1))
 }
 
-/// Rolls one pulled record (`fresh.records[0]`) into the window.
-///
-/// During warm fill the window still needs a slot of its own, so the
-/// pulled samples are *copied* in and `fresh` keeps its buffer — a
-/// `mem::take` here would leave `fresh` empty and force the next pull to
-/// re-allocate. Once the window is full, the oldest record's buffer is
-/// swapped out through `fresh`, so steady-state ticks never allocate.
-fn roll_window(window: &mut TraceSet, fresh: &mut TraceSet, window_records: usize) {
-    window.fs_hz = fresh.fs_hz;
-    window.sensor = fresh.sensor;
-    if window.records.len() < window_records {
-        window.records.push(fresh.records[0].clone());
-    } else {
-        let mut oldest = window.records.remove(0);
-        std::mem::swap(&mut oldest, &mut fresh.records[0]);
-        window.records.push(oldest);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -383,24 +300,6 @@ mod tests {
         assert_eq!(c.envelope_half_window, 8);
         assert_eq!(c.clear_after_quiet, 1);
         assert_eq!(c.recalibrate_after, None);
-        assert_eq!(c.spectrum_update, SpectrumUpdate::CachedExact);
-    }
-
-    #[test]
-    fn rejects_zero_resync_interval() {
-        let baseline = Baseline {
-            per_sensor_db: vec![vec![0.0; 8]],
-        };
-        let bad = SlidingConfig {
-            spectrum_update: SpectrumUpdate::Incremental { resync_every: 0 },
-            ..SlidingConfig::default()
-        };
-        assert!(SlidingDetector::new(&baseline, &[0], bad).is_err());
-        let ok = SlidingConfig {
-            spectrum_update: SpectrumUpdate::Incremental { resync_every: 16 },
-            ..SlidingConfig::default()
-        };
-        assert!(SlidingDetector::new(&baseline, &[0], ok).is_ok());
     }
 
     #[test]
@@ -451,61 +350,34 @@ mod tests {
     }
 
     #[test]
-    fn window_roll_recycles_buffers_and_never_starves_fresh() {
-        const LEN: usize = 64;
-        let depth = 3;
-        let mut fresh = TraceSet {
-            records: vec![Vec::with_capacity(LEN)],
-            fs_hz: 1.0,
-            sensor: crate::chip::SensorSelect::Psa(0),
-        };
-        let mut window = TraceSet {
-            records: Vec::new(),
-            fs_hz: 0.0,
-            sensor: crate::chip::SensorSelect::Psa(0),
-        };
-        let ptrs = |window: &TraceSet, fresh: &TraceSet| -> Vec<usize> {
-            let mut p: Vec<usize> = window
-                .records
-                .iter()
-                .chain(fresh.records.iter())
-                .map(|r| r.as_ptr() as usize)
-                .collect();
-            p.sort_unstable();
-            p
-        };
-        let mut steady_ptrs: Option<Vec<usize>> = None;
-        for tick in 0..20usize {
-            // Simulate the stream pull: refill `fresh` in place. The
-            // recycling invariant under test is that every pull after
-            // the first finds a full-capacity buffer waiting.
-            if tick > 0 {
-                assert!(
-                    fresh.records[0].capacity() >= LEN,
-                    "tick {tick}: fresh buffer lost its capacity"
-                );
-            }
-            fresh.records[0].clear();
-            fresh.records[0].extend((0..LEN).map(|i| (tick * LEN + i) as f64));
-            roll_window(&mut window, &mut fresh, depth);
+    fn steady_state_ticks_refill_the_pulled_record_in_place() {
+        use crate::chip::TestChip;
+        use crate::monitor::{ActivationSchedule, StreamSource};
+        use psa_gatesim::trojan::TrojanKind;
 
-            assert_eq!(window.records.len(), depth.min(tick + 1));
-            // The window holds the last `depth` pulls, oldest first.
-            let oldest_tick = (tick + 1).saturating_sub(depth);
-            for (slot, t) in (oldest_tick..=tick).enumerate() {
-                assert_eq!(window.records[slot][0], (t * LEN) as f64);
-            }
-            // Steady state: the buffer set is closed — records recycle
-            // between the window and `fresh`, nothing is allocated.
-            if window.records.len() == depth {
-                let now = ptrs(&window, &fresh);
-                match &steady_ptrs {
-                    None => steady_ptrs = Some(now),
-                    Some(expect) => {
-                        assert_eq!(&now, expect, "tick {tick}: buffer set changed")
-                    }
-                }
-            }
+        let chip = TestChip::date24();
+        let mut ctx = AcqContext::new(&chip);
+        let bins = psa_dsp::fft::one_sided_len(calib::RECORD_CYCLES * calib::SAMPLES_PER_CYCLE);
+        let baseline = Baseline {
+            per_sensor_db: vec![vec![0.0; bins]],
+        };
+        let config = SlidingConfig {
+            window_records: 2,
+            ..SlidingConfig::default()
+        };
+        let mut detector = SlidingDetector::new(&baseline, &[0], config).unwrap();
+        let stream = StreamSource::new(ActivationSchedule::trojan_at(TrojanKind::T1, 1, 5));
+        let mut buffer = None;
+        for record in 0..stream.horizon() {
+            let scenario = stream.schedule().scenario_at(record);
+            let obs = detector.observe(&mut ctx, &stream, &scenario, 0).unwrap();
+            assert!(!obs.spec.is_empty(), "record {record}: compared");
+            let fresh = &detector.lanes[0].fresh.records[0];
+            let now = (fresh.as_ptr() as usize, fresh.capacity());
+            // The first pull allocates; every later one, through warm
+            // fill and the full window alike, refills that buffer.
+            assert_eq!(*buffer.get_or_insert(now), now, "record {record}");
         }
+        assert_eq!(detector.lanes[0].rows.len(), 2);
     }
 }

@@ -1,15 +1,12 @@
-//! Regression: the cached-row sliding-spectrum swap must leave monitor
-//! sessions byte-identical to the historical full-ring recompute, and
-//! the opt-in incremental accumulator must stay within its drift bound.
+//! Regression: the cached-row sliding spectrum must leave monitor
+//! sessions byte-identical to the historical full-ring recompute.
 
 use psa_core::acquisition::{AcqContext, TraceSet};
 use psa_core::chip::TestChip;
 use psa_core::cross_domain::{AnalyzerConfig, Baseline};
 use psa_core::monitor::{
-    ActivationSchedule, Monitor, MonitorEvent, MonitorEventKind, ScheduleChange, SlidingConfig,
-    SlidingDetector, SpectrumUpdate, StreamSource,
+    ActivationSchedule, ScheduleChange, SlidingConfig, SlidingDetector, StreamSource,
 };
-use psa_core::mttd::MonitorTiming;
 use psa_gatesim::trojan::TrojanKind;
 
 const SENSOR: usize = 10;
@@ -32,11 +29,10 @@ fn schedule() -> ActivationSchedule {
         .with_seed(4242)
 }
 
-fn config(update: SpectrumUpdate) -> SlidingConfig {
+fn config() -> SlidingConfig {
     SlidingConfig {
         min_window_records: 2,
         recalibrate_after: Some(2),
-        spectrum_update: update,
         ..SlidingConfig::default()
     }
 }
@@ -53,8 +49,7 @@ fn cached_rows_match_full_window_recompute_bitwise() {
     let mut ctx = AcqContext::new(&chip);
     let baseline = one_sensor_baseline(&mut ctx);
     let stream = StreamSource::new(schedule());
-    let mut detector =
-        SlidingDetector::new(&baseline, &[SENSOR], config(SpectrumUpdate::CachedExact)).unwrap();
+    let mut detector = SlidingDetector::new(&baseline, &[SENSOR], config()).unwrap();
 
     // Mirror of the pre-swap pipeline: an independently pulled window,
     // recomputed in full every tick.
@@ -101,61 +96,4 @@ fn cached_rows_match_full_window_recompute_bitwise() {
     assert!(saw_alarm, "session never alarmed");
     assert!(saw_clear, "session never cleared");
     assert!(saw_recalib, "session never recalibrated");
-}
-
-fn run_session(chip: &TestChip, baseline: &Baseline, update: SpectrumUpdate) -> Vec<MonitorEvent> {
-    let mut ctx = AcqContext::new(chip);
-    let detector = SlidingDetector::new(baseline, &[SENSOR], config(update)).unwrap();
-    let mut monitor = Monitor::new(
-        StreamSource::new(schedule()),
-        detector,
-        MonitorTiming::default(),
-    );
-    monitor.run_to_end(&mut ctx).unwrap();
-    monitor.into_events()
-}
-
-/// `Incremental { resync_every: 1 }` recomputes exactly every tick, so
-/// whole-session event logs must equal the default mode's exactly —
-/// floats included.
-#[test]
-fn incremental_with_per_tick_resync_reproduces_exact_log() {
-    let chip = TestChip::date24();
-    let baseline = one_sensor_baseline(&mut AcqContext::new(&chip));
-    let exact = run_session(&chip, &baseline, SpectrumUpdate::CachedExact);
-    let incr = run_session(
-        &chip,
-        &baseline,
-        SpectrumUpdate::Incremental { resync_every: 1 },
-    );
-    assert!(!exact.is_empty());
-    assert_eq!(exact, incr);
-}
-
-/// With a long resync interval the accumulator drifts only in the last
-/// few ulp — far below the 10 dB threshold — so the *decisions* (which
-/// records alarm, clear, recalibrate, on which sensor) are unchanged
-/// even though spectra may differ microscopically.
-#[test]
-fn incremental_drift_does_not_change_decisions() {
-    let chip = TestChip::date24();
-    let baseline = one_sensor_baseline(&mut AcqContext::new(&chip));
-    let exact = run_session(&chip, &baseline, SpectrumUpdate::CachedExact);
-    let incr = run_session(
-        &chip,
-        &baseline,
-        SpectrumUpdate::Incremental { resync_every: 64 },
-    );
-    let shape: fn(&MonitorEvent) -> (usize, usize, &'static str) = |e| {
-        let kind = match e.kind {
-            MonitorEventKind::Alarm { .. } => "alarm",
-            MonitorEventKind::Clear => "clear",
-            MonitorEventKind::Localized => "localized",
-            MonitorEventKind::DriftRecalibrated => "recalibrated",
-        };
-        (e.record, e.sensor, kind)
-    };
-    let exact_shape: Vec<_> = exact.iter().map(shape).collect();
-    let incr_shape: Vec<_> = incr.iter().map(shape).collect();
-    assert_eq!(exact_shape, incr_shape);
 }

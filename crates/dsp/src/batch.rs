@@ -31,6 +31,7 @@
 
 use crate::complex::Complex;
 use crate::error::DspError;
+use crate::fastmath;
 use crate::fft;
 use crate::rfft::RfftPlan;
 use crate::spectrum;
@@ -313,7 +314,7 @@ impl SpectrumScratch {
             } else {
                 scale
             };
-            self.amp.push(z.abs() * s);
+            self.amp.push(fastmath::hypot(z.re, z.im) * s);
         }
         Ok(&self.amp)
     }

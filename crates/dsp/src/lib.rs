@@ -17,9 +17,12 @@
 //! * [`batch`] — plan-once/run-many FFT and spectrum kernels with
 //!   reusable scratch buffers for the campaign engine's hot path
 //!   (bit-identical to the one-shot functions).
-//! * [`sliding`] — incrementally maintained sliding-window averaged
-//!   spectra for the streaming run-time monitor (exact cached-row mode
-//!   and an O(bins) accumulator mode with periodic resync).
+//! * [`sliding`] — sliding-window averaged spectra for the streaming
+//!   run-time monitor, re-summed from cached per-record rows
+//!   (bit-identical to a full-window recompute at one FFT per tick).
+//! * [`fastmath`] — in-tree `ln`, `sincos`, `log10`, `hypot` and
+//!   `round` kernels for the per-sample record loops, each with a
+//!   documented domain and error bound.
 //! * [`window`] — Rectangular/Hann/Hamming/Blackman/Blackman-Harris/flat-top
 //!   analysis windows with gain bookkeeping.
 //! * [`spectrum`] — amplitude spectra, periodograms, Welch averaging, STFT,
@@ -63,6 +66,7 @@ pub mod batch;
 pub mod complex;
 pub mod correlate;
 pub mod error;
+pub mod fastmath;
 pub mod fft;
 pub mod filter;
 pub mod peak;

@@ -2,44 +2,18 @@
 //!
 //! The streaming run-time monitor averages the amplitude spectra of the
 //! last `K` records every tick. Recomputing that from the raw ring costs
-//! `K` FFTs per tick; this module keeps the per-record amplitude rows
-//! (each produced by **one** FFT when its record arrives) and maintains
-//! the window average from them, in one of two modes:
-//!
-//! * [`SlidingMode::Exact`] (default) — re-sums the `K` cached rows in
-//!   ring order every query. The f64 additions happen in the same order
-//!   as [`crate::batch::SpectrumScratch::averaged_spectrum_db`] over the
-//!   same records, so the averaged dB spectrum is **bit-identical** to a
-//!   fresh full-window recompute — one FFT per tick instead of `K`, with
-//!   no change in output bytes.
-//! * [`SlidingMode::Incremental`] — the classic sliding-DFT-style
-//!   update: one add and one subtract per bin per tick (`O(bins)`
-//!   regardless of `K`), at the price of floating-point drift relative
-//!   to a fresh summation. Drift is bounded by an exact recompute every
-//!   `resync_every` window rolls (and can be forced with
-//!   [`SlidingSpectrum::resync`]); the tests bound the drift between
-//!   resyncs over long runs.
+//! `K` FFTs per tick; [`SlidingSpectrum`] instead keeps the per-record
+//! amplitude rows (each produced by **one** FFT when its record arrives)
+//! and re-sums the `K` cached rows in ring order on every query. The f64
+//! additions happen in the same order as
+//! [`crate::batch::SpectrumScratch::averaged_spectrum_db`] over the same
+//! records, so the averaged dB spectrum is **bit-identical** to a fresh
+//! full-window recompute — one FFT per tick instead of `K`, with no
+//! change in output bytes.
 
 use crate::error::DspError;
 use crate::spectrum;
 use std::collections::VecDeque;
-
-/// How a [`SlidingSpectrum`] maintains its window average.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SlidingMode {
-    /// Re-sum the cached rows on every query: bit-identical to a fresh
-    /// full-window recompute (the determinism-preserving default).
-    #[default]
-    Exact,
-    /// Per-bin add/subtract accumulator updated in `O(bins)` per roll,
-    /// with an exact recompute forced every `resync_every` rolls to
-    /// bound floating-point drift. `resync_every == 1` degenerates to a
-    /// fresh summation on every roll.
-    Incremental {
-        /// Window rolls between forced exact recomputes (≥ 1).
-        resync_every: usize,
-    },
-}
 
 /// A ring of per-record amplitude-spectrum rows plus the machinery to
 /// query their average in dB.
@@ -51,8 +25,8 @@ pub enum SlidingMode {
 /// # Example
 ///
 /// ```
-/// use psa_dsp::sliding::{SlidingMode, SlidingSpectrum};
-/// let mut s = SlidingSpectrum::new(3, SlidingMode::Exact)?;
+/// use psa_dsp::sliding::SlidingSpectrum;
+/// let mut s = SlidingSpectrum::new(3)?;
 /// for t in 0..5u32 {
 ///     let row: Vec<f64> = (0..4).map(|k| (t * 4 + k) as f64).collect();
 ///     s.push_row(&row)?;
@@ -68,13 +42,8 @@ pub enum SlidingMode {
 #[derive(Debug, Clone)]
 pub struct SlidingSpectrum {
     capacity: usize,
-    mode: SlidingMode,
     /// Cached rows, oldest first.
     rows: VecDeque<Vec<f64>>,
-    /// Incremental-mode running per-bin sum (unused in exact mode).
-    acc: Vec<f64>,
-    /// Window rolls since the last exact recompute of `acc`.
-    rolls_since_resync: usize,
 }
 
 impl SlidingSpectrum {
@@ -82,29 +51,17 @@ impl SlidingSpectrum {
     ///
     /// # Errors
     ///
-    /// Returns [`DspError::InvalidLength`] when `capacity` is zero or an
-    /// incremental `resync_every` is zero.
-    pub fn new(capacity: usize, mode: SlidingMode) -> Result<Self, DspError> {
+    /// Returns [`DspError::InvalidLength`] when `capacity` is zero.
+    pub fn new(capacity: usize) -> Result<Self, DspError> {
         if capacity == 0 {
             return Err(DspError::InvalidLength {
                 what: "sliding window capacity",
                 got: 0,
             });
         }
-        if let SlidingMode::Incremental { resync_every } = mode {
-            if resync_every == 0 {
-                return Err(DspError::InvalidLength {
-                    what: "sliding resync interval",
-                    got: 0,
-                });
-            }
-        }
         Ok(SlidingSpectrum {
             capacity,
-            mode,
             rows: VecDeque::with_capacity(capacity),
-            acc: Vec::new(),
-            rolls_since_resync: 0,
         })
     }
 
@@ -121,11 +78,6 @@ impl SlidingSpectrum {
     /// `true` while no row has been pushed.
     pub fn is_empty(&self) -> bool {
         self.rows.is_empty()
-    }
-
-    /// The update mode in use.
-    pub fn mode(&self) -> SlidingMode {
-        self.mode
     }
 
     /// Pushes one record's amplitude row, evicting the oldest once the
@@ -148,99 +100,44 @@ impl SlidingSpectrum {
                 });
             }
         }
-        let evicted = if self.rows.len() == self.capacity {
-            self.rows.pop_front()
+        let mut slot = if self.rows.len() == self.capacity {
+            self.rows.pop_front().unwrap_or_default()
         } else {
-            None
+            Vec::new()
         };
-        let mut needs_resync = false;
-        if let SlidingMode::Incremental { resync_every } = self.mode {
-            if self.acc.len() != row.len() {
-                self.acc.clear();
-                self.acc.resize(row.len(), 0.0);
-                for r in &self.rows {
-                    for (a, v) in self.acc.iter_mut().zip(r) {
-                        *a += v;
-                    }
-                }
-            }
-            if let Some(old) = &evicted {
-                for ((a, new), old) in self.acc.iter_mut().zip(row).zip(old) {
-                    *a += new - old;
-                }
-            } else {
-                for (a, new) in self.acc.iter_mut().zip(row) {
-                    *a += new;
-                }
-            }
-            self.rolls_since_resync += 1;
-            needs_resync = self.rolls_since_resync >= resync_every;
-        }
-        let mut slot = evicted.unwrap_or_default();
         slot.clear();
         slot.extend_from_slice(row);
         self.rows.push_back(slot);
-        if needs_resync {
-            self.resync();
-        }
         Ok(())
-    }
-
-    /// Forces an exact recompute of the incremental accumulator from the
-    /// cached rows (no-op in exact mode, where every query already is
-    /// one).
-    pub fn resync(&mut self) {
-        self.rolls_since_resync = 0;
-        if !matches!(self.mode, SlidingMode::Incremental { .. }) {
-            return;
-        }
-        let bins = self.rows.front().map_or(0, Vec::len);
-        self.acc.clear();
-        self.acc.resize(bins, 0.0);
-        for r in &self.rows {
-            for (a, v) in self.acc.iter_mut().zip(r) {
-                *a += v;
-            }
-        }
     }
 
     /// Drops every cached row (the next push restarts the warm fill).
     pub fn clear(&mut self) {
         self.rows.clear();
-        self.acc.clear();
-        self.rolls_since_resync = 0;
     }
 
     /// The window-averaged spectrum in dB, into a caller-owned buffer
     /// (cleared first).
     ///
-    /// Exact mode sums the rows oldest→newest — the identical f64
-    /// sequence [`crate::batch::SpectrumScratch::averaged_spectrum_db`]
-    /// executes over the same records, hence bit-identical output.
+    /// Sums the rows oldest→newest — the identical f64 sequence
+    /// [`crate::batch::SpectrumScratch::averaged_spectrum_db`] executes
+    /// over the same records, hence bit-identical output.
     ///
     /// # Errors
     ///
     /// Returns [`DspError::EmptyInput`] when no row has been pushed.
     pub fn averaged_db_into(&self, out: &mut Vec<f64>) -> Result<(), DspError> {
         let first = self.rows.front().ok_or(DspError::EmptyInput)?;
-        let bins = first.len();
         let k = self.rows.len() as f64;
         out.clear();
-        match self.mode {
-            SlidingMode::Exact => {
-                out.resize(bins, 0.0);
-                for r in &self.rows {
-                    for (a, v) in out.iter_mut().zip(r) {
-                        *a += v;
-                    }
-                }
-                for a in out.iter_mut() {
-                    *a = spectrum::amplitude_db(*a / k);
-                }
+        out.resize(first.len(), 0.0);
+        for r in &self.rows {
+            for (a, v) in out.iter_mut().zip(r) {
+                *a += v;
             }
-            SlidingMode::Incremental { .. } => {
-                out.extend(self.acc.iter().map(|a| spectrum::amplitude_db(a / k)));
-            }
+        }
+        for a in out.iter_mut() {
+            *a = spectrum::amplitude_db(*a / k);
         }
         Ok(())
     }
@@ -282,10 +179,10 @@ mod tests {
     }
 
     #[test]
-    fn exact_mode_is_bit_identical_to_fresh_recompute() {
+    fn window_average_is_bit_identical_to_fresh_recompute() {
         let depth = 5;
         let mut scratch = SpectrumScratch::new(Window::Hann);
-        let mut sliding = SlidingSpectrum::new(depth, SlidingMode::Exact).unwrap();
+        let mut sliding = SlidingSpectrum::new(depth).unwrap();
         let mut window: Vec<Vec<f64>> = Vec::new();
         let mut out = Vec::new();
         for t in 0..20u64 {
@@ -306,114 +203,8 @@ mod tests {
     }
 
     #[test]
-    fn incremental_mode_drift_is_bounded_and_resync_restores_exactness() {
-        let depth = 5;
-        let resync = 64;
-        let mut scratch = SpectrumScratch::new(Window::Hann);
-        let mut sliding = SlidingSpectrum::new(
-            depth,
-            SlidingMode::Incremental {
-                resync_every: resync,
-            },
-        )
-        .unwrap();
-        let mut window: Vec<Vec<f64>> = Vec::new();
-        let mut out = Vec::new();
-        let mut max_drift: f64 = 0.0;
-        for t in 0..300u64 {
-            let record = noise(256, t.wrapping_mul(31).wrapping_add(7));
-            let row = scratch.amplitude_spectrum(&record).unwrap().to_vec();
-            sliding.push_row(&row).unwrap();
-            window.push(record);
-            if window.len() > depth {
-                window.remove(0);
-            }
-            sliding.averaged_db_into(&mut out).unwrap();
-            let fresh = fresh_window_db(&mut scratch, &window);
-            for (a, b) in out.iter().zip(&fresh) {
-                max_drift = max_drift.max((a - b).abs());
-            }
-        }
-        // Drift between resyncs over a long run stays far below any
-        // detection threshold (dB domain; thresholds are ~10 dB).
-        assert!(max_drift < 1e-6, "max drift {max_drift} dB");
-        // A forced resync makes the accumulator exactly equal a fresh
-        // summation again.
-        sliding.resync();
-        sliding.averaged_db_into(&mut out).unwrap();
-        let fresh = fresh_window_db(&mut scratch, &window);
-        for (a, b) in out.iter().zip(&fresh) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-    }
-
-    #[test]
-    fn incremental_long_session_with_drift_ramps_stays_within_resync_bound() {
-        // A fleet-scale session: ≥10k records through one ring, under
-        // the drift shapes a thermally settling front end produces — a
-        // slow gain ramp plus a wandering tone on one bin. The
-        // incremental accumulator's float drift against an exact ring
-        // fed the same rows must stay within the resync bound for the
-        // whole session, not just the short runs the other tests cover.
-        let depth = 5;
-        let bins = 128;
-        let mut inc =
-            SlidingSpectrum::new(depth, SlidingMode::Incremental { resync_every: 256 }).unwrap();
-        let mut exact = SlidingSpectrum::new(depth, SlidingMode::Exact).unwrap();
-        let (mut a, mut b) = (Vec::new(), Vec::new());
-        let mut max_drift: f64 = 0.0;
-        let ticks = 10_240u64;
-        for t in 0..ticks {
-            let ramp = 1.0 + 2.0e-4 * t as f64;
-            let tone = (t as f64 * 1e-3).sin().mul_add(0.5, 1.0);
-            let row: Vec<f64> = noise(bins, t)
-                .iter()
-                .enumerate()
-                .map(|(k, x)| ramp * (x.abs() + 1e-3) + if k == 17 { tone } else { 0.0 })
-                .collect();
-            inc.push_row(&row).unwrap();
-            exact.push_row(&row).unwrap();
-            inc.averaged_db_into(&mut a).unwrap();
-            exact.averaged_db_into(&mut b).unwrap();
-            for (x, y) in a.iter().zip(&b) {
-                max_drift = max_drift.max((x - y).abs());
-            }
-        }
-        // Far below any detection threshold (~10 dB) for the whole run.
-        assert!(
-            max_drift < 1e-6,
-            "max drift {max_drift} dB over {ticks} ticks"
-        );
-        // A forced resync restores bitwise equality with the exact ring:
-        // both then sum the same rows oldest→newest.
-        inc.resync();
-        inc.averaged_db_into(&mut a).unwrap();
-        exact.averaged_db_into(&mut b).unwrap();
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
-    }
-
-    #[test]
-    fn resync_every_one_is_always_exact() {
-        let mut sliding =
-            SlidingSpectrum::new(3, SlidingMode::Incremental { resync_every: 1 }).unwrap();
-        let mut exact = SlidingSpectrum::new(3, SlidingMode::Exact).unwrap();
-        for t in 0..10u64 {
-            let row = noise(64, t);
-            sliding.push_row(&row).unwrap();
-            exact.push_row(&row).unwrap();
-            let a = sliding.averaged_db().unwrap();
-            let b = exact.averaged_db().unwrap();
-            for (x, y) in a.iter().zip(&b) {
-                assert_eq!(x.to_bits(), y.to_bits());
-            }
-        }
-    }
-
-    #[test]
     fn warm_fill_and_eviction_track_the_window() {
-        let mut s = SlidingSpectrum::new(2, SlidingMode::Exact).unwrap();
+        let mut s = SlidingSpectrum::new(2).unwrap();
         assert!(s.is_empty());
         assert!(s.averaged_db().is_err());
         s.push_row(&[1.0, 1.0]).unwrap();
@@ -430,19 +221,17 @@ mod tests {
 
     #[test]
     fn validates_inputs() {
-        assert!(SlidingSpectrum::new(0, SlidingMode::Exact).is_err());
-        assert!(SlidingSpectrum::new(2, SlidingMode::Incremental { resync_every: 0 }).is_err());
-        let mut s = SlidingSpectrum::new(2, SlidingMode::Exact).unwrap();
+        assert!(SlidingSpectrum::new(0).is_err());
+        let mut s = SlidingSpectrum::new(2).unwrap();
         assert!(s.push_row(&[]).is_err());
         s.push_row(&[1.0, 2.0]).unwrap();
         assert!(s.push_row(&[1.0, 2.0, 3.0]).is_err());
         assert_eq!(s.capacity(), 2);
-        assert_eq!(s.mode(), SlidingMode::Exact);
     }
 
     #[test]
     fn steady_state_recycles_row_buffers() {
-        let mut s = SlidingSpectrum::new(3, SlidingMode::Exact).unwrap();
+        let mut s = SlidingSpectrum::new(3).unwrap();
         for t in 0..3u64 {
             s.push_row(&noise(32, t)).unwrap();
         }

@@ -8,6 +8,7 @@
 
 use crate::complex::Complex;
 use crate::error::DspError;
+use crate::fastmath;
 use crate::fft;
 use crate::rfft;
 use crate::window::Window;
@@ -20,21 +21,29 @@ pub const DB_FLOOR: f64 = -300.0;
 /// [`DB_FLOOR`].
 #[inline]
 pub fn amplitude_db(x: f64) -> f64 {
-    if x <= 0.0 {
-        DB_FLOOR
-    } else {
-        (20.0 * x.log10()).max(DB_FLOOR)
-    }
+    decibels(20.0, x)
 }
 
 /// Converts a power ratio to decibels: `10·log10(x)`, clamped at
 /// [`DB_FLOOR`].
 #[inline]
 pub fn power_db(x: f64) -> f64 {
-    if x <= 0.0 {
-        DB_FLOOR
+    decibels(10.0, x)
+}
+
+/// `scale·log10(x)` clamped at [`DB_FLOOR`], through the in-tree
+/// [`fastmath::log10`] kernel for positive normal `x`. The other inputs
+/// never reach the kernel: zero, negative, NaN and subnormal ratios
+/// (whose dB value lies far below the floor) read [`DB_FLOOR`], and
+/// `+∞` reads `+∞`.
+#[inline]
+fn decibels(scale: f64, x: f64) -> f64 {
+    if (f64::MIN_POSITIVE..f64::INFINITY).contains(&x) {
+        (scale * fastmath::log10(x)).max(DB_FLOOR)
+    } else if x == f64::INFINITY {
+        x
     } else {
-        (10.0 * x.log10()).max(DB_FLOOR)
+        DB_FLOOR
     }
 }
 
@@ -94,7 +103,7 @@ pub fn try_amplitude_spectrum(signal: &[f64], window: Window) -> Result<Vec<f64>
         } else {
             scale
         };
-        out.push(z.abs() * s);
+        out.push(fastmath::hypot(z.re, z.im) * s);
     }
     Ok(out)
 }
@@ -330,6 +339,83 @@ mod tests {
         }
         assert_eq!(amplitude_db(0.0), DB_FLOOR);
         assert_eq!(power_db(-1.0), DB_FLOOR);
+    }
+
+    #[test]
+    fn db_edge_inputs_keep_their_libm_results() {
+        let libm_amp = |x: f64| {
+            if x <= 0.0 {
+                DB_FLOOR
+            } else {
+                (20.0 * x.log10()).max(DB_FLOOR)
+            }
+        };
+        let libm_pow = |x: f64| {
+            if x <= 0.0 {
+                DB_FLOOR
+            } else {
+                (10.0 * x.log10()).max(DB_FLOOR)
+            }
+        };
+        let edges = [
+            0.0,
+            -0.0,
+            -1.0,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+            5e-324,
+            1e-310,
+            f64::MIN_POSITIVE,
+            1e-300,
+            1e-15,
+            1e-30,
+            f64::MAX,
+            f64::INFINITY,
+        ];
+        for x in edges {
+            assert_eq!(
+                amplitude_db(x).to_bits(),
+                libm_amp(x).to_bits(),
+                "amplitude_db({x:e})"
+            );
+            assert_eq!(
+                power_db(x).to_bits(),
+                libm_pow(x).to_bits(),
+                "power_db({x:e})"
+            );
+        }
+    }
+
+    #[test]
+    fn db_values_stay_within_tolerance_of_libm() {
+        // The policy bound on a dB value is 1e-12 dB.
+        let mut worst: f64 = 0.0;
+        for i in 0..100_000 {
+            let x = 10f64.powf(-15.0 + 21.0 * i as f64 / 100_000.0);
+            worst = worst
+                .max((amplitude_db(x) - 20.0 * x.log10()).abs())
+                .max((power_db(x) - 10.0 * x.log10()).abs());
+        }
+        assert!(worst <= 1e-12, "max dB deviation {worst:e}");
+    }
+
+    #[test]
+    fn amplitudes_stay_within_one_ulp_of_hypot() {
+        let x: Vec<f64> = (0..4096)
+            .map(|i| ((i as f64 * 12.9898).sin() * 43758.5453).fract() - 0.5)
+            .collect();
+        let spec = amplitude_spectrum(&x, Window::Hann);
+        let windowed = Window::Hann.applied(&x);
+        let z = rfft::rfft_one_sided(&windowed).unwrap();
+        let scale = 2.0 / (x.len() as f64 * Window::Hann.coherent_gain(x.len()));
+        for (k, (a, z)) in spec.iter().zip(&z).enumerate().skip(1).take(2046) {
+            let reference = z.abs() * scale;
+            assert!(
+                (a - reference).abs() <= f64::EPSILON * reference,
+                "bin {k}: {a:e} vs {reference:e}"
+            );
+        }
     }
 
     #[test]

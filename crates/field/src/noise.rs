@@ -6,6 +6,7 @@
 //! the ambient/environment noise floor that on-chip sensors are shielded
 //! from by proximity and differential readout.
 
+use psa_dsp::fastmath;
 use psa_dsp::rng::SmallRng;
 
 /// Boltzmann constant, J/K.
@@ -58,9 +59,10 @@ impl GaussianNoise {
         if let Some(s) = self.spare.take() {
             return s * self.sigma;
         }
-        let (r, th) = self.polar();
-        self.spare = Some(r * th.sin());
-        r * th.cos() * self.sigma
+        let (u1, u2) = self.uniforms();
+        let (c, s) = box_muller(u1, u2);
+        self.spare = Some(s);
+        c * self.sigma
     }
 
     /// A vector of `n` samples.
@@ -80,6 +82,12 @@ impl GaussianNoise {
     /// element: a pending spare is emitted first, each Box–Muller pair
     /// fills two slots with the same expressions, and an odd tail leaves
     /// its spare pending.
+    ///
+    /// The pairs run in two passes over `out`: the first stores each
+    /// pair's two uniforms in its two slots, in the generator's draw
+    /// order; the second turns them into normals in place through
+    /// straight-line kernels, with no call or data-dependent branch in
+    /// the loop.
     pub fn fill(&mut self, out: &mut [f64]) {
         let mut start = 0;
         if let (Some(first), Some(s)) = (out.first_mut(), self.spare) {
@@ -87,25 +95,41 @@ impl GaussianNoise {
             self.spare = None;
             start = 1;
         }
-        let mut pairs = out[start..].chunks_exact_mut(2);
-        for pair in &mut pairs {
-            let (r, th) = self.polar();
-            pair[0] = r * th.cos() * self.sigma;
-            pair[1] = r * th.sin() * self.sigma;
+        let body = &mut out[start..];
+        let (pairs, tail) = body.split_at_mut(body.len() & !1);
+        for pair in pairs.chunks_exact_mut(2) {
+            (pair[0], pair[1]) = self.uniforms();
         }
-        if let [last] = pairs.into_remainder() {
+        let sigma = self.sigma;
+        for pair in pairs.chunks_exact_mut(2) {
+            let (c, s) = box_muller(pair[0], pair[1]);
+            pair[0] = c * sigma;
+            pair[1] = s * sigma;
+        }
+        if let [last] = tail {
             *last = self.next();
         }
     }
 
-    /// One Box–Muller draw in polar form: radius and angle.
-    fn polar(&mut self) -> (f64, f64) {
-        let u1: f64 = self.rng.gen_open01();
-        let u2: f64 = self.rng.gen_f64();
-        let r = (-2.0 * u1.ln()).sqrt();
-        let th = 2.0 * std::f64::consts::PI * u2;
-        (r, th)
+    /// The two uniforms of one Box–Muller pair: `u1` in `(0, 1)` for the
+    /// radius, then `u2` in `[0, 1)` for the angle.
+    fn uniforms(&mut self) -> (f64, f64) {
+        let u1 = self.rng.gen_open01();
+        let u2 = self.rng.gen_f64();
+        (u1, u2)
     }
+}
+
+/// One Box–Muller pair of unit normals, `(r·cos θ, r·sin θ)` with
+/// `r = √(−2·ln u1)` and `θ = 2π·u2`. `u1` lies in `[2⁻⁵³, 1)` and `θ`
+/// in `[0, 2π)`, the domains of the in-tree `ln` and `sincos` kernels;
+/// each output is within 1e-14 of the libm evaluation of the same
+/// formula (the tolerance policy in `PERFORMANCE.md`).
+#[inline(always)]
+fn box_muller(u1: f64, u2: f64) -> (f64, f64) {
+    let r = (-2.0 * fastmath::ln(u1)).sqrt();
+    let (sin, cos) = fastmath::sincos(2.0 * std::f64::consts::PI * u2);
+    (r * cos, r * sin)
 }
 
 /// A 1/f ("flicker") noise generator: a sum of first-order low-pass
@@ -232,6 +256,27 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn unit_draws_stay_within_tolerance_of_libm_box_muller() {
+        // The same uniforms through libm's ln/sin/cos: the policy bound
+        // on a unit-normal draw is 1e-14 absolute.
+        let n = 1 << 18;
+        let mut fast = vec![0.0; n];
+        GaussianNoise::new(1.0, 0x5EED).fill(&mut fast);
+        let mut rng = SmallRng::seed_from_u64(0x5EED);
+        let mut worst: f64 = 0.0;
+        for pair in fast.chunks_exact(2) {
+            let u1 = rng.gen_open01();
+            let u2 = rng.gen_f64();
+            let r = (-2.0 * u1.ln()).sqrt();
+            let th = 2.0 * std::f64::consts::PI * u2;
+            worst = worst
+                .max((pair[0] - r * th.cos()).abs())
+                .max((pair[1] - r * th.sin()).abs());
+        }
+        assert!(worst <= 1e-14, "max unit-draw deviation {worst:e}");
     }
 
     #[test]

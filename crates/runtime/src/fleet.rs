@@ -42,7 +42,7 @@ use psa_core::mttd::MonitorTiming;
 use psa_core::scenario::Scenario;
 use psa_dsp::peak;
 use psa_dsp::rng::splitmix64;
-use psa_dsp::sliding::{SlidingMode, SlidingSpectrum};
+use psa_dsp::sliding::SlidingSpectrum;
 use psa_gatesim::trojan::TrojanKind;
 use std::fmt;
 
@@ -489,7 +489,7 @@ impl<'c> Fleet<'c> {
             ctx.acquire_into(&scenario, sensor, cfg.baseline_records, &mut traces)?;
             // Same ring math the monitoring lanes use, so a freshly
             // learned baseline and a quiet stream agree bin-for-bin.
-            let mut ring = SlidingSpectrum::new(cfg.baseline_records, SlidingMode::Exact)?;
+            let mut ring = SlidingSpectrum::new(cfg.baseline_records)?;
             for rec in &traces.records {
                 let row = ctx.fullres_amplitude_row(rec)?;
                 decimate_max_into(row, cfg.decimate, &mut pooled);
@@ -547,7 +547,7 @@ impl<'c> Fleet<'c> {
             let schedule = self.schedule(c);
             lanes.push(Lane {
                 variation: self.variation(c),
-                rows: SlidingSpectrum::new(cfg.window_records, SlidingMode::Exact)?,
+                rows: SlidingSpectrum::new(cfg.window_records)?,
                 base_env: peak::local_max_envelope(baselines.chip_db(c), cfg.envelope_half_window),
                 alarmed: false,
                 quiet: 0,
