@@ -16,7 +16,8 @@
 //!   reduction between `sin` and `cos`.
 //! * [`hypot`] — `√(x² + y²)`, with `f64::hypot` kept only for the
 //!   inputs whose squared sum is not a normal number.
-//! * [`round`] — `f64::round` by truncate-and-adjust, bit-identical.
+//! * [`round`] — `f64::round` by round-to-even-and-adjust,
+//!   bit-identical.
 //!
 //! Each kernel states its domain and its error bound against the
 //! correctly rounded result; the tests sweep each domain against `std`
@@ -274,12 +275,14 @@ pub fn hypot(x: f64, y: f64) -> f64 {
 /// including `±0.0`, infinities and NaN, without the libm call the
 /// baseline x86-64 target makes for it.
 ///
-/// Below 2⁵² in magnitude the integer part is taken through an `i64`
-/// conversion, the remainder `|x| − trunc|x|` is exact, and a remainder
-/// of at least one half rounds away from zero; the sign is copied back
-/// so `−0.3` rounds to `−0.0`. Larger magnitudes and infinities are
+/// Below 2⁵² in magnitude, adding and subtracting 2⁵² rounds `|x|` to
+/// an integer exactly, with ties to even; the remainder `|x| − t` is
+/// then exact, and a tie that went down to the even integer (remainder
+/// exactly one half) goes up instead. The sign is copied back, so
+/// `−0.3` rounds to `−0.0`. Larger magnitudes and infinities are
 /// already integral and pass through unchanged; a NaN comes back
-/// quieted, as libm returns it.
+/// quieted, as libm returns it. Every step is arithmetic or a select,
+/// so a loop over samples vectorizes.
 ///
 /// # Example
 ///
@@ -293,10 +296,10 @@ pub fn hypot(x: f64, y: f64) -> f64 {
 pub fn round(x: f64) -> f64 {
     const TWO52: f64 = 4_503_599_627_370_496.0;
     let a = x.abs();
+    let t = (a + TWO52) - TWO52;
+    let t = if a - t >= 0.5 { t + 1.0 } else { t };
     if a < TWO52 {
-        let t = (a as i64) as f64;
-        let r = if a - t >= 0.5 { t + 1.0 } else { t };
-        r.copysign(x)
+        t.copysign(x)
     } else if x.is_nan() {
         // libm quiets a signalling NaN; `x + x` does the same.
         x + x
