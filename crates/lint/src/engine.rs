@@ -167,7 +167,7 @@ fn parse_one_directive(line: u32, rest: &str) -> Directive {
 /// Computes per-token scopes: the file's base scope, overridden to
 /// [`Scope::Test`] inside `#[cfg(test)]` items (attribute + the item's
 /// balanced `{..}` block or terminating `;`).
-fn token_scopes(toks: &[Tok], class: FileClass) -> Vec<Scope> {
+pub(crate) fn token_scopes(toks: &[Tok], class: FileClass) -> Vec<Scope> {
     let base = class.base_scope();
     let mut scopes = vec![base; toks.len()];
     if base == Scope::Test {
@@ -347,7 +347,7 @@ pub fn lint_tree(root: &Path) -> Result<Vec<Finding>, LintError> {
 
 /// `/`-separated path of `file` relative to `root` (falls back to the
 /// full path when `file` is not under `root`).
-fn relative_label(root: &Path, file: &Path) -> String {
+pub(crate) fn relative_label(root: &Path, file: &Path) -> String {
     let rel = file.strip_prefix(root).unwrap_or(file);
     rel.components()
         .map(|c| c.as_os_str().to_string_lossy())

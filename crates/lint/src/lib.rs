@@ -44,6 +44,7 @@
 pub mod engine;
 pub mod error;
 pub mod lexer;
+pub mod reach;
 pub mod rules;
 
 pub use engine::{lint_source, lint_tree, FileClass, Finding};
