@@ -76,8 +76,8 @@ fn pub_fn_keyword(toks: &[Tok], i: usize) -> Option<usize> {
     while let Some(t) = toks.get(j) {
         match t.kind {
             TokKind::Ident if t.text == "fn" => return Some(j),
-            TokKind::Ident if matches!(t.text.as_str(), "const" | "unsafe" | "async" | "extern") => {
-            }
+            TokKind::Ident
+                if matches!(t.text.as_str(), "const" | "unsafe" | "async" | "extern") => {}
             TokKind::Literal => {}
             _ => return None,
         }
