@@ -1,4 +1,4 @@
-//! Autocorrelation, envelope periodicity and Pearson correlation.
+//! Autocorrelation and envelope periodicity.
 //!
 //! The Trojan identification stage extracts a zero-span envelope's
 //! dominant period and its strength from the autocorrelation; those
@@ -76,59 +76,10 @@ pub fn autocorrelation(x: &[f64], max_lag: usize) -> Result<Vec<f64>, DspError> 
 /// Lags computed per pass of [`autocorrelation`] over the signal.
 const LAG_BLOCK: usize = 16;
 
-/// Pearson correlation coefficient between two equal-length signals, in
-/// `[-1, 1]`. Returns 0 if either input has zero variance.
-///
-/// # Errors
-///
-/// Returns [`DspError::EmptyInput`] for empty inputs or
-/// [`DspError::InvalidLength`] on length mismatch.
-///
-/// # Example
-///
-/// ```
-/// use psa_dsp::correlate::pearson;
-/// let a = [1.0, 2.0, 3.0];
-/// let b = [2.0, 4.0, 6.0];
-/// assert!((pearson(&a, &b)? - 1.0).abs() < 1e-12);
-/// # Ok::<(), psa_dsp::DspError>(())
-/// ```
-pub fn pearson(a: &[f64], b: &[f64]) -> Result<f64, DspError> {
-    if a.is_empty() || b.is_empty() {
-        return Err(DspError::EmptyInput);
-    }
-    if a.len() != b.len() {
-        return Err(DspError::InvalidLength {
-            what: "pearson operand length (must match)",
-            got: b.len(),
-        });
-    }
-    let ma = stats::mean(a);
-    let mb = stats::mean(b);
-    let mut num = 0.0;
-    let mut da = 0.0;
-    let mut db = 0.0;
-    for (&x, &y) in a.iter().zip(b) {
-        num += (x - ma) * (y - mb);
-        da += (x - ma) * (x - ma);
-        db += (y - mb) * (y - mb);
-    }
-    if da == 0.0 || db == 0.0 {
-        return Ok(0.0);
-    }
-    Ok(num / (da * db).sqrt())
-}
-
-/// Estimates the dominant period of a signal (in samples) from the first
-/// prominent autocorrelation peak after lag 0. Returns `None` when no
-/// periodicity is found.
-pub fn dominant_period(x: &[f64], max_lag: usize) -> Option<usize> {
-    let ac = autocorrelation(x, max_lag.min(x.len())).ok()?;
-    dominant_period_of(&ac)
-}
-
-/// [`dominant_period`] on an autocorrelation the caller already holds
-/// (as returned by [`autocorrelation`], lag 0 first).
+/// The dominant period, in samples, of the signal behind an
+/// autocorrelation (as returned by [`autocorrelation`], lag 0 first): the
+/// lag of the highest local maximum past the lag-0 main lobe, or `None`
+/// when there is no such peak.
 pub fn dominant_period_of(ac: &[f64]) -> Option<usize> {
     if ac.len() < 3 {
         return None;
@@ -233,39 +184,9 @@ mod tests {
     }
 
     #[test]
-    fn dominant_period_of_reuses_an_autocorrelation() {
-        let x: Vec<f64> = (0..600)
-            .map(|i| (2.0 * PI * i as f64 / 30.0).sin())
-            .collect();
-        let ac = autocorrelation(&x, 150).unwrap();
-        assert_eq!(dominant_period_of(&ac), dominant_period(&x, 150));
-        assert_eq!(dominant_period_of(&ac[..2]), None);
-    }
-
-    #[test]
     fn autocorrelation_of_constant_is_zero() {
         let ac = autocorrelation(&[4.2; 50], 10).unwrap();
         assert!(ac.iter().all(|&v| v == 0.0));
-    }
-
-    #[test]
-    fn pearson_perfect_and_inverse() {
-        let a = [1.0, 2.0, 3.0, 4.0];
-        let b = [10.0, 20.0, 30.0, 40.0];
-        let c = [40.0, 30.0, 20.0, 10.0];
-        assert!((pearson(&a, &b).unwrap() - 1.0).abs() < 1e-12);
-        assert!((pearson(&a, &c).unwrap() + 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn pearson_zero_variance_returns_zero() {
-        assert_eq!(pearson(&[1.0, 1.0], &[2.0, 3.0]).unwrap(), 0.0);
-    }
-
-    #[test]
-    fn pearson_validates() {
-        assert!(pearson(&[], &[]).is_err());
-        assert!(pearson(&[1.0], &[1.0, 2.0]).is_err());
     }
 
     #[test]
@@ -274,12 +195,14 @@ mod tests {
         let x: Vec<f64> = (0..800)
             .map(|i| (2.0 * PI * i as f64 / period as f64).sin())
             .collect();
-        let p = dominant_period(&x, 200).unwrap();
+        let p = dominant_period_of(&autocorrelation(&x, 200).unwrap()).unwrap();
         assert!((p as i64 - period as i64).abs() <= 1, "period {p}");
     }
 
     #[test]
     fn dominant_period_absent_for_constant() {
-        assert_eq!(dominant_period(&[1.0; 100], 50), None);
+        let ac = autocorrelation(&[1.0; 100], 50).unwrap();
+        assert_eq!(dominant_period_of(&ac), None);
+        assert_eq!(dominant_period_of(&ac[..2]), None);
     }
 }

@@ -123,29 +123,6 @@ pub fn fft_any(input: &[Complex]) -> Result<Vec<Complex>, DspError> {
     bluestein(input, false)
 }
 
-/// Inverse FFT of arbitrary length, out of place (normalized by `1/N`).
-///
-/// # Errors
-///
-/// Returns [`DspError::EmptyInput`] when `input` is empty.
-pub fn ifft_any(input: &[Complex]) -> Result<Vec<Complex>, DspError> {
-    if input.is_empty() {
-        return Err(DspError::EmptyInput);
-    }
-    let n = input.len();
-    if is_power_of_two(n) {
-        let mut buf = input.to_vec();
-        ifft(&mut buf)?;
-        return Ok(buf);
-    }
-    let mut out = bluestein(input, true)?;
-    let scale = 1.0 / n as f64;
-    for z in &mut out {
-        *z = *z * scale;
-    }
-    Ok(out)
-}
-
 /// Bluestein chirp-z transform: expresses an N-point DFT as a convolution,
 /// evaluated with a power-of-two FFT of length >= 2N-1.
 fn bluestein(input: &[Complex], inverse: bool) -> Result<Vec<Complex>, DspError> {
@@ -291,19 +268,6 @@ mod tests {
     }
 
     #[test]
-    fn ifft_any_inverts_fft_any_odd_length() {
-        let n = 21;
-        let orig: Vec<Complex> = (0..n)
-            .map(|i| Complex::new(i as f64, (n - i) as f64 * 0.1))
-            .collect();
-        let spec = fft_any(&orig).unwrap();
-        let back = ifft_any(&spec).unwrap();
-        for (a, b) in back.iter().zip(orig.iter()) {
-            assert_close(*a, *b, 1e-9);
-        }
-    }
-
-    #[test]
     fn rfft_tone_lands_in_expected_bin() {
         let n = 256;
         let fs = 1000.0;
@@ -354,7 +318,6 @@ mod tests {
     #[test]
     fn empty_input_rejected() {
         assert!(matches!(fft_any(&[]), Err(DspError::EmptyInput)));
-        assert!(matches!(ifft_any(&[]), Err(DspError::EmptyInput)));
         assert!(matches!(rfft(&[]), Err(DspError::EmptyInput)));
     }
 

@@ -1,7 +1,7 @@
 //! FIR filter design and application.
 //!
-//! Windowed-sinc designs (low-pass and band-pass) plus linear convolution
-//! and decimation. The zero-span path uses a low-pass from here as its
+//! Windowed-sinc low-pass design plus linear convolution and
+//! decimation. The zero-span path uses a low-pass from here as its
 //! resolution-bandwidth filter, and the current-waveform synthesis uses
 //! convolution for pulse shaping.
 
@@ -30,18 +30,6 @@ pub struct FirFilter {
 }
 
 impl FirFilter {
-    /// Builds a filter directly from taps.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DspError::EmptyInput`] if `taps` is empty.
-    pub fn from_taps(taps: Vec<f64>) -> Result<Self, DspError> {
-        if taps.is_empty() {
-            return Err(DspError::EmptyInput);
-        }
-        Ok(FirFilter { taps })
-    }
-
     /// Windowed-sinc low-pass with cutoff `cutoff_hz` at sample rate
     /// `fs_hz`, `num_taps` taps (forced odd for a symmetric, linear-phase
     /// type-I filter), normalized to unity DC gain.
@@ -104,55 +92,9 @@ impl FirFilter {
         Ok(FirFilter { taps })
     }
 
-    /// Windowed-sinc band-pass centred on `[f_lo, f_hi]`, normalized to
-    /// unity gain at the band centre.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`FirFilter::low_pass`], plus
-    /// [`DspError::FrequencyOutOfRange`] when `f_lo >= f_hi`.
-    pub fn band_pass(
-        f_lo_hz: f64,
-        f_hi_hz: f64,
-        fs_hz: f64,
-        num_taps: usize,
-        window: Window,
-    ) -> Result<Self, DspError> {
-        if f_lo_hz >= f_hi_hz {
-            return Err(DspError::FrequencyOutOfRange {
-                freq_hz: f_lo_hz,
-                fs_hz,
-            });
-        }
-        let hi = FirFilter::low_pass(f_hi_hz, fs_hz, num_taps, window)?;
-        let lo = FirFilter::low_pass(f_lo_hz, fs_hz, num_taps, window)?;
-        let mut taps: Vec<f64> = hi.taps.iter().zip(&lo.taps).map(|(&h, &l)| h - l).collect();
-        // Normalize gain at band centre.
-        let fc = (f_lo_hz + f_hi_hz) / 2.0 / fs_hz;
-        let mut re = 0.0;
-        let mut im = 0.0;
-        for (k, &t) in taps.iter().enumerate() {
-            let ph = -2.0 * PI * fc * k as f64;
-            re += t * ph.cos();
-            im += t * ph.sin();
-        }
-        let gain = re.hypot(im);
-        if gain > 0.0 {
-            for t in &mut taps {
-                *t /= gain;
-            }
-        }
-        Ok(FirFilter { taps })
-    }
-
     /// The filter taps.
     pub fn taps(&self) -> &[f64] {
         &self.taps
-    }
-
-    /// Group delay in samples (for symmetric filters: `(len-1)/2`).
-    pub fn group_delay(&self) -> f64 {
-        (self.taps.len() as f64 - 1.0) / 2.0
     }
 
     /// Filters `signal`, returning a same-length output ("same" mode,
@@ -228,19 +170,6 @@ impl FirFilter {
         }
         out.extend((q..n_out).map(|q| edge(q * factor)));
         Ok(out)
-    }
-
-    /// Magnitude response at frequency `freq_hz` for sample rate `fs_hz`.
-    pub fn magnitude_at(&self, freq_hz: f64, fs_hz: f64) -> f64 {
-        let fc = freq_hz / fs_hz;
-        let mut re = 0.0;
-        let mut im = 0.0;
-        for (k, &t) in self.taps.iter().enumerate() {
-            let ph = -2.0 * PI * fc * k as f64;
-            re += t * ph.cos();
-            im += t * ph.sin();
-        }
-        re.hypot(im)
     }
 }
 
@@ -367,16 +296,6 @@ mod tests {
     }
 
     #[test]
-    fn low_pass_passes_low_blocks_high() {
-        let fs = 1.0e6;
-        let lp = FirFilter::low_pass(50e3, fs, 101, Window::Hamming).unwrap();
-        assert!(lp.magnitude_at(0.0, fs) > 0.999);
-        assert!(lp.magnitude_at(10e3, fs) > 0.95);
-        assert!(lp.magnitude_at(200e3, fs) < 0.01);
-        assert!(lp.magnitude_at(450e3, fs) < 0.01);
-    }
-
-    #[test]
     fn low_pass_attenuates_high_tone_in_time_domain() {
         let fs = 1.0e6;
         let lp = FirFilter::low_pass(50e3, fs, 101, Window::Hamming).unwrap();
@@ -396,24 +315,11 @@ mod tests {
     }
 
     #[test]
-    fn band_pass_selects_band() {
-        let fs = 264.0e6;
-        // The zero-span use case: select 48 MHz +- 2 MHz.
-        let bp = FirFilter::band_pass(46e6, 50e6, fs, 201, Window::Hamming).unwrap();
-        assert!(bp.magnitude_at(48e6, fs) > 0.95);
-        assert!(bp.magnitude_at(33e6, fs) < 0.02);
-        assert!(bp.magnitude_at(66e6, fs) < 0.02);
-        assert!(bp.magnitude_at(0.0, fs) < 0.01);
-    }
-
-    #[test]
     fn design_validation() {
         assert!(FirFilter::low_pass(0.0, 1e6, 11, Window::Hann).is_err());
         assert!(FirFilter::low_pass(6e5, 1e6, 11, Window::Hann).is_err());
         assert!(FirFilter::low_pass(1e3, 0.0, 11, Window::Hann).is_err());
         assert!(FirFilter::low_pass(1e3, 1e6, 0, Window::Hann).is_err());
-        assert!(FirFilter::band_pass(5e4, 4e4, 1e6, 11, Window::Hann).is_err());
-        assert!(FirFilter::from_taps(vec![]).is_err());
     }
 
     #[test]
@@ -449,7 +355,7 @@ mod tests {
         };
         for n_taps in [1usize, 2, 3, 129, 301] {
             let taps: Vec<f64> = (0..n_taps).map(|_| lcg()).collect();
-            let fir = FirFilter::from_taps(taps).unwrap();
+            let fir = FirFilter { taps };
             for len in [0usize, 1, 2, 5, 64, 150, 300, 301, 302, 1000] {
                 // Exact zeros of both signs among the samples.
                 let signal: Vec<f64> = (0..len)
@@ -476,7 +382,7 @@ mod tests {
                 }
             }
         }
-        let fir = FirFilter::from_taps(vec![1.0]).unwrap();
+        let fir = FirFilter { taps: vec![1.0] };
         assert!(fir.filter_decimated(&[1.0], 0).is_err());
     }
 
@@ -495,6 +401,5 @@ mod tests {
         for i in 0..t.len() / 2 {
             assert!((t[i] - t[t.len() - 1 - i]).abs() < 1e-12);
         }
-        assert!((lp.group_delay() - 20.0).abs() < 1e-12);
     }
 }

@@ -25,17 +25,17 @@
 //!   documented domain and error bound.
 //! * [`window`] — Rectangular/Hann/Hamming/Blackman/Blackman-Harris/flat-top
 //!   analysis windows with gain bookkeeping.
-//! * [`spectrum`] — amplitude spectra, periodograms, Welch averaging, STFT,
-//!   and dB conversions; this is the "spectrum analyzer screen".
-//! * [`filter`] — windowed-sinc FIR design (low-pass/band-pass), linear
-//!   convolution and decimation.
+//! * [`spectrum`] — amplitude spectra, trace averaging and dB
+//!   conversions; this is the "spectrum analyzer screen".
+//! * [`filter`] — windowed-sinc low-pass FIR design, linear convolution
+//!   and decimation.
 //! * [`zero_span`] — digital down-conversion replicating the spectrum
 //!   analyzer's zero-span mode: mix to baseband, low-pass, decimate, take
 //!   the envelope at one chosen frequency.
 //! * [`stats`] — running and batch statistics (RMS, variance, percentiles,
-//!   skewness/kurtosis) used by the SNR procedure and feature extraction.
-//! * [`peak`] — prominence-based spectral peak detection used by the
-//!   cross-domain analysis to find emergent Trojan sidebands.
+//!   kurtosis) used by the SNR procedure and feature extraction.
+//! * [`peak`] — excess-over-baseline detection and local-max envelopes
+//!   used by the cross-domain analysis to find emergent Trojan sidebands.
 //! * [`correlate`] — auto/cross correlation for envelope classification.
 //!
 //! # Example

@@ -2,103 +2,9 @@
 //!
 //! The cross-domain analysis must find *emergent* frequency components —
 //! the 48 MHz / 84 MHz Trojan sidebands of Fig 4 — in a spectrum that also
-//! contains large legitimate clock harmonics. This module provides
-//! prominence-based local-maximum detection plus an excess-over-baseline
-//! detector with a noise-adaptive threshold (a 1-D cell-averaging CFAR).
-
-use crate::stats;
-
-/// A detected spectral peak.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Peak {
-    /// Index of the peak bin.
-    pub index: usize,
-    /// Value at the peak.
-    pub value: f64,
-    /// Topographic prominence: height above the higher of the two
-    /// surrounding valleys.
-    pub prominence: f64,
-}
-
-/// Finds local maxima with at least `min_prominence`, sorted by descending
-/// value.
-///
-/// A plateau reports its left-most bin. End bins are never peaks.
-///
-/// # Example
-///
-/// ```
-/// use psa_dsp::peak::find_peaks;
-/// let x = [0.0, 1.0, 0.2, 3.0, 0.0];
-/// let peaks = find_peaks(&x, 0.5);
-/// assert_eq!(peaks.len(), 2);
-/// assert_eq!(peaks[0].index, 3); // biggest first
-/// ```
-pub fn find_peaks(x: &[f64], min_prominence: f64) -> Vec<Peak> {
-    let n = x.len();
-    if n < 3 {
-        return Vec::new();
-    }
-    let mut peaks = Vec::new();
-    let mut i = 1;
-    while i < n - 1 {
-        if x[i] > x[i - 1] && x[i] >= x[i + 1] {
-            // Walk the plateau (if any) to confirm it eventually descends.
-            let mut j = i;
-            while j + 1 < n && x[j + 1] == x[i] {
-                j += 1;
-            }
-            if j + 1 < n && x[j + 1] < x[i] {
-                let prominence = prominence_at(x, i);
-                if prominence >= min_prominence {
-                    peaks.push(Peak {
-                        index: i,
-                        value: x[i],
-                        prominence,
-                    });
-                }
-            }
-            i = j + 1;
-        } else {
-            i += 1;
-        }
-    }
-    peaks.sort_by(|a, b| b.value.total_cmp(&a.value));
-    peaks
-}
-
-/// Topographic prominence of the point at `idx`: its height minus the
-/// higher of the two key saddles toward taller terrain (or the global
-/// floor at the slice ends).
-fn prominence_at(x: &[f64], idx: usize) -> f64 {
-    let h = x[idx];
-    // Walk left until we meet something taller; track the lowest valley.
-    let mut left_min = h;
-    let mut k = idx;
-    loop {
-        if k == 0 {
-            break;
-        }
-        k -= 1;
-        left_min = left_min.min(x[k]);
-        if x[k] > h {
-            break;
-        }
-    }
-    let mut right_min = h;
-    let mut k = idx;
-    loop {
-        if k + 1 >= x.len() {
-            break;
-        }
-        k += 1;
-        right_min = right_min.min(x[k]);
-        if x[k] > h {
-            break;
-        }
-    }
-    h - left_min.max(right_min)
-}
+//! contains large legitimate clock harmonics. This module provides the
+//! excess-over-baseline detector and the local-max envelope it compares
+//! against.
 
 /// Bins where `test` exceeds `baseline` by at least `threshold_db`
 /// (both inputs in dB). Returns `(bin, excess_db)` pairs sorted by
@@ -123,49 +29,6 @@ pub fn excess_over_baseline_db(
     out
 }
 
-/// One-dimensional cell-averaging CFAR detector.
-///
-/// For each bin, estimates the local noise level from `train` cells on
-/// each side (skipping `guard` cells around the bin) and flags the bin
-/// when it exceeds `scale` times that estimate. Returns flagged bin
-/// indices in ascending order.
-///
-/// Used to pick "prominent frequency components" robustly even when the
-/// spectrum floor tilts with frequency.
-pub fn cfar_detect(x: &[f64], guard: usize, train: usize, scale: f64) -> Vec<usize> {
-    let n = x.len();
-    if n == 0 || train == 0 {
-        return Vec::new();
-    }
-    let mut hits = Vec::new();
-    for i in 0..n {
-        let mut acc = 0.0;
-        let mut count = 0usize;
-        // Left training cells.
-        let lo_end = i.saturating_sub(guard);
-        let lo_start = lo_end.saturating_sub(train);
-        for &v in &x[lo_start..lo_end] {
-            acc += v;
-            count += 1;
-        }
-        // Right training cells.
-        let hi_start = (i + guard + 1).min(n);
-        let hi_end = (hi_start + train).min(n);
-        for &v in &x[hi_start..hi_end] {
-            acc += v;
-            count += 1;
-        }
-        if count == 0 {
-            continue;
-        }
-        let noise = acc / count as f64;
-        if x[i] > scale * noise {
-            hits.push(i);
-        }
-    }
-    hits
-}
-
 /// Upper envelope of a series: each element replaced by the maximum over
 /// a ±`half_window` neighbourhood. Applied to learned baseline spectra
 /// so a test bin must beat the local *worst case* of the quiet chip,
@@ -181,74 +44,9 @@ pub fn local_max_envelope(series: &[f64], half_window: usize) -> Vec<f64> {
         .collect()
 }
 
-/// Robust z-score of each bin against the whole spectrum
-/// (`(x - median) / (1.4826 · MAD)`), useful as a scale-free anomaly
-/// measure. Returns an empty vector when MAD is zero.
-pub fn robust_zscores(x: &[f64]) -> Vec<f64> {
-    let med = stats::median(x);
-    let mad = stats::mad(x);
-    if mad == 0.0 {
-        return Vec::new();
-    }
-    let denom = 1.4826 * mad;
-    x.iter().map(|&v| (v - med) / denom).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn finds_single_peak() {
-        let x = [0.0, 0.1, 5.0, 0.1, 0.0];
-        let p = find_peaks(&x, 1.0);
-        assert_eq!(p.len(), 1);
-        assert_eq!(p[0].index, 2);
-        assert_eq!(p[0].value, 5.0);
-        // Global maximum: prominence reaches down to the global floor.
-        assert!((p[0].prominence - 5.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn sorts_by_descending_value() {
-        let x = [0.0, 2.0, 0.0, 5.0, 0.0, 3.0, 0.0];
-        let p = find_peaks(&x, 0.5);
-        let values: Vec<f64> = p.iter().map(|q| q.value).collect();
-        assert_eq!(values, vec![5.0, 3.0, 2.0]);
-    }
-
-    #[test]
-    fn prominence_filters_ripples() {
-        // Small ripple on the shoulder of a big peak is rejected at high
-        // prominence threshold.
-        let x = [0.0, 1.0, 10.0, 9.0, 9.2, 1.0, 0.0];
-        let strict = find_peaks(&x, 2.0);
-        assert_eq!(strict.len(), 1);
-        assert_eq!(strict[0].index, 2);
-        let loose = find_peaks(&x, 0.1);
-        assert_eq!(loose.len(), 2);
-    }
-
-    #[test]
-    fn plateau_counts_once() {
-        let x = [0.0, 3.0, 3.0, 3.0, 0.0];
-        let p = find_peaks(&x, 0.5);
-        assert_eq!(p.len(), 1);
-        assert_eq!(p[0].index, 1);
-    }
-
-    #[test]
-    fn endpoints_are_not_peaks() {
-        let x = [5.0, 1.0, 0.0, 1.0, 5.0];
-        assert!(find_peaks(&x, 0.1).is_empty());
-    }
-
-    #[test]
-    fn short_inputs_yield_nothing() {
-        assert!(find_peaks(&[], 0.0).is_empty());
-        assert!(find_peaks(&[1.0], 0.0).is_empty());
-        assert!(find_peaks(&[1.0, 2.0], 0.0).is_empty());
-    }
 
     #[test]
     fn excess_over_baseline_finds_emergent_bins() {
@@ -270,57 +68,6 @@ mod tests {
     fn excess_handles_length_mismatch() {
         let hits = excess_over_baseline_db(&[0.0, 10.0, 20.0], &[0.0, 0.0], 5.0);
         assert_eq!(hits, vec![(1, 10.0)]);
-    }
-
-    #[test]
-    fn cfar_flags_tone_above_noise() {
-        let mut x = vec![1.0; 100];
-        x[50] = 20.0;
-        let hits = cfar_detect(&x, 2, 8, 4.0);
-        assert_eq!(hits, vec![50]);
-    }
-
-    #[test]
-    fn cfar_adapts_to_sloped_floor() {
-        // Rising floor; fixed threshold would false-alarm at the top end,
-        // CFAR should not.
-        let n = 200;
-        let mut x: Vec<f64> = (0..n).map(|i| 1.0 + i as f64 * 0.05).collect();
-        x[60] += 30.0;
-        let hits = cfar_detect(&x, 2, 10, 3.0);
-        assert_eq!(hits, vec![60]);
-    }
-
-    #[test]
-    fn cfar_degenerate_inputs() {
-        assert!(cfar_detect(&[], 1, 4, 3.0).is_empty());
-        assert!(cfar_detect(&[1.0, 2.0], 1, 0, 3.0).is_empty());
-    }
-
-    #[test]
-    fn robust_zscores_flag_outlier() {
-        let mut x = vec![0.0; 99];
-        for (i, v) in x.iter_mut().enumerate() {
-            *v = (i % 7) as f64 * 0.1;
-        }
-        x.push(50.0);
-        let z = robust_zscores(&x);
-        assert_eq!(z.len(), 100);
-        let max = z.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        assert!(max > 10.0);
-        assert_eq!(
-            z.iter()
-                .enumerate()
-                .max_by(|a, b| a.1.total_cmp(b.1))
-                .unwrap()
-                .0,
-            99
-        );
-    }
-
-    #[test]
-    fn robust_zscores_zero_mad() {
-        assert!(robust_zscores(&[1.0; 10]).is_empty());
     }
 
     #[test]

@@ -105,11 +105,6 @@ impl RfftPlan {
         self.n == 0
     }
 
-    /// One-sided output length: `n/2 + 1` bins (DC through Nyquist).
-    pub fn output_len(&self) -> usize {
-        fft::one_sided_len(self.n)
-    }
-
     /// One-sided forward transform into caller-owned buffers.
     ///
     /// `packed` holds the half-length packed signal (scratch, cleared and
@@ -289,7 +284,6 @@ mod tests {
         let plan = RfftPlan::new(16).unwrap();
         assert_eq!(plan.len(), 16);
         assert!(!plan.is_empty());
-        assert_eq!(plan.output_len(), 9);
         assert!(plan.forward(&[0.0; 8]).is_err());
     }
 

@@ -1,12 +1,11 @@
-//! Spectral estimation: amplitude spectra, periodograms, Welch averaging,
-//! STFT, and decibel conversions.
+//! Spectral estimation: amplitude spectra, trace averaging, resampling
+//! and decibel conversions.
 //!
 //! These routines are the software model of the paper's spectrum-analyzer
 //! measurements: Fig 3 (PSA vs external probe magnitude spectra) and
 //! Fig 4 (per-sensor spectra with Trojans active/inactive) are regenerated
-//! through [`amplitude_spectrum_db`] and trace averaging.
+//! through [`amplitude_spectrum`] and trace averaging.
 
-use crate::complex::Complex;
 use crate::error::DspError;
 use crate::fastmath;
 use crate::fft;
@@ -22,13 +21,6 @@ pub const DB_FLOOR: f64 = -300.0;
 #[inline]
 pub fn amplitude_db(x: f64) -> f64 {
     decibels(20.0, x)
-}
-
-/// Converts a power ratio to decibels: `10·log10(x)`, clamped at
-/// [`DB_FLOOR`].
-#[inline]
-pub fn power_db(x: f64) -> f64 {
-    decibels(10.0, x)
 }
 
 /// `scale·log10(x)` clamped at [`DB_FLOOR`], through the in-tree
@@ -57,12 +49,6 @@ fn decibels(scale: f64, x: f64) -> f64 {
 #[inline]
 pub fn db_to_amplitude(db: f64) -> f64 {
     10f64.powf(db / 20.0)
-}
-
-/// Inverse of [`power_db`].
-#[inline]
-pub fn db_to_power(db: f64) -> f64 {
-    10f64.powf(db / 10.0)
 }
 
 /// One-sided amplitude spectrum of a real signal.
@@ -114,102 +100,6 @@ pub fn try_amplitude_spectrum(signal: &[f64], window: Window) -> Result<Vec<f64>
     Ok(out)
 }
 
-/// One-sided amplitude spectrum in dB (re 1.0).
-pub fn amplitude_spectrum_db(signal: &[f64], window: Window) -> Vec<f64> {
-    amplitude_spectrum(signal, window)
-        .into_iter()
-        .map(amplitude_db)
-        .collect()
-}
-
-/// One-sided power spectral density estimate (periodogram), in units of
-/// `V²/Hz` for a voltage input.
-///
-/// # Errors
-///
-/// Returns [`DspError::EmptyInput`] for an empty signal and
-/// [`DspError::NonPositive`] for a non-positive sample rate.
-pub fn periodogram(signal: &[f64], fs_hz: f64, window: Window) -> Result<Vec<f64>, DspError> {
-    if signal.is_empty() {
-        return Err(DspError::EmptyInput);
-    }
-    if fs_hz <= 0.0 {
-        return Err(DspError::NonPositive {
-            what: "sample rate",
-        });
-    }
-    let n = signal.len();
-    let windowed = window.applied(signal);
-    let spec = rfft::rfft_one_sided(&windowed)?;
-    let ng = window.noise_gain(n);
-    let scale = 1.0 / (fs_hz * n as f64 * ng);
-    let half = fft::one_sided_len(n);
-    let mut out = Vec::with_capacity(half);
-    for (k, z) in spec.iter().take(half).enumerate() {
-        let s = if k == 0 || (n % 2 == 0 && k == half - 1) {
-            scale
-        } else {
-            2.0 * scale
-        };
-        out.push(z.norm_sqr() * s);
-    }
-    Ok(out)
-}
-
-/// Welch's method: averaged periodogram over overlapping segments.
-///
-/// `segment_len` is the FFT length per segment; `overlap` is the fraction
-/// of each segment shared with the next, in `[0, 1)`.
-///
-/// # Errors
-///
-/// Returns an error for empty input, non-positive sample rate, a
-/// `segment_len` of zero or longer than the signal, or an overlap outside
-/// `[0, 1)`.
-pub fn welch_psd(
-    signal: &[f64],
-    fs_hz: f64,
-    segment_len: usize,
-    overlap: f64,
-    window: Window,
-) -> Result<Vec<f64>, DspError> {
-    if signal.is_empty() {
-        return Err(DspError::EmptyInput);
-    }
-    if fs_hz <= 0.0 {
-        return Err(DspError::NonPositive {
-            what: "sample rate",
-        });
-    }
-    if segment_len == 0 || segment_len > signal.len() {
-        return Err(DspError::InvalidLength {
-            what: "welch segment length",
-            got: segment_len,
-        });
-    }
-    if !(0.0..1.0).contains(&overlap) {
-        return Err(DspError::NonPositive {
-            what: "welch overlap (must be in [0,1))",
-        });
-    }
-    let hop = ((segment_len as f64) * (1.0 - overlap)).max(1.0) as usize;
-    let mut acc = vec![0.0; fft::one_sided_len(segment_len)];
-    let mut count = 0usize;
-    let mut start = 0usize;
-    while start + segment_len <= signal.len() {
-        let p = periodogram(&signal[start..start + segment_len], fs_hz, window)?;
-        for (a, v) in acc.iter_mut().zip(p) {
-            *a += v;
-        }
-        count += 1;
-        start += hop;
-    }
-    for a in &mut acc {
-        *a /= count as f64;
-    }
-    Ok(acc)
-}
-
 /// Averages several magnitude traces point-wise, as the paper does ("we
 /// averaged five collected traces to derive the spectrum").
 ///
@@ -239,45 +129,6 @@ pub fn average_traces(traces: &[Vec<f64>]) -> Result<Vec<f64>, DspError> {
         *o /= k;
     }
     Ok(out)
-}
-
-/// Short-time Fourier transform magnitude (spectrogram columns).
-///
-/// Returns one amplitude-spectrum vector per hop. Used by the run-time
-/// monitor to watch spectra evolve as Trojans activate.
-///
-/// # Errors
-///
-/// Propagates the same errors as [`try_amplitude_spectrum`]; additionally
-/// rejects `frame_len == 0` or `hop == 0`.
-pub fn stft_magnitude(
-    signal: &[f64],
-    frame_len: usize,
-    hop: usize,
-    window: Window,
-) -> Result<Vec<Vec<f64>>, DspError> {
-    if frame_len == 0 {
-        return Err(DspError::InvalidLength {
-            what: "stft frame length",
-            got: 0,
-        });
-    }
-    if hop == 0 {
-        return Err(DspError::InvalidLength {
-            what: "stft hop",
-            got: 0,
-        });
-    }
-    let mut cols = Vec::new();
-    let mut start = 0;
-    while start + frame_len <= signal.len() {
-        cols.push(try_amplitude_spectrum(
-            &signal[start..start + frame_len],
-            window,
-        )?);
-        start += hop;
-    }
-    Ok(cols)
 }
 
 /// Resamples a spectrum (or any series) to exactly `target_len` points by
@@ -316,16 +167,6 @@ pub fn resample_linear(series: &[f64], target_len: usize) -> Result<Vec<f64>, Ds
     Ok(out)
 }
 
-/// Complex spectrum of a complex signal (convenience wrapper for chained
-/// DSP like the zero-span path).
-///
-/// # Errors
-///
-/// Returns [`DspError::EmptyInput`] for an empty signal.
-pub fn complex_spectrum(signal: &[Complex]) -> Result<Vec<Complex>, DspError> {
-    fft::fft_any(signal)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -341,10 +182,8 @@ mod tests {
     fn db_conversions_roundtrip() {
         for &x in &[1e-6, 0.5, 1.0, 3.7, 1e4] {
             assert!((db_to_amplitude(amplitude_db(x)) - x).abs() / x < 1e-12);
-            assert!((db_to_power(power_db(x)) - x).abs() / x < 1e-12);
         }
         assert_eq!(amplitude_db(0.0), DB_FLOOR);
-        assert_eq!(power_db(-1.0), DB_FLOOR);
     }
 
     #[test]
@@ -354,13 +193,6 @@ mod tests {
                 DB_FLOOR
             } else {
                 (20.0 * x.log10()).max(DB_FLOOR)
-            }
-        };
-        let libm_pow = |x: f64| {
-            if x <= 0.0 {
-                DB_FLOOR
-            } else {
-                (10.0 * x.log10()).max(DB_FLOOR)
             }
         };
         let edges = [
@@ -385,11 +217,6 @@ mod tests {
                 libm_amp(x).to_bits(),
                 "amplitude_db({x:e})"
             );
-            assert_eq!(
-                power_db(x).to_bits(),
-                libm_pow(x).to_bits(),
-                "power_db({x:e})"
-            );
         }
     }
 
@@ -399,9 +226,7 @@ mod tests {
         let mut worst: f64 = 0.0;
         for i in 0..100_000 {
             let x = 10f64.powf(-15.0 + 21.0 * i as f64 / 100_000.0);
-            worst = worst
-                .max((amplitude_db(x) - 20.0 * x.log10()).abs())
-                .max((power_db(x) - 10.0 * x.log10()).abs());
+            worst = worst.max((amplitude_db(x) - 20.0 * x.log10()).abs());
         }
         assert!(worst <= 1e-12, "max dB deviation {worst:e}");
     }
@@ -456,51 +281,6 @@ mod tests {
     }
 
     #[test]
-    fn periodogram_integrates_to_variance() {
-        // White-ish deterministic signal: total integrated PSD equals mean
-        // square (Parseval).
-        let x: Vec<f64> = (0..4096)
-            .map(|i| ((i as f64 * 12.9898).sin() * 43758.5453).fract() - 0.5)
-            .collect();
-        let fs = 1.0e6;
-        let psd = periodogram(&x, fs, Window::Rectangular).unwrap();
-        let df = fs / x.len() as f64;
-        let integrated: f64 = psd.iter().sum::<f64>() * df;
-        let mean_sq: f64 = x.iter().map(|v| v * v).sum::<f64>() / x.len() as f64;
-        assert!((integrated - mean_sq).abs() / mean_sq < 1e-9);
-    }
-
-    #[test]
-    fn welch_reduces_variance_of_estimate() {
-        // Deterministic pseudo-noise; Welch with many segments should be
-        // much smoother (lower variance across bins) than one periodogram.
-        let x: Vec<f64> = (0..8192)
-            .map(|i| ((i as f64 * 78.233).sin() * 12543.97).fract() - 0.5)
-            .collect();
-        let fs = 1.0;
-        let single = periodogram(&x, fs, Window::Hann).unwrap();
-        let welch = welch_psd(&x, fs, 512, 0.5, Window::Hann).unwrap();
-        let var = |v: &[f64]| {
-            let interior = &v[1..v.len() - 1];
-            let m = interior.iter().sum::<f64>() / interior.len() as f64;
-            interior.iter().map(|x| (x - m) * (x - m)).sum::<f64>()
-                / interior.len() as f64
-                / (m * m)
-        };
-        assert!(var(&welch) < var(&single) / 4.0);
-    }
-
-    #[test]
-    fn welch_validates_arguments() {
-        let x = vec![0.0; 64];
-        assert!(welch_psd(&x, 1.0, 0, 0.5, Window::Hann).is_err());
-        assert!(welch_psd(&x, 1.0, 128, 0.5, Window::Hann).is_err());
-        assert!(welch_psd(&x, 1.0, 32, 1.0, Window::Hann).is_err());
-        assert!(welch_psd(&x, 0.0, 32, 0.5, Window::Hann).is_err());
-        assert!(welch_psd(&[], 1.0, 32, 0.5, Window::Hann).is_err());
-    }
-
-    #[test]
     fn average_traces_averages() {
         let t1 = vec![1.0, 2.0, 3.0];
         let t2 = vec![3.0, 2.0, 1.0];
@@ -545,16 +325,6 @@ mod tests {
             .map(|(_, v)| *v)
             .fold(0.0, f64::max);
         assert!(off_bin_max < 0.2);
-    }
-
-    #[test]
-    fn stft_column_count() {
-        let x = vec![0.0; 1000];
-        let cols = stft_magnitude(&x, 256, 128, Window::Hann).unwrap();
-        assert_eq!(cols.len(), (1000 - 256) / 128 + 1);
-        assert_eq!(cols[0].len(), 129);
-        assert!(stft_magnitude(&x, 0, 1, Window::Hann).is_err());
-        assert!(stft_magnitude(&x, 16, 0, Window::Hann).is_err());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Batch and running statistics.
 //!
 //! The SNR procedure (paper Eq. 1) is an RMS ratio; the envelope
-//! classification extracts moments (variance, skewness, kurtosis) and
+//! classification extracts moments (variance, kurtosis) and
 //! robust statistics (median, MAD, percentiles) as features. Everything
 //! here is allocation-light and deterministic.
 
@@ -109,20 +109,6 @@ pub fn mad(x: &[f64]) -> f64 {
     median(&devs)
 }
 
-/// Sample skewness (third standardized moment). Returns 0 when the
-/// variance vanishes or fewer than 3 samples are given.
-pub fn skewness(x: &[f64]) -> f64 {
-    if x.len() < 3 {
-        return 0.0;
-    }
-    let m = mean(x);
-    let s = std_dev(x);
-    if s == 0.0 {
-        return 0.0;
-    }
-    x.iter().map(|v| ((v - m) / s).powi(3)).sum::<f64>() / x.len() as f64
-}
-
 /// Excess kurtosis (fourth standardized moment minus 3). Returns 0 when
 /// the variance vanishes or fewer than 4 samples are given.
 pub fn kurtosis_excess(x: &[f64]) -> f64 {
@@ -135,31 +121,6 @@ pub fn kurtosis_excess(x: &[f64]) -> f64 {
         return 0.0;
     }
     x.iter().map(|v| ((v - m) / s).powi(4)).sum::<f64>() / x.len() as f64 - 3.0
-}
-
-/// Peak-to-average ratio: `max(|x|) / rms(x)`. Returns 0 for empty input
-/// or zero RMS.
-pub fn crest_factor(x: &[f64]) -> f64 {
-    let r = rms(x);
-    if r == 0.0 {
-        return 0.0;
-    }
-    x.iter().map(|v| v.abs()).fold(0.0, f64::max) / r
-}
-
-/// Min and max of a slice as `(min, max)`. Returns `(0, 0)` for empty
-/// input.
-pub fn min_max(x: &[f64]) -> (f64, f64) {
-    if x.is_empty() {
-        return (0.0, 0.0);
-    }
-    let mut lo = f64::INFINITY;
-    let mut hi = f64::NEG_INFINITY;
-    for &v in x {
-        lo = lo.min(v);
-        hi = hi.max(v);
-    }
-    (lo, hi)
 }
 
 /// One-pass running statistics (Welford's algorithm): numerically stable
@@ -223,22 +184,6 @@ impl Running {
     pub fn std_dev(&self) -> f64 {
         self.variance().sqrt()
     }
-
-    /// Merges another accumulator into this one (parallel reduction).
-    pub fn merge(&mut self, other: &Running) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = *other;
-            return;
-        }
-        let total = self.n + other.n;
-        let delta = other.mean - self.mean;
-        self.mean = (self.mean * self.n as f64 + other.mean * other.n as f64) / total as f64;
-        self.m2 += other.m2 + delta * delta * (self.n as f64 * other.n as f64) / total as f64;
-        self.n = total;
-    }
 }
 
 #[cfg(test)]
@@ -261,10 +206,7 @@ mod tests {
         assert_eq!(rms(&[]), 0.0);
         assert_eq!(median(&[]), 0.0);
         assert_eq!(mad(&[]), 0.0);
-        assert_eq!(skewness(&[1.0, 2.0]), 0.0);
         assert_eq!(kurtosis_excess(&[1.0, 2.0, 3.0]), 0.0);
-        assert_eq!(crest_factor(&[]), 0.0);
-        assert_eq!(min_max(&[]), (0.0, 0.0));
     }
 
     #[test]
@@ -321,35 +263,12 @@ mod tests {
     }
 
     #[test]
-    fn skewness_sign() {
-        // Right-skewed data has positive skewness.
-        let right = [1.0, 1.0, 1.0, 1.0, 10.0];
-        assert!(skewness(&right) > 0.5);
-        let left = [10.0, 10.0, 10.0, 10.0, 1.0];
-        assert!(skewness(&left) < -0.5);
-        let sym = [-2.0, -1.0, 0.0, 1.0, 2.0];
-        assert!(skewness(&sym).abs() < 1e-12);
-    }
-
-    #[test]
     fn kurtosis_of_two_level_signal_is_minus_two() {
         // A ±1 square wave has kurtosis 1, excess -2.
         let sq: Vec<f64> = (0..1000)
             .map(|i| if i % 2 == 0 { 1.0 } else { -1.0 })
             .collect();
         assert!((kurtosis_excess(&sq) + 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn crest_factor_of_square_and_sine() {
-        let sq: Vec<f64> = (0..1000)
-            .map(|i| if i % 2 == 0 { 1.0 } else { -1.0 })
-            .collect();
-        assert!((crest_factor(&sq) - 1.0).abs() < 1e-9);
-        let sine: Vec<f64> = (0..100000)
-            .map(|i| (2.0 * std::f64::consts::PI * i as f64 / 1000.0).sin())
-            .collect();
-        assert!((crest_factor(&sine) - 2f64.sqrt()).abs() < 1e-3);
     }
 
     #[test]
@@ -362,46 +281,5 @@ mod tests {
         assert_eq!(r.count(), 500);
         assert!((r.mean() - mean(&x)).abs() < 1e-9);
         assert!((r.variance() - variance(&x)).abs() < 1e-9);
-    }
-
-    #[test]
-    fn running_merge_matches_sequential() {
-        let a: Vec<f64> = (0..100).map(|i| i as f64 * 0.1).collect();
-        let b: Vec<f64> = (0..250).map(|i| (i as f64).sqrt()).collect();
-        let mut ra = Running::new();
-        for &v in &a {
-            ra.push(v);
-        }
-        let mut rb = Running::new();
-        for &v in &b {
-            rb.push(v);
-        }
-        let mut merged = ra;
-        merged.merge(&rb);
-        let mut seq = Running::new();
-        for &v in a.iter().chain(&b) {
-            seq.push(v);
-        }
-        assert_eq!(merged.count(), seq.count());
-        assert!((merged.mean() - seq.mean()).abs() < 1e-9);
-        assert!((merged.variance() - seq.variance()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn running_merge_with_empty() {
-        let mut r = Running::new();
-        r.push(1.0);
-        r.push(2.0);
-        let before = r;
-        r.merge(&Running::new());
-        assert_eq!(r, before);
-        let mut empty = Running::new();
-        empty.merge(&before);
-        assert_eq!(empty, before);
-    }
-
-    #[test]
-    fn min_max_finds_extremes() {
-        assert_eq!(min_max(&[3.0, -1.0, 7.0, 0.0]), (-1.0, 7.0));
     }
 }

@@ -7,7 +7,7 @@
 
 use psa_dsp::rng::SmallRng;
 use psa_dsp::window::Window;
-use psa_dsp::{correlate, fft, filter, spectrum, stats, Complex};
+use psa_dsp::{fft, filter, spectrum, stats, Complex};
 
 const CASES: u64 = 64;
 
@@ -21,17 +21,30 @@ fn finite_signal(rng: &mut SmallRng, max_len: usize) -> Vec<f64> {
     vec_in(rng, -1.0e3, 1.0e3, 1, max_len)
 }
 
-/// fft followed by ifft returns the original signal.
+/// fft matches the direct O(N²) DFT, at any length.
 #[test]
-fn fft_ifft_roundtrip() {
+fn fft_matches_direct_dft() {
     for case in 0..CASES {
         let mut rng = SmallRng::seed_from_u64(case);
         let re = vec_in(&mut rng, -1.0e3, 1.0e3, 1, 257);
-        let orig: Vec<Complex> = re.iter().map(|&r| Complex::new(r, -r * 0.5)).collect();
-        let spec = fft::fft_any(&orig).unwrap();
-        let back = fft::ifft_any(&spec).unwrap();
-        for (a, b) in back.iter().zip(&orig) {
-            assert!((*a - *b).abs() < 1e-6 * (1.0 + b.abs()), "seed {case}");
+        let x: Vec<Complex> = re.iter().map(|&r| Complex::new(r, -r * 0.5)).collect();
+        let n = x.len();
+        let scale: f64 = x.iter().map(|v| v.abs()).sum();
+        let spec = fft::fft_any(&x).unwrap();
+        for (k, s) in spec.iter().enumerate() {
+            let direct = x
+                .iter()
+                .enumerate()
+                .fold(Complex::new(0.0, 0.0), |acc, (t, v)| {
+                    acc + *v
+                        * Complex::cis(
+                            -2.0 * std::f64::consts::PI * ((k * t) % n) as f64 / n as f64,
+                        )
+                });
+            assert!(
+                (*s - direct).abs() < 1e-9 * (1.0 + scale),
+                "seed {case} bin {k}"
+            );
         }
     }
 }
@@ -134,13 +147,14 @@ fn rms_properties() {
     }
 }
 
-/// Percentiles are monotone in p and bracketed by min/max.
+/// Percentiles are monotone in p and bracketed by the extremes.
 #[test]
 fn percentile_monotone() {
     for case in 0..CASES {
         let mut rng = SmallRng::seed_from_u64(case);
         let x = finite_signal(&mut rng, 100);
-        let (lo, hi) = stats::min_max(&x);
+        let lo = x.iter().copied().fold(f64::INFINITY, f64::min);
+        let hi = x.iter().copied().fold(f64::NEG_INFINITY, f64::max);
         let mut prev = f64::NEG_INFINITY;
         for p in [0.0, 10.0, 25.0, 50.0, 75.0, 90.0, 100.0] {
             let v = stats::percentile(&x, p);
@@ -148,23 +162,6 @@ fn percentile_monotone() {
             assert!(v >= lo - 1e-12 && v <= hi + 1e-12, "seed {case} p {p}");
             prev = v;
         }
-    }
-}
-
-/// Pearson correlation is symmetric and bounded.
-#[test]
-fn pearson_bounds() {
-    for case in 0..CASES {
-        let mut rng = SmallRng::seed_from_u64(case);
-        let a = vec_in(&mut rng, -100.0, 100.0, 3, 50);
-        let b: Vec<f64> = a.iter().map(|v| v * 2.0 + 1.0).collect();
-        let r = correlate::pearson(&a, &b).unwrap();
-        assert!(r <= 1.0 + 1e-9, "seed {case}");
-        // A positive affine map gives correlation 1 (or 0 if degenerate).
-        assert!(r > 0.999 || r == 0.0, "seed {case} r {r}");
-        let rab = correlate::pearson(&a, &b).unwrap();
-        let rba = correlate::pearson(&b, &a).unwrap();
-        assert!((rab - rba).abs() < 1e-12, "seed {case}");
     }
 }
 
