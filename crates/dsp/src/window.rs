@@ -132,16 +132,6 @@ impl Window {
         w.iter().sum::<f64>() / n as f64
     }
 
-    /// Noise gain: mean of squared coefficients. Used to normalize power
-    /// spectral densities.
-    pub fn noise_gain(self, n: usize) -> f64 {
-        let w = self.coefficients(n);
-        if w.is_empty() {
-            return 0.0;
-        }
-        w.iter().map(|v| v * v).sum::<f64>() / n as f64
-    }
-
     /// Applies the window to `signal` in place.
     ///
     /// # Example

@@ -195,8 +195,6 @@ fn window_gains_bounded() {
         for w in Window::ALL {
             let cg = w.coherent_gain(n);
             assert!(cg > 0.0 && cg <= 1.0 + 1e-12, "{w} cg={cg} seed {case}");
-            let ng = w.noise_gain(n);
-            assert!(ng > 0.0 && ng <= 1.0 + 1e-12, "{w} ng={ng} seed {case}");
         }
     }
 }
