@@ -22,31 +22,6 @@ pub fn sq_euclidean(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(&x, &y)| (x - y) * (x - y)).sum()
 }
 
-/// Manhattan (L1) distance.
-pub fn manhattan(a: &[f64], b: &[f64]) -> f64 {
-    a.iter().zip(b).map(|(&x, &y)| (x - y).abs()).sum()
-}
-
-/// Chebyshev (L∞) distance.
-pub fn chebyshev(a: &[f64], b: &[f64]) -> f64 {
-    a.iter()
-        .zip(b)
-        .map(|(&x, &y)| (x - y).abs())
-        .fold(0.0, f64::max)
-}
-
-/// Cosine distance `1 - cos(θ)`; 0 for parallel vectors, 1 for
-/// orthogonal. Returns 1 when either vector is zero.
-pub fn cosine(a: &[f64], b: &[f64]) -> f64 {
-    let dot: f64 = a.iter().zip(b).map(|(&x, &y)| x * y).sum();
-    let na: f64 = a.iter().map(|x| x * x).sum::<f64>().sqrt();
-    let nb: f64 = b.iter().map(|x| x * x).sum::<f64>().sqrt();
-    if na == 0.0 || nb == 0.0 {
-        return 1.0;
-    }
-    1.0 - dot / (na * nb)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -61,9 +36,6 @@ mod tests {
     fn zero_distance_to_self() {
         let v = [1.0, -2.0, 3.5];
         assert_eq!(euclidean(&v, &v), 0.0);
-        assert_eq!(manhattan(&v, &v), 0.0);
-        assert_eq!(chebyshev(&v, &v), 0.0);
-        assert!(cosine(&v, &v).abs() < 1e-12);
     }
 
     #[test]
@@ -71,9 +43,6 @@ mod tests {
         let a = [1.0, 2.0, 3.0];
         let b = [-1.0, 0.5, 7.0];
         assert_eq!(euclidean(&a, &b), euclidean(&b, &a));
-        assert_eq!(manhattan(&a, &b), manhattan(&b, &a));
-        assert_eq!(chebyshev(&a, &b), chebyshev(&b, &a));
-        assert!((cosine(&a, &b) - cosine(&b, &a)).abs() < 1e-15);
     }
 
     #[test]
@@ -82,26 +51,6 @@ mod tests {
         let b = [1.0, 1.0];
         let c = [2.0, 0.0];
         assert!(euclidean(&a, &c) <= euclidean(&a, &b) + euclidean(&b, &c) + 1e-12);
-    }
-
-    #[test]
-    fn manhattan_and_chebyshev_values() {
-        let a = [0.0, 0.0, 0.0];
-        let b = [1.0, -2.0, 3.0];
-        assert_eq!(manhattan(&a, &b), 6.0);
-        assert_eq!(chebyshev(&a, &b), 3.0);
-    }
-
-    #[test]
-    fn cosine_orthogonal_and_parallel() {
-        assert!((cosine(&[1.0, 0.0], &[0.0, 1.0]) - 1.0).abs() < 1e-12);
-        assert!(cosine(&[1.0, 1.0], &[2.0, 2.0]).abs() < 1e-12);
-        assert!((cosine(&[1.0, 0.0], &[-1.0, 0.0]) - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn cosine_zero_vector_is_max_distance() {
-        assert_eq!(cosine(&[0.0, 0.0], &[1.0, 2.0]), 1.0);
     }
 
     #[test]

@@ -44,19 +44,6 @@ impl KMeans {
         self
     }
 
-    /// Sets the Lloyd-iteration cap (default 100).
-    pub fn with_max_iters(mut self, iters: usize) -> Self {
-        self.max_iters = iters;
-        self
-    }
-
-    /// Sets how many random restarts to take, keeping the best inertia
-    /// (default 4).
-    pub fn with_restarts(mut self, n_init: usize) -> Self {
-        self.n_init = n_init.max(1);
-        self
-    }
-
     /// Runs clustering on `data` (rows = samples).
     ///
     /// # Errors
@@ -223,25 +210,6 @@ impl KMeansFit {
     pub fn inertia(&self) -> f64 {
         self.inertia
     }
-
-    /// Predicts the cluster of a new sample.
-    pub fn predict(&self, sample: &[f64]) -> usize {
-        self.centroids
-            .iter()
-            .enumerate()
-            .min_by(|a, b| sq_euclidean(sample, a.1).total_cmp(&sq_euclidean(sample, b.1)))
-            .map(|(i, _)| i)
-            .expect("k >= 1 by construction")
-    }
-
-    /// Number of samples in each cluster.
-    pub fn cluster_sizes(&self) -> Vec<usize> {
-        let mut sizes = vec![0usize; self.centroids.len()];
-        for &a in &self.assignments {
-            sizes[a] += 1;
-        }
-        sizes
-    }
 }
 
 #[cfg(test)]
@@ -268,7 +236,6 @@ mod tests {
         for i in (1..40).step_by(2) {
             assert_ne!(fit.assignments()[i], a);
         }
-        assert_eq!(fit.cluster_sizes(), vec![20, 20]);
     }
 
     #[test]
@@ -284,15 +251,6 @@ mod tests {
         let f1 = KMeans::new(2).with_seed(9).fit(&blobs()).unwrap();
         let f2 = KMeans::new(2).with_seed(9).fit(&blobs()).unwrap();
         assert_eq!(f1, f2);
-    }
-
-    #[test]
-    fn predict_assigns_to_nearest() {
-        let fit = KMeans::new(2).with_seed(5).fit(&blobs()).unwrap();
-        let near_a = fit.predict(&[0.05, 0.05]);
-        let near_b = fit.predict(&[8.05, 7.9]);
-        assert_ne!(near_a, near_b);
-        assert_eq!(near_a, fit.assignments()[0]);
     }
 
     #[test]

@@ -18,8 +18,8 @@ use crate::error::MlError;
 /// let train = vec![vec![0.0], vec![0.2], vec![10.0], vec![10.2]];
 /// let labels = vec![0, 0, 1, 1];
 /// let knn = Knn::fit(train, labels, 1)?;
-/// assert_eq!(knn.predict(&[0.1])?, 0);
-/// assert_eq!(knn.predict(&[9.9])?, 1);
+/// assert_eq!(knn.predict_with_distance(&[0.1])?.0, 0);
+/// assert_eq!(knn.predict_with_distance(&[9.9])?.0, 1);
 /// # Ok::<(), psa_ml::MlError>(())
 /// ```
 #[derive(Debug, Clone)]
@@ -74,20 +74,6 @@ impl Knn {
     /// `true` if the classifier holds no samples (unreachable via `fit`).
     pub fn is_empty(&self) -> bool {
         self.samples.is_empty()
-    }
-
-    /// Predicts the label of `sample` by majority vote among the k nearest
-    /// training points. Vote ties resolve by the explicit
-    /// nearest-then-smallest-label rule: the tied label with the closest
-    /// representative wins, and an exact distance tie goes to the
-    /// numerically smaller label — never to map iteration order.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MlError::DimensionMismatch`] when the query
-    /// dimensionality differs from the training data.
-    pub fn predict(&self, sample: &[f64]) -> Result<usize, MlError> {
-        Ok(self.predict_with_distance(sample)?.0)
     }
 
     /// Predicts the label and also returns the distance to the single
@@ -156,15 +142,15 @@ mod tests {
     #[test]
     fn one_nn_nearest_template() {
         let knn = classifier(1);
-        assert_eq!(knn.predict(&[0.1, 0.1]).unwrap(), 0);
-        assert_eq!(knn.predict(&[9.8, 10.1]).unwrap(), 1);
+        assert_eq!(knn.predict_with_distance(&[0.1, 0.1]).unwrap().0, 0);
+        assert_eq!(knn.predict_with_distance(&[9.8, 10.1]).unwrap().0, 1);
     }
 
     #[test]
     fn three_nn_majority() {
         let knn = classifier(3);
-        assert_eq!(knn.predict(&[0.2, 0.2]).unwrap(), 0);
-        assert_eq!(knn.predict(&[10.2, 10.2]).unwrap(), 1);
+        assert_eq!(knn.predict_with_distance(&[0.2, 0.2]).unwrap().0, 0);
+        assert_eq!(knn.predict_with_distance(&[10.2, 10.2]).unwrap().0, 1);
     }
 
     #[test]
@@ -182,8 +168,8 @@ mod tests {
         // k=2 with one vote each: nearest label wins.
         let train = vec![vec![0.0], vec![1.0]];
         let knn = Knn::fit(train, vec![7, 8], 2).unwrap();
-        assert_eq!(knn.predict(&[0.1]).unwrap(), 7);
-        assert_eq!(knn.predict(&[0.9]).unwrap(), 8);
+        assert_eq!(knn.predict_with_distance(&[0.1]).unwrap().0, 7);
+        assert_eq!(knn.predict_with_distance(&[0.9]).unwrap().0, 8);
     }
 
     #[test]
@@ -196,8 +182,8 @@ mod tests {
         let train = vec![vec![0.0], vec![0.4], vec![3.0], vec![3.4]];
         let knn = Knn::fit(train, vec![9, 9, 4, 4], 4).unwrap();
         for _ in 0..64 {
-            assert_eq!(knn.predict(&[0.2]).unwrap(), 9);
-            assert_eq!(knn.predict(&[3.2]).unwrap(), 4);
+            assert_eq!(knn.predict_with_distance(&[0.2]).unwrap().0, 9);
+            assert_eq!(knn.predict_with_distance(&[3.2]).unwrap().0, 4);
         }
     }
 
@@ -207,11 +193,11 @@ mod tests {
         // distance 1.0 from the query, so the smaller label must win.
         let train = vec![vec![0.0], vec![2.0]];
         let knn = Knn::fit(train, vec![7, 3], 2).unwrap();
-        assert_eq!(knn.predict(&[1.0]).unwrap(), 3);
+        assert_eq!(knn.predict_with_distance(&[1.0]).unwrap().0, 3);
         // And a symmetric 2-2 tie at k=4.
         let train = vec![vec![0.0], vec![4.0], vec![1.0], vec![3.0]];
         let knn = Knn::fit(train, vec![8, 2, 8, 2], 4).unwrap();
-        assert_eq!(knn.predict(&[2.0]).unwrap(), 2);
+        assert_eq!(knn.predict_with_distance(&[2.0]).unwrap().0, 2);
     }
 
     #[test]
@@ -222,7 +208,7 @@ mod tests {
         assert!(Knn::fit(vec![vec![1.0]], vec![0], 0).is_err());
         assert!(Knn::fit(vec![vec![1.0]], vec![0], 2).is_err());
         let knn = classifier(1);
-        assert!(knn.predict(&[1.0]).is_err());
+        assert!(knn.predict_with_distance(&[1.0]).is_err());
     }
 
     #[test]

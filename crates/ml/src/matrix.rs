@@ -13,10 +13,10 @@ use crate::error::MlError;
 ///
 /// ```
 /// use psa_ml::matrix::Matrix;
-/// let m = Matrix::from_rows(vec![vec![1.0, 2.0], vec![3.0, 4.0]])?;
+/// let mut m = Matrix::identity(2);
+/// m.set(1, 0, 3.0);
 /// assert_eq!(m.get(1, 0), 3.0);
-/// assert_eq!(m.transpose().get(0, 1), 3.0);
-/// # Ok::<(), psa_ml::MlError>(())
+/// assert_eq!(m.get(0, 1), 0.0);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Matrix {
@@ -42,35 +42,6 @@ impl Matrix {
             m.set(i, i, 1.0);
         }
         m
-    }
-
-    /// Builds a matrix from rows.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MlError::EmptyInput`] for no rows and
-    /// [`MlError::DimensionMismatch`] for ragged rows.
-    pub fn from_rows(rows: Vec<Vec<f64>>) -> Result<Self, MlError> {
-        let r = rows.len();
-        if r == 0 {
-            return Err(MlError::EmptyInput);
-        }
-        let c = rows[0].len();
-        let mut data = Vec::with_capacity(r * c);
-        for row in &rows {
-            if row.len() != c {
-                return Err(MlError::DimensionMismatch {
-                    expected: c,
-                    got: row.len(),
-                });
-            }
-            data.extend_from_slice(row);
-        }
-        Ok(Matrix {
-            rows: r,
-            cols: c,
-            data,
-        })
     }
 
     /// Number of rows.
@@ -108,44 +79,6 @@ impl Matrix {
     /// Row `r` as a slice.
     pub fn row(&self, r: usize) -> &[f64] {
         &self.data[r * self.cols..(r + 1) * self.cols]
-    }
-
-    /// Matrix transpose.
-    pub fn transpose(&self) -> Matrix {
-        let mut t = Matrix::zeros(self.cols, self.rows);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                t.set(c, r, self.get(r, c));
-            }
-        }
-        t
-    }
-
-    /// Matrix product `self × other`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MlError::DimensionMismatch`] when inner dimensions differ.
-    pub fn matmul(&self, other: &Matrix) -> Result<Matrix, MlError> {
-        if self.cols != other.rows {
-            return Err(MlError::DimensionMismatch {
-                expected: self.cols,
-                got: other.rows,
-            });
-        }
-        let mut out = Matrix::zeros(self.rows, other.cols);
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let a = self.get(i, k);
-                if a == 0.0 {
-                    continue;
-                }
-                for j in 0..other.cols {
-                    out.data[i * other.cols + j] += a * other.get(k, j);
-                }
-            }
-        }
-        Ok(out)
     }
 
     /// `true` if the matrix is symmetric to within `tol`.
@@ -260,9 +193,34 @@ impl Matrix {
 mod tests {
     use super::*;
 
+    fn mat(rows: &[&[f64]]) -> Matrix {
+        let mut m = Matrix::zeros(rows.len(), rows[0].len());
+        for (r, row) in rows.iter().enumerate() {
+            for (c, &v) in row.iter().enumerate() {
+                m.set(r, c, v);
+            }
+        }
+        m
+    }
+
+    /// `V Λ Vᵀ` for eigenvalues `vals` and eigenvector columns `vecs`.
+    fn reconstruct(vals: &[f64], vecs: &Matrix) -> Matrix {
+        let n = vals.len();
+        let mut out = Matrix::zeros(n, n);
+        for i in 0..n {
+            for j in 0..n {
+                let v = (0..n)
+                    .map(|k| vecs.get(i, k) * vals[k] * vecs.get(j, k))
+                    .sum();
+                out.set(i, j, v);
+            }
+        }
+        out
+    }
+
     #[test]
     fn construction_and_access() {
-        let m = Matrix::from_rows(vec![vec![1.0, 2.0, 3.0], vec![4.0, 5.0, 6.0]]).unwrap();
+        let m = mat(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]);
         assert_eq!(m.rows(), 2);
         assert_eq!(m.cols(), 3);
         assert_eq!(m.get(0, 2), 3.0);
@@ -270,58 +228,8 @@ mod tests {
     }
 
     #[test]
-    fn ragged_rows_rejected() {
-        assert!(matches!(
-            Matrix::from_rows(vec![vec![1.0], vec![1.0, 2.0]]),
-            Err(MlError::DimensionMismatch { .. })
-        ));
-        assert!(matches!(
-            Matrix::from_rows(vec![]),
-            Err(MlError::EmptyInput)
-        ));
-    }
-
-    #[test]
-    fn transpose_involution() {
-        let m = Matrix::from_rows(vec![vec![1.0, 2.0], vec![3.0, 4.0], vec![5.0, 6.0]]).unwrap();
-        assert_eq!(m.transpose().transpose(), m);
-        assert_eq!(m.transpose().get(1, 2), 6.0);
-    }
-
-    #[test]
-    fn matmul_identity() {
-        let m = Matrix::from_rows(vec![vec![1.0, 2.0], vec![3.0, 4.0]]).unwrap();
-        let i = Matrix::identity(2);
-        assert_eq!(m.matmul(&i).unwrap(), m);
-        assert_eq!(i.matmul(&m).unwrap(), m);
-    }
-
-    #[test]
-    fn matmul_known_product() {
-        let a = Matrix::from_rows(vec![vec![1.0, 2.0], vec![3.0, 4.0]]).unwrap();
-        let b = Matrix::from_rows(vec![vec![5.0, 6.0], vec![7.0, 8.0]]).unwrap();
-        let p = a.matmul(&b).unwrap();
-        assert_eq!(p.get(0, 0), 19.0);
-        assert_eq!(p.get(0, 1), 22.0);
-        assert_eq!(p.get(1, 0), 43.0);
-        assert_eq!(p.get(1, 1), 50.0);
-    }
-
-    #[test]
-    fn matmul_dimension_check() {
-        let a = Matrix::zeros(2, 3);
-        let b = Matrix::zeros(2, 3);
-        assert!(a.matmul(&b).is_err());
-    }
-
-    #[test]
     fn eigen_of_diagonal() {
-        let m = Matrix::from_rows(vec![
-            vec![3.0, 0.0, 0.0],
-            vec![0.0, 1.0, 0.0],
-            vec![0.0, 0.0, 2.0],
-        ])
-        .unwrap();
+        let m = mat(&[&[3.0, 0.0, 0.0], &[0.0, 1.0, 0.0], &[0.0, 0.0, 2.0]]);
         let (vals, _) = m.symmetric_eigen().unwrap();
         assert!((vals[0] - 3.0).abs() < 1e-10);
         assert!((vals[1] - 2.0).abs() < 1e-10);
@@ -332,7 +240,7 @@ mod tests {
     fn eigen_known_2x2() {
         // [[2,1],[1,2]] has eigenvalues 3 and 1 with vectors (1,1)/√2 and
         // (1,-1)/√2.
-        let m = Matrix::from_rows(vec![vec![2.0, 1.0], vec![1.0, 2.0]]).unwrap();
+        let m = mat(&[&[2.0, 1.0], &[1.0, 2.0]]);
         let (vals, vecs) = m.symmetric_eigen().unwrap();
         assert!((vals[0] - 3.0).abs() < 1e-10);
         assert!((vals[1] - 1.0).abs() < 1e-10);
@@ -344,22 +252,9 @@ mod tests {
     #[test]
     fn eigen_reconstructs_matrix() {
         // A = V Λ Vᵀ must reproduce the input.
-        let m = Matrix::from_rows(vec![
-            vec![4.0, 1.0, -2.0],
-            vec![1.0, 2.0, 0.0],
-            vec![-2.0, 0.0, 3.0],
-        ])
-        .unwrap();
+        let m = mat(&[&[4.0, 1.0, -2.0], &[1.0, 2.0, 0.0], &[-2.0, 0.0, 3.0]]);
         let (vals, vecs) = m.symmetric_eigen().unwrap();
-        let mut lambda = Matrix::zeros(3, 3);
-        for (i, &v) in vals.iter().enumerate() {
-            lambda.set(i, i, v);
-        }
-        let recon = vecs
-            .matmul(&lambda)
-            .unwrap()
-            .matmul(&vecs.transpose())
-            .unwrap();
+        let recon = reconstruct(&vals, &vecs);
         for i in 0..3 {
             for j in 0..3 {
                 assert!(
@@ -372,25 +267,20 @@ mod tests {
 
     #[test]
     fn eigenvectors_are_orthonormal() {
-        let m = Matrix::from_rows(vec![
-            vec![5.0, 2.0, 1.0],
-            vec![2.0, 6.0, 3.0],
-            vec![1.0, 3.0, 7.0],
-        ])
-        .unwrap();
+        let m = mat(&[&[5.0, 2.0, 1.0], &[2.0, 6.0, 3.0], &[1.0, 3.0, 7.0]]);
         let (_, vecs) = m.symmetric_eigen().unwrap();
-        let vtv = vecs.transpose().matmul(&vecs).unwrap();
         for i in 0..3 {
             for j in 0..3 {
+                let dot: f64 = (0..3).map(|k| vecs.get(k, i) * vecs.get(k, j)).sum();
                 let expected = if i == j { 1.0 } else { 0.0 };
-                assert!((vtv.get(i, j) - expected).abs() < 1e-8);
+                assert!((dot - expected).abs() < 1e-8);
             }
         }
     }
 
     #[test]
     fn eigen_rejects_asymmetric() {
-        let m = Matrix::from_rows(vec![vec![1.0, 2.0], vec![3.0, 4.0]]).unwrap();
+        let m = mat(&[&[1.0, 2.0], &[3.0, 4.0]]);
         assert!(m.symmetric_eigen().is_err());
         let rect = Matrix::zeros(2, 3);
         assert!(rect.symmetric_eigen().is_err());
@@ -398,9 +288,9 @@ mod tests {
 
     #[test]
     fn symmetry_check() {
-        let sym = Matrix::from_rows(vec![vec![1.0, 2.0], vec![2.0, 1.0]]).unwrap();
+        let sym = mat(&[&[1.0, 2.0], &[2.0, 1.0]]);
         assert!(sym.is_symmetric(1e-12));
-        let asym = Matrix::from_rows(vec![vec![1.0, 2.0], vec![2.1, 1.0]]).unwrap();
+        let asym = mat(&[&[1.0, 2.0], &[2.1, 1.0]]);
         assert!(!asym.is_symmetric(1e-3));
     }
 

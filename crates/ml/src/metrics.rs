@@ -55,19 +55,6 @@ pub fn silhouette_score(data: &[Vec<f64>], assignments: &[usize]) -> f64 {
     total / n as f64
 }
 
-/// Confusion matrix for `n_classes` classes: `matrix[truth][predicted]`.
-///
-/// Pairs with out-of-range labels are ignored.
-pub fn confusion_matrix(truth: &[usize], predicted: &[usize], n_classes: usize) -> Vec<Vec<usize>> {
-    let mut m = vec![vec![0usize; n_classes]; n_classes];
-    for (&t, &p) in truth.iter().zip(predicted) {
-        if t < n_classes && p < n_classes {
-            m[t][p] += 1;
-        }
-    }
-    m
-}
-
 /// Classification accuracy in `[0, 1]`. Returns 0 for empty input.
 pub fn accuracy(truth: &[usize], predicted: &[usize]) -> f64 {
     let n = truth.len().min(predicted.len());
@@ -76,46 +63,6 @@ pub fn accuracy(truth: &[usize], predicted: &[usize]) -> f64 {
     }
     let correct = truth.iter().zip(predicted).filter(|(t, p)| t == p).count();
     correct as f64 / n as f64
-}
-
-/// True-positive rate (recall) for binary labels where `1` is positive.
-/// Returns 0 when there are no positives.
-pub fn true_positive_rate(truth: &[usize], predicted: &[usize]) -> f64 {
-    let mut tp = 0usize;
-    let mut pos = 0usize;
-    for (&t, &p) in truth.iter().zip(predicted) {
-        if t == 1 {
-            pos += 1;
-            if p == 1 {
-                tp += 1;
-            }
-        }
-    }
-    if pos == 0 {
-        0.0
-    } else {
-        tp as f64 / pos as f64
-    }
-}
-
-/// False-positive rate for binary labels where `1` is positive. Returns 0
-/// when there are no negatives.
-pub fn false_positive_rate(truth: &[usize], predicted: &[usize]) -> f64 {
-    let mut fp = 0usize;
-    let mut neg = 0usize;
-    for (&t, &p) in truth.iter().zip(predicted) {
-        if t == 0 {
-            neg += 1;
-            if p == 1 {
-                fp += 1;
-            }
-        }
-    }
-    if neg == 0 {
-        0.0
-    } else {
-        fp as f64 / neg as f64
-    }
 }
 
 #[cfg(test)]
@@ -161,32 +108,9 @@ mod tests {
     }
 
     #[test]
-    fn confusion_matrix_counts() {
-        let truth = [0, 0, 1, 1, 2];
-        let pred = [0, 1, 1, 1, 0];
-        let m = confusion_matrix(&truth, &pred, 3);
-        assert_eq!(m[0][0], 1);
-        assert_eq!(m[0][1], 1);
-        assert_eq!(m[1][1], 2);
-        assert_eq!(m[2][0], 1);
-        assert_eq!(m[2][2], 0);
-    }
-
-    #[test]
     fn accuracy_basic() {
         assert_eq!(accuracy(&[1, 2, 3], &[1, 2, 0]), 2.0 / 3.0);
         assert_eq!(accuracy(&[], &[]), 0.0);
         assert_eq!(accuracy(&[1, 1], &[1, 1]), 1.0);
-    }
-
-    #[test]
-    fn tpr_fpr() {
-        // truth:  1 1 0 0, pred: 1 0 1 0 → TPR 0.5, FPR 0.5
-        let truth = [1, 1, 0, 0];
-        let pred = [1, 0, 1, 0];
-        assert_eq!(true_positive_rate(&truth, &pred), 0.5);
-        assert_eq!(false_positive_rate(&truth, &pred), 0.5);
-        assert_eq!(true_positive_rate(&[0, 0], &[0, 0]), 0.0);
-        assert_eq!(false_positive_rate(&[1, 1], &[1, 1]), 0.0);
     }
 }

@@ -21,8 +21,8 @@ use crate::matrix::Matrix;
 ///     .map(|i| vec![i as f64, 2.0 * i as f64])
 ///     .collect();
 /// let pca = Pca::fit(&data, 2)?;
-/// let ev = pca.explained_variance_ratio();
-/// assert!(ev[0] > 0.999);
+/// let ev = pca.eigenvalues();
+/// assert!(ev[1] < 1e-9 * ev[0]);
 /// # Ok::<(), psa_ml::MlError>(())
 /// ```
 #[derive(Debug, Clone)]
@@ -30,7 +30,6 @@ pub struct Pca {
     mean: Vec<f64>,
     components: Matrix, // rows = components, cols = features
     eigenvalues: Vec<f64>,
-    total_variance: f64,
 }
 
 impl Pca {
@@ -97,7 +96,6 @@ impl Pca {
         }
 
         let (eigenvalues, vectors) = cov.symmetric_eigen()?;
-        let total_variance: f64 = eigenvalues.iter().map(|v| v.max(0.0)).sum();
 
         // Keep the top n_components eigenvectors as rows.
         let mut components = Matrix::zeros(n_components, d);
@@ -110,7 +108,6 @@ impl Pca {
             mean,
             components,
             eigenvalues: eigenvalues[..n_components].to_vec(),
-            total_variance,
         })
     }
 
@@ -127,17 +124,6 @@ impl Pca {
     /// Eigenvalues (variances) of the retained components, descending.
     pub fn eigenvalues(&self) -> &[f64] {
         &self.eigenvalues
-    }
-
-    /// Fraction of total variance captured by each retained component.
-    pub fn explained_variance_ratio(&self) -> Vec<f64> {
-        if self.total_variance <= 0.0 {
-            return vec![0.0; self.eigenvalues.len()];
-        }
-        self.eigenvalues
-            .iter()
-            .map(|&v| v.max(0.0) / self.total_variance)
-            .collect()
     }
 
     /// Projects one sample into component space.
@@ -193,9 +179,8 @@ mod tests {
     #[test]
     fn first_component_captures_line() {
         let pca = Pca::fit(&line_data(), 2).unwrap();
-        let ev = pca.explained_variance_ratio();
-        assert!(ev[0] > 0.999, "ev {ev:?}");
-        assert!(ev[1] < 1e-3);
+        let ev = pca.eigenvalues();
+        assert!(ev[1] < 1e-3 * ev[0], "ev {ev:?}");
         // Component direction ~ (1, 2)/√5.
         let c0 = (pca.components.get(0, 0), pca.components.get(0, 1));
         let expected = (1.0 / 5f64.sqrt(), 2.0 / 5f64.sqrt());
@@ -250,7 +235,7 @@ mod tests {
     fn constant_data_gives_zero_variance() {
         let data = vec![vec![3.0, 3.0]; 10];
         let pca = Pca::fit(&data, 1).unwrap();
-        assert_eq!(pca.explained_variance_ratio(), vec![0.0]);
+        assert_eq!(pca.eigenvalues(), [0.0]);
     }
 
     #[test]

@@ -114,26 +114,6 @@ impl StandardScaler {
     pub fn transform(&self, data: &[Vec<f64>]) -> Result<Vec<Vec<f64>>, MlError> {
         data.iter().map(|r| self.transform_one(r)).collect()
     }
-
-    /// Undoes the standardization of one sample.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MlError::DimensionMismatch`] on dimensionality mismatch.
-    pub fn inverse_transform_one(&self, sample: &[f64]) -> Result<Vec<f64>, MlError> {
-        if sample.len() != self.mean.len() {
-            return Err(MlError::DimensionMismatch {
-                expected: self.mean.len(),
-                got: sample.len(),
-            });
-        }
-        Ok(sample
-            .iter()
-            .zip(&self.mean)
-            .zip(&self.std)
-            .map(|((&z, m), s)| z * s + m)
-            .collect())
-    }
 }
 
 #[cfg(test)]
@@ -158,14 +138,13 @@ mod tests {
     }
 
     #[test]
-    fn inverse_roundtrips() {
+    fn transform_is_mean_over_std() {
         let data = vec![vec![1.0, -5.0], vec![2.0, 3.0], vec![4.0, 0.0]];
         let scaler = StandardScaler::fit(&data).unwrap();
         for row in &data {
             let t = scaler.transform_one(row).unwrap();
-            let back = scaler.inverse_transform_one(&t).unwrap();
-            for (a, b) in back.iter().zip(row) {
-                assert!((a - b).abs() < 1e-10);
+            for (j, (a, b)) in t.iter().zip(row).enumerate() {
+                assert!((a * scaler.std[j] + scaler.mean[j] - b).abs() < 1e-10);
             }
         }
     }
@@ -185,6 +164,5 @@ mod tests {
         assert!(StandardScaler::fit(&[vec![1.0], vec![1.0, 2.0]]).is_err());
         let scaler = StandardScaler::fit(&[vec![1.0, 2.0]]).unwrap();
         assert!(scaler.transform_one(&[1.0]).is_err());
-        assert!(scaler.inverse_transform_one(&[1.0]).is_err());
     }
 }

@@ -8,7 +8,6 @@
 use psa_ml::distance;
 use psa_ml::kmeans::KMeans;
 use psa_ml::matrix::Matrix;
-use psa_ml::pca::Pca;
 use psa_ml::rng::SmallRng;
 use psa_ml::scaler::StandardScaler;
 
@@ -59,44 +58,19 @@ fn eigen_reconstruction() {
             }
         }
         let (ev, vecs) = m.symmetric_eigen().unwrap();
-        let mut lambda = Matrix::zeros(n, n);
-        for (i, &e) in ev.iter().enumerate() {
-            lambda.set(i, i, e);
-        }
-        let recon = vecs
-            .matmul(&lambda)
-            .unwrap()
-            .matmul(&vecs.transpose())
-            .unwrap();
+        // V Λ Vᵀ, summed directly.
         for i in 0..n {
             for j in 0..n {
-                assert!(
-                    (recon.get(i, j) - m.get(i, j)).abs() < 1e-7,
-                    "seed {case} ({i},{j})"
-                );
+                let recon: f64 = (0..n)
+                    .map(|k| vecs.get(i, k) * ev[k] * vecs.get(j, k))
+                    .sum();
+                assert!((recon - m.get(i, j)).abs() < 1e-7, "seed {case} ({i},{j})");
             }
         }
         // Eigenvalues sorted descending.
         for w in ev.windows(2) {
             assert!(w[0] >= w[1] - 1e-12, "seed {case}");
         }
-    }
-}
-
-/// PCA explained variance ratios are in [0,1] and sum to <= 1.
-#[test]
-fn pca_variance_ratios_bounded() {
-    for case in 0..CASES {
-        let mut rng = SmallRng::seed_from_u64(case);
-        let data = dataset(&mut rng, 4, 20, 3);
-        let pca = Pca::fit(&data, 2).unwrap();
-        let ev = pca.explained_variance_ratio();
-        let sum: f64 = ev.iter().sum();
-        assert!(
-            ev.iter().all(|&v| (-1e-12..=1.0 + 1e-9).contains(&v)),
-            "seed {case}"
-        );
-        assert!(sum <= 1.0 + 1e-9, "seed {case}");
     }
 }
 
@@ -115,34 +89,30 @@ fn kmeans_inertia_monotone() {
     }
 }
 
-/// Every k-means assignment indexes a valid centroid, and predict on a
-/// training point returns its assignment.
+/// Every k-means assignment indexes a valid centroid.
 #[test]
 fn kmeans_assignments_consistent() {
     for case in 0..CASES {
         let mut rng = SmallRng::seed_from_u64(case);
         let data = dataset(&mut rng, 5, 20, 2);
         let fit = KMeans::new(2).with_seed(11).fit(&data).unwrap();
-        for (i, row) in data.iter().enumerate() {
-            let a = fit.assignments()[i];
-            assert!(a < 2, "seed {case}");
-            assert_eq!(fit.predict(row), a, "seed {case} row {i}");
-        }
+        assert_eq!(fit.assignments().len(), data.len(), "seed {case}");
+        assert!(fit.assignments().iter().all(|&a| a < 2), "seed {case}");
     }
 }
 
-/// Scaler transform/inverse-transform round-trips.
+/// Scaler transform is `(x − mean) / std` per feature.
 #[test]
-fn scaler_roundtrip() {
+fn scaler_standardizes() {
     for case in 0..CASES {
         let mut rng = SmallRng::seed_from_u64(case);
         let data = dataset(&mut rng, 2, 20, 3);
         let scaler = StandardScaler::fit(&data).unwrap();
         for row in &data {
             let t = scaler.transform_one(row).unwrap();
-            let back = scaler.inverse_transform_one(&t).unwrap();
-            for (a, b) in back.iter().zip(row) {
-                assert!((a - b).abs() < 1e-8 * (1.0 + b.abs()), "seed {case}");
+            for (j, (a, b)) in t.iter().zip(row).enumerate() {
+                let back = a * scaler.std()[j] + scaler.mean()[j];
+                assert!((back - b).abs() < 1e-8 * (1.0 + b.abs()), "seed {case}");
             }
         }
     }
