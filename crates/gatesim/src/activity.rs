@@ -52,16 +52,6 @@ impl Source {
         Source::TrojanT3,
         Source::TrojanT4,
     ];
-
-    /// The source for a given Trojan.
-    pub fn for_trojan(kind: TrojanKind) -> Source {
-        match kind {
-            TrojanKind::T1 => Source::TrojanT1,
-            TrojanKind::T2 => Source::TrojanT2,
-            TrojanKind::T3 => Source::TrojanT3,
-            TrojanKind::T4 => Source::TrojanT4,
-        }
-    }
 }
 
 /// What the AES core is doing.
@@ -217,12 +207,6 @@ impl ActivitySimulator {
     /// Absolute cycle counter.
     pub fn cycle(&self) -> u64 {
         self.cycle
-    }
-
-    /// Whether a given Trojan's payload was active on the last simulated
-    /// cycle.
-    pub fn trojan_triggered(&self, kind: TrojanKind) -> bool {
-        self.trojans[kind.index()].is_triggered()
     }
 
     fn load_next_block(&mut self) {
@@ -403,7 +387,7 @@ mod tests {
         let mut sim = ActivitySimulator::new(ChipConfig::default());
         let t = sim.advance(2000);
         for kind in [TrojanKind::T2, TrojanKind::T3, TrojanKind::T4] {
-            let total = t.total(Source::for_trojan(kind));
+            let total = t.total(Source::ALL[3 + kind.index()]);
             assert!(total < 2000.0 * 3.0, "{kind} dormant total {total}");
         }
     }
@@ -417,7 +401,7 @@ mod tests {
         let t4 = t.total(Source::TrojanT4);
         // T4 peak ≈ 2181 × 0.55 ≈ 1200 toggles on pattern-high cycles.
         assert!(t4 > 2000.0 * 100.0, "T4 total {t4}");
-        assert!(sim.trojan_triggered(TrojanKind::T4));
+        assert!(sim.trojans[TrojanKind::T4.index()].is_triggered());
     }
 
     #[test]
@@ -428,7 +412,7 @@ mod tests {
         };
         let mut sim = ActivitySimulator::new(cfg);
         let t = sim.advance(2000);
-        assert!(sim.trojan_triggered(TrojanKind::T2));
+        assert!(sim.trojans[TrojanKind::T2.index()].is_triggered());
         let loud = t.total(Source::TrojanT2);
 
         let mut quiet_sim = ActivitySimulator::new(ChipConfig::default());
@@ -456,9 +440,19 @@ mod tests {
     fn trojan_lanes_follow_source_order() {
         // `advance` fills the lanes after the three chip sources in
         // `TrojanKind::ALL` order.
-        for kind in TrojanKind::ALL {
-            assert_eq!(Source::ALL[3 + kind.index()], Source::for_trojan(kind));
-        }
+        let lanes: Vec<Source> = TrojanKind::ALL
+            .iter()
+            .map(|kind| Source::ALL[3 + kind.index()])
+            .collect();
+        assert_eq!(
+            lanes,
+            [
+                Source::TrojanT1,
+                Source::TrojanT2,
+                Source::TrojanT3,
+                Source::TrojanT4
+            ]
+        );
     }
 
     #[test]

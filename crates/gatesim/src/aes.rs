@@ -98,16 +98,6 @@ impl Aes128 {
         self.encrypt_visiting(plaintext, |_, _| {})
     }
 
-    /// Encrypts one block, returning all intermediate states:
-    /// `[plaintext⊕k0, after round 1, …, after round 10]` — 11 entries,
-    /// preceded by the raw plaintext for HD-against-load, so 12 total.
-    pub fn encrypt_trace(&self, plaintext: &[u8; 16]) -> Vec<[u8; 16]> {
-        let mut states = Vec::with_capacity(12);
-        states.push(*plaintext);
-        self.encrypt_visiting(plaintext, |_, state| states.push(*state));
-        states
-    }
-
     /// Per-round Hamming distances of the state register: 11 values, one
     /// per register update (load + 10 rounds). This is the standard
     /// side-channel switching model for a round-per-cycle AES core.
@@ -179,11 +169,6 @@ fn mix_columns(state: &mut [u8; 16]) {
     }
 }
 
-/// Number of differing bits between two 16-byte blocks.
-pub fn hamming_distance(a: &[u8; 16], b: &[u8; 16]) -> u32 {
-    (u128::from_le_bytes(*a) ^ u128::from_le_bytes(*b)).count_ones()
-}
-
 /// Number of set bits in a block.
 pub fn hamming_weight(a: &[u8; 16]) -> u32 {
     u128::from_le_bytes(*a).count_ones()
@@ -236,16 +221,6 @@ mod tests {
     }
 
     #[test]
-    fn trace_has_12_states_and_ends_with_ciphertext() {
-        let aes = Aes128::new(&fips_key());
-        let pt = [0x42u8; 16];
-        let trace = aes.encrypt_trace(&pt);
-        assert_eq!(trace.len(), 12);
-        assert_eq!(trace[0], pt);
-        assert_eq!(*trace.last().unwrap(), aes.encrypt_block(&pt));
-    }
-
-    #[test]
     fn round_hds_are_plausible() {
         // Mean HD per round of a 128-bit state is ~64 for random-looking
         // data; every round must flip at least a few bits.
@@ -282,15 +257,13 @@ mod tests {
         let c1 = aes.encrypt_block(&pt);
         pt[0] ^= 0x01;
         let c2 = aes.encrypt_block(&pt);
-        let hd = hamming_distance(&c1, &c2);
+        let hd: u32 = c1.iter().zip(&c2).map(|(a, b)| (a ^ b).count_ones()).sum();
         assert!((40..=90).contains(&hd), "avalanche HD {hd}");
     }
 
     #[test]
     fn hamming_helpers() {
-        assert_eq!(hamming_distance(&[0; 16], &[0xff; 16]), 128);
         assert_eq!(hamming_weight(&[0x0f; 16]), 64);
-        assert_eq!(hamming_distance(&[3; 16], &[3; 16]), 0);
     }
 
     #[test]
@@ -368,7 +341,6 @@ mod tests {
                     _ => pts.next_block(),
                 };
                 let trace = reference::encrypt_trace(rk, &pt);
-                assert_eq!(aes.encrypt_trace(&pt), trace);
                 assert_eq!(aes.encrypt_block(&pt), trace[11]);
                 assert_eq!(
                     aes.round_hamming_distances(&pt).as_slice(),
@@ -380,12 +352,9 @@ mod tests {
 
     #[test]
     fn wide_hamming_helpers_match_bytewise_counts() {
-        let mut l = crate::lfsr::Lfsr::new_16bit(0xACE1);
+        let mut l = crate::lfsr::Lfsr::new_31bit(0xACE1);
         for _ in 0..256 {
             let a = l.next_block();
-            let b = l.next_block();
-            let bytewise: u32 = a.iter().zip(&b).map(|(x, y)| (x ^ y).count_ones()).sum();
-            assert_eq!(hamming_distance(&a, &b), bytewise);
             assert_eq!(hamming_weight(&a), a.iter().map(|x| x.count_ones()).sum());
         }
     }

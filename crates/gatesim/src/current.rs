@@ -17,42 +17,31 @@ pub const SAMPLES_PER_CYCLE: usize = 8;
 pub const PULSE_SHAPE: [f64; SAMPLES_PER_CYCLE] = [0.50, 0.30, 0.15, 0.05, 0.0, 0.0, 0.0, 0.0];
 
 /// Converts one source's per-cycle toggle counts into a current waveform
-/// in amperes.
+/// in amperes, written into a caller-owned buffer (resized to the output
+/// length) so per-record synthesis in the acquisition hot path reuses
+/// allocations.
 ///
 /// `charge_per_toggle_fc` is the mean switching charge (femtocoulombs)
 /// of the source's cell mix; `clk_hz` sets the sample interval.
-///
-/// # Example
-///
-/// ```
-/// use psa_gatesim::current::{toggles_to_current, SAMPLES_PER_CYCLE};
-/// let toggles = vec![100.0, 0.0];
-/// let i = toggles_to_current(&toggles, 2.0, 33.0e6);
-/// assert_eq!(i.len(), 2 * SAMPLES_PER_CYCLE);
-/// // Total charge = 100 toggles × 2 fC = 200 fC.
-/// let dt = 1.0 / (33.0e6 * SAMPLES_PER_CYCLE as f64);
-/// let q: f64 = i.iter().map(|a| a * dt).sum();
-/// assert!((q - 200.0e-15).abs() < 1e-18);
-/// ```
-pub fn toggles_to_current(
-    toggles_per_cycle: &[f64],
-    charge_per_toggle_fc: f64,
-    clk_hz: f64,
-) -> Vec<f64> {
-    let mut out = Vec::new();
-    toggles_to_current_into(toggles_per_cycle, charge_per_toggle_fc, clk_hz, &mut out);
-    out
-}
-
-/// [`toggles_to_current`] into a caller-owned buffer (resized to the
-/// output length), so per-record synthesis in the acquisition hot path
-/// reuses allocations.
 ///
 /// Each cycle writes one [`SAMPLES_PER_CYCLE`] chunk. A cycle whose
 /// toggle count has the same bits as the previous cycle's copies that
 /// cycle's pulse: the same IEEE operations on the same operands give
 /// the same bits, and most sources repeat their count cycle after
 /// cycle.
+///
+/// # Example
+///
+/// ```
+/// use psa_gatesim::current::{toggles_to_current_into, SAMPLES_PER_CYCLE};
+/// let mut i = Vec::new();
+/// toggles_to_current_into(&[100.0, 0.0], 2.0, 33.0e6, &mut i);
+/// assert_eq!(i.len(), 2 * SAMPLES_PER_CYCLE);
+/// // Total charge = 100 toggles × 2 fC = 200 fC.
+/// let dt = 1.0 / (33.0e6 * SAMPLES_PER_CYCLE as f64);
+/// let q: f64 = i.iter().map(|a| a * dt).sum();
+/// assert!((q - 200.0e-15).abs() < 1e-18);
+/// ```
 pub fn toggles_to_current_into(
     toggles_per_cycle: &[f64],
     charge_per_toggle_fc: f64,
@@ -83,23 +72,11 @@ pub fn toggles_to_current_into(
 
 /// Current waveforms for every source of an [`ActivityTrace`], in the
 /// trace's deterministic source order, with per-source charge taken from
-/// `charges_fc` (same order as [`Source::ALL`](crate::activity::Source::ALL)).
+/// `charges_fc` (same order as [`Source::ALL`](crate::activity::Source::ALL)),
+/// written into a caller-owned buffer: the outer vector and every
+/// per-source waveform allocation are reused across records.
 ///
 /// Sources missing from `charges_fc` default to 2.5 fC per toggle.
-pub fn trace_to_currents(
-    trace: &ActivityTrace,
-    charges_fc: &[(crate::activity::Source, f64)],
-    clk_hz: f64,
-) -> Vec<(crate::activity::Source, Vec<f64>)> {
-    let mut out = Vec::new();
-    trace_to_currents_into(trace, charges_fc, clk_hz, &mut out);
-    out
-}
-
-/// [`trace_to_currents`] into a caller-owned buffer: the outer vector
-/// and every per-source waveform allocation are reused across records
-/// (each record synthesizes ~7 × 65 536 samples, several MB that the
-/// acquisition hot path would otherwise reallocate per record).
 pub fn trace_to_currents_into(
     trace: &ActivityTrace,
     charges_fc: &[(crate::activity::Source, f64)],
@@ -130,12 +107,18 @@ mod tests {
     use super::*;
     use crate::activity::{ActivitySimulator, ChipConfig, Source};
 
+    fn current(toggles: &[f64], q_fc: f64, clk_hz: f64) -> Vec<f64> {
+        let mut out = Vec::new();
+        toggles_to_current_into(toggles, q_fc, clk_hz, &mut out);
+        out
+    }
+
     #[test]
     fn charge_is_conserved() {
         let toggles = vec![50.0, 125.0, 0.0, 3.0];
         let q_fc = 3.1;
         let clk = 33.0e6;
-        let i = toggles_to_current(&toggles, q_fc, clk);
+        let i = current(&toggles, q_fc, clk);
         let dt = 1.0 / sample_rate_hz(clk);
         let q: f64 = i.iter().map(|a| a * dt).sum();
         let expected = toggles.iter().sum::<f64>() * q_fc * 1.0e-15;
@@ -150,7 +133,7 @@ mod tests {
 
     #[test]
     fn pulse_is_at_cycle_start() {
-        let i = toggles_to_current(&[1.0], 1.0, 33.0e6);
+        let i = current(&[1.0], 1.0, 33.0e6);
         assert!(i[0] > 0.0);
         assert_eq!(i[SAMPLES_PER_CYCLE - 1], 0.0);
         assert!(i[0] > i[1]);
@@ -158,14 +141,14 @@ mod tests {
 
     #[test]
     fn output_length_scales() {
-        let i = toggles_to_current(&[1.0; 100], 1.0, 33.0e6);
+        let i = current(&[1.0; 100], 1.0, 33.0e6);
         assert_eq!(i.len(), 100 * SAMPLES_PER_CYCLE);
     }
 
     #[test]
     fn magnitude_order_is_realistic() {
         // ~3000 toggles × 2.5 fC in ~1 ns ⇒ milliamp-scale peaks.
-        let i = toggles_to_current(&[3000.0], 2.5, 33.0e6);
+        let i = current(&[3000.0], 2.5, 33.0e6);
         let peak = i.iter().cloned().fold(0.0, f64::max);
         assert!(peak > 1e-4 && peak < 1e-1, "peak {peak} A");
     }
@@ -174,7 +157,8 @@ mod tests {
     fn trace_to_currents_covers_all_sources() {
         let mut sim = ActivitySimulator::new(ChipConfig::default());
         let trace = sim.advance(50);
-        let currents = trace_to_currents(&trace, &[(Source::AesCore, 3.9)], 33.0e6);
+        let mut currents = Vec::new();
+        trace_to_currents_into(&trace, &[(Source::AesCore, 3.9)], 33.0e6, &mut currents);
         assert_eq!(currents.len(), Source::ALL.len());
         for (_, i) in &currents {
             assert_eq!(i.len(), 50 * SAMPLES_PER_CYCLE);
@@ -201,7 +185,7 @@ mod tests {
             ..ChipConfig::default()
         });
         let trace = sim.advance(4096);
-        let i = toggles_to_current(&trace.per_source[&Source::AesCore], 2.5, 33.0e6);
+        let i = current(&trace.per_source[&Source::AesCore], 2.5, 33.0e6);
         let fs = sample_rate_hz(33.0e6);
         let project = |f: f64| {
             let mut re = 0.0;

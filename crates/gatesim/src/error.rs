@@ -3,17 +3,10 @@
 use std::error::Error;
 use std::fmt;
 
-/// Errors produced by the gate-level and activity simulators.
+/// Errors produced by the activity simulators.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum GatesimError {
-    /// A netlist referenced a signal that does not exist.
-    UnknownSignal {
-        /// The missing signal's id.
-        id: usize,
-    },
-    /// The netlist contains a combinational cycle.
-    CombinationalLoop,
     /// A simulation parameter was invalid.
     InvalidParameter {
         /// Human-readable description of the parameter.
@@ -24,10 +17,6 @@ pub enum GatesimError {
 impl fmt::Display for GatesimError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            GatesimError::UnknownSignal { id } => write!(f, "unknown signal id {id}"),
-            GatesimError::CombinationalLoop => {
-                write!(f, "netlist contains a combinational loop")
-            }
             GatesimError::InvalidParameter { what } => {
                 write!(f, "invalid parameter: {what}")
             }
@@ -43,10 +32,6 @@ mod tests {
 
     #[test]
     fn messages_render() {
-        assert!(GatesimError::UnknownSignal { id: 3 }
-            .to_string()
-            .contains('3'));
-        assert!(!GatesimError::CombinationalLoop.to_string().is_empty());
         assert!(!GatesimError::InvalidParameter { what: "cycles" }
             .to_string()
             .ends_with('.'));

@@ -14,7 +14,7 @@ use crate::error::GatesimError;
 /// ```
 /// use psa_gatesim::lfsr::Lfsr;
 /// // Maximal-length 16-bit LFSR: period 65535.
-/// let mut l = Lfsr::new_16bit(0xACE1);
+/// let mut l = Lfsr::new(0xACE1, 0b10_1101, 16).expect("width 16 is valid");
 /// let first = l.next_bit();
 /// let _ = first;
 /// assert_ne!(l.state(), 0);
@@ -53,12 +53,6 @@ impl Lfsr {
             taps: taps & mask,
             width,
         }
-    }
-
-    /// Maximal-length 16-bit LFSR (polynomial x¹⁶+x¹⁴+x¹³+x¹¹+1, i.e.
-    /// feedback = parity of bits 0, 2, 3, 5).
-    pub fn new_16bit(seed: u16) -> Self {
-        Lfsr::with_width(seed as u64, 0b10_1101, 16)
     }
 
     /// Maximal-length 31-bit LFSR (polynomial x³¹+x²⁸+1, feedback =
@@ -107,22 +101,9 @@ impl Lfsr {
         out
     }
 
-    /// Returns the next `n` bits packed LSB-first into bytes.
-    pub fn next_bytes(&mut self, n: usize) -> Vec<u8> {
-        (0..n).map(|_| self.next_byte()).collect()
-    }
-
     /// Generates a 16-byte plaintext block.
     pub fn next_block(&mut self) -> [u8; 16] {
         std::array::from_fn(|_| self.next_byte())
-    }
-
-    /// Number of register bits that toggle on one step — the LFSR's own
-    /// switching activity.
-    pub fn step_with_toggles(&mut self) -> u32 {
-        let before = self.state;
-        self.next_bit();
-        (before ^ self.state).count_ones()
     }
 }
 
@@ -138,7 +119,7 @@ mod tests {
 
     #[test]
     fn sixteen_bit_lfsr_has_maximal_period() {
-        let mut l = Lfsr::new_16bit(0xACE1);
+        let mut l = Lfsr::new(0xACE1, 0b10_1101, 16).expect("width 16 is valid");
         let start = l.state();
         let mut period = 0u64;
         loop {
@@ -153,7 +134,7 @@ mod tests {
 
     #[test]
     fn state_never_zero() {
-        let mut l = Lfsr::new_16bit(1);
+        let mut l = Lfsr::new(1, 0b10_1101, 16).expect("width 16 is valid");
         for _ in 0..10_000 {
             l.next_bit();
             assert_ne!(l.state(), 0);
@@ -164,7 +145,7 @@ mod tests {
     fn bytes_are_balanced() {
         // Rough balance check: ones fraction within 45-55 % over 4 kB.
         let mut l = Lfsr::new_31bit(0xDEADBEEF);
-        let bytes = l.next_bytes(4096);
+        let bytes: Vec<u8> = (0..4096).map(|_| l.next_byte()).collect();
         let ones: u32 = bytes.iter().map(|b| b.count_ones()).sum();
         let frac = ones as f64 / (4096.0 * 8.0);
         assert!((0.45..0.55).contains(&frac), "ones fraction {frac}");
@@ -184,15 +165,6 @@ mod tests {
         let mut b = Lfsr::new_31bit(123);
         for _ in 0..100 {
             assert_eq!(a.next_bit(), b.next_bit());
-        }
-    }
-
-    #[test]
-    fn toggles_bounded_by_width() {
-        let mut l = Lfsr::new_16bit(0x1234);
-        for _ in 0..1000 {
-            let t = l.step_with_toggles();
-            assert!(t <= 16);
         }
     }
 
@@ -247,7 +219,7 @@ mod tests {
     }
 
     #[test]
-    fn blocks_and_bytes_are_one_stream() {
+    fn blocks_and_bit_steps_are_one_stream() {
         let mut by_block = Lfsr::new_31bit(0x5EED);
         let mut by_bits = by_block.clone();
         for _ in 0..64 {
@@ -255,9 +227,5 @@ mod tests {
             let bytes: Vec<u8> = (0..16).map(|_| bitwise_byte(&mut by_bits)).collect();
             assert_eq!(block.as_slice(), bytes.as_slice());
         }
-        let mut by_bytes = by_block.clone();
-        let bytes = by_bytes.next_bytes(33);
-        let bits: Vec<u8> = (0..33).map(|_| bitwise_byte(&mut by_block)).collect();
-        assert_eq!(bytes, bits);
     }
 }

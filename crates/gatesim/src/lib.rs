@@ -9,9 +9,6 @@
 //! * [`uart`] — RS232 framing used to stream plaintext/ciphertext, with
 //!   its own (slow) switching activity.
 //! * [`lfsr`] — the on-chip pattern generator (`en_LFSR` pin in Fig 2).
-//! * [`netlist`] — a small gate-level netlist + event simulator used to
-//!   simulate the Trojan *trigger* circuits gate-accurately (counter to
-//!   21'h1FFFFF, plaintext comparator, enable latches).
 //! * [`trojan`] — models of T1–T4 with the Table II cell counts and the
 //!   paper's triggering conditions, each producing a distinct payload
 //!   activity envelope (the fingerprints of Fig 5).
@@ -43,7 +40,6 @@ pub mod aes;
 pub mod current;
 pub mod error;
 pub mod lfsr;
-pub mod netlist;
 pub mod synth;
 pub mod trojan;
 pub mod uart;

@@ -18,7 +18,7 @@ fn chip() -> &'static TestChip {
 
 #[test]
 fn gatesim_and_layout_agree_on_table2() {
-    // Trojan cell counts live in two crates (netlist models and the
+    // Trojan cell counts live in two crates (the Trojan models and the
     // floorplan); they must agree with Table II and each other.
     let fp = Floorplan::date24_test_chip();
     for (kind, module) in [
