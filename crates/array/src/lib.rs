@@ -30,11 +30,11 @@
 //!
 //! let bank = SensorBank::date24_default();
 //! assert_eq!(bank.len(), 16);
-//! // Sensors overlap their neighbours by about a third of their area.
-//! let s0 = bank.sensor(0).unwrap();
-//! let s1 = bank.sensor(1).unwrap();
-//! let overlap = s0.footprint().intersection(&s1.footprint()).unwrap().area();
-//! assert!((overlap / s0.footprint().area() - 0.33).abs() < 0.05);
+//! // Sensors overlap their neighbours by about a third of their width.
+//! let s0 = bank.sensor(0).unwrap().footprint();
+//! let s1 = bank.sensor(1).unwrap().footprint();
+//! let overlap = s0.max().x - s1.min().x;
+//! assert!((overlap / s0.width() - 0.33).abs() < 0.05);
 //! ```
 
 #![forbid(unsafe_code)]

@@ -29,7 +29,7 @@ pub struct MetalLayer {
 /// ```
 /// use psa_layout::die::Die;
 /// let die = Die::tsmc65_1mm();
-/// assert_eq!(die.metal_layers().len(), 8);
+/// assert!(die.metal(8).is_some() && die.metal(9).is_none());
 /// // PSA metals are the two topmost.
 /// assert_eq!(die.psa_layers(), (7, 8));
 /// ```
@@ -92,11 +92,6 @@ impl Die {
         self.outline.height()
     }
 
-    /// All metal layers, bottom-up.
-    pub fn metal_layers(&self) -> &[MetalLayer] {
-        &self.layers
-    }
-
     /// Looks up a metal layer by 1-based index.
     pub fn metal(&self, index: u8) -> Option<&MetalLayer> {
         self.layers.iter().find(|l| l.index == index)
@@ -131,8 +126,8 @@ mod tests {
     #[test]
     fn stack_is_eight_metals_ascending() {
         let die = Die::tsmc65_1mm();
-        assert_eq!(die.metal_layers().len(), 8);
-        for w in die.metal_layers().windows(2) {
+        assert_eq!(die.layers.len(), 8);
+        for w in die.layers.windows(2) {
             assert!(w[1].z_um > w[0].z_um, "stack must ascend");
             assert!(w[1].index == w[0].index + 1);
         }

@@ -219,17 +219,6 @@ impl Floorplan {
         self.modules.iter().map(|m| m.cell_count).sum()
     }
 
-    /// A module's cell-count percentage of the total — the second row of
-    /// Table II.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LayoutError::NotFound`] when the module is not placed.
-    pub fn cell_percentage(&self, kind: ModuleKind) -> Result<f64, LayoutError> {
-        let m = self.module(kind)?;
-        Ok(100.0 * m.cell_count as f64 / self.total_cells() as f64)
-    }
-
     /// Regenerates Table II as `(label, cell count, percentage)` rows:
     /// Overall first, then T1–T4.
     pub fn gate_count_table(&self) -> Vec<(String, usize, f64)> {
@@ -249,15 +238,6 @@ impl Floorplan {
             }
         }
         rows
-    }
-
-    /// All modules whose regions intersect `area` (used to answer "what
-    /// is under this sensor?").
-    pub fn modules_under(&self, area: &Rect) -> Vec<&Module> {
-        self.modules
-            .iter()
-            .filter(|m| m.region.intersects(area))
-            .collect()
     }
 }
 
@@ -285,10 +265,10 @@ mod tests {
     fn table2_percentages_match_paper() {
         let fp = Floorplan::date24_test_chip();
         // Paper: 6.52 / 7.40 / 1.14 / 7.57 (%).
-        assert!((fp.cell_percentage(ModuleKind::TrojanT1).unwrap() - 6.52).abs() < 0.02);
-        assert!((fp.cell_percentage(ModuleKind::TrojanT2).unwrap() - 7.40).abs() < 0.02);
-        assert!((fp.cell_percentage(ModuleKind::TrojanT3).unwrap() - 1.14).abs() < 0.02);
-        assert!((fp.cell_percentage(ModuleKind::TrojanT4).unwrap() - 7.57).abs() < 0.02);
+        let rows = fp.gate_count_table();
+        for (row, paper) in rows[1..].iter().zip([6.52, 7.40, 1.14, 7.57]) {
+            assert!((row.2 - paper).abs() < 0.02, "{}: {}", row.0, row.2);
+        }
     }
 
     #[test]
@@ -350,8 +330,11 @@ mod tests {
         // bottom strip, so keep the main-circuit modules out.
         let sensor0 = Rect::new(0.0, 0.0, 332.3, 332.3);
         let fp = Floorplan::date24_test_chip();
-        let under = fp.modules_under(&sensor0);
-        assert!(under.iter().all(|m| m.kind == ModuleKind::PsaControl));
+        assert!(fp
+            .modules()
+            .iter()
+            .filter(|m| m.region.intersects(&sensor0))
+            .all(|m| m.kind == ModuleKind::PsaControl));
     }
 
     #[test]
@@ -379,10 +362,12 @@ mod tests {
     }
 
     #[test]
-    fn modules_under_finds_aes_under_center() {
+    fn aes_sits_under_the_center() {
         let fp = Floorplan::date24_test_chip();
         let center = Rect::new(480.0, 480.0, 520.0, 520.0);
-        let under = fp.modules_under(&center);
-        assert!(under.iter().any(|m| m.kind == ModuleKind::AesCore));
+        assert!(fp
+            .modules()
+            .iter()
+            .any(|m| m.kind == ModuleKind::AesCore && m.region.intersects(&center)));
     }
 }

@@ -146,25 +146,6 @@ impl Rect {
             && other.min.y < self.max.y
     }
 
-    /// The overlapping region, if it has positive area.
-    pub fn intersection(&self, other: &Rect) -> Option<Rect> {
-        if !self.intersects(other) {
-            return None;
-        }
-        Some(Rect {
-            min: Point::new(self.min.x.max(other.min.x), self.min.y.max(other.min.y)),
-            max: Point::new(self.max.x.min(other.max.x), self.max.y.min(other.max.y)),
-        })
-    }
-
-    /// Smallest rectangle containing both.
-    pub fn union(&self, other: &Rect) -> Rect {
-        Rect {
-            min: Point::new(self.min.x.min(other.min.x), self.min.y.min(other.min.y)),
-            max: Point::new(self.max.x.max(other.max.x), self.max.y.max(other.max.y)),
-        }
-    }
-
     /// Rectangle grown by `margin` µm on every side (shrunk if negative;
     /// the result is clamped to remain non-degenerate).
     pub fn inflate(&self, margin: f64) -> Rect {
@@ -312,27 +293,6 @@ impl Polygon {
         }
         inside
     }
-
-    /// Axis-aligned bounding box.
-    pub fn bounding_box(&self) -> Rect {
-        let mut min = self.vertices[0];
-        let mut max = self.vertices[0];
-        for v in &self.vertices {
-            min.x = min.x.min(v.x);
-            min.y = min.y.min(v.y);
-            max.x = max.x.max(v.x);
-            max.y = max.y.max(v.y);
-        }
-        Rect { min, max }
-    }
-
-    /// Total perimeter length in µm.
-    pub fn perimeter(&self) -> f64 {
-        let n = self.vertices.len();
-        (0..n)
-            .map(|i| self.vertices[i].distance_to(self.vertices[(i + 1) % n]))
-            .sum()
-    }
 }
 
 impl fmt::Display for Polygon {
@@ -387,26 +347,15 @@ mod tests {
     }
 
     #[test]
-    fn rect_intersection_cases() {
+    fn rect_intersects_cases() {
         let a = Rect::new(0.0, 0.0, 10.0, 10.0);
-        let b = Rect::new(5.0, 5.0, 15.0, 15.0);
-        let i = a.intersection(&b).unwrap();
-        assert_eq!(i, Rect::new(5.0, 5.0, 10.0, 10.0));
-        assert_eq!(i.area(), 25.0);
-        // Touching edges: zero-area, no intersection.
-        let c = Rect::new(10.0, 0.0, 20.0, 10.0);
-        assert!(a.intersection(&c).is_none());
-        // Disjoint.
-        let d = Rect::new(100.0, 100.0, 110.0, 110.0);
-        assert!(a.intersection(&d).is_none());
-        assert!(!a.intersects(&d));
+        assert!(a.intersects(&Rect::new(5.0, 5.0, 15.0, 15.0)));
+        assert!(!a.intersects(&Rect::new(100.0, 100.0, 110.0, 110.0)));
     }
 
     #[test]
-    fn rect_union_and_inflate() {
+    fn rect_inflate() {
         let a = Rect::new(0.0, 0.0, 1.0, 1.0);
-        let b = Rect::new(4.0, 4.0, 5.0, 5.0);
-        assert_eq!(a.union(&b), Rect::new(0.0, 0.0, 5.0, 5.0));
         let g = a.inflate(1.0);
         assert_eq!(g, Rect::new(-1.0, -1.0, 2.0, 2.0));
         // Over-shrinking collapses to the centre instead of inverting.
@@ -460,18 +409,6 @@ mod tests {
         assert!(l.contains(Point::new(2.0, 8.0)));
         assert!(!l.contains(Point::new(8.0, 8.0)));
         assert_eq!(l.area(), 75.0);
-    }
-
-    #[test]
-    fn polygon_bounding_box_and_perimeter() {
-        let tri = Polygon::new(vec![
-            Point::new(0.0, 0.0),
-            Point::new(3.0, 0.0),
-            Point::new(0.0, 4.0),
-        ])
-        .unwrap();
-        assert_eq!(tri.bounding_box(), Rect::new(0.0, 0.0, 3.0, 4.0));
-        assert_eq!(tri.perimeter(), 12.0);
     }
 
     #[test]

@@ -110,25 +110,6 @@ impl Pinout {
     pub fn side(&self, side: PinSide) -> Vec<&Pin> {
         self.pins.iter().filter(|p| p.side == side).collect()
     }
-
-    /// The 4-bit sensor-select bus, LSB first.
-    pub fn psa_sel_bus(&self) -> Vec<&Pin> {
-        (0..4)
-            .filter_map(|i| self.find(&format!("PSA_sel{i}")))
-            .collect()
-    }
-
-    /// The differential sensor channel pins as `(positive, negative)`
-    /// pairs, for channels 1–4.
-    pub fn sensor_channels(&self) -> Vec<(&Pin, &Pin)> {
-        (1..=4)
-            .filter_map(|i| {
-                let p = self.find(&format!("Sensor{i}+"))?;
-                let n = self.find(&format!("Sensor{i}-"))?;
-                Some((p, n))
-            })
-            .collect()
-    }
 }
 
 impl Default for Pinout {
@@ -156,25 +137,6 @@ mod tests {
         for (i, p) in pinout.pins().iter().enumerate() {
             assert_eq!(p.number as usize, i + 1);
         }
-    }
-
-    #[test]
-    fn sensor_channels_on_right_side() {
-        let pinout = Pinout::date24_test_chip();
-        let ch = pinout.sensor_channels();
-        assert_eq!(ch.len(), 4);
-        for (p, n) in ch {
-            assert_eq!(p.side, PinSide::Right);
-            assert_eq!(n.side, PinSide::Right);
-        }
-    }
-
-    #[test]
-    fn psa_sel_bus_on_bottom() {
-        let pinout = Pinout::date24_test_chip();
-        let bus = pinout.psa_sel_bus();
-        assert_eq!(bus.len(), 4);
-        assert!(bus.iter().all(|p| p.side == PinSide::Bottom));
     }
 
     #[test]

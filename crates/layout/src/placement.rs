@@ -10,7 +10,7 @@
 
 use crate::error::LayoutError;
 use crate::floorplan::{Floorplan, Module, ModuleKind};
-use crate::geom::{Point, Rect};
+use crate::geom::Point;
 use crate::stdcell::StdCellKind;
 
 /// Standard-cell row height, µm (65 nm-class 9-track library).
@@ -185,26 +185,6 @@ pub fn cluster_cells(cells: &[PlacedCell], tile_um: f64) -> Vec<Cluster> {
     clusters
 }
 
-/// Bounding box of a set of clusters belonging to one module (or all).
-pub fn clusters_bbox(clusters: &[Cluster]) -> Option<Rect> {
-    let first = clusters.first()?;
-    let mut bb = Rect::new(
-        first.centroid.x,
-        first.centroid.y,
-        first.centroid.x,
-        first.centroid.y,
-    );
-    for c in clusters.iter().skip(1) {
-        bb = bb.union(&Rect::new(
-            c.centroid.x,
-            c.centroid.y,
-            c.centroid.x,
-            c.centroid.y,
-        ));
-    }
-    Some(bb)
-}
-
 /// SplitMix64: tiny deterministic RNG for placement jitter (kept local so
 /// `psa-layout` needs no RNG dependency at runtime).
 #[derive(Debug, Clone)]
@@ -234,6 +214,7 @@ impl SplitMix64 {
 mod tests {
     use super::*;
     use crate::floorplan::Floorplan;
+    use crate::geom::Rect;
 
     #[test]
     fn places_exact_cell_counts() {
@@ -364,17 +345,5 @@ mod tests {
         assert!(clusters[first_trojan..]
             .iter()
             .all(|c| c.module.is_trojan()));
-    }
-
-    #[test]
-    fn clusters_bbox_covers_centroids() {
-        let fp = Floorplan::date24_test_chip();
-        let cells = place_floorplan(&fp, 5).unwrap();
-        let clusters = cluster_cells(&cells, 100.0);
-        let bb = clusters_bbox(&clusters).unwrap();
-        for c in &clusters {
-            assert!(bb.contains(c.centroid));
-        }
-        assert!(clusters_bbox(&[]).is_none());
     }
 }

@@ -72,21 +72,6 @@ impl StdCellKind {
             StdCellKind::Lut => 9.5,
         }
     }
-
-    /// Static leakage current in nanoamps at nominal corner (only enters
-    /// the noise floor).
-    pub fn leakage_na(self) -> f64 {
-        match self {
-            StdCellKind::Inv => 0.8,
-            StdCellKind::Buf => 1.2,
-            StdCellKind::Nand2 => 1.0,
-            StdCellKind::Nor2 => 1.0,
-            StdCellKind::Xor2 => 1.9,
-            StdCellKind::Mux2 => 1.7,
-            StdCellKind::Dff => 3.1,
-            StdCellKind::Lut => 6.5,
-        }
-    }
 }
 
 impl fmt::Display for StdCellKind {
@@ -173,11 +158,6 @@ impl CellMix {
     pub fn mean_area_um2(&self) -> f64 {
         self.entries.iter().map(|(k, w)| k.area_um2() * w).sum()
     }
-
-    /// Weighted mean leakage, nA.
-    pub fn mean_leakage_na(&self) -> f64 {
-        self.entries.iter().map(|(k, w)| k.leakage_na() * w).sum()
-    }
 }
 
 #[cfg(test)]
@@ -189,7 +169,6 @@ mod tests {
         for k in StdCellKind::ALL {
             assert!(k.area_um2() > 0.0);
             assert!(k.switching_charge_fc() > 0.0);
-            assert!(k.leakage_na() > 0.0);
         }
     }
 
