@@ -330,7 +330,9 @@ mod tests {
         if sigma > 0.0 {
             let mut g =
                 GaussianNoise::new(sigma, seed ^ record_index.wrapping_mul(0x9E3779B97F4A7C15));
-            g.add_to(&mut out);
+            for v in out.iter_mut() {
+                *v += g.next();
+            }
         }
         fe.amp().amplify_in_place(&mut out, fs_hz);
         fe.adc().quantize_in_place(&mut out);

@@ -1271,11 +1271,13 @@ mod tests {
         let sigma = (sensor_noise_vrms * sensor_noise_vrms + amp_noise * amp_noise).sqrt();
         let mut out = sensor_v.to_vec();
         if sigma > 0.0 {
-            psa_field::noise::GaussianNoise::new(
+            let mut g = psa_field::noise::GaussianNoise::new(
                 sigma,
                 seed ^ record_index.wrapping_mul(0x9E3779B97F4A7C15),
-            )
-            .add_to(&mut out);
+            );
+            for v in out.iter_mut() {
+                *v += g.next();
+            }
         }
         fe.amp().amplify_in_place(&mut out, fs);
         fe.adc().quantize_in_place(&mut out);

@@ -140,11 +140,6 @@ impl CouplingMatrix {
         })
     }
 
-    /// Number of sources (rows).
-    pub fn source_count(&self) -> usize {
-        self.entries.len()
-    }
-
     /// Number of sensors (columns).
     pub fn sensor_count(&self) -> usize {
         self.sensor_count
@@ -250,7 +245,6 @@ mod tests {
             Rect::new(0.0, 0.0, 332.3, 332.3).to_polygon(),
         ];
         let m = CouplingMatrix::build(&sources, &loops, 4.8).unwrap();
-        assert_eq!(m.source_count(), 3);
         assert_eq!(m.sensor_count(), 2);
         assert_eq!(m.coupling(2, 0).unwrap(), 0.0);
         assert!(m.coupling(0, 0).unwrap().abs() > 0.0);

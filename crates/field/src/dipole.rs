@@ -17,7 +17,7 @@
 //! *self-cancellation* — the physical reason a matched small sensor beats
 //! a whole-chip coil.
 
-use psa_layout::{Point, Polygon, Rect};
+use psa_layout::{Point, Polygon};
 
 /// µ0/4π in SI (T·m/A).
 pub const MU0_OVER_4PI: f64 = 1.0e-7;
@@ -32,10 +32,10 @@ pub const UM: f64 = 1.0e-6;
 /// use psa_field::dipole::Dipole;
 /// use psa_layout::Point;
 /// let d = Dipole::new(Point::new(0.0, 0.0), 1.0e-12);
-/// // Bz on axis falls off as 1/z³.
-/// let b1 = d.bz_at(Point::new(0.0, 0.0), 10.0);
-/// let b2 = d.bz_at(Point::new(0.0, 0.0), 20.0);
-/// assert!((b1 / b2 - 8.0).abs() < 1e-9);
+/// // Flux through a loop directly above is positive (upward field).
+/// let square = psa_layout::Rect::centered(Point::new(0.0, 0.0), 60.0, 60.0)?;
+/// assert!(d.flux_through_polygon(&square.to_polygon(), 5.0) > 0.0);
+/// # Ok::<(), psa_layout::LayoutError>(())
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Dipole {
@@ -49,18 +49,6 @@ impl Dipole {
     /// Creates a dipole at `position` (µm) with `moment` (A·m²).
     pub fn new(position: Point, moment: f64) -> Self {
         Dipole { position, moment }
-    }
-
-    /// Vertical field component `Bz` (tesla) at point `p` (µm) on the
-    /// plane z = `z_um` above the dipole.
-    pub fn bz_at(&self, p: Point, z_um: f64) -> f64 {
-        let dx = (p.x - self.position.x) * UM;
-        let dy = (p.y - self.position.y) * UM;
-        let z = z_um * UM;
-        let rho2 = dx * dx + dy * dy;
-        let r2 = rho2 + z * z;
-        let r = r2.sqrt();
-        MU0_OVER_4PI * self.moment * (2.0 * z * z - rho2) / (r2 * r2 * r)
     }
 
     /// Flux (weber) through a polygonal loop in the plane z = `z_um`,
@@ -77,11 +65,6 @@ impl Dipole {
             total += self.edge_integral(a, b, z);
         }
         MU0_OVER_4PI * self.moment * total
-    }
-
-    /// Flux through a rectangle (counter-clockwise orientation).
-    pub fn flux_through_rect(&self, rect: &Rect, z_um: f64) -> f64 {
-        self.flux_through_polygon(&rect.to_polygon(), z_um)
     }
 
     /// ∫ (ẑ×r̂)/|r|³ · dl along segment a→b at height z, relative to the
@@ -159,6 +142,7 @@ pub fn circle_polygon(center: Point, r_um: f64, sides: usize) -> Polygon {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use psa_layout::Rect;
 
     const M: f64 = 1.0e-12; // A·m², ~1 µA in a 1 µm² loop
 
@@ -208,8 +192,8 @@ mod tests {
         let z = 4.8;
         let centered = Rect::centered(Point::new(0.0, 0.0), 100.0, 100.0).unwrap();
         let offset = Rect::centered(Point::new(300.0, 0.0), 100.0, 100.0).unwrap();
-        let phi_c = d.flux_through_rect(&centered, z);
-        let phi_o = d.flux_through_rect(&offset, z);
+        let phi_c = d.flux_through_polygon(&centered.to_polygon(), z);
+        let phi_o = d.flux_through_polygon(&offset.to_polygon(), z);
         assert!(phi_c > 10.0 * phi_o.abs(), "{phi_c} vs {phi_o}");
     }
 
@@ -218,8 +202,8 @@ mod tests {
         let rect = Rect::centered(Point::new(0.0, 0.0), 80.0, 80.0).unwrap();
         let d1 = Dipole::new(Point::ORIGIN, M);
         let d3 = Dipole::new(Point::ORIGIN, 3.0 * M);
-        let f1 = d1.flux_through_rect(&rect, 5.0);
-        let f3 = d3.flux_through_rect(&rect, 5.0);
+        let f1 = d1.flux_through_polygon(&rect.to_polygon(), 5.0);
+        let f3 = d3.flux_through_polygon(&rect.to_polygon(), 5.0);
         assert!((f3 / f1 - 3.0).abs() < 1e-12);
     }
 
@@ -237,23 +221,14 @@ mod tests {
     }
 
     #[test]
-    fn bz_sign_structure() {
-        let d = Dipole::new(Point::ORIGIN, M);
-        // Directly above: field points up (+z).
-        assert!(d.bz_at(Point::new(0.0, 0.0), 5.0) > 0.0);
-        // Far to the side at low height: return flux, field points down.
-        assert!(d.bz_at(Point::new(50.0, 0.0), 5.0) < 0.0);
-    }
-
-    #[test]
     fn dipole_far_outside_loop_contributes_negligibly() {
         // A dipole 1 mm away from a small loop contributes ~nothing
         // compared to one underneath — the basis for localization.
         let near = Dipole::new(Point::new(0.0, 0.0), M);
         let far = Dipole::new(Point::new(1000.0, 1000.0), M);
         let rect = Rect::centered(Point::ORIGIN, 100.0, 100.0).unwrap();
-        let f_near = near.flux_through_rect(&rect, 4.8);
-        let f_far = far.flux_through_rect(&rect, 4.8).abs();
+        let f_near = near.flux_through_polygon(&rect.to_polygon(), 4.8);
+        let f_far = far.flux_through_polygon(&rect.to_polygon(), 4.8).abs();
         assert!(f_near > 1e3 * f_far, "{f_near} vs {f_far}");
     }
 

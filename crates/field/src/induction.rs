@@ -13,16 +13,10 @@ use crate::error::FieldError;
 /// `psa-core::calib`).
 pub const DEFAULT_LOOP_AREA_M2: f64 = 3.0e-12;
 
-/// Central-difference derivative of a series sampled at `fs_hz`.
-/// Endpoints use one-sided differences; output length equals input.
-pub fn derivative(x: &[f64], fs_hz: f64) -> Vec<f64> {
-    let mut out = Vec::new();
-    derivative_into(x, fs_hz, &mut out);
-    out
-}
-
-/// [`derivative`] into a caller-owned buffer (cleared first), so hot
-/// loops can reuse the allocation across records.
+/// Central-difference derivative of a series sampled at `fs_hz`, into a
+/// caller-owned buffer (cleared first) so hot loops can reuse the
+/// allocation across records. Endpoints use one-sided differences; the
+/// output length equals the input's.
 pub fn derivative_into(x: &[f64], fs_hz: f64, out: &mut Vec<f64>) {
     out.clear();
     let n = x.len();
@@ -45,34 +39,16 @@ pub fn derivative_into(x: &[f64], fs_hz: f64, out: &mut Vec<f64>) {
 ///
 /// `sources` pairs each source's current waveform (amperes, all the same
 /// length) with its effective coupling `k` (Wb per A·m²); `loop_area_m2`
-/// converts current to moment.
+/// converts current to moment. `flux_scratch` holds the superposed flux
+/// waveform and `out` the EMF; both are cleared and refilled, so a
+/// per-worker acquisition context can run record after record without
+/// reallocating.
 ///
 /// # Errors
 ///
 /// Returns [`FieldError::DimensionMismatch`] when waveform lengths
 /// differ, or [`FieldError::InvalidParameter`] for an empty source list
 /// or non-positive sample rate.
-pub fn induced_emf(
-    sources: &[(&[f64], f64)],
-    loop_area_m2: f64,
-    fs_hz: f64,
-) -> Result<Vec<f64>, FieldError> {
-    let mut flux = Vec::new();
-    let mut out = Vec::new();
-    induced_emf_into(sources, loop_area_m2, fs_hz, &mut flux, &mut out)?;
-    Ok(out)
-}
-
-/// [`induced_emf`] into caller-owned buffers.
-///
-/// `flux_scratch` holds the superposed flux waveform and `out` the EMF;
-/// both are cleared and refilled, so a per-worker acquisition context
-/// can run record after record without reallocating. Results are
-/// bit-identical to [`induced_emf`].
-///
-/// # Errors
-///
-/// Same as [`induced_emf`].
 pub fn induced_emf_into(
     sources: &[(&[f64], f64)],
     loop_area_m2: f64,
@@ -121,6 +97,23 @@ pub fn induced_emf_into(
 mod tests {
     use super::*;
     use std::f64::consts::PI;
+
+    fn derivative(x: &[f64], fs_hz: f64) -> Vec<f64> {
+        let mut out = Vec::new();
+        derivative_into(x, fs_hz, &mut out);
+        out
+    }
+
+    /// [`induced_emf_into`] with fresh buffers.
+    fn induced_emf(
+        sources: &[(&[f64], f64)],
+        loop_area_m2: f64,
+        fs_hz: f64,
+    ) -> Result<Vec<f64>, FieldError> {
+        let (mut flux, mut out) = (Vec::new(), Vec::new());
+        induced_emf_into(sources, loop_area_m2, fs_hz, &mut flux, &mut out)?;
+        Ok(out)
+    }
 
     #[test]
     fn derivative_of_ramp_is_constant() {

@@ -9,8 +9,6 @@
 //!   flux `Φ = µ0·m·R²/(2(R²+h²)^{3/2})` decays like 1/R for large loops —
 //!   the *flux self-cancellation* that motivates the PSA over a single
 //!   whole-chip coil.
-//! * [`biot_savart`] — fields of straight wire segments (used for wire-
-//!   level checks and the probe models).
 //! * [`coupling`] — precomputed cluster→sensor coupling matrices.
 //! * [`emitter`] — on-demand coupling rows for placeable synthetic
 //!   emitters (the localization-accuracy atlas).
@@ -30,15 +28,14 @@
 //! // Flux through a small loop right above beats a whole-die loop:
 //! let small = psa_layout::Rect::new(450.0, 450.0, 550.0, 550.0);
 //! let large = psa_layout::Rect::new(0.0, 0.0, 1000.0, 1000.0);
-//! let phi_small = d.flux_through_rect(&small, 5.0);
-//! let phi_large = d.flux_through_rect(&large, 5.0);
+//! let phi_small = d.flux_through_polygon(&small.to_polygon(), 5.0);
+//! let phi_large = d.flux_through_polygon(&large.to_polygon(), 5.0);
 //! assert!(phi_small > 0.9 * phi_large); // large loop gains almost nothing
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod biot_savart;
 pub mod coupling;
 pub mod dipole;
 pub mod emitter;

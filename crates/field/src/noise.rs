@@ -70,13 +70,6 @@ impl GaussianNoise {
         (0..n).map(|_| self.next()).collect()
     }
 
-    /// Adds noise in place to `signal`.
-    pub fn add_to(&mut self, signal: &mut [f64]) {
-        for s in signal {
-            *s += self.next();
-        }
-    }
-
     /// Overwrites `out` with the next `out.len()` samples, without
     /// allocating. Bit-identical to calling [`next`](Self::next) once per
     /// element: a pending spare is emitted first, each Box–Muller pair
@@ -219,16 +212,6 @@ mod tests {
         assert_eq!(a.samples(32), b.samples(32));
         let mut c = GaussianNoise::new(1.0, 8);
         assert_ne!(a.samples(32), c.samples(32));
-    }
-
-    #[test]
-    fn add_to_perturbs_signal() {
-        let mut g = GaussianNoise::new(0.1, 3);
-        let mut x = vec![1.0; 100];
-        g.add_to(&mut x);
-        assert!(x.iter().any(|&v| (v - 1.0).abs() > 1e-6));
-        let mean: f64 = x.iter().sum::<f64>() / x.len() as f64;
-        assert!((mean - 1.0).abs() < 0.1);
     }
 
     #[test]

@@ -87,25 +87,6 @@ impl ProbeModel {
         }
     }
 
-    /// One PSA sensor tile: `footprint` comes from
-    /// `psa-array::sensors::SensorBank`, `switch_resistance_ohm` from the
-    /// T-gate model.
-    pub fn psa_sensor(
-        footprint: Rect,
-        z_um: f64,
-        wire_resistance_ohm: f64,
-        switch_resistance_ohm: f64,
-    ) -> Self {
-        ProbeModel {
-            name: "PSA sensor",
-            loop_poly: footprint.to_polygon(),
-            z_um,
-            turns: 1,
-            series_resistance_ohm: wire_resistance_ohm + switch_resistance_ohm,
-            ambient_noise_vrms: 0.0,
-        }
-    }
-
     /// Loop area, µm².
     pub fn loop_area_um2(&self) -> f64 {
         self.loop_poly.area()
@@ -141,6 +122,19 @@ mod tests {
     use super::*;
     use crate::dipole::Dipole;
 
+    /// One PSA sensor tile: a single turn on the top metals, with wire
+    /// plus T-gate series resistance and no ambient pickup.
+    fn psa_tile(footprint: Rect) -> ProbeModel {
+        ProbeModel {
+            name: "PSA sensor",
+            loop_poly: footprint.to_polygon(),
+            z_um: 4.8,
+            turns: 1,
+            series_resistance_ohm: 64.0,
+            ambient_noise_vrms: 0.0,
+        }
+    }
+
     fn die() -> Rect {
         Rect::new(0.0, 0.0, 1000.0, 1000.0)
     }
@@ -149,7 +143,7 @@ mod tests {
     fn psa_sensor_couples_far_better_than_external_probes() {
         // One unit dipole under sensor 10's footprint.
         let d = Dipole::new(Point::new(611.0, 611.0), 1.0);
-        let psa = ProbeModel::psa_sensor(Rect::new(445.3, 445.3, 777.5, 777.5), 4.8, 30.0, 34.0);
+        let psa = psa_tile(Rect::new(445.3, 445.3, 777.5, 777.5));
         let lf1 = ProbeModel::langer_lf1(Point::new(500.0, 500.0));
         let icr = ProbeModel::icr_hh100_6(Point::new(611.0, 611.0));
         let k_psa = d.flux_through_polygon(&psa.loop_poly, psa.z_um).abs();
@@ -165,7 +159,7 @@ mod tests {
     #[test]
     fn psa_sensor_beats_whole_die_coil_on_matched_source() {
         let d = Dipole::new(Point::new(611.0, 611.0), 1.0);
-        let psa = ProbeModel::psa_sensor(Rect::new(445.3, 445.3, 777.5, 777.5), 4.8, 30.0, 34.0);
+        let psa = psa_tile(Rect::new(445.3, 445.3, 777.5, 777.5));
         let single = ProbeModel::single_coil_on_chip(die(), 4.8);
         let k_psa = d.flux_through_polygon(&psa.loop_poly, psa.z_um).abs();
         let k_single = d.flux_through_polygon(&single.loop_poly, single.z_um).abs();
@@ -177,7 +171,7 @@ mod tests {
     #[test]
     fn external_probes_carry_ambient_noise() {
         let lf1 = ProbeModel::langer_lf1(Point::new(500.0, 500.0));
-        let psa = ProbeModel::psa_sensor(Rect::new(0.0, 0.0, 300.0, 300.0), 4.8, 30.0, 34.0);
+        let psa = psa_tile(Rect::new(0.0, 0.0, 300.0, 300.0));
         let bw = 120.0e6;
         // On-chip sensors see only their own thermal noise; external
         // probes add an ambient floor on top of theirs.

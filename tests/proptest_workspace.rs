@@ -99,8 +99,8 @@ fn flux_locality() {
             side,
         )
         .unwrap();
-        let k_over = d.flux_through_rect(&over, 4.8).abs();
-        let k_away = d.flux_through_rect(&away, 4.8).abs();
+        let k_over = d.flux_through_polygon(&over.to_polygon(), 4.8).abs();
+        let k_away = d.flux_through_polygon(&away.to_polygon(), 4.8).abs();
         assert!(k_over > 5.0 * k_away, "seed {case}");
     }
 }
