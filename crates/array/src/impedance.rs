@@ -27,7 +27,7 @@ use std::f64::consts::PI;
 /// m.program_rectangle(0, 0, 12, 12)?;
 /// let coil = extract_coil(&lattice, &m)?;
 /// let z = CoilImpedance::of_coil(&coil, &TGate::date24(), 1.0, 25.0, 1.0);
-/// assert!(z.magnitude_ohm(50.0e6) > z.resistance_ohm() * 0.99);
+/// assert!(z.magnitude_ohm(50.0e6) > z.magnitude_ohm(0.0) * 0.99);
 /// # Ok::<(), psa_array::ArrayError>(())
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -49,21 +49,6 @@ impl CoilImpedance {
             l_h: coil.inductance_estimate_h(wire_width_um),
             c_f: coil.switch_count() as f64 * Self::C_PER_SWITCH_F,
         }
-    }
-
-    /// Builds from explicit element values.
-    pub fn from_elements(r_ohm: f64, l_h: f64, c_f: f64) -> Self {
-        CoilImpedance { r_ohm, l_h, c_f }
-    }
-
-    /// Series resistance, Ω.
-    pub fn resistance_ohm(&self) -> f64 {
-        self.r_ohm
-    }
-
-    /// Series inductance, H.
-    pub fn inductance_h(&self) -> f64 {
-        self.l_h
     }
 
     /// Impedance magnitude at `freq_hz`: `(R + jωL)` in parallel with
@@ -156,7 +141,7 @@ mod tests {
     fn dc_impedance_equals_resistance() {
         let coil = sensor_coil();
         let z = CoilImpedance::of_coil(&coil, &TGate::date24(), 1.0, 25.0, 1.0);
-        assert!((z.magnitude_ohm(0.0) - z.resistance_ohm()).abs() < 1e-9);
+        assert!((z.magnitude_ohm(0.0) - z.r_ohm).abs() < 1e-9);
     }
 
     #[test]
@@ -174,7 +159,11 @@ mod tests {
         let coil = sensor_coil();
         let z = CoilImpedance::of_coil(&coil, &TGate::date24(), 1.0, 25.0, 1.0);
         assert!(z.self_resonance_hz() > 1.0e9);
-        let open = CoilImpedance::from_elements(10.0, 0.0, 0.0);
+        let open = CoilImpedance {
+            r_ohm: 10.0,
+            l_h: 0.0,
+            c_f: 0.0,
+        };
         assert_eq!(open.self_resonance_hz(), f64::INFINITY);
     }
 
@@ -217,7 +206,11 @@ mod tests {
 
     #[test]
     fn magnitude_db_consistency() {
-        let z = CoilImpedance::from_elements(100.0, 1e-9, 1e-14);
+        let z = CoilImpedance {
+            r_ohm: 100.0,
+            l_h: 1e-9,
+            c_f: 1e-14,
+        };
         let m = z.magnitude_ohm(48.0e6);
         assert!((z.magnitude_db(48.0e6) - 20.0 * m.log10()).abs() < 1e-9);
     }

@@ -121,51 +121,6 @@ impl Lattice {
         ))
     }
 
-    /// Flat switch index of crossing `(row, col)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ArrayError::NodeOutOfRange`] outside the lattice.
-    pub fn switch_index(&self, row: usize, col: usize) -> Result<usize, ArrayError> {
-        self.check(row, col)?;
-        Ok(row * self.cols + col)
-    }
-
-    /// Inverse of [`switch_index`](Self::switch_index).
-    pub fn switch_coords(&self, index: usize) -> Option<(usize, usize)> {
-        if index >= self.switch_count() {
-            return None;
-        }
-        Some((index / self.cols, index % self.cols))
-    }
-
-    /// Resistance of the wire run between two crossings on the *same*
-    /// wire (same row or same column), Ω.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ArrayError::InvalidParameter`] if the crossings share
-    /// neither a row nor a column, or [`ArrayError::NodeOutOfRange`] for
-    /// bad nodes.
-    pub fn wire_run_resistance(
-        &self,
-        a: (usize, usize),
-        b: (usize, usize),
-    ) -> Result<f64, ArrayError> {
-        self.check(a.0, a.1)?;
-        self.check(b.0, b.1)?;
-        let steps = if a.0 == b.0 {
-            a.1.abs_diff(b.1)
-        } else if a.1 == b.1 {
-            a.0.abs_diff(b.0)
-        } else {
-            return Err(ArrayError::InvalidParameter {
-                what: "wire run endpoints must share a row or a column",
-            });
-        };
-        Ok(steps as f64 * self.pitch_um * self.r_per_um_ohm)
-    }
-
     /// Die extent covered by the lattice, µm (a square of side
     /// `(n-1)·pitch`).
     pub fn extent_um(&self) -> (f64, f64) {
@@ -226,36 +181,6 @@ mod tests {
         let l = Lattice::date24();
         assert!(l.node_position(36, 0).is_err());
         assert!(l.node_position(0, 36).is_err());
-        assert!(l.switch_index(36, 36).is_err());
-    }
-
-    #[test]
-    fn switch_index_roundtrip() {
-        let l = Lattice::date24();
-        for (r, c) in [(0, 0), (5, 17), (35, 35)] {
-            let i = l.switch_index(r, c).unwrap();
-            assert_eq!(l.switch_coords(i), Some((r, c)));
-        }
-        assert_eq!(l.switch_coords(1296), None);
-    }
-
-    #[test]
-    fn wire_run_resistance_scales_with_distance() {
-        let l = Lattice::date24();
-        let r1 = l.wire_run_resistance((3, 5), (3, 6)).unwrap();
-        let r10 = l.wire_run_resistance((3, 5), (3, 15)).unwrap();
-        assert!((r10 / r1 - 10.0).abs() < 1e-9);
-        // One pitch of 1 µm-wide top metal ≈ 0.2 Ω.
-        assert!((r1 - 0.2).abs() < 0.05, "r1 = {r1}");
-        // Vertical runs too.
-        let rv = l.wire_run_resistance((5, 3), (15, 3)).unwrap();
-        assert!((rv - r10).abs() < 1e-12);
-    }
-
-    #[test]
-    fn diagonal_run_rejected() {
-        let l = Lattice::date24();
-        assert!(l.wire_run_resistance((0, 0), (1, 1)).is_err());
     }
 
     #[test]

@@ -18,8 +18,8 @@
 //!   overlap, mapped onto 4 differential output channels.
 //! * [`impedance`] — |Z(f)| of a programmed coil (R + jωL with parasitic
 //!   C), used for the voltage/temperature robustness experiments.
-//! * [`validate`] — tamper-resilience checks (Sec. IV): opens, shorts,
-//!   and impedance-signature tests that "return testing values".
+//! * [`validate`] — tamper-resilience checks (Sec. IV): opens and
+//!   shorts, the tests that "return testing values".
 //! * [`overhead`] — area / routing-capacity accounting (5% area, 6.25%
 //!   top-layer routing vs 100% for the single-coil design).
 //!

@@ -19,7 +19,6 @@ use crate::lattice::Lattice;
 /// let lattice = Lattice::date24();
 /// let mut m = SwitchMatrix::new(&lattice);
 /// m.close(3, 5)?;
-/// assert!(m.is_closed(3, 5)?);
 /// assert_eq!(m.closed_count(), 1);
 /// m.clear();
 /// assert_eq!(m.closed_count(), 0);
@@ -67,15 +66,6 @@ impl SwitchMatrix {
         let i = self.index(row, col)?;
         self.bits[i] = false;
         Ok(())
-    }
-
-    /// Whether the switch at `(row, col)` is closed.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ArrayError::NodeOutOfRange`] outside the lattice.
-    pub fn is_closed(&self, row: usize, col: usize) -> Result<bool, ArrayError> {
-        Ok(self.bits[self.index(row, col)?])
     }
 
     /// Opens every switch.
@@ -311,11 +301,6 @@ impl CoilProgram {
         self.turns
     }
 
-    /// Switches the programming closes (`4·turns`).
-    pub fn switch_budget(&self) -> usize {
-        4 * self.turns
-    }
-
     /// Programs the spiral onto `matrix` (clearing it first).
     ///
     /// # Errors
@@ -379,6 +364,11 @@ impl std::fmt::Display for CoilProgram {
 mod tests {
     use super::*;
 
+    /// Whether the switch at `(row, col)` is closed.
+    fn closed(m: &SwitchMatrix, row: usize, col: usize) -> bool {
+        m.bits[m.index(row, col).unwrap()]
+    }
+
     fn matrix() -> SwitchMatrix {
         SwitchMatrix::new(&Lattice::date24())
     }
@@ -386,11 +376,11 @@ mod tests {
     #[test]
     fn open_close_roundtrip() {
         let mut m = matrix();
-        assert!(!m.is_closed(10, 20).unwrap());
+        assert!(!closed(&m, 10, 20));
         m.close(10, 20).unwrap();
-        assert!(m.is_closed(10, 20).unwrap());
+        assert!(closed(&m, 10, 20));
         m.open(10, 20).unwrap();
-        assert!(!m.is_closed(10, 20).unwrap());
+        assert!(!closed(&m, 10, 20));
     }
 
     #[test]
@@ -409,7 +399,7 @@ mod tests {
         m.program_rectangle(4, 6, 10, 20).unwrap();
         assert_eq!(m.closed_count(), 4);
         for (r, c) in [(4, 6), (4, 20), (10, 20), (10, 6)] {
-            assert!(m.is_closed(r, c).unwrap());
+            assert!(closed(&m, r, c));
         }
     }
 
@@ -459,7 +449,6 @@ mod tests {
         let mut m = matrix();
         assert!(m.close(36, 0).is_err());
         assert!(m.open(0, 36).is_err());
-        assert!(m.is_closed(99, 99).is_err());
         assert!(m.program_rectangle(0, 0, 36, 5).is_err());
     }
 
@@ -486,9 +475,9 @@ mod tests {
             let (r0, c0, r1, c1) = date24_sensor_nodes()[sel as usize];
             // Outer-turn corners always present (the spiral's top-left
             // is the crossover side, so (r0, c0) itself stays open).
-            assert!(m.is_closed(r0, c1).unwrap());
-            assert!(m.is_closed(r1, c1).unwrap());
-            assert!(m.is_closed(r1, c0).unwrap());
+            assert!(closed(&m, r0, c1));
+            assert!(closed(&m, r1, c1));
+            assert!(closed(&m, r1, c0));
         }
         assert!(decode_psa_sel(&mut m, 16).is_err());
     }
@@ -500,7 +489,7 @@ mod tests {
         decode_psa_sel(&mut m, 15).unwrap();
         assert_eq!(m.closed_count(), 4 * SENSOR_TURNS);
         // Sensor 0's corner must be open again.
-        assert!(!m.is_closed(0, 0).unwrap());
+        assert!(!closed(&m, 0, 0));
     }
 
     #[test]
@@ -533,7 +522,7 @@ mod tests {
         decode_psa_sel(&mut m, 5).unwrap();
         assert_eq!(m.closed_count(), 4 * SENSOR_TURNS);
         for (r, c) in [(1, 1), (1, 34), (34, 34), (34, 1), (2, 30)] {
-            assert!(!m.is_closed(r, c).unwrap(), "stale switch ({r}, {c})");
+            assert!(!closed(&m, r, c), "stale switch ({r}, {c})");
         }
         // And the decoded programming still extracts as one clean coil.
         let l = Lattice::date24();
@@ -567,7 +556,6 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(a.node_rect(), (16, 16, 28, 28));
         assert_eq!(a.turns(), 3);
-        assert_eq!(a.switch_budget(), 12);
         assert_eq!(a.to_string(), "(16,16)-(28,28)x3");
     }
 

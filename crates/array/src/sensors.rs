@@ -29,11 +29,6 @@ impl Sensor {
         self.index
     }
 
-    /// Grid position `(row, col)` in the 4×4 arrangement.
-    pub fn grid_pos(&self) -> (usize, usize) {
-        (self.row, self.col)
-    }
-
     /// The differential output channel (1–4) this sensor drives; all
     /// four sensors of one grid row share a channel.
     pub fn channel(&self) -> u8 {
@@ -59,7 +54,6 @@ impl Sensor {
 /// use psa_array::sensors::SensorBank;
 /// let bank = SensorBank::date24_default();
 /// let s10 = bank.sensor(10).unwrap();
-/// assert_eq!(s10.grid_pos(), (2, 2));
 /// assert_eq!(s10.channel(), 3);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
@@ -132,18 +126,6 @@ impl SensorBank {
     pub fn iter(&self) -> impl Iterator<Item = &Sensor> {
         self.sensors.iter()
     }
-
-    /// The sensor whose footprint centre is closest to a point — the
-    /// inverse lookup used when reporting a localization verdict.
-    pub fn nearest_sensor(&self, x_um: f64, y_um: f64) -> Option<&Sensor> {
-        self.sensors.iter().min_by(|a, b| {
-            let da =
-                (a.footprint.center().x - x_um).powi(2) + (a.footprint.center().y - y_um).powi(2);
-            let db =
-                (b.footprint.center().x - x_um).powi(2) + (b.footprint.center().y - y_um).powi(2);
-            da.total_cmp(&db)
-        })
-    }
 }
 
 #[cfg(test)]
@@ -157,7 +139,7 @@ mod tests {
         assert!(!bank.is_empty());
         for (i, s) in bank.iter().enumerate() {
             assert_eq!(s.index(), i);
-            assert_eq!(s.grid_pos(), (i / 4, i % 4));
+            assert_eq!((s.row, s.col), (i / 4, i % 4));
         }
     }
 
@@ -165,7 +147,7 @@ mod tests {
     fn channels_shared_per_row() {
         let bank = SensorBank::date24_default();
         for s in bank.iter() {
-            assert_eq!(s.channel() as usize, s.grid_pos().0 + 1);
+            assert_eq!(s.channel() as usize, s.index() / 4 + 1);
         }
         // Row 0 → channel 1 for sensors 0-3; row 3 → channel 4.
         assert_eq!(bank.sensor(0).unwrap().channel(), 1);
@@ -241,14 +223,5 @@ mod tests {
     fn out_of_range_rejected() {
         let bank = SensorBank::date24_default();
         assert!(bank.sensor(16).is_err());
-    }
-
-    #[test]
-    fn nearest_sensor_lookup() {
-        let bank = SensorBank::date24_default();
-        let near_10 = bank.nearest_sensor(620.0, 620.0).unwrap();
-        assert_eq!(near_10.index(), 10);
-        let near_0 = bank.nearest_sensor(10.0, 10.0).unwrap();
-        assert_eq!(near_0.index(), 0);
     }
 }

@@ -75,14 +75,6 @@ impl TGate {
     pub fn area_um2(&self) -> f64 {
         self.width_um * self.height_um
     }
-
-    /// Resistance spread in dB between two corners:
-    /// `20·log10(R(a)/R(b))`, always non-negative.
-    pub fn spread_db(&self, a: (f64, f64), b: (f64, f64)) -> f64 {
-        let ra = self.r_on_ohm(a.0, a.1);
-        let rb = self.r_on_ohm(b.0, b.1);
-        (20.0 * (ra / rb).log10()).abs()
-    }
 }
 
 impl Default for TGate {
@@ -94,6 +86,11 @@ impl Default for TGate {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Resistance spread in dB between two `(vdd, temp_c)` corners.
+    fn spread_db(tg: &TGate, a: (f64, f64), b: (f64, f64)) -> f64 {
+        (20.0 * (tg.r_on_ohm(a.0, a.1) / tg.r_on_ohm(b.0, b.1)).log10()).abs()
+    }
 
     #[test]
     fn nominal_resistance_is_34_ohm() {
@@ -127,7 +124,7 @@ mod tests {
     fn voltage_spread_is_about_4db() {
         // Paper Sec. VI-C.1: ~4 dB impedance drop from 0.8 V to 1.2 V.
         let tg = TGate::date24();
-        let spread = tg.spread_db((0.8, 25.0), (1.2, 25.0));
+        let spread = spread_db(&tg, (0.8, 25.0), (1.2, 25.0));
         assert!((3.0..6.0).contains(&spread), "voltage spread {spread} dB");
     }
 
@@ -136,7 +133,7 @@ mod tests {
         // Paper Sec. VI-C.2: impedance fluctuates within ~4 dB over
         // −40 to 125 °C.
         let tg = TGate::date24();
-        let spread = tg.spread_db((1.0, -40.0), (1.0, 125.0));
+        let spread = spread_db(&tg, (1.0, -40.0), (1.0, 125.0));
         assert!(
             (2.0..5.0).contains(&spread),
             "temperature spread {spread} dB"

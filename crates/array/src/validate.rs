@@ -2,27 +2,21 @@
 //!
 //! The PSA defends itself: "any modifications that disable the PSA will
 //! trigger alarms during the test phase, as the PSA will return testing
-//! values". This module implements those test-phase checks:
-//!
-//! * **structural** — every preset programming must extract exactly one
-//!   closed loop (an open = cut wire or stuck-open switch; an extra loop
-//!   = short or stuck-closed switch);
-//! * **impedance signature** — the measured |Z| of each programmed
-//!   sensor must sit inside a tolerance band around the design value (a
-//!   foundry-modified lattice shifts the signature).
+//! values". This module implements the structural test-phase check:
+//! every preset programming must extract exactly one closed loop (an
+//! open = cut wire or stuck-open switch; an extra loop = short or
+//! stuck-closed switch).
 
 use crate::coil::extract_all_cycles;
 use crate::error::ArrayError;
-use crate::impedance::CoilImpedance;
 use crate::lattice::Lattice;
 use crate::program::{decode_psa_sel, SwitchMatrix};
-use crate::tgate::TGate;
 use std::fmt;
 
 /// Verdict of a tamper check.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TamperVerdict {
-    /// Structure and signatures all within tolerance.
+    /// Every sensor programming extracts exactly one loop.
     Clean,
     /// A sensor programming produced no closed loop (open circuit).
     OpenCircuit {
@@ -36,22 +30,6 @@ pub enum TamperVerdict {
         /// Number of loops found.
         loops: usize,
     },
-    /// The impedance signature was out of band.
-    SignatureMismatch {
-        /// The sensor that failed.
-        sensor: usize,
-        /// Measured |Z| at the probe frequency, Ω.
-        measured_ohm: f64,
-        /// Expected |Z|, Ω.
-        expected_ohm: f64,
-    },
-}
-
-impl TamperVerdict {
-    /// `true` when no tampering was detected.
-    pub fn is_clean(&self) -> bool {
-        matches!(self, TamperVerdict::Clean)
-    }
 }
 
 impl fmt::Display for TamperVerdict {
@@ -64,14 +42,6 @@ impl fmt::Display for TamperVerdict {
             TamperVerdict::ShortCircuit { sensor, loops } => {
                 write!(f, "short circuit on sensor {sensor} ({loops} loops)")
             }
-            TamperVerdict::SignatureMismatch {
-                sensor,
-                measured_ohm,
-                expected_ohm,
-            } => write!(
-                f,
-                "impedance signature mismatch on sensor {sensor}: {measured_ohm:.1} ohm vs {expected_ohm:.1} ohm expected"
-            ),
         }
     }
 }
@@ -103,37 +73,6 @@ pub fn structural_check(
     Ok(TamperVerdict::Clean)
 }
 
-/// Impedance-signature check: compares a measured |Z| per sensor (e.g.
-/// from the chirp-current measurement of Sec. VI-C) against the design
-/// expectation at `freq_hz`, within `tolerance_db`.
-///
-/// # Errors
-///
-/// Propagates [`ArrayError`] for misconfigured banks.
-pub fn signature_check(
-    lattice: &Lattice,
-    tgate: &TGate,
-    freq_hz: f64,
-    tolerance_db: f64,
-    measured_ohm: &[f64],
-) -> Result<TamperVerdict, ArrayError> {
-    for (sensor, &measured) in measured_ohm.iter().enumerate().take(16) {
-        let mut m = SwitchMatrix::new(lattice);
-        decode_psa_sel(&mut m, sensor as u8)?;
-        let coil = crate::coil::extract_coil(lattice, &m)?;
-        let expected = CoilImpedance::of_coil(&coil, tgate, 1.0, 25.0, 1.0).magnitude_ohm(freq_hz);
-        let delta_db = (20.0 * (measured / expected).log10()).abs();
-        if !delta_db.is_finite() || delta_db > tolerance_db {
-            return Ok(TamperVerdict::SignatureMismatch {
-                sensor,
-                measured_ohm: measured,
-                expected_ohm: expected,
-            });
-        }
-    }
-    Ok(TamperVerdict::Clean)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -142,7 +81,7 @@ mod tests {
     fn untampered_bank_is_clean() {
         let l = Lattice::date24();
         let v = structural_check(&l, |_, _| {}).unwrap();
-        assert!(v.is_clean());
+        assert_eq!(v, TamperVerdict::Clean);
     }
 
     #[test]
@@ -178,43 +117,6 @@ mod tests {
     }
 
     #[test]
-    fn matching_signatures_pass() {
-        let l = Lattice::date24();
-        let tg = TGate::date24();
-        // "Measure" exactly the design values.
-        let mut measured = Vec::new();
-        for sensor in 0..16u8 {
-            let mut m = SwitchMatrix::new(&l);
-            decode_psa_sel(&mut m, sensor).unwrap();
-            let coil = crate::coil::extract_coil(&l, &m).unwrap();
-            measured.push(CoilImpedance::of_coil(&coil, &tg, 1.0, 25.0, 1.0).magnitude_ohm(48.0e6));
-        }
-        let v = signature_check(&l, &tg, 48.0e6, 1.0, &measured).unwrap();
-        assert!(v.is_clean());
-    }
-
-    #[test]
-    fn shifted_signature_detected() {
-        let l = Lattice::date24();
-        let tg = TGate::date24();
-        let mut measured = vec![0.0; 16];
-        for (sensor, slot) in measured.iter_mut().enumerate() {
-            let mut m = SwitchMatrix::new(&l);
-            decode_psa_sel(&mut m, sensor as u8).unwrap();
-            let coil = crate::coil::extract_coil(&l, &m).unwrap();
-            *slot = CoilImpedance::of_coil(&coil, &tg, 1.0, 25.0, 1.0).magnitude_ohm(48.0e6);
-        }
-        // A foundry bypassed sensor 7's switches with hard shorts:
-        // impedance drops sharply.
-        measured[7] *= 0.3;
-        let v = signature_check(&l, &tg, 48.0e6, 2.0, &measured).unwrap();
-        match v {
-            TamperVerdict::SignatureMismatch { sensor, .. } => assert_eq!(sensor, 7),
-            other => panic!("expected signature mismatch, got {other}"),
-        }
-    }
-
-    #[test]
     fn verdicts_display() {
         assert_eq!(TamperVerdict::Clean.to_string(), "clean");
         assert!(TamperVerdict::OpenCircuit { sensor: 2 }
@@ -226,26 +128,5 @@ mod tests {
         }
         .to_string()
         .contains("3 loops"));
-    }
-
-    #[test]
-    fn tolerance_band_width_matters() {
-        let l = Lattice::date24();
-        let tg = TGate::date24();
-        let mut measured = vec![0.0; 16];
-        for (sensor, slot) in measured.iter_mut().enumerate() {
-            let mut m = SwitchMatrix::new(&l);
-            decode_psa_sel(&mut m, sensor as u8).unwrap();
-            let coil = crate::coil::extract_coil(&l, &m).unwrap();
-            *slot = CoilImpedance::of_coil(&coil, &tg, 1.0, 25.0, 1.0).magnitude_ohm(48.0e6) * 1.1;
-            // ~0.8 dB high, e.g. process variation
-        }
-        // Tight band flags it; realistic band accepts it.
-        assert!(!signature_check(&l, &tg, 48.0e6, 0.5, &measured)
-            .unwrap()
-            .is_clean());
-        assert!(signature_check(&l, &tg, 48.0e6, 2.0, &measured)
-            .unwrap()
-            .is_clean());
     }
 }
