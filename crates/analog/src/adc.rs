@@ -14,7 +14,8 @@ use psa_dsp::fastmath;
 /// ```
 /// use psa_analog::adc::Adc;
 /// let adc = Adc::new(12, 2.0)?; // 12 bits over ±1 V
-/// let q = adc.quantize(&[0.0, 0.5, 2.0, -3.0]);
+/// let mut q = [0.0, 0.5, 2.0, -3.0];
+/// adc.quantize_in_place(&mut q);
 /// assert_eq!(q[0], 0.0);
 /// assert!((q[1] - 0.5).abs() < adc.lsb());
 /// assert!(q[2] <= 1.0 && q[3] >= -1.0); // clamped to full scale
@@ -64,21 +65,8 @@ impl Adc {
         self.full_scale_v / (1u64 << self.bits) as f64
     }
 
-    /// Ideal quantization SNR for a full-scale sine, dB
-    /// (`6.02·bits + 1.76`).
-    pub fn ideal_snr_db(&self) -> f64 {
-        6.02 * self.bits as f64 + 1.76
-    }
-
-    /// Quantizes a sample stream (clamps to ±FS/2 first).
-    pub fn quantize(&self, signal: &[f64]) -> Vec<f64> {
-        let mut out = signal.to_vec();
-        self.quantize_in_place(&mut out);
-        out
-    }
-
-    /// [`quantize`](Self::quantize) mutating the signal in place, so hot
-    /// acquisition loops can reuse one record buffer end to end.
+    /// Quantizes a sample stream in place (clamping to ±FS/2 first), so
+    /// hot acquisition loops can reuse one record buffer end to end.
     pub fn quantize_in_place(&self, signal: &mut [f64]) {
         let half = self.full_scale_v / 2.0;
         let lsb = self.lsb();
@@ -87,26 +75,18 @@ impl Adc {
             *x = fastmath::round(clamped / lsb) * lsb;
         }
     }
-
-    /// Quantizes to integer codes (two's-complement style range).
-    pub fn codes(&self, signal: &[f64]) -> Vec<i32> {
-        let half = self.full_scale_v / 2.0;
-        let lsb = self.lsb();
-        let max_code = (1i64 << (self.bits - 1)) - 1;
-        signal
-            .iter()
-            .map(|&x| {
-                let clamped = x.clamp(-half, half);
-                (fastmath::round(clamped / lsb) as i64).clamp(-max_code - 1, max_code) as i32
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::f64::consts::PI;
+
+    fn quantized(adc: &Adc, signal: &[f64]) -> Vec<f64> {
+        let mut out = signal.to_vec();
+        adc.quantize_in_place(&mut out);
+        out
+    }
 
     #[test]
     fn lsb_and_validation() {
@@ -121,7 +101,7 @@ mod tests {
     fn quantization_error_bounded_by_half_lsb() {
         let adc = Adc::new(8, 2.0).unwrap();
         let x: Vec<f64> = (0..1000).map(|i| 0.9 * (i as f64 * 0.013).sin()).collect();
-        let q = adc.quantize(&x);
+        let q = quantized(&adc, &x);
         for (orig, quant) in x.iter().zip(&q) {
             assert!((orig - quant).abs() <= adc.lsb() / 2.0 + 1e-15);
         }
@@ -130,7 +110,7 @@ mod tests {
     #[test]
     fn clamping_at_full_scale() {
         let adc = Adc::new(8, 2.0).unwrap();
-        let q = adc.quantize(&[5.0, -5.0]);
+        let q = quantized(&adc, &[5.0, -5.0]);
         assert!((q[0] - 1.0).abs() < adc.lsb());
         assert!((q[1] + 1.0).abs() < adc.lsb());
     }
@@ -143,27 +123,19 @@ mod tests {
         let x: Vec<f64> = (0..n)
             .map(|i| 0.99 * (2.0 * PI * 1001.0 * i as f64 / n as f64).sin())
             .collect();
-        let q = adc.quantize(&x);
+        let q = quantized(&adc, &x);
         let err: Vec<f64> = x.iter().zip(&q).map(|(a, b)| a - b).collect();
         let p_sig: f64 = x.iter().map(|v| v * v).sum();
         let p_err: f64 = err.iter().map(|v| v * v).sum();
         let snr = 10.0 * (p_sig / p_err).log10();
-        assert!((snr - adc.ideal_snr_db()).abs() < 2.0, "snr {snr}");
-    }
-
-    #[test]
-    fn codes_cover_range() {
-        let adc = Adc::new(8, 2.0).unwrap();
-        let codes = adc.codes(&[-1.0, 0.0, 1.0]);
-        assert_eq!(codes[1], 0);
-        assert!(codes[0] >= -128 && codes[0] <= -120);
-        assert_eq!(codes[2], 127);
+        let ideal = 6.02 * adc.bits() as f64 + 1.76;
+        assert!((snr - ideal).abs() < 2.0, "snr {snr}");
     }
 
     #[test]
     fn quantizer_matches_libm_round_bitwise() {
-        // The in-tree round must leave every quantized sample and code
-        // exactly as `f64::round` produced them.
+        // The in-tree round must leave every quantized sample exactly as
+        // `f64::round` produced it.
         let adc = Adc::rasc();
         let lsb = adc.lsb();
         let half = 3.3;
@@ -177,16 +149,9 @@ mod tests {
             xs.push(-x);
         }
         let libm = |x: f64| (x.clamp(-half, half) / lsb).round();
-        let quantized = adc.quantize(&xs);
-        let codes = adc.codes(&xs);
-        let max_code = (1i64 << (adc.bits() - 1)) - 1;
-        for ((x, q), c) in xs.iter().zip(&quantized).zip(&codes) {
+        let quantized = quantized(&adc, &xs);
+        for (x, q) in xs.iter().zip(&quantized) {
             assert_eq!(q.to_bits(), (libm(*x) * lsb).to_bits(), "quantize({x:e})");
-            assert_eq!(
-                i64::from(*c),
-                (libm(*x) as i64).clamp(-max_code - 1, max_code),
-                "code({x:e})"
-            );
         }
     }
 
@@ -194,6 +159,5 @@ mod tests {
     fn rasc_preset() {
         let adc = Adc::rasc();
         assert_eq!(adc.bits(), 12);
-        assert!(adc.ideal_snr_db() > 70.0);
     }
 }

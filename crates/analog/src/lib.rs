@@ -11,7 +11,6 @@
 //! * [`frontend`] — the composed sensor→amp→ADC chain.
 //! * [`specan`] — spectrum-analyzer model: windowed FFT sweeps with
 //!   RBW/averaging, plus the zero-span mode used for Fig 5.
-//! * [`scope`] — clock-edge triggering and record capture.
 //!
 //! # Example
 //!
@@ -32,7 +31,6 @@ pub mod adc;
 pub mod error;
 pub mod frontend;
 pub mod opamp;
-pub mod scope;
 pub mod specan;
 
 pub use error::AnalogError;

@@ -61,15 +61,8 @@ impl OpAmp {
     }
 
     /// Amplifies a sample stream at rate `fs_hz` through the single-pole
-    /// response with saturation.
-    pub fn amplify(&self, signal: &[f64], fs_hz: f64) -> Vec<f64> {
-        let mut out = signal.to_vec();
-        self.amplify_in_place(&mut out, fs_hz);
-        out
-    }
-
-    /// [`amplify`](Self::amplify) mutating the signal in place, so hot
-    /// acquisition loops can reuse one record buffer end to end.
+    /// response with saturation, in place, so hot acquisition loops can
+    /// reuse one record buffer end to end.
     pub fn amplify_in_place(&self, signal: &mut [f64], fs_hz: f64) {
         let fc = self.corner_hz();
         let a = (-2.0 * PI * fc / fs_hz).exp();
@@ -91,6 +84,12 @@ impl Default for OpAmp {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn amplified(amp: &OpAmp, signal: &[f64], fs_hz: f64) -> Vec<f64> {
+        let mut out = signal.to_vec();
+        amp.amplify_in_place(&mut out, fs_hz);
+        out
+    }
 
     #[test]
     fn dc_gain_is_50db() {
@@ -115,7 +114,7 @@ mod tests {
             let x: Vec<f64> = (0..n)
                 .map(|i| 1e-4 * (2.0 * PI * f0 * i as f64 / fs).sin())
                 .collect();
-            let y = amp.amplify(&x, fs);
+            let y = amplified(&amp, &x, fs);
             // Compare steady-state halves only (skip the IIR transient).
             let rms = |v: &[f64]| (v.iter().map(|s| s * s).sum::<f64>() / v.len() as f64).sqrt();
             let measured = rms(&y[n / 2..]) / rms(&x[n / 2..]);
@@ -135,7 +134,7 @@ mod tests {
     fn saturation_clamps() {
         let amp = OpAmp::ths4504();
         let x = vec![1.0; 100]; // 1 V DC × 316 would be 316 V
-        let y = amp.amplify(&x, 264.0e6);
+        let y = amplified(&amp, &x, 264.0e6);
         assert!(y.iter().all(|&v| v <= amp.vout_max));
         assert!((y.last().unwrap() - amp.vout_max).abs() < 1e-12);
     }
@@ -153,10 +152,10 @@ mod tests {
     fn amplify_preserves_length_and_linearity() {
         let amp = OpAmp::ths4504();
         let x: Vec<f64> = (0..256).map(|i| 1e-6 * (i as f64 * 0.1).sin()).collect();
-        let y1 = amp.amplify(&x, 264.0e6);
+        let y1 = amplified(&amp, &x, 264.0e6);
         assert_eq!(y1.len(), x.len());
         let x2: Vec<f64> = x.iter().map(|v| v * 2.0).collect();
-        let y2 = amp.amplify(&x2, 264.0e6);
+        let y2 = amplified(&amp, &x2, 264.0e6);
         for (a, b) in y1.iter().zip(&y2) {
             assert!((b - 2.0 * a).abs() < 1e-12);
         }

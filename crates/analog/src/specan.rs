@@ -10,7 +10,7 @@
 
 use crate::error::AnalogError;
 use psa_dsp::batch::SpectrumScratch;
-use psa_dsp::spectrum::{self, DB_FLOOR};
+use psa_dsp::spectrum;
 use psa_dsp::window::Window;
 use psa_dsp::zero_span::ZeroSpan;
 
@@ -37,34 +37,23 @@ impl SpectrumAnalyzer {
         }
     }
 
-    /// One magnitude trace in dB: windowed FFT of `record` (sampled at
-    /// `fs_hz`), truncated to the span and resampled to
-    /// [`trace_points`](Self::trace_points) points.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AnalogError::EmptyInput`] for an empty record or
-    /// [`AnalogError::InvalidParameter`] when the span exceeds Nyquist.
-    pub fn trace_db(&self, record: &[f64], fs_hz: f64) -> Result<Vec<f64>, AnalogError> {
-        let mut scratch = self.scratch();
-        self.trace_db_with(&mut scratch, record, fs_hz)
-    }
-
     /// A reusable spectrum scratch matched to this analyzer's window,
     /// for the `_with` trace methods.
     pub fn scratch(&self) -> SpectrumScratch {
         SpectrumScratch::new(self.window)
     }
 
-    /// [`trace_db`](Self::trace_db) using a caller-owned
-    /// [`SpectrumScratch`] so repeated traces reuse the window
-    /// coefficients, FFT twiddles, and work buffers. Bit-identical to
-    /// [`trace_db`](Self::trace_db).
+    /// One magnitude trace in dB: windowed FFT of `record` (sampled at
+    /// `fs_hz`), truncated to the span and resampled to
+    /// [`trace_points`](Self::trace_points) points. The caller-owned
+    /// [`SpectrumScratch`] lets repeated traces reuse the window
+    /// coefficients, FFT twiddles, and work buffers.
     ///
     /// # Errors
     ///
-    /// Same as [`trace_db`](Self::trace_db); additionally rejects a
-    /// scratch built for a different window.
+    /// Returns [`AnalogError::EmptyInput`] for an empty record,
+    /// [`AnalogError::InvalidParameter`] when the span exceeds Nyquist or
+    /// the scratch was built for a different window.
     pub fn trace_db_with(
         &self,
         scratch: &mut SpectrumScratch,
@@ -94,29 +83,13 @@ impl SpectrumAnalyzer {
 
     /// Averages several records into one displayed trace (the paper
     /// averages five), in dB. Averaging happens in linear amplitude, as
-    /// the instrument's trace-average mode does.
+    /// the instrument's trace-average mode does; the per-record
+    /// window/FFT work reuses the caller-owned [`SpectrumScratch`].
     ///
     /// # Errors
     ///
-    /// Same as [`trace_db`](Self::trace_db); additionally
+    /// Same as [`trace_db_with`](Self::trace_db_with); additionally
     /// [`AnalogError::EmptyInput`] when `records` is empty.
-    pub fn averaged_trace_db(
-        &self,
-        records: &[Vec<f64>],
-        fs_hz: f64,
-    ) -> Result<Vec<f64>, AnalogError> {
-        let mut scratch = self.scratch();
-        self.averaged_trace_db_with(&mut scratch, records, fs_hz)
-    }
-
-    /// [`averaged_trace_db`](Self::averaged_trace_db) using a
-    /// caller-owned [`SpectrumScratch`]; the per-record window/FFT work
-    /// reuses the scratch buffers. Bit-identical to
-    /// [`averaged_trace_db`](Self::averaged_trace_db).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`averaged_trace_db`](Self::averaged_trace_db).
     pub fn averaged_trace_db_with(
         &self,
         scratch: &mut SpectrumScratch,
@@ -149,16 +122,6 @@ impl SpectrumAnalyzer {
             .into_iter()
             .map(|a| spectrum::amplitude_db(a / k))
             .collect())
-    }
-
-    /// Frequency (Hz) of trace point `i`.
-    pub fn point_freq_hz(&self, i: usize) -> f64 {
-        self.span_hz * i as f64 / (self.trace_points - 1) as f64
-    }
-
-    /// Closest trace point to a frequency.
-    pub fn freq_point(&self, freq_hz: f64) -> usize {
-        ((freq_hz / self.span_hz) * (self.trace_points - 1) as f64).round() as usize
     }
 
     /// Zero-span mode: the amplitude-vs-time trace of the component at
@@ -195,11 +158,6 @@ impl SpectrumAnalyzer {
     ) -> Result<Vec<f64>, AnalogError> {
         let zs = ZeroSpan::with_rbw(center_hz, fs_hz, rbw_hz)?;
         Ok(zs.envelope_trimmed(record)?)
-    }
-
-    /// The dB floor used for silent traces.
-    pub fn db_floor(&self) -> f64 {
-        DB_FLOOR
     }
 }
 
@@ -240,6 +198,20 @@ mod tests {
 
     const FS: f64 = 264.0e6;
 
+    /// One trace through a fresh scratch.
+    fn trace(sa: &SpectrumAnalyzer, record: &[f64], fs_hz: f64) -> Result<Vec<f64>, AnalogError> {
+        sa.trace_db_with(&mut sa.scratch(), record, fs_hz)
+    }
+
+    /// One averaged trace through a fresh scratch.
+    fn averaged(
+        sa: &SpectrumAnalyzer,
+        records: &[Vec<f64>],
+        fs_hz: f64,
+    ) -> Result<Vec<f64>, AnalogError> {
+        sa.averaged_trace_db_with(&mut sa.scratch(), records, fs_hz)
+    }
+
     fn tone(n: usize, f0: f64, amp: f64) -> Vec<f64> {
         (0..n)
             .map(|i| amp * (2.0 * PI * f0 * i as f64 / FS).sin())
@@ -249,36 +221,27 @@ mod tests {
     #[test]
     fn trace_has_2000_points() {
         let sa = SpectrumAnalyzer::date24();
-        let t = sa.trace_db(&tone(8192, 48.0e6, 1.0), FS).unwrap();
+        let t = trace(&sa, &tone(8192, 48.0e6, 1.0), FS).unwrap();
         assert_eq!(t.len(), 2000);
     }
 
     #[test]
     fn tone_appears_at_correct_point() {
         let sa = SpectrumAnalyzer::date24();
-        let t = sa.trace_db(&tone(16384, 48.0e6, 0.5), FS).unwrap();
+        let t = trace(&sa, &tone(16384, 48.0e6, 0.5), FS).unwrap();
         let peak = t
             .iter()
             .enumerate()
             .max_by(|a, b| a.1.total_cmp(b.1))
             .unwrap()
             .0;
-        let expected = sa.freq_point(48.0e6);
+        let expected = (48.0e6 / sa.span_hz * (sa.trace_points - 1) as f64).round() as usize;
         assert!(
             (peak as i64 - expected as i64).abs() <= 2,
             "peak at {peak}, expected {expected}"
         );
         // Amplitude ≈ 0.5 → −6 dB.
         assert!((t[peak] - (-6.0)).abs() < 1.0, "peak level {}", t[peak]);
-    }
-
-    #[test]
-    fn point_freq_roundtrip() {
-        let sa = SpectrumAnalyzer::date24();
-        for f in [0.0, 33.0e6, 48.0e6, 84.0e6, 120.0e6] {
-            let p = sa.freq_point(f);
-            assert!((sa.point_freq_hz(p) - f).abs() < sa.span_hz / 1999.0);
-        }
     }
 
     #[test]
@@ -294,8 +257,8 @@ mod tests {
             let r: Vec<f64> = (0..4096).map(|_| 1e-3 * lcg()).collect();
             records.push(r);
         }
-        let avg = sa.averaged_trace_db(&records, FS).unwrap();
-        let single = sa.trace_db(&records[0], FS).unwrap();
+        let avg = averaged(&sa, &records, FS).unwrap();
+        let single = trace(&sa, &records[0], FS).unwrap();
         let var = |v: &[f64]| {
             let m = v.iter().sum::<f64>() / v.len() as f64;
             v.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / v.len() as f64
@@ -323,15 +286,15 @@ mod tests {
     #[test]
     fn validates_inputs() {
         let sa = SpectrumAnalyzer::date24();
-        assert!(sa.trace_db(&[], FS).is_err());
-        assert!(sa.trace_db(&[0.0; 64], 100.0e6).is_err()); // span > nyquist
-        assert!(sa.averaged_trace_db(&[], FS).is_err());
+        assert!(trace(&sa, &[], FS).is_err());
+        assert!(trace(&sa, &[0.0; 64], 100.0e6).is_err()); // span > nyquist
+        assert!(averaged(&sa, &[], FS).is_err());
         let mut wrong = SpectrumScratch::new(Window::Hann);
         assert!(sa.trace_db_with(&mut wrong, &[0.0; 64], FS).is_err());
     }
 
     #[test]
-    fn scratch_paths_match_oneshot_bitwise() {
+    fn scratch_history_does_not_change_traces() {
         let sa = SpectrumAnalyzer::date24();
         let records: Vec<Vec<f64>> = (0..3)
             .map(|k| tone(4096, 48.0e6, 0.5 + 0.1 * k as f64))
@@ -341,11 +304,11 @@ mod tests {
         // depend on scratch history.
         let _ = sa.trace_db_with(&mut scratch, &records[1], FS).unwrap();
         for r in &records {
-            let a = sa.trace_db(r, FS).unwrap();
+            let a = trace(&sa, r, FS).unwrap();
             let b = sa.trace_db_with(&mut scratch, r, FS).unwrap();
             assert!(a.iter().zip(&b).all(|(x, y)| x.to_bits() == y.to_bits()));
         }
-        let a = sa.averaged_trace_db(&records, FS).unwrap();
+        let a = averaged(&sa, &records, FS).unwrap();
         let b = sa
             .averaged_trace_db_with(&mut scratch, &records, FS)
             .unwrap();

@@ -1375,7 +1375,7 @@ mod tests {
             .unwrap();
         assert_eq!(spec.len(), 2000);
         let sa = acq.specan();
-        let at = |f: f64| spec[sa.freq_point(f)];
+        let at = |f: f64| spec[(f / sa.span_hz * (sa.trace_points - 1) as f64).round() as usize];
         // 33 MHz clock line well above the floor between harmonics.
         let clock = at(33.0e6);
         let floor = at(25.0e6);
@@ -1395,7 +1395,7 @@ mod tests {
             )
             .unwrap();
         let sa = acq.specan();
-        let p48 = sa.freq_point(48.0e6);
+        let p48 = (48.0e6 / sa.span_hz * (sa.trace_points - 1) as f64).round() as usize;
         let excess = active[p48] - base[p48];
         assert!(excess > 10.0, "48 MHz sideband excess {excess} dB");
     }
