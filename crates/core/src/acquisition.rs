@@ -105,8 +105,8 @@ impl TraceSet {
 
     /// RMS over all samples — the quantity in the paper's Eq. (1) SNR —
     /// computed directly from the records (identical sample order, and
-    /// therefore identical rounding, to RMS over
-    /// [`concatenated`](Self::concatenated)).
+    /// therefore identical rounding, to RMS over the concatenated
+    /// samples).
     pub fn rms(&self) -> f64 {
         let n = self.num_samples();
         if n == 0 {
@@ -124,15 +124,6 @@ impl TraceSet {
         for r in &self.records {
             out.extend_from_slice(r);
         }
-    }
-
-    /// All records concatenated (for zero-span analysis over a longer
-    /// observation). Allocates exactly once; hot paths should prefer
-    /// [`concat_into`](Self::concat_into) or [`samples`](Self::samples).
-    pub fn concatenated(&self) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.concat_into(&mut out);
-        out
     }
 }
 
@@ -259,12 +250,6 @@ impl<'c> AcqContext<'c> {
         self.variation.as_ref()
     }
 
-    /// Synthesized custom programmings currently cached (for tests and
-    /// diagnostics; capped at an internal bound).
-    pub fn custom_cache_len(&self) -> usize {
-        self.customs.len()
-    }
-
     /// Index of `program` in the custom-sensor cache, synthesizing on
     /// first sight.
     fn ensure_custom(&mut self, program: &CoilProgram) -> Result<usize, CoreError> {
@@ -322,44 +307,15 @@ impl<'c> AcqContext<'c> {
         self.acquire_records(scenario, sensor, n_records, record_cycles, &[], out)
     }
 
-    /// [`acquire_len_into`](Self::acquire_len_into) with a synthetic
-    /// emitter superposed on the chip's activity — the placement-sweep
-    /// acquisition path. With `emitter.coupling == 0.0` or zero drive
-    /// the result is bit-identical to the plain acquisition. Exactly
-    /// equivalent to [`acquire_len_with_emitters_into`]
-    /// (Self::acquire_len_with_emitters_into) with a one-element slice.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`acquire_len_into`](Self::acquire_len_into).
-    pub fn acquire_len_with_emitter_into(
-        &mut self,
-        scenario: &Scenario,
-        sensor: SensorSelect,
-        n_records: usize,
-        record_cycles: usize,
-        emitter: InjectedEmitter<'_>,
-        out: &mut TraceSet,
-    ) -> Result<(), CoreError> {
-        self.acquire_records(
-            scenario,
-            sensor,
-            n_records,
-            record_cycles,
-            std::slice::from_ref(&emitter),
-            out,
-        )
-    }
-
     /// [`acquire_len_into`](Self::acquire_len_into) with a **set** of
     /// synthetic emitters superposed on the chip's activity — the joint-
     /// localization acquisition path. Every emitter is pure in the
     /// absolute cycle, so placements still parallelize: each one's
     /// toggle train is regenerated from the record's start cycle and
     /// superposed in slice order, exactly like the chip's own sources.
-    /// An empty slice is bit-identical to the plain acquisition and a
-    /// one-element slice is bit-identical to
-    /// [`acquire_len_with_emitter_into`](Self::acquire_len_with_emitter_into).
+    /// An empty slice is bit-identical to the plain acquisition. With a
+    /// zero coupling or zero drive an emitter leaves the records
+    /// bit-identical too.
     ///
     /// # Errors
     ///
@@ -1042,10 +998,9 @@ mod tests {
             assert_eq!(r.len(), calib::RECORD_CYCLES * calib::SAMPLES_PER_CYCLE);
         }
         assert_eq!(
-            t.concatenated().len(),
+            t.num_samples(),
             3 * calib::RECORD_CYCLES * calib::SAMPLES_PER_CYCLE
         );
-        assert_eq!(t.num_samples(), t.concatenated().len());
     }
 
     #[test]
@@ -1063,7 +1018,7 @@ mod tests {
             fs_hz: 1.0,
             sensor: SensorSelect::Psa(0),
         };
-        let cat = t.concatenated();
+        let cat = t.records.concat();
         assert_eq!(t.samples().collect::<Vec<_>>(), cat);
         let mut buf = vec![9.0; 100];
         t.concat_into(&mut buf);
@@ -1074,7 +1029,7 @@ mod tests {
     }
 
     #[test]
-    fn emitter_slice_generalizes_single_emitter_bitwise() {
+    fn emitter_slices_extend_the_plain_acquisition_bitwise() {
         let trojan = SyntheticTrojan::am_reference(800.0);
         let scenario = Scenario::baseline().with_seed(11);
         // Borrow a realistic coupling magnitude from the chip's own
@@ -1091,22 +1046,6 @@ mod tests {
         };
 
         let mut ctx = AcqContext::new(chip());
-        let mut single = TraceSet::default();
-        ctx.acquire_len_with_emitter_into(&scenario, SensorSelect::Psa(10), 2, 256, e, &mut single)
-            .unwrap();
-        let mut slice1 = TraceSet::default();
-        ctx.acquire_len_with_emitters_into(
-            &scenario,
-            SensorSelect::Psa(10),
-            2,
-            256,
-            &[e],
-            &mut slice1,
-        )
-        .unwrap();
-        // One-element slice is the old single-emitter path, bit for bit.
-        assert_eq!(single, slice1);
-
         // Empty slice is the plain acquisition, bit for bit.
         let mut plain = TraceSet::default();
         ctx.acquire_len_into(&scenario, SensorSelect::Psa(10), 2, 256, &mut plain)
@@ -1130,6 +1069,16 @@ mod tests {
             charge_fc: 2.0,
             coupling: -0.5 * k,
         };
+        let mut single = TraceSet::default();
+        ctx.acquire_len_with_emitters_into(
+            &scenario,
+            SensorSelect::Psa(10),
+            2,
+            256,
+            &[e],
+            &mut single,
+        )
+        .unwrap();
         let mut both = TraceSet::default();
         ctx.acquire_len_with_emitters_into(
             &scenario,
@@ -1540,25 +1489,25 @@ mod tests {
         let mut ctx = acq.context();
         let scenario = Scenario::baseline().with_seed(5);
         let p = psa_array::program::CoilProgram::new(18, 18, 26, 26, 3).unwrap();
-        assert_eq!(ctx.custom_cache_len(), 0);
+        assert_eq!(ctx.customs.len(), 0);
         let a = ctx.acquire(&scenario, SensorSelect::Custom(p), 1).unwrap();
-        assert_eq!(ctx.custom_cache_len(), 1);
+        assert_eq!(ctx.customs.len(), 1);
         // Re-acquiring the same programming hits the cache (no growth)
         // and reproduces the identical traces — cache state is invisible
         // in the results.
         let b = ctx.acquire(&scenario, SensorSelect::Custom(p), 1).unwrap();
-        assert_eq!(ctx.custom_cache_len(), 1);
+        assert_eq!(ctx.customs.len(), 1);
         assert_eq!(a, b);
         // A second programming occupies a second slot.
         let q = psa_array::program::CoilProgram::new(0, 0, 12, 12, 2).unwrap();
         ctx.acquire(&scenario, SensorSelect::Custom(q), 1).unwrap();
-        assert_eq!(ctx.custom_cache_len(), 2);
+        assert_eq!(ctx.customs.len(), 2);
         // Invalid programmings are rejected without polluting the cache.
         let off = psa_array::program::CoilProgram::new(30, 30, 40, 40, 2).unwrap();
         assert!(ctx
             .acquire(&scenario, SensorSelect::Custom(off), 1)
             .is_err());
-        assert_eq!(ctx.custom_cache_len(), 2);
+        assert_eq!(ctx.customs.len(), 2);
     }
 
     #[test]

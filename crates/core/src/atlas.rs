@@ -356,40 +356,18 @@ impl<'c> PlacementSweep<'c> {
 
     /// Runs one placement end to end: derive the coupling row, acquire
     /// all 16 sensors with the emitter superposed, detect emergent
-    /// components against `baseline`, localize at the common line, and
-    /// score the error in µm against the true position.
+    /// components against `baseline` and its `envelopes` (precomputed
+    /// once per baseline via
+    /// [`baseline_envelopes`](Self::baseline_envelopes)), localize at the
+    /// common line, and score the error in µm against the true position.
     ///
     /// # Errors
     ///
-    /// [`CoreError::Layout`] for an off-die site; acquisition/DSP errors
-    /// otherwise. A quiet emitter (zero drive) is *not* an error — it
-    /// reports `detected: false` with no localization.
-    pub fn evaluate_with(
-        &self,
-        ctx: &mut AcqContext<'_>,
-        scenario: &Scenario,
-        emitter: &SyntheticEmitter,
-        baseline: &Baseline,
-    ) -> Result<PlacementOutcome, CoreError> {
-        self.evaluate_enveloped_with(
-            ctx,
-            scenario,
-            emitter,
-            baseline,
-            &self.baseline_envelopes(baseline),
-        )
-    }
-
-    /// [`evaluate_with`](Self::evaluate_with) with the baseline's
-    /// envelopes precomputed via
-    /// [`baseline_envelopes`](Self::baseline_envelopes) — the campaign
-    /// hot path.
-    ///
-    /// # Errors
-    ///
-    /// As [`evaluate_with`](Self::evaluate_with), plus
-    /// [`CoreError::InvalidParameter`] when `envelopes` is missing
-    /// sensors.
+    /// [`CoreError::Layout`] for an off-die site;
+    /// [`CoreError::InvalidParameter`] when `baseline` or `envelopes` is
+    /// missing sensors; acquisition/DSP errors otherwise. A quiet emitter
+    /// (zero drive) is *not* an error — it reports `detected: false`
+    /// with no localization.
     pub fn evaluate_enveloped_with(
         &self,
         ctx: &mut AcqContext<'_>,

@@ -409,11 +409,6 @@ impl ChipVariation {
         self.gain
     }
 
-    /// The per-PSA-sensor coupling factors, in sensor order.
-    pub fn coupling_factors(&self) -> &[f64] {
-        &self.coupling
-    }
-
     /// Multiplier on the coupled signal for `select`: gain × the
     /// sensor's coupling factor (PSA sensors only — custom programmings
     /// and external probes see gain alone).
@@ -587,8 +582,8 @@ mod tests {
     fn variation_factors_stay_inside_spreads() {
         for seed in 0..64u64 {
             let v = ChipVariation::new(seed);
-            assert_eq!(v.coupling_factors().len(), ChipVariation::SENSORS);
-            for &k in v.coupling_factors() {
+            assert_eq!(v.coupling.len(), ChipVariation::SENSORS);
+            for &k in &v.coupling {
                 assert!((k - 1.0).abs() <= ChipVariation::COUPLING_SPREAD, "{k}");
             }
             assert!((v.gain() - 1.0).abs() <= ChipVariation::GAIN_SPREAD);
@@ -608,7 +603,7 @@ mod tests {
     fn signal_scale_combines_gain_and_sensor_factor() {
         let v = ChipVariation::new(7);
         let s10 = v.signal_scale(&SensorSelect::Psa(10));
-        assert_eq!(s10, v.gain() * v.coupling_factors()[10]);
+        assert_eq!(s10, v.gain() * v.coupling[10]);
         // Non-PSA selections see the chip-wide gain alone.
         assert_eq!(v.signal_scale(&SensorSelect::LangerLf1), v.gain());
         // Out-of-range PSA index degrades to gain alone, not a panic.

@@ -13,7 +13,6 @@ use crate::chip::TestChip;
 use crate::error::CoreError;
 use psa_dsp::{correlate, stats};
 use psa_gatesim::trojan::TrojanKind;
-use psa_ml::kmeans::KMeans;
 use psa_ml::knn::Knn;
 use psa_ml::scaler::StandardScaler;
 
@@ -440,26 +439,6 @@ pub fn signature_from_parts_with(
     })
 }
 
-/// Unsupervised cross-check (paper: "without full supervision"):
-/// clusters envelope feature vectors into `k` groups and reports
-/// `(assignments, silhouette)`.
-///
-/// # Errors
-///
-/// Propagates clustering errors for degenerate inputs.
-pub fn cluster_envelopes(
-    features: &[EnvelopeFeatures],
-    k: usize,
-) -> Result<(Vec<usize>, f64), CoreError> {
-    let rows: Vec<Vec<f64>> = features.iter().map(|f| f.to_vec()).collect();
-    let scaler = StandardScaler::fit(&rows)?;
-    let scaled = scaler.transform(&rows)?;
-    let fit = KMeans::new(k).with_seed(0xC1);
-    let result = fit.fit(&scaled)?;
-    let silhouette = psa_ml::metrics::silhouette_score(&scaled, result.assignments());
-    Ok((result.assignments().to_vec(), silhouette))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -612,26 +591,6 @@ mod tests {
         );
     }
 
-    fn synthetic(
-        mod_freq_mhz: f64,
-        prom: f64,
-        lf: f64,
-        period: f64,
-        tel: f64,
-        jitter: f64,
-    ) -> EnvelopeFeatures {
-        EnvelopeFeatures {
-            mod_freq_mhz: mod_freq_mhz + jitter,
-            mod_prominence_db: prom,
-            lowfreq_fraction: lf,
-            period_us: period,
-            periodicity: if period > 0.0 { 0.8 } else { 0.1 },
-            depth: 0.3,
-            kurtosis: -1.0,
-            telegraph: tel,
-        }
-    }
-
     #[test]
     fn empty_reference_set_is_an_error_not_a_panic() {
         // Regression: StandardScaler::fit / Knn::fit used to be reached
@@ -662,25 +621,5 @@ mod tests {
         .unwrap();
         assert_eq!(lib.len(), 2);
         assert!(!lib.is_empty());
-    }
-
-    #[test]
-    fn clustering_separates_archetypes() {
-        // Three synthetic envelope families with the archetype feature
-        // patterns: tonal 750 kHz, broad low-frequency telegraph, flat.
-        let mut feats = Vec::new();
-        for i in 0..6 {
-            let j = i as f64 * 0.005;
-            feats.push(synthetic(0.75, 25.0, 0.2, 1.33, 0.5, j));
-            feats.push(synthetic(0.0, 2.0, 0.9, 0.0, 0.95, j));
-            feats.push(synthetic(0.0, 1.0, 0.1, 0.0, 0.55, j));
-        }
-        let (assignments, silhouette) = cluster_envelopes(&feats, 3).unwrap();
-        assert!(silhouette > 0.5, "silhouette {silhouette}");
-        let tonal_cluster = assignments[0];
-        for i in (0..18).step_by(3) {
-            assert_eq!(assignments[i], tonal_cluster);
-        }
-        assert_ne!(assignments[1], tonal_cluster);
     }
 }

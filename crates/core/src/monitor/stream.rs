@@ -38,25 +38,10 @@ impl StreamSource {
         self.schedule.horizon()
     }
 
-    /// Acquires stream record `record` from PSA sensor `sensor` into
-    /// `out` (one record; `out`'s buffer is recycled).
-    ///
-    /// # Errors
-    ///
-    /// Propagates acquisition errors ([`CoreError`]).
-    pub fn pull_into(
-        &self,
-        ctx: &mut AcqContext<'_>,
-        record: usize,
-        sensor: usize,
-        out: &mut TraceSet,
-    ) -> Result<(), CoreError> {
-        self.pull_scenario_into(ctx, &self.schedule.scenario_at(record), sensor, out)
-    }
-
-    /// [`pull_into`](Self::pull_into) with the record's effective
-    /// scenario already computed (the session computes it once per tick
-    /// and shares it across sensor lanes).
+    /// Acquires one stream record from PSA sensor `sensor` into `out`
+    /// (`out`'s buffer is recycled) under the record's effective
+    /// `scenario`, which the session computes once per tick and shares
+    /// across sensor lanes.
     ///
     /// # Errors
     ///

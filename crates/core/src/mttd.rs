@@ -171,42 +171,6 @@ pub fn mttd_trial_scheduled(
     })
 }
 
-/// Aggregate MTTD over several trials with different seeds; returns
-/// `(mean_time_s, mean_traces, detection_rate)`.
-///
-/// # Errors
-///
-/// Propagates trial errors.
-pub fn mttd_campaign(
-    chip: &TestChip,
-    scenario_for_seed: impl Fn(u64) -> Scenario,
-    baseline: &Baseline,
-    sensor: usize,
-    trials: usize,
-) -> Result<(f64, f64, f64), CoreError> {
-    let timing = MonitorTiming::default();
-    let mut total_time = 0.0;
-    let mut total_traces = 0.0;
-    let mut detections = 0usize;
-    for t in 0..trials {
-        let scenario = scenario_for_seed(1000 + t as u64);
-        let r = mttd_trial(chip, &scenario, baseline, sensor, &timing, 64)?;
-        if r.detected {
-            detections += 1;
-            total_time += r.time_to_detect_s;
-            total_traces += r.traces_used as f64;
-        }
-    }
-    if detections == 0 {
-        return Ok((f64::INFINITY, 64.0, 0.0));
-    }
-    Ok((
-        total_time / detections as f64,
-        total_traces / detections as f64,
-        detections as f64 / trials as f64,
-    ))
-}
-
 /// Equivalent detection latency for a baseline method that needs
 /// `traces_needed` traces at `per_trace_s` seconds each (the Table I
 /// comparison: 100 – >10 000 traces).

@@ -520,15 +520,6 @@ impl MatchReport {
         }
         Some(self.pairs.iter().map(|p| p.error_um).sum::<f64>() / self.pairs.len() as f64)
     }
-
-    /// Mean absolute drive-power error over pairs that carry one, dB.
-    pub fn mean_abs_power_error_db(&self) -> Option<f64> {
-        let errs: Vec<f64> = self.pairs.iter().filter_map(|p| p.power_error_db).collect();
-        if errs.is_empty() {
-            return None;
-        }
-        Some(errs.iter().map(|e| e.abs()).sum::<f64>() / errs.len() as f64)
-    }
 }
 
 /// Scores predicted sources against the true emitter set the way
@@ -633,7 +624,6 @@ mod tests {
         // Power errors: 10·log10(800/400) ≈ 3.01 dB and its mirror.
         let p0 = report.pairs[0].power_error_db.unwrap();
         assert!((p0 - 3.010).abs() < 0.01, "{p0}");
-        assert!((report.mean_abs_power_error_db().unwrap() - 3.010).abs() < 0.01);
     }
 
     #[test]
@@ -646,7 +636,6 @@ mod tests {
             (1, 1, 0)
         );
         assert!(report.pairs[0].power_error_db.is_none());
-        assert!(report.mean_abs_power_error_db().is_none());
         // Three predictions → one false alarm.
         let report = score_sources(
             &truth,

@@ -24,8 +24,11 @@ use psa_gatesim::trojan::TrojanKind;
 ///
 /// // Several Trojans can be activated at once (each chip pin is
 /// // independent):
-/// let multi = Scenario::trojans_active(&[TrojanKind::T1, TrojanKind::T4]);
-/// assert_eq!(multi.extra_trojans, vec![TrojanKind::T4]);
+/// let multi = Scenario {
+///     extra_trojans: vec![TrojanKind::T4],
+///     ..Scenario::trojan_active(TrojanKind::T1)
+/// };
+/// assert_eq!(multi.active_trojans(), vec![TrojanKind::T1, TrojanKind::T4]);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Scenario {
@@ -82,26 +85,6 @@ impl Scenario {
         }
     }
 
-    /// Encryption running with several Trojans activated concurrently
-    /// (extension scenario). The first listed Trojan becomes the
-    /// primary; duplicates are ignored.
-    pub fn trojans_active(kinds: &[TrojanKind]) -> Self {
-        let mut s = Scenario::baseline();
-        let mut seen = [false; 4];
-        for &k in kinds {
-            if seen[k.index()] {
-                continue;
-            }
-            seen[k.index()] = true;
-            if s.trojan.is_none() {
-                s.trojan = Some(k);
-            } else {
-                s.extra_trojans.push(k);
-            }
-        }
-        s
-    }
-
     /// Powered up, clock gated, no encryption — the SNR noise condition.
     pub fn noise() -> Self {
         Scenario {
@@ -134,26 +117,13 @@ impl Scenario {
         self
     }
 
-    /// Sets the warm-up cycle count.
-    pub fn with_warmup(mut self, cycles: usize) -> Self {
-        self.warmup_cycles = cycles;
-        self
-    }
-
-    /// Sets the AES operating mode.
-    pub fn with_aes_mode(mut self, mode: AesMode) -> Self {
-        self.aes_mode = mode;
-        self
-    }
-
     /// The deduplicated active-Trojan set: the primary first, then the
     /// extras in first-occurrence order with repeats (including a kind
     /// listed both as primary *and* extra) removed.
     ///
-    /// [`trojans_active`](Self::trojans_active) never produces
-    /// duplicates, but the fields are public and schedule code rebuilds
-    /// them record by record — every consumer of "which Trojans are on"
-    /// goes through this so a duplicated kind activates once.
+    /// The fields are public and schedule code rebuilds them record by
+    /// record — every consumer of "which Trojans are on" goes through
+    /// this so a duplicated kind activates once.
     pub fn active_trojans(&self) -> Vec<TrojanKind> {
         let mut seen = [false; 4];
         let mut out = Vec::with_capacity(1 + self.extra_trojans.len());
@@ -221,58 +191,16 @@ mod tests {
 
     #[test]
     fn multi_trojan_sets_all_pins() {
-        let s = Scenario::trojans_active(&[
-            TrojanKind::T1,
-            TrojanKind::T4,
-            TrojanKind::T2,
-            TrojanKind::T1, // duplicate: ignored
-        ]);
-        assert_eq!(s.trojan, Some(TrojanKind::T1));
-        assert_eq!(s.extra_trojans, vec![TrojanKind::T4, TrojanKind::T2]);
+        let s = Scenario {
+            trojan: Some(TrojanKind::T1),
+            extra_trojans: vec![TrojanKind::T4, TrojanKind::T2],
+            ..Scenario::baseline()
+        };
         let cfg = s.chip_config();
         assert!(cfg.trojan_enables[TrojanKind::T1.index()]);
         assert!(cfg.trojan_enables[TrojanKind::T4.index()]);
         assert!(cfg.force_t2_trigger);
         assert!(!cfg.trojan_enables[TrojanKind::T3.index()]);
-    }
-
-    #[test]
-    fn empty_multi_trojan_is_baseline_like() {
-        let s = Scenario::trojans_active(&[]);
-        assert_eq!(s.trojan, None);
-        assert!(s.extra_trojans.is_empty());
-        assert_eq!(s.chip_config().trojan_enables, [false; 4]);
-        // ... and is exactly the baseline scenario, field for field.
-        assert_eq!(s, Scenario::baseline());
-    }
-
-    #[test]
-    fn all_duplicates_collapse_to_one_primary() {
-        // The same kind any number of times is one activation, never an
-        // extra.
-        let s = Scenario::trojans_active(&[TrojanKind::T3; 5]);
-        assert_eq!(s.trojan, Some(TrojanKind::T3));
-        assert!(s.extra_trojans.is_empty());
-        let cfg = s.chip_config();
-        assert_eq!(
-            cfg.trojan_enables.iter().filter(|&&e| e).count(),
-            1,
-            "exactly one enable pin"
-        );
-    }
-
-    #[test]
-    fn interleaved_duplicates_keep_first_occurrence_order() {
-        let s = Scenario::trojans_active(&[
-            TrojanKind::T4,
-            TrojanKind::T1,
-            TrojanKind::T4,
-            TrojanKind::T3,
-            TrojanKind::T1,
-            TrojanKind::T3,
-        ]);
-        assert_eq!(s.trojan, Some(TrojanKind::T4));
-        assert_eq!(s.extra_trojans, vec![TrojanKind::T1, TrojanKind::T3]);
     }
 
     #[test]
@@ -315,22 +243,6 @@ mod tests {
     }
 
     #[test]
-    fn warmup_zero_is_valid_and_preserved() {
-        // warmup = 0 must mean "record from cycle 0", not a default.
-        let s = Scenario::baseline().with_warmup(0);
-        assert_eq!(s.warmup_cycles, 0);
-        // The chip config is unaffected by warm-up (it is an
-        // acquisition-loop concern), and the builder keeps every other
-        // field.
-        assert_eq!(s.chip_config().seed, Scenario::baseline().seed);
-        let chained = Scenario::trojan_active(TrojanKind::T2)
-            .with_warmup(0)
-            .with_seed(3);
-        assert_eq!(chained.warmup_cycles, 0);
-        assert!(chained.chip_config().force_t2_trigger);
-    }
-
-    #[test]
     fn others_use_enable_pins() {
         for kind in [TrojanKind::T1, TrojanKind::T3, TrojanKind::T4] {
             let cfg = Scenario::trojan_active(kind).chip_config();
@@ -351,12 +263,10 @@ mod tests {
             .with_seed(7)
             .with_vdd(0.8)
             .with_temp_c(125.0)
-            .with_warmup(10)
             .with_key([9; 16]);
         assert_eq!(s.seed, 7);
         assert_eq!(s.vdd, 0.8);
         assert_eq!(s.temp_c, 125.0);
-        assert_eq!(s.warmup_cycles, 10);
         assert_eq!(s.chip_config().key, [9; 16]);
     }
 

@@ -51,11 +51,12 @@ fn off_die_placements_are_rejected() {
             .expect("baseline learns")
     };
     let mut ctx = AcqContext::new(chip());
-    let err = sweep.evaluate_with(
+    let err = sweep.evaluate_enveloped_with(
         &mut ctx,
         &corner.scenario(),
         &SyntheticEmitter::reference_at(outside),
         &baseline,
+        &sweep.baseline_envelopes(&baseline),
     );
     assert!(matches!(
         err,
@@ -75,7 +76,13 @@ fn zero_drive_emitter_is_not_detected() {
     let mut quiet = SyntheticEmitter::reference_at(site);
     quiet.trojan.drive_cells = 0.0;
     let outcome = sweep
-        .evaluate_with(&mut ctx, &corner.scenario(), &quiet, &baseline)
+        .evaluate_enveloped_with(
+            &mut ctx,
+            &corner.scenario(),
+            &quiet,
+            &baseline,
+            &sweep.baseline_envelopes(&baseline),
+        )
         .expect("a silent emitter is not an error");
     assert!(!outcome.detected, "zero drive must not alarm");
     assert_eq!(outcome.predicted_sensor, None);
@@ -105,7 +112,13 @@ fn emitter_at_a_sensor_centre_localizes_to_it() {
         .center();
     let emitter = SyntheticEmitter::reference_at(EmitterSite::new(centre, 40.0));
     let outcome = sweep
-        .evaluate_with(&mut ctx, &corner.scenario(), &emitter, &baseline)
+        .evaluate_enveloped_with(
+            &mut ctx,
+            &corner.scenario(),
+            &emitter,
+            &baseline,
+            &sweep.baseline_envelopes(&baseline),
+        )
         .expect("evaluation runs");
     assert!(outcome.detected, "reference emitter must be detected");
     assert_eq!(outcome.predicted_sensor, Some(target));

@@ -103,7 +103,11 @@ fn concurrent_trojans_still_detected_and_localized() {
     // active together. Both sit under sensor 10; the monitor must still
     // detect and localize (identification may report either culprit).
     let analyzer = CrossDomainAnalyzer::new(chip()).unwrap();
-    let scenario = Scenario::trojans_active(&[TrojanKind::T1, TrojanKind::T4]).with_seed(400);
+    let scenario = Scenario {
+        extra_trojans: vec![TrojanKind::T4],
+        ..Scenario::trojan_active(TrojanKind::T1)
+    }
+    .with_seed(400);
     let verdict = analyzer
         .analyze(&scenario, baseline())
         .expect("analysis runs");
