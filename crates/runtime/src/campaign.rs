@@ -123,20 +123,6 @@ impl<'c> Campaign<'c> {
         .collect()
     }
 
-    /// Acquires every job and renders its full-resolution detector
-    /// spectrum (dB), the campaign hot path.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first failing job's error.
-    pub fn fullres_spectra_db(&self, jobs: &[AcquireJob]) -> Result<Vec<Vec<f64>>, CoreError> {
-        self.run(jobs, |ctx, _, job| {
-            ctx.acquire_fullres_spectrum_db(&job.effective_scenario(), job.sensor, job.records)
-        })
-        .into_iter()
-        .collect()
-    }
-
     /// Learns the 16-sensor run-time baseline in parallel (one job per
     /// sensor). Byte-identical to
     /// [`psa_core::cross_domain::CrossDomainAnalyzer::learn_baseline`]

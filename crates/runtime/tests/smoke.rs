@@ -44,10 +44,16 @@ fn parallel_spectra_are_byte_identical_to_serial() {
     let serial = Campaign::new(chip(), Engine::serial());
     let parallel = Campaign::new(chip(), Engine::new(3));
     let jobs = jobs();
-    let a = serial.fullres_spectra_db(&jobs).expect("serial spectra");
-    let b = parallel
-        .fullres_spectra_db(&jobs)
-        .expect("parallel spectra");
+    let spectra = |campaign: &Campaign| {
+        campaign
+            .run(&jobs, |ctx, _, job| {
+                ctx.acquire_fullres_spectrum_db(&job.effective_scenario(), job.sensor, job.records)
+            })
+            .into_iter()
+            .collect::<Result<Vec<_>, _>>()
+    };
+    let a = spectra(&serial).expect("serial spectra");
+    let b = spectra(&parallel).expect("parallel spectra");
     assert_eq!(a.len(), b.len());
     for (x, y) in a.iter().zip(&b) {
         assert!(x.iter().zip(y).all(|(p, q)| p.to_bits() == q.to_bits()));
