@@ -85,11 +85,6 @@ pub fn db(v: f64) -> String {
     format!("{v:.1} dB")
 }
 
-/// Formats a frequency in MHz with one decimal.
-pub fn mhz(hz: f64) -> String {
-    format!("{:.1} MHz", hz / 1.0e6)
-}
-
 /// Formats a boolean as Yes/No (Table I style).
 pub fn yes_no(v: bool) -> String {
     if v { "Yes" } else { "No" }.to_string()
@@ -152,7 +147,6 @@ mod tests {
     #[test]
     fn formatters() {
         assert_eq!(db(41.03), "41.0 dB");
-        assert_eq!(mhz(48.0e6), "48.0 MHz");
         assert_eq!(yes_no(true), "Yes");
         assert_eq!(yes_no(false), "No");
         assert_eq!(pct(0.995), "100%");
