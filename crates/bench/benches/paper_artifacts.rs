@@ -90,7 +90,9 @@ fn bench_fig5(h: &Harness) {
         std::hint::black_box(zs.envelope(&x).unwrap());
     });
     h.bench("fig5_feature_extraction", || {
-        std::hint::black_box(experiments::bench_feature_extraction(&env));
+        std::hint::black_box(
+            psa_core::identify::extract_features(&env, 8.25e6).expect("envelope long enough"),
+        );
     });
 }
 

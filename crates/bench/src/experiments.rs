@@ -17,7 +17,7 @@ use psa_core::monitor::{ActivationSchedule, ScheduleChange, SlidingConfig};
 use psa_core::mttd::{mttd_trial_with, MonitorTiming};
 use psa_core::multiloc::MultiLocConfig;
 use psa_core::progsearch::{DetectionSnr, ProgramSearchConfig, SearchObjective};
-use psa_core::report::{db, mhz, pct, sparkline, yes_no, Table};
+use psa_core::report::{db, pct, sparkline, yes_no, Table};
 use psa_core::scenario::Scenario;
 use psa_core::snr::measure_snr_with;
 use psa_core::{calib, identify};
@@ -183,33 +183,15 @@ pub struct MethodSummary {
     pub runtime: bool,
 }
 
-/// Runs the Table I comparison campaign: every `(method, Trojan, seed)`
-/// detection attempt is one engine job against the shared chip.
+/// Runs the Table I comparison campaign against pre-learned shared
+/// artifacts: every `(method, Trojan, seed)` detection attempt is one
+/// engine job against the shared chip. `repro_all` passes artifacts
+/// built once per process instead of once per driver; that is
+/// result-identical, since both artifacts are pure functions of the
+/// chip and the baseline seed.
 ///
 /// `seeds_per_trojan` controls the campaign size (the binary uses 2;
 /// tests may use 1).
-pub fn table1_campaign(
-    chip: &TestChip,
-    seeds_per_trojan: usize,
-    engine: &Engine,
-) -> Vec<MethodSummary> {
-    let campaign = Campaign::new(chip, *engine);
-    // The cross-domain baseline itself is learned in parallel (one job
-    // per sensor; byte-identical to the serial learning loop).
-    let baseline = campaign.learn_baseline(RUNTIME_BASELINE_SEED);
-    table1_campaign_with(
-        chip,
-        seeds_per_trojan,
-        engine,
-        &SharedArtifacts::lazy(baseline),
-    )
-}
-
-/// [`table1_campaign`] against pre-learned shared artifacts (the
-/// memoized `repro_all` path: baseline and template library built once
-/// per process instead of once per driver). Result-identical to the
-/// self-learning entry point — both artifacts are pure functions of the
-/// chip and the baseline seed.
 pub fn table1_campaign_with(
     chip: &TestChip,
     seeds_per_trojan: usize,
@@ -519,14 +501,10 @@ pub struct Fig5Panel {
 }
 
 /// Measures the four Fig 5 panels through the full analyzer, one engine
-/// job per Trojan (the analyzer and its learned baseline are shared).
-pub fn fig5_panels(chip: &TestChip, engine: &Engine) -> Vec<Fig5Panel> {
-    fig5_panels_with(chip, engine, None)
-}
-
-/// [`fig5_panels`] with an optionally pre-built template library (the
-/// identification templates are a pure function of the chip, so sharing
-/// the build with Table I's detector is result-identical). The Fig 5
+/// job per Trojan (the analyzer and its learned baseline are shared),
+/// with an optionally pre-built template library (the identification
+/// templates are a pure function of the chip, so sharing the build with
+/// Table I's detector is result-identical). The Fig 5
 /// baseline seed (`0xF15`) is intentionally distinct from the run-time
 /// baseline, so the baseline itself is not shared.
 pub fn fig5_panels_with(
@@ -815,18 +793,9 @@ pub fn monitor_jobs(seeds: usize) -> Vec<MonitorJob> {
     jobs
 }
 
-/// Runs the standard monitor suite on the engine (baseline learned in
-/// parallel first) and returns the session outcomes in submission
-/// order.
-pub fn monitor_outcomes(chip: &TestChip, engine: &Engine, seeds: usize) -> Vec<MonitorOutcome> {
-    let campaign = MonitorCampaign::new(chip, *engine, RUNTIME_BASELINE_SEED);
-    campaign
-        .run(&monitor_jobs(seeds))
-        .expect("monitor sessions run on built-in sensors")
-}
-
-/// [`monitor_outcomes`] against a pre-learned run-time baseline (seed
-/// [`RUNTIME_BASELINE_SEED`]), skipping the in-campaign learning pass.
+/// Runs the standard monitor suite on the engine against a pre-learned
+/// run-time baseline (seed [`RUNTIME_BASELINE_SEED`]) and returns the
+/// session outcomes in submission order.
 pub fn monitor_outcomes_with(
     chip: &TestChip,
     engine: &Engine,
@@ -1570,28 +1539,4 @@ pub fn trojan_kinds_from_cli(args: &[String]) -> Vec<TrojanKind> {
         };
     }
     TrojanKind::ALL.to_vec()
-}
-
-/// Convenience for the `mhz` formatter used by binaries.
-pub fn format_freq(hz: f64) -> String {
-    mhz(hz)
-}
-
-/// Identification-related helper re-export for benches.
-pub fn classify_once(chip: &TestChip) -> TrojanKind {
-    let analyzer = CrossDomainAnalyzer::new(chip).expect("reference template library");
-    let baseline = analyzer.learn_baseline(1);
-    analyzer
-        .analyze(
-            &Scenario::trojan_active(TrojanKind::T1).with_seed(2),
-            &baseline,
-        )
-        .expect("analyze")
-        .identified
-        .unwrap_or(TrojanKind::T1)
-}
-
-/// Quick feature-extraction helper for benches.
-pub fn bench_feature_extraction(envelope: &[f64]) -> identify::EnvelopeFeatures {
-    identify::extract_features(envelope, 8.25e6).expect("envelope long enough")
 }

@@ -3,8 +3,16 @@
 //! bit-identical `MethodSummary` rows (and therefore byte-identical
 //! rendered tables).
 
-use psa_bench::experiments::{self, MethodSummary};
-use psa_runtime::Engine;
+use psa_bench::experiments::{self, MethodSummary, SharedArtifacts, RUNTIME_BASELINE_SEED};
+use psa_core::chip::TestChip;
+use psa_runtime::{Campaign, Engine};
+
+/// The Table I campaign with its run-time baseline learned on `engine`
+/// (the self-contained path the `table1` binary takes).
+fn table1(chip: &TestChip, engine: &Engine) -> Vec<MethodSummary> {
+    let baseline = Campaign::new(chip, *engine).learn_baseline(RUNTIME_BASELINE_SEED);
+    experiments::table1_campaign_with(chip, 1, engine, &SharedArtifacts::lazy(baseline))
+}
 
 fn assert_bitwise_equal(a: &[MethodSummary], b: &[MethodSummary]) {
     assert_eq!(a.len(), b.len(), "row count");
@@ -33,10 +41,10 @@ fn assert_bitwise_equal(a: &[MethodSummary], b: &[MethodSummary]) {
 fn table1_campaign_parallel_matches_serial_bitwise() {
     let chip = experiments::build_chip();
     let t_serial = std::time::Instant::now();
-    let serial = experiments::table1_campaign(&chip, 1, &Engine::serial());
+    let serial = table1(&chip, &Engine::serial());
     let serial_s = t_serial.elapsed().as_secs_f64();
     let t_parallel = std::time::Instant::now();
-    let parallel = experiments::table1_campaign(&chip, 1, &Engine::new(3));
+    let parallel = table1(&chip, &Engine::new(3));
     let parallel_s = t_parallel.elapsed().as_secs_f64();
     // The logged timing comparison (speedup shows up on multi-core
     // runners; on a single core the engine must merely not corrupt
