@@ -396,3 +396,103 @@ fn json_output_is_wellformed() {
     assert!(json.contains("\"rule\": \"stdout-in-lib\""));
     assert!(json.contains("\"line\": 1"));
 }
+
+// --- reach report -----------------------------------------------------
+
+/// Names the reach report lists over in-memory `(path, source)` files.
+fn unreached(files: &[(&str, &str)]) -> Vec<String> {
+    psa_lint::reach::reach_sources(files)
+        .into_iter()
+        .map(|u| u.name)
+        .collect()
+}
+
+const REACH_LIB: &str = "crates/x/src/lib.rs";
+const ORPHAN_LIB: &str = "pub fn orphan() -> u32 { 1 }\npub fn helper() -> u32 { 2 }\n";
+
+#[test]
+fn reach_reports_a_seeded_unreached_pub_fn() {
+    let lib =
+        "pub fn used() -> u32 { 1 }\n\n/// Nobody calls this.\npub fn orphan() -> u32 { 2 }\n";
+    let bin = "fn main() { println!(\"{}\", x::used()); }\n";
+    let out = psa_lint::reach::reach_sources(&[(REACH_LIB, lib), ("crates/x/src/bin/m.rs", bin)]);
+    assert_eq!(out.len(), 1, "{out:?}");
+    assert_eq!(out[0].render(), "crates/x/src/lib.rs:4 orphan");
+    // Only `pub fn`s in a crate's library source are candidates: private
+    // and restricted items are rustc's `dead_code` business, and other
+    // trees (a facade, psabench, binaries) are roots only.
+    let private = "fn a() {}\npub(crate) fn b() {}\n";
+    assert!(unreached(&[(REACH_LIB, private)]).is_empty());
+    for root in ["src/lib.rs", "psabench/src/lib.rs", "crates/x/src/bin/m.rs"] {
+        assert!(unreached(&[(root, ORPHAN_LIB)]).is_empty(), "{root}");
+    }
+}
+
+#[test]
+fn reach_ignores_callers_in_test_scope() {
+    let unit = "#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() { super::orphan(); }\n}\n";
+    let lib = format!("{ORPHAN_LIB}{unit}");
+    assert_eq!(unreached(&[(REACH_LIB, &lib)]), ["orphan", "helper"]);
+    for test_file in [
+        "crates/x/tests/smoke.rs",
+        "tests/it.rs",
+        "crates/x/benches/b.rs",
+    ] {
+        let caller = "fn t() { x::orphan(); x::helper(); }\n";
+        assert_eq!(
+            unreached(&[(REACH_LIB, ORPHAN_LIB), (test_file, caller)]),
+            ["orphan", "helper"],
+            "{test_file}"
+        );
+    }
+}
+
+#[test]
+fn reach_counts_callers_in_bins_examples_and_psabench() {
+    for root in [
+        "crates/bench/src/bin/table1.rs",
+        "examples/quickstart.rs",
+        "psabench/src/main.rs",
+    ] {
+        let caller = "fn main() { let _ = x::orphan(); }\n";
+        assert_eq!(
+            unreached(&[(REACH_LIB, ORPHAN_LIB), (root, caller)]),
+            ["helper"],
+            "{root}"
+        );
+    }
+    // Other library code is a root too.
+    let other = "pub fn wrap() -> u32 { x::helper() }\n";
+    let reached = unreached(&[(REACH_LIB, ORPHAN_LIB), ("crates/y/src/lib.rs", other)]);
+    assert_eq!(reached, ["orphan", "wrap"]);
+}
+
+#[test]
+fn reach_ignores_doc_comment_and_string_mentions() {
+    let caller = "/// Calls [`orphan`] and `helper()`.\n\
+                  // orphan(); helper();\n\
+                  fn main() { println!(\"orphan helper\"); let _ = r#\"orphan\"#; }\n";
+    assert_eq!(
+        unreached(&[(REACH_LIB, ORPHAN_LIB), ("crates/x/src/bin/m.rs", caller)]),
+        ["orphan", "helper"]
+    );
+}
+
+#[test]
+fn reach_ignores_a_functions_own_recursive_call() {
+    let lib =
+        "pub fn countdown(n: u32) -> u32 {\n    if n == 0 { 0 } else { countdown(n - 1) }\n}\n\
+               pub fn table(x: [f64; 4]) -> f64 { x[0] }\n";
+    assert_eq!(unreached(&[(REACH_LIB, lib)]), ["countdown", "table"]);
+    // A second function of the same name is a definition, not a caller.
+    assert_eq!(
+        unreached(&[(REACH_LIB, ORPHAN_LIB), ("crates/y/src/lib.rs", ORPHAN_LIB)]),
+        ["orphan", "helper", "orphan", "helper"]
+    );
+    // A call from anywhere else does reach it.
+    let caller = "fn main() { x::countdown(3); }\n";
+    assert_eq!(
+        unreached(&[(REACH_LIB, lib), ("crates/x/src/bin/m.rs", caller)]),
+        ["table"]
+    );
+}
