@@ -14,13 +14,13 @@
 //!   engine, then merged in submission order: the store is
 //!   byte-identical at any worker count.
 //! - **Decimated sliding rings** — a full-resolution
-//!   [`SlidingDetector`](psa_core::monitor::SlidingDetector) holds the
-//!   raw record window (~4 MB/chip — tens of GB at fleet scale). Here
-//!   each fresh record gets one cached-plan FFT and its 32 769-bin
-//!   amplitude row is max-pooled by [`FleetConfig::decimate`] before
-//!   entering a per-chip [`SlidingSpectrum`] ring, so per-chip state is
-//!   a few KB and total memory is O(chips × window) with a small
-//!   constant. Max-pooling preserves emergent Trojan lines (the pooled
+//!   [`SlidingDetector`](psa_core::monitor::SlidingDetector) caches one
+//!   32 769-bin amplitude row per windowed record (~1.3 MB/chip at the
+//!   five-record window — over 10 GB for 10k chips). Here each
+//!   fresh record gets one cached-plan FFT and its amplitude row is
+//!   max-pooled by [`FleetConfig::decimate`] before entering a per-chip
+//!   [`SlidingSpectrum`] ring, so per-chip state is a few KB and total
+//!   memory is O(chips × window) with a small constant. Max-pooling preserves emergent Trojan lines (the pooled
 //!   test bin keeps the peak) while the pooled baseline tracks the
 //!   local floor.
 //! - **Fixed round-robin multiplexing** — within a shard, records are
@@ -510,7 +510,9 @@ impl<'c> Fleet<'c> {
     /// # Errors
     ///
     /// [`CoreError::InvalidParameter`] when `baselines` does not cover
-    /// the fleet, or the first failing shard's acquisition error.
+    /// the fleet on its sensor at its decimation (checked before any
+    /// acquisition runs), or the first failing shard's acquisition
+    /// error.
     pub fn run(
         &self,
         engine: &Engine,
@@ -519,6 +521,13 @@ impl<'c> Fleet<'c> {
         if baselines.chips() != self.config.chips || baselines.sensor != self.config.sensor {
             return Err(CoreError::InvalidParameter {
                 what: "fleet baselines must cover every chip on the watched sensor",
+            });
+        }
+        if baselines.decimate != self.config.decimate {
+            // Rows pooled at another factor put their bins at other
+            // frequencies: comparing them would be silently wrong.
+            return Err(CoreError::InvalidParameter {
+                what: "fleet baselines must be pooled at the fleet's decimation",
             });
         }
         let shards = self.shards();
@@ -610,6 +619,35 @@ impl<'c> Fleet<'c> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn run_rejects_baselines_that_do_not_match_the_fleet() {
+        let chip = TestChip::date24();
+        let config = FleetConfig {
+            chips: 2,
+            ..FleetConfig::default()
+        };
+        let fleet = Fleet::new(&chip, config.clone()).unwrap();
+        // Built directly, so no record is acquired; a mismatch must be
+        // rejected before the fleet acquires any either.
+        let store = |chips: usize, sensor: usize, decimate: usize| FleetBaselines {
+            sensor,
+            decimate,
+            per_chip: vec![vec![0.0; fleet.pooled_bins()]; chips],
+        };
+        let (chips, sensor, decimate) = (config.chips, config.sensor, config.decimate);
+        for bad in [
+            store(chips, sensor, decimate * 2),
+            store(chips, sensor, 1),
+            store(chips + 1, sensor, decimate),
+            store(chips, sensor + 1, decimate),
+        ] {
+            assert!(matches!(
+                fleet.run(&Engine::serial(), &bad),
+                Err(CoreError::InvalidParameter { .. })
+            ));
+        }
+    }
 
     #[test]
     fn decimate_max_pools_peaks() {
