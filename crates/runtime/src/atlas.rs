@@ -4,9 +4,9 @@
 //! An [`AtlasJob`] is one synthetic-Trojan placement evaluated at one
 //! operating corner. The campaign first learns each corner's 16-sensor
 //! baseline *at that corner* (run-time baseline learning happens
-//! in-situ, so a drifted supply drifts the baseline with it), fanning
-//! the `corners × sensors` learning jobs across workers, then fans the
-//! placement evaluations. Every job is a pure function of its
+//! in-situ, so a drifted supply drifts the baseline with it), one
+//! engine job per corner ([`CornerBaselines`]), then fans the placement
+//! evaluations. Every job is a pure function of its
 //! description, so the collected grid of localization errors is
 //! **byte-identical at any worker count** — the `localize_atlas`
 //! binary's CI determinism gate `cmp`s exactly this.
@@ -88,6 +88,51 @@ pub struct AtlasOutcome {
     pub outcome: PlacementOutcome,
 }
 
+/// Each corner's learned 16-sensor baseline and its local-max
+/// envelopes — the shared first stage of the atlas and joint-
+/// localization campaigns.
+#[derive(Debug)]
+pub(crate) struct CornerBaselines {
+    /// Per-corner baselines, in corner order.
+    pub(crate) baselines: Vec<Baseline>,
+    /// Per-corner precomputed local-max envelopes (pure functions of
+    /// the baselines; computed once instead of once per placement).
+    pub(crate) envelopes: Vec<Vec<Vec<f64>>>,
+}
+
+impl CornerBaselines {
+    /// Learns every corner's baseline, one engine job per corner: each
+    /// job runs one 16-sensor sweep
+    /// ([`PlacementSweep::learn_baseline_with`]), bit-identical per
+    /// sensor to acquiring that sensor alone, so the chip half of a
+    /// record is simulated once per corner instead of once per sensor.
+    ///
+    /// # Errors
+    ///
+    /// The first failing corner's acquisition error.
+    pub(crate) fn learn(
+        campaign: &Campaign<'_>,
+        sweep: &PlacementSweep<'_>,
+        corners: &[AtlasCorner],
+    ) -> Result<Self, CoreError> {
+        let corner_idx: Vec<usize> = (0..corners.len()).collect();
+        let baselines = campaign
+            .run(&corner_idx, |ctx, _, &c| {
+                sweep.learn_baseline_with(ctx, &corners[c].scenario())
+            })
+            .into_iter()
+            .collect::<Result<Vec<_>, _>>()?;
+        let envelopes = baselines
+            .iter()
+            .map(|b| sweep.baseline_envelopes(b))
+            .collect();
+        Ok(CornerBaselines {
+            baselines,
+            envelopes,
+        })
+    }
+}
+
 /// An engine-backed atlas campaign: one shared chip, per-corner learned
 /// baselines, placements fanned across workers.
 #[derive(Debug)]
@@ -95,15 +140,12 @@ pub struct AtlasCampaign<'c> {
     campaign: Campaign<'c>,
     sweep: PlacementSweep<'c>,
     corners: Vec<AtlasCorner>,
-    baselines: Vec<Baseline>,
-    /// Per-corner precomputed local-max envelopes (pure functions of
-    /// the baselines; computed once instead of once per placement).
-    envelopes: Vec<Vec<Vec<f64>>>,
+    learned: CornerBaselines,
 }
 
 impl<'c> AtlasCampaign<'c> {
     /// Builds the sweep and learns every corner's 16-sensor baseline in
-    /// parallel (one engine job per `(corner, sensor)`).
+    /// parallel (one engine job per corner).
     ///
     /// # Errors
     ///
@@ -123,32 +165,12 @@ impl<'c> AtlasCampaign<'c> {
         }
         let campaign = Campaign::new(chip, engine);
         let sweep = PlacementSweep::new(chip, config)?;
-        let n_sensors = chip.sensor_bank().len();
-        let jobs: Vec<(usize, usize)> = (0..corners.len())
-            .flat_map(|c| (0..n_sensors).map(move |s| (c, s)))
-            .collect();
-        let spectra = campaign
-            .run(&jobs, |ctx, _, &(c, s)| {
-                sweep.baseline_sensor_db_with(ctx, &corners[c].scenario(), s)
-            })
-            .into_iter()
-            .collect::<Result<Vec<_>, _>>()?;
-        let mut spectra = spectra.into_iter();
-        let baselines: Vec<Baseline> = (0..corners.len())
-            .map(|_| Baseline {
-                per_sensor_db: spectra.by_ref().take(n_sensors).collect(),
-            })
-            .collect();
-        let envelopes = baselines
-            .iter()
-            .map(|b| sweep.baseline_envelopes(b))
-            .collect();
+        let learned = CornerBaselines::learn(&campaign, &sweep, &corners)?;
         Ok(AtlasCampaign {
             campaign,
             sweep,
             corners,
-            baselines,
-            envelopes,
+            learned,
         })
     }
 
@@ -164,7 +186,7 @@ impl<'c> AtlasCampaign<'c> {
 
     /// A corner's learned atlas baseline.
     pub fn baseline(&self, corner: usize) -> Option<&Baseline> {
-        self.baselines.get(corner)
+        self.learned.baselines.get(corner)
     }
 
     /// Evaluates every placement job, collecting outcomes in submission
@@ -196,8 +218,8 @@ impl<'c> AtlasCampaign<'c> {
                         ctx,
                         &scenario,
                         &job.emitter,
-                        &self.baselines[job.corner],
-                        &self.envelopes[job.corner],
+                        &self.learned.baselines[job.corner],
+                        &self.learned.envelopes[job.corner],
                     )
                     .map(|outcome| AtlasOutcome {
                         corner: job.corner,

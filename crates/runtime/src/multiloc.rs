@@ -4,8 +4,8 @@
 //! A [`MultilocJob`] is one **tuple** of concurrently active synthetic
 //! emitters evaluated at one operating corner. The campaign reuses the
 //! atlas's corner machinery ([`AtlasCorner`]): it first learns each
-//! corner's 16-sensor baseline in parallel, precomputes the detection
-//! envelopes, and measures each corner's amplitude-to-drive
+//! corner's 16-sensor baseline in parallel (one engine job per corner),
+//! precomputes the detection envelopes, and measures each corner's amplitude-to-drive
 //! [`Calibration`] by injecting a known reference emitter — then fans
 //! the tuple evaluations. Every job is a pure function of its
 //! description (the scenario seed folds [`placement_seed`] over the
@@ -14,7 +14,7 @@
 //! **byte-identical at any worker count**, which the `multi_localize`
 //! binary's CI determinism gate `cmp`s directly.
 
-use crate::atlas::AtlasCorner;
+use crate::atlas::{AtlasCorner, CornerBaselines};
 use crate::campaign::Campaign;
 use crate::engine::Engine;
 use psa_core::atlas::{placement_seed, SyntheticEmitter};
@@ -89,15 +89,14 @@ pub struct MultilocCampaign<'c> {
     campaign: Campaign<'c>,
     localizer: MultiLocalizer<'c>,
     corners: Vec<AtlasCorner>,
-    baselines: Vec<Baseline>,
-    envelopes: Vec<Vec<Vec<f64>>>,
+    learned: CornerBaselines,
     calibrations: Vec<Calibration>,
 }
 
 impl<'c> MultilocCampaign<'c> {
     /// Builds the localizer, learns every corner's baseline in parallel
-    /// (one engine job per `(corner, sensor)`), and calibrates every
-    /// corner's instrument constant (one engine job per corner).
+    /// and calibrates every corner's instrument constant (one engine job
+    /// per corner for each).
     ///
     /// # Errors
     ///
@@ -117,35 +116,19 @@ impl<'c> MultilocCampaign<'c> {
         }
         let campaign = Campaign::new(chip, engine);
         let localizer = MultiLocalizer::new(chip, config)?;
-        let n_sensors = chip.sensor_bank().len();
-        let jobs: Vec<(usize, usize)> = (0..corners.len())
-            .flat_map(|c| (0..n_sensors).map(move |s| (c, s)))
-            .collect();
-        let spectra = campaign
-            .run(&jobs, |ctx, _, &(c, s)| {
-                localizer
-                    .sweep()
-                    .baseline_sensor_db_with(ctx, &corners[c].scenario(), s)
-            })
-            .into_iter()
-            .collect::<Result<Vec<_>, _>>()?;
-        let mut spectra = spectra.into_iter();
-        let baselines: Vec<Baseline> = (0..corners.len())
-            .map(|_| Baseline {
-                per_sensor_db: spectra.by_ref().take(n_sensors).collect(),
-            })
-            .collect();
-        let envelopes: Vec<Vec<Vec<f64>>> = baselines
-            .iter()
-            .map(|b| localizer.sweep().baseline_envelopes(b))
-            .collect();
+        let learned = CornerBaselines::learn(&campaign, localizer.sweep(), &corners)?;
         let corner_idx: Vec<usize> = (0..corners.len()).collect();
         let calibrations = campaign
             .run(&corner_idx, |ctx, _, &c| {
                 let scenario = corners[c]
                     .scenario()
                     .with_seed(calibration_seed(corners[c].seed));
-                localizer.calibrate_with(ctx, &scenario, &baselines[c], &envelopes[c])
+                localizer.calibrate_with(
+                    ctx,
+                    &scenario,
+                    &learned.baselines[c],
+                    &learned.envelopes[c],
+                )
             })
             .into_iter()
             .collect::<Result<Vec<_>, _>>()?;
@@ -153,8 +136,7 @@ impl<'c> MultilocCampaign<'c> {
             campaign,
             localizer,
             corners,
-            baselines,
-            envelopes,
+            learned,
             calibrations,
         })
     }
@@ -171,7 +153,7 @@ impl<'c> MultilocCampaign<'c> {
 
     /// A corner's learned baseline.
     pub fn baseline(&self, corner: usize) -> Option<&Baseline> {
-        self.baselines.get(corner)
+        self.learned.baselines.get(corner)
     }
 
     /// A corner's measured amplitude-to-drive calibration.
@@ -208,8 +190,8 @@ impl<'c> MultilocCampaign<'c> {
                         ctx,
                         &scenario,
                         &job.emitters,
-                        &self.baselines[job.corner],
-                        &self.envelopes[job.corner],
+                        &self.learned.baselines[job.corner],
+                        &self.learned.envelopes[job.corner],
                         Some(&self.calibrations[job.corner]),
                     )
                     .map(|outcome| {
