@@ -243,6 +243,21 @@ mod tests {
     }
 
     #[test]
+    fn warmup_does_not_reach_the_chip_config() {
+        // Warm-up is an acquisition-loop concern: a zero-warm-up
+        // scenario configures the chip exactly as the default one.
+        let t2 = Scenario::trojan_active(TrojanKind::T2).with_seed(3);
+        let cold = Scenario {
+            warmup_cycles: 0,
+            ..t2.clone()
+        };
+        let (a, b) = (cold.chip_config(), t2.chip_config());
+        assert_eq!((a.seed, a.key, a.aes_mode), (b.seed, b.key, b.aes_mode));
+        assert_eq!(a.trojan_enables, b.trojan_enables);
+        assert!(a.force_t2_trigger && b.force_t2_trigger);
+    }
+
+    #[test]
     fn others_use_enable_pins() {
         for kind in [TrojanKind::T1, TrojanKind::T3, TrojanKind::T4] {
             let cfg = Scenario::trojan_active(kind).chip_config();
