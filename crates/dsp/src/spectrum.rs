@@ -17,25 +17,19 @@ use crate::window::Window;
 pub const DB_FLOOR: f64 = -300.0;
 
 /// Converts an amplitude ratio to decibels: `20·log10(x)`, clamped at
-/// [`DB_FLOOR`].
-#[inline]
-pub fn amplitude_db(x: f64) -> f64 {
-    decibels(20.0, x)
-}
-
-/// `scale·log10(x)` clamped at [`DB_FLOOR`], through the in-tree
-/// [`fastmath::log10`] kernel for positive normal `x`. The other inputs
-/// never reach the kernel (it sees `1.0` instead): zero, negative, NaN
-/// and subnormal ratios (whose dB value lies far below the floor) read
-/// [`DB_FLOOR`], and `+∞` reads `+∞`. Every choice is a select on
-/// values already computed, so a loop over spectrum bins vectorizes.
+/// [`DB_FLOOR`], through the in-tree [`fastmath::log10`] kernel for
+/// positive normal `x`. The other inputs never reach the kernel (it sees
+/// `1.0` instead): zero, negative, NaN and subnormal ratios (whose dB
+/// value lies far below the floor) read [`DB_FLOOR`], and `+∞` reads
+/// `+∞`. Every choice is a select on values already computed, so a loop
+/// over spectrum bins vectorizes.
 #[inline]
 // `Range::contains` here compiles to branches that keep the bin loops
 // scalar (measured: 2x slower over a 32 769-bin spectrum).
 #[allow(clippy::manual_range_contains)]
-fn decibels(scale: f64, x: f64) -> f64 {
+pub fn amplitude_db(x: f64) -> f64 {
     let normal = x >= f64::MIN_POSITIVE && x < f64::INFINITY;
-    let db = (scale * fastmath::log10(if normal { x } else { 1.0 })).max(DB_FLOOR);
+    let db = (20.0 * fastmath::log10(if normal { x } else { 1.0 })).max(DB_FLOOR);
     if normal {
         db
     } else if x == f64::INFINITY {
