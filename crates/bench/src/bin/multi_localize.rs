@@ -48,7 +48,8 @@ fn main() {
     let n_sensors = chip.sensor_bank().len();
 
     // Stage 1: per-corner baselines + amplitude-to-drive calibrations
-    // (corners × sensors learning jobs plus one calibration per corner).
+    // (one baseline sweep over every sensor plus one calibration per
+    // corner, counted as sensors + 1 units per corner).
     let campaign = timer.time(
         "multiloc_setup",
         (experiments::atlas_corners(seeds).len() * (n_sensors + 1)) as u64,

@@ -34,6 +34,10 @@
 //! items inside library files are test scope — most rules gate library
 //! code only, because that is what the deterministic artifacts link.
 //!
+//! [`reach`] is a separate, advisory report over the same lexer and
+//! scope model: the library `pub fn`s that no non-test code names
+//! (`psa-lint --reach`).
+//!
 //! Deliberate limits: this is a lexer, not a compiler. It cannot see
 //! through type aliases, `use ... as` renames, or macro expansion, and
 //! doc-comment code blocks are comments to it (rustdoc compiles those
