@@ -72,8 +72,8 @@ impl AcquireJob {
 ///         AcquireJob::new(Scenario::baseline(), SensorSelect::Psa(10), 5).with_seed(100 + s)
 ///     })
 ///     .collect();
-/// let spectra = campaign.fullres_spectra_db(&jobs).unwrap();
-/// assert_eq!(spectra.len(), 8);
+/// let traces = campaign.acquire(&jobs).unwrap();
+/// assert_eq!(traces.len(), 8);
 /// ```
 #[derive(Debug, Clone, Copy)]
 pub struct Campaign<'c> {
