@@ -2,8 +2,8 @@
 //!
 //! The test chip's main circuit is an AES-128-LUT core. The EM signal's
 //! data-dependent component comes from how many bits of the 128-bit state
-//! flip between rounds, so [`Aes128::encrypt_trace`] exposes every round
-//! state. The implementation is the straightforward byte-oriented
+//! flip between rounds, so [`Aes128::round_hamming_distances`] reports
+//! the distance of every round transition. The implementation is the straightforward byte-oriented
 //! FIPS-197 algorithm (table-free S-box lookups from a fixed array —
 //! matching the LUT architecture of the silicon).
 

@@ -5,7 +5,7 @@
 //! operating corner. The campaign first learns each corner's 16-sensor
 //! baseline *at that corner* (run-time baseline learning happens
 //! in-situ, so a drifted supply drifts the baseline with it), one
-//! engine job per corner ([`CornerBaselines`]), then fans the placement
+//! engine job per corner (`CornerBaselines`), then fans the placement
 //! evaluations. Every job is a pure function of its
 //! description, so the collected grid of localization errors is
 //! **byte-identical at any worker count** — the `localize_atlas`
