@@ -5,9 +5,9 @@
 //! emitters evaluated at one operating corner. The campaign reuses the
 //! atlas's corner machinery ([`AtlasCorner`]): it first learns each
 //! corner's 16-sensor baseline in parallel (one engine job per corner),
-//! precomputes the detection envelopes, and measures each corner's amplitude-to-drive
-//! [`Calibration`] by injecting a known reference emitter — then fans
-//! the tuple evaluations. Every job is a pure function of its
+//! precomputes the detection envelopes, and measures each corner's
+//! amplitude-to-drive [`Calibration`] by injecting a known reference
+//! emitter — then fans the tuple evaluations. Every job is a pure function of its
 //! description (the scenario seed folds [`placement_seed`] over the
 //! tuple's sites, so a one-element tuple replays the exact atlas seed),
 //! and results collect in submission order: the campaign's output is
