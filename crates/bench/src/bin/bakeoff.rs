@@ -18,7 +18,7 @@
 //! itself is microseconds — acquisition dominates, so cells/sec is the
 //! tracked product metric.
 
-use psa_bench::harness::{bench_json_path, positive_usize_arg, ThroughputTimer};
+use psa_bench::harness::{bench_json_path, positive_usize_arg, ArtifactTimer};
 use psa_core::detector::{
     BackscatterConfig, BackscatterDetector, CrossDomainDetector, CrossScalePersistenceDetector,
     EuclideanConfig, EuclideanDetector, PersistenceConfig, ScoredDetector,
@@ -48,7 +48,7 @@ fn main() {
         seeds_per_scenario: seeds,
         ..BakeoffConfig::default()
     };
-    let mut timer = ThroughputTimer::new();
+    let mut timer = ArtifactTimer::new();
 
     println!(
         "== detector bake-off: {} seeds per scenario, thresholds swept to ROC/AUC ==",
@@ -58,9 +58,11 @@ fn main() {
 
     // Stage 1: the shared cross-domain baseline (one job per sensor).
     let campaign = Campaign::new(&chip, engine);
-    let baseline = timer.time("bakeoff_baseline", chip.sensor_bank().len() as u64, || {
-        campaign.learn_baseline(psa_bench::experiments::RUNTIME_BASELINE_SEED)
-    });
+    let baseline = timer.time(
+        "bakeoff_baseline",
+        Some(chip.sensor_bank().len() as u64),
+        || campaign.learn_baseline(psa_bench::experiments::RUNTIME_BASELINE_SEED),
+    );
 
     // The roster: Table I's three methods plus the reference-free
     // statistics, trace budgets reduced in fast mode (the ROC sweep is
@@ -104,7 +106,7 @@ fn main() {
     // cell one engine job.
     let bakeoff = Bakeoff::new(&chip, engine, config.clone());
     let cell_count = (detectors.len() * 5 * config.seeds_per_scenario) as u64;
-    let report = timer.time("bakeoff_cells", cell_count, || {
+    let report = timer.time("bakeoff_cells", Some(cell_count), || {
         bakeoff.run(&detectors).expect("bake-off on built-in chip")
     });
 
@@ -140,9 +142,10 @@ fn main() {
         timer.total_s()
     );
     for (name, secs, n) in timer.entries() {
+        let n = n.unwrap_or_default();
         eprintln!(
             "[psa-runtime]   {name:<16} {n:>7} units {secs:>9.3} s  {:>10.2} units/s",
-            ThroughputTimer::rate(*secs, *n)
+            ArtifactTimer::rate(*secs, n)
         );
     }
     if let Some(path) = json_path {

@@ -18,7 +18,7 @@
 //! `fleet_chips` stage re-expresses the same monitored pass in
 //! chips/sec.
 
-use psa_bench::harness::{bench_json_path, positive_usize_arg, ThroughputTimer};
+use psa_bench::harness::{bench_json_path, positive_usize_arg, ArtifactTimer};
 use psa_runtime::fleet::{Fleet, FleetConfig, FleetReport};
 use std::time::Instant;
 
@@ -52,7 +52,7 @@ fn main() {
         },
         ..default_config
     };
-    let mut timer = ThroughputTimer::new();
+    let mut timer = ArtifactTimer::new();
 
     println!(
         "== fleet streaming monitor: {} chips x {} records (Sec. II-A at fleet scale) ==",
@@ -65,7 +65,7 @@ fn main() {
     // Stage 1: sharded per-die baseline learning, merged in submission
     // order.
     let baseline_records = (cfg.chips * cfg.baseline_records) as u64;
-    let baselines = timer.time("fleet_baselines", baseline_records, || {
+    let baselines = timer.time("fleet_baselines", Some(baseline_records), || {
         fleet.learn_baselines(&engine).expect("fleet baselines")
     });
     let baseline_means: Vec<f64> = (0..baselines.chips())
@@ -89,8 +89,8 @@ fn main() {
     let t0 = Instant::now();
     let outcomes = fleet.run(&engine, &baselines).expect("fleet streams");
     let stream_wall = t0.elapsed().as_secs_f64();
-    timer.record("fleet_stream", stream_wall, stream_records);
-    timer.record("fleet_chips", stream_wall, cfg.chips as u64);
+    timer.record("fleet_stream", stream_wall, Some(stream_records));
+    timer.record("fleet_chips", stream_wall, Some(cfg.chips as u64));
     let detect_records: Vec<f64> = outcomes
         .iter()
         .map(|o| o.detect_record.map_or(-1.0, |r| r as f64))
@@ -111,9 +111,10 @@ fn main() {
         timer.total_s() - stream_wall
     );
     for (name, secs, n) in timer.entries() {
+        let n = n.unwrap_or_default();
         eprintln!(
             "[psa-runtime]   {name:<16} {n:>7} units {secs:>9.3} s  {:>10.2} units/s",
-            ThroughputTimer::rate(*secs, *n)
+            ArtifactTimer::rate(*secs, n)
         );
     }
     if let Some(path) = json_path {

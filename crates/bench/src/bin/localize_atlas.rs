@@ -7,10 +7,12 @@
 //! ```
 //!
 //! Sweeps a `G`×`G` grid of reference emitters (default 6×6) over the
-//! die at three VDD/temperature corners × `K` seed replicas and prints
-//! a deterministic grid-of-errors report: per-corner accuracy
-//! statistics, the nominal corner's error grid, and the
-//! error-vs-distance-to-nearest-sensor trend. Stdout is byte-identical
+//! die at three VDD/temperature corners × `K` seed replicas, each
+//! placement a one-emitter tuple through the joint-localization
+//! campaign (`psa_runtime::multiloc`), and prints a deterministic
+//! grid-of-errors report: per-corner accuracy statistics, the nominal
+//! corner's error grid, and the error-vs-distance-to-nearest-sensor
+//! trend. Stdout is byte-identical
 //! at any worker count — CI `cmp`s `--jobs 1` against `PSA_JOBS=2`;
 //! timing/engine chatter goes to stderr, and `--bench-json` writes the
 //! per-stage wall times (default path `BENCH_localize_atlas.json`).
@@ -27,19 +29,25 @@ fn main() {
     let mut timer = ArtifactTimer::new();
 
     println!("== Localization-accuracy atlas: placement sweep (Sec. VI-D) ==");
-    let chip = timer.time("build_chip", experiments::build_chip);
-    let campaign = timer.time("atlas_baselines", || {
-        experiments::atlas_campaign(&chip, &engine, seeds)
+    let chip = timer.time("build_chip", None, experiments::build_chip);
+    let campaign = timer.time("atlas_baselines", None, || {
+        experiments::multiloc_campaign(&chip, &engine, seeds)
     });
     let jobs = experiments::atlas_jobs(&chip, grid, campaign.corners());
-    let outcomes = timer.time("atlas_placements", || {
+    let outcomes = timer.time("atlas_placements", None, || {
         campaign
             .run(&jobs)
             .expect("every grid placement lies on the die")
     });
     print!(
         "{}",
-        experiments::atlas_report(campaign.corners(), &outcomes, grid)
+        experiments::atlas_report(
+            campaign.corners(),
+            &jobs,
+            &outcomes,
+            campaign.localizer().sweep().sensor_centers(),
+            grid
+        )
     );
 
     eprintln!(
@@ -48,7 +56,7 @@ fn main() {
         outcomes.len(),
         timer.total_s()
     );
-    for (name, secs) in timer.entries() {
+    for (name, secs, _) in timer.entries() {
         eprintln!("[psa-runtime]   {name:<16} {secs:>9.3} s");
     }
     if let Some(path) = json_path {

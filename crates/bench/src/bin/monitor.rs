@@ -21,18 +21,18 @@ fn main() {
     let mut timer = ArtifactTimer::new();
 
     println!("== Streaming run-time monitor: event log (Sec. II-A / VI-D) ==");
-    let chip = timer.time("build_chip", experiments::build_chip);
+    let chip = timer.time("build_chip", None, experiments::build_chip);
     // Learn the run-time baseline once per process (its own timed
     // stage) and share it across every session via the memoized
     // SharedArtifacts path — the event log stays byte-identical because
     // the sessions see the same baseline bits either way.
-    let shared = timer.time("learn_baseline", || {
+    let shared = timer.time("learn_baseline", None, || {
         experiments::SharedArtifacts::lazy(
             psa_runtime::Campaign::new(&chip, engine)
                 .learn_baseline(experiments::RUNTIME_BASELINE_SEED),
         )
     });
-    let outcomes = timer.time("monitor_sessions", || {
+    let outcomes = timer.time("monitor_sessions", None, || {
         experiments::monitor_outcomes_with(&chip, &engine, seeds, &shared.baseline)
     });
     print!("{}", experiments::monitor_event_log(&outcomes));
@@ -43,7 +43,7 @@ fn main() {
         outcomes.len(),
         timer.total_s()
     );
-    for (name, secs) in timer.entries() {
+    for (name, secs, _) in timer.entries() {
         eprintln!("[psa-runtime]   {name:<16} {secs:>9.3} s");
     }
     if let Some(path) = json_path {

@@ -1,7 +1,7 @@
 //! Multi-emitter joint localization: K concurrent synthetic emitters
 //! recovered by successive cancellation over the hypothesis grid —
 //! count, location, and drive power per source (Sec. VI-D generalized
-//! from the single-source atlas).
+//! from one source to K; the atlas is the one-source case).
 //!
 //! ```text
 //! multi_localize [--max-k K] [--grid G] [--tuples T] [--seeds S]
@@ -20,7 +20,7 @@
 //! for a reduced smoke shape.
 
 use psa_bench::experiments;
-use psa_bench::harness::{bench_json_path, engine_from_cli, positive_usize_arg, ThroughputTimer};
+use psa_bench::harness::{bench_json_path, engine_from_cli, positive_usize_arg, ArtifactTimer};
 
 /// Deterministic digest of a float series (printed on stdout so the
 /// serial-vs-parallel byte-compare checks the computation).
@@ -39,7 +39,7 @@ fn main() {
     let grid = positive_usize_arg(&args, "--grid", dg);
     let tuples_per_k = positive_usize_arg(&args, "--tuples", dt);
     let seeds = positive_usize_arg(&args, "--seeds", 1);
-    let mut timer = ThroughputTimer::new();
+    let mut timer = ArtifactTimer::new();
 
     println!(
         "== Multi-emitter joint localization: K=1..{max_k}, {grid}x{grid} sites, {tuples_per_k} tuple(s)/K =="
@@ -52,7 +52,7 @@ fn main() {
     // corner, counted as sensors + 1 units per corner).
     let campaign = timer.time(
         "multiloc_setup",
-        (experiments::atlas_corners(seeds).len() * (n_sensors + 1)) as u64,
+        Some((experiments::atlas_corners(seeds).len() * (n_sensors + 1)) as u64),
         || experiments::multiloc_campaign(&chip, &engine, seeds),
     );
     let tuples = experiments::multiloc_tuples(
@@ -65,7 +65,7 @@ fn main() {
     let jobs = experiments::multiloc_jobs(&tuples, campaign.corners());
 
     // Stage 2: the joint-localization fan-out, one unit per tuple.
-    let outcomes = timer.time("multiloc_tuples", jobs.len() as u64, || {
+    let outcomes = timer.time("multiloc_tuples", Some(jobs.len() as u64), || {
         campaign
             .run(&jobs)
             .expect("every generated tuple is on-die and separated")
@@ -96,9 +96,10 @@ fn main() {
         timer.total_s()
     );
     for (name, secs, n) in timer.entries() {
+        let n = n.unwrap_or_default();
         eprintln!(
             "[psa-runtime]   {name:<16} {n:>7} units {secs:>9.3} s  {:>10.2} units/s",
-            ThroughputTimer::rate(*secs, *n)
+            ArtifactTimer::rate(*secs, n)
         );
     }
     if let Some(path) = json_path {

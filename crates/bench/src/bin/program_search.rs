@@ -30,8 +30,8 @@ fn main() {
     let mut timer = ArtifactTimer::new();
 
     println!("== Programming search: searched custom sensors vs presets (Sec. V) ==");
-    let chip = timer.time("build_chip", experiments::build_chip);
-    let outcomes = timer.time("program_search", || {
+    let chip = timer.time("build_chip", None, experiments::build_chip);
+    let outcomes = timer.time("program_search", None, || {
         experiments::search_outcomes(&chip, &engine, &kinds, &config)
     });
     print!("{}", experiments::search_report_text(&config, &outcomes));
@@ -43,7 +43,7 @@ fn main() {
         evaluated,
         timer.total_s()
     );
-    for (name, secs) in timer.entries() {
+    for (name, secs, _) in timer.entries() {
         eprintln!("[psa-runtime]   {name:<16} {secs:>9.3} s");
     }
     if let Some(path) = json_path {

@@ -19,48 +19,56 @@ fn main() {
     let json_path = bench_json_path(&args, "BENCH_repro_all.json");
     let mut timer = ArtifactTimer::new();
 
-    let chip = timer.time("build_chip", experiments::build_chip);
+    let chip = timer.time("build_chip", None, experiments::build_chip);
     // Learn the run-time baseline and identification templates once and
     // share them across fig5/mttd/table1/monitor — the learning pass is
     // identical in every stage, so memoizing it cannot change stdout.
-    let shared = timer.time("learn_shared", || {
+    let shared = timer.time("learn_shared", None, || {
         experiments::SharedArtifacts::learn(&chip, &engine)
     });
     println!("== Table II: Trojan gates count and percentage ==");
-    print!("{}", timer.time("table2", experiments::table2).render());
+    print!(
+        "{}",
+        timer.time("table2", None, experiments::table2).render()
+    );
     println!("\n== SNR comparison (Sec. VI-B, Eq. 1) ==");
     print!(
         "{}",
         timer
-            .time("snr_compare", || experiments::snr_table(&chip, &engine))
+            .time("snr_compare", None, || experiments::snr_table(
+                &chip, &engine
+            ))
             .render()
     );
     println!("\n== Fig 3: spectrum magnitude, PSA vs external EM probe ==");
     print!(
         "{}",
-        timer.time("fig3", || experiments::fig3_report(&chip, &engine))
+        timer.time("fig3", None, || experiments::fig3_report(&chip, &engine))
     );
     println!("\n== Fig 4: emergent sideband components, sensors 10 and 0 ==");
     print!(
         "{}",
         timer
-            .time("fig4", || experiments::fig4_table(&chip, &engine))
+            .time("fig4", None, || experiments::fig4_table(&chip, &engine))
             .render()
     );
     println!("\n== Fig 5: zero-span time-domain identification at 48 MHz ==");
     print!(
         "{}",
-        timer.time("fig5", || {
+        timer.time("fig5", None, || {
             experiments::fig5_report_with(&chip, &engine, shared.templates.as_ref())
         })
     );
     println!("\n== Sec. VI-C: sensor impedance across V/T corners ==");
-    print!("{}", timer.time("vt_sweep", experiments::vt_table).render());
+    print!(
+        "{}",
+        timer.time("vt_sweep", None, experiments::vt_table).render()
+    );
     println!("\n== Sec. VI-D: run-time MTTD ==");
     print!(
         "{}",
         timer
-            .time("mttd", || {
+            .time("mttd", None, || {
                 experiments::mttd_table_with(&chip, &engine, &shared.baseline)
             })
             .render()
@@ -69,7 +77,7 @@ fn main() {
     print!(
         "{}",
         timer
-            .time("table1", || {
+            .time("table1", None, || {
                 experiments::table1_with(&chip, 2, &engine, &shared)
             })
             .render()
@@ -77,7 +85,7 @@ fn main() {
     println!("\n== Streaming run-time monitor: event log (Sec. II-A) ==");
     print!(
         "{}",
-        timer.time("monitor", || {
+        timer.time("monitor", None, || {
             experiments::monitor_event_log(&experiments::monitor_outcomes_with(
                 &chip,
                 &engine,
@@ -92,7 +100,7 @@ fn main() {
         engine.workers(),
         timer.total_s()
     );
-    for (name, secs) in timer.entries() {
+    for (name, secs, _) in timer.entries() {
         eprintln!("[psa-runtime]   {name:<12} {secs:>9.3} s");
     }
     if let Some(path) = json_path {

@@ -24,7 +24,7 @@
 //! stages count envelopes instead: one envelope is the identification
 //! zero-span of six concatenated records.
 
-use psa_bench::harness::{bench_json_path, ThroughputTimer};
+use psa_bench::harness::{bench_json_path, ArtifactTimer};
 use psa_core::acquisition::{AcqContext, TraceSet};
 use psa_core::chip::SensorSelect;
 use psa_core::cross_domain::{AnalyzerConfig, Baseline};
@@ -71,7 +71,7 @@ fn main() {
     let engine = psa_bench::harness::engine_from_cli(&args);
     let json_path = bench_json_path(&args, "BENCH_throughput.json");
     let (n_acquire, n_sweep, n_transform, n_ticks, n_envelopes, n_jobs) = record_counts();
-    let mut timer = ThroughputTimer::new();
+    let mut timer = ArtifactTimer::new();
 
     let chip = psa_bench::experiments::build_chip();
     let mut ctx = AcqContext::new(&chip);
@@ -83,7 +83,7 @@ fn main() {
     // Stage 1: full record acquisition (gatesim → currents → EMF →
     // analog front end), the pipeline ahead of any spectral work.
     let mut traces = TraceSet::default();
-    timer.time("acquire", n_acquire as u64, || {
+    timer.time("acquire", Some(n_acquire as u64), || {
         ctx.acquire_into(&scenario, SensorSelect::Psa(SENSOR), n_acquire, &mut traces)
             .expect("built-in sensor acquisition");
     });
@@ -98,7 +98,7 @@ fn main() {
     // activity, and every source's current synthesized.
     let mut currents = Vec::new();
     let mut charge_sums = Vec::with_capacity(n_acquire);
-    timer.time("gatesim", n_acquire as u64, || {
+    timer.time("gatesim", Some(n_acquire as u64), || {
         for record in 0..n_acquire as u64 {
             let scenario = scenario.clone().with_seed(0x7B + record);
             let mut sim = ActivitySimulator::new(scenario.chip_config());
@@ -123,7 +123,7 @@ fn main() {
     let record_len = psa_core::calib::RECORD_CYCLES * psa_core::calib::SAMPLES_PER_CYCLE;
     let mut unit = vec![0.0; record_len];
     let mut noise_sums = Vec::with_capacity(n_transform);
-    timer.time("noise", n_transform as u64, || {
+    timer.time("noise", Some(n_transform as u64), || {
         for record in 0..n_transform as u64 {
             GaussianNoise::new(1.0, 0x7B ^ record).fill(&mut unit);
             noise_sums.push(unit.iter().sum::<f64>());
@@ -139,7 +139,7 @@ fn main() {
     // and spectrum. Counted in sensor records (sweep records × sensors),
     // the unit of the one-sensor `acquire` stage.
     let n_sensors = chip.sensor_bank().len();
-    let spectra = timer.time("sensor_sweep", (n_sweep * n_sensors) as u64, || {
+    let spectra = timer.time("sensor_sweep", Some((n_sweep * n_sensors) as u64), || {
         ctx.sensor_sweep_db(&scenario, n_sweep, psa_core::calib::RECORD_CYCLES, &[])
             .expect("built-in sensor sweep")
     });
@@ -158,7 +158,7 @@ fn main() {
     // (historical path) against the packed one-sided real-input FFT.
     let windowed = Window::Hann.applied(&traces.records[0]);
     let mut last_bin = Vec::new();
-    timer.time("fft_complex", n_transform as u64, || {
+    timer.time("fft_complex", Some(n_transform as u64), || {
         for _ in 0..n_transform {
             let spec = psa_dsp::fft::rfft(&windowed).expect("pow2 record");
             last_bin.push(spec[spec.len() / 4].re);
@@ -169,7 +169,7 @@ fn main() {
         digest(&last_bin)
     );
     last_bin.clear();
-    timer.time("fft_real", n_transform as u64, || {
+    timer.time("fft_real", Some(n_transform as u64), || {
         for _ in 0..n_transform {
             let spec = psa_dsp::rfft::rfft_one_sided(&windowed).expect("pow2 record");
             last_bin.push(spec[spec.len() / 4].re);
@@ -183,7 +183,7 @@ fn main() {
     // Stage 4: the production per-record spectrum pipeline (window +
     // packed FFT + amplitude scaling through cached scratch buffers).
     let mut peaks = Vec::new();
-    timer.time("spectrum", n_transform as u64, || {
+    timer.time("spectrum", Some(n_transform as u64), || {
         for i in 0..n_transform {
             let record = &traces.records[i % traces.records.len()];
             let amp = ctx
@@ -210,7 +210,7 @@ fn main() {
     let mut detector =
         SlidingDetector::new(&baseline, &[SENSOR], config).expect("valid monitor config");
     let mut alarm_records = Vec::new();
-    timer.time("monitor", n_ticks as u64, || {
+    timer.time("monitor", Some(n_ticks as u64), || {
         for record in 0..stream.horizon() {
             let scenario = stream.schedule().scenario_at(record);
             let obs = detector
@@ -234,7 +234,7 @@ fn main() {
     let mut ring = TraceSet::default();
     let mut fresh = TraceSet::default();
     let mut mid_bins = Vec::new();
-    timer.time("monitor_fullring", n_ticks as u64, || {
+    timer.time("monitor_fullring", Some(n_ticks as u64), || {
         for record in 0..stream.horizon() {
             let scenario = stream.schedule().scenario_at(record);
             stream
@@ -272,7 +272,7 @@ fn main() {
     let zs = ZeroSpan::with_rbw(48.0e6, traces.fs_hz, psa_core::calib::IDENTIFY_RBW_HZ)
         .expect("identification zero-span configuration");
     let mut envelope = Vec::new();
-    timer.time("zero_span", n_envelopes as u64, || {
+    timer.time("zero_span", Some(n_envelopes as u64), || {
         for _ in 0..n_envelopes {
             envelope = zs.envelope_trimmed(&capture).expect("six-record capture");
         }
@@ -283,7 +283,7 @@ fn main() {
         digest(&envelope)
     );
     let mut features = Vec::new();
-    timer.time("identify", n_envelopes as u64, || {
+    timer.time("identify", Some(n_envelopes as u64), || {
         for _ in 0..n_envelopes {
             features = extract_features(&envelope, zs.output_fs_hz())
                 .expect("envelope long enough for features")
@@ -300,7 +300,7 @@ fn main() {
     // byte-identical at any worker count.
     let campaign = Campaign::new(&chip, engine);
     let seeds: Vec<u64> = (0..n_jobs as u64).map(|j| 0xC0DE + 131 * j).collect();
-    let job_rms = timer.time("campaign", n_jobs as u64, || {
+    let job_rms = timer.time("campaign", Some(n_jobs as u64), || {
         campaign.run(&seeds, |ctx, _, &seed| {
             let mut out = TraceSet::default();
             ctx.acquire_into(
@@ -324,9 +324,10 @@ fn main() {
         timer.total_s()
     );
     for (name, secs, records) in timer.entries() {
+        let records = records.unwrap_or_default();
         eprintln!(
             "[psa-runtime]   {name:<12} {records:>5} records {secs:>9.3} s  {:>10.2} rec/s",
-            ThroughputTimer::rate(*secs, *records)
+            ArtifactTimer::rate(*secs, records)
         );
     }
     if let Some(path) = json_path {

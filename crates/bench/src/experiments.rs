@@ -9,7 +9,7 @@
 //! (`--jobs 1` reproduces the historical serial runs exactly, and the
 //! workspace equivalence tests assert it).
 
-use psa_core::atlas::{PlacementSweepConfig, SyntheticEmitter};
+use psa_core::atlas::SyntheticEmitter;
 use psa_core::chip::{SensorSelect, TestChip};
 use psa_core::cross_domain::CrossDomainAnalyzer;
 use psa_core::detector::{BackscatterDetector, CrossDomainDetector, Detector, EuclideanDetector};
@@ -25,10 +25,10 @@ use psa_dsp::rng::splitmix64;
 use psa_gatesim::synth::SyntheticTrojan;
 use psa_gatesim::trojan::TrojanKind;
 use psa_layout::emitter::{sweep_grid, validate_separation};
+use psa_layout::Point;
 use psa_runtime::{
-    AtlasCampaign, AtlasCorner, AtlasJob, AtlasOutcome, Campaign, Engine, MonitorCampaign,
-    MonitorJob, MonitorOutcome, MonitorSummary, MultilocCampaign, MultilocJob, MultilocOutcome,
-    ProgramSearch, SearchReport,
+    AtlasCorner, Campaign, Engine, MonitorCampaign, MonitorJob, MonitorOutcome, MonitorSummary,
+    MultilocCampaign, MultilocJob, MultilocOutcome, ProgramSearch, SearchReport,
 };
 
 /// Builds the shared chip once (expensive: placement + coupling
@@ -885,9 +885,10 @@ pub fn atlas_corners(seeds: usize) -> Vec<AtlasCorner> {
 }
 
 /// The atlas placement jobs: a `grid` × `grid` sweep of reference
-/// emitters over the die, evaluated at every corner (row-major sites,
-/// corners in order — deterministic submission order).
-pub fn atlas_jobs(chip: &TestChip, grid: usize, corners: &[AtlasCorner]) -> Vec<AtlasJob> {
+/// emitters over the die as one-emitter tuples, evaluated at every
+/// corner (row-major sites, corners in order — deterministic submission
+/// order). [`multiloc_campaign`] runs them.
+pub fn atlas_jobs(chip: &TestChip, grid: usize, corners: &[AtlasCorner]) -> Vec<MultilocJob> {
     let sites = sweep_grid(
         chip.floorplan().die(),
         grid,
@@ -898,26 +899,53 @@ pub fn atlas_jobs(chip: &TestChip, grid: usize, corners: &[AtlasCorner]) -> Vec<
     let mut jobs = Vec::with_capacity(sites.len() * corners.len());
     for corner in 0..corners.len() {
         for &site in &sites {
-            jobs.push(AtlasJob::reference(site, corner));
+            jobs.push(MultilocJob::reference(&[site], corner));
         }
     }
     jobs
 }
 
-/// Builds the atlas campaign (learning every corner's baseline on the
-/// engine) with the default sweep configuration.
-///
-/// # Panics
-///
-/// Never for the built-in chip and corner set.
-pub fn atlas_campaign<'c>(chip: &'c TestChip, engine: &Engine, seeds: usize) -> AtlasCampaign<'c> {
-    AtlasCampaign::new(
-        chip,
-        *engine,
-        PlacementSweepConfig::default(),
-        atlas_corners(seeds),
-    )
-    .expect("atlas campaign builds on the built-in chip")
+/// One atlas placement scored in µm against its emitter's site. A
+/// placement with no recovered source (undetected, or detected with
+/// nothing extracted) is a miss: no sensor and no errors.
+struct PlacementScore {
+    truth: Point,
+    corner: usize,
+    /// The first source's anchor sensor.
+    sensor: Option<usize>,
+    /// That sensor's footprint centre vs the truth.
+    error_um: Option<f64>,
+    /// The measured amplitude centroid vs the truth.
+    centroid_error_um: Option<f64>,
+    /// Distance to the nearest sensor centre — the sensor-granular floor.
+    floor_um: f64,
+}
+
+fn score_placements(
+    jobs: &[MultilocJob],
+    outcomes: &[MultilocOutcome],
+    sensor_centers: &[Point],
+) -> Vec<PlacementScore> {
+    jobs.iter()
+        .zip(outcomes)
+        .map(|(job, o)| {
+            let truth = job.emitters[0].site.center;
+            let sensor = o.outcome.sources.first().map(|s| s.sensor);
+            PlacementScore {
+                truth,
+                corner: o.corner,
+                sensor,
+                error_um: sensor.map(|s| sensor_centers[s].distance_to(truth)),
+                centroid_error_um: sensor
+                    .and(o.outcome.centroid_um)
+                    .map(|(x, y)| Point::new(x, y).distance_to(truth)),
+                floor_um: sensor_centers
+                    .iter()
+                    .map(|c| c.distance_to(truth))
+                    .fold(f64::INFINITY, f64::min),
+            }
+        })
+        .collect()
 }
 
 /// Per-corner accuracy statistics of an atlas run.
@@ -927,9 +955,9 @@ pub struct AtlasCornerStats {
     pub label: String,
     /// Placements evaluated at this corner.
     pub placements: usize,
-    /// Placements detected.
+    /// Placements detected and localized to a sensor.
     pub detected: usize,
-    /// Mean localization error over detected placements, µm.
+    /// Mean localization error over localized placements, µm.
     pub mean_error_um: f64,
     /// 95th-percentile error, µm.
     pub p95_error_um: f64,
@@ -942,21 +970,23 @@ pub struct AtlasCornerStats {
     pub mean_centroid_error_um: f64,
 }
 
-/// Aggregates per-corner statistics (corners in campaign order).
+/// Aggregates per-corner statistics (corners in campaign order) of the
+/// atlas `jobs` and their `outcomes`, scored against the sensor
+/// footprint centres.
 pub fn atlas_corner_stats(
     corners: &[AtlasCorner],
-    outcomes: &[AtlasOutcome],
+    jobs: &[MultilocJob],
+    outcomes: &[MultilocOutcome],
+    sensor_centers: &[Point],
 ) -> Vec<AtlasCornerStats> {
+    let scores = score_placements(jobs, outcomes, sensor_centers);
     corners
         .iter()
         .enumerate()
         .map(|(ci, corner)| {
-            let of_corner: Vec<&AtlasOutcome> =
-                outcomes.iter().filter(|o| o.corner == ci).collect();
-            let mut errors: Vec<f64> = of_corner
-                .iter()
-                .filter_map(|o| o.outcome.error_um)
-                .collect();
+            let of_corner: Vec<&PlacementScore> =
+                scores.iter().filter(|p| p.corner == ci).collect();
+            let mut errors: Vec<f64> = of_corner.iter().filter_map(|p| p.error_um).collect();
             errors.sort_by(f64::total_cmp);
             let detected = errors.len();
             let mean = |v: &[f64]| {
@@ -973,12 +1003,9 @@ pub fn atlas_corner_stats(
             };
             let centroid_errors: Vec<f64> = of_corner
                 .iter()
-                .filter_map(|o| o.outcome.centroid_error_um)
+                .filter_map(|p| p.centroid_error_um)
                 .collect();
-            let floors: Vec<f64> = of_corner
-                .iter()
-                .map(|o| o.outcome.nearest_sensor_um)
-                .collect();
+            let floors: Vec<f64> = of_corner.iter().map(|p| p.floor_um).collect();
             AtlasCornerStats {
                 label: corner.label.clone(),
                 placements: of_corner.len(),
@@ -994,12 +1021,21 @@ pub fn atlas_corner_stats(
 }
 
 /// Renders the deterministic atlas report the `localize_atlas` binary
-/// prints: per-corner accuracy stats, the nominal corner's grid of
-/// errors, and the error-vs-distance-to-nearest-sensor trend —
-/// byte-identical at any worker count.
-pub fn atlas_report(corners: &[AtlasCorner], outcomes: &[AtlasOutcome], grid: usize) -> String {
+/// prints from the atlas `jobs` and their campaign `outcomes`:
+/// per-corner accuracy stats, the nominal corner's grid of errors, and
+/// the error-vs-distance-to-nearest-sensor trend — byte-identical at any
+/// worker count. `sensor_centers` are the footprint centres a predicted
+/// sensor is scored at (`campaign.localizer().sweep().sensor_centers()`).
+pub fn atlas_report(
+    corners: &[AtlasCorner],
+    jobs: &[MultilocJob],
+    outcomes: &[MultilocOutcome],
+    sensor_centers: &[Point],
+    grid: usize,
+) -> String {
     let mut out = String::new();
-    let stats = atlas_corner_stats(corners, outcomes);
+    let scores = score_placements(jobs, outcomes, sensor_centers);
+    let stats = atlas_corner_stats(corners, jobs, outcomes, sensor_centers);
     out.push_str(&format!(
         "placements {} ({}x{} grid x {} corner(s))\n",
         outcomes.len(),
@@ -1025,14 +1061,13 @@ pub fn atlas_report(corners: &[AtlasCorner], outcomes: &[AtlasOutcome], grid: us
 
     // Grid of errors for the first corner, rows printed top-down so the
     // page reads like the die (row-major sites from the lower-left).
-    let first: Vec<&AtlasOutcome> = outcomes.iter().filter(|o| o.corner == 0).collect();
+    let first: Vec<&PlacementScore> = scores.iter().filter(|p| p.corner == 0).collect();
     if first.len() == grid * grid {
         out.push_str(&format!("error grid (um), corner {}:\n", corners[0].label));
         for iy in (0..grid).rev() {
             let mut line = String::from(" ");
             for ix in 0..grid {
-                let o = &first[iy * grid + ix].outcome;
-                match o.error_um {
+                match first[iy * grid + ix].error_um {
                     Some(e) => line.push_str(&format!(" {:>5}", format!("{e:.0}"))),
                     None => line.push_str("  miss"),
                 }
@@ -1047,10 +1082,10 @@ pub fn atlas_report(corners: &[AtlasCorner], outcomes: &[AtlasOutcome], grid: us
     let buckets = [(0.0, 40.0), (40.0, 80.0), (80.0, 120.0), (120.0, f64::MAX)];
     out.push_str("error vs distance-to-nearest-sensor-centre (all corners):\n");
     for &(lo, hi) in &buckets {
-        let errs: Vec<f64> = outcomes
+        let errs: Vec<f64> = scores
             .iter()
-            .filter(|o| o.outcome.nearest_sensor_um >= lo && o.outcome.nearest_sensor_um < hi)
-            .filter_map(|o| o.outcome.error_um)
+            .filter(|p| p.floor_um >= lo && p.floor_um < hi)
+            .filter_map(|p| p.error_um)
             .collect();
         let label = if hi == f64::MAX {
             format!("[{lo:.0}+ um)")
@@ -1069,24 +1104,18 @@ pub fn atlas_report(corners: &[AtlasCorner], outcomes: &[AtlasOutcome], grid: us
     }
 
     // The worst placement, named so regressions are debuggable.
-    if let Some(worst) = outcomes
+    if let Some((worst, err)) = scores
         .iter()
-        .filter(|o| o.outcome.error_um.is_some())
-        .max_by(|a, b| {
-            a.outcome
-                .error_um
-                .unwrap_or(f64::MIN)
-                .total_cmp(&b.outcome.error_um.unwrap_or(f64::MIN))
-        })
+        .filter_map(|p| p.error_um.map(|e| (p, e)))
+        .max_by(|a, b| a.1.total_cmp(&b.1))
     {
-        let o = &worst.outcome;
         out.push_str(&format!(
             "worst placement: ({:.0}, {:.0}) um at corner {} -> sensor {:?}, err {:.1} um\n",
-            o.true_x_um,
-            o.true_y_um,
+            worst.truth.x,
+            worst.truth.y,
             corners[worst.corner].label,
-            o.predicted_sensor.unwrap_or(usize::MAX),
-            o.error_um.unwrap_or(f64::NAN),
+            worst.sensor.unwrap_or(usize::MAX),
+            err,
         ));
     }
     out
@@ -1539,4 +1568,92 @@ pub fn trojan_kinds_from_cli(args: &[String]) -> Vec<TrojanKind> {
         };
     }
     TrojanKind::ALL.to_vec()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use psa_core::multiloc::{JointOutcome, MatchReport, SourceEstimate};
+    use psa_layout::emitter::EmitterSite;
+
+    /// A hand-built one-emitter outcome: `sensor` is the first source's
+    /// anchor, `centroid` the measured amplitude centroid.
+    fn outcome(
+        detected: bool,
+        sensor: Option<usize>,
+        centroid: Option<(f64, f64)>,
+    ) -> MultilocOutcome {
+        let sources = sensor
+            .map(|sensor| SourceEstimate {
+                x_um: 0.0,
+                y_um: 0.0,
+                refined_x_um: 0.0,
+                refined_y_um: 0.0,
+                sensor,
+                amplitude_v: 1.0e-4,
+                drive_cells: None,
+            })
+            .into_iter()
+            .collect();
+        MultilocOutcome {
+            corner: 0,
+            true_count: 1,
+            outcome: JointOutcome {
+                detected,
+                prominent_freq_hz: detected.then_some(48.0e6),
+                sources,
+                centroid_um: centroid,
+                top_excess_db: 0.0,
+                residual_v: 0.0,
+            },
+            score: MatchReport {
+                pairs: Vec::new(),
+                miss: 0,
+                false_alarm: 0,
+            },
+        }
+    }
+
+    #[test]
+    fn atlas_report_scores_hand_built_outcomes() {
+        let corners = [AtlasCorner::new("nominal", 1.0, 25.0, 1)];
+        let centers = [Point::new(100.0, 100.0), Point::new(300.0, 100.0)];
+        // A 2x2 grid, row-major from the lower-left.
+        let sites = [
+            (100.0, 110.0),
+            (300.0, 150.0),
+            (200.0, 100.0),
+            (300.0, 100.0),
+        ];
+        let jobs: Vec<MultilocJob> = sites
+            .iter()
+            .map(|&(x, y)| MultilocJob::reference(&[EmitterSite::new(Point::new(x, y), 40.0)], 0))
+            .collect();
+        let outcomes = [
+            // Detected at sensor 0: 10 µm off, centroid 10 µm off.
+            outcome(true, Some(0), Some((100.0, 100.0))),
+            // Undetected: a miss.
+            outcome(false, None, None),
+            // Detected with no source recovered: also a miss, even with
+            // a centroid.
+            outcome(true, None, Some((200.0, 100.0))),
+            // Detected at the wrong sensor: 200 µm off, centroid exact.
+            outcome(true, Some(0), Some((300.0, 100.0))),
+        ];
+        let report = atlas_report(&corners, &jobs, &outcomes, &centers, 2);
+        let expected = "\
+placements 4 (2x2 grid x 1 corner(s))
+corner nominal        (1.00 V,  25.0 C): detected 2/4  mean err  105.0 um  p95  200.0 um  worst  200.0 um  centroid    5.0 um  floor  40.0 um
+error grid (um), corner nominal:
+   miss   200
+     10  miss
+error vs distance-to-nearest-sensor-centre (all corners):
+  [0,40) um      mean err  105.0 um  (n=2)
+  [40,80) um     -
+  [80,120) um    -
+  [120+ um)      -
+worst placement: (300, 100) um at corner nominal -> sensor 0, err 200.0 um
+";
+        assert_eq!(report, expected);
+    }
 }

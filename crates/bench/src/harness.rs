@@ -171,16 +171,18 @@ impl Harness {
     }
 }
 
-/// Wall-clock timer for whole paper artifacts, with JSON export — the
-/// seed of the `BENCH_*.json` timing-trajectory tracking.
+/// Wall-clock timer for artifacts and pipeline stages, with JSON export
+/// — the writer of every `BENCH_*.json` timing document.
 ///
-/// `repro_all --bench-json [path]` times each artifact regeneration and
-/// writes the per-artifact wall times (plus worker count) as JSON, so CI
-/// can archive a timing point per commit and serial-vs-parallel runs can
-/// be compared directly.
+/// An entry records a stage's wall time and, for throughput stages, how
+/// many records it processed. `repro_all --bench-json [path]` writes
+/// per-artifact wall times this way; `throughput --bench-json` adds the
+/// record counts, and the export then carries a `records_per_s` field
+/// per stage — the higher-is-better metric
+/// [`crate::regress::compare_rates`] gates on.
 #[derive(Debug, Default)]
 pub struct ArtifactTimer {
-    entries: Vec<(String, f64)>,
+    entries: Vec<(String, f64, Option<u64>)>,
 }
 
 impl ArtifactTimer {
@@ -189,82 +191,13 @@ impl ArtifactTimer {
         ArtifactTimer::default()
     }
 
-    /// Runs `f`, recording its wall time under `name`; returns `f`'s
-    /// result.
-    pub fn time<T>(&mut self, name: &str, f: impl FnOnce() -> T) -> T {
+    /// Runs `f`, recording its wall time under `name` with the
+    /// `records` it processed (`None` for a wall-only stage); returns
+    /// `f`'s result.
+    pub fn time<T>(&mut self, name: &str, records: Option<u64>, f: impl FnOnce() -> T) -> T {
         let t0 = Instant::now();
         let out = f();
-        self.entries
-            .push((name.to_string(), t0.elapsed().as_secs_f64()));
-        out
-    }
-
-    /// Recorded `(artifact, wall_seconds)` entries, in execution order.
-    pub fn entries(&self) -> &[(String, f64)] {
-        &self.entries
-    }
-
-    /// Total recorded wall time, seconds.
-    pub fn total_s(&self) -> f64 {
-        self.entries.iter().map(|(_, s)| s).sum()
-    }
-
-    /// Renders the timing report as JSON (std-only, no serde):
-    ///
-    /// ```json
-    /// {"schema":"psa-bench-json/1","workers":4,"total_s":12.3,
-    ///  "artifacts":[{"name":"table1","wall_s":2.5}, ...]}
-    /// ```
-    pub fn to_json(&self, workers: usize) -> String {
-        let mut out = String::from("{\n");
-        out.push_str("  \"schema\": \"psa-bench-json/1\",\n");
-        out.push_str(&format!("  \"workers\": {workers},\n"));
-        out.push_str(&format!("  \"total_s\": {:.6},\n", self.total_s()));
-        out.push_str("  \"artifacts\": [\n");
-        for (i, (name, secs)) in self.entries.iter().enumerate() {
-            let comma = if i + 1 < self.entries.len() { "," } else { "" };
-            out.push_str(&format!(
-                "    {{\"name\": \"{}\", \"wall_s\": {:.6}}}{comma}\n",
-                json_escape(name),
-                secs
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
-    }
-
-    /// Writes [`to_json`](Self::to_json) to `path`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors.
-    pub fn write_json(&self, path: &std::path::Path, workers: usize) -> std::io::Result<()> {
-        std::fs::write(path, self.to_json(workers))
-    }
-}
-
-/// Wall-clock timer for throughput stages: like [`ArtifactTimer`] but
-/// each stage also records how many records it processed, and the JSON
-/// export carries a `records_per_s` field per stage — the higher-is-
-/// better metric [`crate::regress::compare_rates`] gates on.
-#[derive(Debug, Default)]
-pub struct ThroughputTimer {
-    entries: Vec<(String, f64, u64)>,
-}
-
-impl ThroughputTimer {
-    /// An empty timer.
-    pub fn new() -> Self {
-        ThroughputTimer::default()
-    }
-
-    /// Runs `f`, recording its wall time under `name` with `records`
-    /// processed; returns `f`'s result.
-    pub fn time<T>(&mut self, name: &str, records: u64, f: impl FnOnce() -> T) -> T {
-        let t0 = Instant::now();
-        let out = f();
-        self.entries
-            .push((name.to_string(), t0.elapsed().as_secs_f64(), records));
+        self.record(name, t0.elapsed().as_secs_f64(), records);
         out
     }
 
@@ -273,13 +206,13 @@ impl ThroughputTimer {
     /// wall in several units (e.g. a fleet pass as both records/sec and
     /// chips/sec); every entry counts toward [`total_s`](Self::total_s),
     /// so re-recorded walls appear once per unit there.
-    pub fn record(&mut self, name: &str, wall_s: f64, records: u64) {
+    pub fn record(&mut self, name: &str, wall_s: f64, records: Option<u64>) {
         self.entries.push((name.to_string(), wall_s, records));
     }
 
     /// Recorded `(stage, wall_seconds, records)` entries, in execution
     /// order.
-    pub fn entries(&self) -> &[(String, f64, u64)] {
+    pub fn entries(&self) -> &[(String, f64, Option<u64>)] {
         &self.entries
     }
 
@@ -299,9 +232,15 @@ impl ThroughputTimer {
         }
     }
 
-    /// Renders the stage report as `psa-bench-json/1` JSON. Each
-    /// artifact entry carries `wall_s` (so the document is also a valid
-    /// wall-time artifact) plus `records` and `records_per_s`.
+    /// Renders the timing report as JSON (std-only, no serde). Every
+    /// entry carries `wall_s`; entries with a record count add `records`
+    /// and `records_per_s`:
+    ///
+    /// ```json
+    /// {"schema":"psa-bench-json/1","workers":4,"total_s":12.3,
+    ///  "artifacts":[{"name":"table1","wall_s":2.5},
+    ///               {"name":"acquire","wall_s":0.5,"records":32,"records_per_s":64.0}]}
+    /// ```
     pub fn to_json(&self, workers: usize) -> String {
         let mut out = String::from("{\n");
         out.push_str("  \"schema\": \"psa-bench-json/1\",\n");
@@ -310,12 +249,15 @@ impl ThroughputTimer {
         out.push_str("  \"artifacts\": [\n");
         for (i, (name, secs, records)) in self.entries.iter().enumerate() {
             let comma = if i + 1 < self.entries.len() { "," } else { "" };
+            let rate = records.map_or(String::new(), |n| {
+                format!(
+                    ", \"records\": {n}, \"records_per_s\": {:.6}",
+                    Self::rate(*secs, n)
+                )
+            });
             out.push_str(&format!(
-                "    {{\"name\": \"{}\", \"wall_s\": {:.6}, \"records\": {records}, \
-                 \"records_per_s\": {:.6}}}{comma}\n",
+                "    {{\"name\": \"{}\", \"wall_s\": {secs:.6}{rate}}}{comma}\n",
                 json_escape(name),
-                secs,
-                Self::rate(*secs, *records),
             ));
         }
         out.push_str("  ]\n}\n");
@@ -389,9 +331,11 @@ mod tests {
     #[test]
     fn artifact_timer_records_and_exports_json() {
         let mut timer = ArtifactTimer::new();
-        let v = timer.time("table\"1\"", || 42);
+        let v = timer.time("table\"1\"", None, || 42);
         assert_eq!(v, 42);
-        timer.time("fig3", || std::thread::sleep(Duration::from_millis(2)));
+        timer.time("fig3", None, || {
+            std::thread::sleep(Duration::from_millis(2))
+        });
         assert_eq!(timer.entries().len(), 2);
         assert!(timer.entries()[1].1 >= 0.002);
         assert!(timer.total_s() >= timer.entries()[1].1);
@@ -400,18 +344,20 @@ mod tests {
         assert!(json.contains("\"workers\": 4"));
         assert!(json.contains("table\\\"1\\\""));
         assert!(json.contains("\"fig3\""));
+        // Wall-only entries carry no record fields.
+        assert!(!json.contains("records"));
         // Balanced braces/brackets as a cheap well-formedness check.
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
     }
 
     #[test]
-    fn throughput_timer_exports_rates() {
-        let mut timer = ThroughputTimer::new();
-        timer.time("acquire", 10, || {
+    fn counted_entries_export_rates() {
+        let mut timer = ArtifactTimer::new();
+        timer.time("acquire", Some(10), || {
             std::thread::sleep(Duration::from_millis(2))
         });
-        timer.time("instant", 5, || ());
+        timer.time("instant", Some(5), || ());
         let json = timer.to_json(1);
         let parsed = crate::regress::parse_bench_json(&json).expect("parses");
         assert_eq!(parsed.workers, Some(1));
@@ -420,18 +366,18 @@ mod tests {
         assert!(parsed.rates[0].1 > 0.0 && parsed.rates[0].1 <= 5000.0);
         // Wall times ride along, so the doc doubles as a timing artifact.
         assert_eq!(parsed.artifacts.len(), 2);
-        assert_eq!(ThroughputTimer::rate(0.0, 100), 0.0);
+        assert_eq!(ArtifactTimer::rate(0.0, 100), 0.0);
     }
 
     #[test]
-    fn throughput_timer_records_external_walls() {
+    fn timer_records_external_walls() {
         // `record` expresses one measured interval in several units —
         // the fleet binary logs the same pass as records/sec and
         // chips/sec — and the export carries the resolved worker count
         // so seed files document the machine shape they came from.
-        let mut timer = ThroughputTimer::new();
-        timer.record("fleet_stream", 2.0, 1000);
-        timer.record("fleet_chips", 2.0, 100);
+        let mut timer = ArtifactTimer::new();
+        timer.record("fleet_stream", 2.0, Some(1000));
+        timer.record("fleet_chips", 2.0, Some(100));
         let json = timer.to_json(2);
         let parsed = crate::regress::parse_bench_json(&json).expect("parses");
         assert_eq!(parsed.workers, Some(2));

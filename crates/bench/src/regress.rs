@@ -374,10 +374,10 @@ mod tests {
     #[test]
     fn parses_artifact_timer_output() {
         let mut timer = ArtifactTimer::new();
-        timer.time("table1", || {
+        timer.time("table1", None, || {
             std::thread::sleep(std::time::Duration::from_millis(1))
         });
-        timer.time("fig3", || ());
+        timer.time("fig3", None, || ());
         let parsed = parse_bench_json(&timer.to_json(3)).expect("parses");
         assert_eq!(parsed.workers, Some(3));
         assert!(parsed.total_s.is_some());

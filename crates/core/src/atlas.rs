@@ -6,26 +6,27 @@
 //! [`PlacementSweep`] scenario family instead places a parametric
 //! [`SyntheticTrojan`] emitter at arbitrary floorplan coordinates
 //! (`psa_layout::emitter`), derives its coupling into all 16 sensors on
-//! demand (`psa_field::emitter`), runs the same golden-model-free
-//! detection pipeline, and scores the **localization error in µm**: the
-//! distance from the predicted sensor's footprint centre (and from the
-//! amplitude-weighted centroid over the array) to the true emitter
-//! position. Sweeping a grid of placements turns localization from five
-//! anecdotes into a measurable accuracy surface — the atlas.
+//! demand (`psa_field::emitter`), and senses the array with it
+//! superposed. The joint localizer ([`crate::multiloc`]) runs on that
+//! sensing, and the atlas report scores the **localization error in
+//! µm**: the distance from the predicted sensor's footprint centre (and
+//! from the amplitude-weighted centroid over the array) to the true
+//! emitter position. Sweeping a grid of placements turns localization
+//! from five anecdotes into a measurable accuracy surface — the atlas.
 //!
 //! Atlas acquisitions default to shorter records than the Sec. VI bench
 //! (2048 cycles instead of 8192): the emitter lines stay far above the
 //! coarser RBW's floor while a hundreds-of-placements sweep stays
 //! tractable. Every quantity is a pure function of the job description,
-//! so `psa_runtime::atlas::AtlasCampaign` fans placements × corners ×
-//! seeds across workers with byte-identical output.
+//! so `psa_runtime::multiloc::MultilocCampaign` fans placements (as
+//! one-emitter tuples) × corners × seeds across workers with
+//! byte-identical output.
 
 use crate::acquisition::{AcqContext, ArrayEmitter, TraceSet};
 use crate::calib;
 use crate::chip::{SensorSelect, TestChip};
 use crate::cross_domain::{merge_adjacent_bins, Baseline};
 use crate::error::CoreError;
-use crate::localize;
 use crate::scenario::Scenario;
 use psa_dsp::peak;
 use psa_gatesim::synth::SyntheticTrojan;
@@ -84,33 +85,6 @@ impl Default for PlacementSweepConfig {
             dipole_grid_per_side: 2,
         }
     }
-}
-
-/// One placement's scored outcome.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PlacementOutcome {
-    /// True emitter position, µm.
-    pub true_x_um: f64,
-    /// True emitter position, µm.
-    pub true_y_um: f64,
-    /// Whether any sensor flagged an emergent component.
-    pub detected: bool,
-    /// The sensor the pipeline localizes to (strongest absolute
-    /// amplitude at the common line), when detected.
-    pub predicted_sensor: Option<usize>,
-    /// Localization error, µm: predicted sensor's footprint centre vs
-    /// the true position.
-    pub error_um: Option<f64>,
-    /// Refined error, µm: amplitude-weighted centroid of all sensors'
-    /// footprint centres vs the true position.
-    pub centroid_error_um: Option<f64>,
-    /// Distance from the true position to the nearest sensor footprint
-    /// centre, µm — the floor a sensor-granular localizer can reach.
-    pub nearest_sensor_um: f64,
-    /// Strongest emergent excess over baseline across the array, dB.
-    pub top_excess_db: f64,
-    /// The common emergent line used for ranking, Hz.
-    pub prominent_freq_hz: Option<f64>,
 }
 
 /// The evaluation seed of a placement: the corner's base seed salted
@@ -294,17 +268,32 @@ impl<'c> PlacementSweep<'c> {
             .collect()
     }
 
+    /// Rejects per-sensor rows (baseline spectra or their envelopes)
+    /// that miss a sensor or were learned at another record length:
+    /// bin `k` of two record lengths is two different frequencies.
+    pub(crate) fn check_sensor_rows(&self, rows: &[Vec<f64>]) -> Result<(), CoreError> {
+        let bins =
+            psa_dsp::fft::one_sided_len(self.config.record_cycles * calib::SAMPLES_PER_CYCLE);
+        if rows.len() < self.chip.sensor_bank().len() || rows.iter().any(|r| r.len() != bins) {
+            return Err(CoreError::InvalidParameter {
+                what: "atlas baseline is missing sensors or has another record length",
+            });
+        }
+        Ok(())
+    }
+
     /// Acquires all 16 sensors with a **set** of synthetic emitters
     /// superposed and flags each sensor's emergent components over its
-    /// baseline envelope — the shared sensing front half of both the
-    /// single-placement atlas evaluation (a one-element set) and the
-    /// multi-source joint localizer ([`crate::multiloc`]).
+    /// baseline envelope — the sensing front half of the joint
+    /// localizer ([`crate::multiloc`]), which the atlas drives with
+    /// one-element sets.
     ///
     /// # Errors
     ///
     /// [`CoreError::Layout`] (`OffDie`) when any site's footprint
     /// leaves the die; [`CoreError::InvalidParameter`] when `envelopes`
-    /// is missing sensors; acquisition/DSP errors otherwise.
+    /// is missing sensors or holds rows of another record length;
+    /// acquisition/DSP errors otherwise.
     pub fn sense_emitters_with(
         &self,
         ctx: &mut AcqContext<'_>,
@@ -312,12 +301,7 @@ impl<'c> PlacementSweep<'c> {
         emitters: &[SyntheticEmitter],
         envelopes: &[Vec<f64>],
     ) -> Result<SensedArray, CoreError> {
-        let n_sensors = self.chip.sensor_bank().len();
-        if envelopes.len() < n_sensors {
-            return Err(CoreError::InvalidParameter {
-                what: "atlas baseline is missing sensors",
-            });
-        }
+        self.check_sensor_rows(envelopes)?;
         let rows: Vec<Vec<f64>> = emitters
             .iter()
             .map(|e| self.coupling_row(&e.site))
@@ -351,109 +335,6 @@ impl<'c> PlacementSweep<'c> {
         Ok(SensedArray {
             spectra,
             components,
-        })
-    }
-
-    /// Runs one placement end to end: derive the coupling row, acquire
-    /// all 16 sensors with the emitter superposed, detect emergent
-    /// components against `baseline` and its `envelopes` (precomputed
-    /// once per baseline via
-    /// [`baseline_envelopes`](Self::baseline_envelopes)), localize at the
-    /// common line, and score the error in µm against the true position.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::Layout`] for an off-die site;
-    /// [`CoreError::InvalidParameter`] when `baseline` or `envelopes` is
-    /// missing sensors; acquisition/DSP errors otherwise. A quiet emitter
-    /// (zero drive) is *not* an error — it reports `detected: false`
-    /// with no localization.
-    pub fn evaluate_enveloped_with(
-        &self,
-        ctx: &mut AcqContext<'_>,
-        scenario: &Scenario,
-        emitter: &SyntheticEmitter,
-        baseline: &Baseline,
-        envelopes: &[Vec<f64>],
-    ) -> Result<PlacementOutcome, CoreError> {
-        let n_sensors = self.chip.sensor_bank().len();
-        if baseline.per_sensor_db.len() < n_sensors || envelopes.len() < n_sensors {
-            return Err(CoreError::InvalidParameter {
-                what: "atlas baseline is missing sensors",
-            });
-        }
-
-        // Stage 1: per-sensor spectra with the emitter superposed, and
-        // their emergent components over the baseline envelope. The
-        // single placement is a one-element set through the general
-        // multi-emitter sensing path (bit-identical by construction).
-        let SensedArray {
-            spectra,
-            components,
-        } = self.sense_emitters_with(ctx, scenario, std::slice::from_ref(emitter), envelopes)?;
-
-        let true_pos = emitter.site.center;
-        let nearest_sensor_um = self
-            .sensor_centers
-            .iter()
-            .map(|c| c.distance_to(true_pos))
-            .fold(f64::INFINITY, f64::min);
-        let top_excess_db = components
-            .iter()
-            .flatten()
-            .map(|&(_, e)| e)
-            .fold(0.0f64, f64::max);
-        let detected = components.iter().any(|c| !c.is_empty());
-        if !detected {
-            return Ok(PlacementOutcome {
-                true_x_um: true_pos.x,
-                true_y_um: true_pos.y,
-                detected: false,
-                predicted_sensor: None,
-                error_um: None,
-                centroid_error_um: None,
-                nearest_sensor_um,
-                top_excess_db,
-                prominent_freq_hz: None,
-            });
-        }
-
-        // Stage 2: the common emergent line — the component nearest the
-        // 48 MHz sideband family when one lies within ±5 MHz, else the
-        // globally strongest (the shared rule of `localize`).
-        let all: Vec<(usize, f64)> = components.iter().flatten().copied().collect();
-        let line_bin = localize::pick_common_line(&all, |t| self.bin_hz(t.0), |t| t.1)
-            .expect("detected implies a component")
-            .0;
-
-        // Stage 3: rank sensors by absolute amplitude excess at the
-        // common line (raw baseline subtraction, as in the analyzer) and
-        // score the localization error in µm.
-        let mut amplitudes = Vec::with_capacity(n_sensors);
-        for (spec, base) in spectra.iter().zip(&baseline.per_sensor_db) {
-            amplitudes.push(localize::amplitude_excess_at_line(spec, base, line_bin));
-        }
-        let predicted = amplitudes
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.total_cmp(b.1))
-            .map(|(i, _)| i)
-            .expect("sensor bank is non-empty");
-        let error_um = self.sensor_centers[predicted].distance_to(true_pos);
-
-        let centroid_error_um = localize::amplitude_centroid(&amplitudes, &self.sensor_centers)
-            .map(|c| c.distance_to(true_pos));
-
-        Ok(PlacementOutcome {
-            true_x_um: true_pos.x,
-            true_y_um: true_pos.y,
-            detected: true,
-            predicted_sensor: Some(predicted),
-            error_um: Some(error_um),
-            centroid_error_um,
-            nearest_sensor_um,
-            top_excess_db,
-            prominent_freq_hz: Some(self.bin_hz(line_bin)),
         })
     }
 }

@@ -39,5 +39,5 @@ pub use event::{MonitorEvent, MonitorEventKind};
 pub use report::MonitorReport;
 pub use schedule::{ActivationSchedule, ScheduleChange, ScheduleStep};
 pub use session::Monitor;
-pub use sliding::{LaneObservation, SlidingConfig, SlidingDetector};
+pub use sliding::{AlarmLatch, LaneObservation, SlidingConfig, SlidingDetector};
 pub use stream::StreamSource;

@@ -68,9 +68,52 @@ struct Lane {
     /// pulls, averaged in dB each tick.
     rows: SlidingSpectrum,
     base_env: Vec<f64>,
+    latch: AlarmLatch,
+    quiet_since_recalib: usize,
+}
+
+/// The alarm state machine of one watched stream: a hit raises the
+/// alarm, and `clear_after_quiet` consecutive quiet ticks clear it.
+/// Shared by the [`SlidingDetector`] lanes and the fleet's per-chip
+/// lanes.
+#[derive(Debug, Clone)]
+pub struct AlarmLatch {
+    clear_after_quiet: usize,
     alarmed: bool,
     quiet_ticks: usize,
-    quiet_since_recalib: usize,
+}
+
+impl AlarmLatch {
+    /// A quiet latch that clears after `clear_after_quiet` consecutive
+    /// quiet ticks.
+    pub fn new(clear_after_quiet: usize) -> Self {
+        AlarmLatch {
+            clear_after_quiet,
+            alarmed: false,
+            quiet_ticks: 0,
+        }
+    }
+
+    /// Whether the alarm is standing.
+    pub fn alarmed(&self) -> bool {
+        self.alarmed
+    }
+
+    /// Advances one tick on whether it `hit`; returns whether the tick
+    /// raised (a hit) or cleared (no hit) the alarm.
+    pub fn update(&mut self, hit: bool) -> bool {
+        if hit {
+            self.quiet_ticks = 0;
+            let raised = !self.alarmed;
+            self.alarmed = true;
+            raised
+        } else {
+            self.quiet_ticks += 1;
+            let cleared = self.alarmed && self.quiet_ticks >= self.clear_after_quiet;
+            self.alarmed &= !cleared;
+            cleared
+        }
+    }
 }
 
 /// What one lane saw during one stream tick.
@@ -110,7 +153,8 @@ impl SlidingDetector {
     /// # Errors
     ///
     /// [`CoreError::InvalidParameter`] when `sensors` is empty, the
-    /// window is zero, or the baseline lacks a watched sensor.
+    /// window is zero, or the baseline lacks a watched sensor or holds
+    /// it at another resolution than a stream record's spectrum.
     pub fn new(
         baseline: &Baseline,
         sensors: &[usize],
@@ -131,23 +175,23 @@ impl SlidingDetector {
                 what: "warm-fill minimum exceeds the rolling window depth",
             });
         }
+        let bins = psa_dsp::fft::one_sided_len(calib::RECORD_CYCLES * calib::SAMPLES_PER_CYCLE);
         let lanes = sensors
             .iter()
             .map(|&sensor| {
-                let base =
-                    baseline
-                        .per_sensor_db
-                        .get(sensor)
-                        .ok_or(CoreError::InvalidParameter {
-                            what: "baseline missing monitored sensor",
-                        })?;
+                let base = baseline
+                    .per_sensor_db
+                    .get(sensor)
+                    .filter(|row| row.len() == bins)
+                    .ok_or(CoreError::InvalidParameter {
+                        what: "baseline missing monitored sensor or not at full resolution",
+                    })?;
                 Ok(Lane {
                     sensor,
                     fresh: TraceSet::default(),
                     rows: SlidingSpectrum::new(config.window_records)?,
                     base_env: peak::local_max_envelope(base, config.envelope_half_window),
-                    alarmed: false,
-                    quiet_ticks: 0,
+                    latch: AlarmLatch::new(config.clear_after_quiet),
                     quiet_since_recalib: 0,
                 })
             })
@@ -172,7 +216,7 @@ impl SlidingDetector {
 
     /// Whether any lane currently holds a standing alarm.
     pub fn any_alarmed(&self) -> bool {
-        self.lanes.iter().any(|l| l.alarmed)
+        self.lanes.iter().any(|l| l.latch.alarmed())
     }
 
     /// Processes one stream tick for lane `lane_idx`: pull the record,
@@ -235,24 +279,17 @@ impl SlidingDetector {
             top_excess_db: 0.0,
             spec: Vec::new(),
         };
+        let flipped = lane.latch.update(obs.hit);
         if let Some((bin, excess)) = top_hit(&hits) {
-            lane.quiet_ticks = 0;
             lane.quiet_since_recalib = 0;
             obs.top_bin = Some(bin);
             obs.top_excess_db = excess;
-            if !lane.alarmed {
-                lane.alarmed = true;
-                obs.newly_alarmed = true;
-            }
+            obs.newly_alarmed = flipped;
         } else {
-            lane.quiet_ticks += 1;
             lane.quiet_since_recalib += 1;
-            if lane.alarmed && lane.quiet_ticks >= self.config.clear_after_quiet {
-                lane.alarmed = false;
-                obs.cleared = true;
-            }
+            obs.cleared = flipped;
             if let Some(every) = self.config.recalibrate_after {
-                if !lane.alarmed && lane.quiet_since_recalib >= every {
+                if !lane.latch.alarmed() && lane.quiet_since_recalib >= every {
                     lane.base_env =
                         peak::local_max_envelope(&spec, self.config.envelope_half_window);
                     lane.quiet_since_recalib = 0;
@@ -304,8 +341,9 @@ mod tests {
 
     #[test]
     fn rejects_empty_sensor_list_and_zero_window() {
+        let bins = psa_dsp::fft::one_sided_len(calib::RECORD_CYCLES * calib::SAMPLES_PER_CYCLE);
         let baseline = Baseline {
-            per_sensor_db: vec![vec![0.0; 8]],
+            per_sensor_db: vec![vec![0.0; bins], vec![0.0; 8]],
         };
         assert!(SlidingDetector::new(&baseline, &[], SlidingConfig::default()).is_err());
         let bad = SlidingConfig {
@@ -319,10 +357,28 @@ mod tests {
         };
         assert!(SlidingDetector::new(&baseline, &[0], bad_fill).is_err());
         assert!(SlidingDetector::new(&baseline, &[3], SlidingConfig::default()).is_err());
+        // A row of another record length: bin k would be another
+        // frequency than the stream spectrum's bin k.
+        assert!(SlidingDetector::new(&baseline, &[1], SlidingConfig::default()).is_err());
         let ok = SlidingDetector::new(&baseline, &[0], SlidingConfig::default()).unwrap();
         assert_eq!(ok.lanes(), 1);
         assert_eq!(ok.sensors(), vec![0]);
         assert!(!ok.any_alarmed());
+    }
+
+    #[test]
+    fn alarm_latch_raises_once_and_clears_after_a_quiet_run() {
+        let mut latch = AlarmLatch::new(2);
+        assert!(latch.update(true), "a hit raises");
+        assert!(!latch.update(true), "a standing alarm is not raised again");
+        // A hit inside the quiet run restarts it.
+        assert!(!latch.update(false));
+        assert!(!latch.update(true));
+        assert!(!latch.update(false));
+        assert!(latch.alarmed());
+        assert!(latch.update(false), "two quiet ticks clear");
+        assert!(!latch.alarmed());
+        assert!(!latch.update(false), "quiet while clear changes nothing");
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Hypothesis-based **joint localization** of multiple concurrent
-//! emitters — the multi-source generalization of the placement atlas.
+//! emitters, and of one: the placement atlas runs one-emitter sets
+//! through the same localizer.
 //!
 //! The paper's run-time threat model does not promise a single Trojan:
 //! colluding payloads, decoy emitters, or one source masking another
@@ -39,11 +40,10 @@
 //!
 //! The number of iterations *is* the estimated source count; a quiet
 //! tuple (zero drive) produces no emergent components and therefore
-//! zero sources — no false alarms by construction. With a one-element
-//! emitter set, stage 1 is bit-identical to the atlas evaluation and
-//! the first iteration's anchor sensor, measured amplitude vector, and
-//! array centroid reproduce [`PlacementSweep`]'s single-source outcome
-//! bit for bit (pinned by the workspace seam tests).
+//! zero sources — no false alarms by construction. The placement atlas
+//! is this localizer on one-element emitter sets: the first source's
+//! anchor sensor is its predicted sensor and the measured amplitude
+//! vector's centroid its refinement.
 //!
 //! Predicted and true source sets are scored Localection-style by
 //! [`score_sources`]: greedy distance matching into per-source error,
@@ -61,7 +61,7 @@ use psa_layout::Point;
 /// Configuration of the joint localizer.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MultiLocConfig {
-    /// The sensing configuration shared with the single-source atlas.
+    /// The sensing configuration (record length, threshold, envelope).
     pub sweep: PlacementSweepConfig,
     /// Hypothesis candidate sites per die side (`H` → `H × H` grid).
     pub hypothesis_grid: usize,
@@ -127,7 +127,7 @@ pub struct SourceEstimate {
     /// See [`refined_x_um`](Self::refined_x_um).
     pub refined_y_um: f64,
     /// Anchor sensor: the strongest residual sensor at extraction time
-    /// (for a single source this is the atlas's predicted sensor).
+    /// (the first source's is the atlas's predicted sensor).
     pub sensor: usize,
     /// Matched amplitude along the candidate's unit signature, V.
     pub amplitude_v: f64,
@@ -146,8 +146,7 @@ pub struct JointOutcome {
     /// Recovered sources, strongest first (extraction order).
     pub sources: Vec<SourceEstimate>,
     /// Amplitude-weighted centroid of the *measured* per-sensor
-    /// amplitude vector, µm — for a single source this is exactly the
-    /// atlas's centroid refinement.
+    /// amplitude vector, µm — the atlas's centroid refinement.
     pub centroid_um: Option<(f64, f64)>,
     /// Strongest emergent excess over baseline across the array, dB.
     pub top_excess_db: f64,
@@ -222,8 +221,8 @@ impl<'c> MultiLocalizer<'c> {
         &self.config
     }
 
-    /// The shared sensing engine (baseline learning, envelopes, coupling
-    /// rows) — the same object the single-source atlas drives.
+    /// The sensing engine (baseline learning, envelopes, coupling rows,
+    /// sensor geometry).
     pub fn sweep(&self) -> &PlacementSweep<'c> {
         &self.sweep
     }
@@ -240,10 +239,11 @@ impl<'c> MultiLocalizer<'c> {
     ///
     /// # Errors
     ///
-    /// [`CoreError::InvalidParameter`] when the reference emitter goes
-    /// undetected or couples with non-positive matched amplitude (a
-    /// mis-set threshold or broken baseline); acquisition errors
-    /// otherwise.
+    /// [`CoreError::InvalidParameter`] when `baseline`/`envelopes` miss
+    /// sensors or hold rows of another record length, or when the
+    /// reference emitter goes undetected or couples with non-positive
+    /// matched amplitude (a mis-set threshold or broken baseline);
+    /// acquisition errors otherwise.
     pub fn calibrate_with(
         &self,
         ctx: &mut AcqContext<'_>,
@@ -251,6 +251,7 @@ impl<'c> MultiLocalizer<'c> {
         baseline: &Baseline,
         envelopes: &[Vec<f64>],
     ) -> Result<Calibration, CoreError> {
+        self.sweep.check_sensor_rows(&baseline.per_sensor_db)?;
         let die = self.sweep.chip().floorplan().die();
         let outline = die.outline();
         let center = Point::new(
@@ -300,8 +301,9 @@ impl<'c> MultiLocalizer<'c> {
     ///
     /// [`CoreError::Layout`] when a site is off-die or the tuple
     /// violates the configured minimum separation;
-    /// [`CoreError::InvalidParameter`] when `baseline`/`envelopes` are
-    /// missing sensors; acquisition/DSP errors otherwise. Quiet
+    /// [`CoreError::InvalidParameter`] when `baseline`/`envelopes` miss
+    /// sensors or hold rows of another record length; acquisition/DSP
+    /// errors otherwise. Quiet
     /// emitters (zero drive) are *not* an error — they report
     /// `detected: false` with zero sources.
     pub fn localize_with(
@@ -313,12 +315,8 @@ impl<'c> MultiLocalizer<'c> {
         envelopes: &[Vec<f64>],
         calibration: Option<&Calibration>,
     ) -> Result<JointOutcome, CoreError> {
+        self.sweep.check_sensor_rows(&baseline.per_sensor_db)?;
         let n_sensors = self.sweep.chip().sensor_bank().len();
-        if baseline.per_sensor_db.len() < n_sensors || envelopes.len() < n_sensors {
-            return Err(CoreError::InvalidParameter {
-                what: "joint localizer baseline is missing sensors",
-            });
-        }
         let sites: Vec<EmitterSite> = emitters.iter().map(|e| e.site).collect();
         validate_separation(&sites, self.config.min_separation_um)?;
 
@@ -454,8 +452,7 @@ fn common_line(sweep: &PlacementSweep<'_>, sensed: &SensedArray) -> Option<(usiz
     localize::pick_common_line(&all, |t| sweep.bin_hz(t.0), |t| t.1).copied()
 }
 
-/// Per-sensor measured amplitude-excess vector at the common line —
-/// identical arithmetic (and bits) to the atlas's stage-3 ranking.
+/// Per-sensor measured amplitude-excess vector at the common line.
 fn measured_amplitudes(sensed: &SensedArray, baseline: &Baseline, line_bin: usize) -> Vec<f64> {
     sensed
         .spectra
@@ -671,7 +668,7 @@ mod tests {
         assert!(detection_floor_at_line(&env, &base, 8.0, 100).is_infinite());
     }
 
-    // Chip-bound behaviour (K=1 bit-agreement with the atlas, zero
+    // Chip-bound behaviour (one emitter at a sensor centre, zero
     // drive, K ∈ {2,3} recovery, worker invariance) is covered by the
     // workspace integration tests, which share the expensive chip build.
 }

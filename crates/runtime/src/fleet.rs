@@ -37,7 +37,7 @@ use psa_core::acquisition::{AcqContext, TraceSet};
 use psa_core::calib;
 use psa_core::chip::{ChipVariation, SensorSelect, TestChip};
 use psa_core::error::CoreError;
-use psa_core::monitor::ActivationSchedule;
+use psa_core::monitor::{ActivationSchedule, AlarmLatch};
 use psa_core::mttd::MonitorTiming;
 use psa_core::scenario::Scenario;
 use psa_dsp::peak;
@@ -322,8 +322,7 @@ struct Lane {
     schedule: ActivationSchedule,
     rows: SlidingSpectrum,
     base_env: Vec<f64>,
-    alarmed: bool,
-    quiet: usize,
+    latch: AlarmLatch,
     outcome: ChipOutcome,
 }
 
@@ -558,8 +557,7 @@ impl<'c> Fleet<'c> {
                 variation: self.variation(c),
                 rows: SlidingSpectrum::new(cfg.window_records)?,
                 base_env: peak::local_max_envelope(baselines.chip_db(c), cfg.envelope_half_window),
-                alarmed: false,
-                quiet: 0,
+                latch: AlarmLatch::new(cfg.clear_after_quiet),
                 outcome: ChipOutcome {
                     chip: c,
                     infected,
@@ -589,25 +587,19 @@ impl<'c> Fleet<'c> {
                 }
                 lane.rows.averaged_db_into(&mut spec)?;
                 let hits = peak::excess_over_baseline_db(&spec, &lane.base_env, cfg.threshold_db);
+                let hit = !hits.is_empty();
+                let flipped = lane.latch.update(hit);
                 let active = lane.schedule.trojan_active_at(r);
-                if hits.is_empty() {
-                    lane.quiet += 1;
-                    if lane.alarmed && lane.quiet >= cfg.clear_after_quiet {
-                        lane.alarmed = false;
-                        lane.outcome.clears += 1;
-                    }
-                } else {
-                    lane.quiet = 0;
+                if hit {
                     if active && lane.outcome.detect_record.is_none() {
                         lane.outcome.detect_record = Some(r);
                     }
-                    if !lane.alarmed {
-                        lane.alarmed = true;
+                    if flipped {
                         lane.outcome.alarms += 1;
-                        if !active {
-                            lane.outcome.false_alarms += 1;
-                        }
+                        lane.outcome.false_alarms += usize::from(!active);
                     }
+                } else if flipped {
+                    lane.outcome.clears += 1;
                 }
             }
         }

@@ -27,11 +27,11 @@
 //!   [`ScoredDetector`](psa_core::detector::ScoredDetector) × seed
 //!   score fan-outs, swept over decision thresholds into per-Trojan
 //!   ROC curves with trapezoid AUC.
-//! * [`atlas`] — localization-accuracy atlas campaigns: synthetic-
-//!   Trojan placements × VDD/temp corners × seeds fanned across
-//!   workers, with per-corner baselines learned in parallel first.
+//! * [`atlas`] — the VDD/temperature corners the localization
+//!   campaigns run at.
 //! * [`multiloc`] — joint-localization campaigns: K-emitter placement
-//!   tuples × VDD/temp corners × seeds through the joint
+//!   tuples (one-emitter tuples for the localization-accuracy atlas) ×
+//!   VDD/temp corners × seeds through the joint
 //!   [`MultiLocalizer`](psa_core::multiloc::MultiLocalizer), with
 //!   per-corner baselines and amplitude-to-drive calibrations learned
 //!   in parallel first and every outcome scored Localection-style
@@ -76,7 +76,7 @@ pub mod monitor;
 pub mod multiloc;
 pub mod progsearch;
 
-pub use atlas::{AtlasCampaign, AtlasCorner, AtlasJob, AtlasOutcome};
+pub use atlas::AtlasCorner;
 pub use bakeoff::{Bakeoff, BakeoffCell, BakeoffConfig, BakeoffReport, RocSummary};
 pub use campaign::{AcquireJob, Campaign};
 pub use engine::Engine;

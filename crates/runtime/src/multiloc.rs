@@ -2,19 +2,21 @@
 //! (K × tuples × VDD/temp corners × seeds) across the engine.
 //!
 //! A [`MultilocJob`] is one **tuple** of concurrently active synthetic
-//! emitters evaluated at one operating corner. The campaign reuses the
-//! atlas's corner machinery ([`AtlasCorner`]): it first learns each
-//! corner's 16-sensor baseline in parallel (one engine job per corner),
+//! emitters evaluated at one operating corner ([`AtlasCorner`]); the
+//! localization atlas is the campaign on one-element tuples. The
+//! campaign first learns each corner's 16-sensor baseline *at that
+//! corner* (run-time baseline learning happens in-situ, so a drifted
+//! supply drifts the baseline with it), one engine job per corner,
 //! precomputes the detection envelopes, and measures each corner's
 //! amplitude-to-drive [`Calibration`] by injecting a known reference
-//! emitter — then fans the tuple evaluations. Every job is a pure function of its
-//! description (the scenario seed folds [`placement_seed`] over the
-//! tuple's sites, so a one-element tuple replays the exact atlas seed),
-//! and results collect in submission order: the campaign's output is
-//! **byte-identical at any worker count**, which the `multi_localize`
-//! binary's CI determinism gate `cmp`s directly.
+//! emitter — then fans the tuple evaluations. Every job is a pure
+//! function of its description (the scenario seed folds
+//! [`placement_seed`] over the tuple's sites), and results collect in
+//! submission order: the campaign's output is **byte-identical at any
+//! worker count**, which the `multi_localize` and `localize_atlas`
+//! binaries' CI determinism gates `cmp` directly.
 
-use crate::atlas::{AtlasCorner, CornerBaselines};
+use crate::atlas::AtlasCorner;
 use crate::campaign::Campaign;
 use crate::engine::Engine;
 use psa_core::atlas::{placement_seed, SyntheticEmitter};
@@ -34,9 +36,8 @@ pub fn calibration_seed(base_seed: u64) -> u64 {
 }
 
 /// The evaluation seed of a placement tuple: the corner's base seed
-/// folded through [`placement_seed`] over the tuple's sites in order.
-/// A one-element tuple therefore replays the single-placement atlas
-/// seed exactly — the K=1 seam the workspace tests pin bit for bit.
+/// folded through [`placement_seed`] over the tuple's sites in order,
+/// so a one-element tuple runs under that site's placement seed.
 pub fn tuple_seed(base_seed: u64, emitters: &[SyntheticEmitter]) -> u64 {
     emitters
         .iter()
@@ -89,14 +90,21 @@ pub struct MultilocCampaign<'c> {
     campaign: Campaign<'c>,
     localizer: MultiLocalizer<'c>,
     corners: Vec<AtlasCorner>,
-    learned: CornerBaselines,
+    baselines: Vec<Baseline>,
+    /// Per-corner local-max envelopes of the baselines, computed once
+    /// instead of once per tuple.
+    envelopes: Vec<Vec<Vec<f64>>>,
     calibrations: Vec<Calibration>,
 }
 
 impl<'c> MultilocCampaign<'c> {
     /// Builds the localizer, learns every corner's baseline in parallel
     /// and calibrates every corner's instrument constant (one engine job
-    /// per corner for each).
+    /// per corner for each). A baseline job runs one 16-sensor sweep
+    /// ([`PlacementSweep::learn_baseline_with`]), so the chip half of a
+    /// record is simulated once per corner instead of once per sensor.
+    ///
+    /// [`PlacementSweep::learn_baseline_with`]: psa_core::atlas::PlacementSweep::learn_baseline_with
     ///
     /// # Errors
     ///
@@ -116,19 +124,24 @@ impl<'c> MultilocCampaign<'c> {
         }
         let campaign = Campaign::new(chip, engine);
         let localizer = MultiLocalizer::new(chip, config)?;
-        let learned = CornerBaselines::learn(&campaign, localizer.sweep(), &corners)?;
+        let sweep = localizer.sweep();
         let corner_idx: Vec<usize> = (0..corners.len()).collect();
+        let baselines = campaign
+            .run(&corner_idx, |ctx, _, &c| {
+                sweep.learn_baseline_with(ctx, &corners[c].scenario())
+            })
+            .into_iter()
+            .collect::<Result<Vec<_>, _>>()?;
+        let envelopes: Vec<_> = baselines
+            .iter()
+            .map(|b| sweep.baseline_envelopes(b))
+            .collect();
         let calibrations = campaign
             .run(&corner_idx, |ctx, _, &c| {
                 let scenario = corners[c]
                     .scenario()
                     .with_seed(calibration_seed(corners[c].seed));
-                localizer.calibrate_with(
-                    ctx,
-                    &scenario,
-                    &learned.baselines[c],
-                    &learned.envelopes[c],
-                )
+                localizer.calibrate_with(ctx, &scenario, &baselines[c], &envelopes[c])
             })
             .into_iter()
             .collect::<Result<Vec<_>, _>>()?;
@@ -136,7 +149,8 @@ impl<'c> MultilocCampaign<'c> {
             campaign,
             localizer,
             corners,
-            learned,
+            baselines,
+            envelopes,
             calibrations,
         })
     }
@@ -153,7 +167,7 @@ impl<'c> MultilocCampaign<'c> {
 
     /// A corner's learned baseline.
     pub fn baseline(&self, corner: usize) -> Option<&Baseline> {
-        self.learned.baselines.get(corner)
+        self.baselines.get(corner)
     }
 
     /// A corner's measured amplitude-to-drive calibration.
@@ -190,8 +204,8 @@ impl<'c> MultilocCampaign<'c> {
                         ctx,
                         &scenario,
                         &job.emitters,
-                        &self.learned.baselines[job.corner],
-                        &self.learned.envelopes[job.corner],
+                        &self.baselines[job.corner],
+                        &self.envelopes[job.corner],
                         Some(&self.calibrations[job.corner]),
                     )
                     .map(|outcome| {
@@ -221,7 +235,7 @@ mod tests {
     use psa_layout::Point;
 
     #[test]
-    fn tuple_seed_folds_and_matches_atlas_for_singletons() {
+    fn tuple_seed_folds_placement_seeds() {
         let a = EmitterSite::new(Point::new(100.0, 200.0), 40.0);
         let b = EmitterSite::new(Point::new(700.0, 600.0), 40.0);
         let single = MultilocJob::reference(&[a], 0);
@@ -256,6 +270,6 @@ mod tests {
     }
 
     // Chip-bound campaign behaviour (baseline + calibration learning,
-    // worker-count invariance, K=1 atlas seam) is covered by the
-    // workspace integration tests.
+    // worker-count invariance, corner and tuple validation) is covered
+    // by the workspace integration tests.
 }

@@ -36,8 +36,9 @@
 //!   programmings via `SensorSelect::Custom`, scored by measured
 //!   detection SNR).
 //! * [`runtime`] — the parallel campaign engine: batched multi-core
-//!   acquisition/detection jobs, whole monitor sessions, atlas
-//!   placement campaigns, K-emitter joint-localization campaigns, and
+//!   acquisition/detection jobs, whole monitor sessions, K-emitter
+//!   joint-localization campaigns (the atlas's placements are the
+//!   one-emitter case), and
 //!   deterministic programming-search beam campaigns with
 //!   serial-identical output (`--jobs`/`PSA_JOBS`).
 //!

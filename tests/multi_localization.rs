@@ -1,13 +1,13 @@
-//! Integration: multi-emitter joint localization — the refactor seam
-//! between the single-source atlas and the successive-cancellation
-//! localizer. Pins the K=1 bit-agreement contract, the zero-drive
-//! no-source path, K∈{2,3} recovery of count/location/power, tuple
-//! validation, and the engine-level invariant: a joint-localization
-//! campaign's outcomes are identical at any worker count.
+//! Integration: multi-emitter joint localization by successive
+//! cancellation. Pins the zero-drive no-source path, K∈{2,3} recovery
+//! of count/location/power, baseline and tuple validation, and the
+//! engine-level invariant: a joint-localization campaign's outcomes
+//! are identical at any worker count.
 
 use psa_repro::core::acquisition::AcqContext;
 use psa_repro::core::atlas::{PlacementSweepConfig, SyntheticEmitter};
 use psa_repro::core::chip::TestChip;
+use psa_repro::core::cross_domain::Baseline;
 use psa_repro::core::error::CoreError;
 use psa_repro::core::multiloc::{score_sources, MultiLocConfig, MultiLocalizer};
 use psa_repro::gatesim::synth::SyntheticTrojan;
@@ -39,51 +39,6 @@ fn emitter_at(x: f64, y: f64, drive_cells: f64) -> SyntheticEmitter {
         trojan: SyntheticTrojan::am_reference(drive_cells),
         ..SyntheticEmitter::reference_at(EmitterSite::new(Point::new(x, y), 40.0))
     }
-}
-
-#[test]
-fn k1_bit_agrees_with_the_single_source_atlas() {
-    let localizer = MultiLocalizer::new(chip(), fast_config()).expect("localizer builds");
-    let corner = AtlasCorner::new("nominal", 1.0, 25.0, 0xA71A);
-    let mut ctx = AcqContext::new(chip());
-    let baseline = localizer
-        .sweep()
-        .learn_baseline_with(&mut ctx, &corner.scenario())
-        .expect("baseline learns");
-    let envelopes = localizer.sweep().baseline_envelopes(&baseline);
-
-    let emitter = SyntheticEmitter::reference_at(EmitterSite::new(Point::new(300.0, 300.0), 40.0));
-    let scenario = corner.scenario().with_seed(0x7E57);
-    let atlas = localizer
-        .sweep()
-        .evaluate_enveloped_with(&mut ctx, &scenario, &emitter, &baseline, &envelopes)
-        .expect("atlas evaluation runs");
-    let joint = localizer
-        .localize_with(
-            &mut ctx,
-            &scenario,
-            std::slice::from_ref(&emitter),
-            &baseline,
-            &envelopes,
-            None,
-        )
-        .expect("joint localization runs");
-
-    assert!(atlas.detected && joint.detected);
-    // The K=1 seam is bitwise, not approximate: same sensing path, same
-    // shared `localize` helpers, so every shared figure must match to
-    // the last bit.
-    assert_eq!(joint.prominent_freq_hz, atlas.prominent_freq_hz);
-    assert_eq!(joint.sources.len(), 1, "one emitter, one source");
-    assert_eq!(Some(joint.sources[0].sensor), atlas.predicted_sensor);
-    let (cx, cy) = joint.centroid_um.expect("detected implies a centroid");
-    let centroid_error = Point::new(cx, cy).distance_to(emitter.site.center);
-    assert_eq!(Some(centroid_error), atlas.centroid_error_um);
-    // And the matched hypothesis site stays within one grid cell of the
-    // truth (the site grid quantizes, so this bound is geometric).
-    let err =
-        Point::new(joint.sources[0].x_um, joint.sources[0].y_um).distance_to(emitter.site.center);
-    assert!(err < 125.0, "K=1 matched-site error {err} µm");
 }
 
 #[test]
@@ -251,4 +206,47 @@ fn campaigns_reject_bad_corners_and_tuples() {
 
     // No corners, no campaign.
     assert!(MultilocCampaign::new(chip(), Engine::new(1), fast_config(), Vec::new()).is_err());
+}
+
+#[test]
+fn baselines_of_another_record_length_are_rejected() {
+    let localizer = MultiLocalizer::new(chip(), fast_config()).expect("localizer builds");
+    let corner = AtlasCorner::new("nominal", 1.0, 25.0, 0xB1B5);
+    // Sec. VI-length (8192-cycle) rows handed to the 2048-cycle
+    // localizer: bin k would compare two different frequencies. Built
+    // directly, so the test acquires no baseline record.
+    let bins = psa_repro::dsp::fft::one_sided_len(
+        psa_repro::core::calib::RECORD_CYCLES * psa_repro::core::calib::SAMPLES_PER_CYCLE,
+    );
+    let n_sensors = chip().sensor_bank().len();
+    let long = Baseline {
+        per_sensor_db: vec![vec![-100.0; bins]; n_sensors],
+    };
+    let envelopes = localizer.sweep().baseline_envelopes(&long);
+    let emitters = [emitter_at(500.0, 500.0, 800.0)];
+    let mut ctx = AcqContext::new(chip());
+    let invalid = |r: Result<(), CoreError>| matches!(r, Err(CoreError::InvalidParameter { .. }));
+    assert!(invalid(
+        localizer
+            .localize_with(
+                &mut ctx,
+                &corner.scenario(),
+                &emitters,
+                &long,
+                &envelopes,
+                None
+            )
+            .map(drop)
+    ));
+    assert!(invalid(
+        localizer
+            .calibrate_with(&mut ctx, &corner.scenario(), &long, &envelopes)
+            .map(drop)
+    ));
+    assert!(invalid(
+        localizer
+            .sweep()
+            .sense_emitters_with(&mut ctx, &corner.scenario(), &emitters, &envelopes)
+            .map(drop)
+    ));
 }
