@@ -125,30 +125,14 @@ impl SpectrumAnalyzer {
     }
 
     /// Zero-span mode: the amplitude-vs-time trace of the component at
-    /// `center_hz` (Fig 5). Returns the envelope at the decimated rate.
+    /// `center_hz` (Fig 5), with an explicit resolution bandwidth so
+    /// measurements can reject close-in neighbours (identification uses
+    /// ~1 MHz). Returns the envelope at the decimated rate.
     ///
     /// # Errors
     ///
-    /// Propagates zero-span configuration errors (centre out of range)
-    /// and empty-input errors.
-    pub fn zero_span_trace(
-        &self,
-        record: &[f64],
-        fs_hz: f64,
-        center_hz: f64,
-    ) -> Result<Vec<f64>, AnalogError> {
-        let zs = ZeroSpan::new(center_hz, fs_hz)?;
-        Ok(zs.envelope_trimmed(record)?)
-    }
-
-    /// Zero-span with an explicit resolution bandwidth, for measurements
-    /// that must reject close-in neighbours (identification uses
-    /// ~1 MHz).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`zero_span_trace`](Self::zero_span_trace), plus an
-    /// invalid RBW.
+    /// Propagates zero-span configuration errors (centre out of range,
+    /// invalid RBW) and empty-input errors.
     pub fn zero_span_trace_rbw(
         &self,
         record: &[f64],
@@ -276,7 +260,9 @@ mod tests {
                 (1.0 + 0.5 * (2.0 * PI * 750.0e3 * t).sin()) * (2.0 * PI * 48.0e6 * t).cos()
             })
             .collect();
-        let env = sa.zero_span_trace(&x, FS, 48.0e6).unwrap();
+        let env = sa
+            .zero_span_trace_rbw(&x, FS, 48.0e6, ZeroSpan::DEFAULT_RBW_HZ)
+            .unwrap();
         let max = env.iter().cloned().fold(0.0, f64::max);
         let min = env.iter().cloned().fold(f64::INFINITY, f64::min);
         assert!((max - 1.5).abs() < 0.15, "max {max}");

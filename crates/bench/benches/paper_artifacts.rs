@@ -8,7 +8,7 @@
 
 use psa_bench::experiments;
 use psa_bench::harness::Harness;
-use psa_core::acquisition::Acquisition;
+use psa_core::acquisition::AcqContext;
 use psa_core::chip::{SensorSelect, TestChip};
 use psa_core::scenario::Scenario;
 use psa_dsp::window::Window;
@@ -33,43 +33,50 @@ fn bench_snr(h: &Harness) {
     let chip = chip();
     h.bench("snr_sensor10", || {
         std::hint::black_box(
-            psa_core::snr::measure_snr(chip, SensorSelect::Psa(10), 1, 7).unwrap(),
+            psa_core::snr::measure_snr_with(
+                &mut AcqContext::new(chip),
+                SensorSelect::Psa(10),
+                1,
+                7,
+            )
+            .unwrap(),
         );
     });
 }
 
 /// Table I's core cost: one cross-domain detection decision (single
-/// sensor watch, five traces) — the run-time monitor's inner loop.
+/// sensor watch, five traces) — the run-time monitor's inner loop, on a
+/// fresh context per decision.
 fn bench_table1(h: &Harness) {
     let chip = chip();
-    let acq = Acquisition::new(chip);
     let scenario = Scenario::trojan_active(psa_gatesim::trojan::TrojanKind::T4);
     h.bench("table1_detection_decision", || {
-        let traces = acq.acquire(&scenario, SensorSelect::Psa(10), 5).unwrap();
-        std::hint::black_box(acq.fullres_spectrum_db(&traces).unwrap());
+        let mut ctx = AcqContext::new(chip);
+        let traces = ctx.acquire(&scenario, SensorSelect::Psa(10), 5).unwrap();
+        std::hint::black_box(ctx.fullres_spectrum_db(&traces).unwrap());
     });
 }
 
-/// Fig 3: the averaged 2000-point display trace.
+/// Fig 3: the averaged 2000-point display trace, on a fresh context.
 fn bench_fig3(h: &Harness) {
     let chip = chip();
-    let acq = Acquisition::new(chip);
-    let scenario = Scenario::baseline();
-    let traces = acq.acquire(&scenario, SensorSelect::Psa(10), 5).unwrap();
+    let traces = AcqContext::new(chip)
+        .acquire(&Scenario::baseline(), SensorSelect::Psa(10), 5)
+        .unwrap();
     h.bench("fig3_display_trace", || {
-        std::hint::black_box(acq.spectrum_db(&traces).unwrap());
+        std::hint::black_box(AcqContext::new(chip).spectrum_db(&traces).unwrap());
     });
 }
 
-/// Fig 4: full-resolution spectrum of one acquired trace set.
+/// Fig 4: full-resolution spectrum of one acquired trace set, on a
+/// fresh context.
 fn bench_fig4(h: &Harness) {
     let chip = chip();
-    let acq = Acquisition::new(chip);
-    let traces = acq
+    let traces = AcqContext::new(chip)
         .acquire(&Scenario::baseline(), SensorSelect::Psa(10), 5)
         .unwrap();
     h.bench("fig4_fullres_spectrum", || {
-        std::hint::black_box(acq.fullres_spectrum_db(&traces).unwrap());
+        std::hint::black_box(AcqContext::new(chip).fullres_spectrum_db(&traces).unwrap());
     });
 }
 
@@ -103,14 +110,15 @@ fn bench_vt_sweep(h: &Harness) {
     });
 }
 
-/// Sec. VI-D: one MTTD monitor iteration (acquire one record + compare).
+/// Sec. VI-D: one MTTD monitor iteration (acquire one record + compare)
+/// on a fresh context.
 fn bench_mttd(h: &Harness) {
     let chip = chip();
-    let acq = Acquisition::new(chip);
     let scenario = Scenario::trojan_active(psa_gatesim::trojan::TrojanKind::T4);
     h.bench("mttd_monitor_iteration", || {
-        let traces = acq.acquire(&scenario, SensorSelect::Psa(10), 1).unwrap();
-        std::hint::black_box(acq.fullres_spectrum_db(&traces).unwrap());
+        let mut ctx = AcqContext::new(chip);
+        let traces = ctx.acquire(&scenario, SensorSelect::Psa(10), 1).unwrap();
+        std::hint::black_box(ctx.fullres_spectrum_db(&traces).unwrap());
     });
 }
 
@@ -157,9 +165,7 @@ fn bench_batch_paths(h: &Harness) {
         std::hint::black_box(&buf);
     });
 
-    let chip = chip();
-    let acq = Acquisition::new(chip);
-    let mut ctx = acq.context();
+    let mut ctx = AcqContext::new(chip());
     let scenario = Scenario::trojan_active(psa_gatesim::trojan::TrojanKind::T4);
     let mut traces = psa_core::acquisition::TraceSet::default();
     h.bench("table1_decision_ctx_reuse", || {

@@ -11,9 +11,11 @@ fn main() {
     // never a byte-compared artifact (see clippy.toml).
     #[allow(clippy::disallowed_methods)]
     let t0 = Instant::now();
+    let baseline = psa_runtime::Campaign::new(&chip, engine)
+        .learn_baseline(psa_bench::experiments::RUNTIME_BASELINE_SEED);
     print!(
         "{}",
-        psa_bench::experiments::mttd_table(&chip, &engine).render()
+        psa_bench::experiments::mttd_table_with(&chip, &engine, &baseline).render()
     );
     eprintln!(
         "[psa-runtime] mttd sweep: {} worker(s), wall {:.2} s",

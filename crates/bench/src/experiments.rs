@@ -515,7 +515,6 @@ pub fn fig5_panels_with(
     let campaign = Campaign::new(chip, *engine);
     let analyzer = match templates {
         Some(t) => CrossDomainAnalyzer::with_templates(
-            chip,
             psa_core::cross_domain::AnalyzerConfig::default(),
             t.clone(),
         ),
@@ -645,14 +644,8 @@ pub fn mttd_rows(
     })
 }
 
-/// Renders the MTTD table (plus the baseline-method latency context).
-pub fn mttd_table(chip: &TestChip, engine: &Engine) -> Table {
-    let campaign = Campaign::new(chip, *engine);
-    let baseline = campaign.learn_baseline(RUNTIME_BASELINE_SEED);
-    mttd_table_with(chip, engine, &baseline)
-}
-
-/// [`mttd_table`] against a pre-learned run-time baseline (seed
+/// Renders the MTTD table (plus the baseline-method latency context)
+/// against a pre-learned run-time baseline (seed
 /// [`RUNTIME_BASELINE_SEED`]).
 pub fn mttd_table_with(
     chip: &TestChip,

@@ -5,16 +5,12 @@
 //! coupling matrix, the analog chain amplifies and digitizes, and the
 //! spectrum-analyzer model renders 2000-point DC–120 MHz traces.
 //!
-//! Two entry points share the same pipeline:
-//!
-//! * [`Acquisition`] — the stateless borrowed-chip engine. Convenient,
-//!   but every call builds its scratch from scratch.
-//! * [`AcqContext`] — a reusable **per-worker context** owning all
-//!   scratch state (window coefficients, FFT plans, current/EMF/record
-//!   buffers). The campaign engine in `psa-runtime` gives each worker
-//!   thread one context; record after record then runs with no hot-path
-//!   allocations. Outputs are bit-identical to [`Acquisition`]'s, which
-//!   is what makes parallel campaigns byte-identical to serial ones.
+//! [`AcqContext`] is the one entry point: a reusable **per-worker
+//! context** owning all scratch state (window coefficients, FFT plans,
+//! current/EMF/record buffers). The campaign engine in `psa-runtime`
+//! gives each worker thread one context; record after record then runs
+//! with no hot-path allocations. One-shot callers build a context for
+//! the call with [`AcqContext::new`].
 //!
 //! Every record runs one body in two halves. The chip half (activity
 //! simulation, current synthesis, emitter toggles) depends only on the
@@ -148,9 +144,12 @@ impl Default for TraceSet {
 /// spectra. One context per worker thread; the shared [`TestChip`] is
 /// borrowed immutably (it is `Sync`).
 ///
-/// Results are **bit-identical** to the corresponding [`Acquisition`]
-/// methods and independent of what the context processed before — the
-/// contract the parallel campaign engine's determinism rests on.
+/// # Determinism
+///
+/// Results do not depend on what the context processed before: one
+/// context reused across calls produces bit for bit what a fresh
+/// [`AcqContext::new`] per call produces. The parallel campaign
+/// engine's determinism rests on this contract.
 ///
 /// # Buffer recycling
 ///
@@ -159,8 +158,8 @@ impl Default for TraceSet {
 /// record slots, flux/EMF scratch, and spectrum accumulators are all
 /// reused across calls. The `_into` variants are **required** on any
 /// per-record hot path — a monitor tick, a campaign job body, a
-/// detection trial — where the allocating convenience wrappers (e.g.
-/// [`Acquisition::acquire`]) would reallocate 65 536-sample buffers
+/// detection trial — where the allocating forms (e.g.
+/// [`acquire`](Self::acquire)) would reallocate 65 536-sample buffers
 /// thousands of times per sweep. One-shot callers (tests, examples,
 /// report rendering) can use the allocating forms freely; both produce
 /// bit-identical results.
@@ -216,11 +215,7 @@ const CUSTOM_CACHE_CAP: usize = 64;
 impl<'c> AcqContext<'c> {
     /// Creates a context with the paper's spectrum-analyzer settings.
     pub fn new(chip: &'c TestChip) -> Self {
-        Self::with_specan(chip, SpectrumAnalyzer::date24())
-    }
-
-    /// Creates a context with explicit spectrum-analyzer settings.
-    pub fn with_specan(chip: &'c TestChip, specan: SpectrumAnalyzer) -> Self {
+        let specan = SpectrumAnalyzer::date24();
         let display = specan.scratch();
         AcqContext {
             chip,
@@ -269,17 +264,13 @@ impl<'c> AcqContext<'c> {
         self.chip
     }
 
-    /// The spectrum-analyzer model in use.
-    pub fn specan(&self) -> &SpectrumAnalyzer {
-        &self.specan
-    }
-
     /// Acquires `n_records` consecutive records from `sensor` while the
     /// chip runs `scenario`, reusing `out`'s record buffers.
     ///
     /// # Errors
     ///
-    /// Same as [`Acquisition::acquire`].
+    /// Propagates configuration errors ([`CoreError`]) from the
+    /// coupling lookup or analog chain; `n_records == 0` is invalid.
     pub fn acquire_into(
         &mut self,
         scenario: &Scenario,
@@ -291,11 +282,14 @@ impl<'c> AcqContext<'c> {
     }
 
     /// [`acquire_into`](Self::acquire_into) with an explicit record
-    /// length in clock cycles.
+    /// length in clock cycles. The literature-baseline detectors use the
+    /// shorter records of their original setups (coarser RBW), which is
+    /// part of why they miss small Trojans.
     ///
     /// # Errors
     ///
-    /// Same as [`Acquisition::acquire_len`].
+    /// Same as [`acquire_into`](Self::acquire_into);
+    /// `record_cycles == 0` is invalid.
     pub fn acquire_len_into(
         &mut self,
         scenario: &Scenario,
@@ -489,7 +483,7 @@ impl<'c> AcqContext<'c> {
     ///
     /// # Errors
     ///
-    /// Same as [`Acquisition::acquire`].
+    /// Same as [`acquire_into`](Self::acquire_into).
     pub fn acquire(
         &mut self,
         scenario: &Scenario,
@@ -502,23 +496,26 @@ impl<'c> AcqContext<'c> {
     }
 
     /// Renders the averaged 2000-point display spectrum (dB) of a trace
-    /// set, reusing the display-window scratch.
+    /// set — one Fig 4 panel — reusing the display-window scratch.
     ///
     /// # Errors
     ///
-    /// Same as [`Acquisition::spectrum_db`].
+    /// Propagates spectrum errors for empty trace sets.
     pub fn spectrum_db(&mut self, traces: &TraceSet) -> Result<Vec<f64>, CoreError> {
         Ok(self
             .specan
             .averaged_trace_db_with(&mut self.display, &traces.records, traces.fs_hz)?)
     }
 
-    /// Full-FFT-resolution averaged amplitude spectrum in dB, reusing
-    /// the detector-window scratch.
+    /// Full-FFT-resolution averaged amplitude spectrum in dB (one value
+    /// per FFT bin up to Nyquist), reusing the detector-window scratch.
+    /// The *detector* works at this resolution; the 2000-point
+    /// [`spectrum_db`](Self::spectrum_db) trace is the human-facing
+    /// display.
     ///
     /// # Errors
     ///
-    /// Same as [`Acquisition::fullres_spectrum_db`].
+    /// [`CoreError::InvalidParameter`] for an empty trace set.
     pub fn fullres_spectrum_db(&mut self, traces: &TraceSet) -> Result<Vec<f64>, CoreError> {
         if traces.records.is_empty() {
             return Err(CoreError::InvalidParameter {
@@ -570,11 +567,13 @@ impl<'c> AcqContext<'c> {
         result
     }
 
-    /// Convenience: acquire and render the averaged display spectrum.
+    /// Convenience: acquire and render the averaged display spectrum,
+    /// using the paper's five-trace averaging.
     ///
     /// # Errors
     ///
-    /// Same as [`Acquisition::averaged_spectrum_db`].
+    /// Same as [`acquire_into`](Self::acquire_into) and
+    /// [`spectrum_db`](Self::spectrum_db).
     pub fn averaged_spectrum_db(
         &mut self,
         scenario: &Scenario,
@@ -602,37 +601,15 @@ impl<'c> AcqContext<'c> {
     }
 
     /// Zero-span envelope of `center_hz` over `n_records` concatenated
-    /// records, reusing the concatenation scratch.
+    /// records — one Fig 5 panel — with an explicit resolution
+    /// bandwidth (identification uses [`calib::IDENTIFY_RBW_HZ`] to
+    /// reject the 3 MHz family neighbour and the AES block-rate lines),
+    /// reusing the concatenation scratch.
     ///
     /// # Errors
     ///
-    /// Same as [`Acquisition::zero_span`].
-    pub fn zero_span(
-        &mut self,
-        scenario: &Scenario,
-        sensor: SensorSelect,
-        center_hz: f64,
-        n_records: usize,
-    ) -> Result<Vec<f64>, CoreError> {
-        let mut traces = std::mem::take(&mut self.traces);
-        let result = self
-            .acquire_into(scenario, sensor, n_records, &mut traces)
-            .and_then(|()| {
-                traces.concat_into(&mut self.concat);
-                Ok(self
-                    .specan
-                    .zero_span_trace(&self.concat, traces.fs_hz, center_hz)?)
-            });
-        self.traces = traces;
-        result
-    }
-
-    /// Zero-span with an explicit resolution bandwidth, reusing the
-    /// concatenation scratch.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Acquisition::zero_span_rbw`].
+    /// Same as [`acquire_into`](Self::acquire_into), plus zero-span
+    /// configuration errors.
     pub fn zero_span_rbw(
         &mut self,
         scenario: &Scenario,
@@ -655,164 +632,6 @@ impl<'c> AcqContext<'c> {
             });
         self.traces = traces;
         result
-    }
-}
-
-/// The acquisition engine bound to a chip.
-///
-/// Stateless and `Sync`; every method internally runs on a fresh
-/// [`AcqContext`], so scratch is still reused across the records of one
-/// call. Loops that issue many calls should hold their own context via
-/// [`context`](Self::context).
-#[derive(Debug, Clone)]
-pub struct Acquisition<'a> {
-    chip: &'a TestChip,
-    specan: SpectrumAnalyzer,
-}
-
-impl<'a> Acquisition<'a> {
-    /// Creates an engine with the paper's spectrum-analyzer settings.
-    pub fn new(chip: &'a TestChip) -> Self {
-        Acquisition {
-            chip,
-            specan: SpectrumAnalyzer::date24(),
-        }
-    }
-
-    /// The spectrum-analyzer model in use.
-    pub fn specan(&self) -> &SpectrumAnalyzer {
-        &self.specan
-    }
-
-    /// A reusable per-worker context bound to the same chip and
-    /// analyzer settings.
-    pub fn context(&self) -> AcqContext<'a> {
-        AcqContext::with_specan(self.chip, self.specan.clone())
-    }
-
-    /// Acquires `n_records` consecutive records from `sensor` while the
-    /// chip runs `scenario`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates configuration errors ([`CoreError`]) from the
-    /// coupling lookup or analog chain; `n_records == 0` is invalid.
-    pub fn acquire(
-        &self,
-        scenario: &Scenario,
-        sensor: SensorSelect,
-        n_records: usize,
-    ) -> Result<TraceSet, CoreError> {
-        self.acquire_len(scenario, sensor, n_records, calib::RECORD_CYCLES)
-    }
-
-    /// Like [`acquire`](Self::acquire) with an explicit record length in
-    /// clock cycles. The literature-baseline detectors use the shorter
-    /// records of their original setups (coarser RBW), which is part of
-    /// why they miss small Trojans.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`acquire`](Self::acquire); `record_cycles == 0` is
-    /// invalid.
-    pub fn acquire_len(
-        &self,
-        scenario: &Scenario,
-        sensor: SensorSelect,
-        n_records: usize,
-        record_cycles: usize,
-    ) -> Result<TraceSet, CoreError> {
-        let mut out = TraceSet::default();
-        self.context()
-            .acquire_len_into(scenario, sensor, n_records, record_cycles, &mut out)?;
-        Ok(out)
-    }
-
-    /// Renders the averaged 2000-point spectrum (dB) of a trace set —
-    /// one Fig 4 panel.
-    ///
-    /// # Errors
-    ///
-    /// Propagates spectrum errors for empty trace sets.
-    pub fn spectrum_db(&self, traces: &TraceSet) -> Result<Vec<f64>, CoreError> {
-        self.context().spectrum_db(traces)
-    }
-
-    /// Convenience: acquire and render the averaged spectrum in one
-    /// call, using the paper's five-trace averaging.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`acquire`](Self::acquire) and
-    /// [`spectrum_db`](Self::spectrum_db).
-    pub fn averaged_spectrum_db(
-        &self,
-        scenario: &Scenario,
-        sensor: SensorSelect,
-    ) -> Result<Vec<f64>, CoreError> {
-        self.context().averaged_spectrum_db(scenario, sensor)
-    }
-
-    /// Full-FFT-resolution averaged amplitude spectrum in dB (one value
-    /// per FFT bin up to Nyquist). The *detector* works at this
-    /// resolution; the 2000-point [`spectrum_db`](Self::spectrum_db)
-    /// trace is the human-facing display.
-    ///
-    /// # Errors
-    ///
-    /// Propagates spectrum errors for empty trace sets.
-    pub fn fullres_spectrum_db(&self, traces: &TraceSet) -> Result<Vec<f64>, CoreError> {
-        self.context().fullres_spectrum_db(traces)
-    }
-
-    /// Frequency of full-resolution bin `k` for the standard record
-    /// length.
-    pub fn fullres_bin_hz(&self, k: usize) -> f64 {
-        let n = calib::RECORD_CYCLES * calib::SAMPLES_PER_CYCLE;
-        psa_dsp::fft::bin_freq(k, n, calib::sample_rate_hz())
-    }
-
-    /// Closest full-resolution bin to a frequency.
-    pub fn fullres_freq_bin(&self, freq_hz: f64) -> usize {
-        let n = calib::RECORD_CYCLES * calib::SAMPLES_PER_CYCLE;
-        psa_dsp::fft::freq_bin(freq_hz, n, calib::sample_rate_hz())
-    }
-
-    /// Zero-span envelope of `center_hz` over `n_records` concatenated
-    /// records — one Fig 5 panel.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`acquire`](Self::acquire), plus zero-span configuration
-    /// errors.
-    pub fn zero_span(
-        &self,
-        scenario: &Scenario,
-        sensor: SensorSelect,
-        center_hz: f64,
-        n_records: usize,
-    ) -> Result<Vec<f64>, CoreError> {
-        self.context()
-            .zero_span(scenario, sensor, center_hz, n_records)
-    }
-
-    /// Zero-span with explicit resolution bandwidth (identification uses
-    /// [`calib::IDENTIFY_RBW_HZ`] to reject the 3 MHz family neighbour
-    /// and the AES block-rate lines).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`zero_span`](Self::zero_span).
-    pub fn zero_span_rbw(
-        &self,
-        scenario: &Scenario,
-        sensor: SensorSelect,
-        center_hz: f64,
-        rbw_hz: f64,
-        n_records: usize,
-    ) -> Result<Vec<f64>, CoreError> {
-        self.context()
-            .zero_span_rbw(scenario, sensor, center_hz, rbw_hz, n_records)
     }
 }
 
@@ -988,8 +807,7 @@ mod tests {
 
     #[test]
     fn acquires_requested_records() {
-        let acq = Acquisition::new(chip());
-        let t = acq
+        let t = AcqContext::new(chip())
             .acquire(&Scenario::baseline(), SensorSelect::Psa(10), 3)
             .unwrap();
         assert_eq!(t.len(), 3);
@@ -1005,8 +823,7 @@ mod tests {
 
     #[test]
     fn zero_records_invalid() {
-        let acq = Acquisition::new(chip());
-        assert!(acq
+        assert!(AcqContext::new(chip())
             .acquire(&Scenario::baseline(), SensorSelect::Psa(0), 0)
             .is_err());
     }
@@ -1305,11 +1122,11 @@ mod tests {
 
     #[test]
     fn signal_beats_noise_on_sensor10() {
-        let acq = Acquisition::new(chip());
-        let sig = acq
+        let mut ctx = AcqContext::new(chip());
+        let sig = ctx
             .acquire(&Scenario::baseline(), SensorSelect::Psa(10), 2)
             .unwrap();
-        let noise = acq
+        let noise = ctx
             .acquire(&Scenario::noise(), SensorSelect::Psa(10), 2)
             .unwrap();
         let snr = 20.0 * (sig.rms() / noise.rms()).log10();
@@ -1318,12 +1135,12 @@ mod tests {
 
     #[test]
     fn spectrum_has_clock_harmonics() {
-        let acq = Acquisition::new(chip());
-        let spec = acq
+        let mut ctx = AcqContext::new(chip());
+        let spec = ctx
             .averaged_spectrum_db(&Scenario::baseline(), SensorSelect::Psa(10))
             .unwrap();
         assert_eq!(spec.len(), 2000);
-        let sa = acq.specan();
+        let sa = SpectrumAnalyzer::date24();
         let at = |f: f64| spec[(f / sa.span_hz * (sa.trace_points - 1) as f64).round() as usize];
         // 33 MHz clock line well above the floor between harmonics.
         let clock = at(33.0e6);
@@ -1333,17 +1150,17 @@ mod tests {
 
     #[test]
     fn trojan_sideband_appears_at_48mhz() {
-        let acq = Acquisition::new(chip());
-        let base = acq
+        let mut ctx = AcqContext::new(chip());
+        let base = ctx
             .averaged_spectrum_db(&Scenario::baseline(), SensorSelect::Psa(10))
             .unwrap();
-        let active = acq
+        let active = ctx
             .averaged_spectrum_db(
                 &Scenario::trojan_active(TrojanKind::T4),
                 SensorSelect::Psa(10),
             )
             .unwrap();
-        let sa = acq.specan();
+        let sa = SpectrumAnalyzer::date24();
         let p48 = (48.0e6 / sa.span_hz * (sa.trace_points - 1) as f64).round() as usize;
         let excess = active[p48] - base[p48];
         assert!(excess > 10.0, "48 MHz sideband excess {excess} dB");
@@ -1356,21 +1173,21 @@ mod tests {
         // point-dipole far-field leaves a residual line at sensor 0 that
         // the silicon's distributed return currents suppress further —
         // see EXPERIMENTS.md.)
-        let acq = Acquisition::new(chip());
-        let excess_at = |sensor: usize| {
-            let t_base = acq
+        let mut ctx = AcqContext::new(chip());
+        let mut excess_at = |sensor: usize| {
+            let t_base = ctx
                 .acquire(&Scenario::baseline(), SensorSelect::Psa(sensor), 3)
                 .unwrap();
-            let t_act = acq
+            let t_act = ctx
                 .acquire(
                     &Scenario::trojan_active(TrojanKind::T1),
                     SensorSelect::Psa(sensor),
                     3,
                 )
                 .unwrap();
-            let base = acq.fullres_spectrum_db(&t_base).unwrap();
-            let act = acq.fullres_spectrum_db(&t_act).unwrap();
-            let b = acq.fullres_freq_bin(48.0e6);
+            let base = ctx.fullres_spectrum_db(&t_base).unwrap();
+            let act = ctx.fullres_spectrum_db(&t_act).unwrap();
+            let b = ctx.fullres_freq_bin(48.0e6);
             (b - 3..=b + 3)
                 .map(|k| act[k] - base[k])
                 .fold(f64::MIN, f64::max)
@@ -1382,20 +1199,23 @@ mod tests {
 
     #[test]
     fn acquisition_is_deterministic() {
-        let acq = Acquisition::new(chip());
         let s = Scenario::baseline().with_seed(33);
-        let a = acq.acquire(&s, SensorSelect::Psa(5), 2).unwrap();
-        let b = acq.acquire(&s, SensorSelect::Psa(5), 2).unwrap();
+        let a = AcqContext::new(chip())
+            .acquire(&s, SensorSelect::Psa(5), 2)
+            .unwrap();
+        let b = AcqContext::new(chip())
+            .acquire(&s, SensorSelect::Psa(5), 2)
+            .unwrap();
         assert_eq!(a, b);
     }
 
     #[test]
     fn context_reuse_matches_fresh_engine_bitwise() {
         // One context, several different acquisitions in sequence: every
-        // result must be byte-identical to a fresh stateless run — the
+        // result must be byte-identical to a fresh context per call — the
         // parallel-equivalence contract.
-        let acq = Acquisition::new(chip());
-        let mut ctx = acq.context();
+        let fresh = || AcqContext::new(chip());
+        let mut ctx = fresh();
         let scenarios = [
             (Scenario::baseline().with_seed(5), SensorSelect::Psa(10)),
             (
@@ -1407,16 +1227,16 @@ mod tests {
         let mut reused = TraceSet::default();
         for (scenario, sensor) in &scenarios {
             ctx.acquire_into(scenario, *sensor, 2, &mut reused).unwrap();
-            let fresh = acq.acquire(scenario, *sensor, 2).unwrap();
-            assert_eq!(reused, fresh);
+            let once = fresh().acquire(scenario, *sensor, 2).unwrap();
+            assert_eq!(reused, once);
             let spec_ctx = ctx.fullres_spectrum_db(&reused).unwrap();
-            let spec_fresh = acq.fullres_spectrum_db(&fresh).unwrap();
+            let spec_fresh = fresh().fullres_spectrum_db(&once).unwrap();
             assert!(spec_ctx
                 .iter()
                 .zip(&spec_fresh)
                 .all(|(a, b)| a.to_bits() == b.to_bits()));
             let disp_ctx = ctx.spectrum_db(&reused).unwrap();
-            let disp_fresh = acq.spectrum_db(&fresh).unwrap();
+            let disp_fresh = fresh().spectrum_db(&once).unwrap();
             assert!(disp_ctx
                 .iter()
                 .zip(&disp_fresh)
@@ -1438,8 +1258,7 @@ mod tests {
         // The fleet determinism anchor: `None` and an all-1.0 nominal
         // variation must produce byte-identical records, so un-varied
         // callers pay nothing for the fleet hook.
-        let acq = Acquisition::new(chip());
-        let mut ctx = acq.context();
+        let mut ctx = AcqContext::new(chip());
         let scenario = Scenario::trojan_active(TrojanKind::T1).with_seed(41);
         let plain = ctx.acquire(&scenario, SensorSelect::Psa(10), 2).unwrap();
         ctx.set_variation(Some(ChipVariation::nominal()));
@@ -1454,8 +1273,7 @@ mod tests {
         // Two dies drawn from different seeds must not share traces —
         // the whole point of fleet-scale process variation — while the
         // same die re-acquired reproduces itself exactly.
-        let acq = Acquisition::new(chip());
-        let mut ctx = acq.context();
+        let mut ctx = AcqContext::new(chip());
         let scenario = Scenario::baseline().with_seed(17);
         ctx.set_variation(Some(ChipVariation::new(1)));
         let die_a = ctx.acquire(&scenario, SensorSelect::Psa(10), 1).unwrap();
@@ -1473,20 +1291,20 @@ mod tests {
         // the 4-bit decoder's selection at the trace level: same
         // couplings, same noise floor, same frontend seed → identical
         // bytes out of the ADC.
-        let acq = Acquisition::new(chip());
-        let mut ctx = acq.context();
+        let mut ctx = AcqContext::new(chip());
         let scenario = Scenario::trojan_active(TrojanKind::T3).with_seed(91);
         let p = psa_array::program::CoilProgram::preset(10).unwrap();
         let via_custom = ctx.acquire(&scenario, SensorSelect::Custom(p), 2).unwrap();
-        let via_preset = acq.acquire(&scenario, SensorSelect::Psa(10), 2).unwrap();
+        let via_preset = AcqContext::new(chip())
+            .acquire(&scenario, SensorSelect::Psa(10), 2)
+            .unwrap();
         assert_eq!(via_custom.records, via_preset.records);
         assert_eq!(via_custom.fs_hz, via_preset.fs_hz);
     }
 
     #[test]
     fn custom_cache_reuses_synthesis_and_stays_bounded() {
-        let acq = Acquisition::new(chip());
-        let mut ctx = acq.context();
+        let mut ctx = AcqContext::new(chip());
         let scenario = Scenario::baseline().with_seed(5);
         let p = psa_array::program::CoilProgram::new(18, 18, 26, 26, 3).unwrap();
         assert_eq!(ctx.customs.len(), 0);
@@ -1517,7 +1335,6 @@ mod tests {
         // The campaign engine shares one chip across workers and gives
         // each worker an owned context.
         assert_sync::<TestChip>();
-        assert_sync::<Acquisition<'_>>();
         assert_send::<AcqContext<'_>>();
         assert_send::<TraceSet>();
     }

@@ -25,7 +25,7 @@
 use crate::acquisition::{AcqContext, ArrayEmitter, TraceSet};
 use crate::calib;
 use crate::chip::{SensorSelect, TestChip};
-use crate::cross_domain::{merge_adjacent_bins, Baseline};
+use crate::cross_domain::{check_sensor_rows, merge_adjacent_bins, Baseline};
 use crate::error::CoreError;
 use crate::scenario::Scenario;
 use psa_dsp::peak;
@@ -268,18 +268,10 @@ impl<'c> PlacementSweep<'c> {
             .collect()
     }
 
-    /// Rejects per-sensor rows (baseline spectra or their envelopes)
-    /// that miss a sensor or were learned at another record length:
-    /// bin `k` of two record lengths is two different frequencies.
+    /// Rejects per-sensor rows that miss a sensor or were learned at
+    /// another record length than this sweep's.
     pub(crate) fn check_sensor_rows(&self, rows: &[Vec<f64>]) -> Result<(), CoreError> {
-        let bins =
-            psa_dsp::fft::one_sided_len(self.config.record_cycles * calib::SAMPLES_PER_CYCLE);
-        if rows.len() < self.chip.sensor_bank().len() || rows.iter().any(|r| r.len() != bins) {
-            return Err(CoreError::InvalidParameter {
-                what: "atlas baseline is missing sensors or has another record length",
-            });
-        }
-        Ok(())
+        check_sensor_rows(self.chip, self.config.record_cycles, rows)
     }
 
     /// Acquires all 16 sensors with a **set** of synthetic emitters

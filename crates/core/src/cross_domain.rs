@@ -168,17 +168,18 @@ impl Default for AnalyzerConfig {
     }
 }
 
-/// The cross-domain analyzer bound to a chip.
+/// The cross-domain analyzer: a configuration plus the identification
+/// template library. It measures whatever chip the caller's
+/// [`AcqContext`] is bound to.
 #[derive(Debug)]
-pub struct CrossDomainAnalyzer<'a> {
-    chip: &'a TestChip,
+pub struct CrossDomainAnalyzer {
     config: AnalyzerConfig,
     templates: TemplateLibrary,
 }
 
-impl<'a> CrossDomainAnalyzer<'a> {
+impl CrossDomainAnalyzer {
     /// Creates an analyzer with default configuration and the built-in
-    /// envelope template library.
+    /// envelope template library of `chip`.
     ///
     /// # Errors
     ///
@@ -186,7 +187,7 @@ impl<'a> CrossDomainAnalyzer<'a> {
     /// ([`TemplateLibrary::reference`]) instead of aborting — callers
     /// that only need baseline spectra can use the infallible
     /// [`Baseline::learn_with`] and skip the library entirely.
-    pub fn new(chip: &'a TestChip) -> Result<Self, CoreError> {
+    pub fn new(chip: &TestChip) -> Result<Self, CoreError> {
         Self::with_config(chip, AnalyzerConfig::default())
     }
 
@@ -195,9 +196,8 @@ impl<'a> CrossDomainAnalyzer<'a> {
     /// # Errors
     ///
     /// Same as [`new`](Self::new).
-    pub fn with_config(chip: &'a TestChip, config: AnalyzerConfig) -> Result<Self, CoreError> {
+    pub fn with_config(chip: &TestChip, config: AnalyzerConfig) -> Result<Self, CoreError> {
         Ok(Self::with_templates(
-            chip,
             config,
             TemplateLibrary::reference(chip)?,
         ))
@@ -207,16 +207,8 @@ impl<'a> CrossDomainAnalyzer<'a> {
     /// infallible, and the way callers that detect repeatedly (e.g.
     /// [`CrossDomainDetector`](crate::detector::CrossDomainDetector))
     /// avoid re-acquiring the reference set per analysis.
-    pub fn with_templates(
-        chip: &'a TestChip,
-        config: AnalyzerConfig,
-        templates: TemplateLibrary,
-    ) -> Self {
-        CrossDomainAnalyzer {
-            chip,
-            config,
-            templates,
-        }
+    pub fn with_templates(config: AnalyzerConfig, templates: TemplateLibrary) -> Self {
+        CrossDomainAnalyzer { config, templates }
     }
 
     /// The configuration in use.
@@ -224,59 +216,14 @@ impl<'a> CrossDomainAnalyzer<'a> {
         &self.config
     }
 
-    /// Learns the run-time baseline: averaged spectra of all 16 sensors
-    /// while the chip encrypts with every Trojan dormant.
-    ///
-    /// # Panics
-    ///
-    /// Never panics; acquisition failures cannot occur for the built-in
-    /// 16-sensor bank (indices are in range by construction).
-    pub fn learn_baseline(&self, seed: u64) -> Baseline {
-        self.learn_baseline_with(&mut AcqContext::new(self.chip), seed)
-    }
-
-    /// [`learn_baseline`](Self::learn_baseline) on a reusable per-worker
-    /// context. Each sensor's spectrum depends only on `(seed, sensor)`,
-    /// so the campaign engine can also fan the 16 sensors out across
-    /// workers and reassemble an identical [`Baseline`].
-    ///
-    /// # Panics
-    ///
-    /// Same as [`learn_baseline`](Self::learn_baseline).
-    pub fn learn_baseline_with(&self, ctx: &mut AcqContext<'_>, seed: u64) -> Baseline {
-        Baseline::learn_with(&self.config, ctx, seed)
-    }
-
-    /// One sensor's learned-baseline spectrum (the per-job unit of the
-    /// parallel baseline learning).
-    ///
-    /// # Panics
-    ///
-    /// Never on built-in sensor indices (`i < 16`).
-    pub fn baseline_sensor_db_with(
-        &self,
-        ctx: &mut AcqContext<'_>,
-        seed: u64,
-        sensor: usize,
-    ) -> Vec<f64> {
-        Baseline::sensor_db_with(&self.config, ctx, seed, sensor)
-    }
-
-    /// Runs the full cross-domain pipeline on a scenario.
+    /// Runs the full cross-domain pipeline on a scenario, on the chip
+    /// `ctx` is bound to.
     ///
     /// # Errors
     ///
-    /// Propagates acquisition/DSP errors ([`CoreError`]).
-    pub fn analyze(&self, scenario: &Scenario, baseline: &Baseline) -> Result<Verdict, CoreError> {
-        self.analyze_with(&mut AcqContext::new(self.chip), scenario, baseline)
-    }
-
-    /// [`analyze`](Self::analyze) on a reusable per-worker context (the
-    /// campaign engine's path). Bit-identical to [`analyze`](Self::analyze).
-    ///
-    /// # Errors
-    ///
-    /// Propagates acquisition/DSP errors ([`CoreError`]).
+    /// [`CoreError::InvalidParameter`] when `baseline` is missing
+    /// sensors or holds rows of another record length; acquisition/DSP
+    /// errors otherwise.
     pub fn analyze_with(
         &self,
         ctx: &mut AcqContext<'_>,
@@ -364,8 +311,8 @@ impl<'a> CrossDomainAnalyzer<'a> {
         ranking.sort_by(|a, b| b.amplitude_v.total_cmp(&a.amplitude_v));
         let top_sensor = ranking[0].sensor;
 
-        let localized_region = self
-            .chip
+        let localized_region = ctx
+            .chip()
             .sensor_bank()
             .sensor(top_sensor)
             .map(|s| s.footprint())
@@ -404,19 +351,33 @@ impl<'a> CrossDomainAnalyzer<'a> {
 }
 
 /// The full-resolution 16-sensor sweep of one decision, after checking
-/// that `baseline` covers every sensor.
+/// that `baseline` covers every sensor at full resolution.
 pub(crate) fn sweep_with_baseline(
     ctx: &mut AcqContext<'_>,
     scenario: &Scenario,
     traces_per_sensor: usize,
     baseline: &Baseline,
 ) -> Result<Vec<Vec<f64>>, CoreError> {
-    if baseline.per_sensor_db.len() < ctx.chip().sensor_bank().len() {
+    check_sensor_rows(ctx.chip(), calib::RECORD_CYCLES, &baseline.per_sensor_db)?;
+    ctx.sensor_sweep_db(scenario, traces_per_sensor, calib::RECORD_CYCLES, &[])
+}
+
+/// Rejects per-sensor rows (baseline spectra or their envelopes) that
+/// miss a sensor of `chip` or were learned at another record length
+/// than `record_cycles`: bin `k` of two record lengths is two different
+/// frequencies.
+pub(crate) fn check_sensor_rows(
+    chip: &TestChip,
+    record_cycles: usize,
+    rows: &[Vec<f64>],
+) -> Result<(), CoreError> {
+    let bins = psa_dsp::fft::one_sided_len(record_cycles * calib::SAMPLES_PER_CYCLE);
+    if rows.len() < chip.sensor_bank().len() || rows.iter().any(|r| r.len() != bins) {
         return Err(CoreError::InvalidParameter {
-            what: "baseline missing a sensor",
+            what: "baseline is missing sensors or has another record length",
         });
     }
-    ctx.sensor_sweep_db(scenario, traces_per_sensor, calib::RECORD_CYCLES, &[])
+    Ok(())
 }
 
 /// Folds the largest per-bin excess of `spec` over `base_env` into

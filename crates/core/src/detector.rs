@@ -5,13 +5,12 @@
 //! decision statistic ([`score_with`](ScoredDetector::score_with),
 //! higher = more Trojan-like), its default decision threshold, and a
 //! [`Capabilities`] descriptor. The yes/no surface ([`Detector`] with
-//! [`detect`](Detector::detect)/[`detect_with`](Detector::detect_with))
-//! is a thin adapter: score once, then apply the shared strict
-//! `score > threshold` rule ([`ScoredDetector::decide`]). Keeping the
-//! statistic continuous is what lets the bake-off campaign
-//! (`psa_runtime::bakeoff`) sweep the threshold over the observed score
-//! distribution and emit full ROC/AUC curves instead of the single
-//! operating point Table I reports.
+//! [`detect_with`](Detector::detect_with)) is a thin adapter: score
+//! once, then apply the shared strict `score > threshold` rule
+//! ([`ScoredDetector::decide`]). Keeping the statistic continuous is
+//! what lets the bake-off campaign (`psa_runtime::bakeoff`) sweep the
+//! threshold over the observed score distribution and emit full ROC/AUC
+//! curves instead of the single operating point Table I reports.
 //!
 //! Backends compared in Table I:
 //!
@@ -126,8 +125,8 @@ pub trait ScoredDetector: Send + Sync {
     /// What the method can report beyond the verdict.
     fn capabilities(&self) -> Capabilities;
 
-    /// The default decision threshold [`Detector::detect`]/
-    /// [`Detector::detect_with`] apply, in the same units as the score.
+    /// The default decision threshold [`Detector::detect_with`]
+    /// applies, in the same units as the score.
     /// Backends surface it from their public config structs so callers
     /// can sweep it.
     fn threshold(&self) -> f64;
@@ -148,7 +147,7 @@ pub trait ScoredDetector: Send + Sync {
 
     /// The shared decision rule: a Trojan is called iff
     /// `score > threshold` (strict). Do **not** override — the bake-off
-    /// threshold sweep and every `detect` adapter assume this exact
+    /// threshold sweep and every `detect_with` adapter assume this exact
     /// comparison.
     fn decide(&self, score: f64, threshold: f64) -> bool {
         score > threshold
@@ -163,22 +162,6 @@ pub trait ScoredDetector: Send + Sync {
 /// identification) override [`detect_with`](Self::detect_with) while
 /// keeping `detected == decide(score, threshold())`.
 pub trait Detector: ScoredDetector {
-    /// Runs one detection attempt against `scenario`.
-    ///
-    /// **Contract:** this convenience allocates a fresh [`AcqContext`]
-    /// (record/FFT scratch buffers) on *every call*. It is intended for
-    /// one-shot use; any caller scoring in a loop or campaign must hold
-    /// one context per worker and call
-    /// [`detect_with`](Self::detect_with) instead — the engine's
-    /// `Campaign::run` does exactly that.
-    ///
-    /// # Errors
-    ///
-    /// Propagates acquisition/analysis errors ([`CoreError`]).
-    fn detect(&self, chip: &TestChip, scenario: &Scenario) -> Result<DetectionOutcome, CoreError> {
-        self.detect_with(&mut AcqContext::new(chip), scenario)
-    }
-
     /// Runs one detection attempt on a reusable per-worker context:
     /// score once, decide at the default threshold.
     ///
@@ -219,19 +202,9 @@ pub struct CrossDomainDetector {
 }
 
 impl CrossDomainDetector {
-    /// Learns the run-time baseline on construction (the template-free
-    /// path — the identification library is built lazily on first
-    /// detection and cached).
-    pub fn new(chip: &TestChip, baseline_seed: u64) -> Self {
-        Self::with_baseline(Baseline::learn_with(
-            &AnalyzerConfig::default(),
-            &mut AcqContext::new(chip),
-            baseline_seed,
-        ))
-    }
-
     /// Wraps an already-learned baseline (e.g. one the campaign engine
-    /// learned in parallel across sensors).
+    /// learned in parallel across sensors). The identification library
+    /// is built lazily on first detection and cached.
     pub fn with_baseline(baseline: Baseline) -> Self {
         CrossDomainDetector {
             baseline,
@@ -339,8 +312,7 @@ impl Detector for CrossDomainDetector {
                 self.templates.get_or_init(|| built)
             }
         };
-        let analyzer =
-            CrossDomainAnalyzer::with_templates(ctx.chip(), self.config.clone(), templates.clone());
+        let analyzer = CrossDomainAnalyzer::with_templates(self.config.clone(), templates.clone());
         let verdict = analyzer.analyze_against(ctx, scenario, &self.baseline, self.envelopes())?;
         Ok(DetectionOutcome {
             detected: verdict.detected,

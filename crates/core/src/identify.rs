@@ -9,8 +9,10 @@
 //! paper's "without full supervision"), with unsupervised clustering as
 //! a cross-check.
 
-use crate::chip::TestChip;
+use crate::acquisition::AcqContext;
+use crate::chip::{SensorSelect, TestChip};
 use crate::error::CoreError;
+use crate::scenario::Scenario;
 use psa_dsp::{correlate, stats};
 use psa_gatesim::trojan::TrojanKind;
 use psa_ml::knn::Knn;
@@ -245,17 +247,15 @@ pub struct TemplateLibrary {
 impl TemplateLibrary {
     /// Builds the library from reference simulations of each Trojan
     /// archetype on `chip`, using keys and seeds *different* from any
-    /// test scenario (identification must generalize across keys).
+    /// test scenario (identification must generalize across keys). All
+    /// eight signatures are acquired on one context.
     ///
     /// # Errors
     ///
     /// Propagates acquisition errors from the reference simulations and
     /// fitting errors from [`from_samples`](Self::from_samples).
     pub fn reference(chip: &TestChip) -> Result<Self, CoreError> {
-        use crate::acquisition::Acquisition;
-        use crate::scenario::Scenario;
-
-        let acq = Acquisition::new(chip);
+        let mut ctx = AcqContext::new(chip);
         let mut samples = Vec::new();
         let mut kinds = Vec::new();
         // Two reference keys per Trojan for template robustness.
@@ -274,7 +274,7 @@ impl TemplateLibrary {
                 let baseline = Scenario::baseline()
                     .with_key(*key)
                     .with_seed(0xBEEF + ki as u64);
-                let sig = acquire_signature(&acq, &scenario, &baseline, 10, 48.0e6)?;
+                let sig = acquire_signature(&mut ctx, &scenario, &baseline, 10, 48.0e6)?;
                 samples.push(sig.to_vec());
                 kinds.push(kind);
             }
@@ -348,27 +348,18 @@ impl TemplateLibrary {
 ///
 /// Propagates acquisition/DSP errors.
 pub fn acquire_signature(
-    acq: &crate::acquisition::Acquisition<'_>,
-    scenario: &crate::scenario::Scenario,
-    baseline_scenario: &crate::scenario::Scenario,
+    ctx: &mut AcqContext<'_>,
+    scenario: &Scenario,
+    baseline_scenario: &Scenario,
     sensor: usize,
     line_freq_hz: f64,
 ) -> Result<TrojanSignature, CoreError> {
-    use crate::chip::SensorSelect;
-    let traces = acq.acquire(
-        scenario,
-        SensorSelect::Psa(sensor),
-        crate::calib::TRACES_PER_SPECTRUM,
-    )?;
-    let spec = acq.fullres_spectrum_db(&traces)?;
-    let base_traces = acq.acquire(
-        baseline_scenario,
-        SensorSelect::Psa(sensor),
-        crate::calib::TRACES_PER_SPECTRUM,
-    )?;
-    let base = acq.fullres_spectrum_db(&base_traces)?;
+    let n_records = crate::calib::TRACES_PER_SPECTRUM;
+    let spec = ctx.acquire_fullres_spectrum_db(scenario, SensorSelect::Psa(sensor), n_records)?;
+    let base =
+        ctx.acquire_fullres_spectrum_db(baseline_scenario, SensorSelect::Psa(sensor), n_records)?;
     let base_env = psa_dsp::peak::local_max_envelope(&base, 8);
-    signature_from_parts(acq, scenario, sensor, line_freq_hz, &spec, &base_env)
+    signature_from_parts_with(ctx, scenario, sensor, line_freq_hz, &spec, &base_env)
 }
 
 /// Builds a signature when the spectrum and baseline envelope are
@@ -377,39 +368,14 @@ pub fn acquire_signature(
 /// # Errors
 ///
 /// Propagates acquisition/DSP errors.
-pub fn signature_from_parts(
-    acq: &crate::acquisition::Acquisition<'_>,
-    scenario: &crate::scenario::Scenario,
-    sensor: usize,
-    line_freq_hz: f64,
-    spec_db: &[f64],
-    baseline_env_db: &[f64],
-) -> Result<TrojanSignature, CoreError> {
-    signature_from_parts_with(
-        &mut acq.context(),
-        scenario,
-        sensor,
-        line_freq_hz,
-        spec_db,
-        baseline_env_db,
-    )
-}
-
-/// [`signature_from_parts`] on a reusable per-worker
-/// [`AcqContext`](crate::acquisition::AcqContext) (the engine's path).
-///
-/// # Errors
-///
-/// Propagates acquisition/DSP errors.
 pub fn signature_from_parts_with(
-    ctx: &mut crate::acquisition::AcqContext<'_>,
-    scenario: &crate::scenario::Scenario,
+    ctx: &mut AcqContext<'_>,
+    scenario: &Scenario,
     sensor: usize,
     line_freq_hz: f64,
     spec_db: &[f64],
     baseline_env_db: &[f64],
 ) -> Result<TrojanSignature, CoreError> {
-    use crate::chip::SensorSelect;
     let n = spec_db.len().min(baseline_env_db.len());
     let excess: Vec<f64> = (0..n).map(|k| spec_db[k] - baseline_env_db[k]).collect();
     let line_bin = ctx.fullres_freq_bin(line_freq_hz);

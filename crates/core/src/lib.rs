@@ -52,16 +52,18 @@
 //! # Example
 //!
 //! ```no_run
+//! use psa_core::acquisition::AcqContext;
 //! use psa_core::chip::TestChip;
-//! use psa_core::cross_domain::CrossDomainAnalyzer;
+//! use psa_core::cross_domain::{Baseline, CrossDomainAnalyzer};
 //! use psa_core::scenario::Scenario;
 //! use psa_gatesim::trojan::TrojanKind;
 //!
 //! let chip = TestChip::date24();
+//! let mut ctx = AcqContext::new(&chip);
 //! let analyzer = CrossDomainAnalyzer::new(&chip).expect("reference template library");
-//! let baseline = analyzer.learn_baseline(42);
+//! let baseline = Baseline::learn_with(analyzer.config(), &mut ctx, 42);
 //! let verdict = analyzer
-//!     .analyze(&Scenario::trojan_active(TrojanKind::T1).with_seed(7), &baseline)
+//!     .analyze_with(&mut ctx, &Scenario::trojan_active(TrojanKind::T1).with_seed(7), &baseline)
 //!     .expect("analysis succeeds");
 //! assert!(verdict.detected);
 //! ```

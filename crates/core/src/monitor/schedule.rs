@@ -107,8 +107,8 @@ pub struct ActivationSchedule {
 impl ActivationSchedule {
     /// A schedule that holds `base` unchanged for `horizon` records —
     /// the shape under which the streaming monitor coincides
-    /// bit-for-bit with the batch [`mttd_trial`](crate::mttd::mttd_trial)
-    /// replay.
+    /// bit-for-bit with the batch
+    /// [`mttd_trial_with`](crate::mttd::mttd_trial_with) replay.
     pub fn constant(base: Scenario, horizon: usize) -> Self {
         ActivationSchedule {
             base,

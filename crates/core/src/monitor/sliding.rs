@@ -13,9 +13,9 @@ use psa_dsp::sliding::SlidingSpectrum;
 /// Configuration of the sliding detector.
 ///
 /// The defaults coincide exactly with the batch
-/// [`mttd_trial`](crate::mttd::mttd_trial) comparison (5-record rolling
-/// window, 10 dB threshold, 8-bin baseline envelope, immediate clear,
-/// frozen baseline), which is what makes the batch path a thin adapter
+/// [`mttd_trial_with`](crate::mttd::mttd_trial_with) comparison
+/// (5-record rolling window, 10 dB threshold, 8-bin baseline envelope,
+/// immediate clear, frozen baseline), which is what makes the batch path a thin adapter
 /// over this one.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SlidingConfig {

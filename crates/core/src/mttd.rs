@@ -9,7 +9,6 @@
 //! traces and correspondingly longer.
 
 use crate::acquisition::AcqContext;
-use crate::chip::TestChip;
 use crate::cross_domain::Baseline;
 use crate::error::CoreError;
 use crate::monitor::{ActivationSchedule, Monitor, SlidingConfig, SlidingDetector, StreamSource};
@@ -59,32 +58,8 @@ pub struct MttdResult {
 /// `max_traces` bounds the trial (a non-detection returns
 /// `detected = false` with the full budget spent).
 ///
-/// # Errors
-///
-/// Propagates acquisition errors.
-pub fn mttd_trial(
-    chip: &TestChip,
-    scenario: &Scenario,
-    baseline: &Baseline,
-    sensor: usize,
-    timing: &MonitorTiming,
-    max_traces: usize,
-) -> Result<MttdResult, CoreError> {
-    mttd_trial_with(
-        &mut AcqContext::new(chip),
-        scenario,
-        baseline,
-        sensor,
-        timing,
-        max_traces,
-    )
-}
-
-/// [`mttd_trial`] on a reusable per-worker context (the campaign
-/// engine's path). Bit-identical to [`mttd_trial`].
-///
-/// This is now a **thin batch adapter over the streaming monitor**: the
-/// trial is a one-sensor [`Monitor`] session under a constant
+/// The trial is a **thin batch adapter over the streaming monitor**: a
+/// one-sensor [`Monitor`] session under a constant
 /// [`ActivationSchedule`] (Trojan active from record 0) with the
 /// batch-compatible [`SlidingConfig`] defaults — same per-record
 /// seeding, same rolling window, same envelope comparison, same

@@ -7,7 +7,7 @@
 //! single-coil on-chip sensor 30.5 dB, and quotes ≈34 dB for the ICR
 //! HH100-6 from its datasheet.
 
-use crate::acquisition::Acquisition;
+use crate::acquisition::AcqContext;
 use crate::chip::{SensorSelect, TestChip};
 use crate::error::CoreError;
 use crate::scenario::Scenario;
@@ -32,28 +32,8 @@ pub struct SnrMeasurement {
 /// # Errors
 ///
 /// Propagates acquisition errors.
-pub fn measure_snr(
-    chip: &TestChip,
-    sensor: SensorSelect,
-    n_records: usize,
-    seed: u64,
-) -> Result<SnrMeasurement, CoreError> {
-    measure_snr_with(
-        &mut Acquisition::new(chip).context(),
-        sensor,
-        n_records,
-        seed,
-    )
-}
-
-/// [`measure_snr`] on a reusable per-worker context (the campaign
-/// engine's path). Bit-identical to [`measure_snr`].
-///
-/// # Errors
-///
-/// Propagates acquisition errors.
 pub fn measure_snr_with(
-    ctx: &mut crate::acquisition::AcqContext<'_>,
+    ctx: &mut AcqContext<'_>,
     sensor: SensorSelect,
     n_records: usize,
     seed: u64,
@@ -80,7 +60,7 @@ pub fn measure_snr_with(
 }
 
 /// Measures all four Sec. VI-B rows: PSA (sensor 10), single coil, LF1,
-/// ICR.
+/// ICR, on one context.
 ///
 /// # Errors
 ///
@@ -92,9 +72,10 @@ pub fn snr_comparison(chip: &TestChip, seed: u64) -> Result<Vec<SnrMeasurement>,
         SensorSelect::IcrHh100,
         SensorSelect::LangerLf1,
     ];
+    let mut ctx = AcqContext::new(chip);
     selections
         .iter()
-        .map(|&s| measure_snr(chip, s, 4, seed))
+        .map(|&s| measure_snr_with(&mut ctx, s, 4, seed))
         .collect()
 }
 
@@ -122,7 +103,8 @@ mod tests {
     fn psa_snr_near_paper_value() {
         // Paper: 41.0 dB. Accept the right regime rather than the exact
         // decimal: 35-47 dB.
-        let m = measure_snr(chip(), SensorSelect::Psa(10), 3, 7).unwrap();
+        let m =
+            measure_snr_with(&mut AcqContext::new(chip()), SensorSelect::Psa(10), 3, 7).unwrap();
         assert!((35.0..47.0).contains(&m.snr_db), "PSA SNR {} dB", m.snr_db);
     }
 

@@ -124,11 +124,10 @@ impl<'c> Campaign<'c> {
     }
 
     /// Learns the 16-sensor run-time baseline in parallel (one job per
-    /// sensor). Byte-identical to
-    /// [`psa_core::cross_domain::CrossDomainAnalyzer::learn_baseline`]
-    /// with the same seed, since each sensor's spectrum depends only on
-    /// `(seed, sensor)` — and template-free, so no worker pays for the
-    /// identification reference library.
+    /// sensor). Byte-identical to [`Baseline::learn_with`] at the
+    /// default configuration with the same seed, since each sensor's
+    /// spectrum depends only on `(seed, sensor)` — and template-free,
+    /// so no worker pays for the identification reference library.
     pub fn learn_baseline(&self, seed: u64) -> Baseline {
         let config = AnalyzerConfig::default();
         let sensors: Vec<usize> = (0..self.chip.sensor_bank().len()).collect();

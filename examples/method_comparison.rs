@@ -12,6 +12,7 @@
 
 use psa_repro::core::acquisition::AcqContext;
 use psa_repro::core::chip::TestChip;
+use psa_repro::core::cross_domain::{AnalyzerConfig, Baseline};
 use psa_repro::core::detector::{
     BackscatterDetector, CrossDomainDetector, Detector, EuclideanDetector,
 };
@@ -21,17 +22,19 @@ use psa_repro::gatesim::trojan::TrojanKind;
 fn main() {
     println!("building chip...");
     let chip = TestChip::date24();
+    // One shared context for the baseline and all 16 attempts.
+    let mut ctx = AcqContext::new(&chip);
     println!("learning PSA baseline...");
-    let cross = CrossDomainDetector::new(&chip, 0xBA5E);
+    let cross = CrossDomainDetector::with_baseline(Baseline::learn_with(
+        &AnalyzerConfig::default(),
+        &mut ctx,
+        0xBA5E,
+    ));
     let probe = EuclideanDetector::external_probe(40);
     let coil = EuclideanDetector::single_coil(40);
     let backscatter = BackscatterDetector::default();
     let detectors: [&dyn Detector; 4] = [&cross, &probe, &coil, &backscatter];
 
-    // One shared context across all 16 attempts (per the Detector
-    // contract, `detect` is one-shot-only: it allocates fresh scratch
-    // on every call).
-    let mut ctx = AcqContext::new(&chip);
     println!();
     for det in detectors {
         println!("{}:", det.name());

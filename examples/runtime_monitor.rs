@@ -10,17 +10,18 @@
 //! and the monitor's acquire-compare loop measures the time from
 //! activation to detection (MTTD) for each Trojan.
 
+use psa_repro::core::acquisition::AcqContext;
 use psa_repro::core::chip::TestChip;
-use psa_repro::core::cross_domain::CrossDomainAnalyzer;
-use psa_repro::core::mttd::{mttd_trial, MonitorTiming};
+use psa_repro::core::cross_domain::{AnalyzerConfig, Baseline};
+use psa_repro::core::mttd::{mttd_trial_with, MonitorTiming};
 use psa_repro::core::scenario::Scenario;
 use psa_repro::gatesim::trojan::TrojanKind;
 
 fn main() {
     println!("building chip and learning baseline...");
     let chip = TestChip::date24();
-    let analyzer = CrossDomainAnalyzer::new(&chip).expect("reference template library");
-    let baseline = analyzer.learn_baseline(0xBA5E);
+    let mut ctx = AcqContext::new(&chip);
+    let baseline = Baseline::learn_with(&AnalyzerConfig::default(), &mut ctx, 0xBA5E);
     let timing = MonitorTiming::default();
 
     println!(
@@ -32,7 +33,8 @@ fn main() {
     println!("------------------------------------------------------------------");
     for kind in TrojanKind::ALL {
         let scenario = Scenario::trojan_active(kind).with_seed(991 + kind.index() as u64);
-        let result = mttd_trial(&chip, &scenario, &baseline, 10, &timing, 64).expect("trial runs");
+        let result =
+            mttd_trial_with(&mut ctx, &scenario, &baseline, 10, &timing, 64).expect("trial runs");
         println!(
             "{:<7} {:<9} {:>7.2} ms  {:>6}",
             kind.to_string(),

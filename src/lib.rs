@@ -45,16 +45,18 @@
 //! # Quickstart
 //!
 //! ```no_run
+//! use psa_repro::core::acquisition::AcqContext;
 //! use psa_repro::core::chip::TestChip;
-//! use psa_repro::core::cross_domain::CrossDomainAnalyzer;
+//! use psa_repro::core::cross_domain::{Baseline, CrossDomainAnalyzer};
 //! use psa_repro::core::scenario::Scenario;
 //! use psa_repro::gatesim::trojan::TrojanKind;
 //!
 //! let chip = TestChip::date24();
+//! let mut ctx = AcqContext::new(&chip);
 //! let analyzer = CrossDomainAnalyzer::new(&chip).expect("reference template library");
-//! let baseline = analyzer.learn_baseline(42);
+//! let baseline = Baseline::learn_with(analyzer.config(), &mut ctx, 42);
 //! let verdict = analyzer
-//!     .analyze(&Scenario::trojan_active(TrojanKind::T3), &baseline)
+//!     .analyze_with(&mut ctx, &Scenario::trojan_active(TrojanKind::T3), &baseline)
 //!     .expect("analysis runs");
 //! assert!(verdict.detected);
 //! assert_eq!(verdict.localized_sensor, Some(10));

@@ -3,7 +3,7 @@
 
 use psa_repro::array::program::SENSOR_TURNS;
 use psa_repro::array::sensors::SensorBank;
-use psa_repro::core::acquisition::Acquisition;
+use psa_repro::core::acquisition::AcqContext;
 use psa_repro::core::chip::{SensorSelect, TestChip};
 use psa_repro::core::scenario::Scenario;
 use psa_repro::gatesim::activity::Source;
@@ -74,16 +74,16 @@ fn trojans_sit_under_sensor10_footprint() {
 fn acquisition_chain_end_to_end_shapes() {
     // gatesim → field → analog: one acquisition produces the expected
     // record shape and a spectrum with the 33 MHz clock line.
-    let acq = Acquisition::new(chip());
-    let traces = acq
+    let mut ctx = AcqContext::new(chip());
+    let traces = ctx
         .acquire(&Scenario::baseline().with_seed(5), SensorSelect::Psa(10), 2)
         .expect("acquire");
     assert_eq!(traces.len(), 2);
     assert_eq!(traces.records[0].len(), 65_536);
-    let spec = acq.fullres_spectrum_db(&traces).expect("spectrum");
+    let spec = ctx.fullres_spectrum_db(&traces).expect("spectrum");
     assert_eq!(spec.len(), 65_536 / 2 + 1);
-    let clock_bin = acq.fullres_freq_bin(33.0e6);
-    let floor_bin = acq.fullres_freq_bin(25.0e6);
+    let clock_bin = ctx.fullres_freq_bin(33.0e6);
+    let floor_bin = ctx.fullres_freq_bin(25.0e6);
     assert!(
         spec[clock_bin] > spec[floor_bin] + 20.0,
         "clock harmonic missing: {} vs {}",
@@ -94,9 +94,9 @@ fn acquisition_chain_end_to_end_shapes() {
 
 #[test]
 fn all_probe_selections_acquire() {
-    let acq = Acquisition::new(chip());
+    let mut ctx = AcqContext::new(chip());
     for select in SensorSelect::BASELINES {
-        let traces = acq
+        let traces = ctx
             .acquire(&Scenario::baseline().with_seed(6), select, 1)
             .expect("probe acquires");
         assert_eq!(traces.records[0].len(), 65_536);
@@ -107,13 +107,13 @@ fn all_probe_selections_acquire() {
 fn vt_corners_do_not_break_acquisition() {
     // Sec. VI-C: the chain keeps working across supply and temperature
     // corners (the T-gate model changes impedance, not functionality).
-    let acq = Acquisition::new(chip());
+    let mut ctx = AcqContext::new(chip());
     for (vdd, temp) in [(0.8, -40.0), (1.0, 25.0), (1.2, 125.0)] {
         let scenario = Scenario::baseline()
             .with_seed(8)
             .with_vdd(vdd)
             .with_temp_c(temp);
-        let traces = acq
+        let traces = ctx
             .acquire(&scenario, SensorSelect::Psa(10), 1)
             .expect("acquire at corner");
         let rms = {
