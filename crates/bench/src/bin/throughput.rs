@@ -42,10 +42,6 @@ use psa_runtime::Campaign;
 /// The sensor every stage reads — the paper's best-coupled PSA coil.
 const SENSOR: usize = 10;
 
-/// Records concatenated into one identification envelope, as
-/// `identify::signature_from_parts_with` acquires them.
-const IDENTIFY_RECORDS: usize = 6;
-
 /// Per-stage record counts: `(acquire, sensor-sweep records per
 /// sensor, noise draws and transforms, monitor ticks, identification
 /// envelopes, campaign jobs)`.
@@ -263,7 +259,7 @@ fn main() {
     ctx.acquire_into(
         &t1,
         SensorSelect::Psa(SENSOR),
-        IDENTIFY_RECORDS,
+        psa_core::calib::IDENTIFY_RECORDS,
         &mut traces,
     )
     .expect("built-in sensor acquisition");

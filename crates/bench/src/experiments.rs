@@ -11,7 +11,6 @@
 
 use psa_core::atlas::SyntheticEmitter;
 use psa_core::chip::{SensorSelect, TestChip};
-use psa_core::cross_domain::CrossDomainAnalyzer;
 use psa_core::detector::{BackscatterDetector, CrossDomainDetector, Detector, EuclideanDetector};
 use psa_core::monitor::{ActivationSchedule, ScheduleChange, SlidingConfig};
 use psa_core::mttd::{mttd_trial_with, MonitorTiming};
@@ -500,8 +499,8 @@ pub struct Fig5Panel {
     pub distance: f64,
 }
 
-/// Measures the four Fig 5 panels through the full analyzer, one engine
-/// job per Trojan (the analyzer and its learned baseline are shared),
+/// Measures the four Fig 5 panels through the full cross-domain
+/// pipeline, one engine job per Trojan (one shared detector),
 /// with an optionally pre-built template library (the identification
 /// templates are a pure function of the chip, so sharing the build with
 /// Table I's detector is result-identical). The Fig 5
@@ -513,18 +512,15 @@ pub fn fig5_panels_with(
     templates: Option<&identify::TemplateLibrary>,
 ) -> Vec<Fig5Panel> {
     let campaign = Campaign::new(chip, *engine);
-    let analyzer = match templates {
-        Some(t) => CrossDomainAnalyzer::with_templates(
-            psa_core::cross_domain::AnalyzerConfig::default(),
-            t.clone(),
-        ),
-        None => CrossDomainAnalyzer::new(chip).expect("reference template library"),
-    };
     let baseline = campaign.learn_baseline(0xF15);
+    let detector = match templates {
+        Some(t) => CrossDomainDetector::with_baseline_and_templates(baseline, t.clone()),
+        None => CrossDomainDetector::with_baseline(baseline),
+    };
     campaign.run(&TrojanKind::ALL, |ctx, _, &kind| {
         let scenario = Scenario::trojan_active(kind).with_seed(555 + kind.index() as u64);
-        let verdict = analyzer
-            .analyze_with(ctx, &scenario, &baseline)
+        let verdict = detector
+            .analyze_with(ctx, &scenario)
             .expect("analysis succeeds");
         let envelope = ctx
             .zero_span_rbw(
@@ -532,7 +528,7 @@ pub fn fig5_panels_with(
                 SensorSelect::Psa(verdict.localized_sensor.unwrap_or(10)),
                 verdict.prominent_freq_hz.unwrap_or(48.0e6),
                 calib::IDENTIFY_RBW_HZ,
-                6,
+                calib::IDENTIFY_RECORDS,
             )
             .expect("zero span");
         Fig5Panel {

@@ -53,6 +53,9 @@ pub const DETECTION_THRESHOLD_DB: f64 = 10.0;
 /// pass T1's 750 kHz AM envelope.
 pub const IDENTIFY_RBW_HZ: f64 = 0.95e6;
 
+/// Records concatenated into one zero-span identification envelope.
+pub const IDENTIFY_RECORDS: usize = 6;
+
 /// The paper's clock frequency, Hz.
 pub const CLK_HZ: f64 = 33.0e6;
 

@@ -14,10 +14,15 @@
 //! 3. **Time domain** — switch to zero-span at the most prominent
 //!    emergent frequency and classify the recovered envelope to
 //!    *identify* which Trojan is active (Fig 5).
+//!
+//! [`CrossDomainDetector`] runs the whole pipeline
+//! ([`analyze_with`](CrossDomainDetector::analyze_with)) and is also
+//! the paper's Table I backend in [`crate::detector`].
 
 use crate::acquisition::AcqContext;
 use crate::calib;
 use crate::chip::{SensorSelect, TestChip};
+use crate::detector::{Capabilities, DetectionOutcome, Detector, ScoredDetector};
 use crate::error::CoreError;
 use crate::identify::{self, TemplateLibrary};
 use crate::localize;
@@ -25,6 +30,7 @@ use crate::scenario::Scenario;
 use psa_dsp::peak;
 use psa_gatesim::trojan::TrojanKind;
 use psa_layout::Rect;
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 /// A learned run-time baseline: one averaged spectrum per PSA sensor,
 /// collected from the same chip while no Trojan is active.
@@ -39,7 +45,7 @@ impl Baseline {
     /// Learns the run-time baseline with `config`'s trace budget — the
     /// template-free path: callers that only need baseline spectra (the
     /// campaign engine, detector construction) never pay for the
-    /// analyzer's identification template library.
+    /// detector's identification template library.
     ///
     /// One sensor sweep ([`AcqContext::sensor_sweep_db`]) learns all 16
     /// sensors, bit-identical to [`sensor_db_with`](Self::sensor_db_with)
@@ -114,7 +120,7 @@ pub struct SensorAnomaly {
     pub components: Vec<(f64, f64)>,
 }
 
-/// The analyzer's verdict for one scenario.
+/// The cross-domain verdict for one scenario.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Verdict {
     /// Whether any sensor saw an emergent component over threshold.
@@ -142,7 +148,7 @@ pub struct Verdict {
     pub peak_excess_db: f64,
 }
 
-/// Configuration of the cross-domain analyzer.
+/// Configuration of the cross-domain pipeline.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AnalyzerConfig {
     /// Traces averaged per sensor per decision (paper: ≤ 5, fewer than
@@ -150,11 +156,6 @@ pub struct AnalyzerConfig {
     pub traces_per_sensor: usize,
     /// Emergent-component threshold in dB over baseline.
     pub threshold_db: f64,
-    /// Records used for the zero-span identification stage.
-    pub zero_span_records: usize,
-    /// Minimum number of emergent bins for a detection (guards against
-    /// single-bin noise flickers).
-    pub min_components: usize,
 }
 
 impl Default for AnalyzerConfig {
@@ -162,90 +163,97 @@ impl Default for AnalyzerConfig {
         AnalyzerConfig {
             traces_per_sensor: calib::TRACES_PER_SPECTRUM,
             threshold_db: calib::DETECTION_THRESHOLD_DB,
-            zero_span_records: 6,
-            min_components: 1,
         }
     }
 }
 
-/// The cross-domain analyzer: a configuration plus the identification
-/// template library. It measures whatever chip the caller's
-/// [`AcqContext`] is bound to.
+/// The paper's cross-domain PSA detector: a learned baseline plus the
+/// identification template library. It measures whatever chip the
+/// caller's [`AcqContext`] is bound to; the baseline and the library
+/// are both chip-specific, so a detector must not be reused across
+/// chips.
 #[derive(Debug)]
-pub struct CrossDomainAnalyzer {
+pub struct CrossDomainDetector {
+    baseline: Baseline,
     config: AnalyzerConfig,
-    templates: TemplateLibrary,
+    /// The identification template library, built once on first
+    /// identification and shared across workers thereafter.
+    templates: OnceLock<TemplateLibrary>,
+    /// Held while [`templates`](Self::templates) builds the library.
+    template_build: Mutex<()>,
+    /// The baseline's local-max envelopes, computed on first use and
+    /// compared against every decision's sweep thereafter.
+    envelopes: OnceLock<Vec<Vec<f64>>>,
 }
 
-impl CrossDomainAnalyzer {
-    /// Creates an analyzer with default configuration and the built-in
-    /// envelope template library of `chip`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates reference-library failures
-    /// ([`TemplateLibrary::reference`]) instead of aborting — callers
-    /// that only need baseline spectra can use the infallible
-    /// [`Baseline::learn_with`] and skip the library entirely.
-    pub fn new(chip: &TestChip) -> Result<Self, CoreError> {
-        Self::with_config(chip, AnalyzerConfig::default())
+impl CrossDomainDetector {
+    /// Wraps an already-learned baseline (e.g. one the campaign engine
+    /// learned in parallel across sensors). The identification library
+    /// is built lazily on first identification and cached.
+    pub fn with_baseline(baseline: Baseline) -> Self {
+        CrossDomainDetector {
+            baseline,
+            config: AnalyzerConfig::default(),
+            templates: OnceLock::new(),
+            template_build: Mutex::new(()),
+            envelopes: OnceLock::new(),
+        }
     }
 
-    /// Creates an analyzer with a custom configuration.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`new`](Self::new).
-    pub fn with_config(chip: &TestChip, config: AnalyzerConfig) -> Result<Self, CoreError> {
-        Ok(Self::with_templates(
-            config,
-            TemplateLibrary::reference(chip)?,
-        ))
+    /// Wraps an already-learned baseline *and* an already-built template
+    /// library, skipping the lazy build entirely — the memoized path for
+    /// drivers that run several pipelines against the same chip (the
+    /// library is a pure function of the chip, so sharing one build is
+    /// result-identical to rebuilding).
+    pub fn with_baseline_and_templates(baseline: Baseline, templates: TemplateLibrary) -> Self {
+        let detector = Self::with_baseline(baseline);
+        let _ = detector.templates.set(templates);
+        detector
     }
 
-    /// Creates an analyzer around an already-built template library —
-    /// infallible, and the way callers that detect repeatedly (e.g.
-    /// [`CrossDomainDetector`](crate::detector::CrossDomainDetector))
-    /// avoid re-acquiring the reference set per analysis.
-    pub fn with_templates(config: AnalyzerConfig, templates: TemplateLibrary) -> Self {
-        CrossDomainAnalyzer { config, templates }
+    /// The baseline's local-max envelopes, computed once per detector.
+    fn envelopes(&self) -> &[Vec<f64>] {
+        self.envelopes.get_or_init(|| self.baseline.envelopes())
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> &AnalyzerConfig {
-        &self.config
+    /// The identification template library of `chip`. The reference
+    /// library costs 8 signature acquisitions plus scaler/k-NN fits —
+    /// far too much to repeat per decision — so it is built once, under
+    /// a lock: workers that reach their first identification together
+    /// wait for one build instead of each running their own. A failed
+    /// build caches nothing, so the next caller retries it.
+    fn templates(&self, chip: &TestChip) -> Result<&TemplateLibrary, CoreError> {
+        let _build = self
+            .template_build
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        if let Some(templates) = self.templates.get() {
+            return Ok(templates);
+        }
+        let built = TemplateLibrary::reference(chip)?;
+        Ok(self.templates.get_or_init(|| built))
     }
 
     /// Runs the full cross-domain pipeline on a scenario, on the chip
-    /// `ctx` is bound to.
+    /// `ctx` is bound to: the frequency-domain sweep, localization, and
+    /// zero-span identification.
     ///
     /// # Errors
     ///
-    /// [`CoreError::InvalidParameter`] when `baseline` is missing
-    /// sensors or holds rows of another record length; acquisition/DSP
+    /// [`CoreError::InvalidParameter`] when the baseline is missing
+    /// sensors or holds rows of another record length (checked before
+    /// anything is acquired); acquisition/DSP and reference-library
     /// errors otherwise.
     pub fn analyze_with(
         &self,
         ctx: &mut AcqContext<'_>,
         scenario: &Scenario,
-        baseline: &Baseline,
-    ) -> Result<Verdict, CoreError> {
-        self.analyze_against(ctx, scenario, baseline, &baseline.envelopes())
-    }
-
-    /// [`analyze_with`](Self::analyze_with) against `baseline`'s
-    /// precomputed [`envelopes`](Baseline::envelopes).
-    pub(crate) fn analyze_against(
-        &self,
-        ctx: &mut AcqContext<'_>,
-        scenario: &Scenario,
-        baseline: &Baseline,
-        base_envs: &[Vec<f64>],
     ) -> Result<Verdict, CoreError> {
         // Stage 1+2: frequency-domain sweep over all sensors, at full
         // FFT resolution (the detector's RBW), compared against the
         // baseline's local-max envelopes.
-        let spectra = sweep_with_baseline(ctx, scenario, self.config.traces_per_sensor, baseline)?;
+        let spectra = self.sweep(ctx, scenario)?;
+        let base_envs = self.envelopes();
         let mut ranking = Vec::with_capacity(spectra.len());
         let mut peak_excess_db = f64::NEG_INFINITY;
         for (i, (spec, base_env)) in spectra.iter().zip(base_envs).enumerate() {
@@ -265,9 +273,7 @@ impl CrossDomainAnalyzer {
             });
         }
 
-        let detected = ranking
-            .iter()
-            .any(|a| a.components.len() >= self.config.min_components);
+        let detected = ranking.iter().any(|a| !a.components.is_empty());
         if !detected {
             ranking.sort_by(|a, b| b.energy_db.total_cmp(&a.energy_db));
             return Ok(Verdict {
@@ -304,7 +310,7 @@ impl CrossDomainAnalyzer {
         for (i, anomaly) in ranking.iter_mut().enumerate() {
             anomaly.amplitude_v = localize::amplitude_excess_at_line(
                 &spectra[i],
-                &baseline.per_sensor_db[i],
+                &self.baseline.per_sensor_db[i],
                 line_bin,
             );
         }
@@ -328,13 +334,12 @@ impl CrossDomainAnalyzer {
             &spectra[top_sensor],
             &base_envs[top_sensor],
         )?;
-        let (identified, dist) = self.templates.classify(&signature)?;
-        let localized_sensor = top_sensor;
+        let (identified, dist) = self.templates(ctx.chip())?.classify(&signature)?;
 
         Ok(Verdict {
             detected: true,
             ranking,
-            localized_sensor: Some(localized_sensor),
+            localized_sensor: Some(top_sensor),
             localized_region,
             prominent_freq_hz: Some(prominent),
             identified: Some(identified),
@@ -344,22 +349,92 @@ impl CrossDomainAnalyzer {
         })
     }
 
-    /// The template library used for identification.
-    pub fn templates(&self) -> &TemplateLibrary {
-        &self.templates
+    /// The full-resolution 16-sensor sweep of one decision, after
+    /// checking that the baseline covers every sensor at full
+    /// resolution.
+    fn sweep(
+        &self,
+        ctx: &mut AcqContext<'_>,
+        scenario: &Scenario,
+    ) -> Result<Vec<Vec<f64>>, CoreError> {
+        check_sensor_rows(
+            ctx.chip(),
+            calib::RECORD_CYCLES,
+            &self.baseline.per_sensor_db,
+        )?;
+        ctx.sensor_sweep_db(
+            scenario,
+            self.config.traces_per_sensor,
+            calib::RECORD_CYCLES,
+            &[],
+        )
     }
 }
 
-/// The full-resolution 16-sensor sweep of one decision, after checking
-/// that `baseline` covers every sensor at full resolution.
-pub(crate) fn sweep_with_baseline(
-    ctx: &mut AcqContext<'_>,
-    scenario: &Scenario,
-    traces_per_sensor: usize,
-    baseline: &Baseline,
-) -> Result<Vec<Vec<f64>>, CoreError> {
-    check_sensor_rows(ctx.chip(), calib::RECORD_CYCLES, &baseline.per_sensor_db)?;
-    ctx.sensor_sweep_db(scenario, traces_per_sensor, calib::RECORD_CYCLES, &[])
+impl ScoredDetector for CrossDomainDetector {
+    fn name(&self) -> &'static str {
+        "PSA cross-domain (this work)"
+    }
+
+    fn capabilities(&self) -> Capabilities {
+        Capabilities {
+            localizes: true,
+            identifies: true,
+            runtime: true,
+            reference_free: false,
+        }
+    }
+
+    fn threshold(&self) -> f64 {
+        self.config.threshold_db
+    }
+
+    fn traces_per_score(&self) -> usize {
+        self.config.traces_per_sensor
+    }
+
+    /// The peak per-bin excess (dB) of any sensor's spectrum over its
+    /// baseline local-max envelope — the statistic
+    /// [`analyze_with`](CrossDomainDetector::analyze_with) thresholds at
+    /// [`AnalyzerConfig::threshold_db`]. This is the detection-only
+    /// path: no localization ranking, no zero-span identification, no
+    /// template library, which makes it the cheap per-cell unit of the
+    /// bake-off.
+    fn score_with(&self, ctx: &mut AcqContext<'_>, scenario: &Scenario) -> Result<f64, CoreError> {
+        let spectra = self.sweep(ctx, scenario)?;
+        Ok(spectra
+            .iter()
+            .zip(self.envelopes())
+            .fold(f64::NEG_INFINITY, |peak, (spec, base_env)| {
+                peak_excess_over(spec, base_env, peak)
+            }))
+    }
+}
+
+impl Detector for CrossDomainDetector {
+    /// [`analyze_with`](CrossDomainDetector::analyze_with), reduced to
+    /// an outcome. The verdict keeps the pipeline's historical decision
+    /// (some sensor has an emergent component); its continuous
+    /// statistic ([`Verdict::peak_excess_db`]) is bit-identical to
+    /// [`score_with`](ScoredDetector::score_with) on the same scenario.
+    fn detect_with(
+        &self,
+        ctx: &mut AcqContext<'_>,
+        scenario: &Scenario,
+    ) -> Result<DetectionOutcome, CoreError> {
+        let verdict = self.analyze_with(ctx, scenario)?;
+        Ok(DetectionOutcome {
+            detected: verdict.detected,
+            score: verdict.peak_excess_db,
+            threshold: self.config.threshold_db,
+            // Detection itself needs only the monitored sensor's traces
+            // (< 10); the full verdict scans all sensors for
+            // localization.
+            traces_used: verdict.traces_per_sensor,
+            localized_sensor: verdict.localized_sensor,
+            identified: verdict.identified,
+        })
+    }
 }
 
 /// Rejects per-sensor rows (baseline spectra or their envelopes) that
@@ -382,7 +457,7 @@ pub(crate) fn check_sensor_rows(
 
 /// Folds the largest per-bin excess of `spec` over `base_env` into
 /// `peak` — the detection statistic, before thresholding.
-pub(crate) fn peak_excess_over(spec: &[f64], base_env: &[f64], peak: f64) -> f64 {
+fn peak_excess_over(spec: &[f64], base_env: &[f64], peak: f64) -> f64 {
     spec.iter()
         .zip(base_env)
         .map(|(s, b)| s - b)

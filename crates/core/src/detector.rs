@@ -44,11 +44,7 @@ pub mod reference_free;
 
 use crate::acquisition::{AcqContext, TraceSet};
 use crate::chip::{SensorSelect, TestChip};
-use crate::cross_domain::{
-    peak_excess_over, sweep_with_baseline, AnalyzerConfig, Baseline, CrossDomainAnalyzer,
-};
 use crate::error::CoreError;
-use crate::identify::TemplateLibrary;
 use crate::scenario::Scenario;
 use psa_dsp::spectrum;
 use psa_gatesim::trojan::TrojanKind;
@@ -56,8 +52,8 @@ use psa_ml::distance::euclidean;
 use psa_ml::kmeans::KMeans;
 use psa_ml::metrics::silhouette_score;
 use psa_ml::pca::Pca;
-use std::sync::OnceLock;
 
+pub use crate::cross_domain::CrossDomainDetector;
 pub use reference_free::{
     CrossScalePersistenceDetector, PersistenceConfig, SpectralKurtosisDetector,
     SpectralOutlierConfig, SpectralOutlierDetector,
@@ -182,148 +178,6 @@ pub trait Detector: ScoredDetector {
             traces_used: self.traces_per_score(),
             localized_sensor: None,
             identified: None,
-        })
-    }
-}
-
-/// The paper's cross-domain PSA detector.
-#[derive(Debug)]
-pub struct CrossDomainDetector {
-    baseline: Baseline,
-    config: AnalyzerConfig,
-    /// The identification template library, built once on first
-    /// detection and shared across workers thereafter — like the
-    /// baseline, it is chip-specific, so a detector (whose baseline
-    /// already binds it to one chip) must not be reused across chips.
-    templates: OnceLock<TemplateLibrary>,
-    /// The baseline's local-max envelopes, computed on first use and
-    /// compared against every decision's sweep thereafter.
-    envelopes: OnceLock<Vec<Vec<f64>>>,
-}
-
-impl CrossDomainDetector {
-    /// Wraps an already-learned baseline (e.g. one the campaign engine
-    /// learned in parallel across sensors). The identification library
-    /// is built lazily on first detection and cached.
-    pub fn with_baseline(baseline: Baseline) -> Self {
-        CrossDomainDetector {
-            baseline,
-            config: AnalyzerConfig::default(),
-            templates: OnceLock::new(),
-            envelopes: OnceLock::new(),
-        }
-    }
-
-    /// Wraps an already-learned baseline *and* an already-built template
-    /// library, skipping the lazy first-detection build entirely — the
-    /// memoized path for drivers that run several pipelines against the
-    /// same chip (the library is a pure function of the chip, so sharing
-    /// one build is result-identical to rebuilding).
-    pub fn with_baseline_and_templates(baseline: Baseline, templates: TemplateLibrary) -> Self {
-        let detector = Self::with_baseline(baseline);
-        let _ = detector.templates.set(templates);
-        detector
-    }
-
-    /// Overrides the analyzer configuration (trace budget, emergent
-    /// threshold).
-    pub fn with_config(mut self, config: AnalyzerConfig) -> Self {
-        self.config = config;
-        self
-    }
-
-    /// Access to the learned baseline.
-    pub fn baseline(&self) -> &Baseline {
-        &self.baseline
-    }
-
-    /// The analyzer configuration in use.
-    pub fn config(&self) -> &AnalyzerConfig {
-        &self.config
-    }
-
-    /// The baseline's local-max envelopes, computed once per detector.
-    fn envelopes(&self) -> &[Vec<f64>] {
-        self.envelopes.get_or_init(|| self.baseline.envelopes())
-    }
-}
-
-impl ScoredDetector for CrossDomainDetector {
-    fn name(&self) -> &'static str {
-        "PSA cross-domain (this work)"
-    }
-
-    fn capabilities(&self) -> Capabilities {
-        Capabilities {
-            localizes: true,
-            identifies: true,
-            runtime: true,
-            reference_free: false,
-        }
-    }
-
-    fn threshold(&self) -> f64 {
-        self.config.threshold_db
-    }
-
-    fn traces_per_score(&self) -> usize {
-        self.config.traces_per_sensor
-    }
-
-    /// The peak per-bin excess (dB) of any sensor's spectrum over its
-    /// baseline local-max envelope — the statistic the analyzer
-    /// thresholds at [`AnalyzerConfig::threshold_db`]. This is the
-    /// detection-only path: no localization ranking, no zero-span
-    /// identification, no template library, which makes it the cheap
-    /// per-cell unit of the bake-off.
-    fn score_with(&self, ctx: &mut AcqContext<'_>, scenario: &Scenario) -> Result<f64, CoreError> {
-        let spectra =
-            sweep_with_baseline(ctx, scenario, self.config.traces_per_sensor, &self.baseline)?;
-        Ok(spectra
-            .iter()
-            .zip(self.envelopes())
-            .fold(f64::NEG_INFINITY, |peak, (spec, base_env)| {
-                peak_excess_over(spec, base_env, peak)
-            }))
-    }
-}
-
-impl Detector for CrossDomainDetector {
-    /// The full pipeline: the analyzer's frequency-domain sweep plus
-    /// localization and zero-span identification. The verdict keeps the
-    /// analyzer's historical decision (≥ `min_components` emergent
-    /// components); its continuous statistic
-    /// ([`Verdict::peak_excess_db`](crate::cross_domain::Verdict)) is
-    /// bit-identical to [`score_with`](ScoredDetector::score_with) on
-    /// the same scenario.
-    fn detect_with(
-        &self,
-        ctx: &mut AcqContext<'_>,
-        scenario: &Scenario,
-    ) -> Result<DetectionOutcome, CoreError> {
-        // The reference library costs 8 signature acquisitions plus
-        // scaler/k-NN fits — far too much to repeat per detection.
-        // Build it once (first detection wins the race; the library is
-        // a pure function of the chip, so every build is identical).
-        let templates = match self.templates.get() {
-            Some(t) => t,
-            None => {
-                let built = TemplateLibrary::reference(ctx.chip())?;
-                self.templates.get_or_init(|| built)
-            }
-        };
-        let analyzer = CrossDomainAnalyzer::with_templates(self.config.clone(), templates.clone());
-        let verdict = analyzer.analyze_against(ctx, scenario, &self.baseline, self.envelopes())?;
-        Ok(DetectionOutcome {
-            detected: verdict.detected,
-            score: verdict.peak_excess_db,
-            threshold: self.config.threshold_db,
-            // Detection itself needs only the monitored sensor's traces
-            // (< 10); the full verdict scans all sensors for
-            // localization.
-            traces_used: verdict.traces_per_sensor,
-            localized_sensor: verdict.localized_sensor,
-            identified: verdict.identified,
         })
     }
 }

@@ -363,7 +363,8 @@ pub fn acquire_signature(
 }
 
 /// Builds a signature when the spectrum and baseline envelope are
-/// already available (the analyzer's path — avoids re-acquiring).
+/// already available (the cross-domain detector's path — avoids
+/// re-acquiring).
 ///
 /// # Errors
 ///
@@ -389,7 +390,7 @@ pub fn signature_from_parts_with(
         SensorSelect::Psa(sensor),
         line_freq_hz,
         crate::calib::IDENTIFY_RBW_HZ,
-        6,
+        crate::calib::IDENTIFY_RECORDS,
     )?;
     let env_fs = psa_dsp::zero_span::ZeroSpan::with_rbw(
         line_freq_hz,

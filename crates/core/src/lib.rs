@@ -54,16 +54,16 @@
 //! ```no_run
 //! use psa_core::acquisition::AcqContext;
 //! use psa_core::chip::TestChip;
-//! use psa_core::cross_domain::{Baseline, CrossDomainAnalyzer};
+//! use psa_core::cross_domain::{AnalyzerConfig, Baseline, CrossDomainDetector};
 //! use psa_core::scenario::Scenario;
 //! use psa_gatesim::trojan::TrojanKind;
 //!
 //! let chip = TestChip::date24();
 //! let mut ctx = AcqContext::new(&chip);
-//! let analyzer = CrossDomainAnalyzer::new(&chip).expect("reference template library");
-//! let baseline = Baseline::learn_with(analyzer.config(), &mut ctx, 42);
-//! let verdict = analyzer
-//!     .analyze_with(&mut ctx, &Scenario::trojan_active(TrojanKind::T1).with_seed(7), &baseline)
+//! let baseline = Baseline::learn_with(&AnalyzerConfig::default(), &mut ctx, 42);
+//! let detector = CrossDomainDetector::with_baseline(baseline);
+//! let verdict = detector
+//!     .analyze_with(&mut ctx, &Scenario::trojan_active(TrojanKind::T1).with_seed(7))
 //!     .expect("analysis succeeds");
 //! assert!(verdict.detected);
 //! ```

@@ -77,71 +77,28 @@ pub fn mttd_trial_with(
     timing: &MonitorTiming,
     max_traces: usize,
 ) -> Result<MttdResult, CoreError> {
-    let schedule = ActivationSchedule::constant(scenario.clone(), max_traces);
-    mttd_trial_scheduled(ctx, &schedule, baseline, sensor, timing)
-}
-
-/// The schedule-driven trial: runs a one-sensor streaming monitor
-/// session over `schedule` and reduces its event log to an
-/// [`MttdResult`], with the MTTD clock starting at the schedule's first
-/// Trojan-active record (record 0 for the batch-compatible constant
-/// schedule).
-///
-/// Alarms fired before activation (false alarms) do not stop the
-/// clock — but a false alarm whose flag is *still standing* when the
-/// Trojan activates counts as an immediate detection (one trace, one
-/// monitor tick): the detector only emits `Alarm` on the
-/// quiet→alarmed transition, so no post-activation event would
-/// otherwise mark it. A stream with no activation or no
-/// post-activation alarm returns `detected = false` with the full
-/// horizon spent.
-///
-/// # Errors
-///
-/// Propagates acquisition errors; the baseline must cover `sensor`.
-pub fn mttd_trial_scheduled(
-    ctx: &mut AcqContext<'_>,
-    schedule: &ActivationSchedule,
-    baseline: &Baseline,
-    sensor: usize,
-    timing: &MonitorTiming,
-) -> Result<MttdResult, CoreError> {
+    // A constant schedule is Trojan-active from record 0 or never, so
+    // an alarm's record and elapsed time already count from activation,
+    // and a Trojan-free stream has no alarm that could detect anything.
+    let armed = !scenario.active_trojans().is_empty();
     let detector = SlidingDetector::new(baseline, &[sensor], SlidingConfig::default())?;
-    let mut monitor = Monitor::new(StreamSource::new(schedule.clone()), detector, *timing);
-    let activation = schedule.first_activation_record();
-    let per_tick_s = timing.acquisition_s + timing.processing_s;
+    let stream = StreamSource::new(ActivationSchedule::constant(scenario.clone(), max_traces));
+    let mut monitor = Monitor::new(stream, detector, *timing);
     while !monitor.finished() {
-        // A flag already up when the Trojan activates is a detection
-        // the moment the activation record's iteration completes.
-        let standing =
-            Some(monitor.next_record()) == activation && monitor.detector().any_alarmed();
         let events = monitor.step(ctx)?;
-        if standing {
+        if let Some(alarm) = events.iter().find(|e| armed && e.is_alarm()) {
             return Ok(MttdResult {
                 detected: true,
-                time_to_detect_s: per_tick_s,
-                traces_used: 1,
-                sensor,
-            });
-        }
-        if let (Some(alarm), Some(act)) = (
-            events
-                .iter()
-                .find(|e| e.is_alarm() && Some(e.record) >= activation),
-            activation,
-        ) {
-            return Ok(MttdResult {
-                detected: true,
-                time_to_detect_s: alarm.elapsed_s - act as f64 * per_tick_s,
-                traces_used: alarm.record - act + 1,
+                time_to_detect_s: alarm.elapsed_s,
+                traces_used: alarm.record + 1,
                 sensor,
             });
         }
     }
     Ok(MttdResult {
         detected: false,
-        time_to_detect_s: monitor.elapsed_s() - activation.unwrap_or(0) as f64 * per_tick_s,
-        traces_used: schedule.horizon() - activation.unwrap_or(0),
+        time_to_detect_s: monitor.elapsed_s(),
+        traces_used: max_traces,
         sensor,
     })
 }

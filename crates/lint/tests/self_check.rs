@@ -130,3 +130,27 @@ fn every_allow_in_the_workspace_is_justified() {
         .collect();
     assert!(bad.is_empty(), "unjustified or malformed allows: {bad:?}");
 }
+
+#[test]
+fn reach_report_lists_exactly_the_documented_survivors() {
+    // The `--reach` fixpoint: every library `pub fn` no non-test code
+    // names is one of the survivors in DESIGN.md "Public surface". New
+    // unreached surface fails here; so does a survivor that is deleted
+    // or starts being reached without its table row going too.
+    let unreached: Vec<(String, String)> = psa_lint::reach::reach_tree(&workspace_root())
+        .expect("workspace tree is readable")
+        .into_iter()
+        .map(|u| (u.path, u.name))
+        .collect();
+    let survivors = [
+        ("crates/analog/src/opamp.rs", "gain_at_hz"),
+        ("crates/bench/src/harness.rs", "bench"),
+        ("crates/core/src/chip.rs", "nominal"),
+        ("crates/field/src/dipole.rs", "on_axis_circle_flux"),
+        ("crates/gatesim/src/aes.rs", "encrypt_block"),
+        ("crates/gatesim/src/trojan.rs", "is_triggered"),
+        ("crates/layout/src/geom.rs", "intersects"),
+    ]
+    .map(|(path, name)| (path.to_string(), name.to_string()));
+    assert_eq!(unreached, survivors);
+}

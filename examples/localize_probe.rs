@@ -1,29 +1,28 @@
 //! Full-pipeline probe: verdicts for every trojan.
 use psa_core::acquisition::AcqContext;
 use psa_core::chip::TestChip;
-use psa_core::cross_domain::{Baseline, CrossDomainAnalyzer};
+use psa_core::cross_domain::{AnalyzerConfig, Baseline, CrossDomainDetector};
 use psa_core::scenario::Scenario;
 use psa_gatesim::trojan::TrojanKind;
 
 fn main() {
     let chip = TestChip::date24();
     let mut ctx = AcqContext::new(&chip);
-    let analyzer = CrossDomainAnalyzer::new(&chip).expect("reference template library");
-    let baseline = Baseline::learn_with(analyzer.config(), &mut ctx, 42);
+    let baseline = Baseline::learn_with(&AnalyzerConfig::default(), &mut ctx, 42);
+    let detector = CrossDomainDetector::with_baseline(baseline);
     // No-trojan control.
-    let v = analyzer
-        .analyze_with(&mut ctx, &Scenario::baseline().with_seed(77), &baseline)
+    let v = detector
+        .analyze_with(&mut ctx, &Scenario::baseline().with_seed(77))
         .unwrap();
     println!(
         "control: detected={} top-energy={:.1}",
         v.detected, v.ranking[0].energy_db
     );
     for kind in TrojanKind::ALL {
-        let v = analyzer
+        let v = detector
             .analyze_with(
                 &mut ctx,
                 &Scenario::trojan_active(kind).with_seed(101 + kind.index() as u64),
-                &baseline,
             )
             .unwrap();
         println!(

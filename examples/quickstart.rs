@@ -13,7 +13,7 @@
 
 use psa_repro::core::acquisition::AcqContext;
 use psa_repro::core::chip::TestChip;
-use psa_repro::core::cross_domain::{Baseline, CrossDomainAnalyzer};
+use psa_repro::core::cross_domain::{AnalyzerConfig, Baseline, CrossDomainDetector};
 use psa_repro::core::scenario::Scenario;
 use psa_repro::gatesim::trojan::TrojanKind;
 
@@ -21,17 +21,16 @@ fn main() {
     println!("building the simulated AES-128 test chip (placement + EM couplings)...");
     let chip = TestChip::date24();
     let mut ctx = AcqContext::new(&chip);
-    let analyzer = CrossDomainAnalyzer::new(&chip).expect("reference template library");
 
     println!("learning the run-time baseline (Trojans dormant, same chip)...");
-    let baseline = Baseline::learn_with(analyzer.config(), &mut ctx, 42);
+    let baseline = Baseline::learn_with(&AnalyzerConfig::default(), &mut ctx, 42);
+    let detector = CrossDomainDetector::with_baseline(baseline);
 
     println!("activating T3 (CDMA key-leak Trojan, 1.14 % of cells) and analyzing...");
-    let verdict = analyzer
+    let verdict = detector
         .analyze_with(
             &mut ctx,
             &Scenario::trojan_active(TrojanKind::T3).with_seed(7),
-            &baseline,
         )
         .expect("analysis succeeds on the built-in chip");
 

@@ -5,7 +5,7 @@
 use psa_repro::core::acquisition::AcqContext;
 use psa_repro::core::calib;
 use psa_repro::core::chip::TestChip;
-use psa_repro::core::cross_domain::{AnalyzerConfig, Baseline, CrossDomainAnalyzer, Verdict};
+use psa_repro::core::cross_domain::{AnalyzerConfig, Baseline, Verdict};
 use psa_repro::core::detector::{CrossDomainDetector, Detector, ScoredDetector};
 use psa_repro::core::identify::TemplateLibrary;
 use psa_repro::core::scenario::Scenario;
@@ -18,23 +18,23 @@ fn chip() -> &'static TestChip {
     CHIP.get_or_init(TestChip::date24)
 }
 
-/// One analyzer for every test: its template library costs eight
+/// One detector for every test: its template library costs eight
 /// signature acquisitions.
-fn analyzer() -> &'static CrossDomainAnalyzer {
-    static ANALYZER: OnceLock<CrossDomainAnalyzer> = OnceLock::new();
-    ANALYZER.get_or_init(|| CrossDomainAnalyzer::new(chip()).unwrap())
-}
-
-fn baseline() -> &'static Baseline {
-    static BASE: OnceLock<Baseline> = OnceLock::new();
-    BASE.get_or_init(|| Baseline::learn_with(analyzer().config(), &mut AcqContext::new(chip()), 42))
+fn detector() -> &'static CrossDomainDetector {
+    static DETECTOR: OnceLock<CrossDomainDetector> = OnceLock::new();
+    DETECTOR.get_or_init(|| {
+        let mut ctx = AcqContext::new(chip());
+        let baseline = Baseline::learn_with(&AnalyzerConfig::default(), &mut ctx, 42);
+        let templates = TemplateLibrary::reference(chip()).unwrap();
+        CrossDomainDetector::with_baseline_and_templates(baseline, templates)
+    })
 }
 
 /// The full pipeline on `scenario` against the shared baseline, on a
 /// fresh context.
 fn analyze(scenario: &Scenario) -> Verdict {
-    analyzer()
-        .analyze_with(&mut AcqContext::new(chip()), scenario, baseline())
+    detector()
+        .analyze_with(&mut AcqContext::new(chip()), scenario)
         .expect("analysis runs")
 }
 
@@ -143,9 +143,7 @@ fn baselines_of_another_record_length_are_rejected() {
         vec![TrojanKind::T1, TrojanKind::T1],
     )
     .unwrap();
-    let detector =
-        CrossDomainDetector::with_baseline_and_templates(short.clone(), templates.clone());
-    let analyzer = CrossDomainAnalyzer::with_templates(AnalyzerConfig::default(), templates);
+    let detector = CrossDomainDetector::with_baseline_and_templates(short, templates);
     let scenario = Scenario::baseline().with_seed(777);
     let mut ctx = AcqContext::new(chip());
     assert!(matches!(
@@ -157,7 +155,7 @@ fn baselines_of_another_record_length_are_rejected() {
         Err(CoreError::InvalidParameter { .. })
     ));
     assert!(matches!(
-        analyzer.analyze_with(&mut ctx, &scenario, &short),
+        detector.analyze_with(&mut ctx, &scenario),
         Err(CoreError::InvalidParameter { .. })
     ));
 }

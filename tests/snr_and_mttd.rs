@@ -8,8 +8,10 @@ use psa_repro::core::acquisition::{AcqContext, TraceSet};
 use psa_repro::core::calib;
 use psa_repro::core::chip::{SensorSelect, TestChip};
 use psa_repro::core::cross_domain::{AnalyzerConfig, Baseline};
-use psa_repro::core::monitor::{ActivationSchedule, ScheduleChange, SlidingConfig};
-use psa_repro::core::mttd::{mttd_trial_scheduled, mttd_trial_with, MonitorTiming};
+use psa_repro::core::monitor::{
+    ActivationSchedule, Monitor, ScheduleChange, SlidingConfig, SlidingDetector, StreamSource,
+};
+use psa_repro::core::mttd::{mttd_trial_with, MonitorTiming};
 use psa_repro::core::scenario::Scenario;
 use psa_repro::core::snr;
 use psa_repro::dsp::peak;
@@ -183,18 +185,20 @@ fn streaming_mttd_is_bit_identical_to_batch_replay() {
 fn scheduled_trial_counts_mttd_from_activation() {
     let timing = MonitorTiming::default();
     let schedule = ActivationSchedule::trojan_at(TrojanKind::T4, 3, 12).with_seed(920);
-    let mut ctx = AcqContext::new(chip());
-    let r = mttd_trial_scheduled(&mut ctx, &schedule, baseline(), 10, &timing)
-        .expect("scheduled trial");
+    let detector = SlidingDetector::new(baseline(), &[10], SlidingConfig::default())
+        .expect("baseline covers sensor 10");
+    let mut monitor = Monitor::new(StreamSource::new(schedule), detector, timing);
+    monitor
+        .run_to_end(&mut AcqContext::new(chip()))
+        .expect("scheduled session");
+    let r = monitor.report(None);
     assert!(r.detected, "activation missed");
     // The clock starts at activation (record 3), not stream start.
-    assert!(r.traces_used < 10, "used {}", r.traces_used);
-    assert!(
-        r.time_to_detect_s < 10.0e-3,
-        "MTTD {} ms",
-        r.time_to_detect_s * 1e3
-    );
-    assert!(r.time_to_detect_s > 0.0);
+    let traces = r.traces_to_detect.expect("detected");
+    assert!(traces < 10, "used {traces}");
+    let mttd_s = r.mttd_s.expect("detected");
+    assert!(mttd_s < 10.0e-3, "MTTD {} ms", mttd_s * 1e3);
+    assert!(mttd_s > 0.0);
 }
 
 #[test]
