@@ -18,20 +18,13 @@
 //! itself is microseconds — acquisition dominates, so cells/sec is the
 //! tracked product metric.
 
-use psa_bench::harness::{bench_json_path, positive_usize_arg, ArtifactTimer};
+use psa_bench::harness::{bench_json_path, digest, positive_usize_arg, ArtifactTimer};
 use psa_core::detector::{
     BackscatterConfig, BackscatterDetector, CrossDomainDetector, CrossScalePersistenceDetector,
     EuclideanConfig, EuclideanDetector, PersistenceConfig, ScoredDetector,
     SpectralKurtosisDetector, SpectralOutlierConfig, SpectralOutlierDetector,
 };
 use psa_runtime::{Bakeoff, BakeoffConfig, Campaign};
-
-/// Deterministic digest of a float series (printed on stdout so the
-/// serial-vs-parallel byte-compare checks the computation).
-fn digest(xs: &[f64]) -> String {
-    let sum: f64 = xs.iter().sum();
-    format!("{sum:.6e}")
-}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -110,25 +103,11 @@ fn main() {
         bakeoff.run(&detectors).expect("bake-off on built-in chip")
     });
 
-    // Digest over the raw score matrix (non-finite scores are legal —
-    // map them to sentinel magnitudes so the digest stays finite).
-    let score_digest: Vec<f64> = report
-        .cells
-        .iter()
-        .map(|c| {
-            if c.score.is_finite() {
-                c.score
-            } else if c.score == f64::NEG_INFINITY {
-                -1.0e9
-            } else {
-                1.0e9
-            }
-        })
-        .collect();
+    let scores: Vec<f64> = report.cells.iter().map(|c| c.score).collect();
     println!(
         "stage bakeoff_cells: {} cells, digest {}",
         report.cells.len(),
-        digest(&score_digest)
+        digest(&scores)
     );
     print!("{}", report.table().render());
 

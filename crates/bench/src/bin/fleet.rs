@@ -18,16 +18,9 @@
 //! `fleet_chips` stage re-expresses the same monitored pass in
 //! chips/sec.
 
-use psa_bench::harness::{bench_json_path, positive_usize_arg, ArtifactTimer};
+use psa_bench::harness::{bench_json_path, digest, positive_usize_arg, ArtifactTimer};
 use psa_runtime::fleet::{Fleet, FleetConfig, FleetReport};
 use std::time::Instant;
-
-/// Deterministic digest of a float series (printed on stdout so the
-/// serial-vs-parallel byte-compare checks the computation).
-fn digest(xs: &[f64]) -> String {
-    let sum: f64 = xs.iter().sum();
-    format!("{sum:.6e}")
-}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();

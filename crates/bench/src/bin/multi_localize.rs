@@ -20,14 +20,9 @@
 //! for a reduced smoke shape.
 
 use psa_bench::experiments;
-use psa_bench::harness::{bench_json_path, engine_from_cli, positive_usize_arg, ArtifactTimer};
-
-/// Deterministic digest of a float series (printed on stdout so the
-/// serial-vs-parallel byte-compare checks the computation).
-fn digest(xs: &[f64]) -> String {
-    let sum: f64 = xs.iter().sum();
-    format!("{sum:.6e}")
-}
+use psa_bench::harness::{
+    bench_json_path, digest, engine_from_cli, positive_usize_arg, ArtifactTimer,
+};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();

@@ -24,7 +24,7 @@
 //! stages count envelopes instead: one envelope is the identification
 //! zero-span of six concatenated records.
 
-use psa_bench::harness::{bench_json_path, ArtifactTimer};
+use psa_bench::harness::{bench_json_path, digest, ArtifactTimer};
 use psa_core::acquisition::{AcqContext, TraceSet};
 use psa_core::chip::SensorSelect;
 use psa_core::cross_domain::{AnalyzerConfig, Baseline};
@@ -52,14 +52,6 @@ fn record_counts() -> (usize, usize, usize, usize, usize, usize) {
     } else {
         (32, 2, 256, 24, 8, 32)
     }
-}
-
-/// Deterministic digest of a float series, printed on stdout so the
-/// serial-vs-parallel byte-compare checks the *computation*, not just
-/// the stage labels.
-fn digest(xs: &[f64]) -> String {
-    let sum: f64 = xs.iter().sum();
-    format!("{sum:.6e}")
 }
 
 fn main() {

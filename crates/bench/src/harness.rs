@@ -88,6 +88,19 @@ pub fn bench_json_path(args: &[String], default: &str) -> Option<PathBuf> {
     None
 }
 
+/// Deterministic digest of a float series, printed on stdout so the
+/// serial-vs-parallel byte-compare checks the computation itself: FNV-1a
+/// over each value's `f64::to_bits` (the hash psabench's output digest
+/// uses), so a one-ulp change or a reordering moves it.
+pub fn digest(xs: &[f64]) -> String {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for b in xs.iter().flat_map(|x| x.to_bits().to_le_bytes()) {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    format!("{h:016x}")
+}
+
 /// Runs named closures and prints per-iteration timings.
 ///
 /// Honors CLI conventions `cargo bench` relies on: a positional filter
@@ -306,6 +319,25 @@ fn fmt_ns(ns: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn digest_sees_every_bit_and_the_order() {
+        let xs = [0.5, 1.25, -3.0, 1.0e-11];
+        let base = digest(&xs);
+        assert_eq!(base.len(), 16);
+        assert_eq!(base, digest(&xs));
+        // One ulp on one input.
+        let mut ulp = xs;
+        ulp[1] = f64::from_bits(ulp[1].to_bits() + 1);
+        assert_ne!(base, digest(&ulp));
+        // A reordering that leaves the sum unchanged.
+        let swapped = [1.25, 0.5, -3.0, 1.0e-11];
+        assert_eq!(
+            xs.iter().sum::<f64>().to_bits(),
+            swapped.iter().sum::<f64>().to_bits()
+        );
+        assert_ne!(base, digest(&swapped));
+    }
 
     #[test]
     fn formats_time_scales() {
