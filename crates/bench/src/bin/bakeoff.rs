@@ -20,33 +20,20 @@
 
 use psa_bench::harness::{bench_json_path, digest, positive_usize_arg, ArtifactTimer};
 use psa_core::detector::{
-    BackscatterConfig, BackscatterDetector, CrossDomainDetector, CrossScalePersistenceDetector,
-    EuclideanConfig, EuclideanDetector, PersistenceConfig, ScoredDetector,
-    SpectralKurtosisDetector, SpectralOutlierConfig, SpectralOutlierDetector,
+    BackscatterDetector, CrossDomainDetector, CrossScalePersistenceDetector, EuclideanDetector,
+    ScoredDetector, SpectralKurtosisDetector, SpectralOutlierDetector,
 };
-use psa_runtime::{Bakeoff, BakeoffConfig, Campaign};
+use psa_runtime::{Bakeoff, Campaign};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let engine = psa_bench::harness::engine_from_cli(&args);
     let json_path = bench_json_path(&args, "BENCH_bakeoff.json");
     let fast = std::env::var("PSA_BENCH_FAST").is_ok_and(|v| v != "0");
-    let default_seeds = if fast {
-        2
-    } else {
-        BakeoffConfig::default().seeds_per_scenario
-    };
-    let seeds = positive_usize_arg(&args, "--seeds", default_seeds);
-    let config = BakeoffConfig {
-        seeds_per_scenario: seeds,
-        ..BakeoffConfig::default()
-    };
+    let seeds = positive_usize_arg(&args, "--seeds", if fast { 2 } else { 4 });
     let mut timer = ArtifactTimer::new();
 
-    println!(
-        "== detector bake-off: {} seeds per scenario, thresholds swept to ROC/AUC ==",
-        config.seeds_per_scenario
-    );
+    println!("== detector bake-off: {seeds} seeds per scenario, thresholds swept to ROC/AUC ==");
     let chip = psa_bench::experiments::build_chip();
 
     // Stage 1: the shared cross-domain baseline (one job per sensor).
@@ -63,29 +50,11 @@ fn main() {
     let (euclid_traces, backscatter_traces, outlier_traces, persistence_traces) =
         if fast { (8, 10, 2, 1) } else { (24, 24, 3, 2) };
     let cross = CrossDomainDetector::with_baseline(baseline);
-    let euclid = EuclideanDetector::with_config(
-        psa_core::chip::SensorSelect::SingleCoil,
-        EuclideanConfig {
-            traces_per_side: euclid_traces,
-            ..EuclideanConfig::default()
-        },
-    );
-    let backscatter = BackscatterDetector::with_config(BackscatterConfig {
-        traces_per_side: backscatter_traces,
-        ..BackscatterConfig::default()
-    });
-    let outlier = SpectralOutlierDetector::with_config(SpectralOutlierConfig {
-        traces_per_sensor: outlier_traces,
-        ..SpectralOutlierConfig::default()
-    });
-    let persistence = CrossScalePersistenceDetector::with_config(PersistenceConfig {
-        traces_per_scale: persistence_traces,
-        ..PersistenceConfig::default()
-    });
-    let kurtosis = SpectralKurtosisDetector {
-        traces_per_sensor: outlier_traces,
-        ..SpectralKurtosisDetector::default()
-    };
+    let euclid = EuclideanDetector::single_coil(euclid_traces);
+    let backscatter = BackscatterDetector::new(backscatter_traces);
+    let outlier = SpectralOutlierDetector::new(outlier_traces);
+    let persistence = CrossScalePersistenceDetector::new(persistence_traces);
+    let kurtosis = SpectralKurtosisDetector::new(outlier_traces);
     let detectors: [&dyn ScoredDetector; 6] = [
         &cross,
         &euclid,
@@ -97,8 +66,8 @@ fn main() {
 
     // Stage 2: the score fan-out — every (detector, scenario, seed)
     // cell one engine job.
-    let bakeoff = Bakeoff::new(&chip, engine, config.clone());
-    let cell_count = (detectors.len() * 5 * config.seeds_per_scenario) as u64;
+    let bakeoff = Bakeoff::new(&chip, engine, seeds);
+    let cell_count = (detectors.len() * 5 * seeds) as u64;
     let report = timer.time("bakeoff_cells", Some(cell_count), || {
         bakeoff.run(&detectors).expect("bake-off on built-in chip")
     });

@@ -13,6 +13,7 @@
 //!
 //! Every `(budget, Trojan)` cell is one engine job.
 
+use psa_core::calib;
 use psa_core::chip::{SensorSelect, TestChip};
 use psa_core::detector::{Detector, EuclideanDetector};
 use psa_core::report::Table;
@@ -35,7 +36,8 @@ fn main() {
 fn psa_sweep(chip: &TestChip, engine: &Engine) {
     let campaign = Campaign::new(chip, *engine);
     let baseline = campaign.learn_baseline(0xBA5E);
-    let base_env = peak::local_max_envelope(&baseline.per_sensor_db[10], 8);
+    let base_env =
+        peak::local_max_envelope(&baseline.per_sensor_db[10], calib::ENVELOPE_HALF_WINDOW);
 
     let budgets = [1usize, 2, 3, 5];
     let mut jobs: Vec<(usize, TrojanKind)> = Vec::new();
@@ -49,7 +51,7 @@ fn psa_sweep(chip: &TestChip, engine: &Engine) {
         let spec = ctx
             .acquire_fullres_spectrum_db(&scenario, SensorSelect::Psa(10), n)
             .expect("spectrum");
-        !peak::excess_over_baseline_db(&spec, &base_env, 10.0).is_empty()
+        !peak::excess_over_baseline_db(&spec, &base_env, calib::DETECTION_THRESHOLD_DB).is_empty()
     });
 
     let mut t = Table::new(vec![

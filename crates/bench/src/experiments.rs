@@ -15,7 +15,7 @@ use psa_core::detector::{BackscatterDetector, CrossDomainDetector, Detector, Euc
 use psa_core::monitor::{ActivationSchedule, ScheduleChange, SlidingConfig};
 use psa_core::mttd::{mttd_trial_with, MonitorTiming};
 use psa_core::multiloc::MultiLocConfig;
-use psa_core::progsearch::{DetectionSnr, ProgramSearchConfig, SearchObjective};
+use psa_core::progsearch::{DetectionSnr, ProgramSearchConfig, TURNS_MAX, TURNS_MIN};
 use psa_core::report::{db, pct, sparkline, yes_no, Table};
 use psa_core::scenario::Scenario;
 use psa_core::snr::measure_snr_with;
@@ -522,18 +522,9 @@ pub fn fig5_panels_with(
         let verdict = detector
             .analyze_with(ctx, &scenario)
             .expect("analysis succeeds");
-        let envelope = ctx
-            .zero_span_rbw(
-                &scenario,
-                SensorSelect::Psa(verdict.localized_sensor.unwrap_or(10)),
-                verdict.prominent_freq_hz.unwrap_or(48.0e6),
-                calib::IDENTIFY_RBW_HZ,
-                calib::IDENTIFY_RECORDS,
-            )
-            .expect("zero span");
         Fig5Panel {
             trojan: kind,
-            envelope,
+            envelope: verdict.identification_envelope.unwrap_or_default(),
             identified: verdict.identified.unwrap_or(kind),
             distance: verdict.identification_distance.unwrap_or(f64::NAN),
         }
@@ -1462,22 +1453,16 @@ fn records_label(k: Option<usize>) -> String {
 /// `program_search` binary prints — byte-identical at any worker count.
 pub fn search_report_text(config: &ProgramSearchConfig, outcomes: &[SearchOutcome]) -> String {
     let mut out = String::new();
-    let objective = match config.objective {
-        SearchObjective::MaxSnr => "max-snr",
-        SearchObjective::MinTtd => "min-ttd",
-    };
     out.push_str(&format!(
-        "objective {objective}  records/eval {}  record {} cycles  beam {}  rounds <= {}  turns {}..{}  step {}\n",
+        "objective max-snr  records/eval {}  record {} cycles  beam {}  rounds <= {}  turns {TURNS_MIN}..{TURNS_MAX}  step {}\n",
         config.records_per_eval,
         config.record_cycles,
         config.beam_width,
         config.max_rounds,
-        config.turns_min,
-        config.turns_max,
         config.step,
     ));
     for o in outcomes {
-        let best_preset = o.report.best_preset(config);
+        let best_preset = o.report.best_preset();
         let best = &o.report.best;
         out.push_str(&format!("trojan {}:\n", o.report.kind));
         out.push_str(&format!(
@@ -1491,7 +1476,7 @@ pub fn search_report_text(config: &ProgramSearchConfig, outcomes: &[SearchOutcom
             best.program.to_string(),
             best.snr.snr_db,
             records_label(best.snr.records_to_detect),
-            o.report.improvement_db(config),
+            o.report.improvement_db(),
             o.report.evaluated,
             o.report.rounds.len(),
         ));
@@ -1520,7 +1505,7 @@ pub fn search_report_text(config: &ProgramSearchConfig, outcomes: &[SearchOutcom
     // Summary: does a searched programming clear the preset bar?
     let won = outcomes
         .iter()
-        .filter(|o| o.report.improvement_db(config) > 0.0)
+        .filter(|o| o.report.improvement_db() > 0.0)
         .count();
     out.push_str(&format!(
         "searched programming beats best preset: {won}/{} trojans\n",

@@ -58,7 +58,9 @@ impl SyntheticEmitter {
     }
 }
 
-/// Configuration of a placement sweep.
+/// Configuration of a placement sweep. Components are flagged at
+/// [`calib::DETECTION_THRESHOLD_DB`] over the baseline's
+/// [`calib::ENVELOPE_HALF_WINDOW`] envelope.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlacementSweepConfig {
     /// Records averaged per sensor per placement decision.
@@ -66,13 +68,6 @@ pub struct PlacementSweepConfig {
     /// Record length in clock cycles (atlas default 2048; the Sec. VI
     /// bench uses [`calib::RECORD_CYCLES`] = 8192).
     pub record_cycles: usize,
-    /// Emergent-component threshold, dB over the baseline envelope.
-    pub threshold_db: f64,
-    /// Half-width of the local-max envelope applied to the baseline.
-    pub envelope_half_window: usize,
-    /// Dipole sample grid per side for an emitter footprint (`2` → four
-    /// dipoles per site).
-    pub dipole_grid_per_side: usize,
 }
 
 impl Default for PlacementSweepConfig {
@@ -80,12 +75,13 @@ impl Default for PlacementSweepConfig {
         PlacementSweepConfig {
             records_per_sensor: 2,
             record_cycles: 2048,
-            threshold_db: calib::DETECTION_THRESHOLD_DB,
-            envelope_half_window: 8,
-            dipole_grid_per_side: 2,
         }
     }
 }
+
+/// Dipole sample grid per side of an emitter footprint (four dipoles
+/// per site).
+const DIPOLE_GRID_PER_SIDE: usize = 2;
 
 /// The evaluation seed of a placement: the corner's base seed salted
 /// with the site coordinates (SplitMix64 over the coordinate bits).
@@ -134,8 +130,8 @@ impl<'c> PlacementSweep<'c> {
     ///
     /// # Errors
     ///
-    /// [`CoreError::InvalidParameter`] for a zero record count, record
-    /// length, or dipole grid.
+    /// [`CoreError::InvalidParameter`] for a zero record count or record
+    /// length.
     pub fn new(chip: &'c TestChip, config: PlacementSweepConfig) -> Result<Self, CoreError> {
         if config.records_per_sensor == 0 {
             return Err(CoreError::InvalidParameter {
@@ -145,11 +141,6 @@ impl<'c> PlacementSweep<'c> {
         if config.record_cycles == 0 {
             return Err(CoreError::InvalidParameter {
                 what: "placement sweep record length must be at least one cycle",
-            });
-        }
-        if config.dipole_grid_per_side == 0 {
-            return Err(CoreError::InvalidParameter {
-                what: "emitter dipole grid must have at least one point per side",
             });
         }
         let sensor_loops: Vec<Polygon> = chip
@@ -197,7 +188,7 @@ impl<'c> PlacementSweep<'c> {
     /// the die; field errors for degenerate geometry.
     pub fn coupling_row(&self, site: &EmitterSite) -> Result<Vec<f64>, CoreError> {
         site.validate_on(self.chip.floorplan().die())?;
-        let points = site.dipole_points(self.config.dipole_grid_per_side);
+        let points = site.dipole_points(DIPOLE_GRID_PER_SIDE);
         Ok(psa_field::emitter::emitter_coupling_row(
             &points,
             &self.sensor_loops,
@@ -257,14 +248,14 @@ impl<'c> PlacementSweep<'c> {
     }
 
     /// Precomputed per-sensor local-max envelopes of a corner baseline —
-    /// a pure function of the baseline and the configured half-window,
+    /// a pure function of the baseline,
     /// so a campaign computes them once per corner instead of once per
     /// placement.
     pub fn baseline_envelopes(&self, baseline: &Baseline) -> Vec<Vec<f64>> {
         baseline
             .per_sensor_db
             .iter()
-            .map(|b| peak::local_max_envelope(b, self.config.envelope_half_window))
+            .map(|b| peak::local_max_envelope(b, calib::ENVELOPE_HALF_WINDOW))
             .collect()
     }
 
@@ -320,7 +311,7 @@ impl<'c> PlacementSweep<'c> {
                 merge_adjacent_bins(&peak::excess_over_baseline_db(
                     spec,
                     env,
-                    self.config.threshold_db,
+                    calib::DETECTION_THRESHOLD_DB,
                 ))
             })
             .collect();
@@ -341,8 +332,6 @@ mod tests {
         let c = PlacementSweepConfig::default();
         assert!(c.records_per_sensor >= 1);
         assert!(c.record_cycles.is_power_of_two());
-        assert_eq!(c.threshold_db, calib::DETECTION_THRESHOLD_DB);
-        assert!(c.dipole_grid_per_side >= 1);
     }
 
     #[test]

@@ -47,6 +47,12 @@ pub const TRACES_PER_SPECTRUM: usize = 5;
 /// dB over the learned same-chip baseline.
 pub const DETECTION_THRESHOLD_DB: f64 = 10.0;
 
+/// Half-width, in bins, of the local-max envelope taken over a learned
+/// baseline spectrum before the detection threshold compares against
+/// it, so per-bin noise flicker between the learning and test windows
+/// cannot false-alarm.
+pub const ENVELOPE_HALF_WINDOW: usize = 8;
+
 /// Zero-span resolution bandwidth for the identification stage, Hz.
 /// Narrow enough to reject the 51 MHz member of the sideband family
 /// (3 MHz away) and the AES block-rate lines (±1.25 MHz), wide enough to

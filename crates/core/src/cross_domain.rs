@@ -67,7 +67,8 @@ impl Baseline {
         Baseline { per_sensor_db }
     }
 
-    /// Every sensor's local-max envelope (half-width 8 bins): the
+    /// Every sensor's local-max envelope
+    /// ([`calib::ENVELOPE_HALF_WINDOW`] bins each side): the
     /// reference the detection threshold compares a sweep against, so
     /// per-bin noise flicker between the learning and test windows
     /// cannot false-alarm. Callers that decide many times against one
@@ -75,7 +76,7 @@ impl Baseline {
     pub(crate) fn envelopes(&self) -> Vec<Vec<f64>> {
         self.per_sensor_db
             .iter()
-            .map(|base| peak::local_max_envelope(base, 8))
+            .map(|base| peak::local_max_envelope(base, calib::ENVELOPE_HALF_WINDOW))
             .collect()
     }
 
@@ -138,6 +139,9 @@ pub struct Verdict {
     /// Distance of the envelope features to the matched template
     /// (smaller = more confident).
     pub identification_distance: Option<f64>,
+    /// The zero-span envelope the identification classified (the
+    /// localized sensor at the prominent line, identification RBW).
+    pub identification_envelope: Option<Vec<f64>>,
     /// Traces consumed by the detection stage (per sensor).
     pub traces_per_sensor: usize,
     /// The continuous decision statistic behind `detected`: the largest
@@ -284,6 +288,7 @@ impl CrossDomainDetector {
                 prominent_freq_hz: None,
                 identified: None,
                 identification_distance: None,
+                identification_envelope: None,
                 traces_per_sensor: self.config.traces_per_sensor,
                 peak_excess_db,
             });
@@ -326,7 +331,7 @@ impl CrossDomainDetector {
 
         // Stage 3: cross-domain identification on the localized sensor —
         // spectral context of the line plus its zero-span envelope.
-        let signature = identify::signature_from_parts_with(
+        let (signature, envelope) = identify::signature_from_parts_with(
             ctx,
             scenario,
             top_sensor,
@@ -344,6 +349,7 @@ impl CrossDomainDetector {
             prominent_freq_hz: Some(prominent),
             identified: Some(identified),
             identification_distance: Some(dist),
+            identification_envelope: Some(envelope),
             traces_per_sensor: self.config.traces_per_sensor,
             peak_excess_db,
         })

@@ -55,8 +55,7 @@ use psa_ml::pca::Pca;
 
 pub use crate::cross_domain::CrossDomainDetector;
 pub use reference_free::{
-    CrossScalePersistenceDetector, PersistenceConfig, SpectralKurtosisDetector,
-    SpectralOutlierConfig, SpectralOutlierDetector,
+    CrossScalePersistenceDetector, SpectralKurtosisDetector, SpectralOutlierDetector,
 };
 
 /// What a detection method can report beyond its yes/no verdict —
@@ -122,9 +121,9 @@ pub trait ScoredDetector: Send + Sync {
     fn capabilities(&self) -> Capabilities;
 
     /// The default decision threshold [`Detector::detect_with`]
-    /// applies, in the same units as the score.
-    /// Backends surface it from their public config structs so callers
-    /// can sweep it.
+    /// applies, in the same units as the score: each backend's own
+    /// constant. The bake-off sweeps thresholds over the observed
+    /// scores instead.
     fn threshold(&self) -> f64;
 
     /// Traces one [`score_with`](Self::score_with) call consumes (the
@@ -182,75 +181,42 @@ pub trait Detector: ScoredDetector {
     }
 }
 
-/// Configuration of the Euclidean-distance statistical baseline, with
-/// the decision threshold lifted out of the detector body.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EuclideanConfig {
-    /// Traces per side (reference and test). The literature setups
-    /// spend 60+ per side — per-trace discriminability, not statistics,
-    /// is their binding constraint.
-    pub traces_per_side: usize,
-    /// Detection threshold in reference-spread multiples: detect when
-    /// the studentized distance shift exceeds `k_sigma`. Default `3.0`
-    /// (the classical 3-sigma rule).
-    pub k_sigma: f64,
-    /// Record length in clock cycles. The original setups captured
-    /// short oscilloscope records (coarse RBW) — a key reason they miss
-    /// small Trojans. Default
-    /// [`EuclideanDetector::BASELINE_RECORD_CYCLES`].
-    pub record_cycles: usize,
-}
-
-impl Default for EuclideanConfig {
-    fn default() -> Self {
-        EuclideanConfig {
-            traces_per_side: 60,
-            k_sigma: 3.0,
-            record_cycles: EuclideanDetector::BASELINE_RECORD_CYCLES,
-        }
-    }
-}
-
 /// The Euclidean-distance statistical baseline (He et al.).
 #[derive(Debug, Clone)]
 pub struct EuclideanDetector {
     /// The probe this instance models (external probe or single coil).
     pub sensor: SensorSelect,
-    /// Trace budget and decision threshold.
-    pub config: EuclideanConfig,
+    /// Traces per side (reference and test). The literature setups
+    /// spend 60+ per side — per-trace discriminability, not statistics,
+    /// is their binding constraint.
+    traces_per_side: usize,
 }
 
 impl EuclideanDetector {
     /// Record length of the literature setups: 512 cycles (4096 samples,
-    /// ≈64 kHz RBW).
+    /// ≈64 kHz RBW). The original setups captured short oscilloscope
+    /// records (coarse RBW) — a key reason they miss small Trojans.
     pub const BASELINE_RECORD_CYCLES: usize = 512;
+
+    /// Decision threshold in reference-spread multiples: detect when the
+    /// studentized distance shift exceeds it (the classical 3-sigma
+    /// rule).
+    pub const K_SIGMA: f64 = 3.0;
 
     /// He TVLSI'17: external probe, many traces.
     pub fn external_probe(traces_per_side: usize) -> Self {
-        Self::with_config(
-            SensorSelect::LangerLf1,
-            EuclideanConfig {
-                traces_per_side,
-                ..EuclideanConfig::default()
-            },
-        )
+        EuclideanDetector {
+            sensor: SensorSelect::LangerLf1,
+            traces_per_side,
+        }
     }
 
     /// He DAC'20: whole-die single coil, many traces.
     pub fn single_coil(traces_per_side: usize) -> Self {
-        Self::with_config(
-            SensorSelect::SingleCoil,
-            EuclideanConfig {
-                traces_per_side,
-                ..EuclideanConfig::default()
-            },
-        )
-    }
-
-    /// An instance on an arbitrary sensing selection with an explicit
-    /// configuration.
-    pub fn with_config(sensor: SensorSelect, config: EuclideanConfig) -> Self {
-        EuclideanDetector { sensor, config }
+        EuclideanDetector {
+            sensor: SensorSelect::SingleCoil,
+            traces_per_side,
+        }
     }
 }
 
@@ -277,11 +243,11 @@ impl ScoredDetector for EuclideanDetector {
     }
 
     fn threshold(&self) -> f64 {
-        self.config.k_sigma
+        Self::K_SIGMA
     }
 
     fn traces_per_score(&self) -> usize {
-        2 * self.config.traces_per_side
+        2 * self.traces_per_side
     }
 
     /// The studentized distance shift `(test_mu - ref_mu) / ref_sigma`:
@@ -298,19 +264,19 @@ impl ScoredDetector for EuclideanDetector {
         }
         .with_seed(scenario.seed ^ 0xA5A5);
 
-        let mut ref_spectra = Vec::with_capacity(self.config.traces_per_side);
-        let mut test_spectra = Vec::with_capacity(self.config.traces_per_side);
+        let mut ref_spectra = Vec::with_capacity(self.traces_per_side);
+        let mut test_spectra = Vec::with_capacity(self.traces_per_side);
         // Spectra per single trace: the original methods "compare the
         // Euclidean distance between traces or explore the Euclidean
         // distance distributions" — per-trace distributions, which is why
         // they need so many traces at low SNR.
         let mut traces = TraceSet::default();
-        for i in 0..self.config.traces_per_side {
+        for i in 0..self.traces_per_side {
             ctx.acquire_len_into(
                 &reference.clone().with_seed(reference.seed + i as u64),
                 self.sensor,
                 1,
-                self.config.record_cycles,
+                Self::BASELINE_RECORD_CYCLES,
                 &mut traces,
             )?;
             ref_spectra.push(linear_spectrum(ctx, &traces)?);
@@ -318,7 +284,7 @@ impl ScoredDetector for EuclideanDetector {
                 &scenario.clone().with_seed(scenario.seed + i as u64),
                 self.sensor,
                 1,
-                self.config.record_cycles,
+                Self::BASELINE_RECORD_CYCLES,
                 &mut traces,
             )?;
             test_spectra.push(linear_spectrum(ctx, &traces)?);
@@ -355,30 +321,6 @@ fn linear_spectrum(ctx: &mut AcqContext<'_>, traces: &TraceSet) -> Result<Vec<f6
     Ok(db.into_iter().map(spectrum::db_to_amplitude).collect())
 }
 
-/// Configuration of the backscattering clustering baseline, with the
-/// decision threshold lifted out of the detector body.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BackscatterConfig {
-    /// Traces per side (the paper's method used ~100 total). Default
-    /// `50`.
-    pub traces_per_side: usize,
-    /// Carrier frequency, Hz (kept inside the 120 MHz band). Default
-    /// `100 MHz`.
-    pub carrier_hz: f64,
-    /// Silhouette threshold for calling a separation. Default `0.4`.
-    pub silhouette_threshold: f64,
-}
-
-impl Default for BackscatterConfig {
-    fn default() -> Self {
-        BackscatterConfig {
-            traces_per_side: 50,
-            carrier_hz: 100.0e6,
-            silhouette_threshold: 0.4,
-        }
-    }
-}
-
 /// The backscattering clustering baseline (Nguyen et al., HOST'20).
 ///
 /// A carrier is injected and its reflection, amplitude-modulated by the
@@ -386,16 +328,29 @@ impl Default for BackscatterConfig {
 /// captured. Spectra of reference and test captures are projected with
 /// PCA and clustered with K-means; well-separated clusters mean a
 /// Trojan.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct BackscatterDetector {
-    /// Trace budget, carrier, and decision threshold.
-    pub config: BackscatterConfig,
+    /// Traces per side (the paper's method used ~100 total).
+    traces_per_side: usize,
+}
+
+impl Default for BackscatterDetector {
+    fn default() -> Self {
+        BackscatterDetector::new(50)
+    }
 }
 
 impl BackscatterDetector {
-    /// An instance with an explicit configuration.
-    pub fn with_config(config: BackscatterConfig) -> Self {
-        BackscatterDetector { config }
+    /// Silhouette threshold for calling a separation.
+    pub const SILHOUETTE_THRESHOLD: f64 = 0.4;
+
+    /// Injected carrier frequency, Hz (kept inside the 120 MHz band).
+    const CARRIER_HZ: f64 = 100.0e6;
+
+    /// An instance spending `traces_per_side` captures on each of the
+    /// reference and test sides.
+    pub fn new(traces_per_side: usize) -> Self {
+        BackscatterDetector { traces_per_side }
     }
 
     /// Synthesizes one backscatter capture: the carrier AM-modulated by
@@ -444,13 +399,13 @@ impl BackscatterDetector {
             for s in 0..spc {
                 let i = (c * spc + s) as f64;
                 let t = i / fs;
-                let carrier = (2.0 * std::f64::consts::PI * self.config.carrier_hz * t).cos();
+                let carrier = (2.0 * std::f64::consts::PI * Self::CARRIER_HZ * t).cos();
                 rx.push((1.0 + depth) * carrier * 1.0e-2 + noise.next());
             }
         }
         // Feature vector: amplitude spectrum around the carrier.
         let spec = scratch.amplitude_spectrum(&rx)?;
-        let bin = psa_dsp::fft::freq_bin(self.config.carrier_hz, rx.len(), fs);
+        let bin = psa_dsp::fft::freq_bin(Self::CARRIER_HZ, rx.len(), fs);
         let lo = bin.saturating_sub(64);
         let hi = (bin + 64).min(spec.len());
         let _ = chip; // geometry-independent: backscatter senses global impedance
@@ -468,18 +423,28 @@ impl ScoredDetector for BackscatterDetector {
     }
 
     fn threshold(&self) -> f64 {
-        self.config.silhouette_threshold
+        Self::SILHOUETTE_THRESHOLD
     }
 
     fn traces_per_score(&self) -> usize {
-        2 * self.config.traces_per_side
+        2 * self.traces_per_side
     }
 
     /// The silhouette score of the 2-means clustering when the clusters
     /// actually split the reference/test halves; `-1.0` (the silhouette
     /// floor) when they split along noise instead — a split-less
     /// clustering carries no Trojan evidence at any threshold.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::InvalidParameter`] for a zero trace budget, before
+    /// anything is acquired.
     fn score_with(&self, ctx: &mut AcqContext<'_>, scenario: &Scenario) -> Result<f64, CoreError> {
+        if self.traces_per_side == 0 {
+            return Err(CoreError::InvalidParameter {
+                what: "backscatter needs at least one trace per side",
+            });
+        }
         let chip = ctx.chip();
         let reference = Scenario {
             trojan: None,
@@ -487,8 +452,8 @@ impl ScoredDetector for BackscatterDetector {
             ..scenario.clone()
         };
         let mut scratch = psa_dsp::batch::SpectrumScratch::new(psa_dsp::window::Window::Hann);
-        let mut features = Vec::with_capacity(2 * self.config.traces_per_side);
-        for i in 0..self.config.traces_per_side {
+        let mut features = Vec::with_capacity(2 * self.traces_per_side);
+        for i in 0..self.traces_per_side {
             features.push(self.capture_features(
                 chip,
                 &reference,
@@ -496,7 +461,7 @@ impl ScoredDetector for BackscatterDetector {
                 &mut scratch,
             )?);
         }
-        for i in 0..self.config.traces_per_side {
+        for i in 0..self.traces_per_side {
             features.push(self.capture_features(
                 chip,
                 scenario,
@@ -510,7 +475,7 @@ impl ScoredDetector for BackscatterDetector {
         let silhouette = silhouette_score(&projected, fit.assignments());
         // Separation only counts when it actually splits the
         // reference/test halves rather than noise.
-        let half = self.config.traces_per_side;
+        let half = self.traces_per_side;
         let ref_majority = majority(&fit.assignments()[..half]);
         let test_majority = majority(&fit.assignments()[half..]);
         if ref_majority != test_majority {
@@ -554,16 +519,13 @@ mod tests {
     }
 
     #[test]
-    fn config_defaults_match_historical_thresholds() {
+    fn thresholds_match_historical_values() {
         // The thresholds were hard-coded in the detector bodies before
-        // the scored redesign; the lifted configs must default to the
-        // same values or Table I changes.
-        assert_eq!(EuclideanConfig::default().k_sigma, 3.0);
-        assert_eq!(EuclideanConfig::default().record_cycles, 512);
-        assert_eq!(BackscatterConfig::default().silhouette_threshold, 0.4);
-        assert_eq!(BackscatterConfig::default().traces_per_side, 50);
+        // the scored redesign; they must keep the same values or Table I
+        // changes.
         assert_eq!(EuclideanDetector::external_probe(60).threshold(), 3.0);
         assert_eq!(BackscatterDetector::default().threshold(), 0.4);
+        assert_eq!(BackscatterDetector::default().traces_per_score(), 100);
     }
 
     #[test]

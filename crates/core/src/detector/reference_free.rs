@@ -48,14 +48,28 @@ const REFERENCE_FREE: Capabilities = Capabilities {
     reference_free: true,
 };
 
+/// Half-window of the sliding-median spectral floor, bins.
+const FLOOR_HALF_WINDOW: usize = 24;
+
+/// Guard band masked around DC and each clock harmonic, bins.
+const HARMONIC_GUARD_BINS: usize = 4;
+
+/// Record length in clock cycles of the outlier and kurtosis sweeps
+/// (shorter than the cross-domain detector's full records — the
+/// statistics need resolution, not the full 4 kHz RBW).
+const SWEEP_RECORD_CYCLES: usize = 2048;
+
 /// Marks the bins a reference-free statistic must ignore: the DC region
-/// and ±`guard_bins` around every clock-harmonic bin (legitimate
-/// emissions live there, so excess at those frequencies carries no
-/// Trojan evidence without a reference).
-fn harmonic_mask(n_samples: usize, spec_len: usize, guard_bins: usize) -> Vec<bool> {
+/// and ±[`HARMONIC_GUARD_BINS`] around every clock-harmonic bin
+/// (legitimate emissions live there, so excess at those frequencies
+/// carries no Trojan evidence without a reference).
+fn harmonic_mask(n_samples: usize, spec_len: usize) -> Vec<bool> {
     let fs = calib::sample_rate_hz();
     let mut mask = vec![false; spec_len];
-    for b in mask.iter_mut().take((guard_bins + 1).min(spec_len)) {
+    for b in mask
+        .iter_mut()
+        .take((HARMONIC_GUARD_BINS + 1).min(spec_len))
+    {
         *b = true;
     }
     let mut m = 1;
@@ -65,8 +79,8 @@ fn harmonic_mask(n_samples: usize, spec_len: usize, guard_bins: usize) -> Vec<bo
             break;
         }
         let k = psa_dsp::fft::freq_bin(f, n_samples, fs);
-        let lo = k.saturating_sub(guard_bins);
-        let hi = (k + guard_bins + 1).min(spec_len);
+        let lo = k.saturating_sub(HARMONIC_GUARD_BINS);
+        let hi = (k + HARMONIC_GUARD_BINS + 1).min(spec_len);
         for b in mask.iter_mut().take(hi).skip(lo) {
             *b = true;
         }
@@ -78,8 +92,8 @@ fn harmonic_mask(n_samples: usize, spec_len: usize, guard_bins: usize) -> Vec<bo
 /// Floor-removed residual: the spectrum (dB) minus its sliding-median
 /// floor — flat around zero for broadband content, positive spikes at
 /// narrow components.
-fn floor_residual(spec_db: &[f64], half_window: usize) -> Vec<f64> {
-    let floor = sliding_median(spec_db, half_window);
+fn floor_residual(spec_db: &[f64]) -> Vec<f64> {
+    let floor = sliding_median(spec_db, FLOOR_HALF_WINDOW);
     spec_db.iter().zip(&floor).map(|(s, f)| s - f).collect()
 }
 
@@ -119,61 +133,36 @@ fn masked_zscores(residual: &[f64], mask: &[bool]) -> Option<Vec<f64>> {
     )
 }
 
-/// Configuration of the spectral-outlier energy-ratio statistic.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SpectralOutlierConfig {
-    /// Traces averaged per sensor spectrum. Default
-    /// [`calib::TRACES_PER_SPECTRUM`].
-    pub traces_per_sensor: usize,
-    /// Record length in clock cycles (shorter than the cross-domain
-    /// detector's full records — the statistic needs resolution, not
-    /// the full 4 kHz RBW). Default `2048`.
-    pub record_cycles: usize,
-    /// Half-window of the sliding-median spectral floor, bins.
-    /// Default `24`.
-    pub floor_half_window: usize,
-    /// Guard band masked around DC and each clock harmonic, bins.
-    /// Default `4`.
-    pub harmonic_guard_bins: usize,
-    /// Robust-z cut above which a bin counts as a spectral outlier.
-    /// Default `6.0`.
-    pub z_cut: f64,
-    /// Decision threshold on the outlier energy ratio (fraction of
-    /// unmasked band power in outlier bins). Default `1e-4`.
-    pub energy_ratio_threshold: f64,
-}
-
-impl Default for SpectralOutlierConfig {
-    fn default() -> Self {
-        SpectralOutlierConfig {
-            traces_per_sensor: calib::TRACES_PER_SPECTRUM,
-            record_cycles: 2048,
-            floor_half_window: 24,
-            harmonic_guard_bins: 4,
-            z_cut: 6.0,
-            energy_ratio_threshold: 1e-4,
-        }
-    }
-}
-
 /// Reference-free spectral-outlier energy ratio.
 ///
 /// Per sensor: average a spectrum, remove the sliding-median floor,
-/// flag non-harmonic bins whose residual robust-z exceeds
-/// [`z_cut`](SpectralOutlierConfig::z_cut), and score the fraction of
-/// unmasked band *power* those outlier bins carry. The score is the
-/// worst (largest) ratio over the sensor bank — `0.0` when no bin is
-/// outlying anywhere.
-#[derive(Debug, Clone, Default)]
+/// flag non-harmonic bins whose residual robust-z exceeds 6, and score
+/// the fraction of unmasked band *power* those outlier bins carry. The score is the worst (largest)
+/// ratio over the sensor bank — `0.0` when no bin is outlying anywhere.
+#[derive(Debug, Clone)]
 pub struct SpectralOutlierDetector {
-    /// Floor/mask/threshold parameters.
-    pub config: SpectralOutlierConfig,
+    /// Traces averaged per sensor spectrum.
+    traces_per_sensor: usize,
+}
+
+impl Default for SpectralOutlierDetector {
+    fn default() -> Self {
+        SpectralOutlierDetector::new(calib::TRACES_PER_SPECTRUM)
+    }
 }
 
 impl SpectralOutlierDetector {
-    /// An instance with an explicit configuration.
-    pub fn with_config(config: SpectralOutlierConfig) -> Self {
-        SpectralOutlierDetector { config }
+    /// Robust-z cut above which a bin counts as a spectral outlier.
+    const Z_CUT: f64 = 6.0;
+
+    /// Decision threshold on the outlier energy ratio (fraction of
+    /// unmasked band power in outlier bins).
+    pub const ENERGY_RATIO_THRESHOLD: f64 = 1e-4;
+
+    /// An instance averaging `traces_per_sensor` traces per sensor
+    /// spectrum.
+    pub fn new(traces_per_sensor: usize) -> Self {
+        SpectralOutlierDetector { traces_per_sensor }
     }
 }
 
@@ -187,27 +176,23 @@ impl ScoredDetector for SpectralOutlierDetector {
     }
 
     fn threshold(&self) -> f64 {
-        self.config.energy_ratio_threshold
+        Self::ENERGY_RATIO_THRESHOLD
     }
 
     /// Per monitored sensor (the full scan multiplies by the bank
     /// size, as with the cross-domain detector).
     fn traces_per_score(&self) -> usize {
-        self.config.traces_per_sensor
+        self.traces_per_sensor
     }
 
     fn score_with(&self, ctx: &mut AcqContext<'_>, scenario: &Scenario) -> Result<f64, CoreError> {
-        let n_samples = self.config.record_cycles * calib::SAMPLES_PER_CYCLE;
-        let spectra = ctx.sensor_sweep_db(
-            scenario,
-            self.config.traces_per_sensor,
-            self.config.record_cycles,
-            &[],
-        )?;
+        let n_samples = SWEEP_RECORD_CYCLES * calib::SAMPLES_PER_CYCLE;
+        let spectra =
+            ctx.sensor_sweep_db(scenario, self.traces_per_sensor, SWEEP_RECORD_CYCLES, &[])?;
         let mut worst = 0.0f64;
         for spec in &spectra {
-            let mask = harmonic_mask(n_samples, spec.len(), self.config.harmonic_guard_bins);
-            let residual = floor_residual(spec, self.config.floor_half_window);
+            let mask = harmonic_mask(n_samples, spec.len());
+            let residual = floor_residual(spec);
             let Some(z) = masked_zscores(&residual, &mask) else {
                 continue;
             };
@@ -219,7 +204,7 @@ impl ScoredDetector for SpectralOutlierDetector {
                 }
                 let p = psa_dsp::spectrum::db_to_amplitude(db).powi(2);
                 band_power += p;
-                if zv > self.config.z_cut {
+                if zv > Self::Z_CUT {
                     outlier_power += p;
                 }
             }
@@ -233,37 +218,6 @@ impl ScoredDetector for SpectralOutlierDetector {
 
 impl Detector for SpectralOutlierDetector {}
 
-/// Configuration of the cross-scale persistence statistic.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PersistenceConfig {
-    /// Traces averaged per sensor spectrum at each scale. Default `2`.
-    pub traces_per_scale: usize,
-    /// Record lengths (clock cycles) to scan, coarsest first. Must be
-    /// powers of two so bins align exactly across scales. Default
-    /// `[1024, 2048, 4096]`.
-    pub record_cycles_scales: Vec<usize>,
-    /// Half-window of the sliding-median spectral floor, bins (applied
-    /// at every scale). Default `24`.
-    pub floor_half_window: usize,
-    /// Guard band masked around DC and each clock harmonic, bins.
-    /// Default `4`.
-    pub harmonic_guard_bins: usize,
-    /// Decision threshold on the persistent robust-z. Default `5.0`.
-    pub z_threshold: f64,
-}
-
-impl Default for PersistenceConfig {
-    fn default() -> Self {
-        PersistenceConfig {
-            traces_per_scale: 2,
-            record_cycles_scales: vec![1024, 2048, 4096],
-            floor_half_window: 24,
-            harmonic_guard_bins: 4,
-            z_threshold: 5.0,
-        }
-    }
-}
-
 /// Reference-free cross-scale persistence of spectral outliers.
 ///
 /// A real Trojan emission is a steady tone: whatever the record length,
@@ -274,16 +228,30 @@ impl Default for PersistenceConfig {
 /// bin by the *minimum* z across scales at the aligned frequency —
 /// outliers must survive every scale to count. The score is the largest
 /// persistent z over bins and sensors.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct CrossScalePersistenceDetector {
-    /// Scale list and floor/mask/threshold parameters.
-    pub config: PersistenceConfig,
+    /// Traces averaged per sensor spectrum at each scale.
+    traces_per_scale: usize,
+}
+
+impl Default for CrossScalePersistenceDetector {
+    fn default() -> Self {
+        CrossScalePersistenceDetector::new(2)
+    }
 }
 
 impl CrossScalePersistenceDetector {
-    /// An instance with an explicit configuration.
-    pub fn with_config(config: PersistenceConfig) -> Self {
-        CrossScalePersistenceDetector { config }
+    /// Record lengths (clock cycles) scanned, coarsest first: powers of
+    /// two, so bins align exactly across scales.
+    const SCALES: [usize; 3] = [1024, 2048, 4096];
+
+    /// Decision threshold on the persistent robust-z.
+    pub const Z_THRESHOLD: f64 = 5.0;
+
+    /// An instance averaging `traces_per_scale` traces per sensor
+    /// spectrum at each scale.
+    pub fn new(traces_per_scale: usize) -> Self {
+        CrossScalePersistenceDetector { traces_per_scale }
     }
 }
 
@@ -297,22 +265,17 @@ impl ScoredDetector for CrossScalePersistenceDetector {
     }
 
     fn threshold(&self) -> f64 {
-        self.config.z_threshold
+        Self::Z_THRESHOLD
     }
 
     /// Per monitored sensor: one spectrum per scale.
     fn traces_per_score(&self) -> usize {
-        self.config.traces_per_scale * self.config.record_cycles_scales.len()
+        self.traces_per_scale * Self::SCALES.len()
     }
 
     fn score_with(&self, ctx: &mut AcqContext<'_>, scenario: &Scenario) -> Result<f64, CoreError> {
-        let scales = &self.config.record_cycles_scales;
-        if scales.is_empty() {
-            return Err(CoreError::InvalidParameter {
-                what: "persistence detector needs at least one scale",
-            });
-        }
-        let coarsest = scales.iter().copied().min().expect("non-empty scale list");
+        let scales = Self::SCALES;
+        let coarsest = scales[0];
         let n_sensors = ctx.chip().sensor_bank().len();
         // Per-sensor, per-scale robust-z spectra, one sweep of the array
         // per scale. Each scale acquires its own records (decorrelated
@@ -327,25 +290,21 @@ impl ScoredDetector for CrossScalePersistenceDetector {
             let scen = scenario
                 .clone()
                 .with_seed(scenario.seed ^ (0x5CA1E + si as u64).wrapping_mul(0x9E37_79B9));
-            let spectra = ctx.sensor_sweep_db(&scen, self.config.traces_per_scale, cycles, &[])?;
+            let spectra = ctx.sensor_sweep_db(&scen, self.traces_per_scale, cycles, &[])?;
             let n_samples = cycles * calib::SAMPLES_PER_CYCLE;
             for (zs, spec) in sensor_zs.iter_mut().zip(&spectra) {
                 let Some(list) = zs else { continue };
-                let mask = harmonic_mask(n_samples, spec.len(), self.config.harmonic_guard_bins);
-                let residual = floor_residual(spec, self.config.floor_half_window);
+                let mask = harmonic_mask(n_samples, spec.len());
+                let residual = floor_residual(spec);
                 match masked_zscores(&residual, &mask) {
                     Some(z) => list.push(z),
                     None => *zs = None,
                 }
             }
         }
-        let base_idx = scales
-            .iter()
-            .position(|&c| c == coarsest)
-            .expect("coarsest comes from this list");
         let mut score = f64::NEG_INFINITY;
         for zs in sensor_zs.iter().flatten() {
-            let base_len = zs[base_idx].len();
+            let base_len = zs[0].len();
             for k in 0..base_len {
                 // Persistence: the outlier must show at the aligned bin
                 // (±1 for windowing leakage) at *every* scale.
@@ -376,30 +335,24 @@ impl Detector for CrossScalePersistenceDetector {}
 /// sanity floor the structured ones must beat in the bake-off.
 #[derive(Debug, Clone)]
 pub struct SpectralKurtosisDetector {
-    /// Traces averaged per sensor spectrum. Default
-    /// [`calib::TRACES_PER_SPECTRUM`].
-    pub traces_per_sensor: usize,
-    /// Record length in clock cycles. Default `2048`.
-    pub record_cycles: usize,
-    /// Half-window of the sliding-median spectral floor, bins.
-    /// Default `24`.
-    pub floor_half_window: usize,
-    /// Guard band masked around DC and each clock harmonic, bins.
-    /// Default `4`.
-    pub harmonic_guard_bins: usize,
-    /// Decision threshold on the excess kurtosis. Default `3.0`.
-    pub kurtosis_threshold: f64,
+    /// Traces averaged per sensor spectrum.
+    traces_per_sensor: usize,
 }
 
 impl Default for SpectralKurtosisDetector {
     fn default() -> Self {
-        SpectralKurtosisDetector {
-            traces_per_sensor: calib::TRACES_PER_SPECTRUM,
-            record_cycles: 2048,
-            floor_half_window: 24,
-            harmonic_guard_bins: 4,
-            kurtosis_threshold: 3.0,
-        }
+        SpectralKurtosisDetector::new(calib::TRACES_PER_SPECTRUM)
+    }
+}
+
+impl SpectralKurtosisDetector {
+    /// Decision threshold on the excess kurtosis.
+    pub const KURTOSIS_THRESHOLD: f64 = 3.0;
+
+    /// An instance averaging `traces_per_sensor` traces per sensor
+    /// spectrum.
+    pub fn new(traces_per_sensor: usize) -> Self {
+        SpectralKurtosisDetector { traces_per_sensor }
     }
 }
 
@@ -413,7 +366,7 @@ impl ScoredDetector for SpectralKurtosisDetector {
     }
 
     fn threshold(&self) -> f64 {
-        self.kurtosis_threshold
+        Self::KURTOSIS_THRESHOLD
     }
 
     /// Per monitored sensor.
@@ -422,13 +375,13 @@ impl ScoredDetector for SpectralKurtosisDetector {
     }
 
     fn score_with(&self, ctx: &mut AcqContext<'_>, scenario: &Scenario) -> Result<f64, CoreError> {
-        let n_samples = self.record_cycles * calib::SAMPLES_PER_CYCLE;
+        let n_samples = SWEEP_RECORD_CYCLES * calib::SAMPLES_PER_CYCLE;
         let spectra =
-            ctx.sensor_sweep_db(scenario, self.traces_per_sensor, self.record_cycles, &[])?;
+            ctx.sensor_sweep_db(scenario, self.traces_per_sensor, SWEEP_RECORD_CYCLES, &[])?;
         let mut score = f64::NEG_INFINITY;
         for spec in &spectra {
-            let mask = harmonic_mask(n_samples, spec.len(), self.harmonic_guard_bins);
-            let residual = floor_residual(spec, self.floor_half_window);
+            let mask = harmonic_mask(n_samples, spec.len());
+            let residual = floor_residual(spec);
             let unmasked: Vec<f64> = residual
                 .iter()
                 .zip(&mask)
@@ -454,7 +407,7 @@ mod tests {
         // 2048 cycles × 8 samples = 16384 samples at 264 MS/s:
         // 33 MHz falls on bin 33e6 / (264e6/16384) = 2048.
         let n = 16384;
-        let mask = harmonic_mask(n, n / 2 + 1, 4);
+        let mask = harmonic_mask(n, n / 2 + 1);
         assert!(mask[0], "DC masked");
         assert!(mask[2048], "first clock harmonic masked");
         assert!(mask[2052] && mask[2044], "guard band masked");
@@ -468,7 +421,7 @@ mod tests {
     fn floor_residual_isolates_spikes() {
         let mut spec = vec![-80.0; 101];
         spec[50] = -40.0;
-        let r = floor_residual(&spec, 10);
+        let r = floor_residual(&spec);
         assert!((r[50] - 40.0).abs() < 1e-9);
         assert!(r[10].abs() < 1e-9);
     }

@@ -358,13 +358,15 @@ pub fn acquire_signature(
     let spec = ctx.acquire_fullres_spectrum_db(scenario, SensorSelect::Psa(sensor), n_records)?;
     let base =
         ctx.acquire_fullres_spectrum_db(baseline_scenario, SensorSelect::Psa(sensor), n_records)?;
-    let base_env = psa_dsp::peak::local_max_envelope(&base, 8);
+    let base_env = psa_dsp::peak::local_max_envelope(&base, crate::calib::ENVELOPE_HALF_WINDOW);
     signature_from_parts_with(ctx, scenario, sensor, line_freq_hz, &spec, &base_env)
+        .map(|(signature, _)| signature)
 }
 
 /// Builds a signature when the spectrum and baseline envelope are
 /// already available (the cross-domain detector's path — avoids
-/// re-acquiring).
+/// re-acquiring). Returns the zero-span envelope the signature was
+/// extracted from alongside it.
 ///
 /// # Errors
 ///
@@ -376,7 +378,7 @@ pub fn signature_from_parts_with(
     line_freq_hz: f64,
     spec_db: &[f64],
     baseline_env_db: &[f64],
-) -> Result<TrojanSignature, CoreError> {
+) -> Result<(TrojanSignature, Vec<f64>), CoreError> {
     let n = spec_db.len().min(baseline_env_db.len());
     let excess: Vec<f64> = (0..n).map(|k| spec_db[k] - baseline_env_db[k]).collect();
     let line_bin = ctx.fullres_freq_bin(line_freq_hz);
@@ -399,11 +401,12 @@ pub fn signature_from_parts_with(
     )?
     .output_fs_hz();
     let env = extract_features(&envelope, env_fs)?;
-    Ok(TrojanSignature {
+    let signature = TrojanSignature {
         env,
         satellite_offset_mhz,
         pedestal_width_mhz,
-    })
+    };
+    Ok((signature, envelope))
 }
 
 #[cfg(test)]

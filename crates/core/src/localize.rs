@@ -146,7 +146,7 @@ mod tests {
         // The monitor references the lane's *envelope*, not the raw
         // baseline — same arithmetic, different reference vector.
         let (spec, base) = spec_fixture();
-        let env = psa_dsp::peak::local_max_envelope(&base, 8);
+        let env = psa_dsp::peak::local_max_envelope(&base, crate::calib::ENVELOPE_HALF_WINDOW);
         for bin in [0usize, 5, 31, 63] {
             let lo = bin.saturating_sub(3);
             let hi = (bin + 4).min(spec.len()).min(env.len());

@@ -14,9 +14,11 @@ use psa_dsp::sliding::SlidingSpectrum;
 ///
 /// The defaults coincide exactly with the batch
 /// [`mttd_trial_with`](crate::mttd::mttd_trial_with) comparison
-/// (5-record rolling window, 10 dB threshold, 8-bin baseline envelope,
-/// immediate clear, frozen baseline), which is what makes the batch path a thin adapter
-/// over this one.
+/// (5-record rolling window, frozen baseline), which is what makes the
+/// batch path a thin adapter over this one. The threshold is
+/// [`calib::DETECTION_THRESHOLD_DB`] over the baseline's
+/// [`calib::ENVELOPE_HALF_WINDOW`] envelope, and an alarm clears on the
+/// first quiet tick.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SlidingConfig {
     /// Records in the rolling averaging window (ring buffer depth).
@@ -27,13 +29,6 @@ pub struct SlidingConfig {
     /// noise-floor sensor. `1` compares from the very first record —
     /// the batch-compatible setting.
     pub min_window_records: usize,
-    /// Emergent-component threshold, dB over the baseline envelope.
-    pub threshold_db: f64,
-    /// Half-width of the local-max envelope applied to the baseline
-    /// (flicker immunity, as in the batch analyzer).
-    pub envelope_half_window: usize,
-    /// Consecutive quiet ticks before an alarmed sensor clears.
-    pub clear_after_quiet: usize,
     /// Quiet ticks between rolling-baseline refreshes; `None` freezes
     /// the learned baseline (the batch-compatible setting). Refreshing
     /// absorbs slow operating-condition drift instead of alarming on
@@ -46,9 +41,6 @@ impl Default for SlidingConfig {
         SlidingConfig {
             window_records: calib::TRACES_PER_SPECTRUM,
             min_window_records: 1,
-            threshold_db: calib::DETECTION_THRESHOLD_DB,
-            envelope_half_window: 8,
-            clear_after_quiet: 1,
             recalibrate_after: None,
         }
     }
@@ -190,8 +182,8 @@ impl SlidingDetector {
                     sensor,
                     fresh: TraceSet::default(),
                     rows: SlidingSpectrum::new(config.window_records)?,
-                    base_env: peak::local_max_envelope(base, config.envelope_half_window),
-                    latch: AlarmLatch::new(config.clear_after_quiet),
+                    base_env: peak::local_max_envelope(base, calib::ENVELOPE_HALF_WINDOW),
+                    latch: AlarmLatch::new(1),
                     quiet_since_recalib: 0,
                 })
             })
@@ -267,7 +259,8 @@ impl SlidingDetector {
         // (a regression test replays whole sessions against that full
         // recompute).
         let spec = lane.rows.averaged_db()?;
-        let hits = peak::excess_over_baseline_db(&spec, &lane.base_env, self.config.threshold_db);
+        let hits =
+            peak::excess_over_baseline_db(&spec, &lane.base_env, calib::DETECTION_THRESHOLD_DB);
 
         let mut obs = LaneObservation {
             sensor: lane.sensor,
@@ -290,8 +283,7 @@ impl SlidingDetector {
             obs.cleared = flipped;
             if let Some(every) = self.config.recalibrate_after {
                 if !lane.latch.alarmed() && lane.quiet_since_recalib >= every {
-                    lane.base_env =
-                        peak::local_max_envelope(&spec, self.config.envelope_half_window);
+                    lane.base_env = peak::local_max_envelope(&spec, calib::ENVELOPE_HALF_WINDOW);
                     lane.quiet_since_recalib = 0;
                     obs.recalibrated = true;
                 }
@@ -333,9 +325,6 @@ mod tests {
         let c = SlidingConfig::default();
         assert_eq!(c.window_records, calib::TRACES_PER_SPECTRUM);
         assert_eq!(c.min_window_records, 1);
-        assert_eq!(c.threshold_db, calib::DETECTION_THRESHOLD_DB);
-        assert_eq!(c.envelope_half_window, 8);
-        assert_eq!(c.clear_after_quiet, 1);
         assert_eq!(c.recalibrate_after, None);
     }
 

@@ -33,9 +33,8 @@
 //! 4. subtract the predicted contribution from the residual (clamped at
 //!    zero — spectra are magnitudes) and repeat until no sensor's
 //!    residual clears a **baseline-envelope-derived floor**, the
-//!    matched amplitude falls below
-//!    [`MultiLocConfig::min_source_fraction`] of the strongest
-//!    source's (the ghost gate), or
+//!    matched amplitude falls below `MIN_SOURCE_FRACTION` (0.1) of the
+//!    strongest source's (the ghost gate), or
 //!    [`MultiLocConfig::max_sources`] is reached.
 //!
 //! The number of iterations *is* the estimated source count; a quiet
@@ -51,6 +50,7 @@
 
 use crate::acquisition::AcqContext;
 use crate::atlas::{PlacementSweep, PlacementSweepConfig, SensedArray, SyntheticEmitter};
+use crate::calib;
 use crate::cross_domain::Baseline;
 use crate::error::CoreError;
 use crate::localize;
@@ -61,46 +61,46 @@ use psa_layout::Point;
 /// Configuration of the joint localizer.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MultiLocConfig {
-    /// The sensing configuration (record length, threshold, envelope).
+    /// The sensing configuration (record count and length).
     pub sweep: PlacementSweepConfig,
-    /// Hypothesis candidate sites per die side (`H` → `H × H` grid).
-    pub hypothesis_grid: usize,
-    /// Margin of the hypothesis grid from the die edge, µm.
-    pub hypothesis_margin_um: f64,
-    /// Footprint extent of hypothesis sites, µm (matches the atlas
-    /// reference emitter so candidate rows share the true rows' shape).
-    pub hypothesis_extent_um: f64,
     /// Cancellation iteration cap — the most sources the localizer will
     /// ever report.
     pub max_sources: usize,
     /// Minimum centre-to-centre separation accepted between injected
     /// emitters, µm (overlapping footprints are always rejected).
     pub min_separation_um: f64,
-    /// Ghost rejection: a candidate is only accepted while its matched
-    /// amplitude is at least this fraction of the strongest extracted
-    /// source's. Coherent co-frequency sources superpose as *signed*
-    /// amplitudes but the array measures magnitudes, so cancellation
-    /// leaves a nonnegative mismatch residual that always correlates
-    /// positively with some candidate row — without this gate the loop
-    /// would keep promoting that scatter to phantom sources. Measured
-    /// ghosts sit more than an order of magnitude below the strongest
-    /// source; genuinely weak co-sources land well above a 0.1 cut.
-    pub min_source_fraction: f64,
 }
 
 impl Default for MultiLocConfig {
     fn default() -> Self {
         MultiLocConfig {
             sweep: PlacementSweepConfig::default(),
-            hypothesis_grid: 12,
-            hypothesis_margin_um: 60.0,
-            hypothesis_extent_um: 40.0,
             max_sources: 5,
             min_separation_um: 120.0,
-            min_source_fraction: 0.1,
         }
     }
 }
+
+/// Hypothesis candidate sites per die side (a 12 × 12 grid).
+const HYPOTHESIS_GRID: usize = 12;
+
+/// Margin of the hypothesis grid from the die edge, µm.
+const HYPOTHESIS_MARGIN_UM: f64 = 60.0;
+
+/// Footprint extent of hypothesis sites, µm (matches the atlas
+/// reference emitter so candidate rows share the true rows' shape).
+const HYPOTHESIS_EXTENT_UM: f64 = 40.0;
+
+/// Ghost rejection: a candidate is only accepted while its matched
+/// amplitude is at least this fraction of the strongest extracted
+/// source's. Coherent co-frequency sources superpose as *signed*
+/// amplitudes but the array measures magnitudes, so cancellation leaves
+/// a nonnegative mismatch residual that always correlates positively
+/// with some candidate row — without this gate the loop would keep
+/// promoting that scatter to phantom sources. Measured ghosts sit more
+/// than an order of magnitude below the strongest source; genuinely
+/// weak co-sources land well above a 0.1 cut.
+const MIN_SOURCE_FRACTION: f64 = 0.1;
 
 /// Per-corner amplitude-to-drive calibration: the instrument constant
 /// κ in `amplitude ≈ κ · drive_cells · coupling`, measured once by
@@ -173,14 +173,9 @@ impl<'c> MultiLocalizer<'c> {
     ///
     /// # Errors
     ///
-    /// [`CoreError::InvalidParameter`] for a degenerate sweep or
-    /// hypothesis configuration; layout/field errors for bad geometry.
+    /// [`CoreError::InvalidParameter`] for a degenerate sweep or a zero
+    /// source cap; layout/field errors for bad geometry.
     pub fn new(chip: &'c crate::chip::TestChip, config: MultiLocConfig) -> Result<Self, CoreError> {
-        if config.hypothesis_grid == 0 {
-            return Err(CoreError::InvalidParameter {
-                what: "hypothesis grid must have at least one site per side",
-            });
-        }
         if config.max_sources == 0 {
             return Err(CoreError::InvalidParameter {
                 what: "joint localizer must be allowed at least one source",
@@ -189,10 +184,10 @@ impl<'c> MultiLocalizer<'c> {
         let sweep = PlacementSweep::new(chip, config.sweep.clone())?;
         let candidates = sweep_grid(
             chip.floorplan().die(),
-            config.hypothesis_grid,
-            config.hypothesis_grid,
-            config.hypothesis_margin_um,
-            config.hypothesis_extent_um,
+            HYPOTHESIS_GRID,
+            HYPOTHESIS_GRID,
+            HYPOTHESIS_MARGIN_UM,
+            HYPOTHESIS_EXTENT_UM,
         );
         let mut rows = Vec::with_capacity(candidates.len());
         let mut norms = Vec::with_capacity(candidates.len());
@@ -258,10 +253,8 @@ impl<'c> MultiLocalizer<'c> {
             (outline.min().x + outline.max().x) / 2.0,
             (outline.min().y + outline.max().y) / 2.0,
         );
-        let reference = SyntheticEmitter::reference_at(EmitterSite::new(
-            center,
-            self.config.hypothesis_extent_um,
-        ));
+        let reference =
+            SyntheticEmitter::reference_at(EmitterSite::new(center, HYPOTHESIS_EXTENT_UM));
         let sensed = self.sweep.sense_emitters_with(
             ctx,
             scenario,
@@ -350,14 +343,7 @@ impl<'c> MultiLocalizer<'c> {
         // sets the floor (conservative: cancellation keeps going while
         // any sensor could still trip detection anywhere in the window).
         let floors: Vec<f64> = (0..n_sensors)
-            .map(|i| {
-                detection_floor_at_line(
-                    &envelopes[i],
-                    &baseline.per_sensor_db[i],
-                    self.config.sweep.threshold_db,
-                    line_bin,
-                )
-            })
+            .map(|i| detection_floor_at_line(&envelopes[i], &baseline.per_sensor_db[i], line_bin))
             .collect();
 
         let mut residual = amplitudes;
@@ -393,7 +379,7 @@ impl<'c> MultiLocalizer<'c> {
             // Ghost gate: sources extract strongest-first, so the first
             // source's amplitude anchors the relative cut.
             if let Some(first) = sources.first() {
-                if alpha < self.config.min_source_fraction * first.amplitude_v {
+                if alpha < MIN_SOURCE_FRACTION * first.amplitude_v {
                     break;
                 }
             }
@@ -465,14 +451,14 @@ fn measured_amplitudes(sensed: &SensedArray, baseline: &Baseline, line_bin: usiz
 /// The linear-amplitude excess a line component needs before the
 /// envelope-plus-threshold detector would flag it — evaluated at the
 /// most sensitive bin of the line window.
-fn detection_floor_at_line(env: &[f64], base: &[f64], threshold_db: f64, line_bin: usize) -> f64 {
+fn detection_floor_at_line(env: &[f64], base: &[f64], line_bin: usize) -> f64 {
     let lo = line_bin.saturating_sub(localize::LINE_WINDOW_BINS);
     let hi = (line_bin + localize::LINE_WINDOW_BINS + 1)
         .min(env.len())
         .min(base.len());
     (lo..hi)
         .map(|k| {
-            psa_dsp::spectrum::db_to_amplitude(env[k] + threshold_db)
+            psa_dsp::spectrum::db_to_amplitude(env[k] + calib::DETECTION_THRESHOLD_DB)
                 - psa_dsp::spectrum::db_to_amplitude(base[k])
         })
         .fold(f64::INFINITY, f64::min)
@@ -596,9 +582,8 @@ mod tests {
     #[test]
     fn default_config_is_sane() {
         let c = MultiLocConfig::default();
-        assert!(c.hypothesis_grid >= 2);
         assert!(c.max_sources >= 1);
-        assert!(c.min_separation_um > c.hypothesis_extent_um);
+        assert!(c.min_separation_um > HYPOTHESIS_EXTENT_UM);
     }
 
     #[test]
@@ -660,12 +645,12 @@ mod tests {
         let base: Vec<f64> = (0..32).map(|k| -100.0 + (k % 5) as f64).collect();
         let env = psa_dsp::peak::local_max_envelope(&base, 4);
         for bin in [0usize, 3, 16, 31] {
-            let floor = detection_floor_at_line(&env, &base, 8.0, bin);
+            let floor = detection_floor_at_line(&env, &base, bin);
             assert!(floor > 0.0, "floor at bin {bin}");
         }
         // An out-of-range window has no bin to trip: the floor is
         // unreachable (infinite), never a panic.
-        assert!(detection_floor_at_line(&env, &base, 8.0, 100).is_infinite());
+        assert!(detection_floor_at_line(&env, &base, 100).is_infinite());
     }
 
     // Chip-bound behaviour (one emitter at a sensor centre, zero

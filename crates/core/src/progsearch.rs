@@ -9,7 +9,7 @@
 //! over the candidate's own quiet-chip baseline envelope, the exact
 //! statistic the cross-domain detector thresholds — and provides the
 //! deterministic primitives (neighbourhood generation, per-program
-//! evaluation seeds, objective ordering) the beam search in
+//! evaluation seeds, score ordering) the beam search in
 //! `psa_runtime::progsearch` fans across the campaign engine.
 //!
 //! Everything here is a pure function of its arguments: evaluation
@@ -29,19 +29,11 @@ use psa_gatesim::trojan::TrojanKind;
 use std::cmp::Ordering;
 use std::collections::BTreeSet;
 
-/// What the search optimizes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum SearchObjective {
-    /// Maximize the detection SNR (dB over the quiet baseline envelope)
-    /// at the sideband family line.
-    MaxSnr,
-    /// Minimize the records needed to cross the detection threshold (an
-    /// MTTD proxy: fewer records = earlier detection), breaking ties by
-    /// detection SNR.
-    MinTtd,
-}
-
-/// Configuration of the programming search.
+/// Configuration of the programming search. Candidates keep
+/// [`TURNS_MIN`]..=[`TURNS_MAX`] turns and are scored by their
+/// detection SNR in the 48 MHz sideband band, at
+/// [`calib::DETECTION_THRESHOLD_DB`] over the quiet baseline's
+/// [`calib::ENVELOPE_HALF_WINDOW`] envelope.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProgramSearchConfig {
     /// Records acquired per side (quiet baseline and Trojan-active) per
@@ -51,20 +43,6 @@ pub struct ProgramSearchConfig {
     /// atlas: coarse enough to keep hundreds of evaluations tractable,
     /// fine enough that the sidebands clear the floor).
     pub record_cycles: usize,
-    /// Detection threshold, dB over the baseline envelope.
-    pub threshold_db: f64,
-    /// Half-width of the local-max envelope applied to the quiet
-    /// baseline spectrum.
-    pub envelope_half_window: usize,
-    /// Centre of the emergent-line band scored, Hz (the 48 MHz sideband
-    /// family).
-    pub line_hz: f64,
-    /// Half-width of the scored band, Hz.
-    pub band_half_hz: f64,
-    /// Smallest turn count candidates may use.
-    pub turns_min: usize,
-    /// Largest turn count candidates may use.
-    pub turns_max: usize,
     /// Node step for neighbourhood moves (edge nudges and translations).
     pub step: usize,
     /// Beam width: survivors kept per round.
@@ -72,8 +50,6 @@ pub struct ProgramSearchConfig {
     /// Maximum search rounds (each round expands the beam's
     /// neighbourhoods).
     pub max_rounds: usize,
-    /// What the search optimizes.
-    pub objective: SearchObjective,
 }
 
 impl Default for ProgramSearchConfig {
@@ -81,27 +57,32 @@ impl Default for ProgramSearchConfig {
         ProgramSearchConfig {
             records_per_eval: 2,
             record_cycles: 2048,
-            threshold_db: calib::DETECTION_THRESHOLD_DB,
-            envelope_half_window: 8,
-            line_hz: 48.0e6,
-            band_half_hz: 5.0e6,
-            turns_min: 2,
-            turns_max: 8,
             step: 2,
             beam_width: 4,
             max_rounds: 4,
-            objective: SearchObjective::MaxSnr,
         }
     }
 }
+
+/// Smallest turn count candidates may use.
+pub const TURNS_MIN: usize = 2;
+
+/// Largest turn count candidates may use.
+pub const TURNS_MAX: usize = 8;
+
+/// Centre of the scored emergent-line band, Hz (the 48 MHz sideband
+/// family).
+const LINE_HZ: f64 = 48.0e6;
+
+/// Half-width of the scored band, Hz.
+const BAND_HALF_HZ: f64 = 5.0e6;
 
 impl ProgramSearchConfig {
     /// Validates the configuration.
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::InvalidParameter`] for zero counts, an empty
-    /// turns range, or a non-positive scored band.
+    /// Returns [`CoreError::InvalidParameter`] for zero counts.
     pub fn validate(&self) -> Result<(), CoreError> {
         if self.records_per_eval == 0 {
             return Err(CoreError::InvalidParameter {
@@ -111,11 +92,6 @@ impl ProgramSearchConfig {
         if self.record_cycles == 0 {
             return Err(CoreError::InvalidParameter {
                 what: "program search record length must be at least one cycle",
-            });
-        }
-        if self.turns_min == 0 || self.turns_min > self.turns_max {
-            return Err(CoreError::InvalidParameter {
-                what: "program search turns range is empty",
             });
         }
         if self.step == 0 {
@@ -128,11 +104,6 @@ impl ProgramSearchConfig {
                 what: "program search beam must keep at least one candidate",
             });
         }
-        if self.line_hz <= 0.0 || self.band_half_hz < 0.0 {
-            return Err(CoreError::InvalidParameter {
-                what: "program search scored band is degenerate",
-            });
-        }
         Ok(())
     }
 
@@ -141,8 +112,8 @@ impl ProgramSearchConfig {
     pub fn band_bins(&self) -> (usize, usize) {
         let n = self.record_cycles * calib::SAMPLES_PER_CYCLE;
         let fs = calib::sample_rate_hz();
-        let lo = psa_dsp::fft::freq_bin((self.line_hz - self.band_half_hz).max(0.0), n, fs);
-        let hi = psa_dsp::fft::freq_bin(self.line_hz + self.band_half_hz, n, fs);
+        let lo = psa_dsp::fft::freq_bin((LINE_HZ - BAND_HALF_HZ).max(0.0), n, fs);
+        let hi = psa_dsp::fft::freq_bin(LINE_HZ + BAND_HALF_HZ, n, fs);
         (lo.min(hi), lo.max(hi))
     }
 }
@@ -188,7 +159,7 @@ pub fn detection_snr_with(
         &mut traces,
     )?;
     let quiet_spec = ctx.fullres_spectrum_db(&traces)?;
-    let envelope = peak::local_max_envelope(&quiet_spec, config.envelope_half_window);
+    let envelope = peak::local_max_envelope(&quiet_spec, calib::ENVELOPE_HALF_WINDOW);
 
     ctx.acquire_len_into(
         active,
@@ -225,7 +196,7 @@ pub fn detection_snr_with(
             prefix.records.push(traces.records[k - 1].clone());
             band_excess(&ctx.fullres_spectrum_db(&prefix)?)
         };
-        if excess >= config.threshold_db {
+        if excess >= calib::DETECTION_THRESHOLD_DB {
             records_to_detect = Some(k);
             break;
         }
@@ -264,19 +235,14 @@ pub fn score_program_with(
 }
 
 /// Canonical score ordering: `Less` means `a` ranks **better** than
-/// `b`. Ties always break through the programs' derived [`Ord`], so a
-/// full sort is deterministic regardless of evaluation order.
-pub fn cmp_scores(a: &ProgramScore, b: &ProgramScore, objective: SearchObjective) -> Ordering {
-    let by_snr = b.snr.snr_db.total_cmp(&a.snr.snr_db);
-    let by_program = a.program.cmp(&b.program);
-    match objective {
-        SearchObjective::MaxSnr => by_snr.then(by_program),
-        SearchObjective::MinTtd => {
-            let ka = a.snr.records_to_detect.unwrap_or(usize::MAX);
-            let kb = b.snr.records_to_detect.unwrap_or(usize::MAX);
-            ka.cmp(&kb).then(by_snr).then(by_program)
-        }
-    }
+/// `b` — higher detection SNR first. Ties always break through the
+/// programs' derived [`Ord`], so a full sort is deterministic regardless
+/// of evaluation order.
+pub fn cmp_scores(a: &ProgramScore, b: &ProgramScore) -> Ordering {
+    b.snr
+        .snr_db
+        .total_cmp(&a.snr.snr_db)
+        .then(a.program.cmp(&b.program))
 }
 
 /// The per-program evaluation seed: `base` mixed with the program's
@@ -332,7 +298,7 @@ fn pair_from_seed(kind: TrojanKind, seed: u64) -> (Scenario, Scenario) {
 /// The candidate neighbourhood of a programming: single-edge nudges,
 /// whole-rectangle translations, symmetric grow/shrink, and turn-count
 /// changes, each by `config.step` nodes (turns by one), filtered to the
-/// `rows × cols` lattice and the configured turns range. Returned
+/// `rows × cols` lattice and the [`TURNS_MIN`]..=[`TURNS_MAX`] range. Returned
 /// deduplicated in canonical [`Ord`] order and never containing
 /// `program` itself — the deterministic expansion step of the beam
 /// search.
@@ -366,7 +332,7 @@ pub fn neighbors(
 
     let mut out = BTreeSet::new();
     for (nr0, nc0, nr1, nc1, nt) in moves {
-        if nt < config.turns_min as i64 || nt > config.turns_max as i64 {
+        if nt < TURNS_MIN as i64 || nt > TURNS_MAX as i64 {
             continue;
         }
         // Bound every corner coordinate, not just the nominal maxima:
@@ -402,7 +368,6 @@ mod tests {
         let c = ProgramSearchConfig::default();
         c.validate().unwrap();
         assert!(c.record_cycles.is_power_of_two());
-        assert_eq!(c.threshold_db, calib::DETECTION_THRESHOLD_DB);
         let (lo, hi) = c.band_bins();
         assert!(lo < hi);
     }
@@ -420,28 +385,11 @@ mod tests {
                 ..base.clone()
             },
             ProgramSearchConfig {
-                turns_min: 0,
-                ..base.clone()
-            },
-            ProgramSearchConfig {
-                turns_min: 9,
-                turns_max: 8,
-                ..base.clone()
-            },
-            ProgramSearchConfig {
                 step: 0,
                 ..base.clone()
             },
             ProgramSearchConfig {
                 beam_width: 0,
-                ..base.clone()
-            },
-            ProgramSearchConfig {
-                line_hz: 0.0,
-                ..base.clone()
-            },
-            ProgramSearchConfig {
-                band_half_hz: -1.0,
                 ..base.clone()
             },
         ] {
@@ -489,7 +437,7 @@ mod tests {
             let (r0, c0, r1, c1) = q.node_rect();
             assert!(r1 < 36 && c1 < 36, "{q}");
             assert!(r0 < r1 && c0 < c1);
-            assert!((cfg.turns_min..=cfg.turns_max).contains(&q.turns()));
+            assert!((TURNS_MIN..=TURNS_MAX).contains(&q.turns()));
         }
         // Both turn moves present around an interior turn count.
         assert!(n.iter().any(|q| q.turns() == 5));
@@ -504,7 +452,7 @@ mod tests {
         for q in neighbors(&p, 36, 36, &cfg) {
             let (_, _, r1, c1) = q.node_rect();
             assert!(r1 < 36 && c1 < 36);
-            assert!(q.turns() >= cfg.turns_min);
+            assert!(q.turns() >= TURNS_MIN);
         }
         // At the minimum turn count, no neighbour goes below it.
         let small = CoilProgram::new(0, 0, 8, 8, 2).unwrap();
@@ -544,39 +492,14 @@ mod tests {
                 records_to_detect: k,
             },
         };
-        // MaxSnr: higher SNR first.
+        // Higher SNR first, even over fewer records to detect.
         assert_eq!(
-            cmp_scores(
-                &s(pa, 20.0, Some(1)),
-                &s(pb, 10.0, Some(1)),
-                SearchObjective::MaxSnr
-            ),
+            cmp_scores(&s(pa, 20.0, Some(2)), &s(pb, 10.0, Some(1))),
             Ordering::Less
         );
         // Equal SNR: canonical program order breaks the tie.
         assert_eq!(
-            cmp_scores(
-                &s(pa, 15.0, None),
-                &s(pb, 15.0, None),
-                SearchObjective::MaxSnr
-            ),
-            Ordering::Less
-        );
-        // MinTtd: fewer records wins even at lower SNR; None loses.
-        assert_eq!(
-            cmp_scores(
-                &s(pa, 11.0, Some(1)),
-                &s(pb, 30.0, Some(2)),
-                SearchObjective::MinTtd
-            ),
-            Ordering::Less
-        );
-        assert_eq!(
-            cmp_scores(
-                &s(pa, 11.0, Some(2)),
-                &s(pb, 30.0, None),
-                SearchObjective::MinTtd
-            ),
+            cmp_scores(&s(pa, 15.0, None), &s(pb, 15.0, None)),
             Ordering::Less
         );
     }

@@ -201,20 +201,6 @@ pub fn convolve(a: &[f64], b: &[f64]) -> Vec<f64> {
     out
 }
 
-/// Keeps every `factor`-th sample.
-///
-/// # Errors
-///
-/// Returns [`DspError::NonPositive`] when `factor == 0`.
-pub fn decimate(signal: &[f64], factor: usize) -> Result<Vec<f64>, DspError> {
-    if factor == 0 {
-        return Err(DspError::NonPositive {
-            what: "decimation factor",
-        });
-    }
-    Ok(signal.iter().step_by(factor).copied().collect())
-}
-
 /// Sliding median of a series: each element replaced by the median over
 /// a ±`half_window` neighbourhood (truncated at the edges).
 ///
@@ -384,14 +370,6 @@ mod tests {
         }
         let fir = FirFilter { taps: vec![1.0] };
         assert!(fir.filter_decimated(&[1.0], 0).is_err());
-    }
-
-    #[test]
-    fn decimate_keeps_every_kth() {
-        let x: Vec<f64> = (0..10).map(|i| i as f64).collect();
-        assert_eq!(decimate(&x, 3).unwrap(), vec![0.0, 3.0, 6.0, 9.0]);
-        assert!(decimate(&x, 0).is_err());
-        assert_eq!(decimate(&x, 1).unwrap(), x);
     }
 
     #[test]

@@ -26,34 +26,15 @@ use psa_core::scenario::Scenario;
 use psa_gatesim::trojan::TrojanKind;
 use psa_ml::roc::{roc_auc, RocPoint};
 
-/// Shape of a bake-off campaign.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BakeoffConfig {
-    /// Independent seeds scored per `(detector, scenario)` cell.
-    /// Default `4`.
-    pub seeds_per_scenario: usize,
-    /// Base seed the per-cell seeds are derived from. Default `0xB0FF`.
-    pub base_seed: u64,
-}
+/// Base seed the per-cell seeds are derived from.
+const BASE_SEED: u64 = 0xB0FF;
 
-impl Default for BakeoffConfig {
-    fn default() -> Self {
-        BakeoffConfig {
-            seeds_per_scenario: 4,
-            base_seed: 0xB0FF,
-        }
-    }
-}
-
-impl BakeoffConfig {
-    /// The seed of cell `(scenario_index, seed_index)` — spread so no
-    /// two cells (and no cell and the Table I campaign) share a noise
-    /// stream.
-    fn cell_seed(&self, scenario_idx: usize, seed_idx: usize) -> u64 {
-        self.base_seed
-            .wrapping_add(scenario_idx as u64 * 100_000)
-            .wrapping_add(seed_idx as u64 * 31)
-    }
+/// The seed of cell `(scenario_index, seed_index)` — spread so no two
+/// cells (and no cell and the Table I campaign) share a noise stream.
+fn cell_seed(scenario_idx: usize, seed_idx: usize) -> u64 {
+    BASE_SEED
+        .wrapping_add(scenario_idx as u64 * 100_000)
+        .wrapping_add(seed_idx as u64 * 31)
 }
 
 /// One scored cell of the campaign matrix.
@@ -132,21 +113,18 @@ impl BakeoffReport {
 #[derive(Debug, Clone)]
 pub struct Bakeoff<'c> {
     campaign: Campaign<'c>,
-    config: BakeoffConfig,
+    seeds_per_scenario: usize,
 }
 
 impl<'c> Bakeoff<'c> {
-    /// Binds the campaign to a shared chip.
-    pub fn new(chip: &'c TestChip, engine: Engine, config: BakeoffConfig) -> Self {
+    /// Binds the campaign to a shared chip, scoring
+    /// `seeds_per_scenario` independent seeds per `(detector, scenario)`
+    /// cell.
+    pub fn new(chip: &'c TestChip, engine: Engine, seeds_per_scenario: usize) -> Self {
         Bakeoff {
             campaign: Campaign::new(chip, engine),
-            config,
+            seeds_per_scenario,
         }
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &BakeoffConfig {
-        &self.config
     }
 
     /// Scores every `(detector, scenario, seed)` cell and sweeps the
@@ -166,14 +144,14 @@ impl<'c> Bakeoff<'c> {
         let mut jobs: Vec<(usize, usize, usize)> = Vec::new();
         for d in 0..detectors.len() {
             for si in 0..scenarios.len() {
-                for s in 0..self.config.seeds_per_scenario {
+                for s in 0..self.seeds_per_scenario {
                     jobs.push((d, si, s));
                 }
             }
         }
 
         let scores = self.campaign.run(&jobs, |ctx, _, &(d, si, s)| {
-            let seed = self.config.cell_seed(si, s);
+            let seed = cell_seed(si, s);
             let scenario = match scenarios[si] {
                 Some(kind) => Scenario::trojan_active(kind),
                 None => Scenario::baseline(),
@@ -187,7 +165,7 @@ impl<'c> Bakeoff<'c> {
             cells.push(BakeoffCell {
                 detector: d,
                 trojan: scenarios[si],
-                seed: self.config.cell_seed(si, s),
+                seed: cell_seed(si, s),
                 score: score?,
             });
         }
@@ -263,11 +241,10 @@ mod tests {
 
     #[test]
     fn cell_seeds_are_distinct_across_the_suite() {
-        let c = BakeoffConfig::default();
         let mut seen = std::collections::BTreeSet::new();
         for si in 0..5 {
-            for s in 0..c.seeds_per_scenario {
-                assert!(seen.insert(c.cell_seed(si, s)));
+            for s in 0..4 {
+                assert!(seen.insert(cell_seed(si, s)));
             }
         }
     }

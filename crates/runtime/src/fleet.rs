@@ -18,7 +18,7 @@
 //!   32 769-bin amplitude row per windowed record (~1.3 MB/chip at the
 //!   five-record window — over 10 GB for 10k chips). Here each
 //!   fresh record gets one cached-plan FFT and its amplitude row is
-//!   max-pooled by [`FleetConfig::decimate`] before entering a per-chip
+//!   max-pooled by `DECIMATE` (64) before entering a per-chip
 //!   [`SlidingSpectrum`] ring, so per-chip state is a few KB and total
 //!   memory is O(chips × window) with a small constant. Max-pooling preserves emergent Trojan lines (the pooled
 //!   test bin keeps the peak) while the pooled baseline tracks the
@@ -46,7 +46,9 @@ use psa_dsp::sliding::SlidingSpectrum;
 use psa_gatesim::trojan::TrojanKind;
 use std::fmt;
 
-/// Fleet shape and detector tuning.
+/// Fleet shape. Every stream watches PSA sensor 10 and alarms at
+/// [`calib::DETECTION_THRESHOLD_DB`] over its pooled baseline's
+/// envelope, clearing on the first quiet comparison.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetConfig {
     /// Concurrent chip streams.
@@ -55,35 +57,13 @@ pub struct FleetConfig {
     pub records: usize,
     /// Records averaged into each chip's learned baseline.
     pub baseline_records: usize,
-    /// The PSA sensor every stream watches.
-    pub sensor: usize,
-    /// Max-pool factor applied to full-resolution amplitude rows before
-    /// they enter a chip's sliding ring (64 → 513 pooled bins).
-    pub decimate: usize,
-    /// Sliding-window capacity per chip, in records.
-    pub window_records: usize,
-    /// Records before a chip's window is compared (warm-fill).
-    pub min_window_records: usize,
-    /// Alarm threshold over the baseline envelope, dB.
-    pub threshold_db: f64,
-    /// Baseline local-max envelope half-width, in *pooled* bins.
-    pub envelope_half_window: usize,
-    /// Consecutive quiet comparisons before a standing alarm clears.
-    pub clear_after_quiet: usize,
     /// Every `infect_every`-th chip carries a Trojan (index divisible);
     /// the kind cycles through [`TrojanKind::ALL`].
     pub infect_every: usize,
-    /// Record at which an infected chip's Trojan activates.
-    pub activation_record: usize,
     /// Chips per engine shard. Fixed partition independent of worker
     /// count — part of the determinism contract, and the unit of
     /// transient lane memory.
     pub shard_chips: usize,
-    /// Fleet seed: every per-chip variation, schedule, and baseline
-    /// seed derives from it.
-    pub seed: u64,
-    /// Monitor-loop timing model (per record per chip).
-    pub timing: MonitorTiming,
 }
 
 impl Default for FleetConfig {
@@ -92,21 +72,35 @@ impl Default for FleetConfig {
             chips: 256,
             records: 6,
             baseline_records: 3,
-            sensor: 10,
-            decimate: 64,
-            window_records: calib::TRACES_PER_SPECTRUM,
-            min_window_records: 2,
-            threshold_db: calib::DETECTION_THRESHOLD_DB,
-            envelope_half_window: 1,
-            clear_after_quiet: 1,
             infect_every: 8,
-            activation_record: 1,
             shard_chips: 64,
-            seed: 0xF1EE7,
-            timing: MonitorTiming::default(),
         }
     }
 }
+
+/// The PSA sensor every stream watches (the one over the Trojans).
+const SENSOR: usize = 10;
+
+/// Max-pool factor applied to full-resolution amplitude rows before
+/// they enter a chip's sliding ring (64 → 513 pooled bins).
+const DECIMATE: usize = 64;
+
+/// Sliding-window capacity per chip, in records.
+const WINDOW_RECORDS: usize = calib::TRACES_PER_SPECTRUM;
+
+/// Records before a chip's window is compared (warm-fill).
+const MIN_WINDOW_RECORDS: usize = 2;
+
+/// Baseline local-max envelope half-width, in *pooled* bins: one pooled
+/// bin already spans [`DECIMATE`] full-resolution bins.
+const POOLED_ENVELOPE_HALF_WINDOW: usize = 1;
+
+/// Record at which an infected chip's Trojan activates.
+const ACTIVATION_RECORD: usize = 1;
+
+/// Fleet seed: every per-chip variation, schedule, and baseline seed
+/// derives from it.
+const SEED: u64 = 0xF1EE7;
 
 /// Max-pools `row` by `factor` into `out` (reused; cleared first). The
 /// last chunk may be shorter. Pooling linear amplitude keeps every
@@ -123,8 +117,6 @@ pub fn decimate_max_into(row: &[f64], factor: usize, out: &mut Vec<f64>) {
 /// per die, learned in shards and merged in submission order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetBaselines {
-    sensor: usize,
-    decimate: usize,
     per_chip: Vec<Vec<f64>>,
 }
 
@@ -132,11 +124,6 @@ impl FleetBaselines {
     /// Chips covered.
     pub fn chips(&self) -> usize {
         self.per_chip.len()
-    }
-
-    /// The sensor the baselines were learned on.
-    pub fn sensor(&self) -> usize {
-        self.sensor
     }
 
     /// Pooled baseline spectrum (dB) of chip `c`.
@@ -241,15 +228,14 @@ pub struct FleetReport {
 }
 
 impl FleetReport {
-    /// Aggregates chip outcomes under `config`'s shape and timing.
+    /// Aggregates chip outcomes under `config`'s shape and the default
+    /// [`MonitorTiming`].
     pub fn from_outcomes(outcomes: &[ChipOutcome], config: &FleetConfig) -> Self {
-        let per_tick_s = config.timing.acquisition_s + config.timing.processing_s;
+        let timing = MonitorTiming::default();
+        let per_tick_s = timing.acquisition_s + timing.processing_s;
         let records = outcomes.len() * config.records;
         let stream_s = records as f64 * per_tick_s;
-        let mut mttds: Vec<f64> = outcomes
-            .iter()
-            .filter_map(|o| o.mttd_s(&config.timing))
-            .collect();
+        let mut mttds: Vec<f64> = outcomes.iter().filter_map(|o| o.mttd_s(&timing)).collect();
         mttds.sort_by(f64::total_cmp);
         let mut fas: Vec<f64> = outcomes.iter().map(|o| o.false_alarms as f64).collect();
         fas.sort_by(f64::total_cmp);
@@ -359,8 +345,7 @@ impl<'c> Fleet<'c> {
     /// # Errors
     ///
     /// [`CoreError::InvalidParameter`] on an empty fleet, zero-length
-    /// streams or windows, an out-of-range sensor, or inconsistent
-    /// window/activation bounds.
+    /// streams, or streams that end before the Trojans activate.
     pub fn new(chip: &'c TestChip, config: FleetConfig) -> Result<Self, CoreError> {
         let invalid = |what: &'static str| Err(CoreError::InvalidParameter { what });
         if config.chips == 0 {
@@ -369,25 +354,13 @@ impl<'c> Fleet<'c> {
         if config.records == 0 || config.baseline_records == 0 {
             return invalid("fleet streams need at least 1 record");
         }
-        if config.window_records == 0
-            || config.min_window_records == 0
-            || config.min_window_records > config.window_records
-        {
-            return invalid("fleet window bounds must satisfy 1 <= min <= window");
-        }
-        if config.decimate == 0 {
-            return invalid("fleet decimation factor must be at least 1");
-        }
         if config.shard_chips == 0 {
             return invalid("fleet shards need at least 1 chip");
         }
         if config.infect_every == 0 {
             return invalid("fleet infect_every must be at least 1");
         }
-        if config.sensor >= chip.sensor_bank().len() {
-            return invalid("fleet sensor index out of range");
-        }
-        if config.activation_record >= config.records {
+        if ACTIVATION_RECORD >= config.records {
             return invalid("fleet activation record must precede stream end");
         }
         Ok(Fleet { chip, config })
@@ -406,7 +379,7 @@ impl<'c> Fleet<'c> {
     /// The die variation of chip `c` — a pure function of
     /// `(fleet seed, c)`, so any worker reconstructs the same die.
     pub fn variation(&self, c: usize) -> ChipVariation {
-        ChipVariation::new(splitmix64(self.config.seed.wrapping_add(c as u64)))
+        ChipVariation::new(splitmix64(SEED.wrapping_add(c as u64)))
     }
 
     /// Whether chip `c` carries a Trojan (every `infect_every`-th die;
@@ -418,10 +391,10 @@ impl<'c> Fleet<'c> {
     /// Chip `c`'s activation schedule, seeded from the fleet seed.
     pub fn schedule(&self, c: usize) -> ActivationSchedule {
         let cfg = &self.config;
-        let seed = splitmix64(cfg.seed ^ 0x57A6_57A6).wrapping_add(131 * c as u64);
+        let seed = splitmix64(SEED ^ 0x57A6_57A6).wrapping_add(131 * c as u64);
         if self.infected(c) {
             let kind = TrojanKind::ALL[(c / cfg.infect_every) % TrojanKind::ALL.len()];
-            ActivationSchedule::trojan_at(kind, cfg.activation_record, cfg.records).with_seed(seed)
+            ActivationSchedule::trojan_at(kind, ACTIVATION_RECORD, cfg.records).with_seed(seed)
         } else {
             ActivationSchedule::constant(Scenario::baseline(), cfg.records).with_seed(seed)
         }
@@ -429,7 +402,7 @@ impl<'c> Fleet<'c> {
 
     /// Chip `c`'s baseline-learning seed.
     fn baseline_seed(&self, c: usize) -> u64 {
-        splitmix64(self.config.seed ^ 0xBA5E_F1EE).wrapping_add(257 * c as u64)
+        splitmix64(SEED ^ 0xBA5E_F1EE).wrapping_add(257 * c as u64)
     }
 
     /// Fixed `(start, end)` chip shards — a pure function of the fleet
@@ -444,7 +417,7 @@ impl<'c> Fleet<'c> {
 
     /// Pooled bins per spectrum row.
     fn pooled_bins(&self) -> usize {
-        (calib::RECORD_CYCLES * calib::SAMPLES_PER_CYCLE / 2 + 1).div_ceil(self.config.decimate)
+        (calib::RECORD_CYCLES * calib::SAMPLES_PER_CYCLE / 2 + 1).div_ceil(DECIMATE)
     }
 
     /// Learns every die's pooled baseline spectrum, sharded across the
@@ -465,8 +438,6 @@ impl<'c> Fleet<'c> {
             .into_iter()
             .collect();
         Ok(FleetBaselines {
-            sensor: self.config.sensor,
-            decimate: self.config.decimate,
             per_chip: per_shard?.into_iter().flatten().collect(),
         })
     }
@@ -484,14 +455,18 @@ impl<'c> Fleet<'c> {
         for c in start..end {
             ctx.set_variation(Some(self.variation(c)));
             let scenario = Scenario::baseline().with_seed(self.baseline_seed(c));
-            let sensor = SensorSelect::Psa(cfg.sensor);
-            ctx.acquire_into(&scenario, sensor, cfg.baseline_records, &mut traces)?;
+            ctx.acquire_into(
+                &scenario,
+                SensorSelect::Psa(SENSOR),
+                cfg.baseline_records,
+                &mut traces,
+            )?;
             // Same ring math the monitoring lanes use, so a freshly
             // learned baseline and a quiet stream agree bin-for-bin.
             let mut ring = SlidingSpectrum::new(cfg.baseline_records)?;
             for rec in &traces.records {
                 let row = ctx.fullres_amplitude_row(rec)?;
-                decimate_max_into(row, cfg.decimate, &mut pooled);
+                decimate_max_into(row, DECIMATE, &mut pooled);
                 ring.push_row(&pooled)?;
             }
             let mut avg = Vec::with_capacity(pooled.len());
@@ -509,24 +484,16 @@ impl<'c> Fleet<'c> {
     /// # Errors
     ///
     /// [`CoreError::InvalidParameter`] when `baselines` does not cover
-    /// the fleet on its sensor at its decimation (checked before any
-    /// acquisition runs), or the first failing shard's acquisition
-    /// error.
+    /// every chip of the fleet (checked before any acquisition runs), or
+    /// the first failing shard's acquisition error.
     pub fn run(
         &self,
         engine: &Engine,
         baselines: &FleetBaselines,
     ) -> Result<Vec<ChipOutcome>, CoreError> {
-        if baselines.chips() != self.config.chips || baselines.sensor != self.config.sensor {
+        if baselines.chips() != self.config.chips {
             return Err(CoreError::InvalidParameter {
-                what: "fleet baselines must cover every chip on the watched sensor",
-            });
-        }
-        if baselines.decimate != self.config.decimate {
-            // Rows pooled at another factor put their bins at other
-            // frequencies: comparing them would be silently wrong.
-            return Err(CoreError::InvalidParameter {
-                what: "fleet baselines must be pooled at the fleet's decimation",
+                what: "fleet baselines must cover every chip",
             });
         }
         let shards = self.shards();
@@ -555,9 +522,12 @@ impl<'c> Fleet<'c> {
             let schedule = self.schedule(c);
             lanes.push(Lane {
                 variation: self.variation(c),
-                rows: SlidingSpectrum::new(cfg.window_records)?,
-                base_env: peak::local_max_envelope(baselines.chip_db(c), cfg.envelope_half_window),
-                latch: AlarmLatch::new(cfg.clear_after_quiet),
+                rows: SlidingSpectrum::new(WINDOW_RECORDS)?,
+                base_env: peak::local_max_envelope(
+                    baselines.chip_db(c),
+                    POOLED_ENVELOPE_HALF_WINDOW,
+                ),
+                latch: AlarmLatch::new(1),
                 outcome: ChipOutcome {
                     chip: c,
                     infected,
@@ -573,20 +543,24 @@ impl<'c> Fleet<'c> {
         let mut fresh = TraceSet::default();
         let mut pooled = Vec::with_capacity(self.pooled_bins());
         let mut spec = Vec::with_capacity(self.pooled_bins());
-        let sensor = SensorSelect::Psa(cfg.sensor);
+        let sensor = SensorSelect::Psa(SENSOR);
         for r in 0..cfg.records {
             for lane in lanes.iter_mut() {
                 ctx.set_variation(Some(lane.variation.clone()));
                 let scenario = lane.schedule.scenario_at(r);
                 ctx.acquire_into(&scenario, sensor, 1, &mut fresh)?;
                 let row = ctx.fullres_amplitude_row(&fresh.records[0])?;
-                decimate_max_into(row, cfg.decimate, &mut pooled);
+                decimate_max_into(row, DECIMATE, &mut pooled);
                 lane.rows.push_row(&pooled)?;
-                if lane.rows.len() < cfg.min_window_records {
+                if lane.rows.len() < MIN_WINDOW_RECORDS {
                     continue;
                 }
                 lane.rows.averaged_db_into(&mut spec)?;
-                let hits = peak::excess_over_baseline_db(&spec, &lane.base_env, cfg.threshold_db);
+                let hits = peak::excess_over_baseline_db(
+                    &spec,
+                    &lane.base_env,
+                    calib::DETECTION_THRESHOLD_DB,
+                );
                 let hit = !hits.is_empty();
                 let flipped = lane.latch.update(hit);
                 let active = lane.schedule.trojan_active_at(r);
@@ -622,23 +596,13 @@ mod tests {
         let fleet = Fleet::new(&chip, config.clone()).unwrap();
         // Built directly, so no record is acquired; a mismatch must be
         // rejected before the fleet acquires any either.
-        let store = |chips: usize, sensor: usize, decimate: usize| FleetBaselines {
-            sensor,
-            decimate,
-            per_chip: vec![vec![0.0; fleet.pooled_bins()]; chips],
+        let bad = FleetBaselines {
+            per_chip: vec![vec![0.0; fleet.pooled_bins()]; config.chips + 1],
         };
-        let (chips, sensor, decimate) = (config.chips, config.sensor, config.decimate);
-        for bad in [
-            store(chips, sensor, decimate * 2),
-            store(chips, sensor, 1),
-            store(chips + 1, sensor, decimate),
-            store(chips, sensor + 1, decimate),
-        ] {
-            assert!(matches!(
-                fleet.run(&Engine::serial(), &bad),
-                Err(CoreError::InvalidParameter { .. })
-            ));
-        }
+        assert!(matches!(
+            fleet.run(&Engine::serial(), &bad),
+            Err(CoreError::InvalidParameter { .. })
+        ));
     }
 
     #[test]
@@ -735,7 +699,8 @@ mod tests {
         assert_eq!(report.alarms, 3);
         assert_eq!(report.false_alarms, 1);
         assert_eq!(report.clears, 1);
-        let per_tick = config.timing.acquisition_s + config.timing.processing_s;
+        let timing = MonitorTiming::default();
+        let per_tick = timing.acquisition_s + timing.processing_s;
         assert!((report.stream_s - 12.0 * per_tick).abs() < 1e-12);
         assert_eq!(report.mttd_p50_s, Some(2.0 * per_tick));
         assert_eq!(report.mttd_max_s, Some(3.0 * per_tick));

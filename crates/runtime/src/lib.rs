@@ -77,7 +77,7 @@ pub mod multiloc;
 pub mod progsearch;
 
 pub use atlas::AtlasCorner;
-pub use bakeoff::{Bakeoff, BakeoffCell, BakeoffConfig, BakeoffReport, RocSummary};
+pub use bakeoff::{Bakeoff, BakeoffCell, BakeoffReport, RocSummary};
 pub use campaign::{AcquireJob, Campaign};
 pub use engine::Engine;
 pub use fleet::{ChipOutcome, Fleet, FleetBaselines, FleetConfig, FleetReport};

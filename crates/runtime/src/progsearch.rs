@@ -64,11 +64,11 @@ pub struct SearchReport {
 
 impl SearchReport {
     /// The best-scoring preset (the bar a custom programming must
-    /// clear), under the same objective the search ranked by.
-    pub fn best_preset(&self, config: &ProgramSearchConfig) -> ProgramScore {
+    /// clear), under the ordering the search ranked by.
+    pub fn best_preset(&self) -> ProgramScore {
         let mut best = self.presets[0];
         for s in &self.presets[1..] {
-            if cmp_scores(s, &best, config.objective).is_lt() {
+            if cmp_scores(s, &best).is_lt() {
                 best = *s;
             }
         }
@@ -77,8 +77,8 @@ impl SearchReport {
 
     /// dB gained by the searched programming over the best preset
     /// (negative when no custom candidate won).
-    pub fn improvement_db(&self, config: &ProgramSearchConfig) -> f64 {
-        self.best.snr.snr_db - self.best_preset(config).snr.snr_db
+    pub fn improvement_db(&self) -> f64 {
+        self.best.snr.snr_db - self.best_preset().snr.snr_db
     }
 }
 
@@ -179,7 +179,7 @@ impl<'c> ProgramSearch<'c> {
 
         let mut seen: BTreeSet<CoilProgram> = presets.iter().copied().collect();
         let mut scored: Vec<ProgramScore> = preset_scores.clone();
-        scored.sort_by(|a, b| cmp_scores(a, b, self.config.objective));
+        scored.sort_by(cmp_scores);
 
         let mut rounds = Vec::new();
         for round in 1..=self.config.max_rounds {
@@ -202,7 +202,7 @@ impl<'c> ProgramSearch<'c> {
             let fresh_scores = self.evaluate(kind, base_seed, &fresh)?;
             seen.extend(fresh.iter().copied());
             scored.extend(fresh_scores);
-            scored.sort_by(|a, b| cmp_scores(a, b, self.config.objective));
+            scored.sort_by(cmp_scores);
             rounds.push(RoundSummary {
                 round,
                 evaluated: fresh.len(),
@@ -224,7 +224,6 @@ impl<'c> ProgramSearch<'c> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use psa_core::progsearch::SearchObjective;
 
     #[test]
     fn search_rejects_invalid_config() {
@@ -236,15 +235,11 @@ mod tests {
             ..ProgramSearchConfig::default()
         };
         assert!(bad.validate().is_err());
-        let ok = ProgramSearchConfig {
-            objective: SearchObjective::MinTtd,
-            ..ProgramSearchConfig::default()
-        };
-        assert!(ok.validate().is_ok());
+        assert!(ProgramSearchConfig::default().validate().is_ok());
     }
 
     #[test]
-    fn report_ranks_presets_under_objective() {
+    fn report_ranks_presets_by_snr() {
         let p = |sel: u8| CoilProgram::preset(sel).unwrap();
         let score = |sel: u8, snr: f64, k: Option<usize>| ProgramScore {
             program: p(sel),
@@ -253,26 +248,19 @@ mod tests {
                 records_to_detect: k,
             },
         };
-        let config = ProgramSearchConfig::default();
         let report = SearchReport {
             kind: TrojanKind::T3,
             base_seed: 1,
             presets: vec![
                 score(0, 3.0, None),
-                score(10, 21.0, Some(1)),
-                score(5, 11.0, Some(2)),
+                score(10, 21.0, Some(2)),
+                score(5, 11.0, Some(1)),
             ],
             rounds: Vec::new(),
             best: score(10, 25.5, Some(1)),
             evaluated: 3,
         };
-        assert_eq!(report.best_preset(&config).program, p(10));
-        assert!((report.improvement_db(&config) - 4.5).abs() < 1e-12);
-        // MinTtd ranks by records first.
-        let ttd = ProgramSearchConfig {
-            objective: SearchObjective::MinTtd,
-            ..config
-        };
-        assert_eq!(report.best_preset(&ttd).program, p(10));
+        assert_eq!(report.best_preset().program, p(10));
+        assert!((report.improvement_db() - 4.5).abs() < 1e-12);
     }
 }

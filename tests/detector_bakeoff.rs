@@ -6,12 +6,13 @@
 use psa_repro::core::acquisition::AcqContext;
 use psa_repro::core::chip::TestChip;
 use psa_repro::core::detector::{
-    BackscatterConfig, BackscatterDetector, CrossDomainDetector, Detector, EuclideanDetector,
-    ScoredDetector, SpectralKurtosisDetector,
+    BackscatterDetector, CrossDomainDetector, Detector, EuclideanDetector, ScoredDetector,
+    SpectralKurtosisDetector,
 };
+use psa_repro::core::error::CoreError;
 use psa_repro::core::scenario::Scenario;
 use psa_repro::gatesim::trojan::TrojanKind;
-use psa_repro::runtime::{Bakeoff, BakeoffConfig, Engine};
+use psa_repro::runtime::{Bakeoff, Engine};
 use std::sync::OnceLock;
 
 fn chip() -> &'static TestChip {
@@ -24,10 +25,7 @@ fn chip() -> &'static TestChip {
 fn cheap_roster() -> (EuclideanDetector, BackscatterDetector) {
     (
         EuclideanDetector::single_coil(3),
-        BackscatterDetector::with_config(BackscatterConfig {
-            traces_per_side: 4,
-            ..BackscatterConfig::default()
-        }),
+        BackscatterDetector::new(4),
     )
 }
 
@@ -37,10 +35,7 @@ fn cheap_roster() -> (EuclideanDetector, BackscatterDetector) {
 #[test]
 fn outcomes_carry_their_own_evidence() {
     let (euclid, backscatter) = cheap_roster();
-    let kurtosis = SpectralKurtosisDetector {
-        traces_per_sensor: 1,
-        ..SpectralKurtosisDetector::default()
-    };
+    let kurtosis = SpectralKurtosisDetector::new(1);
     let dets: [&dyn Detector; 3] = [&euclid, &backscatter, &kurtosis];
     let mut ctx = AcqContext::new(chip());
     for det in dets {
@@ -64,6 +59,15 @@ fn outcomes_carry_their_own_evidence() {
             assert_eq!(out.traces_used, det.traces_per_score(), "{}", det.name());
         }
     }
+}
+
+/// A zero trace budget is rejected before anything is acquired (the
+/// PCA fit would otherwise index an empty feature set).
+#[test]
+fn backscatter_rejects_a_zero_trace_budget() {
+    let mut ctx = AcqContext::new(chip());
+    let result = BackscatterDetector::new(0).score_with(&mut ctx, &Scenario::baseline());
+    assert!(matches!(result, Err(CoreError::InvalidParameter { .. })));
 }
 
 /// The Euclidean studentized-shift score must reproduce the historical
@@ -90,7 +94,7 @@ fn euclidean_score_reproduces_historical_decisions() {
         // Pure in the scenario: scoring twice is bit-identical.
         assert_eq!(score.to_bits(), out.score.to_bits());
         // The historical rule, restated over the score.
-        assert_eq!(out.detected, score > det.config.k_sigma);
+        assert_eq!(out.detected, score > EuclideanDetector::K_SIGMA);
     }
 }
 
@@ -121,14 +125,10 @@ fn cross_domain_score_paths_agree() {
 fn bakeoff_report_is_worker_count_invariant() {
     let (euclid, backscatter) = cheap_roster();
     let dets: [&dyn ScoredDetector; 2] = [&euclid, &backscatter];
-    let config = BakeoffConfig {
-        seeds_per_scenario: 1,
-        ..BakeoffConfig::default()
-    };
-    let serial = Bakeoff::new(chip(), Engine::serial(), config.clone())
+    let serial = Bakeoff::new(chip(), Engine::serial(), 1)
         .run(&dets)
         .expect("serial bake-off");
-    let parallel = Bakeoff::new(chip(), Engine::new(2), config)
+    let parallel = Bakeoff::new(chip(), Engine::new(2), 1)
         .run(&dets)
         .expect("parallel bake-off");
     assert_eq!(serial.detectors, parallel.detectors);

@@ -20,11 +20,8 @@ fn small_config() -> FleetConfig {
         chips: 6,
         records: 3,
         baseline_records: 2,
-        min_window_records: 2,
         infect_every: 3,
-        activation_record: 1,
         shard_chips: 2,
-        ..FleetConfig::default()
     }
 }
 
@@ -88,13 +85,10 @@ fn fleet_validation_rejects_bad_shapes() {
     assert!(bad(|c| c.chips = 0));
     assert!(bad(|c| c.records = 0));
     assert!(bad(|c| c.baseline_records = 0));
-    assert!(bad(|c| c.min_window_records = 0));
-    assert!(bad(|c| c.min_window_records = c.window_records + 1));
-    assert!(bad(|c| c.decimate = 0));
     assert!(bad(|c| c.shard_chips = 0));
     assert!(bad(|c| c.infect_every = 0));
-    assert!(bad(|c| c.sensor = 16));
-    assert!(bad(|c| c.activation_record = c.records));
+    // Trojans activate at record 1: a one-record stream ends first.
+    assert!(bad(|c| c.records = 1));
 
     // Baselines must match the fleet they serve.
     let fleet = Fleet::new(chip(), small_config()).unwrap();

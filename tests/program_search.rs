@@ -6,6 +6,7 @@
 
 use psa_repro::array::program::CoilProgram;
 use psa_repro::core::acquisition::AcqContext;
+use psa_repro::core::calib;
 use psa_repro::core::chip::{SensorSelect, TestChip};
 use psa_repro::core::progsearch::{
     detection_snr_with, eval_scenario_pair, probe_scenario_pair, score_program_with,
@@ -52,7 +53,7 @@ fn detection_snr_separates_covering_from_far_sensor() {
     )
     .expect("covering evaluation runs");
     assert!(
-        near.snr_db > config.threshold_db,
+        near.snr_db > calib::DETECTION_THRESHOLD_DB,
         "near snr {}",
         near.snr_db
     );
@@ -120,14 +121,14 @@ fn search_is_worker_count_invariant_and_beats_presets() {
     assert_eq!(serial, parallel);
 
     assert_eq!(serial.presets.len(), 16);
-    let best_preset = serial.best_preset(&config);
+    let best_preset = serial.best_preset();
     assert!(
         serial.best.snr.snr_db >= best_preset.snr.snr_db,
         "winner {} vs preset {}",
         serial.best.snr.snr_db,
         best_preset.snr.snr_db
     );
-    assert!(serial.improvement_db(&config) >= 0.0);
+    assert!(serial.improvement_db() >= 0.0);
     // The search actually explored beyond the 16 seeds.
     assert!(serial.evaluated > 16);
     assert_eq!(serial.rounds.len(), 1);
