@@ -55,11 +55,6 @@ impl Adc {
         Adc::new(12, 6.6).expect("constants are valid")
     }
 
-    /// Resolution in bits.
-    pub fn bits(&self) -> u32 {
-        self.bits
-    }
-
     /// One least-significant-bit step, volts.
     pub fn lsb(&self) -> f64 {
         self.full_scale_v / (1u64 << self.bits) as f64
@@ -128,7 +123,7 @@ mod tests {
         let p_sig: f64 = x.iter().map(|v| v * v).sum();
         let p_err: f64 = err.iter().map(|v| v * v).sum();
         let snr = 10.0 * (p_sig / p_err).log10();
-        let ideal = 6.02 * adc.bits() as f64 + 1.76;
+        let ideal = 6.02 * adc.bits as f64 + 1.76;
         assert!((snr - ideal).abs() < 2.0, "snr {snr}");
     }
 
@@ -158,6 +153,6 @@ mod tests {
     #[test]
     fn rasc_preset() {
         let adc = Adc::rasc();
-        assert_eq!(adc.bits(), 12);
+        assert_eq!(adc.bits, 12);
     }
 }

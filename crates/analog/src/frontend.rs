@@ -20,7 +20,8 @@ use psa_field::noise::GaussianNoise;
 ///
 /// let fe = AnalogFrontEnd::date24(42);
 /// let v = vec![1.0e-5; 4096];
-/// let out = fe.capture(&v, 264.0e6, 0.0)?;
+/// let mut out = Vec::new();
+/// fe.capture_record_into(&v, 264.0e6, 0.0, 0, &mut out)?;
 /// assert_eq!(out.len(), 4096);
 /// # Ok::<(), psa_analog::AnalogError>(())
 /// ```
@@ -56,69 +57,21 @@ impl AnalogFrontEnd {
         }
     }
 
-    /// Builds a custom chain.
-    pub fn new(amp: OpAmp, adc: Adc, seed: u64) -> Self {
-        AnalogFrontEnd { amp, adc, seed }
-    }
-
-    /// The amplifier stage.
-    pub fn amp(&self) -> &OpAmp {
-        &self.amp
-    }
-
-    /// The ADC stage.
-    pub fn adc(&self) -> &Adc {
-        &self.adc
-    }
-
-    /// Captures one record: adds sensor-referred noise
-    /// (`sensor_noise_vrms`, from the probe model) and amplifier input
-    /// noise, amplifies, and quantizes. Deterministic per
-    /// `(seed, record_index)`.
+    /// Captures one record into a caller-owned buffer (cleared first):
+    /// adds sensor-referred noise (`sensor_noise_vrms`, from the probe
+    /// model) and amplifier input noise, amplifies, and quantizes.
+    /// Deterministic per `(seed, record_index)`, so repeated
+    /// acquisitions see fresh (yet reproducible) noise. Draws the
+    /// record's noise, then applies it through
+    /// [`capture_shared_into`](Self::capture_shared_into), so both share
+    /// one arithmetic body; the draw is a fresh allocation per call, so
+    /// loops should hold a [`UnitNoise`] and call that method instead.
     ///
     /// # Errors
     ///
     /// Returns [`AnalogError::EmptyInput`] for an empty record or
     /// [`AnalogError::InvalidParameter`] for a non-positive sample rate
     /// or a negative or non-finite `sensor_noise_vrms`.
-    pub fn capture(
-        &self,
-        sensor_v: &[f64],
-        fs_hz: f64,
-        sensor_noise_vrms: f64,
-    ) -> Result<Vec<f64>, AnalogError> {
-        self.capture_record(sensor_v, fs_hz, sensor_noise_vrms, 0)
-    }
-
-    /// Like [`capture`](Self::capture) but with an explicit record index
-    /// so repeated acquisitions see fresh (yet reproducible) noise.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`capture`](Self::capture).
-    pub fn capture_record(
-        &self,
-        sensor_v: &[f64],
-        fs_hz: f64,
-        sensor_noise_vrms: f64,
-        record_index: u64,
-    ) -> Result<Vec<f64>, AnalogError> {
-        let mut out = Vec::new();
-        self.capture_record_into(sensor_v, fs_hz, sensor_noise_vrms, record_index, &mut out)?;
-        Ok(out)
-    }
-
-    /// [`capture_record`](Self::capture_record) into a caller-owned
-    /// buffer (cleared first). Draws the record's noise, then applies it
-    /// through [`capture_shared_into`](Self::capture_shared_into), so
-    /// both share one arithmetic body; the draw is a fresh allocation
-    /// per call, so loops should hold a [`UnitNoise`] and call that
-    /// method instead. Bit-identical to
-    /// [`capture_record`](Self::capture_record).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`capture`](Self::capture).
     pub fn capture_record_into(
         &self,
         sensor_v: &[f64],
@@ -158,7 +111,7 @@ impl AnalogFrontEnd {
     ///
     /// # Errors
     ///
-    /// Same as [`capture`](Self::capture).
+    /// Same as [`capture_record_into`](Self::capture_record_into).
     pub fn capture_shared_into(
         &self,
         sensor_v: &[f64],
@@ -224,6 +177,18 @@ mod tests {
     use super::*;
     use std::f64::consts::PI;
 
+    fn capture(
+        fe: &AnalogFrontEnd,
+        x: &[f64],
+        fs_hz: f64,
+        sensor_noise_vrms: f64,
+        record_index: u64,
+    ) -> Result<Vec<f64>, AnalogError> {
+        let mut out = Vec::new();
+        fe.capture_record_into(x, fs_hz, sensor_noise_vrms, record_index, &mut out)?;
+        Ok(out)
+    }
+
     #[test]
     fn chain_amplifies_tone() {
         // Project the output onto the tone phasor (Goertzel-style) so
@@ -236,7 +201,7 @@ mod tests {
         let x: Vec<f64> = (0..n)
             .map(|i| a_in * (2.0 * PI * f0 * i as f64 / fs).sin())
             .collect();
-        let y = fe.capture(&x, fs, 0.0).unwrap();
+        let y = capture(&fe, &x, fs, 0.0, 0).unwrap();
         let mut re = 0.0;
         let mut im = 0.0;
         for (i, &v) in y.iter().enumerate().skip(n / 4) {
@@ -247,7 +212,7 @@ mod tests {
         let count = (n - n / 4) as f64;
         let a_out = 2.0 * re.hypot(im) / count;
         let gain = a_out / a_in;
-        let expected = fe.amp().gain_at_hz(f0);
+        let expected = fe.amp.gain_at_hz(f0);
         assert!(
             (gain / expected - 1.0).abs() < 0.35,
             "gain {gain} vs expected {expected}"
@@ -258,7 +223,7 @@ mod tests {
     fn noise_floor_present_with_zero_signal() {
         let fe = AnalogFrontEnd::date24(2);
         let x = vec![0.0; 8192];
-        let y = fe.capture(&x, 264.0e6, 1.0e-5).unwrap();
+        let y = capture(&fe, &x, 264.0e6, 1.0e-5, 0).unwrap();
         let rms = (y.iter().map(|v| v * v).sum::<f64>() / y.len() as f64).sqrt();
         assert!(rms > 0.0, "noise must appear at the output");
     }
@@ -267,9 +232,9 @@ mod tests {
     fn records_differ_but_are_reproducible() {
         let fe = AnalogFrontEnd::date24(3);
         let x = vec![0.0; 1024];
-        let a = fe.capture_record(&x, 264.0e6, 1e-5, 0).unwrap();
-        let b = fe.capture_record(&x, 264.0e6, 1e-5, 1).unwrap();
-        let a2 = fe.capture_record(&x, 264.0e6, 1e-5, 0).unwrap();
+        let a = capture(&fe, &x, 264.0e6, 1e-5, 0).unwrap();
+        let b = capture(&fe, &x, 264.0e6, 1e-5, 1).unwrap();
+        let a2 = capture(&fe, &x, 264.0e6, 1e-5, 0).unwrap();
         assert_ne!(a, b);
         assert_eq!(a, a2);
     }
@@ -277,8 +242,8 @@ mod tests {
     #[test]
     fn validates_inputs() {
         let fe = AnalogFrontEnd::date24(4);
-        assert!(fe.capture(&[], 264.0e6, 0.0).is_err());
-        assert!(fe.capture(&[0.0], 0.0, 0.0).is_err());
+        assert!(capture(&fe, &[], 264.0e6, 0.0, 0).is_err());
+        assert!(capture(&fe, &[0.0], 0.0, 0.0, 0).is_err());
     }
 
     #[test]
@@ -289,7 +254,7 @@ mod tests {
         for idx in 0..3u64 {
             fe.capture_record_into(&x, 264.0e6, 1e-5, idx, &mut buf)
                 .unwrap();
-            let fresh = fe.capture_record(&x, 264.0e6, 1e-5, idx).unwrap();
+            let fresh = capture(&fe, &x, 264.0e6, 1e-5, idx).unwrap();
             assert_eq!(buf, fresh, "record {idx}");
         }
         assert!(fe
@@ -324,7 +289,7 @@ mod tests {
         sensor_noise_vrms: f64,
         record_index: u64,
     ) -> Vec<f64> {
-        let amp_noise = fe.amp().input_noise_vrms(fs_hz / 2.0);
+        let amp_noise = fe.amp.input_noise_vrms(fs_hz / 2.0);
         let sigma = (sensor_noise_vrms * sensor_noise_vrms + amp_noise * amp_noise).sqrt();
         let mut out = sensor_v.to_vec();
         if sigma > 0.0 {
@@ -334,8 +299,8 @@ mod tests {
                 *v += g.next();
             }
         }
-        fe.amp().amplify_in_place(&mut out, fs_hz);
-        fe.adc().quantize_in_place(&mut out);
+        fe.amp.amplify_in_place(&mut out, fs_hz);
+        fe.adc.quantize_in_place(&mut out);
         out
     }
 
@@ -354,7 +319,11 @@ mod tests {
         let front_ends = [
             AnalogFrontEnd::date24(seed),
             AnalogFrontEnd::icr_hh100(seed),
-            AnalogFrontEnd::new(silent_amp, Adc::rasc(), seed),
+            AnalogFrontEnd {
+                amp: silent_amp,
+                adc: Adc::rasc(),
+                seed,
+            },
         ];
         // One UnitNoise shared by every front end, sensor noise and
         // length, as a sweep shares it across sensors.
@@ -375,7 +344,7 @@ mod tests {
                         let want = reference_capture(fe, seed, &x, fs, sensor_noise, rec);
                         fe.capture_shared_into(&x, fs, sensor_noise, rec, &mut noise, &mut out)
                             .unwrap();
-                        let ctx = format!("n {n} rec {rec} noise {sensor_noise} {:?}", fe.amp());
+                        let ctx = format!("n {n} rec {rec} noise {sensor_noise} {:?}", fe.amp);
                         assert_eq!(bits(&out), bits(&want), "shared: {ctx}");
                         fe.capture_record_into(&x, fs, sensor_noise, rec, &mut out)
                             .unwrap();
@@ -392,7 +361,11 @@ mod tests {
             input_noise_v_per_rthz: 0.0,
             ..OpAmp::ths4504()
         };
-        let fe = AnalogFrontEnd::new(amp, Adc::rasc(), 3);
+        let fe = AnalogFrontEnd {
+            amp,
+            adc: Adc::rasc(),
+            seed: 3,
+        };
         let mut noise = UnitNoise::default();
         let mut out = Vec::new();
         fe.capture_shared_into(&[-0.0, 1e-4], 264.0e6, 0.0, 0, &mut noise, &mut out)
@@ -404,8 +377,8 @@ mod tests {
     fn output_is_quantized() {
         let fe = AnalogFrontEnd::date24(5);
         let x: Vec<f64> = (0..512).map(|i| 1e-4 * (i as f64 * 0.05).sin()).collect();
-        let y = fe.capture(&x, 264.0e6, 0.0).unwrap();
-        let lsb = fe.adc().lsb();
+        let y = capture(&fe, &x, 264.0e6, 0.0, 0).unwrap();
+        let lsb = fe.adc.lsb();
         for v in y {
             let steps = v / lsb;
             assert!((steps - steps.round()).abs() < 1e-9);

@@ -260,9 +260,7 @@ mod tests {
                 (1.0 + 0.5 * (2.0 * PI * 750.0e3 * t).sin()) * (2.0 * PI * 48.0e6 * t).cos()
             })
             .collect();
-        let env = sa
-            .zero_span_trace_rbw(&x, FS, 48.0e6, ZeroSpan::DEFAULT_RBW_HZ)
-            .unwrap();
+        let env = sa.zero_span_trace_rbw(&x, FS, 48.0e6, 3.0e6).unwrap();
         let max = env.iter().cloned().fold(0.0, f64::max);
         let min = env.iter().cloned().fold(f64::INFINITY, f64::min);
         assert!((max - 1.5).abs() < 0.15, "max {max}");

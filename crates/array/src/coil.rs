@@ -29,16 +29,6 @@ pub struct Coil {
 }
 
 impl Coil {
-    /// The closed path (switch positions in order), µm.
-    pub fn path(&self) -> &[Point] {
-        &self.path
-    }
-
-    /// The switches forming the coil, in cycle order.
-    pub fn switches(&self) -> &[(usize, usize)] {
-        &self.switches
-    }
-
     /// Number of T-gates in the conduction path.
     pub fn switch_count(&self) -> usize {
         self.switches.len()

@@ -46,38 +46,6 @@ impl Lattice {
         }
     }
 
-    /// Creates a custom lattice.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ArrayError::InvalidParameter`] for fewer than 2 wires in
-    /// either direction or non-positive pitch/width/resistance.
-    pub fn new(
-        rows: usize,
-        cols: usize,
-        pitch_um: f64,
-        wire_width_um: f64,
-        r_per_um_ohm: f64,
-    ) -> Result<Self, ArrayError> {
-        if rows < 2 || cols < 2 {
-            return Err(ArrayError::InvalidParameter {
-                what: "lattice needs at least 2x2 wires",
-            });
-        }
-        if pitch_um <= 0.0 || wire_width_um <= 0.0 || r_per_um_ohm <= 0.0 {
-            return Err(ArrayError::InvalidParameter {
-                what: "pitch, width and resistance must be positive",
-            });
-        }
-        Ok(Lattice {
-            rows,
-            cols,
-            pitch_um,
-            wire_width_um,
-            r_per_um_ohm,
-        })
-    }
-
     /// Number of horizontal wires (rows).
     pub fn rows(&self) -> usize {
         self.rows
@@ -121,15 +89,6 @@ impl Lattice {
         ))
     }
 
-    /// Die extent covered by the lattice, µm (a square of side
-    /// `(n-1)·pitch`).
-    pub fn extent_um(&self) -> (f64, f64) {
-        (
-            (self.cols - 1) as f64 * self.pitch_um,
-            (self.rows - 1) as f64 * self.pitch_um,
-        )
-    }
-
     fn check(&self, row: usize, col: usize) -> Result<(), ArrayError> {
         if row >= self.rows || col >= self.cols {
             return Err(ArrayError::NodeOutOfRange {
@@ -158,9 +117,6 @@ mod tests {
         assert_eq!(l.rows(), 36);
         assert_eq!(l.cols(), 36);
         assert_eq!(l.switch_count(), 1296);
-        let (w, h) = l.extent_um();
-        assert!((w - 1000.0).abs() < 1e-9);
-        assert!((h - 1000.0).abs() < 1e-9);
     }
 
     #[test]
@@ -181,13 +137,5 @@ mod tests {
         let l = Lattice::date24();
         assert!(l.node_position(36, 0).is_err());
         assert!(l.node_position(0, 36).is_err());
-    }
-
-    #[test]
-    fn custom_lattice_validation() {
-        assert!(Lattice::new(1, 36, 10.0, 1.0, 0.01).is_err());
-        assert!(Lattice::new(36, 36, 0.0, 1.0, 0.01).is_err());
-        assert!(Lattice::new(36, 36, 10.0, -1.0, 0.01).is_err());
-        assert!(Lattice::new(8, 8, 10.0, 1.0, 0.01).is_ok());
     }
 }

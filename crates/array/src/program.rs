@@ -41,11 +41,6 @@ impl SwitchMatrix {
         }
     }
 
-    /// Lattice dimensions `(rows, cols)`.
-    pub fn dims(&self) -> (usize, usize) {
-        (self.rows, self.cols)
-    }
-
     /// Closes the switch at `(row, col)`.
     ///
     /// # Errors
@@ -309,18 +304,6 @@ impl CoilProgram {
     /// outside the matrix's lattice.
     pub fn apply(&self, matrix: &mut SwitchMatrix) -> Result<(), ArrayError> {
         crate::coil::program_spiral(matrix, self.r0, self.c0, self.r1, self.c1, self.turns)
-    }
-
-    /// The sensing footprint on the die, µm (the outer rectangle).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ArrayError::NodeOutOfRange`] when the rectangle falls
-    /// outside `lattice`.
-    pub fn footprint(&self, lattice: &Lattice) -> Result<psa_layout::Rect, ArrayError> {
-        let p0 = lattice.node_position(self.r0, self.c0)?;
-        let p1 = lattice.node_position(self.r1, self.c1)?;
-        Ok(psa_layout::Rect::new(p0.x, p0.y, p1.x, p1.y))
     }
 
     /// Programs a fresh matrix on `lattice`, extracts the coil, and
@@ -590,17 +573,6 @@ mod tests {
             off.synthesize(&l),
             Err(ArrayError::NodeOutOfRange { .. })
         ));
-    }
-
-    #[test]
-    fn coil_program_footprint_matches_node_positions() {
-        let l = Lattice::date24();
-        let p = CoilProgram::new(16, 16, 28, 28, 3).unwrap();
-        let fp = p.footprint(&l).unwrap();
-        let lo = l.node_position(16, 16).unwrap();
-        let hi = l.node_position(28, 28).unwrap();
-        assert_eq!(fp.min().x, lo.x);
-        assert_eq!(fp.max().y, hi.y);
     }
 
     #[test]

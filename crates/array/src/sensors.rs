@@ -15,26 +15,13 @@ use psa_layout::Rect;
 /// One preset sensor: its lattice programming plus derived geometry.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Sensor {
-    index: usize,
     row: usize,
     col: usize,
-    channel: u8,
     footprint: Rect,
     coil: Coil,
 }
 
 impl Sensor {
-    /// Sensor index 0–15 (row-major from the die's lower-left).
-    pub fn index(&self) -> usize {
-        self.index
-    }
-
-    /// The differential output channel (1–4) this sensor drives; all
-    /// four sensors of one grid row share a channel.
-    pub fn channel(&self) -> u8 {
-        self.channel
-    }
-
     /// The sensing footprint on the die, µm.
     pub fn footprint(&self) -> Rect {
         self.footprint
@@ -54,7 +41,8 @@ impl Sensor {
 /// use psa_array::sensors::SensorBank;
 /// let bank = SensorBank::date24_default();
 /// let s10 = bank.sensor(10).unwrap();
-/// assert_eq!(s10.channel(), 3);
+/// // Sensor 10 (row 2, column 2) covers the die centre.
+/// assert!(s10.footprint().contains(psa_layout::Point::new(500.0, 500.0)));
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct SensorBank {
@@ -84,10 +72,8 @@ impl SensorBank {
             let p0 = lattice.node_position(r0, c0)?;
             let p1 = lattice.node_position(r1, c1)?;
             sensors.push(Sensor {
-                index: i,
                 row: i / 4,
                 col: i % 4,
-                channel: (i / 4) as u8 + 1,
                 footprint: Rect::new(p0.x, p0.y, p1.x, p1.y),
                 coil,
             });
@@ -138,21 +124,8 @@ mod tests {
         assert_eq!(bank.len(), 16);
         assert!(!bank.is_empty());
         for (i, s) in bank.iter().enumerate() {
-            assert_eq!(s.index(), i);
             assert_eq!((s.row, s.col), (i / 4, i % 4));
         }
-    }
-
-    #[test]
-    fn channels_shared_per_row() {
-        let bank = SensorBank::date24_default();
-        for s in bank.iter() {
-            assert_eq!(s.channel() as usize, s.index() / 4 + 1);
-        }
-        // Row 0 → channel 1 for sensors 0-3; row 3 → channel 4.
-        assert_eq!(bank.sensor(0).unwrap().channel(), 1);
-        assert_eq!(bank.sensor(3).unwrap().channel(), 1);
-        assert_eq!(bank.sensor(15).unwrap().channel(), 4);
     }
 
     #[test]
@@ -203,12 +176,11 @@ mod tests {
     #[test]
     fn every_coil_is_a_six_turn_spiral() {
         let bank = SensorBank::date24_default();
-        for s in bank.iter() {
+        for (i, s) in bank.iter().enumerate() {
             assert_eq!(
                 s.coil().switch_count(),
                 4 * crate::program::SENSOR_TURNS,
-                "sensor {}",
-                s.index()
+                "sensor {i}"
             );
             assert!(s.coil().wire_length_um() > 4000.0);
             // Winding-weighted area: sum over the nested turns, several

@@ -493,9 +493,10 @@ pub struct Fig5Panel {
     pub trojan: TrojanKind,
     /// Zero-span envelope at 48 MHz (identification RBW).
     pub envelope: Vec<f64>,
-    /// The classifier's verdict.
-    pub identified: TrojanKind,
-    /// Template distance.
+    /// The classifier's verdict; `None` when the pipeline missed the
+    /// Trojan and so never identified it.
+    pub identified: Option<TrojanKind>,
+    /// Template distance (NaN for a miss).
     pub distance: f64,
 }
 
@@ -525,7 +526,7 @@ pub fn fig5_panels_with(
         Fig5Panel {
             trojan: kind,
             envelope: verdict.identification_envelope.unwrap_or_default(),
-            identified: verdict.identified.unwrap_or(kind),
+            identified: verdict.identified,
             distance: verdict.identification_distance.unwrap_or(f64::NAN),
         }
     })
@@ -542,18 +543,25 @@ pub fn fig5_report_with(
     engine: &Engine,
     templates: Option<&identify::TemplateLibrary>,
 ) -> String {
-    let panels = fig5_panels_with(chip, engine, templates);
+    render_fig5(&fig5_panels_with(chip, engine, templates))
+}
+
+/// The Fig 5 report of measured panels. A miss prints as a miss and
+/// never counts as a correct identification.
+fn render_fig5(panels: &[Fig5Panel]) -> String {
     let mut out = String::new();
     let mut correct = 0;
-    for p in &panels {
+    for p in panels {
+        let verdict = match p.identified {
+            Some(kind) => format!("identified {kind} (distance {:.2})", p.distance),
+            None => "missed (not detected)".to_string(),
+        };
         out.push_str(&format!(
-            "{} active  envelope: {}  -> identified {} (distance {:.2})\n",
+            "{} active  envelope: {}  -> {verdict}\n",
             p.trojan,
             sparkline(&p.envelope, 64),
-            p.identified,
-            p.distance
         ));
-        if p.identified == p.trojan {
+        if p.identified == Some(p.trojan) {
             correct += 1;
         }
     }
@@ -1549,6 +1557,31 @@ mod tests {
     use super::*;
     use psa_core::multiloc::{JointOutcome, MatchReport, SourceEstimate};
     use psa_layout::emitter::EmitterSite;
+
+    #[test]
+    fn fig5_counts_a_missed_trojan_as_a_miss() {
+        let panel = |trojan, identified| Fig5Panel {
+            trojan,
+            envelope: vec![1.0, 2.0],
+            identified,
+            distance: if identified.is_some() { 0.5 } else { f64::NAN },
+        };
+        let report = render_fig5(&[
+            panel(TrojanKind::T1, Some(TrojanKind::T1)),
+            panel(TrojanKind::T2, None),
+            panel(TrojanKind::T3, Some(TrojanKind::T4)),
+            panel(TrojanKind::T4, Some(TrojanKind::T4)),
+        ]);
+        let lines: Vec<&str> = report.lines().collect();
+        assert!(lines[0].ends_with("-> identified T1 (distance 0.50)"));
+        assert!(lines[1].starts_with("T2 active"));
+        assert!(lines[1].ends_with("-> missed (not detected)"));
+        assert!(lines[2].ends_with("-> identified T4 (distance 0.50)"));
+        assert_eq!(
+            lines[4],
+            "identification: 2/4 correct (paper: all four classified)"
+        );
+    }
 
     /// A hand-built one-emitter outcome: `sensor` is the first source's
     /// anchor, `centroid` the measured amplitude centroid.

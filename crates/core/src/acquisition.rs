@@ -78,16 +78,6 @@ pub struct TraceSet {
 }
 
 impl TraceSet {
-    /// Number of records.
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// `true` when no records were captured.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-
     /// Total sample count across all records.
     pub fn num_samples(&self) -> usize {
         self.records.iter().map(Vec::len).sum()
@@ -238,11 +228,6 @@ impl<'c> AcqContext<'c> {
     /// per stream so one recycled context serves many distinct dies.
     pub fn set_variation(&mut self, variation: Option<ChipVariation>) {
         self.variation = variation;
-    }
-
-    /// The per-die process variation currently applied.
-    pub fn variation(&self) -> Option<&ChipVariation> {
-        self.variation.as_ref()
     }
 
     /// Index of `program` in the custom-sensor cache, synthesizing on
@@ -797,6 +782,8 @@ fn recycle<'b>(mut pairs: Vec<(&[f64], f64)>) -> Vec<(&'b [f64], f64)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use psa_analog::adc::Adc;
+    use psa_analog::opamp::OpAmp;
     use psa_gatesim::trojan::TrojanKind;
     use std::sync::OnceLock;
 
@@ -810,8 +797,7 @@ mod tests {
         let t = AcqContext::new(chip())
             .acquire(&Scenario::baseline(), SensorSelect::Psa(10), 3)
             .unwrap();
-        assert_eq!(t.len(), 3);
-        assert!(!t.is_empty());
+        assert_eq!(t.records.len(), 3);
         for r in &t.records {
             assert_eq!(r.len(), calib::RECORD_CYCLES * calib::SAMPLES_PER_CYCLE);
         }
@@ -922,6 +908,79 @@ mod tests {
         assert_eq!(both, again);
     }
 
+    #[test]
+    fn zero_coupling_and_zero_drive_emitters_are_silent_bitwise() {
+        // Both loop orders: the per-sensor record loop and the
+        // record-major 16-sensor sweep. A silent emitter superposes
+        // ±0.0 terms onto a +0.0-started accumulator, which leaves every
+        // sample's bits as they were, signed zeros included.
+        let scenario = Scenario::trojan_active(TrojanKind::T1).with_seed(17);
+        let loud = SyntheticTrojan::am_reference(800.0);
+        let silent = SyntheticTrojan::am_reference(0.0);
+        let k = chip()
+            .couplings_for(SensorSelect::Psa(10))
+            .unwrap()
+            .iter()
+            .fold(0.0f64, |a, b| a.max(b.abs()));
+        // (trojan, charge per toggle fC, coupling): the first is the
+        // audible control, the rest are silent.
+        let cases = [
+            (&loud, 2.0, k),
+            (&loud, 2.0, 0.0),
+            (&loud, 2.0, -0.0),
+            (&loud, 0.0, -k),
+            (&silent, 2.0, k),
+        ];
+        let mut ctx = AcqContext::new(chip());
+
+        let record_bits = |ctx: &mut AcqContext<'_>, emitters: &[InjectedEmitter<'_>]| {
+            let mut t = TraceSet::default();
+            ctx.acquire_len_with_emitters_into(
+                &scenario,
+                SensorSelect::Psa(10),
+                2,
+                256,
+                emitters,
+                &mut t,
+            )
+            .unwrap();
+            t.records
+                .iter()
+                .map(|r| r.iter().map(|x| x.to_bits()).collect::<Vec<_>>())
+                .collect::<Vec<_>>()
+        };
+        let plain = record_bits(&mut ctx, &[]);
+        for (i, &(trojan, charge_fc, coupling)) in cases.iter().enumerate() {
+            let e = InjectedEmitter {
+                trojan,
+                charge_fc,
+                coupling,
+            };
+            let same = record_bits(&mut ctx, &[e]) == plain;
+            assert_eq!(same, i > 0, "records, case {i}");
+        }
+
+        let sweep_bits = |ctx: &mut AcqContext<'_>, emitters: &[ArrayEmitter<'_>]| {
+            ctx.sensor_sweep_db(&scenario, 2, 256, emitters)
+                .unwrap()
+                .iter()
+                .map(|row| row.iter().map(|x| x.to_bits()).collect::<Vec<_>>())
+                .collect::<Vec<_>>()
+        };
+        let plain = sweep_bits(&mut ctx, &[]);
+        let n = chip().sensor_bank().len();
+        for (i, &(trojan, charge_fc, coupling)) in cases.iter().enumerate() {
+            let couplings = vec![coupling; n];
+            let e = ArrayEmitter {
+                trojan,
+                charge_fc,
+                couplings: &couplings,
+            };
+            let same = sweep_bits(&mut ctx, &[e]) == plain;
+            assert_eq!(same, i > 0, "sweep, case {i}");
+        }
+    }
+
     /// Asserts that `sweep` holds, bit for bit, what each PSA sensor's
     /// own acquisition plus `fullres_spectrum_db` produces.
     fn assert_sweep_matches_per_sensor(
@@ -963,7 +1022,7 @@ mod tests {
                     .all(|(a, b)| a.to_bits() == b.to_bits()),
                 "sensor {i}, {} emitter(s), {record_cycles} cycles, variation {:?}",
                 emitters.len(),
-                ctx.variation()
+                ctx.variation
             );
         }
     }
@@ -1022,18 +1081,19 @@ mod tests {
         assert_sweep_matches_per_sensor(&mut ctx, &scenario, 1, calib::RECORD_CYCLES, &emitters);
     }
 
-    /// The front-end capture as it was before sweeps shared one noise
-    /// draw per record: the σ-scaled Box–Muller stream added sample by
-    /// sample.
+    /// The PSA sensors' front-end capture (THS4504 into the RASC-class
+    /// ADC, as [`AnalogFrontEnd::date24`] builds it) as it was before
+    /// sweeps shared one noise draw per record: the σ-scaled Box–Muller
+    /// stream added sample by sample.
     fn streaming_capture(
-        fe: &AnalogFrontEnd,
         seed: u64,
         sensor_v: &[f64],
         sensor_noise_vrms: f64,
         record_index: u64,
     ) -> Vec<f64> {
         let fs = calib::sample_rate_hz();
-        let amp_noise = fe.amp().input_noise_vrms(fs / 2.0);
+        let (amp, adc) = (OpAmp::ths4504(), Adc::rasc());
+        let amp_noise = amp.input_noise_vrms(fs / 2.0);
         let sigma = (sensor_noise_vrms * sensor_noise_vrms + amp_noise * amp_noise).sqrt();
         let mut out = sensor_v.to_vec();
         if sigma > 0.0 {
@@ -1045,8 +1105,8 @@ mod tests {
                 *v += g.next();
             }
         }
-        fe.amp().amplify_in_place(&mut out, fs);
-        fe.adc().quantize_in_place(&mut out);
+        amp.amplify_in_place(&mut out, fs);
+        adc.quantize_in_place(&mut out);
         out
     }
 
@@ -1073,7 +1133,6 @@ mod tests {
             scratch.run_chip(chip(), &mut sim, record_cycles, std::iter::empty());
             scratch.superpose(&chain).unwrap();
             let record = streaming_capture(
-                &chain.frontend,
                 scenario.seed ^ 0xFE,
                 &scratch.emf,
                 chain.noise_vrms,
@@ -1265,7 +1324,7 @@ mod tests {
         let nominal = ctx.acquire(&scenario, SensorSelect::Psa(10), 2).unwrap();
         assert_eq!(plain, nominal);
         ctx.set_variation(None);
-        assert!(ctx.variation().is_none());
+        assert!(ctx.variation.is_none());
     }
 
     #[test]

@@ -69,11 +69,6 @@ impl CustomSensor {
         &self.program
     }
 
-    /// The extracted (loop-validated) coil.
-    pub fn coil(&self) -> &Coil {
-        &self.coil
-    }
-
     /// Effective couplings of all sources into this coil, in
     /// [`Source::ALL`] order (Wb per A·m²).
     pub fn couplings(&self) -> &[f64] {
@@ -220,11 +215,6 @@ impl TestChip {
         &self.charges_fc
     }
 
-    /// EM source clusters grouped per activity source.
-    pub fn clusters_by_source(&self) -> &[Vec<Cluster>] {
-        &self.clusters_by_source
-    }
-
     /// Synthesizes a custom programming into a measurable sensor:
     /// programs a fresh matrix, extracts the coil (enforcing the
     /// one-closed-loop invariant), and derives the couplings of every
@@ -324,14 +314,6 @@ impl TestChip {
                 .unwrap_or(0.0),
         }
     }
-
-    /// The probe model behind a baseline selection.
-    pub fn probe(&self, select: SensorSelect) -> Option<&ProbeModel> {
-        self.probe_couplings
-            .iter()
-            .find(|(s, _, _)| *s == select)
-            .map(|(_, p, _)| p)
-    }
 }
 
 /// Seeded per-chip process variation, for fleet-scale experiments where
@@ -353,7 +335,6 @@ impl TestChip {
 /// to the unvaried path.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChipVariation {
-    seed: u64,
     coupling: Vec<f64>,
     gain: f64,
     noise: f64,
@@ -381,7 +362,6 @@ impl ChipVariation {
         let gain = draw(Self::GAIN_SPREAD);
         let noise = draw(Self::NOISE_SPREAD);
         ChipVariation {
-            seed,
             coupling,
             gain,
             noise,
@@ -392,21 +372,10 @@ impl ChipVariation {
     /// nominal variation is bit-identical to no variation at all.
     pub fn nominal() -> Self {
         ChipVariation {
-            seed: 0,
             coupling: vec![1.0; Self::SENSORS],
             gain: 1.0,
             noise: 1.0,
         }
-    }
-
-    /// The seed this die was drawn from.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// The chip-wide gain factor.
-    pub fn gain(&self) -> f64 {
-        self.gain
     }
 
     /// Multiplier on the coupled signal for `select`: gain × the
@@ -454,13 +423,13 @@ mod tests {
     fn chip_assembles() {
         let c = chip();
         assert_eq!(c.sensor_bank().len(), 16);
-        assert_eq!(c.clusters_by_source().len(), Source::ALL.len());
+        assert_eq!(c.clusters_by_source.len(), Source::ALL.len());
         assert_eq!(c.charges_fc().len(), Source::ALL.len());
     }
 
     #[test]
     fn every_source_has_clusters() {
-        for (s, clusters) in Source::ALL.iter().zip(chip().clusters_by_source()) {
+        for (s, clusters) in Source::ALL.iter().zip(&chip().clusters_by_source) {
             assert!(!clusters.is_empty(), "{s:?} has no clusters");
         }
     }
@@ -536,7 +505,7 @@ mod tests {
         let tight = CoilProgram::new(18, 18, 26, 26, 3).unwrap();
         let cs = c.synthesize_custom(&tight).unwrap();
         assert_eq!(cs.program(), &tight);
-        assert_eq!(cs.coil().switch_count(), 4 * 3);
+        assert_eq!(cs.coil.switch_count(), 4 * 3);
         assert_eq!(cs.couplings().len(), Source::ALL.len());
         let k_tight = cs.couplings()[t3_idx].abs();
         let k_corner = c.couplings_for(SensorSelect::Psa(0)).unwrap()[t3_idx].abs();
@@ -556,8 +525,14 @@ mod tests {
         assert!(psa > 0.0);
         assert!(lf1 > 0.0);
         // The external probe carries the ambient floor.
-        assert!(c.probe(SensorSelect::LangerLf1).unwrap().ambient_noise_vrms > 0.0);
-        assert!(c.probe(SensorSelect::Psa(0)).is_none());
+        let probe = |select| {
+            c.probe_couplings
+                .iter()
+                .find(|(s, _, _)| *s == select)
+                .map(|(_, p, _)| p)
+        };
+        assert!(probe(SensorSelect::LangerLf1).unwrap().ambient_noise_vrms > 0.0);
+        assert!(probe(SensorSelect::Psa(0)).is_none());
     }
 
     #[test]
@@ -575,7 +550,6 @@ mod tests {
         assert_eq!(a, b);
         let c = ChipVariation::new(0xD1E6);
         assert_ne!(a, c);
-        assert_eq!(a.seed(), 0xD1E5);
     }
 
     #[test]
@@ -586,7 +560,7 @@ mod tests {
             for &k in &v.coupling {
                 assert!((k - 1.0).abs() <= ChipVariation::COUPLING_SPREAD, "{k}");
             }
-            assert!((v.gain() - 1.0).abs() <= ChipVariation::GAIN_SPREAD);
+            assert!((v.gain - 1.0).abs() <= ChipVariation::GAIN_SPREAD);
             assert!(v.noise_scale() > 0.0);
         }
     }
@@ -603,10 +577,10 @@ mod tests {
     fn signal_scale_combines_gain_and_sensor_factor() {
         let v = ChipVariation::new(7);
         let s10 = v.signal_scale(&SensorSelect::Psa(10));
-        assert_eq!(s10, v.gain() * v.coupling[10]);
+        assert_eq!(s10, v.gain * v.coupling[10]);
         // Non-PSA selections see the chip-wide gain alone.
-        assert_eq!(v.signal_scale(&SensorSelect::LangerLf1), v.gain());
+        assert_eq!(v.signal_scale(&SensorSelect::LangerLf1), v.gain);
         // Out-of-range PSA index degrades to gain alone, not a panic.
-        assert_eq!(v.signal_scale(&SensorSelect::Psa(99)), v.gain());
+        assert_eq!(v.signal_scale(&SensorSelect::Psa(99)), v.gain);
     }
 }

@@ -154,11 +154,6 @@ impl ActivationSchedule {
         self.horizon
     }
 
-    /// The scripted changes, sorted by record.
-    pub fn steps(&self) -> &[ScheduleStep] {
-        &self.steps
-    }
-
     /// The effective scenario of stream record `record`: the base with
     /// every change at or before `record` applied, ramps interpolated,
     /// and the record-advanced seed (`base.seed + record`) — exactly the
@@ -365,7 +360,7 @@ mod tests {
             .step(5, ScheduleChange::SetVdd(1.1))
             .step(1, ScheduleChange::SetVdd(0.9))
             .step(5, ScheduleChange::SetVdd(1.2));
-        let records: Vec<usize> = s.steps().iter().map(|st| st.at_record).collect();
+        let records: Vec<usize> = s.steps.iter().map(|st| st.at_record).collect();
         assert_eq!(records, vec![1, 5, 5]);
         // Same-record steps apply in insertion order: the later 1.2 wins.
         assert_eq!(s.scenario_at(5).vdd, 1.2);

@@ -41,34 +41,14 @@ impl Monitor {
         }
     }
 
-    /// The stream being watched.
-    pub fn stream(&self) -> &StreamSource {
-        &self.stream
-    }
-
-    /// The detector state.
-    pub fn detector(&self) -> &SlidingDetector {
-        &self.detector
-    }
-
     /// Monitor-loop wall time accumulated so far, seconds.
     pub fn elapsed_s(&self) -> f64 {
         self.elapsed_s
     }
 
-    /// The next stream record to process.
-    pub fn next_record(&self) -> usize {
-        self.next_record
-    }
-
     /// `true` once the stream's horizon is exhausted.
     pub fn finished(&self) -> bool {
         self.next_record >= self.stream.horizon()
-    }
-
-    /// Every event emitted so far, in emission order.
-    pub fn events(&self) -> &[MonitorEvent] {
-        &self.events
     }
 
     /// Consumes the session, returning its event log.

@@ -201,11 +201,6 @@ impl SlidingDetector {
         self.lanes.len()
     }
 
-    /// The watched sensor indices, in lane order.
-    pub fn sensors(&self) -> Vec<usize> {
-        self.lanes.iter().map(|l| l.sensor).collect()
-    }
-
     /// Whether any lane currently holds a standing alarm.
     pub fn any_alarmed(&self) -> bool {
         self.lanes.iter().any(|l| l.latch.alarmed())
@@ -351,7 +346,7 @@ mod tests {
         assert!(SlidingDetector::new(&baseline, &[1], SlidingConfig::default()).is_err());
         let ok = SlidingDetector::new(&baseline, &[0], SlidingConfig::default()).unwrap();
         assert_eq!(ok.lanes(), 1);
-        assert_eq!(ok.sensors(), vec![0]);
+        assert_eq!(ok.lanes[0].sensor, 0);
         assert!(!ok.any_alarmed());
     }
 

@@ -222,11 +222,6 @@ impl<'c> MultiLocalizer<'c> {
         &self.sweep
     }
 
-    /// The hypothesis candidate sites, row-major across the die.
-    pub fn candidates(&self) -> &[EmitterSite] {
-        &self.candidates
-    }
-
     /// Measures the instrument constant κ by injecting a reference
     /// emitter of known drive at the die centre and reading its matched
     /// amplitude back through the full sensing pipeline. A pure function

@@ -37,16 +37,6 @@ impl Table {
         self
     }
 
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// `true` when the table has no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     /// Renders with column alignment and a separator under the header.
     pub fn render(&self) -> String {
         let cols = self.header.len();
@@ -133,8 +123,6 @@ mod tests {
         assert_eq!(lines.len(), 4);
         assert!(lines[1].starts_with("---"));
         assert!(lines[2].starts_with("x"));
-        assert_eq!(t.len(), 2);
-        assert!(!t.is_empty());
     }
 
     #[test]

@@ -42,7 +42,7 @@ pub fn measure_snr_with(
     let noise_scenario = Scenario::noise().with_seed(seed.wrapping_add(1));
     let signal = ctx.acquire(&signal_scenario, sensor, n_records)?;
     let noise = ctx.acquire(&noise_scenario, sensor, n_records)?;
-    // TraceSet::rms matches stats::rms over the concatenation exactly,
+    // TraceSet::rms is the RMS over the concatenated samples, taken
     // without materializing the multi-megabyte concatenated copies.
     let s = signal.rms();
     let n = noise.rms();

@@ -43,7 +43,10 @@ fn reference_envelope(signal: &[f64], fs_hz: f64, center_hz: f64, rbw_hz: f64) -
         .map(|(n, &x)| -x * (w * n as f64).sin())
         .collect();
     let stage = |fir: &FirFilter, x: &[f64], decim: usize| -> Vec<f64> {
-        fir.filter(x).into_iter().step_by(decim).collect()
+        full_rate_filter(fir.taps(), x)
+            .into_iter()
+            .step_by(decim)
+            .collect()
     };
     let i1 = stage(&stage1, &i_mixed, decim1);
     let q1 = stage(&stage1, &q_mixed, decim1);
@@ -58,6 +61,23 @@ fn reference_envelope(signal: &[f64], fs_hz: f64, center_hz: f64, rbw_hz: f64) -
     let trim2 = stage2.taps().len() / decim2;
     let trim = (trim1 + trim2).max(1);
     env[trim..env.len() - trim].to_vec()
+}
+
+/// "Same"-mode filtering at the full input rate by direct linear
+/// convolution (zero samples skipped), delay-compensated for a
+/// symmetric filter.
+fn full_rate_filter(taps: &[f64], signal: &[f64]) -> Vec<f64> {
+    let mut full = vec![0.0; (signal.len() + taps.len()).saturating_sub(1)];
+    for (i, &x) in signal.iter().enumerate() {
+        if x == 0.0 {
+            continue;
+        }
+        for (j, &t) in taps.iter().enumerate() {
+            full[i + j] += x * t;
+        }
+    }
+    let delay = (taps.len() - 1) / 2;
+    full.into_iter().skip(delay).take(signal.len()).collect()
 }
 
 /// Biased autocorrelation, one lag at a time.

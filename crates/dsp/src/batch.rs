@@ -85,18 +85,6 @@ impl FftPlan {
         Ok(FftPlan { n, stage_twiddles })
     }
 
-    /// The planned transform length.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// Always `false`: [`FftPlan::new`] rejects length 0, so every
-    /// constructible plan has at least one point (provided for API
-    /// completeness alongside [`len`](Self::len)).
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
     /// In-place forward FFT using the precomputed twiddles.
     ///
     /// # Errors
@@ -414,7 +402,7 @@ mod tests {
     fn plan_matches_adhoc_fft_bitwise() {
         for n in [1usize, 2, 8, 64, 1024] {
             let plan = FftPlan::new(n).unwrap();
-            assert_eq!(plan.len(), n);
+            assert_eq!(plan.n, n);
             let x: Vec<Complex> = (0..n)
                 .map(|i| Complex::new((i as f64 * 0.7).sin(), (i as f64 * 0.3).cos()))
                 .collect();

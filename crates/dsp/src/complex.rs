@@ -80,12 +80,6 @@ impl Complex {
         self.re * self.re + self.im * self.im
     }
 
-    /// Argument (phase) in radians, in `(-π, π]`.
-    #[inline]
-    pub fn arg(self) -> f64 {
-        self.im.atan2(self.re)
-    }
-
     /// Multiplies by a real scalar.
     #[inline]
     pub fn scale(self, k: f64) -> Self {
@@ -100,12 +94,6 @@ impl Complex {
     pub fn recip(self) -> Self {
         let d = self.norm_sqr();
         Complex::new(self.re / d, -self.im / d)
-    }
-
-    /// `true` if both parts are finite.
-    #[inline]
-    pub fn is_finite(self) -> bool {
-        self.re.is_finite() && self.im.is_finite()
     }
 }
 
@@ -270,7 +258,7 @@ mod tests {
     fn polar_roundtrip() {
         let z = Complex::from_polar(3.0, 1.234);
         assert!((z.abs() - 3.0).abs() < EPS);
-        assert!((z.arg() - 1.234).abs() < EPS);
+        assert!((z.im.atan2(z.re) - 1.234).abs() < EPS);
     }
 
     #[test]

@@ -1,9 +1,8 @@
 //! FIR filter design and application.
 //!
-//! Windowed-sinc low-pass design plus linear convolution and
-//! decimation. The zero-span path uses a low-pass from here as its
-//! resolution-bandwidth filter, and the current-waveform synthesis uses
-//! convolution for pulse shaping.
+//! Windowed-sinc low-pass design and decimating application. The
+//! zero-span path uses a low-pass from here as its
+//! resolution-bandwidth filter.
 
 use crate::error::DspError;
 use crate::window::Window;
@@ -97,21 +96,14 @@ impl FirFilter {
         &self.taps
     }
 
-    /// Filters `signal`, returning a same-length output ("same" mode,
-    /// delay-compensated for symmetric filters).
-    pub fn filter(&self, signal: &[f64]) -> Vec<f64> {
-        let full = convolve(signal, &self.taps);
-        let delay = (self.taps.len() - 1) / 2;
-        full.into_iter().skip(delay).take(signal.len()).collect()
-    }
-
-    /// [`filter`](Self::filter) followed by keeping every `factor`-th
-    /// output, computing only the kept outputs.
+    /// Filters `signal` ("same" mode, delay-compensated for symmetric
+    /// filters) and keeps every `factor`-th output, computing only the
+    /// kept outputs.
     ///
-    /// Each kept output sums the same products in the same ascending
-    /// signal order as [`convolve`] (zero samples skipped as there), so
-    /// the result equals `filter(signal).into_iter().step_by(factor)`
-    /// bit for bit.
+    /// Each kept output sums the products `signal[i]·taps[j − i]` of a
+    /// full linear convolution in ascending signal order, zero samples
+    /// skipped, so the result equals full-rate filtering followed by
+    /// `step_by(factor)` bit for bit.
     ///
     /// # Errors
     ///
@@ -173,32 +165,12 @@ impl FirFilter {
     }
 }
 
-/// One multiply-accumulate step of [`convolve`], zero-sample skip
-/// included.
+/// One multiply-accumulate step, zero-sample skip included.
 #[inline(always)]
 fn mac(acc: &mut f64, x: f64, tap: f64) {
     if x != 0.0 {
         *acc += x * tap;
     }
-}
-
-/// Full linear convolution; output length `a.len() + b.len() - 1`.
-///
-/// Empty inputs yield an empty output.
-pub fn convolve(a: &[f64], b: &[f64]) -> Vec<f64> {
-    if a.is_empty() || b.is_empty() {
-        return Vec::new();
-    }
-    let mut out = vec![0.0; a.len() + b.len() - 1];
-    for (i, &ai) in a.iter().enumerate() {
-        if ai == 0.0 {
-            continue;
-        }
-        for (j, &bj) in b.iter().enumerate() {
-            out[i + j] += ai * bj;
-        }
-    }
-    out
 }
 
 /// Sliding median of a series: each element replaced by the median over
@@ -256,29 +228,32 @@ mod tests {
         assert_eq!(floor[50], 50.0);
     }
 
-    #[test]
-    fn convolve_identity() {
-        let x = vec![1.0, 2.0, 3.0];
-        assert_eq!(convolve(&x, &[1.0]), x);
+    /// Full-rate "same"-mode filtering by direct full linear
+    /// convolution, zero samples skipped: the reference the decimating
+    /// path must reproduce.
+    fn filter(fir: &FirFilter, signal: &[f64]) -> Vec<f64> {
+        let taps = fir.taps();
+        let mut full = vec![0.0; (signal.len() + taps.len()).saturating_sub(1)];
+        for (i, &x) in signal.iter().enumerate() {
+            if x == 0.0 {
+                continue;
+            }
+            for (j, &t) in taps.iter().enumerate() {
+                full[i + j] += x * t;
+            }
+        }
+        let delay = (taps.len() - 1) / 2;
+        full.into_iter().skip(delay).take(signal.len()).collect()
     }
 
     #[test]
-    fn convolve_known_result() {
-        // [1,2] * [3,4] = [3, 10, 8]
-        assert_eq!(convolve(&[1.0, 2.0], &[3.0, 4.0]), vec![3.0, 10.0, 8.0]);
-    }
-
-    #[test]
-    fn convolve_commutes() {
-        let a = vec![1.0, -2.0, 0.5, 3.0];
-        let b = vec![0.2, 0.7, -1.1];
-        assert_eq!(convolve(&a, &b), convolve(&b, &a));
-    }
-
-    #[test]
-    fn convolve_empty() {
-        assert!(convolve(&[], &[1.0]).is_empty());
-        assert!(convolve(&[1.0], &[]).is_empty());
+    fn reference_filter_convolves() {
+        // [1,2] * [3,4] = [3, 10, 8]; a 2-tap filter has no delay.
+        let fir = FirFilter {
+            taps: vec![3.0, 4.0],
+        };
+        assert_eq!(filter(&fir, &[1.0, 2.0]), vec![3.0, 10.0]);
+        assert!(filter(&fir, &[]).is_empty());
     }
 
     #[test]
@@ -294,8 +269,8 @@ mod tests {
             .collect();
         let rms = |v: &[f64]| (v.iter().map(|x| x * x).sum::<f64>() / v.len() as f64).sqrt();
         // Skip the transient at both ends.
-        let y_low = lp.filter(&low);
-        let y_high = lp.filter(&high);
+        let y_low = lp.filter_decimated(&low, 1).unwrap();
+        let y_high = lp.filter_decimated(&high, 1).unwrap();
         assert!(rms(&y_low[200..n - 200]) > 0.65);
         assert!(rms(&y_high[200..n - 200]) < 0.01);
     }
@@ -318,14 +293,14 @@ mod tests {
     fn filter_output_length_matches_input() {
         let lp = FirFilter::low_pass(1e3, 1e6, 21, Window::Hann).unwrap();
         let x = vec![1.0; 100];
-        assert_eq!(lp.filter(&x).len(), 100);
+        assert_eq!(lp.filter_decimated(&x, 1).unwrap().len(), 100);
     }
 
     #[test]
     fn filter_dc_gain_unity() {
         let lp = FirFilter::low_pass(1e3, 1e6, 31, Window::Blackman).unwrap();
         let x = vec![2.5; 400];
-        let y = lp.filter(&x);
+        let y = lp.filter_decimated(&x, 1).unwrap();
         // Steady-state (after the transient) equals the input level.
         assert!((y[200] - 2.5).abs() < 1e-9);
     }
@@ -358,8 +333,7 @@ mod tests {
                         .iter()
                         .map(|v| v.to_bits())
                         .collect();
-                    let slow: Vec<u64> = fir
-                        .filter(&signal)
+                    let slow: Vec<u64> = filter(&fir, &signal)
                         .into_iter()
                         .step_by(factor)
                         .map(f64::to_bits)

@@ -95,16 +95,6 @@ impl RfftPlan {
         })
     }
 
-    /// The planned (real) input length.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// Always `false`: [`RfftPlan::new`] rejects length 0.
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
     /// One-sided forward transform into caller-owned buffers.
     ///
     /// `packed` holds the half-length packed signal (scratch, cleared and
@@ -282,8 +272,7 @@ mod tests {
         assert!(RfftPlan::new(0).is_err());
         assert!(RfftPlan::new(12).is_err());
         let plan = RfftPlan::new(16).unwrap();
-        assert_eq!(plan.len(), 16);
-        assert!(!plan.is_empty());
+        assert_eq!(plan.n, 16);
         assert!(plan.forward(&[0.0; 8]).is_err());
     }
 

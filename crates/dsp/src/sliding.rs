@@ -65,11 +65,6 @@ impl SlidingSpectrum {
         })
     }
 
-    /// The window depth.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Rows currently held (≤ capacity during warm fill).
     pub fn len(&self) -> usize {
         self.rows.len()
@@ -109,11 +104,6 @@ impl SlidingSpectrum {
         slot.extend_from_slice(row);
         self.rows.push_back(slot);
         Ok(())
-    }
-
-    /// Drops every cached row (the next push restarts the warm fill).
-    pub fn clear(&mut self) {
-        self.rows.clear();
     }
 
     /// The window-averaged spectrum in dB, into a caller-owned buffer
@@ -215,8 +205,6 @@ mod tests {
         let db = s.averaged_db().unwrap();
         // Mean of 3 and 5 is 4 → 20·log10(4).
         assert!((db[0] - 20.0 * 4.0f64.log10()).abs() < 1e-12);
-        s.clear();
-        assert!(s.is_empty());
     }
 
     #[test]
@@ -226,7 +214,7 @@ mod tests {
         assert!(s.push_row(&[]).is_err());
         s.push_row(&[1.0, 2.0]).unwrap();
         assert!(s.push_row(&[1.0, 2.0, 3.0]).is_err());
-        assert_eq!(s.capacity(), 2);
+        assert_eq!(s.capacity, 2);
     }
 
     #[test]

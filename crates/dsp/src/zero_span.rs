@@ -29,16 +29,15 @@ use std::f64::consts::PI;
 /// ```
 /// use psa_dsp::zero_span::ZeroSpan;
 ///
-/// let zs = ZeroSpan::new(48.0e6, 264.0e6)?; // tune 48 MHz at 264 MS/s
-/// assert_eq!(zs.center_hz(), 48.0e6);
-/// assert!(zs.output_fs_hz() > 2.0 * zs.rbw_hz());
+/// // Tune 48 MHz at 264 MS/s with a 3 MHz resolution bandwidth.
+/// let zs = ZeroSpan::with_rbw(48.0e6, 264.0e6, 3.0e6)?;
+/// assert!(zs.output_fs_hz() > 2.0 * 3.0e6);
 /// # Ok::<(), psa_dsp::DspError>(())
 /// ```
 #[derive(Debug, Clone)]
 pub struct ZeroSpan {
     center_hz: f64,
     fs_hz: f64,
-    rbw_hz: f64,
     stage1: FirFilter,
     decim1: usize,
     stage2: FirFilter,
@@ -46,29 +45,15 @@ pub struct ZeroSpan {
 }
 
 impl ZeroSpan {
-    /// Default resolution bandwidth when not specified: 3 MHz, wide
-    /// enough to follow megahertz-scale envelopes.
-    pub const DEFAULT_RBW_HZ: f64 = 3.0e6;
-
     /// Creates a zero-span demodulator at `center_hz` for input sampled
-    /// at `fs_hz`, with the default resolution bandwidth.
+    /// at `fs_hz`, with resolution bandwidth `rbw_hz` (the low-pass
+    /// cutoff after mixing, clamped to `fs/8`).
     ///
     /// # Errors
     ///
     /// Returns [`DspError::FrequencyOutOfRange`] when the centre
     /// frequency is outside `(0, fs/2)`, or [`DspError::NonPositive`]
-    /// for a bad sample rate.
-    pub fn new(center_hz: f64, fs_hz: f64) -> Result<Self, DspError> {
-        Self::with_rbw(center_hz, fs_hz, Self::DEFAULT_RBW_HZ)
-    }
-
-    /// Creates a zero-span demodulator with an explicit resolution
-    /// bandwidth `rbw_hz` (the low-pass cutoff after mixing).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ZeroSpan::new`], plus [`DspError::NonPositive`] when
-    /// `rbw_hz <= 0`.
+    /// for a bad sample rate or `rbw_hz <= 0`.
     pub fn with_rbw(center_hz: f64, fs_hz: f64, rbw_hz: f64) -> Result<Self, DspError> {
         if fs_hz <= 0.0 {
             return Err(DspError::NonPositive {
@@ -104,27 +89,11 @@ impl ZeroSpan {
         Ok(ZeroSpan {
             center_hz,
             fs_hz,
-            rbw_hz: rbw,
             stage1,
             decim1,
             stage2,
             decim2,
         })
-    }
-
-    /// Tuned centre frequency in hertz.
-    pub fn center_hz(&self) -> f64 {
-        self.center_hz
-    }
-
-    /// Input sample rate in hertz.
-    pub fn fs_hz(&self) -> f64 {
-        self.fs_hz
-    }
-
-    /// Resolution bandwidth in hertz.
-    pub fn rbw_hz(&self) -> f64 {
-        self.rbw_hz
     }
 
     /// Output sample rate after both decimations.
@@ -209,11 +178,15 @@ impl ZeroSpan {
 mod tests {
     use super::*;
 
+    /// A resolution bandwidth wide enough to follow megahertz-scale
+    /// envelopes.
+    const RBW_HZ: f64 = 3.0e6;
+
     #[test]
     fn tone_at_center_gives_flat_envelope_at_amplitude() {
         let fs = 264.0e6;
         let f0 = 48.0e6;
-        let zs = ZeroSpan::new(f0, fs).unwrap();
+        let zs = ZeroSpan::with_rbw(f0, fs, RBW_HZ).unwrap();
         let n = 65536;
         let x: Vec<f64> = (0..n)
             .map(|i| 0.8 * (2.0 * PI * f0 * i as f64 / fs).sin())
@@ -228,7 +201,7 @@ mod tests {
     #[test]
     fn off_tune_tone_is_rejected() {
         let fs = 264.0e6;
-        let zs = ZeroSpan::new(48.0e6, fs).unwrap();
+        let zs = ZeroSpan::with_rbw(48.0e6, fs, RBW_HZ).unwrap();
         let n = 65536;
         // 33 MHz clock fundamental, 15 MHz away: far outside the RBW.
         let x: Vec<f64> = (0..n)
@@ -287,7 +260,7 @@ mod tests {
         let f0 = 48.0e6;
         let fm = 750.0e3;
         let m = 0.5;
-        let zs = ZeroSpan::new(f0, fs).unwrap();
+        let zs = ZeroSpan::with_rbw(f0, fs, RBW_HZ).unwrap();
         let n = 65536;
         let x: Vec<f64> = (0..n)
             .map(|i| {
@@ -304,24 +277,22 @@ mod tests {
 
     #[test]
     fn validates_parameters() {
-        assert!(ZeroSpan::new(0.0, 1e6).is_err());
-        assert!(ZeroSpan::new(6e5, 1e6).is_err());
-        assert!(ZeroSpan::new(1e3, 0.0).is_err());
+        assert!(ZeroSpan::with_rbw(0.0, 1e6, RBW_HZ).is_err());
+        assert!(ZeroSpan::with_rbw(6e5, 1e6, RBW_HZ).is_err());
+        assert!(ZeroSpan::with_rbw(1e3, 0.0, RBW_HZ).is_err());
         assert!(ZeroSpan::with_rbw(48e6, 264e6, 0.0).is_err());
-        let zs = ZeroSpan::new(48e6, 264e6).unwrap();
+        let zs = ZeroSpan::with_rbw(48e6, 264e6, RBW_HZ).unwrap();
         assert!(zs.envelope(&[]).is_err());
     }
 
     #[test]
-    fn accessors_report_configuration() {
+    fn output_rate_covers_the_rbw_and_oversized_rbw_clamps() {
         let zs = ZeroSpan::with_rbw(10.0e6, 264.0e6, 2.0e6).unwrap();
-        assert_eq!(zs.center_hz(), 10.0e6);
-        assert_eq!(zs.fs_hz(), 264.0e6);
-        assert_eq!(zs.rbw_hz(), 2.0e6);
-        assert!(zs.output_fs_hz() > 2.0 * zs.rbw_hz());
-        // Oversized RBW clamps to fs/8.
+        assert!(zs.output_fs_hz() > 2.0 * 2.0e6);
+        // An oversized RBW clamps to fs/8, a cutoff the RBW filter can
+        // realize, and so decimates by nothing.
         let wide = ZeroSpan::with_rbw(48.0e6, 264.0e6, 1.0e9).unwrap();
-        assert_eq!(wide.rbw_hz(), 264.0e6 / 8.0);
+        assert_eq!(wide.output_fs_hz(), 264.0e6);
     }
 
     #[test]
@@ -342,7 +313,7 @@ mod tests {
 
     #[test]
     fn short_signal_trim_error() {
-        let zs = ZeroSpan::new(48.0e6, 264.0e6).unwrap();
+        let zs = ZeroSpan::with_rbw(48.0e6, 264.0e6, RBW_HZ).unwrap();
         assert!(matches!(
             zs.envelope_trimmed(&vec![0.0; 64]),
             Err(DspError::InvalidLength { .. })

@@ -33,9 +33,8 @@ pub const UM: f64 = 1.0e-6;
 /// use psa_layout::Point;
 /// let d = Dipole::new(Point::new(0.0, 0.0), 1.0e-12);
 /// // Flux through a loop directly above is positive (upward field).
-/// let square = psa_layout::Rect::centered(Point::new(0.0, 0.0), 60.0, 60.0)?;
+/// let square = psa_layout::Rect::new(-30.0, -30.0, 30.0, 30.0);
 /// assert!(d.flux_through_polygon(&square.to_polygon(), 5.0) > 0.0);
-/// # Ok::<(), psa_layout::LayoutError>(())
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Dipole {
@@ -190,8 +189,8 @@ mod tests {
     fn off_center_loop_sees_less_flux() {
         let d = Dipole::new(Point::new(0.0, 0.0), M);
         let z = 4.8;
-        let centered = Rect::centered(Point::new(0.0, 0.0), 100.0, 100.0).unwrap();
-        let offset = Rect::centered(Point::new(300.0, 0.0), 100.0, 100.0).unwrap();
+        let centered = Rect::new(-50.0, -50.0, 50.0, 50.0);
+        let offset = Rect::new(250.0, -50.0, 350.0, 50.0);
         let phi_c = d.flux_through_polygon(&centered.to_polygon(), z);
         let phi_o = d.flux_through_polygon(&offset.to_polygon(), z);
         assert!(phi_c > 10.0 * phi_o.abs(), "{phi_c} vs {phi_o}");
@@ -199,7 +198,7 @@ mod tests {
 
     #[test]
     fn flux_scales_linearly_with_moment() {
-        let rect = Rect::centered(Point::new(0.0, 0.0), 80.0, 80.0).unwrap();
+        let rect = Rect::new(-40.0, -40.0, 40.0, 40.0);
         let d1 = Dipole::new(Point::ORIGIN, M);
         let d3 = Dipole::new(Point::ORIGIN, 3.0 * M);
         let f1 = d1.flux_through_polygon(&rect.to_polygon(), 5.0);
@@ -210,9 +209,7 @@ mod tests {
     #[test]
     fn winding_direction_flips_sign() {
         let d = Dipole::new(Point::ORIGIN, M);
-        let ccw = Rect::centered(Point::ORIGIN, 60.0, 60.0)
-            .unwrap()
-            .to_polygon();
+        let ccw = Rect::new(-30.0, -30.0, 30.0, 30.0).to_polygon();
         let cw = Polygon::new(ccw.vertices().iter().rev().copied().collect()).unwrap();
         let f_ccw = d.flux_through_polygon(&ccw, 5.0);
         let f_cw = d.flux_through_polygon(&cw, 5.0);
@@ -226,7 +223,7 @@ mod tests {
         // compared to one underneath — the basis for localization.
         let near = Dipole::new(Point::new(0.0, 0.0), M);
         let far = Dipole::new(Point::new(1000.0, 1000.0), M);
-        let rect = Rect::centered(Point::ORIGIN, 100.0, 100.0).unwrap();
+        let rect = Rect::new(-50.0, -50.0, 50.0, 50.0);
         let f_near = near.flux_through_polygon(&rect.to_polygon(), 4.8);
         let f_far = far.flux_through_polygon(&rect.to_polygon(), 4.8).abs();
         assert!(f_near > 1e3 * f_far, "{f_near} vs {f_far}");

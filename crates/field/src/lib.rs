@@ -13,7 +13,10 @@
 //! * [`emitter`] — on-demand coupling rows for placeable synthetic
 //!   emitters (the localization-accuracy atlas).
 //! * [`induction`] — Faraday induction: v(t) = −Σ M·dI/dt.
-//! * [`noise`] — Johnson–Nyquist, 1/f, and ambient noise generators.
+//! * [`noise`] — Johnson–Nyquist thermal noise and the seeded Gaussian
+//!   generator every noise draw comes from (the amplifier's input noise
+//!   lives in `psa-analog`, the external probes' ambient floor in
+//!   [`probe`]).
 //! * [`probe`] — external probe geometries (Langer LF1, ICR HH100-6) and
 //!   the whole-die single-coil sensor of He et al. (DAC'20), the two
 //!   baselines PSA is compared against in Table I.

@@ -46,11 +46,6 @@ impl GaussianNoise {
         }
     }
 
-    /// The configured standard deviation.
-    pub fn sigma(&self) -> f64 {
-        self.sigma
-    }
-
     /// One sample.
     // Generator-style `next()` is the intended API; these are not iterators
     // (no natural end, and `Iterator::next` would box every sample in Some).
@@ -63,11 +58,6 @@ impl GaussianNoise {
         let (c, s) = box_muller(u1, u2);
         self.spare = Some(s);
         c * self.sigma
-    }
-
-    /// A vector of `n` samples.
-    pub fn samples(&mut self, n: usize) -> Vec<f64> {
-        (0..n).map(|_| self.next()).collect()
     }
 
     /// Overwrites `out` with the next `out.len()` samples, without
@@ -125,66 +115,14 @@ fn box_muller(u1: f64, u2: f64) -> (f64, f64) {
     (r * cos, r * sin)
 }
 
-/// A 1/f ("flicker") noise generator: a sum of first-order low-pass
-/// filtered white sources with octave-spaced corner frequencies
-/// (Voss-McCartney style), normalized to the requested RMS.
-#[derive(Debug, Clone)]
-pub struct PinkNoise {
-    white: GaussianNoise,
-    state: [f64; 7],
-    alphas: [f64; 7],
-    target_rms: f64,
-    warmup_done: bool,
-}
-
-impl PinkNoise {
-    /// Creates a pink-noise generator with approximate RMS `rms`.
-    pub fn new(rms: f64, seed: u64) -> Self {
-        // Octave-spaced poles.
-        let mut alphas = [0.0; 7];
-        for (i, a) in alphas.iter_mut().enumerate() {
-            *a = 1.0 / (1 << (i + 1)) as f64;
-        }
-        PinkNoise {
-            white: GaussianNoise::new(1.0, seed),
-            state: [0.0; 7],
-            alphas,
-            target_rms: rms,
-            warmup_done: false,
-        }
-    }
-
-    /// One sample.
-    #[allow(clippy::should_implement_trait)]
-    pub fn next(&mut self) -> f64 {
-        if !self.warmup_done {
-            for _ in 0..256 {
-                self.raw();
-            }
-            self.warmup_done = true;
-        }
-        self.raw() * self.target_rms / 1.9 // measured RMS of the raw sum
-    }
-
-    fn raw(&mut self) -> f64 {
-        let w = self.white.next();
-        let mut acc = 0.0;
-        for (s, a) in self.state.iter_mut().zip(&self.alphas) {
-            *s += a * (w - *s);
-            acc += *s;
-        }
-        acc
-    }
-
-    /// A vector of `n` samples.
-    pub fn samples(&mut self, n: usize) -> Vec<f64> {
-        (0..n).map(|_| self.next()).collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `n` samples drawn one [`GaussianNoise::next`] at a time.
+    fn samples(g: &mut GaussianNoise, n: usize) -> Vec<f64> {
+        (0..n).map(|_| g.next()).collect()
+    }
 
     #[test]
     fn thermal_noise_reference_values() {
@@ -198,7 +136,7 @@ mod tests {
     #[test]
     fn gaussian_moments() {
         let mut g = GaussianNoise::new(2.0, 42);
-        let xs = g.samples(200_000);
+        let xs = samples(&mut g, 200_000);
         let mean: f64 = xs.iter().sum::<f64>() / xs.len() as f64;
         let var: f64 = xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / xs.len() as f64;
         assert!(mean.abs() < 0.02, "mean {mean}");
@@ -209,9 +147,9 @@ mod tests {
     fn gaussian_deterministic_with_seed() {
         let mut a = GaussianNoise::new(1.0, 7);
         let mut b = GaussianNoise::new(1.0, 7);
-        assert_eq!(a.samples(32), b.samples(32));
+        assert_eq!(samples(&mut a, 32), samples(&mut b, 32));
         let mut c = GaussianNoise::new(1.0, 8);
-        assert_ne!(a.samples(32), c.samples(32));
+        assert_ne!(samples(&mut a, 32), samples(&mut c, 32));
     }
 
     #[test]
@@ -227,7 +165,7 @@ mod tests {
                     }
                     let mut filled = vec![f64::NAN; n];
                     a.fill(&mut filled);
-                    let streamed = b.samples(n);
+                    let streamed = samples(&mut b, n);
                     let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                     assert_eq!(
                         bits(&filled),
@@ -260,30 +198,5 @@ mod tests {
                 .max((pair[1] - r * th.sin()).abs());
         }
         assert!(worst <= 1e-14, "max unit-draw deviation {worst:e}");
-    }
-
-    #[test]
-    fn pink_noise_rms_close_to_target() {
-        let mut p = PinkNoise::new(3.0, 11);
-        let xs = p.samples(100_000);
-        let rms = (xs.iter().map(|x| x * x).sum::<f64>() / xs.len() as f64).sqrt();
-        assert!((rms - 3.0).abs() < 1.0, "rms {rms}");
-    }
-
-    #[test]
-    fn pink_noise_is_low_frequency_heavy() {
-        // Compare low-lag autocorrelation: pink noise must be much more
-        // correlated sample-to-sample than white noise.
-        let mut p = PinkNoise::new(1.0, 5);
-        let xs = p.samples(50_000);
-        let mean: f64 = xs.iter().sum::<f64>() / xs.len() as f64;
-        let var: f64 = xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / xs.len() as f64;
-        let lag1: f64 = xs
-            .windows(2)
-            .map(|w| (w[0] - mean) * (w[1] - mean))
-            .sum::<f64>()
-            / (xs.len() - 1) as f64;
-        let rho = lag1 / var;
-        assert!(rho > 0.5, "lag-1 autocorrelation {rho}");
     }
 }

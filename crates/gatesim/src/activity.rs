@@ -122,11 +122,6 @@ impl ActivityTrace {
     pub fn cycles(&self) -> usize {
         self.per_source.values().next().map_or(0, |v| v.len())
     }
-
-    /// Total toggles of one source over the window.
-    pub fn total(&self, source: Source) -> f64 {
-        self.per_source.get(&source).map_or(0.0, |v| v.iter().sum())
-    }
 }
 
 /// The stateful chip activity simulator.
@@ -140,7 +135,8 @@ impl ActivityTrace {
 /// let trace = sim.advance(1000);
 /// assert_eq!(trace.cycles(), 1000);
 /// // The AES core dominates chip activity while encrypting.
-/// assert!(trace.total(Source::AesCore) > trace.total(Source::UartFifo));
+/// let total = |s: Source| trace.per_source[&s].iter().sum::<f64>();
+/// assert!(total(Source::AesCore) > total(Source::UartFifo));
 /// ```
 #[derive(Debug, Clone)]
 pub struct ActivitySimulator {
@@ -197,11 +193,6 @@ impl ActivitySimulator {
         };
         sim.load_next_block();
         sim
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &ChipConfig {
-        &self.config
     }
 
     /// Absolute cycle counter.
@@ -330,6 +321,11 @@ impl ActivitySimulator {
 mod tests {
     use super::*;
 
+    /// Total toggles of one source over the window.
+    fn total(t: &ActivityTrace, source: Source) -> f64 {
+        t.per_source[&source].iter().sum()
+    }
+
     #[test]
     fn trace_shape() {
         let mut sim = ActivitySimulator::new(ChipConfig::default());
@@ -367,7 +363,7 @@ mod tests {
         let ti = idle.advance(1200);
         let te = enc.advance(1200);
         assert!(
-            te.total(Source::AesCore) > 1.5 * ti.total(Source::AesCore),
+            total(&te, Source::AesCore) > 1.5 * total(&ti, Source::AesCore),
             "encryption must add activity"
         );
     }
@@ -387,8 +383,8 @@ mod tests {
         let mut sim = ActivitySimulator::new(ChipConfig::default());
         let t = sim.advance(2000);
         for kind in [TrojanKind::T2, TrojanKind::T3, TrojanKind::T4] {
-            let total = t.total(Source::ALL[3 + kind.index()]);
-            assert!(total < 2000.0 * 3.0, "{kind} dormant total {total}");
+            let toggles = total(&t, Source::ALL[3 + kind.index()]);
+            assert!(toggles < 2000.0 * 3.0, "{kind} dormant total {toggles}");
         }
     }
 
@@ -398,7 +394,7 @@ mod tests {
         cfg.trojan_enables[TrojanKind::T4.index()] = true;
         let mut sim = ActivitySimulator::new(cfg);
         let t = sim.advance(2000);
-        let t4 = t.total(Source::TrojanT4);
+        let t4 = total(&t, Source::TrojanT4);
         // T4 peak ≈ 2181 × 0.55 ≈ 1200 toggles on pattern-high cycles.
         assert!(t4 > 2000.0 * 100.0, "T4 total {t4}");
         assert!(sim.trojans[TrojanKind::T4.index()].is_triggered());
@@ -413,11 +409,11 @@ mod tests {
         let mut sim = ActivitySimulator::new(cfg);
         let t = sim.advance(2000);
         assert!(sim.trojans[TrojanKind::T2.index()].is_triggered());
-        let loud = t.total(Source::TrojanT2);
+        let loud = total(&t, Source::TrojanT2);
 
         let mut quiet_sim = ActivitySimulator::new(ChipConfig::default());
         let tq = quiet_sim.advance(2000);
-        let quiet = tq.total(Source::TrojanT2);
+        let quiet = total(&tq, Source::TrojanT2);
         assert!(loud > 50.0 * quiet, "T2 loud {loud} vs quiet {quiet}");
     }
 

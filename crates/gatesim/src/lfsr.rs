@@ -5,19 +5,15 @@
 //! run back-to-back without waiting on the UART. The same primitive
 //! generates T3's CDMA spreading code.
 
-use crate::error::GatesimError;
-
 /// A Fibonacci LFSR over up to 64 bits.
 ///
 /// # Example
 ///
 /// ```
 /// use psa_gatesim::lfsr::Lfsr;
-/// // Maximal-length 16-bit LFSR: period 65535.
-/// let mut l = Lfsr::new(0xACE1, 0b10_1101, 16).expect("width 16 is valid");
-/// let first = l.next_bit();
-/// let _ = first;
-/// assert_ne!(l.state(), 0);
+/// let mut l = Lfsr::new_31bit(0xACE1);
+/// let first = l.next_block();
+/// assert_ne!(first, l.next_block());
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Lfsr {
@@ -27,24 +23,10 @@ pub struct Lfsr {
 }
 
 impl Lfsr {
-    /// Creates an LFSR with the given tap mask and width (bits). The
-    /// feedback bit is the parity of `state & taps` and is shifted into
-    /// the MSB (Fibonacci form). A zero seed is silently replaced by 1
-    /// (the all-zero state is a fixed point).
-    ///
-    /// # Errors
-    ///
-    /// [`GatesimError::InvalidParameter`] if `width` is 0 or exceeds 64.
-    pub fn new(seed: u64, taps: u64, width: u32) -> Result<Self, GatesimError> {
-        if !(1..=64).contains(&width) {
-            return Err(GatesimError::InvalidParameter {
-                what: "LFSR width must be in 1..=64",
-            });
-        }
-        Ok(Self::with_width(seed, taps, width))
-    }
-
-    /// [`Lfsr::new`] for a width already known to lie in `1..=64`.
+    /// An LFSR with the given tap mask and width (bits, in `1..=64`).
+    /// The feedback bit is the parity of `state & taps` and is shifted
+    /// into the MSB (Fibonacci form). A zero seed is silently replaced
+    /// by 1 (the all-zero state is a fixed point).
     fn with_width(seed: u64, taps: u64, width: u32) -> Self {
         let mask = u64::MAX >> (64 - width);
         let state = seed & mask;
@@ -59,11 +41,6 @@ impl Lfsr {
     /// bit 0 ⊕ bit 3) — cheap and long.
     pub fn new_31bit(seed: u32) -> Self {
         Lfsr::with_width(seed as u64, 0b1001, 31)
-    }
-
-    /// The current register state.
-    pub fn state(&self) -> u64 {
-        self.state
     }
 
     /// Advances one step and returns the output bit.
@@ -113,19 +90,19 @@ mod tests {
 
     #[test]
     fn zero_seed_is_fixed_up() {
-        let l = Lfsr::new(0, 0b11, 4).expect("width 4 is valid");
-        assert_ne!(l.state(), 0);
+        let l = Lfsr::with_width(0, 0b11, 4);
+        assert_ne!(l.state, 0);
     }
 
     #[test]
     fn sixteen_bit_lfsr_has_maximal_period() {
-        let mut l = Lfsr::new(0xACE1, 0b10_1101, 16).expect("width 16 is valid");
-        let start = l.state();
+        let mut l = Lfsr::with_width(0xACE1, 0b10_1101, 16);
+        let start = l.state;
         let mut period = 0u64;
         loop {
             l.next_bit();
             period += 1;
-            if l.state() == start || period > 70_000 {
+            if l.state == start || period > 70_000 {
                 break;
             }
         }
@@ -134,10 +111,10 @@ mod tests {
 
     #[test]
     fn state_never_zero() {
-        let mut l = Lfsr::new(1, 0b10_1101, 16).expect("width 16 is valid");
+        let mut l = Lfsr::with_width(1, 0b10_1101, 16);
         for _ in 0..10_000 {
             l.next_bit();
-            assert_ne!(l.state(), 0);
+            assert_ne!(l.state, 0);
         }
     }
 
@@ -168,14 +145,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn out_of_range_width_is_an_error() {
-        assert!(Lfsr::new(1, 1, 0).is_err());
-        assert!(Lfsr::new(1, 1, 65).is_err());
-        assert!(Lfsr::new(1, 1, 1).is_ok());
-        assert!(Lfsr::new(1, 1, 64).is_ok());
-    }
-
     /// Eight `next_bit` steps packed LSB-first: the reference the byte
     /// leap must reproduce.
     fn bitwise_byte(l: &mut Lfsr) -> u8 {
@@ -183,7 +152,7 @@ mod tests {
     }
 
     fn assert_leap_matches_bits(seed: u64, taps: u64, width: u32) {
-        let mut leap = Lfsr::new(seed, taps, width).expect("valid width");
+        let mut leap = Lfsr::with_width(seed, taps, width);
         let mut bits = leap.clone();
         for i in 0..512 {
             assert_eq!(

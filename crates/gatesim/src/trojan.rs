@@ -185,11 +185,6 @@ impl Trojan {
         }
     }
 
-    /// Which Trojan this is.
-    pub fn kind(&self) -> TrojanKind {
-        self.kind
-    }
-
     /// `true` if the payload was active on the most recent step.
     pub fn is_triggered(&self) -> bool {
         self.triggered

@@ -17,14 +17,12 @@ use crate::error::GatesimError;
 /// use psa_gatesim::uart::Uart;
 /// let uart = Uart::new(115_200, 33_000_000.0)?;
 /// // One 8N1 frame = 10 bit times.
-/// assert_eq!(uart.cycles_per_byte(), uart.cycles_per_bit() * 10);
-/// assert_eq!(uart.cycles_per_bit(), (33_000_000.0_f64 / 115_200.0).round() as u64);
+/// let cycles_per_bit = (33_000_000.0_f64 / 115_200.0).round() as u64;
+/// assert_eq!(uart.cycles_per_byte(), 10 * cycles_per_bit);
 /// # Ok::<(), psa_gatesim::GatesimError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Uart {
-    baud: u32,
-    clk_hz: f64,
     cycles_per_bit: u64,
 }
 
@@ -42,20 +40,8 @@ impl Uart {
             });
         }
         Ok(Uart {
-            baud,
-            clk_hz,
             cycles_per_bit: (clk_hz / baud as f64).round() as u64,
         })
-    }
-
-    /// Baud rate.
-    pub fn baud(&self) -> u32 {
-        self.baud
-    }
-
-    /// System-clock cycles per bit time.
-    pub fn cycles_per_bit(&self) -> u64 {
-        self.cycles_per_bit
     }
 
     /// System-clock cycles per 8N1 byte frame (start + 8 data + stop).
@@ -135,10 +121,9 @@ mod tests {
     #[test]
     fn cycle_accounting() {
         let uart = Uart::new(1_000_000, 33_000_000.0).unwrap();
-        assert_eq!(uart.cycles_per_bit(), 33);
+        assert_eq!(uart.cycles_per_bit, 33);
         assert_eq!(uart.cycles_per_byte(), 330);
         assert_eq!(uart.cycles_per_block(), 5280);
-        assert_eq!(uart.baud(), 1_000_000);
     }
 
     #[test]

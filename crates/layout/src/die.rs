@@ -82,16 +82,6 @@ impl Die {
         self.outline
     }
 
-    /// Die width, µm.
-    pub fn width_um(&self) -> f64 {
-        self.outline.width()
-    }
-
-    /// Die height, µm.
-    pub fn height_um(&self) -> f64 {
-        self.outline.height()
-    }
-
     /// Looks up a metal layer by 1-based index.
     pub fn metal(&self, index: u8) -> Option<&MetalLayer> {
         self.layers.iter().find(|l| l.index == index)
@@ -153,8 +143,8 @@ mod tests {
     #[test]
     fn outline_is_one_millimetre() {
         let die = Die::tsmc65_1mm();
-        assert_eq!(die.width_um(), 1000.0);
-        assert_eq!(die.height_um(), 1000.0);
+        assert_eq!(die.outline().width(), 1000.0);
+        assert_eq!(die.outline().height(), 1000.0);
         assert_eq!(die.outline().area(), 1.0e6);
     }
 

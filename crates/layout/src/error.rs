@@ -7,13 +7,6 @@ use std::fmt;
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum LayoutError {
-    /// A rectangle was constructed with non-positive extent.
-    DegenerateRect {
-        /// Width that was requested (µm).
-        width_um: f64,
-        /// Height that was requested (µm).
-        height_um: f64,
-    },
     /// A polygon needs at least three vertices.
     TooFewVertices {
         /// Number of vertices supplied.
@@ -57,12 +50,6 @@ pub enum LayoutError {
 impl fmt::Display for LayoutError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            LayoutError::DegenerateRect {
-                width_um,
-                height_um,
-            } => {
-                write!(f, "degenerate rectangle {width_um} x {height_um} um")
-            }
             LayoutError::TooFewVertices { got } => {
                 write!(f, "polygon needs at least 3 vertices, got {got}")
             }
@@ -104,10 +91,6 @@ mod tests {
     #[test]
     fn messages_render() {
         for e in [
-            LayoutError::DegenerateRect {
-                width_um: 0.0,
-                height_um: 1.0,
-            },
             LayoutError::TooFewVertices { got: 2 },
             LayoutError::NotFound { what: "module" },
             LayoutError::RegionOverflow {

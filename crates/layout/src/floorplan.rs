@@ -56,17 +56,6 @@ impl ModuleKind {
         ModuleKind::TrojanT3,
         ModuleKind::TrojanT4,
     ];
-
-    /// `true` for the four Trojans.
-    pub fn is_trojan(self) -> bool {
-        matches!(
-            self,
-            ModuleKind::TrojanT1
-                | ModuleKind::TrojanT2
-                | ModuleKind::TrojanT3
-                | ModuleKind::TrojanT4
-        )
-    }
 }
 
 impl fmt::Display for ModuleKind {
@@ -209,11 +198,6 @@ impl Floorplan {
             .ok_or(LayoutError::NotFound { what: "module" })
     }
 
-    /// The four Trojan modules.
-    pub fn trojans(&self) -> Vec<&Module> {
-        self.modules.iter().filter(|m| m.kind.is_trojan()).collect()
-    }
-
     /// Total standard-cell count (Table II "Overall").
     pub fn total_cells(&self) -> usize {
         self.modules.iter().map(|m| m.cell_count).sum()
@@ -250,6 +234,14 @@ impl Default for Floorplan {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The four Trojan modules, last in declaration order.
+    fn trojans(fp: &Floorplan) -> Vec<&Module> {
+        fp.modules()
+            .iter()
+            .filter(|m| m.kind >= ModuleKind::TrojanT1)
+            .collect()
+    }
 
     #[test]
     fn table2_counts_match_paper() {
@@ -295,7 +287,7 @@ mod tests {
     #[test]
     fn trojans_dont_overlap_each_other() {
         let fp = Floorplan::date24_test_chip();
-        let trojans = fp.trojans();
+        let trojans = trojans(&fp);
         assert_eq!(trojans.len(), 4);
         for i in 0..trojans.len() {
             for j in i + 1..trojans.len() {
@@ -315,7 +307,7 @@ mod tests {
         // [457.1..800] x [457.1..800] µm (lattice nodes 16..28).
         let sensor10 = Rect::new(457.1, 457.1, 800.0, 800.0);
         let fp = Floorplan::date24_test_chip();
-        for t in fp.trojans() {
+        for t in trojans(&fp) {
             assert!(
                 sensor10.contains(t.region.min()) && sensor10.contains(t.region.max()),
                 "{} outside sensor 10",
@@ -340,7 +332,7 @@ mod tests {
     #[test]
     fn trojan_regions_have_room_for_cells() {
         let fp = Floorplan::date24_test_chip();
-        for t in fp.trojans() {
+        for t in trojans(&fp) {
             let needed = t.cell_count as f64 * t.mix.mean_area_um2();
             assert!(
                 t.region.area() > needed,
@@ -357,8 +349,6 @@ mod tests {
         let fp = Floorplan::default();
         assert!(fp.module(ModuleKind::AesCore).is_ok());
         assert_eq!(ModuleKind::TrojanT3.to_string(), "T3");
-        assert!(ModuleKind::TrojanT3.is_trojan());
-        assert!(!ModuleKind::AesCore.is_trojan());
     }
 
     #[test]

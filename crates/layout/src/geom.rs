@@ -77,32 +77,6 @@ impl Rect {
         }
     }
 
-    /// Creates a rectangle from a corner plus width/height.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LayoutError::DegenerateRect`] when either extent is not
-    /// strictly positive.
-    pub fn from_size(x: f64, y: f64, w: f64, h: f64) -> Result<Self, LayoutError> {
-        if w <= 0.0 || h <= 0.0 {
-            return Err(LayoutError::DegenerateRect {
-                width_um: w,
-                height_um: h,
-            });
-        }
-        Ok(Rect::new(x, y, x + w, y + h))
-    }
-
-    /// Creates a rectangle centred on `c` with the given width/height.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LayoutError::DegenerateRect`] when either extent is not
-    /// strictly positive.
-    pub fn centered(c: Point, w: f64, h: f64) -> Result<Self, LayoutError> {
-        Rect::from_size(c.x - w / 2.0, c.y - h / 2.0, w, h)
-    }
-
     /// Minimum (lower-left) corner.
     pub fn min(&self) -> Point {
         self.min
@@ -252,47 +226,6 @@ impl Polygon {
     pub fn area(&self) -> f64 {
         self.signed_area().abs()
     }
-
-    /// Area centroid. Falls back to the vertex mean for zero-area
-    /// polygons.
-    pub fn centroid(&self) -> Point {
-        let a = self.signed_area();
-        if a.abs() < 1e-12 {
-            let n = self.vertices.len() as f64;
-            let sx: f64 = self.vertices.iter().map(|p| p.x).sum();
-            let sy: f64 = self.vertices.iter().map(|p| p.y).sum();
-            return Point::new(sx / n, sy / n);
-        }
-        let n = self.vertices.len();
-        let mut cx = 0.0;
-        let mut cy = 0.0;
-        for i in 0..n {
-            let p = self.vertices[i];
-            let q = self.vertices[(i + 1) % n];
-            let cross = p.x * q.y - q.x * p.y;
-            cx += (p.x + q.x) * cross;
-            cy += (p.y + q.y) * cross;
-        }
-        Point::new(cx / (6.0 * a), cy / (6.0 * a))
-    }
-
-    /// Even-odd point containment (boundary points may go either way).
-    pub fn contains(&self, p: Point) -> bool {
-        let n = self.vertices.len();
-        let mut inside = false;
-        let mut j = n - 1;
-        for i in 0..n {
-            let vi = self.vertices[i];
-            let vj = self.vertices[j];
-            if ((vi.y > p.y) != (vj.y > p.y))
-                && (p.x < (vj.x - vi.x) * (p.y - vi.y) / (vj.y - vi.y) + vi.x)
-            {
-                inside = !inside;
-            }
-            j = i;
-        }
-        inside
-    }
 }
 
 impl fmt::Display for Polygon {
@@ -327,14 +260,6 @@ mod tests {
         assert_eq!(r.height(), 5.0);
         assert_eq!(r.area(), 50.0);
         assert_eq!(r.center(), Point::new(5.0, 2.5));
-    }
-
-    #[test]
-    fn rect_from_size_validates() {
-        assert!(Rect::from_size(0.0, 0.0, 1.0, 1.0).is_ok());
-        assert!(Rect::from_size(0.0, 0.0, 0.0, 1.0).is_err());
-        assert!(Rect::from_size(0.0, 0.0, 1.0, -1.0).is_err());
-        assert!(Rect::centered(Point::ORIGIN, 2.0, 2.0).is_ok());
     }
 
     #[test]
@@ -384,19 +309,7 @@ mod tests {
     }
 
     #[test]
-    fn polygon_centroid_of_square() {
-        let sq = Rect::new(2.0, 2.0, 6.0, 6.0).to_polygon();
-        let c = sq.centroid();
-        assert!((c.x - 4.0).abs() < 1e-12);
-        assert!((c.y - 4.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn polygon_contains() {
-        let sq = Rect::new(0.0, 0.0, 10.0, 10.0).to_polygon();
-        assert!(sq.contains(Point::new(5.0, 5.0)));
-        assert!(!sq.contains(Point::new(15.0, 5.0)));
-        // L-shape.
+    fn polygon_area_of_l_shape() {
         let l = Polygon::new(vec![
             Point::new(0.0, 0.0),
             Point::new(10.0, 0.0),
@@ -406,8 +319,6 @@ mod tests {
             Point::new(0.0, 10.0),
         ])
         .unwrap();
-        assert!(l.contains(Point::new(2.0, 8.0)));
-        assert!(!l.contains(Point::new(8.0, 8.0)));
         assert_eq!(l.area(), 75.0);
     }
 

@@ -18,7 +18,6 @@
 //!   module regions, and clustering of cells into EM source tiles.
 //! * [`emitter`] — synthetic-emitter sites at arbitrary coordinates and
 //!   the parametric sweep grids of the localization-accuracy atlas.
-//! * [`pins`] — the QFN IO pin assignment of Fig 2.
 //!
 //! # Example
 //!
@@ -39,7 +38,6 @@ pub mod emitter;
 pub mod error;
 pub mod floorplan;
 pub mod geom;
-pub mod pins;
 pub mod placement;
 pub mod stdcell;
 

@@ -340,10 +340,10 @@ mod tests {
         assert_eq!(clusters[0].module, ModuleKind::AesCore);
         let first_trojan = clusters
             .iter()
-            .position(|c| c.module.is_trojan())
+            .position(|c| c.module >= ModuleKind::TrojanT1)
             .expect("test chip has Trojan clusters");
         assert!(clusters[first_trojan..]
             .iter()
-            .all(|c| c.module.is_trojan()));
+            .all(|c| c.module >= ModuleKind::TrojanT1));
     }
 }

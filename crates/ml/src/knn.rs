@@ -66,16 +66,6 @@ impl Knn {
         Ok(Knn { samples, labels, k })
     }
 
-    /// Number of stored training samples.
-    pub fn len(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// `true` if the classifier holds no samples (unreachable via `fit`).
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
     /// Predicts the label and also returns the distance to the single
     /// nearest neighbour (useful as a confidence measure: large distance
     /// means "none of the templates match well" — an *unknown* Trojan).
@@ -209,12 +199,5 @@ mod tests {
         assert!(Knn::fit(vec![vec![1.0]], vec![0], 2).is_err());
         let knn = classifier(1);
         assert!(knn.predict_with_distance(&[1.0]).is_err());
-    }
-
-    #[test]
-    fn len_reports_training_size() {
-        let knn = classifier(1);
-        assert_eq!(knn.len(), 6);
-        assert!(!knn.is_empty());
     }
 }

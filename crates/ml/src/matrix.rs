@@ -49,11 +49,6 @@ impl Matrix {
         self.rows
     }
 
-    /// Number of columns.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
     /// Element at `(r, c)`.
     ///
     /// # Panics
@@ -74,11 +69,6 @@ impl Matrix {
     pub fn set(&mut self, r: usize, c: usize, v: f64) {
         assert!(r < self.rows && c < self.cols, "index out of bounds");
         self.data[r * self.cols + c] = v;
-    }
-
-    /// Row `r` as a slice.
-    pub fn row(&self, r: usize) -> &[f64] {
-        &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
     /// `true` if the matrix is symmetric to within `tol`.
@@ -222,9 +212,9 @@ mod tests {
     fn construction_and_access() {
         let m = mat(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]);
         assert_eq!(m.rows(), 2);
-        assert_eq!(m.cols(), 3);
+        assert_eq!(m.cols, 3);
         assert_eq!(m.get(0, 2), 3.0);
-        assert_eq!(m.row(1), &[4.0, 5.0, 6.0]);
+        assert_eq!(m.get(1, 1), 5.0);
     }
 
     #[test]

@@ -1,7 +1,6 @@
-//! Clustering and classification quality metrics.
+//! Clustering quality metrics.
 //!
-//! The detection-rate rows of Table I come from classification campaigns;
-//! the backscatter baseline's clustering quality is validated with
+//! The backscatter baseline's clustering quality is validated with
 //! silhouette scores before its detection verdicts are trusted.
 
 use crate::distance::euclidean;
@@ -55,16 +54,6 @@ pub fn silhouette_score(data: &[Vec<f64>], assignments: &[usize]) -> f64 {
     total / n as f64
 }
 
-/// Classification accuracy in `[0, 1]`. Returns 0 for empty input.
-pub fn accuracy(truth: &[usize], predicted: &[usize]) -> f64 {
-    let n = truth.len().min(predicted.len());
-    if n == 0 {
-        return 0.0;
-    }
-    let correct = truth.iter().zip(predicted).filter(|(t, p)| t == p).count();
-    correct as f64 / n as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -105,12 +94,5 @@ mod tests {
         // One cluster only.
         let data = vec![vec![0.0], vec![1.0], vec![2.0]];
         assert_eq!(silhouette_score(&data, &[0, 0, 0]), 0.0);
-    }
-
-    #[test]
-    fn accuracy_basic() {
-        assert_eq!(accuracy(&[1, 2, 3], &[1, 2, 0]), 2.0 / 3.0);
-        assert_eq!(accuracy(&[], &[]), 0.0);
-        assert_eq!(accuracy(&[1, 1], &[1, 1]), 1.0);
     }
 }

@@ -20,16 +20,18 @@ use crate::matrix::Matrix;
 /// let data: Vec<Vec<f64>> = (0..20)
 ///     .map(|i| vec![i as f64, 2.0 * i as f64])
 ///     .collect();
-/// let pca = Pca::fit(&data, 2)?;
-/// let ev = pca.eigenvalues();
-/// assert!(ev[1] < 1e-9 * ev[0]);
+/// let pca = Pca::fit(&data, 1)?;
+/// // The first component runs along the line, so it keeps the distance
+/// // between any two points: here |(5, 10) − (0, 0)| = 5·√5.
+/// let a = pca.transform_one(&data[0])?[0];
+/// let b = pca.transform_one(&data[5])?[0];
+/// assert!(((a - b).abs() - 5.0 * 5f64.sqrt()).abs() < 1e-9);
 /// # Ok::<(), psa_ml::MlError>(())
 /// ```
 #[derive(Debug, Clone)]
 pub struct Pca {
     mean: Vec<f64>,
     components: Matrix, // rows = components, cols = features
-    eigenvalues: Vec<f64>,
 }
 
 impl Pca {
@@ -95,7 +97,7 @@ impl Pca {
             }
         }
 
-        let (eigenvalues, vectors) = cov.symmetric_eigen()?;
+        let (_, vectors) = cov.symmetric_eigen()?;
 
         // Keep the top n_components eigenvectors as rows.
         let mut components = Matrix::zeros(n_components, d);
@@ -104,26 +106,12 @@ impl Pca {
                 components.set(c, r, vectors.get(r, c));
             }
         }
-        Ok(Pca {
-            mean,
-            components,
-            eigenvalues: eigenvalues[..n_components].to_vec(),
-        })
+        Ok(Pca { mean, components })
     }
 
     /// Number of retained components.
     pub fn n_components(&self) -> usize {
         self.components.rows()
-    }
-
-    /// The per-feature training mean.
-    pub fn mean(&self) -> &[f64] {
-        &self.mean
-    }
-
-    /// Eigenvalues (variances) of the retained components, descending.
-    pub fn eigenvalues(&self) -> &[f64] {
-        &self.eigenvalues
     }
 
     /// Projects one sample into component space.
@@ -179,8 +167,6 @@ mod tests {
     #[test]
     fn first_component_captures_line() {
         let pca = Pca::fit(&line_data(), 2).unwrap();
-        let ev = pca.eigenvalues();
-        assert!(ev[1] < 1e-3 * ev[0], "ev {ev:?}");
         // Component direction ~ (1, 2)/√5.
         let c0 = (pca.components.get(0, 0), pca.components.get(0, 1));
         let expected = (1.0 / 5f64.sqrt(), 2.0 / 5f64.sqrt());
@@ -209,7 +195,7 @@ mod tests {
     fn projection_of_mean_is_zero() {
         let data = line_data();
         let pca = Pca::fit(&data, 2).unwrap();
-        let mean = pca.mean().to_vec();
+        let mean = pca.mean.clone();
         let proj = pca.transform_one(&mean).unwrap();
         for p in proj {
             assert!(p.abs() < 1e-10);
@@ -229,25 +215,5 @@ mod tests {
         assert!(Pca::fit(&data, 3).is_err());
         let pca = Pca::fit(&data, 1).unwrap();
         assert!(pca.transform_one(&[1.0]).is_err());
-    }
-
-    #[test]
-    fn constant_data_gives_zero_variance() {
-        let data = vec![vec![3.0, 3.0]; 10];
-        let pca = Pca::fit(&data, 1).unwrap();
-        assert_eq!(pca.eigenvalues(), [0.0]);
-    }
-
-    #[test]
-    fn eigenvalues_descending() {
-        let data: Vec<Vec<f64>> = (0..50)
-            .map(|i| {
-                let t = i as f64;
-                vec![t, 0.1 * (t * 0.7).sin(), 0.01 * (t * 1.3).cos()]
-            })
-            .collect();
-        let pca = Pca::fit(&data, 3).unwrap();
-        let ev = pca.eigenvalues();
-        assert!(ev[0] >= ev[1] && ev[1] >= ev[2]);
     }
 }

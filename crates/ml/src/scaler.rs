@@ -76,16 +76,6 @@ impl StandardScaler {
         Ok(StandardScaler { mean, std })
     }
 
-    /// Per-feature means learned during fitting.
-    pub fn mean(&self) -> &[f64] {
-        &self.mean
-    }
-
-    /// Per-feature standard deviations (1.0 for constant features).
-    pub fn std(&self) -> &[f64] {
-        &self.std
-    }
-
     /// Standardizes one sample.
     ///
     /// # Errors
@@ -153,7 +143,7 @@ mod tests {
     fn constant_feature_passes_through() {
         let data = vec![vec![5.0, 1.0], vec![5.0, 2.0], vec![5.0, 3.0]];
         let scaler = StandardScaler::fit(&data).unwrap();
-        assert_eq!(scaler.std()[0], 1.0);
+        assert_eq!(scaler.std[0], 1.0);
         let t = scaler.transform_one(&[5.0, 2.0]).unwrap();
         assert_eq!(t[0], 0.0);
     }

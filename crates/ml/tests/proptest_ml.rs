@@ -74,21 +74,6 @@ fn eigen_reconstruction() {
     }
 }
 
-/// K-means inertia never increases when k grows.
-#[test]
-fn kmeans_inertia_monotone() {
-    for case in 0..CASES {
-        let mut rng = SmallRng::seed_from_u64(case);
-        let data = dataset(&mut rng, 6, 24, 2);
-        let i1 = KMeans::new(1).with_seed(5).fit(&data).unwrap().inertia();
-        let i2 = KMeans::new(2).with_seed(5).fit(&data).unwrap().inertia();
-        let i3 = KMeans::new(3).with_seed(5).fit(&data).unwrap().inertia();
-        // Allow tiny numeric slack; k-means++ with restarts is near-monotone.
-        assert!(i2 <= i1 * 1.001 + 1e-9, "seed {case}");
-        assert!(i3 <= i2 * 1.05 + 1e-6, "seed {case}");
-    }
-}
-
 /// Every k-means assignment indexes a valid centroid.
 #[test]
 fn kmeans_assignments_consistent() {
@@ -101,19 +86,23 @@ fn kmeans_assignments_consistent() {
     }
 }
 
-/// Scaler transform is `(x − mean) / std` per feature.
+/// Scaler output has zero mean and unit population variance per
+/// feature.
 #[test]
 fn scaler_standardizes() {
     for case in 0..CASES {
         let mut rng = SmallRng::seed_from_u64(case);
         let data = dataset(&mut rng, 2, 20, 3);
-        let scaler = StandardScaler::fit(&data).unwrap();
-        for row in &data {
-            let t = scaler.transform_one(row).unwrap();
-            for (j, (a, b)) in t.iter().zip(row).enumerate() {
-                let back = a * scaler.std()[j] + scaler.mean()[j];
-                assert!((back - b).abs() < 1e-8 * (1.0 + b.abs()), "seed {case}");
-            }
+        let scaled = StandardScaler::fit(&data)
+            .unwrap()
+            .transform(&data)
+            .unwrap();
+        let n = scaled.len() as f64;
+        for j in 0..3 {
+            let mean = scaled.iter().map(|r| r[j]).sum::<f64>() / n;
+            let var = scaled.iter().map(|r| (r[j] - mean).powi(2)).sum::<f64>() / n;
+            assert!(mean.abs() < 1e-9, "seed {case}");
+            assert!((var - 1.0).abs() < 1e-9, "seed {case}");
         }
     }
 }

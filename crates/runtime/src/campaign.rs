@@ -92,11 +92,6 @@ impl<'c> Campaign<'c> {
         self.chip
     }
 
-    /// The engine in use.
-    pub fn engine(&self) -> Engine {
-        self.engine
-    }
-
     /// Runs arbitrary per-job work with a per-worker [`AcqContext`],
     /// collecting results in submission order. The closure must be
     /// deterministic in `(index, job)` — never in context history.

@@ -102,13 +102,12 @@ const ACTIVATION_RECORD: usize = 1;
 /// derives from it.
 const SEED: u64 = 0xF1EE7;
 
-/// Max-pools `row` by `factor` into `out` (reused; cleared first). The
-/// last chunk may be shorter. Pooling linear amplitude keeps every
+/// Max-pools `row` by [`DECIMATE`] into `out` (reused; cleared first).
+/// The last chunk may be shorter. Pooling linear amplitude keeps every
 /// emergent line: the pooled test bin is exactly the peak bin's value.
-pub fn decimate_max_into(row: &[f64], factor: usize, out: &mut Vec<f64>) {
+fn decimate_max_into(row: &[f64], out: &mut Vec<f64>) {
     out.clear();
-    let factor = factor.max(1);
-    for chunk in row.chunks(factor) {
+    for chunk in row.chunks(DECIMATE) {
         out.push(chunk.iter().fold(f64::NEG_INFINITY, |a, &b| a.max(b)));
     }
 }
@@ -366,11 +365,6 @@ impl<'c> Fleet<'c> {
         Ok(Fleet { chip, config })
     }
 
-    /// The shared chip geometry.
-    pub fn chip(&self) -> &'c TestChip {
-        self.chip
-    }
-
     /// The validated configuration.
     pub fn config(&self) -> &FleetConfig {
         &self.config
@@ -466,7 +460,7 @@ impl<'c> Fleet<'c> {
             let mut ring = SlidingSpectrum::new(cfg.baseline_records)?;
             for rec in &traces.records {
                 let row = ctx.fullres_amplitude_row(rec)?;
-                decimate_max_into(row, DECIMATE, &mut pooled);
+                decimate_max_into(row, &mut pooled);
                 ring.push_row(&pooled)?;
             }
             let mut avg = Vec::with_capacity(pooled.len());
@@ -550,7 +544,7 @@ impl<'c> Fleet<'c> {
                 let scenario = lane.schedule.scenario_at(r);
                 ctx.acquire_into(&scenario, sensor, 1, &mut fresh)?;
                 let row = ctx.fullres_amplitude_row(&fresh.records[0])?;
-                decimate_max_into(row, DECIMATE, &mut pooled);
+                decimate_max_into(row, &mut pooled);
                 lane.rows.push_row(&pooled)?;
                 if lane.rows.len() < MIN_WINDOW_RECORDS {
                     continue;
@@ -607,13 +601,15 @@ mod tests {
 
     #[test]
     fn decimate_max_pools_peaks() {
-        let row = [0.0, 5.0, 1.0, 2.0, 9.0, 3.0, 7.0];
-        let mut out = Vec::new();
-        decimate_max_into(&row, 3, &mut out);
+        // Two full chunks and a ragged five-bin tail, one peak in each.
+        let mut row = vec![0.0; 2 * DECIMATE + 5];
+        row[3] = 5.0;
+        row[DECIMATE + 40] = 9.0;
+        row[2 * DECIMATE + 4] = 7.0;
+        let mut out = vec![1.0; 9];
+        decimate_max_into(&row, &mut out);
         assert_eq!(out, vec![5.0, 9.0, 7.0]);
-        decimate_max_into(&row, 1, &mut out);
-        assert_eq!(out.as_slice(), row.as_slice());
-        decimate_max_into(&[], 4, &mut out);
+        decimate_max_into(&[], &mut out);
         assert!(out.is_empty());
     }
 

@@ -170,11 +170,6 @@ impl<'c> MultilocCampaign<'c> {
         self.baselines.get(corner)
     }
 
-    /// A corner's measured amplitude-to-drive calibration.
-    pub fn calibration(&self, corner: usize) -> Option<&Calibration> {
-        self.calibrations.get(corner)
-    }
-
     /// Evaluates every tuple job, collecting outcomes in submission
     /// order. Each tuple runs under an independent noise/activity
     /// realization ([`tuple_seed`]), and each outcome is scored against

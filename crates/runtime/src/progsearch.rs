@@ -108,11 +108,6 @@ impl<'c> ProgramSearch<'c> {
         })
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> &ProgramSearchConfig {
-        &self.config
-    }
-
     /// Measures a list of programmings in parallel (submission order).
     ///
     /// # Errors

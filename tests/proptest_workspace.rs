@@ -92,13 +92,16 @@ fn flux_locality() {
         let y = in_range(&mut rng, 100.0, 900.0);
         let side = in_range(&mut rng, 50.0, 250.0);
         let d = Dipole::new(Point::new(x, y), 1.0e-12);
-        let over = Rect::centered(Point::new(x, y), side, side).unwrap();
-        let away = Rect::centered(
-            Point::new(if x < 500.0 { x + 600.0 } else { x - 600.0 }, y),
-            side,
-            side,
-        )
-        .unwrap();
+        let square = |cx: f64| {
+            Rect::new(
+                cx - side / 2.0,
+                y - side / 2.0,
+                cx + side / 2.0,
+                y + side / 2.0,
+            )
+        };
+        let over = square(x);
+        let away = square(if x < 500.0 { x + 600.0 } else { x - 600.0 });
         let k_over = d.flux_through_polygon(&over.to_polygon(), 4.8).abs();
         let k_away = d.flux_through_polygon(&away.to_polygon(), 4.8).abs();
         assert!(k_over > 5.0 * k_away, "seed {case}");

@@ -42,16 +42,15 @@ fn sensor_bank_and_couplings_are_consistent() {
     // every activity source.
     let bank = SensorBank::date24_default();
     assert_eq!(bank.len(), 16);
-    for s in bank.iter() {
+    for (i, s) in bank.iter().enumerate() {
         assert_eq!(s.coil().switch_count(), 4 * SENSOR_TURNS);
         let couplings = chip()
-            .couplings_for(SensorSelect::Psa(s.index()))
+            .couplings_for(SensorSelect::Psa(i))
             .expect("in range");
         assert_eq!(couplings.len(), Source::ALL.len());
         assert!(
             couplings.iter().any(|k| k.abs() > 0.0),
-            "sensor {} couples to nothing",
-            s.index()
+            "sensor {i} couples to nothing"
         );
     }
 }
@@ -61,7 +60,13 @@ fn trojans_sit_under_sensor10_footprint() {
     let bank = SensorBank::date24_default();
     let fp10 = bank.sensor(10).expect("sensor 10").footprint();
     let plan = chip().floorplan();
-    for t in plan.trojans() {
+    for kind in [
+        ModuleKind::TrojanT1,
+        ModuleKind::TrojanT2,
+        ModuleKind::TrojanT3,
+        ModuleKind::TrojanT4,
+    ] {
+        let t = plan.module(kind).expect("Trojan module");
         assert!(
             fp10.contains(t.region.min()) && fp10.contains(t.region.max()),
             "{} outside sensor 10",
@@ -78,7 +83,7 @@ fn acquisition_chain_end_to_end_shapes() {
     let traces = ctx
         .acquire(&Scenario::baseline().with_seed(5), SensorSelect::Psa(10), 2)
         .expect("acquire");
-    assert_eq!(traces.len(), 2);
+    assert_eq!(traces.records.len(), 2);
     assert_eq!(traces.records[0].len(), 65_536);
     let spec = ctx.fullres_spectrum_db(&traces).expect("spectrum");
     assert_eq!(spec.len(), 65_536 / 2 + 1);
