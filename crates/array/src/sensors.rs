@@ -15,8 +15,6 @@ use psa_layout::Rect;
 /// One preset sensor: its lattice programming plus derived geometry.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Sensor {
-    row: usize,
-    col: usize,
     footprint: Rect,
     coil: Coil,
 }
@@ -72,8 +70,6 @@ impl SensorBank {
             let p0 = lattice.node_position(r0, c0)?;
             let p1 = lattice.node_position(r1, c1)?;
             sensors.push(Sensor {
-                row: i / 4,
-                col: i % 4,
                 footprint: Rect::new(p0.x, p0.y, p1.x, p1.y),
                 coil,
             });
@@ -123,9 +119,7 @@ mod tests {
         let bank = SensorBank::date24_default();
         assert_eq!(bank.len(), 16);
         assert!(!bank.is_empty());
-        for (i, s) in bank.iter().enumerate() {
-            assert_eq!((s.row, s.col), (i / 4, i % 4));
-        }
+        assert_eq!(bank.iter().count(), 16);
     }
 
     #[test]

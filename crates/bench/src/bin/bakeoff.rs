@@ -20,8 +20,8 @@
 
 use psa_bench::harness::{bench_json_path, digest, positive_usize_arg, ArtifactTimer};
 use psa_core::detector::{
-    BackscatterDetector, CrossDomainDetector, CrossScalePersistenceDetector, EuclideanDetector,
-    ScoredDetector, SpectralKurtosisDetector, SpectralOutlierDetector,
+    BackscatterDetector, CrossDomainDetector, CrossScalePersistenceDetector, Detector,
+    EuclideanDetector, SpectralKurtosisDetector, SpectralOutlierDetector,
 };
 use psa_runtime::{Bakeoff, Campaign};
 
@@ -55,7 +55,7 @@ fn main() {
     let outlier = SpectralOutlierDetector::new(outlier_traces);
     let persistence = CrossScalePersistenceDetector::new(persistence_traces);
     let kurtosis = SpectralKurtosisDetector::new(outlier_traces);
-    let detectors: [&dyn ScoredDetector; 6] = [
+    let detectors: [&dyn Detector; 6] = [
         &cross,
         &euclid,
         &backscatter,

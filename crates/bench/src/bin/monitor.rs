@@ -23,17 +23,14 @@ fn main() {
     println!("== Streaming run-time monitor: event log (Sec. II-A / VI-D) ==");
     let chip = timer.time("build_chip", None, experiments::build_chip);
     // Learn the run-time baseline once per process (its own timed
-    // stage) and share it across every session via the memoized
-    // SharedArtifacts path — the event log stays byte-identical because
-    // the sessions see the same baseline bits either way.
-    let shared = timer.time("learn_baseline", None, || {
-        experiments::SharedArtifacts::lazy(
-            psa_runtime::Campaign::new(&chip, engine)
-                .learn_baseline(experiments::RUNTIME_BASELINE_SEED),
-        )
+    // stage) and share it across every session — the event log stays
+    // byte-identical because the sessions see the same baseline bits
+    // either way.
+    let baseline = timer.time("learn_baseline", None, || {
+        psa_runtime::Campaign::new(&chip, engine).learn_baseline(experiments::RUNTIME_BASELINE_SEED)
     });
     let outcomes = timer.time("monitor_sessions", None, || {
-        experiments::monitor_outcomes_with(&chip, &engine, seeds, &shared.baseline)
+        experiments::monitor_outcomes_with(&chip, &engine, seeds, &baseline)
     });
     print!("{}", experiments::monitor_event_log(&outcomes));
 

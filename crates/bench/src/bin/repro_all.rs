@@ -20,11 +20,11 @@ fn main() {
     let mut timer = ArtifactTimer::new();
 
     let chip = timer.time("build_chip", None, experiments::build_chip);
-    // Learn the run-time baseline and identification templates once and
-    // share them across fig5/mttd/table1/monitor — the learning pass is
-    // identical in every stage, so memoizing it cannot change stdout.
-    let shared = timer.time("learn_shared", None, || {
-        experiments::SharedArtifacts::learn(&chip, &engine)
+    // Learn the run-time baseline once and share it across
+    // mttd/table1/monitor — the learning pass is identical in every
+    // stage, so sharing it cannot change stdout.
+    let baseline = timer.time("learn_shared", None, || {
+        psa_runtime::Campaign::new(&chip, engine).learn_baseline(experiments::RUNTIME_BASELINE_SEED)
     });
     println!("== Table II: Trojan gates count and percentage ==");
     print!(
@@ -55,9 +55,7 @@ fn main() {
     println!("\n== Fig 5: zero-span time-domain identification at 48 MHz ==");
     print!(
         "{}",
-        timer.time("fig5", None, || {
-            experiments::fig5_report_with(&chip, &engine, shared.templates.as_ref())
-        })
+        timer.time("fig5", None, || experiments::fig5_report(&chip, &engine))
     );
     println!("\n== Sec. VI-C: sensor impedance across V/T corners ==");
     print!(
@@ -69,7 +67,7 @@ fn main() {
         "{}",
         timer
             .time("mttd", None, || {
-                experiments::mttd_table_with(&chip, &engine, &shared.baseline)
+                experiments::mttd_table_with(&chip, &engine, &baseline)
             })
             .render()
     );
@@ -78,7 +76,7 @@ fn main() {
         "{}",
         timer
             .time("table1", None, || {
-                experiments::table1_with(&chip, 2, &engine, &shared)
+                experiments::table1(&chip, 2, &engine, &baseline)
             })
             .render()
     );
@@ -87,10 +85,7 @@ fn main() {
         "{}",
         timer.time("monitor", None, || {
             experiments::monitor_event_log(&experiments::monitor_outcomes_with(
-                &chip,
-                &engine,
-                1,
-                &shared.baseline,
+                &chip, &engine, 1, &baseline,
             ))
         })
     );

@@ -10,8 +10,11 @@
 //! workspace equivalence tests assert it).
 
 use psa_core::atlas::SyntheticEmitter;
+use psa_core::calib;
 use psa_core::chip::{SensorSelect, TestChip};
-use psa_core::detector::{BackscatterDetector, CrossDomainDetector, Detector, EuclideanDetector};
+use psa_core::detector::{
+    decide, BackscatterDetector, CrossDomainDetector, Detector, EuclideanDetector,
+};
 use psa_core::monitor::{ActivationSchedule, ScheduleChange, SlidingConfig};
 use psa_core::mttd::{mttd_trial_with, MonitorTiming};
 use psa_core::multiloc::MultiLocConfig;
@@ -19,7 +22,6 @@ use psa_core::progsearch::{DetectionSnr, ProgramSearchConfig, TURNS_MAX, TURNS_M
 use psa_core::report::{db, pct, sparkline, yes_no, Table};
 use psa_core::scenario::Scenario;
 use psa_core::snr::measure_snr_with;
-use psa_core::{calib, identify};
 use psa_dsp::rng::splitmix64;
 use psa_gatesim::synth::SyntheticTrojan;
 use psa_gatesim::trojan::TrojanKind;
@@ -41,46 +43,6 @@ pub fn build_chip() -> TestChip {
 /// learning is a pure function of `(chip, seed)`, so sharing is
 /// result-identical to each driver learning its own.
 pub const RUNTIME_BASELINE_SEED: u64 = 0xBA5E;
-
-/// Expensive chip-bound artifacts memoized across the `repro_all`
-/// pipelines: the learned run-time baseline (keyed by the chip and
-/// [`RUNTIME_BASELINE_SEED`]) and the identification template library
-/// (keyed by the chip alone). Historically each driver rebuilt both;
-/// building them once per process removes two baseline learnings and
-/// one template build from the full reproduction without changing a
-/// byte of output.
-#[derive(Debug, Clone)]
-pub struct SharedArtifacts {
-    /// The 16-sensor run-time baseline, learned at
-    /// [`RUNTIME_BASELINE_SEED`].
-    pub baseline: psa_core::cross_domain::Baseline,
-    /// The reference template library; `None` lets detectors build it
-    /// lazily on first use (the historical behaviour).
-    pub templates: Option<identify::TemplateLibrary>,
-}
-
-impl SharedArtifacts {
-    /// Learns the baseline (in parallel on the engine) and builds the
-    /// template library once.
-    pub fn learn(chip: &TestChip, engine: &Engine) -> Self {
-        let campaign = Campaign::new(chip, *engine);
-        SharedArtifacts {
-            baseline: campaign.learn_baseline(RUNTIME_BASELINE_SEED),
-            templates: Some(
-                identify::TemplateLibrary::reference(chip).expect("reference template library"),
-            ),
-        }
-    }
-
-    /// Wraps a pre-learned baseline, deferring the template build to
-    /// first use.
-    pub fn lazy(baseline: psa_core::cross_domain::Baseline) -> Self {
-        SharedArtifacts {
-            baseline,
-            templates: None,
-        }
-    }
-}
 
 // ---------------------------------------------------------------------
 // Table II — Trojan cell counts (cheap, exact).
@@ -182,20 +144,20 @@ pub struct MethodSummary {
     pub runtime: bool,
 }
 
-/// Runs the Table I comparison campaign against pre-learned shared
-/// artifacts: every `(method, Trojan, seed)` detection attempt is one
-/// engine job against the shared chip. `repro_all` passes artifacts
-/// built once per process instead of once per driver; that is
-/// result-identical, since both artifacts are pure functions of the
-/// chip and the baseline seed.
+/// Runs the Table I comparison campaign against a learned run-time
+/// baseline (seed [`RUNTIME_BASELINE_SEED`]): every
+/// `(method, Trojan, seed)` detection attempt is one engine job against
+/// the shared chip. Each job scores the scenario and [`decide`]s at the
+/// method's default threshold, the operating point the bake-off reports
+/// as TPR@default; Table I reads nothing of a verdict but the yes/no.
 ///
 /// `seeds_per_trojan` controls the campaign size (the binary uses 2;
 /// tests may use 1).
-pub fn table1_campaign_with(
+pub fn table1_campaign(
     chip: &TestChip,
     seeds_per_trojan: usize,
     engine: &Engine,
-    shared: &SharedArtifacts,
+    baseline: &psa_core::cross_domain::Baseline,
 ) -> Vec<MethodSummary> {
     let snr = snr_rows(chip, engine);
     let snr_of = |s: &str| {
@@ -206,12 +168,7 @@ pub fn table1_campaign_with(
     };
 
     let campaign = Campaign::new(chip, *engine);
-    let cross = match &shared.templates {
-        Some(t) => {
-            CrossDomainDetector::with_baseline_and_templates(shared.baseline.clone(), t.clone())
-        }
-        None => CrossDomainDetector::with_baseline(shared.baseline.clone()),
-    };
+    let cross = CrossDomainDetector::with_baseline(baseline.clone());
     let euclid_probe = EuclideanDetector::external_probe(60);
     let euclid_coil = EuclideanDetector::single_coil(60);
     let backscatter = BackscatterDetector::default();
@@ -236,55 +193,35 @@ pub fn table1_campaign_with(
     }
     let detections = campaign.run(&jobs, |ctx, _, &(d_idx, kind, s)| {
         let scenario = Scenario::trojan_active(kind).with_seed(7000 + s as u64 * 31);
-        detectors[d_idx]
-            .0
-            .detect_with(ctx, &scenario)
-            .expect("detector runs on built-in chip")
-            .detected
+        let det = detectors[d_idx].0;
+        let score = det
+            .score_with(ctx, &scenario)
+            .expect("detector runs on built-in chip");
+        decide(score, det.threshold())
     });
 
-    let mut summaries = Vec::new();
-    for (d_idx, (det, snr_db, measurements)) in detectors.iter().enumerate() {
-        let mut trials = 0usize;
-        let mut hits = 0usize;
-        for (&(j_d, _, _), &detected) in jobs.iter().zip(&detections) {
-            if j_d == d_idx {
-                trials += 1;
-                if detected {
-                    hits += 1;
-                }
-            }
-        }
-        summaries.push(MethodSummary {
+    // Jobs are method-major, so each method's verdicts are one chunk.
+    let per_method = TrojanKind::ALL.len() * seeds_per_trojan;
+    detectors
+        .iter()
+        .zip(detections.chunks(per_method.max(1)))
+        .map(|(&(det, snr_db, measurements), verdicts)| MethodSummary {
             name: det.name().to_string(),
-            detection_rate: hits as f64 / trials as f64,
+            detection_rate: verdicts.iter().filter(|&&d| d).count() as f64 / per_method as f64,
             localization: det.capabilities().localizes,
-            measurements: *measurements,
-            snr_db: *snr_db,
+            measurements,
+            snr_db,
             runtime: det.capabilities().runtime,
-        });
-    }
-    summaries
+        })
+        .collect()
 }
 
-/// Renders Table I.
-pub fn table1(chip: &TestChip, seeds_per_trojan: usize, engine: &Engine) -> Table {
-    let campaign = Campaign::new(chip, *engine);
-    let baseline = campaign.learn_baseline(RUNTIME_BASELINE_SEED);
-    table1_with(
-        chip,
-        seeds_per_trojan,
-        engine,
-        &SharedArtifacts::lazy(baseline),
-    )
-}
-
-/// [`table1`] against pre-learned shared artifacts.
-pub fn table1_with(
+/// Renders Table I from [`table1_campaign`].
+pub fn table1(
     chip: &TestChip,
     seeds_per_trojan: usize,
     engine: &Engine,
-    shared: &SharedArtifacts,
+    baseline: &psa_core::cross_domain::Baseline,
 ) -> Table {
     let mut t = Table::new(vec![
         "feature".into(),
@@ -293,7 +230,7 @@ pub fn table1_with(
         "single coil".into(),
         "PSA (this work)".into(),
     ]);
-    let s = table1_campaign_with(chip, seeds_per_trojan, engine, shared);
+    let s = table1_campaign(chip, seeds_per_trojan, engine, baseline);
     let by = |needle: &str| {
         s.iter()
             .find(|m| m.name.contains(needle))
@@ -500,25 +437,16 @@ pub struct Fig5Panel {
     pub distance: f64,
 }
 
-/// Measures the four Fig 5 panels through the full cross-domain
-/// pipeline, one engine job per Trojan (one shared detector),
-/// with an optionally pre-built template library (the identification
-/// templates are a pure function of the chip, so sharing the build with
-/// Table I's detector is result-identical). The Fig 5
-/// baseline seed (`0xF15`) is intentionally distinct from the run-time
-/// baseline, so the baseline itself is not shared.
-pub fn fig5_panels_with(
-    chip: &TestChip,
-    engine: &Engine,
-    templates: Option<&identify::TemplateLibrary>,
-) -> Vec<Fig5Panel> {
+/// Renders the Fig 5 report: envelopes and classification outcome.
+/// The four panels run through the full cross-domain pipeline, one
+/// engine job per Trojan against one shared detector, which builds the
+/// identification templates once, on the first identification. The
+/// Fig 5 baseline seed (`0xF15`) is intentionally distinct from the
+/// run-time baseline, so the baseline is not shared.
+pub fn fig5_report(chip: &TestChip, engine: &Engine) -> String {
     let campaign = Campaign::new(chip, *engine);
-    let baseline = campaign.learn_baseline(0xF15);
-    let detector = match templates {
-        Some(t) => CrossDomainDetector::with_baseline_and_templates(baseline, t.clone()),
-        None => CrossDomainDetector::with_baseline(baseline),
-    };
-    campaign.run(&TrojanKind::ALL, |ctx, _, &kind| {
+    let detector = CrossDomainDetector::with_baseline(campaign.learn_baseline(0xF15));
+    let panels = campaign.run(&TrojanKind::ALL, |ctx, _, &kind| {
         let scenario = Scenario::trojan_active(kind).with_seed(555 + kind.index() as u64);
         let verdict = detector
             .analyze_with(ctx, &scenario)
@@ -529,21 +457,8 @@ pub fn fig5_panels_with(
             identified: verdict.identified,
             distance: verdict.identification_distance.unwrap_or(f64::NAN),
         }
-    })
-}
-
-/// Renders the Fig 5 report: envelopes and classification outcome.
-pub fn fig5_report(chip: &TestChip, engine: &Engine) -> String {
-    fig5_report_with(chip, engine, None)
-}
-
-/// [`fig5_report`] with an optionally pre-built template library.
-pub fn fig5_report_with(
-    chip: &TestChip,
-    engine: &Engine,
-    templates: Option<&identify::TemplateLibrary>,
-) -> String {
-    render_fig5(&fig5_panels_with(chip, engine, templates))
+    });
+    render_fig5(&panels)
 }
 
 /// The Fig 5 report of measured panels. A miss prints as a miss and

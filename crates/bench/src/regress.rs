@@ -33,8 +33,10 @@ pub struct BenchJson {
 ///
 /// # Errors
 ///
-/// A human-readable message when the schema marker is missing or an
-/// artifact entry is malformed.
+/// A human-readable message when the schema marker is missing, an
+/// artifact entry is malformed, or a number parses to a non-finite
+/// value (`NaN`, `inf`, or an overflowing literal such as `1e999`),
+/// which no timer writes.
 pub fn parse_bench_json(text: &str) -> Result<BenchJson, String> {
     if !text.contains("\"schema\": \"psa-bench-json/1\"") {
         return Err("not a psa-bench-json/1 document (schema marker missing)".into());
@@ -47,21 +49,19 @@ pub fn parse_bench_json(text: &str) -> Result<BenchJson, String> {
     };
     for line in text.lines() {
         if out.workers.is_none() {
-            if let Some(v) = field_number(line, "workers") {
+            if let Some(v) = field_number(line, "workers")? {
                 out.workers = Some(v as u64);
             }
         }
         if out.total_s.is_none() && !line.contains("\"wall_s\"") {
-            if let Some(v) = field_number(line, "total_s") {
-                out.total_s = Some(v);
-            }
+            out.total_s = field_number(line, "total_s")?;
         }
         if line.contains("\"name\"") {
             let name = field_string(line, "name")
                 .ok_or_else(|| format!("malformed artifact entry: {}", line.trim()))?;
-            let wall = field_number(line, "wall_s")
+            let wall = field_number(line, "wall_s")?
                 .ok_or_else(|| format!("artifact `{name}` is missing wall_s"))?;
-            if let Some(rate) = field_number(line, "records_per_s") {
+            if let Some(rate) = field_number(line, "records_per_s")? {
                 out.rates.push((name.clone(), rate));
             }
             out.artifacts.push((name, wall));
@@ -81,10 +81,17 @@ fn field_string(line: &str, key: &str) -> Option<String> {
     Some(rest[..end].to_string())
 }
 
-fn field_number(line: &str, key: &str) -> Option<f64> {
-    let rest = after_key(line, key)?;
+/// The number after `"key":` on `line`: `None` when the key is absent
+/// or its value is not a number, an error when the value is not finite.
+fn field_number(line: &str, key: &str) -> Result<Option<f64>, String> {
+    let Some(rest) = after_key(line, key) else {
+        return Ok(None);
+    };
     let end = rest.find([',', '}', '\n']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
+    match rest[..end].trim().parse::<f64>() {
+        Ok(v) if !v.is_finite() => Err(format!("non-finite {key}: {}", line.trim())),
+        parsed => Ok(parsed.ok()),
+    }
 }
 
 fn after_key<'a>(line: &'a str, key: &str) -> Option<&'a str> {
@@ -102,7 +109,8 @@ pub enum Verdict {
     Skipped,
     /// Artifact present in the seed but absent from the current run.
     Missing,
-    /// Current wall time exceeds `max_ratio ×` seed.
+    /// Current wall time exceeds `max_ratio ×` seed (or, for a rate,
+    /// falls below `seed / max_ratio`), or is not finite.
     Regressed,
     /// Artifact present in the current run but absent from the seed —
     /// an ungated stage that would silently escape the trajectory; the
@@ -126,7 +134,8 @@ pub struct Comparison {
 
 /// Compares `current` against `seed`: every seed artifact with wall
 /// time ≥ `min_seed_s` must exist in `current` and run within
-/// `max_ratio ×` its seed time, and every non-trivial current artifact
+/// `max_ratio ×` its seed time (a non-finite current time regresses),
+/// and every non-trivial current artifact
 /// must have a seed counterpart (no stage rides along ungated).
 pub fn compare(
     seed: &BenchJson,
@@ -149,7 +158,7 @@ pub fn compare(
             let verdict = match current_s {
                 _ if *seed_s < min_seed_s => Verdict::Skipped,
                 None => Verdict::Missing,
-                Some(cur) if cur > seed_s * max_ratio => Verdict::Regressed,
+                Some(cur) if !cur.is_finite() || cur > seed_s * max_ratio => Verdict::Regressed,
                 Some(_) => Verdict::Ok,
             };
             Comparison {
@@ -188,9 +197,10 @@ pub fn compare(
 
 /// Compares throughput rates with *inverted* semantics: records/sec is
 /// higher-is-better, so an artifact regresses when its current rate
-/// drops below `seed / max_ratio`. Every finite, positive seed rate
-/// must exist in `current`; a degenerate seed rate (zero, negative, or
-/// non-finite — a bad seed measurement) is skipped rather than gated.
+/// drops below `seed / max_ratio` or is not finite. Every finite,
+/// positive seed rate must exist in `current`; a degenerate seed rate
+/// (zero, negative, or non-finite — a bad seed measurement) is skipped
+/// rather than gated.
 /// Current-side rates without a seed counterpart fail as
 /// [`Verdict::Unseeded`] unconditionally — unlike wall times there is
 /// no "trivial" rate, so a new stage can never ride along ungated.
@@ -208,7 +218,7 @@ pub fn compare_rates(seed: &BenchJson, current: &BenchJson, max_ratio: f64) -> V
             let verdict = match current_rate {
                 _ if !(*seed_rate > 0.0 && seed_rate.is_finite()) => Verdict::Skipped,
                 None => Verdict::Missing,
-                Some(cur) if cur < seed_rate / max_ratio => Verdict::Regressed,
+                Some(cur) if !cur.is_finite() || cur < seed_rate / max_ratio => Verdict::Regressed,
                 Some(_) => Verdict::Ok,
             };
             Comparison {
@@ -529,6 +539,118 @@ mod tests {
         assert_eq!(cmp[0].verdict, Verdict::Skipped);
         assert_eq!(cmp[1].verdict, Verdict::Ok);
         assert!(render_rate_report(&cmp, 2.5).1);
+    }
+
+    #[test]
+    fn non_finite_current_wall_time_regresses() {
+        // Built in code: the parser itself rejects non-finite numbers.
+        let seed = doc(&[("table1", 1.0)]);
+        for bad in [f64::NAN, f64::INFINITY] {
+            let current = BenchJson {
+                artifacts: vec![("table1".into(), bad)],
+                ..seed.clone()
+            };
+            let cmp = compare(&seed, &current, 2.5, 0.05);
+            assert_eq!(cmp[0].verdict, Verdict::Regressed, "{bad}");
+            assert!(!render_report(&cmp, 2.5).1);
+        }
+    }
+
+    #[test]
+    fn non_finite_current_rate_regresses() {
+        let seed = rate_doc(&[("acquire", 100.0)]);
+        for bad in [f64::NAN, f64::INFINITY] {
+            let current = BenchJson {
+                rates: vec![("acquire".into(), bad)],
+                ..seed.clone()
+            };
+            let cmp = compare_rates(&seed, &current, 2.5);
+            assert_eq!(cmp[0].verdict, Verdict::Regressed, "{bad}");
+            assert!(!render_rate_report(&cmp, 2.5).1);
+        }
+    }
+
+    #[test]
+    fn parser_rejects_non_finite_numbers() {
+        let text = |wall: &str| {
+            format!(
+                "{{\n  \"schema\": \"psa-bench-json/1\",\n  \"artifacts\": [\n    \
+                 {{\"name\": \"table1\", \"wall_s\": {wall}}}\n  ]\n}}\n"
+            )
+        };
+        assert!(parse_bench_json(&text("1.5")).is_ok());
+        for bad in ["NaN", "inf", "-inf", "1e999"] {
+            assert!(parse_bench_json(&text(bad)).is_err(), "{bad}");
+        }
+    }
+
+    /// Mutates every committed seed document (character replacement,
+    /// truncation, dropped or duplicated lines) and feeds the result to
+    /// the parser: it must never panic, and whatever it accepts must
+    /// hold at least one artifact and only finite numbers.
+    #[test]
+    fn parser_survives_mutated_seed_documents() {
+        const ALPHABET: &[char] = &[
+            '0', '1', '9', '.', '-', '+', 'e', 'E', 'N', 'a', 'i', 'n', 'f', '"', ',', ':', '{',
+            '}', '[', ']', ' ', '\n', '\\', 'µ',
+        ];
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../benchmarks/seed");
+        let mut seeds: Vec<std::path::PathBuf> = std::fs::read_dir(dir)
+            .expect("seed directory")
+            .map(|e| e.expect("seed entry").path())
+            .filter(|p| p.extension().is_some_and(|x| x == "json"))
+            .collect();
+        seeds.sort();
+        assert!(!seeds.is_empty(), "no seed documents under {dir}");
+        let mut rng = psa_dsp::rng::SmallRng::seed_from_u64(0xF022);
+        let mut accepted = 0usize;
+        for path in &seeds {
+            let original = std::fs::read_to_string(path).expect("seed document");
+            parse_bench_json(&original).expect("committed seeds parse");
+            for _ in 0..300 {
+                let mut lines: Vec<String> = original.lines().map(str::to_string).collect();
+                for _ in 0..=rng.gen_index(3) {
+                    let at = rng.gen_index(lines.len());
+                    match rng.gen_index(4) {
+                        0 => {
+                            let mut chars: Vec<char> = lines[at].chars().collect();
+                            if !chars.is_empty() {
+                                let i = rng.gen_index(chars.len());
+                                chars[i] = ALPHABET[rng.gen_index(ALPHABET.len())];
+                            }
+                            lines[at] = chars.into_iter().collect();
+                        }
+                        1 => {
+                            let keep = rng.gen_index(lines[at].chars().count() + 1);
+                            lines[at] = lines[at].chars().take(keep).collect();
+                            lines.truncate(at + 1);
+                        }
+                        2 if lines.len() > 1 => {
+                            lines.remove(at);
+                        }
+                        _ => {
+                            let copy = lines[at].clone();
+                            lines.insert(at, copy);
+                        }
+                    }
+                }
+                let text = lines.join("\n");
+                let parsed = std::panic::catch_unwind(|| parse_bench_json(&text))
+                    .unwrap_or_else(|_| panic!("parser panicked on:\n{text}"));
+                if let Ok(doc) = parsed {
+                    accepted += 1;
+                    assert!(!doc.artifacts.is_empty(), "{text}");
+                    let numbers = doc.artifacts.iter().chain(&doc.rates).map(|(_, v)| *v);
+                    assert!(
+                        numbers.chain(doc.total_s).all(f64::is_finite),
+                        "non-finite number accepted from:\n{text}"
+                    );
+                }
+            }
+        }
+        // The mutations must leave the parser something to accept, or
+        // the finiteness check above checks nothing.
+        assert!(accepted > 0);
     }
 
     #[test]

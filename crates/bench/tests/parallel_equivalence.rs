@@ -3,7 +3,7 @@
 //! bit-identical `MethodSummary` rows (and therefore byte-identical
 //! rendered tables).
 
-use psa_bench::experiments::{self, MethodSummary, SharedArtifacts, RUNTIME_BASELINE_SEED};
+use psa_bench::experiments::{self, MethodSummary, RUNTIME_BASELINE_SEED};
 use psa_core::chip::TestChip;
 use psa_runtime::{Campaign, Engine};
 
@@ -11,7 +11,7 @@ use psa_runtime::{Campaign, Engine};
 /// (the self-contained path the `table1` binary takes).
 fn table1(chip: &TestChip, engine: &Engine) -> Vec<MethodSummary> {
     let baseline = Campaign::new(chip, *engine).learn_baseline(RUNTIME_BASELINE_SEED);
-    experiments::table1_campaign_with(chip, 1, engine, &SharedArtifacts::lazy(baseline))
+    experiments::table1_campaign(chip, 1, engine, &baseline)
 }
 
 fn assert_bitwise_equal(a: &[MethodSummary], b: &[MethodSummary]) {

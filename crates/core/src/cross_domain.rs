@@ -22,7 +22,7 @@
 use crate::acquisition::AcqContext;
 use crate::calib;
 use crate::chip::{SensorSelect, TestChip};
-use crate::detector::{Capabilities, DetectionOutcome, Detector, ScoredDetector};
+use crate::detector::{Capabilities, DetectionOutcome, Detector};
 use crate::error::CoreError;
 use crate::identify::{self, TemplateLibrary};
 use crate::localize;
@@ -377,7 +377,7 @@ impl CrossDomainDetector {
     }
 }
 
-impl ScoredDetector for CrossDomainDetector {
+impl Detector for CrossDomainDetector {
     fn name(&self) -> &'static str {
         "PSA cross-domain (this work)"
     }
@@ -385,9 +385,7 @@ impl ScoredDetector for CrossDomainDetector {
     fn capabilities(&self) -> Capabilities {
         Capabilities {
             localizes: true,
-            identifies: true,
             runtime: true,
-            reference_free: false,
         }
     }
 
@@ -404,8 +402,8 @@ impl ScoredDetector for CrossDomainDetector {
     /// [`analyze_with`](CrossDomainDetector::analyze_with) thresholds at
     /// [`AnalyzerConfig::threshold_db`]. This is the detection-only
     /// path: no localization ranking, no zero-span identification, no
-    /// template library, which makes it the cheap per-cell unit of the
-    /// bake-off.
+    /// template library, which makes it the cheap per-job unit of the
+    /// bake-off and of Table I.
     fn score_with(&self, ctx: &mut AcqContext<'_>, scenario: &Scenario) -> Result<f64, CoreError> {
         let spectra = self.sweep(ctx, scenario)?;
         Ok(spectra
@@ -415,14 +413,15 @@ impl ScoredDetector for CrossDomainDetector {
                 peak_excess_over(spec, base_env, peak)
             }))
     }
-}
 
-impl Detector for CrossDomainDetector {
     /// [`analyze_with`](CrossDomainDetector::analyze_with), reduced to
-    /// an outcome. The verdict keeps the pipeline's historical decision
-    /// (some sensor has an emergent component); its continuous
-    /// statistic ([`Verdict::peak_excess_db`]) is bit-identical to
-    /// [`score_with`](ScoredDetector::score_with) on the same scenario.
+    /// an outcome with the localized sensor and the identified Trojan.
+    /// The verdict keeps the pipeline's decision (some sensor has a bin
+    /// at `excess >= threshold`), which differs from
+    /// [`decide`](crate::detector::decide) on the score only at an exact
+    /// tie; its continuous statistic ([`Verdict::peak_excess_db`]) is
+    /// bit-identical to [`score_with`](Detector::score_with) on the same
+    /// scenario.
     fn detect_with(
         &self,
         ctx: &mut AcqContext<'_>,

@@ -1,16 +1,16 @@
-//! Pluggable Trojan detectors: continuous decision statistics behind a
-//! common scored API.
+//! Pluggable Trojan detectors: continuous decision statistics behind
+//! one trait.
 //!
-//! Every backend implements [`ScoredDetector`]: it exposes the *raw*
-//! decision statistic ([`score_with`](ScoredDetector::score_with),
-//! higher = more Trojan-like), its default decision threshold, and a
-//! [`Capabilities`] descriptor. The yes/no surface ([`Detector`] with
-//! [`detect_with`](Detector::detect_with)) is a thin adapter: score
-//! once, then apply the shared strict `score > threshold` rule
-//! ([`ScoredDetector::decide`]). Keeping the statistic continuous is
-//! what lets the bake-off campaign (`psa_runtime::bakeoff`) sweep the
-//! threshold over the observed score distribution and emit full ROC/AUC
-//! curves instead of the single operating point Table I reports.
+//! Every backend implements [`Detector`]: it exposes the *raw*
+//! decision statistic ([`score_with`](Detector::score_with), higher =
+//! more Trojan-like), its default decision threshold, and a
+//! [`Capabilities`] descriptor. The yes/no verdict
+//! ([`detect_with`](Detector::detect_with)) scores once and applies the
+//! shared strict `score > threshold` rule ([`decide`]). Keeping the
+//! statistic continuous is what lets the bake-off campaign
+//! (`psa_runtime::bakeoff`) sweep the threshold over the observed score
+//! distribution and emit full ROC/AUC curves instead of the single
+//! operating point Table I reports.
 //!
 //! Backends compared in Table I:
 //!
@@ -35,10 +35,10 @@
 //! * **Orientation** — higher scores mean "more Trojan-like". A
 //!   backend whose natural statistic points the other way must negate
 //!   it before returning.
-//! * **Decision rule** — [`decide`](ScoredDetector::decide) is the
-//!   strict comparison `score > threshold` for every backend; do not
-//!   override it, or threshold sweeps stop corresponding to the
-//!   backend's own verdicts.
+//! * **Decision rule** — [`decide`] is the strict comparison
+//!   `score > threshold` for every backend. It is a free function, so no
+//!   backend can replace it and threshold sweeps always pass through
+//!   each backend's own default verdict.
 
 pub mod reference_free;
 
@@ -58,41 +58,41 @@ pub use reference_free::{
     CrossScalePersistenceDetector, SpectralKurtosisDetector, SpectralOutlierDetector,
 };
 
-/// What a detection method can report beyond its yes/no verdict —
-/// the structured replacement for the old `can_localize()` bool.
+/// What a detection method offers beyond its yes/no verdict: the
+/// Table I "localization" and "run-time analysis" rows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Capabilities {
     /// Reports *where* the Trojan is (fills
     /// [`DetectionOutcome::localized_sensor`]).
     pub localizes: bool,
-    /// Reports *which* Trojan is active (fills
-    /// [`DetectionOutcome::identified`]).
-    pub identifies: bool,
     /// Feasible as an always-on run-time monitor (on-chip sensing, few
     /// traces) rather than a lab-bench flow.
     pub runtime: bool,
-    /// Needs no Trojan-dormant reference acquisition: the statistic is
-    /// computed from the test measurement alone.
-    pub reference_free: bool,
 }
 
 impl Capabilities {
-    /// A method that only produces a yes/no verdict from a reference
-    /// comparison (no localization, identification, run-time use, or
-    /// reference freedom).
+    /// A bench-only method that produces a yes/no verdict and nothing
+    /// else (no localization, no run-time use).
     pub const DETECT_ONLY: Capabilities = Capabilities {
         localizes: false,
-        identifies: false,
         runtime: false,
-        reference_free: false,
     };
+}
+
+/// The shared decision rule: a Trojan is called iff `score > threshold`
+/// (strict). The provided [`Detector::detect_with`], Table I and every
+/// bake-off operating point decide through it.
+pub fn decide(score: f64, threshold: f64) -> bool {
+    score > threshold
 }
 
 /// Outcome of one detection attempt.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DetectionOutcome {
-    /// Whether the detector called a Trojan present
-    /// (`decide(score, threshold)`).
+    /// Whether the detector called a Trojan present:
+    /// `decide(score, threshold)`, except that the cross-domain verdict
+    /// flags a bin at `excess >= threshold` and so also detects at an
+    /// exact tie.
     pub detected: bool,
     /// The continuous decision statistic the verdict was derived from
     /// (higher = more Trojan-like), in the backend's own units.
@@ -107,23 +107,23 @@ pub struct DetectionOutcome {
     pub identified: Option<TrojanKind>,
 }
 
-/// A Trojan detection *statistic* operating on the simulated chip.
+/// A Trojan detection statistic operating on the simulated chip, and
+/// the verdict it yields at its default threshold.
 ///
 /// Detectors are `Send + Sync` (plain configuration plus learned
 /// baselines) so the campaign engine can share one instance across its
 /// worker threads; each worker passes its own [`AcqContext`] to
 /// [`score_with`](Self::score_with).
-pub trait ScoredDetector: Send + Sync {
+pub trait Detector: Send + Sync {
     /// Human-readable method name (Table I column header).
     fn name(&self) -> &'static str;
 
-    /// What the method can report beyond the verdict.
+    /// What the method offers beyond the verdict.
     fn capabilities(&self) -> Capabilities;
 
-    /// The default decision threshold [`Detector::detect_with`]
-    /// applies, in the same units as the score: each backend's own
-    /// constant. The bake-off sweeps thresholds over the observed
-    /// scores instead.
+    /// The default decision threshold, in the same units as the score:
+    /// each backend's own constant. The bake-off sweeps thresholds over
+    /// the observed scores instead.
     fn threshold(&self) -> f64;
 
     /// Traces one [`score_with`](Self::score_with) call consumes (the
@@ -140,25 +140,10 @@ pub trait ScoredDetector: Send + Sync {
     /// Propagates acquisition/analysis errors ([`CoreError`]).
     fn score_with(&self, ctx: &mut AcqContext<'_>, scenario: &Scenario) -> Result<f64, CoreError>;
 
-    /// The shared decision rule: a Trojan is called iff
-    /// `score > threshold` (strict). Do **not** override — the bake-off
-    /// threshold sweep and every `detect_with` adapter assume this exact
-    /// comparison.
-    fn decide(&self, score: f64, threshold: f64) -> bool {
-        score > threshold
-    }
-}
-
-/// The yes/no detection surface: thin adapters over
-/// [`ScoredDetector`]'s continuous statistic.
-///
-/// Implemented as `impl Detector for X {}` once `X: ScoredDetector`;
-/// backends with extra per-detection outputs (localization,
-/// identification) override [`detect_with`](Self::detect_with) while
-/// keeping `detected == decide(score, threshold())`.
-pub trait Detector: ScoredDetector {
     /// Runs one detection attempt on a reusable per-worker context:
-    /// score once, decide at the default threshold.
+    /// score once, [`decide`] at the default threshold. Backends with
+    /// extra per-detection outputs (localization, identification)
+    /// override it.
     ///
     /// # Errors
     ///
@@ -171,7 +156,7 @@ pub trait Detector: ScoredDetector {
         let threshold = self.threshold();
         let score = self.score_with(ctx, scenario)?;
         Ok(DetectionOutcome {
-            detected: self.decide(score, threshold),
+            detected: decide(score, threshold),
             score,
             threshold,
             traces_used: self.traces_per_score(),
@@ -220,7 +205,7 @@ impl EuclideanDetector {
     }
 }
 
-impl ScoredDetector for EuclideanDetector {
+impl Detector for EuclideanDetector {
     fn name(&self) -> &'static str {
         match self.sensor {
             SensorSelect::LangerLf1 | SensorSelect::IcrHh100 => {
@@ -313,8 +298,6 @@ impl ScoredDetector for EuclideanDetector {
         }
     }
 }
-
-impl Detector for EuclideanDetector {}
 
 fn linear_spectrum(ctx: &mut AcqContext<'_>, traces: &TraceSet) -> Result<Vec<f64>, CoreError> {
     let db = ctx.spectrum_db(traces)?;
@@ -413,7 +396,7 @@ impl BackscatterDetector {
     }
 }
 
-impl ScoredDetector for BackscatterDetector {
+impl Detector for BackscatterDetector {
     fn name(&self) -> &'static str {
         "backscattering + PCA/K-means (HOST'20)"
     }
@@ -486,8 +469,6 @@ impl ScoredDetector for BackscatterDetector {
     }
 }
 
-impl Detector for BackscatterDetector {}
-
 fn majority(assignments: &[usize]) -> usize {
     let ones = assignments.iter().filter(|&&a| a == 1).count();
     usize::from(ones * 2 > assignments.len())
@@ -530,12 +511,11 @@ mod tests {
 
     #[test]
     fn decide_is_the_strict_comparison() {
-        let det = BackscatterDetector::default();
-        assert!(det.decide(0.5, 0.4));
-        assert!(!det.decide(0.4, 0.4), "ties are not detections");
-        assert!(!det.decide(0.3, 0.4));
-        assert!(!det.decide(f64::NEG_INFINITY, 0.4));
-        assert!(det.decide(0.5, f64::NEG_INFINITY), "always-alarm policy");
+        assert!(decide(0.5, 0.4));
+        assert!(!decide(0.4, 0.4), "ties are not detections");
+        assert!(!decide(0.3, 0.4));
+        assert!(!decide(f64::NEG_INFINITY, 0.4));
+        assert!(decide(0.5, f64::NEG_INFINITY), "always-alarm policy");
     }
 
     // End-to-end detector behaviour (detection rates, trace counts,

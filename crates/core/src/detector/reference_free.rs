@@ -15,7 +15,7 @@
 //!   tone reappears at the same frequency at every spectral resolution,
 //!   a noise excursion does not.
 //!
-//! Three statistics over that structure, each a [`ScoredDetector`]:
+//! Three statistics over that structure, each a [`Detector`]:
 //!
 //! * [`SpectralOutlierDetector`] — the fraction of non-harmonic band
 //!   power carried by bins that are robust-z outliers above a
@@ -30,7 +30,7 @@
 //! convention: higher = more Trojan-like, decision by strict
 //! `score > threshold`.
 
-use super::{Capabilities, Detector, ScoredDetector};
+use super::{Capabilities, Detector};
 use crate::acquisition::AcqContext;
 use crate::calib;
 use crate::error::CoreError;
@@ -39,13 +39,10 @@ use psa_dsp::filter::sliding_median;
 use psa_dsp::stats;
 
 /// Capabilities shared by the reference-free statistics: run-time
-/// capable (on-chip PSA sensing, few traces), no reference acquisition,
-/// verdict-only output.
+/// capable (on-chip PSA sensing, few traces), verdict-only output.
 const REFERENCE_FREE: Capabilities = Capabilities {
     localizes: false,
-    identifies: false,
     runtime: true,
-    reference_free: true,
 };
 
 /// Half-window of the sliding-median spectral floor, bins.
@@ -166,7 +163,7 @@ impl SpectralOutlierDetector {
     }
 }
 
-impl ScoredDetector for SpectralOutlierDetector {
+impl Detector for SpectralOutlierDetector {
     fn name(&self) -> &'static str {
         "spectral-outlier energy ratio (reference-free)"
     }
@@ -216,8 +213,6 @@ impl ScoredDetector for SpectralOutlierDetector {
     }
 }
 
-impl Detector for SpectralOutlierDetector {}
-
 /// Reference-free cross-scale persistence of spectral outliers.
 ///
 /// A real Trojan emission is a steady tone: whatever the record length,
@@ -255,7 +250,7 @@ impl CrossScalePersistenceDetector {
     }
 }
 
-impl ScoredDetector for CrossScalePersistenceDetector {
+impl Detector for CrossScalePersistenceDetector {
     fn name(&self) -> &'static str {
         "cross-scale persistence (reference-free)"
     }
@@ -323,8 +318,6 @@ impl ScoredDetector for CrossScalePersistenceDetector {
     }
 }
 
-impl Detector for CrossScalePersistenceDetector {}
-
 /// Reference-free spectral kurtosis.
 ///
 /// With only broadband content, the floor-removed non-harmonic residual
@@ -356,7 +349,7 @@ impl SpectralKurtosisDetector {
     }
 }
 
-impl ScoredDetector for SpectralKurtosisDetector {
+impl Detector for SpectralKurtosisDetector {
     fn name(&self) -> &'static str {
         "spectral kurtosis (reference-free)"
     }
@@ -395,8 +388,6 @@ impl ScoredDetector for SpectralKurtosisDetector {
         Ok(score)
     }
 }
-
-impl Detector for SpectralKurtosisDetector {}
 
 #[cfg(test)]
 mod tests {
@@ -456,7 +447,6 @@ mod tests {
             &SpectralKurtosisDetector::default(),
         ];
         for d in dets {
-            assert!(d.capabilities().reference_free, "{}", d.name());
             assert!(d.capabilities().runtime, "{}", d.name());
             assert!(!d.capabilities().localizes, "{}", d.name());
         }

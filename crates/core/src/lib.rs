@@ -22,10 +22,10 @@
 //!   to identify which Trojan is active.
 //! * [`identify`] — envelope feature extraction and the unsupervised /
 //!   nearest-template classification of Fig 5.
-//! * [`detector`] — the scored detection surface: a
-//!   [`detector::ScoredDetector`] trait (raw statistic + threshold +
-//!   one shared decision rule) with [`detector::Detector`] adapters on
-//!   top, the Table I baselines (Euclidean-distance statistics on
+//! * [`detector`] — the scored detection surface: one
+//!   [`detector::Detector`] trait (raw statistic + default threshold +
+//!   the verdict) with one shared decision rule
+//!   ([`detector::decide`]), the Table I baselines (Euclidean-distance statistics on
 //!   external-probe and single-coil traces, He TVLSI'17 / He DAC'20;
 //!   backscattering PCA+K-means, Nguyen HOST'20), and the
 //!   reference-free statistics of [`detector::reference_free`].

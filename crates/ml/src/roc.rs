@@ -2,7 +2,7 @@
 //!
 //! The detector bake-off compares golden-model-free detection
 //! *statistics*, not pre-thresholded verdicts: every
-//! `ScoredDetector` backend emits a continuous score (higher = more
+//! `Detector` backend emits a continuous score (higher = more
 //! Trojan-like), and the decision rule is a strict `score > threshold`
 //! comparison. Sweeping the threshold over the observed score
 //! distribution turns a set of positive-scenario and negative-scenario

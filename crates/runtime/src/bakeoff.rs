@@ -4,7 +4,7 @@
 //! Table I compares detectors at their *default* operating points — one
 //! threshold each, chosen by their original authors. That conflates the
 //! quality of a decision statistic with the luck of its threshold. The
-//! bake-off separates them: every [`ScoredDetector`] is scored (not
+//! bake-off separates them: every [`Detector`] is scored (not
 //! thresholded) over a suite of Trojan-active and Trojan-free
 //! scenarios, and the threshold is swept over the observed score
 //! distribution ([`psa_ml::roc`]) into a full ROC curve with trapezoid
@@ -12,14 +12,14 @@
 //! TPR/FPR the default threshold actually lands at.
 //!
 //! Every `(detector, scenario, seed)` cell is one engine job; scores
-//! are pure functions of the job description (the [`ScoredDetector`]
+//! are pure functions of the job description (the [`Detector`]
 //! contract), so the collected score matrix — and everything derived
 //! from it — is **byte-identical at any worker count**.
 
 use crate::campaign::Campaign;
 use crate::engine::Engine;
 use psa_core::chip::TestChip;
-use psa_core::detector::ScoredDetector;
+use psa_core::detector::{decide, Detector};
 use psa_core::error::CoreError;
 use psa_core::report::Table;
 use psa_core::scenario::Scenario;
@@ -62,7 +62,7 @@ pub struct RocSummary {
     pub auc: f64,
     /// The swept operating points, `(0,0)` to `(1,1)`.
     pub points: Vec<RocPoint>,
-    /// The detector's default threshold ([`ScoredDetector::threshold`]).
+    /// The detector's default threshold ([`Detector::threshold`]).
     pub default_threshold: f64,
     /// True-positive rate at the default threshold.
     pub tpr_at_default: f64,
@@ -136,7 +136,7 @@ impl<'c> Bakeoff<'c> {
     ///
     /// Returns the first failing cell's [`CoreError`] (cells are still
     /// attempted independently).
-    pub fn run(&self, detectors: &[&dyn ScoredDetector]) -> Result<BakeoffReport, CoreError> {
+    pub fn run(&self, detectors: &[&dyn Detector]) -> Result<BakeoffReport, CoreError> {
         let scenarios: Vec<Option<TrojanKind>> = std::iter::once(None)
             .chain(TrojanKind::ALL.into_iter().map(Some))
             .collect();
@@ -181,7 +181,7 @@ impl<'c> Bakeoff<'c> {
 
 /// Sweeps one ROC summary per `(detector, Trojan)` plus the pooled
 /// `all` row, from an already-collected score matrix.
-fn sweep_curves(detectors: &[&dyn ScoredDetector], cells: &[BakeoffCell]) -> Vec<RocSummary> {
+fn sweep_curves(detectors: &[&dyn Detector], cells: &[BakeoffCell]) -> Vec<RocSummary> {
     let mut curves = Vec::new();
     for (d, det) in detectors.iter().enumerate() {
         let negatives: Vec<f64> = cells
@@ -217,8 +217,7 @@ fn sweep_curves(detectors: &[&dyn ScoredDetector], cells: &[BakeoffCell]) -> Vec
                 if scores.is_empty() {
                     0.0
                 } else {
-                    scores.iter().filter(|&&s| det.decide(s, t0)).count() as f64
-                        / scores.len() as f64
+                    scores.iter().filter(|&&s| decide(s, t0)).count() as f64 / scores.len() as f64
                 }
             };
             curves.push(RocSummary {
@@ -252,7 +251,7 @@ mod tests {
     #[test]
     fn sweep_groups_by_detector_and_trojan() {
         struct Fixed;
-        impl ScoredDetector for Fixed {
+        impl Detector for Fixed {
             fn name(&self) -> &'static str {
                 "fixed"
             }
@@ -274,7 +273,7 @@ mod tests {
             }
         }
         let det = Fixed;
-        let dets: [&dyn ScoredDetector; 1] = [&det];
+        let dets: [&dyn Detector; 1] = [&det];
         let mut cells = Vec::new();
         for (si, trojan) in std::iter::once(None)
             .chain(TrojanKind::ALL.into_iter().map(Some))

@@ -24,7 +24,7 @@
 //!   outcome collection and campaign-level MTTD / false-alarm /
 //!   localization summaries.
 //! * [`bakeoff`] — detector bake-off campaigns: scenario-suite ×
-//!   [`ScoredDetector`](psa_core::detector::ScoredDetector) × seed
+//!   [`Detector`](psa_core::detector::Detector) × seed
 //!   score fan-outs, swept over decision thresholds into per-Trojan
 //!   ROC curves with trapezoid AUC.
 //! * [`atlas`] — the VDD/temperature corners the localization

@@ -6,7 +6,7 @@ use psa_repro::core::acquisition::AcqContext;
 use psa_repro::core::calib;
 use psa_repro::core::chip::TestChip;
 use psa_repro::core::cross_domain::{AnalyzerConfig, Baseline, Verdict};
-use psa_repro::core::detector::{CrossDomainDetector, Detector, ScoredDetector};
+use psa_repro::core::detector::{CrossDomainDetector, Detector};
 use psa_repro::core::identify::TemplateLibrary;
 use psa_repro::core::scenario::Scenario;
 use psa_repro::core::CoreError;

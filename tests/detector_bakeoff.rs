@@ -1,12 +1,11 @@
-//! Scored-detector API and bake-off campaign integration: the
-//! score/decide split must reproduce the historical verdicts bit for
-//! bit, and the swept ROC report must be byte-identical at any worker
-//! count.
+//! Detector API and bake-off campaign integration: the score/decide
+//! split must reproduce the historical verdicts bit for bit, and the
+//! swept ROC report must be byte-identical at any worker count.
 
 use psa_repro::core::acquisition::AcqContext;
 use psa_repro::core::chip::TestChip;
 use psa_repro::core::detector::{
-    BackscatterDetector, CrossDomainDetector, Detector, EuclideanDetector, ScoredDetector,
+    decide, BackscatterDetector, CrossDomainDetector, Detector, EuclideanDetector,
     SpectralKurtosisDetector,
 };
 use psa_repro::core::error::CoreError;
@@ -46,7 +45,7 @@ fn outcomes_carry_their_own_evidence() {
             let out = det.detect_with(&mut ctx, &scenario).expect("detector runs");
             assert_eq!(
                 out.detected,
-                det.decide(out.score, out.threshold),
+                decide(out.score, out.threshold),
                 "{}: detected must equal decide(score, threshold)",
                 det.name()
             );
@@ -124,7 +123,7 @@ fn cross_domain_score_paths_agree() {
 #[test]
 fn bakeoff_report_is_worker_count_invariant() {
     let (euclid, backscatter) = cheap_roster();
-    let dets: [&dyn ScoredDetector; 2] = [&euclid, &backscatter];
+    let dets: [&dyn Detector; 2] = [&euclid, &backscatter];
     let serial = Bakeoff::new(chip(), Engine::serial(), 1)
         .run(&dets)
         .expect("serial bake-off");
