@@ -124,10 +124,14 @@ fn bench_mttd(h: &Harness) {
 
 /// Substrate kernels the artifacts lean on: FFT and activity synthesis.
 fn bench_substrates(h: &Harness) {
-    let mut buf: Vec<Complex> = (0..65_536)
+    // The in-place transform reloads its input every iteration: a
+    // buffer transformed again and again grows to inf/NaN.
+    let input: Vec<Complex> = (0..65_536)
         .map(|i| Complex::new((i as f64 * 0.37).sin(), 0.0))
         .collect();
+    let mut buf = input.clone();
     h.bench("fft_65536", || {
+        buf.copy_from_slice(&input);
         fft::fft(&mut buf).unwrap();
         std::hint::black_box(&buf);
     });
@@ -142,28 +146,22 @@ fn bench_substrates(h: &Harness) {
     });
 }
 
-/// The batch (plan-once) spectrum path vs the one-shot path above, and
-/// the reusable-context acquisition the campaign workers run on. These
-/// guard the hot-path allocation work: the scratch variants must not
-/// regress against their one-shot counterparts.
+/// The batch (shared-plan) spectrum path vs the one-shot path above, at
+/// the localize record length (16 384) and the Table I one (65 536),
+/// and the reusable-context acquisition the campaign workers run on.
+/// These guard the hot-path allocation work: the scratch variants must
+/// not regress against their one-shot counterparts.
 fn bench_batch_paths(h: &Harness) {
-    use psa_dsp::batch::{FftPlan, SpectrumScratch};
+    use psa_dsp::batch::SpectrumScratch;
 
-    let x: Vec<f64> = (0..65_536).map(|i| (i as f64 * 0.11).sin()).collect();
-    let mut scratch = SpectrumScratch::new(Window::Hann);
-    scratch.amplitude_spectrum(&x).unwrap(); // warm the plan
-    h.bench("amplitude_spectrum_scratch", || {
-        std::hint::black_box(scratch.amplitude_spectrum(&x).unwrap().len());
-    });
-
-    let plan = FftPlan::new(65_536).unwrap();
-    let mut buf: Vec<Complex> = (0..65_536)
-        .map(|i| Complex::new((i as f64 * 0.37).sin(), 0.0))
-        .collect();
-    h.bench("fft_65536_planned", || {
-        plan.forward(&mut buf).unwrap();
-        std::hint::black_box(&buf);
-    });
+    for n in [16_384, 65_536] {
+        let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.11).sin()).collect();
+        let mut scratch = SpectrumScratch::new(Window::Hann);
+        scratch.amplitude_spectrum(&x).unwrap(); // warm the buffers
+        h.bench(&format!("amplitude_spectrum_scratch_{n}"), || {
+            std::hint::black_box(scratch.amplitude_spectrum(&x).unwrap().len());
+        });
+    }
 
     let mut ctx = AcqContext::new(chip());
     let scenario = Scenario::trojan_active(psa_gatesim::trojan::TrojanKind::T4);

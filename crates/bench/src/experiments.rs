@@ -173,11 +173,14 @@ pub fn table1_campaign(
     let euclid_coil = EuclideanDetector::single_coil(60);
     let backscatter = BackscatterDetector::default();
 
+    // (detector, SNR, traces spent before scoring): the cross-domain
+    // method also spends its learned baseline's traces, one averaged
+    // spectrum of `TRACES_PER_SPECTRUM` records per sensor.
     let detectors: [(&dyn Detector, f64, usize); 4] = [
-        (&cross, snr_of("PSA"), 2 * calib::TRACES_PER_SPECTRUM),
-        (&euclid_probe, snr_of("LF1"), 2 * 60),
-        (&euclid_coil, snr_of("single"), 2 * 60),
-        (&backscatter, f64::NAN, 100),
+        (&cross, snr_of("PSA"), calib::TRACES_PER_SPECTRUM),
+        (&euclid_probe, snr_of("LF1"), 0),
+        (&euclid_coil, snr_of("single"), 0),
+        (&backscatter, f64::NAN, 0),
     ];
 
     // One job per (detector, trojan, seed), in deterministic submission
@@ -205,11 +208,11 @@ pub fn table1_campaign(
     detectors
         .iter()
         .zip(detections.chunks(per_method.max(1)))
-        .map(|(&(det, snr_db, measurements), verdicts)| MethodSummary {
+        .map(|(&(det, snr_db, baseline), verdicts)| MethodSummary {
             name: det.name().to_string(),
             detection_rate: verdicts.iter().filter(|&&d| d).count() as f64 / per_method as f64,
             localization: det.capabilities().localizes,
-            measurements,
+            measurements: baseline + det.traces_per_score(),
             snr_db,
             runtime: det.capabilities().runtime,
         })

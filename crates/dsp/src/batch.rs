@@ -1,21 +1,15 @@
-//! Batched spectral analysis: plan-once, run-many FFT and spectrum
-//! kernels for the acquisition → detection hot path.
+//! Batched spectral analysis: reusable per-worker state for the
+//! acquisition → detection hot path.
 //!
-//! The campaign engine (`psa-runtime`) re-runs the same 65 536-point
-//! windowed FFT thousands of times per sweep. The free functions in
-//! [`crate::spectrum`] recompute window coefficients and twiddle factors
-//! and reallocate every buffer on every call; this module hoists all of
-//! that into reusable state:
+//! The campaign engine (`psa-runtime`) re-runs the same windowed
+//! real-input FFT thousands of times per sweep. Everything that depends
+//! only on the record length and window lives in the process-wide
+//! [`SpectrumPlan`] (planned once per process); this module holds what
+//! each worker owns:
 //!
-//! * [`FftPlan`] — an iterative radix-2 FFT with the per-stage twiddle
-//!   tables precomputed once. Its butterflies execute the *same*
-//!   floating-point operations in the *same* order as [`crate::fft::fft`],
-//!   so planned and ad-hoc transforms are **bit-identical** — the
-//!   property the parallel/serial equivalence guarantee rests on.
-//! * [`SpectrumScratch`] — a per-worker context caching the window
-//!   coefficients, coherent gain, real-input FFT plan
-//!   ([`crate::rfft::RfftPlan`]), and every intermediate buffer for
-//!   amplitude-spectrum and trace-averaging pipelines.
+//! * [`SpectrumScratch`] — the work buffers of the amplitude-spectrum
+//!   and trace-averaging pipelines, plus an `Arc` of the shared plan of
+//!   the last record length seen.
 //! * [`weighted_row_sum_into`] — the coupling-row × record-batch
 //!   matrix kernel behind EMF superposition: `out[j] = Σ_i w[i]·rows[i][j]`
 //!   with the accumulation order fixed (row-major, rows in slice order)
@@ -24,114 +18,15 @@
 //! Outputs are bit-identical to the corresponding one-shot functions
 //! ([`crate::spectrum::try_amplitude_spectrum`],
 //! [`crate::spectrum::average_traces`]); tests assert exact equality.
-//! Both paths share the same packed real-input transform, so switching
-//! the pipeline to [`crate::rfft`] preserved every path-vs-path bitwise
-//! guarantee even though the packed transform itself differs from the
-//! complex-FFT result at the ≤1e-12·max|X| level.
+//! The one-shot spectrum runs the same shared plan, so the equality
+//! holds by construction.
 
-use crate::complex::Complex;
 use crate::error::DspError;
-use crate::fastmath;
 use crate::fft;
-use crate::rfft::RfftPlan;
+use crate::rfft::SpectrumPlan;
 use crate::spectrum;
 use crate::window::Window;
-use std::f64::consts::PI;
-
-/// A precomputed radix-2 FFT of one fixed power-of-two length.
-///
-/// # Example
-///
-/// ```
-/// use psa_dsp::{batch::FftPlan, fft, Complex};
-/// let plan = FftPlan::new(8)?;
-/// let mut planned = vec![Complex::ONE; 8];
-/// let mut adhoc = planned.clone();
-/// plan.forward(&mut planned)?;
-/// fft::fft(&mut adhoc)?;
-/// assert_eq!(planned, adhoc); // bit-identical
-/// # Ok::<(), psa_dsp::DspError>(())
-/// ```
-#[derive(Debug, Clone)]
-pub struct FftPlan {
-    n: usize,
-    /// Twiddle tables per butterfly stage (sizes 2, 4, …, n), stored
-    /// exactly as `fft::fft` computes them so results match bit-for-bit.
-    stage_twiddles: Vec<Vec<Complex>>,
-}
-
-impl FftPlan {
-    /// Plans a forward FFT of length `n`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DspError::InvalidLength`] unless `n` is a nonzero power
-    /// of two.
-    pub fn new(n: usize) -> Result<Self, DspError> {
-        if !fft::is_power_of_two(n) {
-            return Err(DspError::InvalidLength {
-                what: "fft plan size (must be a power of two)",
-                got: n,
-            });
-        }
-        let mut stage_twiddles = Vec::new();
-        let mut size = 2;
-        while size <= n {
-            let half = size / 2;
-            let step = -2.0 * PI / size as f64;
-            stage_twiddles.push((0..half).map(|k| Complex::cis(step * k as f64)).collect());
-            size *= 2;
-        }
-        Ok(FftPlan { n, stage_twiddles })
-    }
-
-    /// In-place forward FFT using the precomputed twiddles.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DspError::InvalidLength`] when `data.len()` differs from
-    /// the planned length.
-    pub fn forward(&self, data: &mut [Complex]) -> Result<(), DspError> {
-        let n = self.n;
-        if data.len() != n {
-            return Err(DspError::InvalidLength {
-                what: "fft plan input (length must match the plan)",
-                got: data.len(),
-            });
-        }
-        if n == 1 {
-            return Ok(());
-        }
-
-        // Bit-reversal permutation (identical to `fft::fft`).
-        let levels = n.trailing_zeros();
-        for i in 0..n {
-            let j = (i.reverse_bits() >> (usize::BITS - levels)) & (n - 1);
-            if j > i {
-                data.swap(i, j);
-            }
-        }
-
-        // Iterative butterflies with the cached twiddles.
-        let mut size = 2;
-        let mut stage = 0;
-        while size <= n {
-            let half = size / 2;
-            let twiddles = &self.stage_twiddles[stage];
-            for start in (0..n).step_by(size) {
-                for k in 0..half {
-                    let even = data[start + k];
-                    let odd = data[start + k + half] * twiddles[k];
-                    data[start + k] = even + odd;
-                    data[start + k + half] = even - odd;
-                }
-            }
-            size *= 2;
-            stage += 1;
-        }
-        Ok(())
-    }
-}
+use std::sync::Arc;
 
 /// Coupling-row × record-batch matrix kernel:
 /// `acc[j] += Σ_i (w_i · scale) · rows[i][j]`, rows accumulated in slice
@@ -188,11 +83,11 @@ pub fn weighted_row_sum_into(
 
 /// Reusable spectral-analysis scratch for one worker.
 ///
-/// Owns every buffer the amplitude-spectrum pipeline needs (window
-/// coefficients, FFT plan, complex work buffer, averaging accumulator),
-/// sized lazily on first use and resized only when the record length or
-/// window changes. All outputs are bit-identical to the one-shot
-/// functions in [`crate::spectrum`].
+/// Owns the work buffers of the amplitude-spectrum pipeline (split
+/// spectrum, amplitudes, averaging accumulator), sized lazily on first
+/// use, and shares the immutable [`SpectrumPlan`] of its record length
+/// and window with every other scratch in the process. All outputs are
+/// bit-identical to the one-shot functions in [`crate::spectrum`].
 ///
 /// # Example
 ///
@@ -207,13 +102,10 @@ pub fn weighted_row_sum_into(
 #[derive(Debug, Clone)]
 pub struct SpectrumScratch {
     window: Window,
-    n: usize,
-    coeffs: Vec<f64>,
-    coherent_gain: f64,
-    rplan: Option<RfftPlan>,
-    real: Vec<f64>,
-    packed: Vec<Complex>,
-    buf: Vec<Complex>,
+    /// The shared plan of the last record length seen.
+    plan: Option<Arc<SpectrumPlan>>,
+    re: Vec<f64>,
+    im: Vec<f64>,
     amp: Vec<f64>,
     acc: Vec<f64>,
 }
@@ -224,13 +116,9 @@ impl SpectrumScratch {
     pub fn new(window: Window) -> Self {
         SpectrumScratch {
             window,
-            n: 0,
-            coeffs: Vec::new(),
-            coherent_gain: 0.0,
-            rplan: None,
-            real: Vec::new(),
-            packed: Vec::new(),
-            buf: Vec::new(),
+            plan: None,
+            re: Vec::new(),
+            im: Vec::new(),
             amp: Vec::new(),
             acc: Vec::new(),
         }
@@ -241,69 +129,21 @@ impl SpectrumScratch {
         self.window
     }
 
-    /// (Re)computes the cached window/plan state for length `n`.
-    fn ensure(&mut self, n: usize) -> Result<(), DspError> {
-        if self.n == n {
-            return Ok(());
-        }
-        self.coeffs = self.window.coefficients(n);
-        self.coherent_gain = self.window.coherent_gain(n);
-        self.rplan = if fft::is_power_of_two(n) {
-            Some(RfftPlan::new(n)?)
-        } else {
-            None
-        };
-        self.n = n;
-        Ok(())
-    }
-
     /// One-sided amplitude spectrum of `signal`, borrowed from the
     /// internal buffer (valid until the next call). Bit-identical to
-    /// [`spectrum::try_amplitude_spectrum`]: both run the same packed
-    /// real-input transform ([`crate::rfft`]) over the same windowed
-    /// samples.
+    /// [`spectrum::try_amplitude_spectrum`]: both run the shared
+    /// [`SpectrumPlan`] of `(signal.len(), window)`.
     ///
     /// # Errors
     ///
     /// Returns [`DspError::EmptyInput`] when `signal` is empty.
     pub fn amplitude_spectrum(&mut self, signal: &[f64]) -> Result<&[f64], DspError> {
-        if signal.is_empty() {
-            return Err(DspError::EmptyInput);
-        }
         let n = signal.len();
-        self.ensure(n)?;
-
-        let spec_half = fft::one_sided_len(n);
-        if let Some(plan) = &self.rplan {
-            // Window into the recycled real buffer: the products are the
-            // same `signal[i] * w[i]` the one-shot path computes, and the
-            // planned transform matches `rfft_one_sided` bit-for-bit.
-            self.real.clear();
-            self.real
-                .extend(signal.iter().zip(&self.coeffs).map(|(&x, &w)| x * w));
-            plan.forward_into(&self.real, &mut self.packed, &mut self.buf)?;
-        } else {
-            // Non-power-of-two records fall back to the Bluestein path
-            // (allocating; no campaign record length hits this).
-            let windowed: Vec<f64> = signal
-                .iter()
-                .zip(&self.coeffs)
-                .map(|(&x, &w)| x * w)
-                .collect();
-            self.buf = crate::rfft::rfft_one_sided(&windowed)?;
-        }
-
-        let scale = 2.0 / (n as f64 * self.coherent_gain);
-        self.amp.clear();
-        self.amp.reserve(spec_half);
-        for (k, z) in self.buf.iter().take(spec_half).enumerate() {
-            let s = if k == 0 || (n % 2 == 0 && k == spec_half - 1) {
-                scale / 2.0
-            } else {
-                scale
-            };
-            self.amp.push(fastmath::hypot(z.re, z.im) * s);
-        }
+        let plan = match &self.plan {
+            Some(plan) if plan.n() == n => plan,
+            _ => self.plan.insert(SpectrumPlan::shared(n, self.window)?),
+        };
+        plan.amplitude_into(signal, &mut self.re, &mut self.im, &mut self.amp)?;
         Ok(&self.amp)
     }
 
@@ -399,34 +239,6 @@ mod tests {
     }
 
     #[test]
-    fn plan_matches_adhoc_fft_bitwise() {
-        for n in [1usize, 2, 8, 64, 1024] {
-            let plan = FftPlan::new(n).unwrap();
-            assert_eq!(plan.n, n);
-            let x: Vec<Complex> = (0..n)
-                .map(|i| Complex::new((i as f64 * 0.7).sin(), (i as f64 * 0.3).cos()))
-                .collect();
-            let mut planned = x.clone();
-            let mut adhoc = x;
-            plan.forward(&mut planned).unwrap();
-            fft::fft(&mut adhoc).unwrap();
-            for (a, b) in planned.iter().zip(&adhoc) {
-                assert_eq!(a.re.to_bits(), b.re.to_bits());
-                assert_eq!(a.im.to_bits(), b.im.to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn plan_rejects_bad_lengths() {
-        assert!(FftPlan::new(0).is_err());
-        assert!(FftPlan::new(12).is_err());
-        let plan = FftPlan::new(8).unwrap();
-        let mut short = vec![Complex::ZERO; 4];
-        assert!(plan.forward(&mut short).is_err());
-    }
-
-    #[test]
     fn scratch_matches_oneshot_spectrum_bitwise() {
         for window in [Window::Hann, Window::FlatTop, Window::Rectangular] {
             let mut scratch = SpectrumScratch::new(window);
@@ -446,15 +258,44 @@ mod tests {
     fn scratch_reuse_is_history_independent() {
         // A worker context must give the same answer regardless of what
         // it processed before — the parallel-equivalence contract.
-        let x = signal(512);
+        // A fresh scratch takes the shared plan the used one built.
         let y = signal(1024);
-        let mut fresh = SpectrumScratch::new(Window::Hann);
-        let expected = fresh.amplitude_spectrum(&x).unwrap().to_vec();
         let mut used = SpectrumScratch::new(Window::Hann);
         used.amplitude_spectrum(&y).unwrap();
         used.averaged_spectrum_db(&[y.clone(), y]).unwrap();
-        let got = used.amplitude_spectrum(&x).unwrap().to_vec();
-        assert_eq!(expected, got);
+        for n in [512usize, 4096, 64, 4096, 255, 512] {
+            let x = signal(n);
+            let mut fresh = SpectrumScratch::new(Window::Hann);
+            let expected = fresh.amplitude_spectrum(&x).unwrap().to_vec();
+            let got = used.amplitude_spectrum(&x).unwrap().to_vec();
+            assert!(
+                expected.len() == got.len()
+                    && expected
+                        .iter()
+                        .zip(&got)
+                        .all(|(a, b)| a.to_bits() == b.to_bits()),
+                "n={n}"
+            );
+        }
+    }
+
+    #[test]
+    fn scratches_of_one_length_and_window_share_one_plan() {
+        let x = signal(2048);
+        let mut a = SpectrumScratch::new(Window::Hann);
+        let mut b = SpectrumScratch::new(Window::Hann);
+        let mut flat = SpectrumScratch::new(Window::FlatTop);
+        a.amplitude_spectrum(&x).unwrap();
+        b.amplitude_spectrum(&x).unwrap();
+        flat.amplitude_spectrum(&x).unwrap();
+        let plan = |s: &SpectrumScratch| Arc::clone(s.plan.as_ref().unwrap());
+        assert!(Arc::ptr_eq(&plan(&a), &plan(&b)));
+        assert!(!Arc::ptr_eq(&plan(&a), &plan(&flat)));
+        // A clone shares it too, and a length change swaps it.
+        let c = a.clone();
+        assert!(Arc::ptr_eq(&plan(&a), &plan(&c)));
+        a.amplitude_spectrum(&x[..1024]).unwrap();
+        assert!(!Arc::ptr_eq(&plan(&a), &plan(&b)));
     }
 
     #[test]

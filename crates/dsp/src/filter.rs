@@ -182,19 +182,36 @@ fn mac(acc: &mut f64, x: f64, tap: f64) {
 /// residual `x - sliding_median(x)` while broadband tilt cancels.
 ///
 /// `half_window == 0` returns the input unchanged.
+///
+/// One window is kept sorted by `f64::total_cmp` as it slides: each
+/// step removes the sample leaving and inserts the one entering by
+/// binary search. `total_cmp` orders by bit pattern, so the kept window
+/// is exactly the sorted copy of the neighbourhood and each output is
+/// bit-identical to [`crate::stats::median`] of it.
 pub fn sliding_median(x: &[f64], half_window: usize) -> Vec<f64> {
     if half_window == 0 {
         return x.to_vec();
     }
     let n = x.len();
-    let mut scratch: Vec<f64> = Vec::with_capacity(2 * half_window + 1);
+    let mut sorted: Vec<f64> = Vec::with_capacity(2 * half_window + 1);
+    let insert = |sorted: &mut Vec<f64>, v: f64| {
+        let at = sorted.partition_point(|s| s.total_cmp(&v).is_lt());
+        sorted.insert(at, v);
+    };
+    for &v in &x[..half_window.min(n)] {
+        insert(&mut sorted, v);
+    }
     (0..n)
         .map(|k| {
-            let lo = k.saturating_sub(half_window);
-            let hi = (k + half_window + 1).min(n);
-            scratch.clear();
-            scratch.extend_from_slice(&x[lo..hi]);
-            crate::stats::median(&scratch)
+            if let Some(&entering) = x.get(k + half_window) {
+                insert(&mut sorted, entering);
+            }
+            if k > half_window {
+                let leaving = x[k - half_window - 1];
+                let at = sorted.partition_point(|s| s.total_cmp(&leaving).is_lt());
+                sorted.remove(at);
+            }
+            crate::stats::percentile_sorted(&sorted, 50.0)
         })
         .collect()
 }
@@ -217,6 +234,64 @@ mod tests {
     fn sliding_median_zero_window_is_identity() {
         let x = vec![3.0, 1.0, 2.0];
         assert_eq!(sliding_median(&x, 0), x);
+    }
+
+    /// The copy-and-sort sliding median this function replaced.
+    fn sliding_median_by_sorting(x: &[f64], half_window: usize) -> Vec<f64> {
+        if half_window == 0 {
+            return x.to_vec();
+        }
+        let n = x.len();
+        (0..n)
+            .map(|k| {
+                let lo = k.saturating_sub(half_window);
+                let hi = (k + half_window + 1).min(n);
+                crate::stats::median(&x[lo..hi])
+            })
+            .collect()
+    }
+
+    #[test]
+    fn sliding_median_is_bit_identical_to_sorting_each_window() {
+        let mut rng = crate::rng::SmallRng::seed_from_u64(24);
+        // Few distinct values, so windows hold many duplicates.
+        let palette = [
+            -0.0,
+            0.0,
+            1.0,
+            -1.5,
+            2.25,
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            1e-310,
+        ];
+        for trial in 0..200 {
+            let n = (rng.next_u64() % 80) as usize;
+            let x: Vec<f64> = (0..n)
+                .map(|_| {
+                    if trial % 2 == 0 {
+                        palette[(rng.next_u64() % palette.len() as u64) as usize]
+                    } else {
+                        (rng.next_u64() % 7) as f64 - 3.0 + (rng.next_u64() % 3) as f64 * 0.5
+                    }
+                })
+                .collect();
+            // Windows narrower than, equal to and wider than the series.
+            for half_window in [0, 1, 2, 5, 24, n.saturating_sub(1), n, n + 3] {
+                let got = sliding_median(&x, half_window);
+                let want = sliding_median_by_sorting(&x, half_window);
+                assert_eq!(got.len(), want.len());
+                for (k, (a, b)) in got.iter().zip(&want).enumerate() {
+                    assert_eq!(
+                        a.to_bits(),
+                        b.to_bits(),
+                        "trial {trial} n={n} half_window={half_window} k={k}: {a} vs {b}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

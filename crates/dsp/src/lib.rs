@@ -11,12 +11,13 @@
 //! * [`Complex`] — minimal complex arithmetic used throughout.
 //! * [`fft`] — iterative radix-2 FFT plus a Bluestein fallback for
 //!   arbitrary lengths, forward/inverse, and real-input helpers.
-//! * [`rfft`] — real-input FFT via the N/2 complex-packing trick, the
-//!   transform behind every amplitude spectrum in the hot path (≈2×
-//!   less butterfly work than the complex path).
-//! * [`batch`] — plan-once/run-many FFT and spectrum kernels with
-//!   reusable scratch buffers for the campaign engine's hot path
-//!   (bit-identical to the one-shot functions).
+//! * [`rfft`] — the one spectrum plan: a real-input FFT via the N/2
+//!   complex-packing trick in split (`re`/`im`) format with radix-4
+//!   passes, planned once per process per `(length, window)`; every
+//!   amplitude spectrum runs it.
+//! * [`batch`] — per-worker scratch buffers over the shared plan for
+//!   the campaign engine's hot path (bit-identical to the one-shot
+//!   functions).
 //! * [`sliding`] — sliding-window averaged spectra for the streaming
 //!   run-time monitor, re-summed from cached per-record rows
 //!   (bit-identical to a full-window recompute at one FFT per tick).

@@ -8,8 +8,7 @@
 
 use crate::error::DspError;
 use crate::fastmath;
-use crate::fft;
-use crate::rfft;
+use crate::rfft::SpectrumPlan;
 use crate::window::Window;
 
 /// Floor used when converting near-zero powers to dB so that silent traces
@@ -62,36 +61,19 @@ pub fn amplitude_spectrum(signal: &[f64], window: Window) -> Vec<f64> {
 
 /// Fallible variant of [`amplitude_spectrum`].
 ///
-/// Power-of-two lengths go through the packed real-input FFT
-/// ([`crate::rfft`], about half the butterfly work of the complex
-/// transform); other lengths fall back to the Bluestein path. The
-/// batched [`crate::batch::SpectrumScratch`] runs the identical
-/// transform, so batched and one-shot spectra stay bit-identical.
+/// Runs the shared [`SpectrumPlan`] of `(signal.len(), window)`: the
+/// packed real-input FFT for power-of-two lengths, Bluestein for the
+/// rest. The batched [`crate::batch::SpectrumScratch`] runs the same
+/// plan, so batched and one-shot spectra are bit-identical.
 ///
 /// # Errors
 ///
 /// Returns [`DspError::EmptyInput`] when `signal` is empty.
 pub fn try_amplitude_spectrum(signal: &[f64], window: Window) -> Result<Vec<f64>, DspError> {
-    if signal.is_empty() {
-        return Err(DspError::EmptyInput);
-    }
-    let n = signal.len();
-    let windowed = window.applied(signal);
-    let spec = rfft::rfft_one_sided(&windowed)?;
-    let cg = window.coherent_gain(n);
-    let scale = 2.0 / (n as f64 * cg);
-    let half = fft::one_sided_len(n);
-    let mut out = Vec::with_capacity(half);
-    for (k, z) in spec.iter().take(half).enumerate() {
-        // DC and Nyquist bins are not doubled in the one-sided convention.
-        let s = if k == 0 || (n % 2 == 0 && k == half - 1) {
-            scale / 2.0
-        } else {
-            scale
-        };
-        out.push(fastmath::hypot(z.re, z.im) * s);
-    }
-    Ok(out)
+    let plan = SpectrumPlan::shared(signal.len(), window)?;
+    let (mut re, mut im, mut amp) = (Vec::new(), Vec::new(), Vec::new());
+    plan.amplitude_into(signal, &mut re, &mut im, &mut amp)?;
+    Ok(amp)
 }
 
 /// Averages several magnitude traces point-wise, as the paper does ("we
@@ -164,6 +146,7 @@ pub fn resample_linear(series: &[f64], target_len: usize) -> Result<Vec<f64>, Ds
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rfft;
     use std::f64::consts::PI;
 
     fn tone(n: usize, fs: f64, f0: f64, amp: f64) -> Vec<f64> {
