@@ -60,14 +60,28 @@ impl Adc {
         self.full_scale_v / (1u64 << self.bits) as f64
     }
 
-    /// Quantizes a sample stream in place (clamping to ±FS/2 first), so
-    /// hot acquisition loops can reuse one record buffer end to end.
-    pub fn quantize_in_place(&self, signal: &mut [f64]) {
+    /// The output code of sample `x`: `x` clamped to ±FS/2, in LSBs,
+    /// rounded half away from zero. It is an integer of magnitude at
+    /// most `2^(bits−1)`, or `−0.0` (a small negative sample), or NaN.
+    #[inline]
+    pub fn code(&self, x: f64) -> f64 {
         let half = self.full_scale_v / 2.0;
-        let lsb = self.lsb();
+        fastmath::round(x.clamp(-half, half) / self.lsb())
+    }
+
+    /// The quantized sample of output code `code`, volts.
+    #[inline]
+    pub fn level(&self, code: f64) -> f64 {
+        code * self.lsb()
+    }
+
+    /// Quantizes a sample stream in place (clamping to ±FS/2 first), so
+    /// hot acquisition loops can reuse one record buffer end to end:
+    /// each sample becomes the [`level`](Self::level) of its
+    /// [`code`](Self::code).
+    pub fn quantize_in_place(&self, signal: &mut [f64]) {
         for x in signal.iter_mut() {
-            let clamped = x.clamp(-half, half);
-            *x = fastmath::round(clamped / lsb) * lsb;
+            *x = self.level(self.code(*x));
         }
     }
 }

@@ -8,7 +8,7 @@
 
 use crate::adc::Adc;
 use crate::error::AnalogError;
-use crate::opamp::OpAmp;
+use crate::opamp::{OpAmp, SinglePole};
 use psa_field::noise::GaussianNoise;
 
 /// The per-channel analog front end.
@@ -61,17 +61,19 @@ impl AnalogFrontEnd {
     /// adds sensor-referred noise (`sensor_noise_vrms`, from the probe
     /// model) and amplifier input noise, amplifies, and quantizes.
     /// Deterministic per `(seed, record_index)`, so repeated
-    /// acquisitions see fresh (yet reproducible) noise. Draws the
-    /// record's noise, then applies it through
-    /// [`capture_shared_into`](Self::capture_shared_into), so both share
-    /// one arithmetic body; the draw is a fresh allocation per call, so
-    /// loops should hold a [`UnitNoise`] and call that method instead.
+    /// acquisitions see fresh (yet reproducible) noise.
+    ///
+    /// Each sample is [`noisy_input`]`(v, z, σ)` with `z` the record's
+    /// unit-normal stream ([`noise_seed`](Self::noise_seed)) and `σ`
+    /// from [`noise_sigma`](Self::noise_sigma), then
+    /// [`OpAmp::amplify_in_place`] and [`Adc::quantize_in_place`]: the
+    /// per-sample formulas the acquisition layer's record kernel runs
+    /// too. A σ = 0 record draws no noise and passes through untouched.
     ///
     /// # Errors
     ///
-    /// Returns [`AnalogError::EmptyInput`] for an empty record or
-    /// [`AnalogError::InvalidParameter`] for a non-positive sample rate
-    /// or a negative or non-finite `sensor_noise_vrms`.
+    /// Returns [`AnalogError::EmptyInput`] for an empty record, or the
+    /// errors of [`noise_sigma`](Self::noise_sigma).
     pub fn capture_record_into(
         &self,
         sensor_v: &[f64],
@@ -80,53 +82,46 @@ impl AnalogFrontEnd {
         record_index: u64,
         out: &mut Vec<f64>,
     ) -> Result<(), AnalogError> {
-        self.capture_shared_into(
-            sensor_v,
-            fs_hz,
-            sensor_noise_vrms,
-            record_index,
-            &mut UnitNoise::default(),
-            out,
-        )
+        if sensor_v.is_empty() {
+            return Err(AnalogError::EmptyInput);
+        }
+        let sigma = self.noise_sigma(fs_hz, sensor_noise_vrms)?;
+        out.clear();
+        out.extend_from_slice(sensor_v);
+        if sigma > 0.0 {
+            let mut z = vec![0.0; sensor_v.len()];
+            GaussianNoise::new(1.0, self.noise_seed(record_index)).fill(&mut z);
+            for (x, &z) in out.iter_mut().zip(&z) {
+                *x = noisy_input(*x, z, sigma);
+            }
+        }
+        self.amp.amplify_in_place(out, fs_hz);
+        self.adc.quantize_in_place(out);
+        Ok(())
     }
 
-    /// The seed of record `record_index`'s noise stream. It depends on
-    /// the front end's seed and the record index only, not on the
-    /// sensor or the noise level, so front ends built with one seed
-    /// draw the same unit-normal stream for a record.
+    /// The seed of record `record_index`'s unit-normal noise stream
+    /// (`GaussianNoise` with σ = 1). It depends on the front end's seed
+    /// and the record index only, not on the sensor or the noise level,
+    /// so front ends built with one seed draw the same stream for a
+    /// record, and a sensor sweep draws it once for all its sensors.
     pub fn noise_seed(&self, record_index: u64) -> u64 {
         self.seed ^ record_index.wrapping_mul(0x9E37_79B9_7F4A_7C15)
     }
 
-    /// [`capture_record_into`](Self::capture_record_into) with the
-    /// record's unit-normal draw taken from `noise`, which draws it only
-    /// when its seed or length changed. A sensor sweep passes one
-    /// `noise` to every sensor of a record, so the Box–Muller stream
-    /// runs once per record however many sensors apply it. Each sample
-    /// is `v + z·σ` with `σ = sqrt(sensor² + amplifier²)`; the unit draw
-    /// `z` is exactly `r·cos θ` (or `r·sin θ`), so `z·σ` is the same
-    /// product a σ-scaled stream returns. A σ = 0 record passes through
-    /// untouched. The buffer is reused, so a per-worker acquisition
-    /// context performs zero allocations per record after warm-up.
+    /// The σ of a capture's input noise at sample rate `fs_hz`:
+    /// `sqrt(sensor² + amplifier²)`, the amplifier's input noise taken
+    /// over the Nyquist band.
     ///
     /// # Errors
     ///
-    /// Same as [`capture_record_into`](Self::capture_record_into).
-    pub fn capture_shared_into(
-        &self,
-        sensor_v: &[f64],
-        fs_hz: f64,
-        sensor_noise_vrms: f64,
-        record_index: u64,
-        noise: &mut UnitNoise,
-        out: &mut Vec<f64>,
-    ) -> Result<(), AnalogError> {
-        if sensor_v.is_empty() {
-            return Err(AnalogError::EmptyInput);
-        }
-        if fs_hz <= 0.0 {
+    /// Returns [`AnalogError::InvalidParameter`] for a sample rate that
+    /// is not finite and positive, or a negative or non-finite
+    /// `sensor_noise_vrms`.
+    pub fn noise_sigma(&self, fs_hz: f64, sensor_noise_vrms: f64) -> Result<f64, AnalogError> {
+        if !(fs_hz.is_finite() && fs_hz > 0.0) {
             return Err(AnalogError::InvalidParameter {
-                what: "sample rate must be positive",
+                what: "sample rate must be finite and positive",
             });
         }
         if !sensor_noise_vrms.is_finite() || sensor_noise_vrms < 0.0 {
@@ -135,40 +130,31 @@ impl AnalogFrontEnd {
             });
         }
         let amp_noise = self.amp.input_noise_vrms(fs_hz / 2.0);
-        let sigma = (sensor_noise_vrms * sensor_noise_vrms + amp_noise * amp_noise).sqrt();
-        out.clear();
-        if sigma > 0.0 {
-            let z = noise.draw(self.noise_seed(record_index), sensor_v.len());
-            out.extend(sensor_v.iter().zip(z).map(|(&v, &z)| v + z * sigma));
-        } else {
-            out.extend_from_slice(sensor_v);
-        }
-        self.amp.amplify_in_place(out, fs_hz);
-        self.adc.quantize_in_place(out);
-        Ok(())
+        Ok((sensor_noise_vrms * sensor_noise_vrms + amp_noise * amp_noise).sqrt())
+    }
+
+    /// The amplifier stage at sample rate `fs_hz`.
+    pub fn amp_response(&self, fs_hz: f64) -> SinglePole {
+        self.amp.single_pole(fs_hz)
+    }
+
+    /// The capture ADC.
+    pub fn adc(&self) -> Adc {
+        self.adc
     }
 }
 
-/// One record's unit-normal (σ = 1) front-end noise, kept between
-/// captures. The draw is a pure function of its seed
-/// ([`AnalogFrontEnd::noise_seed`]) and length, so it is redrawn only
-/// when either changes.
-#[derive(Debug, Clone, Default)]
-pub struct UnitNoise {
-    /// Seed and length of the draw in `z`, once there is one.
-    drawn: Option<(u64, usize)>,
-    z: Vec<f64>,
-}
-
-impl UnitNoise {
-    /// The first `n` samples of the unit-normal stream seeded `seed`.
-    fn draw(&mut self, seed: u64, n: usize) -> &[f64] {
-        if self.drawn != Some((seed, n)) {
-            self.z.resize(n, 0.0);
-            GaussianNoise::new(1.0, seed).fill(&mut self.z);
-            self.drawn = Some((seed, n));
-        }
-        &self.z
+/// The amplifier input of one sample: the sensor voltage `v` plus the
+/// unit-normal draw `z` scaled by the capture's σ, or `v` itself when
+/// σ is zero (signed zeros pass through). `z·σ` is the product a
+/// σ-scaled Box–Muller stream returns, since the unit draw is exactly
+/// `r·cos θ` (or `r·sin θ`).
+#[inline]
+pub fn noisy_input(v: f64, z: f64, sigma: f64) -> f64 {
+    if sigma > 0.0 {
+        v + z * sigma
+    } else {
+        v
     }
 }
 
@@ -309,7 +295,7 @@ mod tests {
     }
 
     #[test]
-    fn shared_draw_matches_streaming_reference_bitwise() {
+    fn capture_matches_streaming_reference_bitwise() {
         let fs = 264.0e6;
         let seed = 0x5EED ^ 0xFE;
         let silent_amp = OpAmp {
@@ -325,9 +311,6 @@ mod tests {
                 seed,
             },
         ];
-        // One UnitNoise shared by every front end, sensor noise and
-        // length, as a sweep shares it across sensors.
-        let mut noise = UnitNoise::default();
         let mut out = Vec::new();
         for n in [1, 2, 7, 1024, 1031] {
             // Signed zeros must survive a σ = 0 capture untouched.
@@ -342,13 +325,10 @@ mod tests {
                 for fe in &front_ends {
                     for sensor_noise in [0.0, 2e-6, 4e-5] {
                         let want = reference_capture(fe, seed, &x, fs, sensor_noise, rec);
-                        fe.capture_shared_into(&x, fs, sensor_noise, rec, &mut noise, &mut out)
-                            .unwrap();
-                        let ctx = format!("n {n} rec {rec} noise {sensor_noise} {:?}", fe.amp);
-                        assert_eq!(bits(&out), bits(&want), "shared: {ctx}");
                         fe.capture_record_into(&x, fs, sensor_noise, rec, &mut out)
                             .unwrap();
-                        assert_eq!(bits(&out), bits(&want), "one-shot: {ctx}");
+                        let ctx = format!("n {n} rec {rec} noise {sensor_noise} {:?}", fe.amp);
+                        assert_eq!(bits(&out), bits(&want), "{ctx}");
                     }
                 }
             }
@@ -356,21 +336,17 @@ mod tests {
     }
 
     #[test]
-    fn silent_chain_draws_no_noise() {
-        let amp = OpAmp {
-            input_noise_v_per_rthz: 0.0,
-            ..OpAmp::ths4504()
-        };
-        let fe = AnalogFrontEnd {
-            amp,
-            adc: Adc::rasc(),
-            seed: 3,
-        };
-        let mut noise = UnitNoise::default();
-        let mut out = Vec::new();
-        fe.capture_shared_into(&[-0.0, 1e-4], 264.0e6, 0.0, 0, &mut noise, &mut out)
-            .unwrap();
-        assert!(noise.drawn.is_none(), "a σ = 0 capture draws nothing");
+    fn rejects_non_finite_sample_rates() {
+        let fe = AnalogFrontEnd::date24(8);
+        let x = vec![1e-5; 64];
+        let mut buf = Vec::new();
+        for fs in [0.0, -1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let err = fe.capture_record_into(&x, fs, 1e-6, 0, &mut buf);
+            assert!(
+                matches!(err, Err(AnalogError::InvalidParameter { .. })),
+                "fs {fs}: {err:?}"
+            );
+        }
     }
 
     #[test]

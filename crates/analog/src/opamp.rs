@@ -60,18 +60,53 @@ impl OpAmp {
         self.input_noise_v_per_rthz * bw_hz.max(0.0).sqrt()
     }
 
-    /// Amplifies a sample stream at rate `fs_hz` through the single-pole
-    /// response with saturation, in place, so hot acquisition loops can
-    /// reuse one record buffer end to end.
-    pub fn amplify_in_place(&self, signal: &mut [f64], fs_hz: f64) {
+    /// The single-pole response at sample rate `fs_hz`: the IIR
+    /// coefficients and the output rails.
+    pub fn single_pole(&self, fs_hz: f64) -> SinglePole {
         let fc = self.corner_hz();
         let a = (-2.0 * PI * fc / fs_hz).exp();
-        let b = (1.0 - a) * self.dc_gain;
+        SinglePole {
+            a,
+            b: (1.0 - a) * self.dc_gain,
+            vout_max: self.vout_max,
+        }
+    }
+
+    /// Amplifies a sample stream at rate `fs_hz` through the single-pole
+    /// response with saturation, in place, so hot acquisition loops can
+    /// reuse one record buffer end to end. The IIR state starts at `0.0`.
+    pub fn amplify_in_place(&self, signal: &mut [f64], fs_hz: f64) {
+        let pole = self.single_pole(fs_hz);
         let mut y = 0.0;
         for x in signal.iter_mut() {
-            y = a * y + b * *x;
-            *x = y.clamp(-self.vout_max, self.vout_max);
+            y = pole.step(y, *x);
+            *x = pole.output(y);
         }
+    }
+}
+
+/// The amplifier's sample-domain response at one rate, as
+/// [`OpAmp::single_pole`] derives it: the first-order IIR
+/// `y ← a·y + b·x` and the clamp to `±vout_max` that reads the output
+/// off the state. The state itself is not clamped.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SinglePole {
+    a: f64,
+    b: f64,
+    vout_max: f64,
+}
+
+impl SinglePole {
+    /// The next IIR state after input sample `x`.
+    #[inline]
+    pub fn step(&self, y: f64, x: f64) -> f64 {
+        self.a * y + self.b * x
+    }
+
+    /// The output sample of state `y`: `y` clamped to the rails.
+    #[inline]
+    pub fn output(&self, y: f64) -> f64 {
+        y.clamp(-self.vout_max, self.vout_max)
     }
 }
 

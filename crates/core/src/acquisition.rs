@@ -14,23 +14,36 @@
 //!
 //! Every record runs one body in two halves. The chip half (activity
 //! simulation, current synthesis, emitter toggles) depends only on the
-//! scenario and the record's start cycle; the sensor half (EMF
-//! superposition, analog front end) depends on the sensor too. A
-//! one-sensor acquisition runs both halves per record;
-//! [`AcqContext::sensor_sweep_db`] runs the chip half once per record
-//! and the sensor half once per PSA sensor, so all 16 sensors share one
-//! activity pass.
+//! scenario and the record's start cycle; the sensor half (flux
+//! superposition, EMF, analog front end) depends on the sensor too. The
+//! sensor half is one **record kernel** that walks the record's
+//! currents once, tile by tile, and runs every sensor of the call in
+//! lockstep through flux, EMF, noise, op-amp and ADC. A one-sensor
+//! acquisition runs it with one lane; [`AcqContext::sensor_sweep_db`]
+//! runs the chip half once per record and the kernel with 16 lanes, so
+//! all 16 sensors share one activity pass and one pass over the
+//! currents.
+//!
+//! The kernel keeps every `f64` operation of the layer functions
+//! ([`induced_emf_into`](psa_field::induction::induced_emf_into), then
+//! [`AnalogFrontEnd::capture_record_into`]) in the same per-sample
+//! order: it calls their per-sample formulas and changes only the loop
+//! order, so its records are bit-identical to theirs. It holds each
+//! lane's record as 2-byte ADC codes until the spectrum reads it.
 
 use crate::calib;
 use crate::chip::{ChipVariation, CustomSensor, SensorSelect, TestChip};
 use crate::error::CoreError;
 use crate::scenario::Scenario;
-use psa_analog::frontend::{AnalogFrontEnd, UnitNoise};
+use psa_analog::adc::Adc;
+use psa_analog::frontend::{noisy_input, AnalogFrontEnd};
+use psa_analog::opamp::SinglePole;
 use psa_analog::specan::SpectrumAnalyzer;
 use psa_array::program::CoilProgram;
 use psa_dsp::batch::{mean_amplitude_db_in_place, SpectrumScratch};
 use psa_dsp::window::Window;
-use psa_field::induction::induced_emf_into;
+use psa_field::induction::{emf_central, emf_one_sided, flux_weight};
+use psa_field::noise::GaussianNoise;
 use psa_gatesim::activity::{ActivitySimulator, Source};
 use psa_gatesim::current::{toggles_to_current_into, trace_to_currents_into};
 use psa_gatesim::synth::SyntheticTrojan;
@@ -128,8 +141,8 @@ impl Default for TraceSet {
 /// Reusable per-worker acquisition context.
 ///
 /// Owns every scratch buffer of the acquisition → spectrum pipeline:
-/// synthesized current waveforms, flux/EMF buffers, the record buffers
-/// themselves (via reusable [`TraceSet`] slots), and the cached
+/// synthesized current waveforms, the record kernel's codes, the record
+/// buffers themselves (via reusable [`TraceSet`] slots), and the cached
 /// window/FFT state for both the detector-resolution and display-trace
 /// spectra. One context per worker thread; the shared [`TestChip`] is
 /// borrowed immutably (it is `Sync`).
@@ -145,8 +158,8 @@ impl Default for TraceSet {
 ///
 /// Every method with an `_into` suffix writes into caller-owned
 /// buffers (clearing them first) instead of allocating: `TraceSet`
-/// record slots, flux/EMF scratch, and spectrum accumulators are all
-/// reused across calls. The `_into` variants are **required** on any
+/// record slots, the kernel's code buffer, and spectrum accumulators
+/// are all reused across calls. The `_into` variants are **required** on any
 /// per-record hot path — a monitor tick, a campaign job body, a
 /// detection trial — where the allocating forms (e.g.
 /// [`acquire`](Self::acquire)) would reallocate 65 536-sample buffers
@@ -322,6 +335,7 @@ impl<'c> AcqContext<'c> {
     ) -> Result<(), CoreError> {
         check_record_shape(n_records, record_cycles)?;
         let chain = self.sensor_chain(scenario, sensor, emitters.iter().map(|e| e.coupling))?;
+        let lanes = Lanes::<1>::new(frontend_for(sensor, scenario.seed ^ 0xFE), &[chain])?;
         let mut sim = start_activity(scenario);
         out.fs_hz = calib::sample_rate_hz();
         out.sensor = sensor;
@@ -336,7 +350,8 @@ impl<'c> AcqContext<'c> {
                 record_cycles,
                 emitters.iter().map(|e| (e.trojan, e.charge_fc)),
             );
-            self.scratch.sense(&chain, rec_idx, record)?;
+            self.scratch.sense(&lanes, rec_idx)?;
+            self.scratch.record_into(&lanes, 0, record);
         }
         Ok(())
     }
@@ -348,11 +363,12 @@ impl<'c> AcqContext<'c> {
     ///
     /// The sweep is record-major. Per record the chip runs once: one
     /// activity pass, one current synthesis, one toggle train per
-    /// emitter, and one unit-normal front-end noise draw. Then each
-    /// sensor superposes its EMF, captures the record through its front
-    /// end (scaling the shared draw by its own σ) and adds the record's
-    /// amplitude spectrum into its own accumulator. Only the 16
-    /// one-sided accumulators are held, never the records.
+    /// emitter. Then the record kernel runs the 16 sensors in lockstep
+    /// over the currents, drawing the record's unit-normal front-end
+    /// noise once and scaling it by each sensor's own σ, and each
+    /// sensor adds its record's amplitude spectrum into its own
+    /// accumulator. Besides the 16 one-sided accumulators, only the
+    /// record's 2-byte ADC codes and one decoded record are held.
     ///
     /// Sensor `i`'s spectrum is bit-identical to
     /// [`acquire_len_with_emitters_into`] on `SensorSelect::Psa(i)`
@@ -366,8 +382,9 @@ impl<'c> AcqContext<'c> {
     /// # Errors
     ///
     /// [`CoreError::InvalidParameter`] for `n_records == 0`,
-    /// `record_cycles == 0`, or an emitter with fewer couplings than the
-    /// array has sensors; acquisition/DSP errors otherwise.
+    /// `record_cycles == 0`, an array of other than 16 sensors, or an
+    /// emitter with fewer couplings than the array has sensors;
+    /// acquisition/DSP errors otherwise.
     ///
     /// [`acquire_len_with_emitters_into`]: Self::acquire_len_with_emitters_into
     /// [`fullres_spectrum_db`]: Self::fullres_spectrum_db
@@ -380,6 +397,11 @@ impl<'c> AcqContext<'c> {
     ) -> Result<Vec<Vec<f64>>, CoreError> {
         check_record_shape(n_records, record_cycles)?;
         let n_sensors = self.chip.sensor_bank().len();
+        if n_sensors != SWEEP_LANES {
+            return Err(CoreError::InvalidParameter {
+                what: "the sweep runs a 16-sensor array",
+            });
+        }
         if emitters.iter().any(|e| e.couplings.len() < n_sensors) {
             return Err(CoreError::InvalidParameter {
                 what: "emitter coupling row is missing sensors",
@@ -394,6 +416,10 @@ impl<'c> AcqContext<'c> {
                 )
             })
             .collect::<Result<Vec<_>, _>>()?;
+        // Every PSA channel has the same front end; the kernel's lanes
+        // share it.
+        let frontend = frontend_for(SensorSelect::Psa(0), scenario.seed ^ 0xFE);
+        let lanes = Lanes::<SWEEP_LANES>::new(frontend, &chains)?;
         let half = psa_dsp::fft::one_sided_len(record_cycles * calib::SAMPLES_PER_CYCLE);
         let mut sums = vec![vec![0.0; half]; n_sensors];
         let mut sim = start_activity(scenario);
@@ -404,8 +430,9 @@ impl<'c> AcqContext<'c> {
                 record_cycles,
                 emitters.iter().map(|e| (e.trojan, e.charge_fc)),
             );
-            for (chain, sum) in chains.iter().zip(&mut sums) {
-                self.scratch.sense(chain, rec_idx, &mut self.record)?;
+            self.scratch.sense(&lanes, rec_idx)?;
+            for (lane, sum) in sums.iter_mut().enumerate() {
+                self.scratch.record_into(&lanes, lane, &mut self.record);
                 self.fullres.add_amplitude_spectrum(&self.record, sum)?;
             }
         }
@@ -450,16 +477,13 @@ impl<'c> AcqContext<'c> {
             Some(v) => (v.signal_scale(&sensor), v.noise_scale()),
             None => (1.0, 1.0),
         };
-        let n_sources = weights.len();
         weights.extend(emitter_couplings);
         for w in &mut weights {
-            *w *= signal_scale;
+            *w = flux_weight(*w * signal_scale, calib::EFFECTIVE_MOMENT_AREA_M2);
         }
         Ok(SensorChain {
             weights,
-            n_sources,
             noise_vrms: noise_vrms * noise_scale,
-            frontend: frontend_for(sensor, scenario.seed ^ 0xFE),
         })
     }
 
@@ -655,36 +679,101 @@ pub(crate) fn start_activity(scenario: &Scenario) -> ActivitySimulator {
     sim
 }
 
+/// Sensors a sweep runs through the record kernel in lockstep: the
+/// whole 4×4 array.
+const SWEEP_LANES: usize = 16;
+
+/// Samples per tile of the record kernel: a tile's flux, samples and
+/// codes for 16 lanes (about 75 KB) stay in the core's caches while
+/// each step runs over them. 128 measured no faster.
+const TILE: usize = 256;
+
 /// One sensor's measurement chain, fixed for the length of one call:
-/// the EMF superposition weights (the chip sources' couplings, then one
-/// per injected emitter, each times the die's signal scale), the
-/// sensor-referred noise floor, and the analog front end.
+/// the flux weight of each current row (the chip's sources in
+/// `Source::ALL` order, then one per injected emitter, each coupling
+/// times the die's signal scale, times the moment area) and the
+/// sensor-referred noise floor.
 struct SensorChain {
     weights: Vec<f64>,
-    /// How many leading `weights` belong to the chip's own sources.
-    n_sources: usize,
     noise_vrms: f64,
+}
+
+/// `L` sensor chains that share one front end, laid out for the record
+/// kernel: lane `s` of every array belongs to the group's sensor `s`.
+struct Lanes<const L: usize> {
+    /// Per current row, each lane's flux weight.
+    weights: Vec<[f64; L]>,
+    /// Each lane's input-noise σ.
+    sigma: [f64; L],
     frontend: AnalogFrontEnd,
+    amp: SinglePole,
+    adc: Adc,
+}
+
+impl<const L: usize> Lanes<L> {
+    /// The lanes of `chains` (exactly `L`, with equally many weights)
+    /// behind `frontend`.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError`] for a sample rate or noise floor the front end
+    /// rejects.
+    fn new(frontend: AnalogFrontEnd, chains: &[SensorChain]) -> Result<Self, CoreError> {
+        assert_eq!(chains.len(), L, "one chain per lane");
+        let fs = calib::sample_rate_hz();
+        let mut sigma = [0.0; L];
+        for (sigma, chain) in sigma.iter_mut().zip(chains) {
+            *sigma = frontend.noise_sigma(fs, chain.noise_vrms)?;
+        }
+        let rows = chains[0].weights.len();
+        Ok(Lanes {
+            weights: (0..rows)
+                .map(|r| std::array::from_fn(|s| chains[s].weights[r]))
+                .collect(),
+            sigma,
+            amp: frontend.amp_response(fs),
+            adc: frontend.adc(),
+            frontend,
+        })
+    }
+}
+
+/// An ADC output code in two bytes: code `k` with sign bit `s` is
+/// `2k + s`, so `−0.0` (a small negative sample) is `1` and stays
+/// apart from `+0.0`. Codes of the front end's 12-bit ADC lie in
+/// `[−2048, 2048]`, far inside the range.
+type Code = i16;
+
+/// Packs an [`Adc::code`] value (an integer-valued `f64`, not NaN).
+/// Adding `1.5·2⁵²` leaves the integer in the low bits of the sum, in
+/// two's complement.
+#[inline]
+fn pack(code: f64) -> Code {
+    const TO_INT: f64 = 6_755_399_441_055_744.0;
+    let sign = (code.to_bits() >> 63) as Code;
+    let k = (code + TO_INT).to_bits() as Code;
+    k.wrapping_mul(2).wrapping_add(sign)
+}
+
+/// The code [`pack`] packed, bit for bit.
+#[inline]
+fn unpack(code: Code) -> f64 {
+    let k = f64::from(code >> 1);
+    f64::from_bits(k.to_bits() | u64::from(code as u16 & 1) << 63)
 }
 
 /// The per-record scratch of the shared record body: the chip half
 /// ([`run_chip`](Self::run_chip)) fills the current waveforms, the
-/// sensor half ([`sense`](Self::sense)) turns them into one sensor's
-/// digitized record.
+/// sensor half ([`sense`](Self::sense)) turns them into every lane's
+/// ADC codes.
 #[derive(Debug, Default)]
 struct RecordScratch {
     currents: Vec<(Source, Vec<f64>)>,
     extra_toggles: Vec<f64>,
     extra_currents: Vec<Vec<f64>>,
-    flux: Vec<f64>,
-    emf: Vec<f64>,
-    /// The record's unit-normal front-end noise. It is keyed by the
-    /// front-end seed and the record index, not by the sensor, so every
-    /// sensor of a sweep record applies the one draw with its own σ.
-    noise: UnitNoise,
-    /// The `(waveform, weight)` list handed to the EMF superposition.
-    /// Always empty between records; it only keeps the allocation.
-    pairs: Vec<(&'static [f64], f64)>,
+    /// The last record's ADC codes, lane-major: lane `s` of an
+    /// `n`-sample record is `codes[s·n..(s+1)·n]`.
+    codes: Vec<Code>,
 }
 
 impl RecordScratch {
@@ -716,74 +805,167 @@ impl RecordScratch {
         }
     }
 
-    /// The sensor half of a record: superpose `chain`'s EMF
-    /// ([`superpose`](Self::superpose)) and capture it as record
-    /// `rec_idx` into `out`. The front end draws the record's unit noise
-    /// only on the first sensor that captures it.
-    fn sense(
-        &mut self,
-        chain: &SensorChain,
-        rec_idx: usize,
-        out: &mut Vec<f64>,
-    ) -> Result<(), CoreError> {
-        self.superpose(chain)?;
-        chain.frontend.capture_shared_into(
-            &self.emf,
-            calib::sample_rate_hz(),
-            chain.noise_vrms,
-            rec_idx as u64,
-            &mut self.noise,
-            out,
-        )?;
-        Ok(())
+    /// The record kernel, the sensor half of record `rec_idx`: turns the
+    /// currents of the last [`run_chip`](Self::run_chip) into the ADC
+    /// codes of every lane of `lanes`.
+    ///
+    /// One pass walks the record tile by tile; within a tile, sample `k`
+    /// of every lane sits side by side, so each step below is a loop
+    /// over independent lanes. Per tile:
+    ///
+    /// 1. each lane's flux over the current rows (chip sources, then
+    ///    emitters, each sum from `0.0`), for the tile and its two
+    ///    neighbour samples;
+    /// 2. the EMF, [`emf_central`] inside the record and
+    ///    [`emf_one_sided`] at its ends, plus the tile of the record's
+    ///    unit-normal noise (drawn once for all lanes) through
+    ///    [`noisy_input`] with each lane's σ;
+    /// 3. the op-amp's [`SinglePole`] IIR, all lanes stepped together,
+    ///    so no lane waits on the latency of its own;
+    /// 4. the op-amp's rails and [`Adc::code`], packed, then moved into
+    ///    each lane's record of codes.
+    ///
+    /// These are the per-sample formulas of the layer functions, in
+    /// their per-sample order.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::InvalidParameter`] when a lane's op-amp state ends
+    /// the record non-finite: some sample's EMF or state overflowed or
+    /// was NaN, so a code may be NaN, which no [`Code`] holds.
+    fn sense<const L: usize>(&mut self, lanes: &Lanes<L>, rec_idx: usize) -> Result<(), CoreError> {
+        let n = self.currents[0].1.len();
+        let fs = calib::sample_rate_hz();
+        let rows = self
+            .currents
+            .iter()
+            .map(|(_, wave)| wave.as_slice())
+            .chain(self.extra_currents.iter().map(Vec::as_slice))
+            .zip(&lanes.weights);
+        self.codes.resize(L * n, 0);
+        let mut noise = lanes
+            .sigma
+            .iter()
+            .any(|&sigma| sigma > 0.0)
+            .then(|| GaussianNoise::new(1.0, lanes.frontend.noise_seed(rec_idx as u64)));
+        let (amp, adc, sigma) = (lanes.amp, lanes.adc, lanes.sigma);
+        let mut y = [0.0; L];
+        let mut z = [0.0; TILE];
+        let mut flux = [[0.0; L]; TILE + 2];
+        let mut tile = [[0.0; L]; TILE];
+        let mut tile_codes = [[0; L]; TILE];
+        for t0 in (0..n).step_by(TILE) {
+            let t1 = (t0 + TILE).min(n);
+            // 1. The flux of samples lo..hi: the tile and its neighbours.
+            let lo = t0.saturating_sub(1);
+            let hi = (t1 + 1).min(n);
+            // Rows are added two per pass, each in its turn, so the flux
+            // tile is read and written half as often.
+            let flux = &mut flux[..hi - lo];
+            flux.fill([0.0; L]);
+            let mut rows = rows.clone();
+            while let Some((wave, w)) = rows.next() {
+                let wave = &wave[lo..hi];
+                match rows.next() {
+                    Some((next, v)) => {
+                        for ((f, &i), &j) in flux.iter_mut().zip(wave).zip(&next[lo..hi]) {
+                            for s in 0..L {
+                                f[s] = (f[s] + w[s] * i) + v[s] * j;
+                            }
+                        }
+                    }
+                    None => {
+                        for (f, &i) in flux.iter_mut().zip(wave) {
+                            for s in 0..L {
+                                f[s] += w[s] * i;
+                            }
+                        }
+                    }
+                }
+            }
+            // 2. EMF and noise. Each window of three flux samples centres
+            // an interior sample; the record's ends are one-sided.
+            let x = &mut tile[..t1 - t0];
+            let edge = |a: &[f64; L], b: &[f64; L]| -> [f64; L] {
+                std::array::from_fn(|s| emf_one_sided(a[s], b[s], fs))
+            };
+            let body = match (t0, n) {
+                (_, 1) => {
+                    x[0] = [-0.0; L];
+                    &mut x[1..]
+                }
+                (0, _) => {
+                    x[0] = edge(&flux[0], &flux[1]);
+                    &mut x[1..]
+                }
+                _ => &mut x[..],
+            };
+            for (x, w) in body.iter_mut().zip(flux.windows(3)) {
+                *x = std::array::from_fn(|s| emf_central(w[0][s], w[2][s], fs));
+            }
+            if t1 == n && n > 1 {
+                x[t1 - t0 - 1] = edge(&flux[hi - lo - 2], &flux[hi - lo - 1]);
+            }
+            let z = &mut z[..t1 - t0];
+            if let Some(noise) = &mut noise {
+                noise.fill(z);
+            }
+            for (x, &z) in x.iter_mut().zip(z.iter()) {
+                for s in 0..L {
+                    x[s] = noisy_input(x[s], z, sigma[s]);
+                }
+            }
+            // 3. The op-amp states, all lanes in lockstep.
+            for x in x.iter_mut() {
+                for s in 0..L {
+                    y[s] = amp.step(y[s], x[s]);
+                    x[s] = y[s];
+                }
+            }
+            // 4. Rails and ADC, then each lane's codes into its record.
+            let tile_codes = &mut tile_codes[..t1 - t0];
+            for (code, &y) in tile_codes
+                .as_flattened_mut()
+                .iter_mut()
+                .zip(x.as_flattened())
+            {
+                *code = pack(adc.code(amp.output(y)));
+            }
+            for (s, codes) in self.codes.chunks_exact_mut(n).enumerate() {
+                for (code, c) in codes[t0..t1].iter_mut().zip(tile_codes.iter()) {
+                    *code = c[s];
+                }
+            }
+        }
+        // A NaN or infinite state stays non-finite to the record's end,
+        // so finite end states rule out a NaN code anywhere.
+        if y.iter().all(|y| y.is_finite()) {
+            Ok(())
+        } else {
+            Err(CoreError::InvalidParameter {
+                what: "record EMF must stay finite",
+            })
+        }
     }
 
-    /// Superposes the currents of the last [`run_chip`](Self::run_chip)
-    /// through `chain`'s weights into `self.emf`. The sources come first
-    /// in `Source::ALL` order, then the emitters in slice order, which
-    /// keeps the accumulation (and its rounding) fixed.
-    fn superpose(&mut self, chain: &SensorChain) -> Result<(), CoreError> {
-        let (source_weights, emitter_weights) = chain.weights.split_at(chain.n_sources);
-        let mut pairs = recycle(std::mem::take(&mut self.pairs));
-        pairs.extend(
-            self.currents
-                .iter()
-                .zip(source_weights)
-                .map(|((_, wave), &w)| (wave.as_slice(), w)),
-        );
-        pairs.extend(
-            self.extra_currents
-                .iter()
-                .zip(emitter_weights)
-                .map(|(wave, &w)| (wave.as_slice(), w)),
-        );
-        let emf = induced_emf_into(
-            &pairs,
-            calib::EFFECTIVE_MOMENT_AREA_M2,
-            calib::sample_rate_hz(),
-            &mut self.flux,
-            &mut self.emf,
-        );
-        self.pairs = recycle(pairs);
-        emf?;
-        Ok(())
+    /// Lane `lane`'s record of the last [`sense`](Self::sense), as the
+    /// ADC's quantized samples, into `out` (cleared first).
+    fn record_into<const L: usize>(&self, lanes: &Lanes<L>, lane: usize, out: &mut Vec<f64>) {
+        let n = self.codes.len() / L;
+        out.clear();
+        out.resize(n, 0.0);
+        let codes = &self.codes[lane * n..(lane + 1) * n];
+        for (sample, &code) in out.iter_mut().zip(codes) {
+            *sample = lanes.adc.level(unpack(code));
+        }
     }
-}
-
-/// Empties `pairs` and hands its allocation to a list of another
-/// lifetime. No element survives, so any lifetime is sound; the
-/// in-place collect keeps the buffer, so the record loop does not
-/// reallocate the list.
-fn recycle<'b>(mut pairs: Vec<(&[f64], f64)>) -> Vec<(&'b [f64], f64)> {
-    pairs.clear();
-    pairs.into_iter().map(|(_, w)| (&[][..], w)).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use psa_analog::adc::Adc;
     use psa_analog::opamp::OpAmp;
+    use psa_field::induction::induced_emf_into;
     use psa_gatesim::trojan::TrojanKind;
     use std::sync::OnceLock;
 
@@ -1129,15 +1311,20 @@ mod tests {
         let mut scratch = RecordScratch::default();
         let mut sim = start_activity(&scenario);
         let mut sum = vec![0.0; sweep[SENSOR].len()];
+        let (mut flux, mut emf) = (Vec::new(), Vec::new());
         for rec in 0..n_records {
             scratch.run_chip(chip(), &mut sim, record_cycles, std::iter::empty());
-            scratch.superpose(&chain).unwrap();
-            let record = streaming_capture(
-                scenario.seed ^ 0xFE,
-                &scratch.emf,
-                chain.noise_vrms,
-                rec as u64,
-            );
+            // The chain's weights are flux weights already: a unit area
+            // keeps them exactly.
+            let pairs: Vec<(&[f64], f64)> = scratch
+                .currents
+                .iter()
+                .zip(&chain.weights)
+                .map(|((_, wave), &w)| (wave.as_slice(), w))
+                .collect();
+            induced_emf_into(&pairs, 1.0, calib::sample_rate_hz(), &mut flux, &mut emf).unwrap();
+            let record =
+                streaming_capture(scenario.seed ^ 0xFE, &emf, chain.noise_vrms, rec as u64);
             ctx.fullres
                 .add_amplitude_spectrum(&record, &mut sum)
                 .unwrap();
@@ -1167,16 +1354,299 @@ mod tests {
         assert!(ctx.sensor_sweep_db(&scenario, 1, 256, &[e]).is_err());
     }
 
+    /// A deterministic current waveform: mA-scale pulses, with exact
+    /// zeros and negative zeros among them.
+    fn synthetic_current(n: usize, row: u64) -> Vec<f64> {
+        let mut state = 0x9E37_79B9_7F4A_7C15 ^ row.wrapping_mul(0xD1B5_4A32_D192_ED03);
+        (0..n)
+            .map(|i| {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                match (i + row as usize) % 5 {
+                    0 => 0.0,
+                    1 => -0.0,
+                    _ => 1e-3 * ((state >> 11) as f64 / (1u64 << 53) as f64),
+                }
+            })
+            .collect()
+    }
+
+    /// One sensor's record through the layer functions: the EMF of
+    /// `rows` under `couplings` (`induced_emf_into`), then the front
+    /// end's capture. `noise_vrms: None` is a σ = 0 capture: the EMF
+    /// through the op-amp and the ADC with no noise.
+    fn layered_record(
+        rows: &[&[f64]],
+        couplings: &[f64],
+        frontend: &AnalogFrontEnd,
+        noise_vrms: Option<f64>,
+        rec_idx: usize,
+    ) -> Vec<f64> {
+        let fs = calib::sample_rate_hz();
+        let pairs: Vec<(&[f64], f64)> = rows
+            .iter()
+            .copied()
+            .zip(couplings.iter().copied())
+            .collect();
+        let (mut flux, mut emf) = (Vec::new(), Vec::new());
+        induced_emf_into(
+            &pairs,
+            calib::EFFECTIVE_MOMENT_AREA_M2,
+            fs,
+            &mut flux,
+            &mut emf,
+        )
+        .unwrap();
+        match noise_vrms {
+            Some(noise) => {
+                let mut out = Vec::new();
+                frontend
+                    .capture_record_into(&emf, fs, noise, rec_idx as u64, &mut out)
+                    .unwrap();
+                out
+            }
+            None => {
+                OpAmp::ths4504().amplify_in_place(&mut emf, fs);
+                Adc::rasc().quantize_in_place(&mut emf);
+                emf
+            }
+        }
+    }
+
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Runs the kernel with `L` lanes over `rows` (the first seven as
+    /// the chip's sources) and checks every lane against
+    /// [`layered_record`]. Lane `s` couples row `r` with
+    /// `couplings[s][r]`; a `None` noise floor runs the lane at σ = 0.
+    fn assert_kernel_matches_layers<const L: usize>(
+        rows: &[Vec<f64>],
+        couplings: &[Vec<f64>],
+        noise: &[Option<f64>],
+        rec_idx: usize,
+    ) {
+        let frontend = AnalogFrontEnd::date24(0x5EED ^ 0xFE);
+        let chains: Vec<SensorChain> = (0..L)
+            .map(|s| SensorChain {
+                weights: couplings[s]
+                    .iter()
+                    .map(|&k| flux_weight(k, calib::EFFECTIVE_MOMENT_AREA_M2))
+                    .collect(),
+                noise_vrms: noise[s].unwrap_or(0.0),
+            })
+            .collect();
+        let mut lanes = Lanes::<L>::new(frontend.clone(), &chains).unwrap();
+        for (sigma, noise) in lanes.sigma.iter_mut().zip(noise) {
+            if noise.is_none() {
+                *sigma = 0.0;
+            }
+        }
+        let mut scratch = RecordScratch {
+            currents: Source::ALL
+                .iter()
+                .zip(rows)
+                .map(|(&src, row)| (src, row.clone()))
+                .collect(),
+            extra_currents: rows[Source::ALL.len()..].to_vec(),
+            ..RecordScratch::default()
+        };
+        scratch.sense(&lanes, rec_idx).unwrap();
+        let views: Vec<&[f64]> = rows.iter().map(Vec::as_slice).collect();
+        let mut got = Vec::new();
+        for s in 0..L {
+            scratch.record_into(&lanes, s, &mut got);
+            let want = layered_record(&views, &couplings[s], &frontend, noise[s], rec_idx);
+            assert_eq!(
+                bits(&got),
+                bits(&want),
+                "n {} rows {} lane {s} of {L} noise {:?}",
+                rows[0].len(),
+                rows.len(),
+                noise[s]
+            );
+        }
+    }
+
     #[test]
-    fn record_loop_keeps_its_pairs_buffer() {
-        // The superposition list is recycled across records and calls,
-        // so a warm context does not allocate it per record.
+    fn record_kernel_matches_layer_functions_bitwise() {
+        // Lane s couples every row with the chip's sensor-s coupling
+        // scale times a lane factor spanning six decades: the low lanes
+        // sit in the ADC's range, the top ones saturate the op-amp and
+        // the ADC on both rails. Lanes 1 and 9 run at σ = 0, so their
+        // signed zeros reach the IIR untouched.
+        let k = chip()
+            .couplings_for(SensorSelect::Psa(10))
+            .unwrap()
+            .iter()
+            .fold(0.0f64, |a, b| a.max(b.abs()));
+        let couplings: Vec<Vec<f64>> = (0..16)
+            .map(|s| {
+                let lane = k * 10f64.powf(s as f64 / 3.0 - 3.0);
+                (0..10)
+                    .map(|r| {
+                        lane * if r % 3 == 1 {
+                            -0.7
+                        } else {
+                            1.0 + r as f64 / 10.0
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        let noise: Vec<Option<f64>> = (0..16)
+            .map(|s| match s {
+                1 | 9 => None,
+                _ => Some(2e-6 * s as f64),
+            })
+            .collect();
+        let mut saturated = false;
+        for n in [1, 2, 3, TILE - 1, TILE, TILE + 1, 16_384, 65_536] {
+            // 7 chip sources, then 1–3 emitters.
+            for n_rows in [8, 10] {
+                let rows: Vec<Vec<f64>> = (0..n_rows as u64)
+                    .map(|r| synthetic_current(n, r))
+                    .collect();
+                let couplings: Vec<Vec<f64>> =
+                    couplings.iter().map(|c| c[..n_rows].to_vec()).collect();
+                assert_kernel_matches_layers::<16>(&rows, &couplings, &noise, 3);
+                for lane in [0, 1, 15] {
+                    assert_kernel_matches_layers::<1>(
+                        &rows,
+                        &couplings[lane..=lane],
+                        &noise[lane..=lane],
+                        n,
+                    );
+                }
+                if n >= TILE {
+                    let views: Vec<&[f64]> = rows.iter().map(Vec::as_slice).collect();
+                    let top =
+                        layered_record(&views, &couplings[15], &AnalogFrontEnd::date24(0), None, 0);
+                    let rail = Adc::rasc().level(2048.0);
+                    saturated |= top.contains(&rail) && top.contains(&-rail);
+                }
+            }
+        }
+        assert!(saturated, "the loudest lane reaches both ADC rails");
+    }
+
+    #[test]
+    fn acquisition_matches_layer_functions_bitwise() {
+        // The context's records against the layer functions on the same
+        // chip half (as a layer-by-layer replay drives them): a varied
+        // die, and 0–3 injected emitters.
+        let trojans = [
+            SyntheticTrojan::am_reference(800.0),
+            SyntheticTrojan::am_reference(1200.0),
+            SyntheticTrojan::am_reference(500.0),
+        ];
+        let k = chip()
+            .couplings_for(SensorSelect::Psa(10))
+            .unwrap()
+            .iter()
+            .fold(0.0f64, |a, b| a.max(b.abs()));
+        let scenario = Scenario::trojan_active(TrojanKind::T3).with_seed(29);
+        let fs = calib::sample_rate_hz();
         let mut ctx = AcqContext::new(chip());
-        let mut out = TraceSet::default();
-        ctx.acquire_len_into(&Scenario::baseline(), SensorSelect::Psa(3), 2, 64, &mut out)
-            .unwrap();
-        assert!(ctx.scratch.pairs.is_empty());
-        assert!(ctx.scratch.pairs.capacity() >= Source::ALL.len());
+        for variation in [None, Some(ChipVariation::new(7))] {
+            ctx.set_variation(variation.clone());
+            for n_emitters in 0..=3 {
+                let emitters: Vec<InjectedEmitter<'_>> = trojans[..n_emitters]
+                    .iter()
+                    .enumerate()
+                    .map(|(j, trojan)| InjectedEmitter {
+                        trojan,
+                        charge_fc: 2.0,
+                        coupling: k * (0.5 - j as f64 / 3.0),
+                    })
+                    .collect();
+                let select = SensorSelect::Psa(6);
+                let mut traces = TraceSet::default();
+                ctx.acquire_len_with_emitters_into(
+                    &scenario,
+                    select,
+                    2,
+                    2048,
+                    &emitters,
+                    &mut traces,
+                )
+                .unwrap();
+                let (signal_scale, noise_scale) = variation
+                    .as_ref()
+                    .map_or((1.0, 1.0), |v| (v.signal_scale(&select), v.noise_scale()));
+                let mut couplings = chip().couplings_for(select).unwrap();
+                couplings.extend(emitters.iter().map(|e| e.coupling));
+                for c in &mut couplings {
+                    *c *= signal_scale;
+                }
+                let noise =
+                    chip().sensor_noise_vrms(select, fs / 2.0, scenario.vdd, scenario.temp_c)
+                        * noise_scale;
+                let frontend = AnalogFrontEnd::date24(scenario.seed ^ 0xFE);
+                let mut scratch = RecordScratch::default();
+                let mut sim = start_activity(&scenario);
+                for (rec, record) in traces.records.iter().enumerate() {
+                    scratch.run_chip(
+                        chip(),
+                        &mut sim,
+                        2048,
+                        emitters.iter().map(|e| (e.trojan, e.charge_fc)),
+                    );
+                    let rows: Vec<&[f64]> = scratch
+                        .currents
+                        .iter()
+                        .map(|(_, wave)| wave.as_slice())
+                        .chain(
+                            scratch.extra_currents[..n_emitters]
+                                .iter()
+                                .map(Vec::as_slice),
+                        )
+                        .collect();
+                    let want = layered_record(&rows, &couplings, &frontend, Some(noise), rec);
+                    assert_eq!(
+                        bits(record),
+                        bits(&want),
+                        "record {rec}, {n_emitters} emitter(s), variation {variation:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn codes_pack_and_unpack_exactly() {
+        for k in -2048..=2048 {
+            let code = f64::from(k);
+            assert_eq!(unpack(pack(code)).to_bits(), code.to_bits(), "{code}");
+        }
+        assert_eq!(unpack(pack(-0.0)).to_bits(), (-0.0f64).to_bits());
+    }
+
+    #[test]
+    fn non_finite_emf_is_rejected() {
+        // A coupling that overflows the flux: the op-amp state ends the
+        // record non-finite, and the acquisition says so.
+        let trojan = SyntheticTrojan::am_reference(800.0);
+        let e = InjectedEmitter {
+            trojan: &trojan,
+            charge_fc: 2.0,
+            coupling: f64::MAX,
+        };
+        let mut traces = TraceSet::default();
+        let err = AcqContext::new(chip()).acquire_len_with_emitters_into(
+            &Scenario::baseline(),
+            SensorSelect::Psa(10),
+            1,
+            64,
+            &[e],
+            &mut traces,
+        );
+        assert!(
+            matches!(err, Err(CoreError::InvalidParameter { .. })),
+            "{err:?}"
+        );
     }
 
     #[test]

@@ -254,6 +254,15 @@ impl TemplateLibrary {
     /// Propagates acquisition errors from the reference simulations and
     /// fitting errors from [`from_samples`](Self::from_samples).
     pub fn reference(chip: &TestChip) -> Result<Self, CoreError> {
+        // The envelope spectrum's plan lives for the process (a Bluestein
+        // plan: the envelope length is not a power of two). Planning it
+        // before the context's record buffers exist keeps it below them
+        // in the heap, so the allocator can return their space at the
+        // end of the call.
+        let records = crate::calib::IDENTIFY_RECORDS * crate::calib::RECORD_CYCLES;
+        let envelope_len =
+            identify_zero_span(48.0e6)?.trimmed_len(records * crate::calib::SAMPLES_PER_CYCLE);
+        psa_dsp::rfft::SpectrumPlan::shared(envelope_len.max(1), psa_dsp::window::Window::Hann)?;
         let mut ctx = AcqContext::new(chip);
         let mut samples = Vec::new();
         let mut kinds = Vec::new();
@@ -324,6 +333,15 @@ impl TemplateLibrary {
     }
 }
 
+/// The zero-span analyzer of identification at `line_freq_hz`.
+fn identify_zero_span(line_freq_hz: f64) -> Result<psa_dsp::zero_span::ZeroSpan, CoreError> {
+    Ok(psa_dsp::zero_span::ZeroSpan::with_rbw(
+        line_freq_hz,
+        crate::calib::sample_rate_hz(),
+        crate::calib::IDENTIFY_RBW_HZ,
+    )?)
+}
+
 /// Acquires a full [`TrojanSignature`] for `scenario` on one sensor:
 /// averaged spectra for the spectral context plus a zero-span envelope
 /// at `line_freq_hz` (the 48 MHz family line).
@@ -378,12 +396,7 @@ pub fn signature_from_parts_with(
         crate::calib::IDENTIFY_RBW_HZ,
         crate::calib::IDENTIFY_RECORDS,
     )?;
-    let env_fs = psa_dsp::zero_span::ZeroSpan::with_rbw(
-        line_freq_hz,
-        crate::calib::sample_rate_hz(),
-        crate::calib::IDENTIFY_RBW_HZ,
-    )?
-    .output_fs_hz();
+    let env_fs = identify_zero_span(line_freq_hz)?.output_fs_hz();
     let env = extract_features(&envelope, env_fs)?;
     let signature = TrojanSignature {
         env,

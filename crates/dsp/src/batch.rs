@@ -10,10 +10,6 @@
 //! * [`SpectrumScratch`] — the work buffers of the amplitude-spectrum
 //!   and trace-averaging pipelines, plus an `Arc` of the shared plan of
 //!   the last record length seen.
-//! * [`weighted_row_sum_into`] — the coupling-row × record-batch
-//!   matrix kernel behind EMF superposition: `out[j] = Σ_i w[i]·rows[i][j]`
-//!   with the accumulation order fixed (row-major, rows in slice order)
-//!   so callers inherit bit-reproducibility.
 //!
 //! Outputs are bit-identical to the corresponding one-shot functions
 //! ([`crate::spectrum::try_amplitude_spectrum`],
@@ -27,59 +23,6 @@ use crate::rfft::SpectrumPlan;
 use crate::spectrum;
 use crate::window::Window;
 use std::sync::Arc;
-
-/// Coupling-row × record-batch matrix kernel:
-/// `acc[j] += Σ_i (w_i · scale) · rows[i][j]`, rows accumulated in slice
-/// order, row-major.
-///
-/// This is the superposition step of EMF synthesis (each source's
-/// current waveform weighted by its coupling), hoisted here so the
-/// acquisition hot path and any future blocked/fused variants share one
-/// kernel. The accumulation order is fixed — row `i` is fully added
-/// before row `i+1` — so callers inherit bit-reproducible results; the
-/// field-layer superposition that calls this is bit-identical to its
-/// historical inline loop.
-///
-/// `acc` is **added into**, not cleared: zero it first for a plain
-/// weighted sum, or chain calls to superpose several batches.
-///
-/// # Example
-///
-/// ```
-/// use psa_dsp::batch::weighted_row_sum_into;
-/// let r0 = [1.0, 2.0];
-/// let r1 = [10.0, 20.0];
-/// let mut acc = [0.0; 2];
-/// weighted_row_sum_into(&[(&r0, 2.0), (&r1, 0.5)], 1.0, &mut acc)?;
-/// assert_eq!(acc, [7.0, 14.0]);
-/// # Ok::<(), psa_dsp::DspError>(())
-/// ```
-///
-/// # Errors
-///
-/// Returns [`DspError::InvalidLength`] when any row's length differs
-/// from `acc.len()`.
-pub fn weighted_row_sum_into(
-    rows: &[(&[f64], f64)],
-    scale: f64,
-    acc: &mut [f64],
-) -> Result<(), DspError> {
-    for (row, _) in rows {
-        if row.len() != acc.len() {
-            return Err(DspError::InvalidLength {
-                what: "weighted row (length must match the accumulator)",
-                got: row.len(),
-            });
-        }
-    }
-    for (row, weight) in rows {
-        let w = weight * scale;
-        for (a, &x) in acc.iter_mut().zip(row.iter()) {
-            *a += w * x;
-        }
-    }
-    Ok(())
-}
 
 /// Reusable spectral-analysis scratch for one worker.
 ///
@@ -321,57 +264,6 @@ mod tests {
         for (a, b) in batched.iter().zip(&oneshot) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
-    }
-
-    #[test]
-    fn weighted_row_sum_matches_inline_loop_bitwise() {
-        // The kernel must reproduce the historical field-layer loop
-        // exactly: per row, w = k·scale, then sample-wise `acc += w·x`,
-        // rows in order.
-        let rows: Vec<Vec<f64>> = (0..7)
-            .map(|r| {
-                (0..64)
-                    .map(|i| ((r * 64 + i) as f64 * 0.13).sin())
-                    .collect()
-            })
-            .collect();
-        let weights: Vec<f64> = (0..7).map(|r| 1.0e-3 * (r as f64 + 0.5)).collect();
-        let scale = 3.0e-12;
-        let pairs: Vec<(&[f64], f64)> = rows
-            .iter()
-            .zip(&weights)
-            .map(|(r, &w)| (r.as_slice(), w))
-            .collect();
-        let mut kernel = vec![0.0; 64];
-        weighted_row_sum_into(&pairs, scale, &mut kernel).unwrap();
-        let mut inline = vec![0.0; 64];
-        for (row, k) in &pairs {
-            let w = k * scale;
-            for (f, &i) in inline.iter_mut().zip(row.iter()) {
-                *f += w * i;
-            }
-        }
-        for (a, b) in kernel.iter().zip(&inline) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        // Accumulates rather than overwrites (second pass doubles, up to
-        // rounding in the re-accumulation).
-        weighted_row_sum_into(&pairs, scale, &mut kernel).unwrap();
-        for (a, b) in kernel.iter().zip(&inline) {
-            assert!((a - 2.0 * b).abs() <= 1e-12 * b.abs().max(1e-300));
-        }
-    }
-
-    #[test]
-    fn weighted_row_sum_validates_lengths() {
-        let r0 = [1.0, 2.0];
-        let r1 = [1.0, 2.0, 3.0];
-        let mut acc = [0.0; 2];
-        assert!(weighted_row_sum_into(&[(&r0, 1.0), (&r1, 1.0)], 1.0, &mut acc).is_err());
-        // Error-before-touch: a bad batch leaves the accumulator alone.
-        assert_eq!(acc, [0.0; 2]);
-        assert!(weighted_row_sum_into(&[], 1.0, &mut acc).is_ok());
-        assert_eq!(acc, [0.0; 2]);
     }
 
     #[test]

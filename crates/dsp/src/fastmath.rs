@@ -279,10 +279,11 @@ pub fn hypot(x: f64, y: f64) -> f64 {
 /// an integer exactly, with ties to even; the remainder `|x| − t` is
 /// then exact, and a tie that went down to the even integer (remainder
 /// exactly one half) goes up instead. The sign is copied back, so
-/// `−0.3` rounds to `−0.0`. Larger magnitudes and infinities are
-/// already integral and pass through unchanged; a NaN comes back
-/// quieted, as libm returns it. Every step is arithmetic or a select,
-/// so a loop over samples vectorizes.
+/// `−0.3` rounds to `−0.0`. Larger magnitudes, infinities and NaN take
+/// `x + 0.0`: the first two are already integral and come back
+/// unchanged, and a NaN comes back quieted, as libm returns it. Both
+/// outcomes are computed and one is selected, with no branch, so a
+/// sample loop that calls it vectorizes.
 ///
 /// # Example
 ///
@@ -297,14 +298,14 @@ pub fn round(x: f64) -> f64 {
     const TWO52: f64 = 4_503_599_627_370_496.0;
     let a = x.abs();
     let t = (a + TWO52) - TWO52;
-    let t = if a - t >= 0.5 { t + 1.0 } else { t };
+    let t = t + if a - t >= 0.5 { 1.0 } else { 0.0 };
+    let small = t.copysign(x);
+    // `|x| ≥ 2⁵²` is never −0.0, so `x + 0.0` is `x` there.
+    let large = x + 0.0;
     if a < TWO52 {
-        t.copysign(x)
-    } else if x.is_nan() {
-        // libm quiets a signalling NaN; `x + x` does the same.
-        x + x
+        small
     } else {
-        x
+        large
     }
 }
 
@@ -530,6 +531,21 @@ mod tests {
             two52 - 1.0,
             two52 + 1.0,
             2f64.powi(53),
+            // Signed zeros, and magnitudes at and beyond 2⁵², which take
+            // the pass-through arm.
+            -0.0,
+            two52 + 2.0,
+            two52 * 1.5,
+            2f64.powi(63),
+            f64::MAX,
+            f64::NEG_INFINITY,
+            // Quiet and signalling NaNs with payloads, both signs: libm
+            // returns each quieted with its sign and payload.
+            -f64::NAN,
+            f64::from_bits(0x7FF0_0000_0000_0001),
+            f64::from_bits(0xFFF0_0000_0000_0001),
+            f64::from_bits(0x7FF4_0000_0000_0000),
+            f64::from_bits(0x7FF8_0000_DEAD_BEEF),
         ];
         for d in 1..=8u64 {
             xs.push(f64::from_bits(two52.to_bits() - d));

@@ -5,8 +5,8 @@
 //! real-input conveniences used by the spectrum module.
 //!
 //! Conventions: the forward transform is `X[k] = Σ x[n]·e^{-2πi kn/N}`
-//! (no normalization); the inverse divides by `N`, so
-//! `ifft(fft(x)) == x`.
+//! (no normalization); the inverse inside Bluestein's convolution
+//! divides by `N`.
 
 use crate::complex::Complex;
 use crate::error::DspError;
@@ -42,25 +42,6 @@ pub fn next_pow2(n: usize) -> usize {
 /// # Ok::<(), psa_dsp::DspError>(())
 /// ```
 pub fn fft(data: &mut [Complex]) -> Result<(), DspError> {
-    transform_pow2(data, false)
-}
-
-/// In-place inverse FFT for power-of-two lengths (normalized by `1/N`).
-///
-/// # Errors
-///
-/// Returns [`DspError::InvalidLength`] if `data.len()` is not a power of two
-/// or is zero.
-pub fn ifft(data: &mut [Complex]) -> Result<(), DspError> {
-    transform_pow2(data, true)?;
-    let n = data.len() as f64;
-    for z in data.iter_mut() {
-        *z = *z / n;
-    }
-    Ok(())
-}
-
-fn transform_pow2(data: &mut [Complex], inverse: bool) -> Result<(), DspError> {
     let n = data.len();
     if !is_power_of_two(n) {
         return Err(DspError::InvalidLength {
@@ -68,11 +49,33 @@ fn transform_pow2(data: &mut [Complex], inverse: bool) -> Result<(), DspError> {
             got: n,
         });
     }
-    if n == 1 {
-        return Ok(());
-    }
+    butterflies(data, &stage_twiddles(n, false));
+    Ok(())
+}
 
-    // Bit-reversal permutation.
+/// Every butterfly stage's twiddles for an `n`-point power-of-two
+/// transform: the stage of half-size `h` reads `[h - 1, 2h - 1)`, entry
+/// `k` being `Complex::cis(±2π/(2h) · k)` (`+` for the inverse).
+fn stage_twiddles(n: usize, inverse: bool) -> Vec<Complex> {
+    let sign = if inverse { 1.0 } else { -1.0 };
+    let mut twiddles = Vec::with_capacity(n.saturating_sub(1));
+    let mut size = 2;
+    while size <= n {
+        let step = sign * 2.0 * PI / size as f64;
+        twiddles.extend((0..size / 2).map(|k| Complex::cis(step * k as f64)));
+        size *= 2;
+    }
+    twiddles
+}
+
+/// The iterative radix-2 transform of a power-of-two `data` with the
+/// [`stage_twiddles`] of its length: the bit-reversal permutation, then
+/// the butterflies stage by stage.
+fn butterflies(data: &mut [Complex], twiddles: &[Complex]) {
+    let n = data.len();
+    if n == 1 {
+        return;
+    }
     let levels = n.trailing_zeros();
     for i in 0..n {
         let j = (i.reverse_bits() >> (usize::BITS - levels)) & (n - 1);
@@ -80,26 +83,20 @@ fn transform_pow2(data: &mut [Complex], inverse: bool) -> Result<(), DspError> {
             data.swap(i, j);
         }
     }
-
-    // Iterative butterflies.
-    let sign = if inverse { 1.0 } else { -1.0 };
-    let mut size = 2;
-    while size <= n {
-        let half = size / 2;
-        let step = sign * 2.0 * PI / size as f64;
-        // Precompute the twiddles for this stage once.
-        let twiddles: Vec<Complex> = (0..half).map(|k| Complex::cis(step * k as f64)).collect();
-        for start in (0..n).step_by(size) {
-            for k in 0..half {
-                let even = data[start + k];
-                let odd = data[start + k + half] * twiddles[k];
-                data[start + k] = even + odd;
-                data[start + k + half] = even - odd;
+    let mut half = 1;
+    while half < n {
+        let stage = &twiddles[half - 1..2 * half - 1];
+        for block in data.chunks_exact_mut(2 * half) {
+            let (lo, hi) = block.split_at_mut(half);
+            for ((a, b), &w) in lo.iter_mut().zip(hi.iter_mut()).zip(stage) {
+                let even = *a;
+                let odd = *b * w;
+                *a = even + odd;
+                *b = even - odd;
             }
         }
-        size *= 2;
+        half *= 2;
     }
-    Ok(())
 }
 
 /// Forward FFT of arbitrary length, out of place.
@@ -120,40 +117,67 @@ pub fn fft_any(input: &[Complex]) -> Result<Vec<Complex>, DspError> {
         fft(&mut buf)?;
         return Ok(buf);
     }
-    bluestein(input, false)
+    Ok(BluesteinPlan::new(n).transform(input))
 }
 
-/// Bluestein chirp-z transform: expresses an N-point DFT as a convolution,
-/// evaluated with a power-of-two FFT of length >= 2N-1.
-fn bluestein(input: &[Complex], inverse: bool) -> Result<Vec<Complex>, DspError> {
-    let n = input.len();
-    let sign = if inverse { 1.0 } else { -1.0 };
-    // Forward chirp is e^{-iπk²/n} (from nk = (n²+k²-(k-n)²)/2); inverse
-    // conjugates it. Use k² mod 2n to keep angles small and exact.
-    let chirp: Vec<Complex> = (0..n)
-        .map(|k| {
-            let k2 = (k as u128 * k as u128) % (2 * n as u128);
-            Complex::cis(sign * PI * k2 as f64 / n as f64)
-        })
-        .collect();
+/// Bluestein's chirp-z transform of one length, planned: it expresses an
+/// `n`-point DFT as a convolution, evaluated with power-of-two FFTs of
+/// length `m ≥ 2n − 1`. The plan holds the chirp and the transform of
+/// the convolution kernel, so a call runs two FFTs, not three, and
+/// computes the chirp's `n` phasors no more. The `m`-point twiddles are
+/// computed per call: kept, they would double the plan's memory.
+/// Planned and unplanned use are the same arithmetic: [`fft_any`] plans
+/// per call.
+#[derive(Debug, Clone)]
+pub(crate) struct BluesteinPlan {
+    /// `e^{-iπk²/n}`, `k = 0..n`.
+    chirp: Vec<Complex>,
+    /// The FFT of the zero-padded, wrapped conjugate chirp.
+    kernel: Vec<Complex>,
+}
 
-    let m = next_pow2(2 * n - 1);
-    let mut a = vec![Complex::ZERO; m];
-    let mut b = vec![Complex::ZERO; m];
-    for k in 0..n {
-        a[k] = input[k] * chirp[k];
-        b[k] = chirp[k].conj();
+impl BluesteinPlan {
+    /// The plan of `n`-point transforms (`n ≥ 1`).
+    pub(crate) fn new(n: usize) -> Self {
+        // The chirp is e^{-iπk²/n} (from nk = (n²+k²-(k-n)²)/2); k² mod 2n
+        // keeps the angles small and exact.
+        let chirp: Vec<Complex> = (0..n)
+            .map(|k| {
+                let k2 = (k as u128 * k as u128) % (2 * n as u128);
+                Complex::cis(-PI * k2 as f64 / n as f64)
+            })
+            .collect();
+        let m = next_pow2(2 * n - 1);
+        let mut kernel = vec![Complex::ZERO; m];
+        for k in 0..n {
+            kernel[k] = chirp[k].conj();
+        }
+        for k in 1..n {
+            kernel[m - k] = chirp[k].conj();
+        }
+        butterflies(&mut kernel, &stage_twiddles(m, false));
+        BluesteinPlan { chirp, kernel }
     }
-    for k in 1..n {
-        b[m - k] = chirp[k].conj();
+
+    /// The forward DFT of `input`, whose length must be the plan's `n`.
+    pub(crate) fn transform(&self, input: &[Complex]) -> Vec<Complex> {
+        debug_assert_eq!(input.len(), self.chirp.len());
+        let m = self.kernel.len();
+        let mut a = vec![Complex::ZERO; m];
+        for ((a, &x), &c) in a.iter_mut().zip(input).zip(&self.chirp) {
+            *a = x * c;
+        }
+        butterflies(&mut a, &stage_twiddles(m, false));
+        for (a, &b) in a.iter_mut().zip(&self.kernel) {
+            *a *= b;
+        }
+        butterflies(&mut a, &stage_twiddles(m, true));
+        let scale = m as f64;
+        a.iter()
+            .zip(&self.chirp)
+            .map(|(&z, &c)| (z / scale) * c)
+            .collect()
     }
-    fft(&mut a)?;
-    fft(&mut b)?;
-    for k in 0..m {
-        a[k] *= b[k];
-    }
-    ifft(&mut a)?;
-    Ok((0..n).map(|k| a[k] * chirp[k]).collect())
 }
 
 /// FFT of a real signal; returns the full complex spectrum of length
@@ -233,13 +257,16 @@ mod tests {
     }
 
     #[test]
-    fn ifft_inverts_fft() {
+    fn inverse_twiddles_invert_fft() {
         let orig: Vec<Complex> = (0..64)
             .map(|i| Complex::new((i as f64).sin(), (i as f64 * 0.5).cos()))
             .collect();
         let mut x = orig.clone();
         fft(&mut x).unwrap();
-        ifft(&mut x).unwrap();
+        butterflies(&mut x, &stage_twiddles(64, true));
+        for z in &mut x {
+            *z = *z / 64.0;
+        }
         for (a, b) in x.iter().zip(orig.iter()) {
             assert_close(*a, *b, 1e-10);
         }

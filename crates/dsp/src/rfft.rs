@@ -37,8 +37,10 @@
 //! `(n, window)` for the whole process, so a fresh
 //! [`crate::batch::SpectrumScratch`] (and every one-shot call) skips
 //! planning. Lengths that are not powers of two take Bluestein's
-//! transform ([`crate::fft::rfft`]) instead; no campaign record length
-//! does.
+//! transform, the arithmetic of [`crate::fft::fft_any`], through a plan
+//! of its own (the chirp and its kernel's transform) that the shared
+//! plan holds; no campaign record length does, but the identification
+//! envelope (11 980 samples) does.
 //!
 //! # Equivalence to the complex path
 //!
@@ -60,9 +62,13 @@ use crate::window::Window;
 use std::f64::consts::PI;
 use std::sync::{Arc, Mutex, PoisonError};
 
-/// Power-of-two plans already built in this process, one per
-/// `(n, window)`. A linear scan: a process uses a handful of lengths.
+/// Plans already built in this process, one per `(n, window)`. A linear
+/// scan: a process uses a handful of lengths.
 static SHARED: Mutex<Vec<Arc<SpectrumPlan>>> = Mutex::new(Vec::new());
+
+/// Bluestein plans kept in [`SHARED`]; beyond this many the oldest is
+/// dropped, so a sweep over many odd lengths stays bounded.
+const BLUESTEIN_CAP: usize = 8;
 
 /// An immutable one-sided spectrum plan for one record length and
 /// window.
@@ -92,6 +98,8 @@ pub struct SpectrumPlan {
     /// `gather[j]` is `j` bit-reversed over `log2(n/2)` bits; empty when
     /// the plan takes the Bluestein path (and for `n == 1`).
     gather: Vec<usize>,
+    /// The transform of a length that is not a power of two.
+    bluestein: Option<fft::BluesteinPlan>,
     /// Butterfly twiddles: the stage of half-size `m` reads
     /// `[m-1, 2m-1)`, entry `k` being `Complex::cis(-2π/(2m) · k)`.
     stage_re: Vec<f64>,
@@ -104,10 +112,10 @@ pub struct SpectrumPlan {
 impl SpectrumPlan {
     /// The plan for `n`-sample records under `window`.
     ///
-    /// Power-of-two plans are built once per process and shared: every
-    /// call with the same `(n, window)` returns the same `Arc`. Other
-    /// lengths get a fresh plan (window coefficients and gain only) so
-    /// the cache stays bounded.
+    /// Plans are built once per process and shared: every call with the
+    /// same `(n, window)` returns the same `Arc`, as long as the plan is
+    /// cached. Power-of-two plans stay for the process; of the Bluestein
+    /// plans the newest eight stay.
     ///
     /// # Errors
     ///
@@ -116,9 +124,6 @@ impl SpectrumPlan {
         if n == 0 {
             return Err(DspError::EmptyInput);
         }
-        if !fft::is_power_of_two(n) {
-            return Ok(Arc::new(SpectrumPlan::new(n, window)));
-        }
         // Planning finishes before the push, so a cache poisoned by a
         // panic elsewhere still holds only complete plans.
         let mut plans = SHARED.lock().unwrap_or_else(PoisonError::into_inner);
@@ -126,6 +131,13 @@ impl SpectrumPlan {
             return Ok(Arc::clone(plan));
         }
         let plan = Arc::new(SpectrumPlan::new(n, window));
+        let is_bluestein = |p: &Arc<SpectrumPlan>| p.bluestein.is_some();
+        if is_bluestein(&plan) && plans.iter().filter(|p| is_bluestein(p)).count() >= BLUESTEIN_CAP
+        {
+            if let Some(oldest) = plans.iter().position(is_bluestein) {
+                plans.remove(oldest);
+            }
+        }
         plans.push(Arc::clone(&plan));
         Ok(plan)
     }
@@ -139,12 +151,17 @@ impl SpectrumPlan {
             coeffs,
             coherent_gain,
             gather: Vec::new(),
+            bluestein: None,
             stage_re: Vec::new(),
             stage_im: Vec::new(),
             unpack_re: Vec::new(),
             unpack_im: Vec::new(),
         };
-        if n < 2 || !fft::is_power_of_two(n) {
+        if !fft::is_power_of_two(n) {
+            plan.bluestein = Some(fft::BluesteinPlan::new(n));
+            return plan;
+        }
+        if n < 2 {
             return plan;
         }
         let h = n / 2;
@@ -206,12 +223,15 @@ impl SpectrumPlan {
         im.clear();
         if self.gather.is_empty() {
             // Bluestein for other lengths (allocating), identity for n == 1.
-            let windowed: Vec<f64> = signal
+            let windowed: Vec<Complex> = signal
                 .iter()
                 .zip(&self.coeffs)
-                .map(|(&x, &w)| x * w)
+                .map(|(&x, &w)| Complex::new(x * w, 0.0))
                 .collect();
-            let full = fft::rfft(&windowed)?;
+            let full = match &self.bluestein {
+                Some(plan) => plan.transform(&windowed),
+                None => windowed,
+            };
             for z in &full[..fft::one_sided_len(n)] {
                 re.push(z.re);
                 im.push(z.im);
@@ -459,13 +479,18 @@ mod tests {
 
     /// The array-of-`Complex` amplitude path this plan replaced,
     /// verbatim: window, pack, in-place bit-reversal swaps, radix-2
-    /// stages with per-stage twiddle tables, unpack, `hypot` per bin.
+    /// stages with per-stage twiddle tables, unpack, `hypot` per bin;
+    /// other lengths through the unplanned Bluestein transform.
     mod historical {
         use crate::complex::Complex;
         use crate::{fastmath, fft, window::Window};
         use std::f64::consts::PI;
 
         fn fft_plan_forward(data: &mut [Complex]) {
+            transform(data, false);
+        }
+
+        fn transform(data: &mut [Complex], inverse: bool) {
             let n = data.len();
             if n == 1 {
                 return;
@@ -477,10 +502,11 @@ mod tests {
                     data.swap(i, j);
                 }
             }
+            let sign = if inverse { 1.0 } else { -1.0 };
             let mut size = 2;
             while size <= n {
                 let half = size / 2;
-                let step = -2.0 * PI / size as f64;
+                let step = sign * 2.0 * PI / size as f64;
                 let twiddles: Vec<Complex> =
                     (0..half).map(|k| Complex::cis(step * k as f64)).collect();
                 for start in (0..n).step_by(size) {
@@ -495,10 +521,44 @@ mod tests {
             }
         }
 
+        /// The Bluestein transform as it was before it was planned:
+        /// chirp and twiddles recomputed on every call.
+        pub fn bluestein(input: &[Complex]) -> Vec<Complex> {
+            let n = input.len();
+            let sign = -1.0;
+            let chirp: Vec<Complex> = (0..n)
+                .map(|k| {
+                    let k2 = (k as u128 * k as u128) % (2 * n as u128);
+                    Complex::cis(sign * PI * k2 as f64 / n as f64)
+                })
+                .collect();
+            let m = fft::next_pow2(2 * n - 1);
+            let mut a = vec![Complex::ZERO; m];
+            let mut b = vec![Complex::ZERO; m];
+            for k in 0..n {
+                a[k] = input[k] * chirp[k];
+                b[k] = chirp[k].conj();
+            }
+            for k in 1..n {
+                b[m - k] = chirp[k].conj();
+            }
+            transform(&mut a, false);
+            transform(&mut b, false);
+            for k in 0..m {
+                a[k] *= b[k];
+            }
+            transform(&mut a, true);
+            for z in a.iter_mut() {
+                *z = *z / m as f64;
+            }
+            (0..n).map(|k| a[k] * chirp[k]).collect()
+        }
+
         pub fn one_sided(input: &[f64]) -> Vec<Complex> {
             let n = input.len();
             if !fft::is_power_of_two(n) {
-                let mut full = fft::rfft(input).unwrap();
+                let complex: Vec<Complex> = input.iter().map(|&x| Complex::new(x, 0.0)).collect();
+                let mut full = bluestein(&complex);
                 full.truncate(fft::one_sided_len(n));
                 return full;
             }
@@ -614,10 +674,66 @@ mod tests {
 
     #[test]
     fn bluestein_lengths_are_bit_identical() {
-        for n in [3usize, 5, 12, 255, 1000] {
+        // 11 980 is the identification envelope's length.
+        for n in [3usize, 5, 12, 255, 1000, 11_980] {
             assert_matches_historical(&noise(n, 9), &format!("n={n}"));
             assert_matches_historical(&vec![0.0; n], &format!("zeros n={n}"));
         }
+    }
+
+    #[test]
+    fn cached_bluestein_plans_match_fresh_plans_bitwise() {
+        for n in [3usize, 7, 255, 1001, 11_980] {
+            let x = noise(n, 13);
+            let cached = SpectrumPlan::shared(n, Window::Hann).unwrap();
+            assert!(Arc::ptr_eq(
+                &cached,
+                &SpectrumPlan::shared(n, Window::Hann).unwrap()
+            ));
+            let fresh = SpectrumPlan::new(n, Window::Hann);
+            let (mut re, mut im, mut amp) = (Vec::new(), Vec::new(), Vec::new());
+            cached
+                .amplitude_into(&x, &mut re, &mut im, &mut amp)
+                .unwrap();
+            let (mut re2, mut im2, mut amp2) = (Vec::new(), Vec::new(), Vec::new());
+            fresh
+                .amplitude_into(&x, &mut re2, &mut im2, &mut amp2)
+                .unwrap();
+            assert_bits(&re, &re2, &format!("re n={n}"));
+            assert_bits(&im, &im2, &format!("im n={n}"));
+            assert_bits(&amp, &amp2, &format!("amplitude n={n}"));
+            // The complex transform of any length against the unplanned
+            // Bluestein arithmetic.
+            let z: Vec<Complex> = x
+                .iter()
+                .zip(noise(n, 14))
+                .map(|(&a, b)| Complex::new(a, b))
+                .collect();
+            let planned = fft::fft_any(&z).unwrap();
+            let historical = historical::bluestein(&z);
+            assert!(
+                planned.iter().zip(&historical).all(|(a, b)| {
+                    a.re.to_bits() == b.re.to_bits() && a.im.to_bits() == b.im.to_bits()
+                }),
+                "fft_any n={n}"
+            );
+        }
+    }
+
+    #[test]
+    fn bluestein_cache_stays_bounded() {
+        // Lengths no other test plans, so the count is this test's own.
+        let lengths: Vec<usize> = (0..BLUESTEIN_CAP + 3).map(|i| 3001 + 2 * i).collect();
+        for &n in &lengths {
+            SpectrumPlan::shared(n, Window::FlatTop).unwrap();
+        }
+        let plans = SHARED.lock().unwrap();
+        let kept = plans.iter().filter(|p| p.bluestein.is_some()).count();
+        assert!(kept <= BLUESTEIN_CAP, "{kept} Bluestein plans kept");
+        let newest = lengths[lengths.len() - 1];
+        assert!(plans
+            .iter()
+            .any(|p| p.n == newest && p.window == Window::FlatTop));
     }
 
     #[test]
@@ -629,10 +745,10 @@ mod tests {
         assert!(!Arc::ptr_eq(&a, &other_window));
         let other_len = SpectrumPlan::shared(512, Window::Hann).unwrap();
         assert!(!Arc::ptr_eq(&a, &other_len));
-        // Bluestein plans are not cached.
+        // Bluestein plans are cached too.
         let c = SpectrumPlan::shared(255, Window::Hann).unwrap();
         let d = SpectrumPlan::shared(255, Window::Hann).unwrap();
-        assert!(!Arc::ptr_eq(&c, &d));
+        assert!(Arc::ptr_eq(&c, &d));
     }
 
     #[test]

@@ -152,6 +152,21 @@ impl ZeroSpan {
             .collect())
     }
 
+    /// Samples [`envelope_trimmed`](Self::envelope_trimmed) returns for
+    /// an `n`-sample input (zero when the input is too short).
+    pub fn trimmed_len(&self, n: usize) -> usize {
+        let len = n.div_ceil(self.decim1).div_ceil(self.decim2);
+        len.saturating_sub(2 * self.trim())
+    }
+
+    /// Envelope samples trimmed at each end: the two filters' edge
+    /// transients at the output rate.
+    fn trim(&self) -> usize {
+        let trim1 = self.stage1.taps().len() / (self.decim1 * self.decim2);
+        let trim2 = self.stage2.taps().len() / self.decim2;
+        (trim1 + trim2).max(1)
+    }
+
     /// Envelope with the filters' edge transients trimmed.
     ///
     /// # Errors
@@ -161,9 +176,7 @@ impl ZeroSpan {
     /// transient.
     pub fn envelope_trimmed(&self, signal: &[f64]) -> Result<Vec<f64>, DspError> {
         let env = self.envelope(signal)?;
-        let trim1 = self.stage1.taps().len() / (self.decim1 * self.decim2);
-        let trim2 = self.stage2.taps().len() / self.decim2;
-        let trim = (trim1 + trim2).max(1);
+        let trim = self.trim();
         if env.len() <= 2 * trim {
             return Err(DspError::InvalidLength {
                 what: "signal too short for zero-span transient trim",

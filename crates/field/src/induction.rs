@@ -13,42 +13,47 @@ use crate::error::FieldError;
 /// `psa-core::calib`).
 pub const DEFAULT_LOOP_AREA_M2: f64 = 3.0e-12;
 
-/// Central-difference derivative of a series sampled at `fs_hz`, into a
-/// caller-owned buffer (cleared first) so hot loops can reuse the
-/// allocation across records. Endpoints use one-sided differences; the
-/// output length equals the input's.
-pub fn derivative_into(x: &[f64], fs_hz: f64, out: &mut Vec<f64>) {
-    out.clear();
-    let n = x.len();
-    if n == 0 {
-        return;
-    }
-    if n == 1 {
-        out.push(0.0);
-        return;
-    }
-    out.reserve(n);
-    out.push((x[1] - x[0]) * fs_hz);
-    for i in 1..n - 1 {
-        out.push((x[i + 1] - x[i - 1]) * 0.5 * fs_hz);
-    }
-    out.push((x[n - 1] - x[n - 2]) * fs_hz);
+/// The flux weight of one source: its coupling `k` (Wb per A·m²)
+/// times the loop area (m²) that turns its current into a moment, so
+/// the source adds `weight · I` to the sensor's flux.
+#[inline]
+pub fn flux_weight(coupling: f64, loop_area_m2: f64) -> f64 {
+    coupling * loop_area_m2
+}
+
+/// The EMF `−dΦ/dt` at an interior sample from the flux of its two
+/// neighbours: the central difference `(Φ[i+1] − Φ[i−1])·0.5·fs`,
+/// negated.
+#[inline]
+pub fn emf_central(prev: f64, next: f64, fs_hz: f64) -> f64 {
+    -((next - prev) * 0.5 * fs_hz)
+}
+
+/// The EMF `−dΦ/dt` at a record's first or last sample from the flux
+/// of that sample and its one neighbour: the one-sided difference
+/// `(Φ[to] − Φ[from])·fs`, negated. A one-sample record has no
+/// neighbour; its EMF is `−0.0`.
+#[inline]
+pub fn emf_one_sided(from: f64, to: f64, fs_hz: f64) -> f64 {
+    -((to - from) * fs_hz)
 }
 
 /// Induced EMF from several sources into one sensor.
 ///
 /// `sources` pairs each source's current waveform (amperes, all the same
 /// length) with its effective coupling `k` (Wb per A·m²); `loop_area_m2`
-/// converts current to moment. `flux_scratch` holds the superposed flux
-/// waveform and `out` the EMF; both are cleared and refilled, so a
-/// per-worker acquisition context can run record after record without
-/// reallocating.
+/// converts current to moment. The flux `Φ[i] = Σ flux_weight(k)·I[i]`
+/// is summed from `0.0` in source order; the EMF is then
+/// [`emf_central`] inside the record and [`emf_one_sided`] at its two
+/// ends. `flux_scratch` holds the flux and `out` the EMF; both are
+/// cleared and refilled, so a caller can run record after record
+/// without reallocating.
 ///
 /// # Errors
 ///
 /// Returns [`FieldError::DimensionMismatch`] when waveform lengths
 /// differ, or [`FieldError::InvalidParameter`] for an empty source list
-/// or non-positive sample rate.
+/// or a sample rate that is not finite and positive.
 pub fn induced_emf_into(
     sources: &[(&[f64], f64)],
     loop_area_m2: f64,
@@ -61,9 +66,9 @@ pub fn induced_emf_into(
             what: "source list must be non-empty",
         });
     }
-    if fs_hz <= 0.0 {
+    if !(fs_hz.is_finite() && fs_hz > 0.0) {
         return Err(FieldError::InvalidParameter {
-            what: "sample rate must be positive",
+            what: "sample rate must be finite and positive",
         });
     }
     let n = sources[0].0.len();
@@ -76,19 +81,26 @@ pub fn induced_emf_into(
         }
     }
     // Superpose moments weighted by coupling first, then differentiate
-    // once (linearity). The coupling-row × waveform batch kernel keeps
-    // the historical accumulation order, so results stay bit-identical.
+    // once (linearity).
     flux_scratch.clear();
     flux_scratch.resize(n, 0.0);
-    psa_dsp::batch::weighted_row_sum_into(sources, loop_area_m2, flux_scratch).map_err(|_| {
-        FieldError::DimensionMismatch {
-            expected: n,
-            got: 0,
+    for (wave, k) in sources {
+        let w = flux_weight(*k, loop_area_m2);
+        for (f, &i) in flux_scratch.iter_mut().zip(wave.iter()) {
+            *f += w * i;
         }
-    })?;
-    derivative_into(flux_scratch, fs_hz, out);
-    for vi in out.iter_mut() {
-        *vi = -*vi;
+    }
+    let f = &flux_scratch[..];
+    out.clear();
+    match n {
+        0 => {}
+        1 => out.push(-0.0),
+        _ => {
+            out.reserve(n);
+            out.push(emf_one_sided(f[0], f[1], fs_hz));
+            out.extend(f.windows(3).map(|w| emf_central(w[0], w[2], fs_hz)));
+            out.push(emf_one_sided(f[n - 2], f[n - 1], fs_hz));
+        }
     }
     Ok(())
 }
@@ -98,10 +110,10 @@ mod tests {
     use super::*;
     use std::f64::consts::PI;
 
+    /// `dx/dt`: the EMF of `x` as a flux through a unit weight, negated.
     fn derivative(x: &[f64], fs_hz: f64) -> Vec<f64> {
-        let mut out = Vec::new();
-        derivative_into(x, fs_hz, &mut out);
-        out
+        let emf = induced_emf(&[(x, 1.0)], 1.0, fs_hz).unwrap();
+        emf.iter().map(|v| -v).collect()
     }
 
     /// [`induced_emf_into`] with fresh buffers.
@@ -198,6 +210,60 @@ mod tests {
         let b = vec![0.0; 5];
         assert!(induced_emf(&[(&a, 1.0), (&b, 1.0)], 1.0, 1.0).is_err());
         assert!(induced_emf(&[(&a, 1.0)], 1.0, 0.0).is_err());
+        for fs in [-1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(
+                matches!(
+                    induced_emf(&[(&a, 1.0)], 1.0, fs),
+                    Err(FieldError::InvalidParameter { .. })
+                ),
+                "fs {fs}"
+            );
+        }
+    }
+
+    /// The EMF as it was computed before the per-sample formulas: the
+    /// weighted flux, its derivative, then a negation pass.
+    fn historical_emf(sources: &[(&[f64], f64)], area: f64, fs: f64) -> Vec<f64> {
+        let n = sources[0].0.len();
+        let mut flux = vec![0.0; n];
+        for (row, k) in sources {
+            let w = k * area;
+            for (f, &x) in flux.iter_mut().zip(row.iter()) {
+                *f += w * x;
+            }
+        }
+        let mut d = Vec::new();
+        if n == 1 {
+            d.push(0.0);
+        } else if n > 1 {
+            d.push((flux[1] - flux[0]) * fs);
+            for i in 1..n - 1 {
+                d.push((flux[i + 1] - flux[i - 1]) * 0.5 * fs);
+            }
+            d.push((flux[n - 1] - flux[n - 2]) * fs);
+        }
+        d.iter().map(|v| -v).collect()
+    }
+
+    #[test]
+    fn emf_matches_historical_arithmetic_bitwise() {
+        for n in [0usize, 1, 2, 3, 64, 1001] {
+            let a: Vec<f64> = (0..n).map(|i| (i as f64 * 0.3).sin() * 1e-3).collect();
+            let b: Vec<f64> = (0..n)
+                .map(|i| {
+                    if i % 3 == 0 {
+                        -0.0
+                    } else {
+                        (i as f64 * 0.7).cos()
+                    }
+                })
+                .collect();
+            let sources: [(&[f64], f64); 2] = [(&a, 1.7e-3), (&b, -0.4e-3)];
+            let got = induced_emf(&sources, DEFAULT_LOOP_AREA_M2, 264.0e6).unwrap();
+            let want = historical_emf(&sources, DEFAULT_LOOP_AREA_M2, 264.0e6);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "n {n}");
+        }
     }
 
     #[test]
