@@ -9,9 +9,9 @@
 //! Stdout carries only deterministic artifacts — the score-matrix
 //! digest and the ROC/AUC table, byte-identical at any worker count, so
 //! CI can `cmp` a serial run against `PSA_JOBS=2`. Rates go to stderr,
-//! and `--bench-json` writes `psa-bench-json/1` rate stages (default
-//! path `BENCH_bakeoff.json`) that `bench_check --rates` gates against
-//! the committed seed. Set `PSA_BENCH_FAST=1` for a reduced smoke shape
+//! and `--bench-json` writes `psa-bench-json/1` counted stages (default
+//! path `BENCH_bakeoff.json`) that `bench_check` gates, per cell,
+//! against the committed seed. Set `PSA_BENCH_FAST=1` for a reduced smoke shape
 //! (fewer seeds, reduced trace budgets).
 //!
 //! A "cell" is one `(detector, scenario, seed)` score; the ROC sweep

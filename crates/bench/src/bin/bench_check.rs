@@ -2,79 +2,39 @@
 //! timing artifact regresses beyond a ratio of its committed seed.
 //!
 //! ```text
-//! bench_check <seed.json> <current.json> [--max-ratio R] [--min-seed-s S] [--rates]
+//! bench_check <seed.json> <current.json>
 //! ```
 //!
-//! Defaults: `R = 2.5` (loose enough for shared-runner jitter),
-//! `S = 0.05` (the noise floor: artifacts whose *seed* wall time is
-//! under 50 ms are never gated, and an unseeded artifact is forgiven
-//! only with a clear margin under the floor — measured under `S/2` —
-//! so a stage hovering at the floor fails consistently instead of
-//! flapping). Fails loudly — exit status: 0 pass; 1 when an artifact
-//! regressed, vanished from the current run, or has no seed
-//! counterpart; 2 usage/parse error (including a missing seed file
-//! under `benchmarks/seed/`).
-//!
-//! `--rates` switches to the throughput gate: instead of wall times it
-//! compares each stage's `records_per_s` with *inverted* semantics —
-//! the current rate must stay above `seed / R` (records/sec is
-//! higher-is-better). No noise floor applies; a rate stage without a
-//! seed counterpart always fails, so `BENCH_throughput.json` must be
-//! regenerated and committed whenever a stage is added.
+//! Every stage is gated on its cost per unit — seconds per record when
+//! it carries a record count, its wall time otherwise — which must stay
+//! within [`regress::MAX_RATIO`] (2.5×, loose enough for shared-runner
+//! jitter) of its seed's. A wall-only stage whose seed ran under
+//! [`regress::MIN_SEED_S`] (50 ms) is noise and never gated; an unseeded
+//! wall-only stage is forgiven only with a clear margin under that
+//! floor (measured under 25 ms), so a stage hovering at the floor fails
+//! consistently instead of flapping. A counted stage is always gated.
+//! Exit status: 0 pass; 1 when a stage regressed, vanished from the
+//! current run, or has no seed counterpart; 2 usage/parse error
+//! (including any flag, and a missing seed file under
+//! `benchmarks/seed/`).
 
 use psa_bench::regress;
 
-const USAGE: &str =
-    "usage: bench_check <seed.json> <current.json> [--max-ratio R] [--min-seed-s S] [--rates]";
+const USAGE: &str = "usage: bench_check <seed.json> <current.json>";
 
-fn parse_f64(flag: &str, value: &str) -> Result<f64, String> {
-    value
-        .parse()
-        .map_err(|_| format!("invalid {flag} value `{value}`"))
-}
-
-/// One pass over the arguments, consuming each flag's value so
-/// space-separated forms (`--max-ratio 3.0`) parse like `=` forms.
-fn parse_args(args: &[String]) -> Result<(String, String, f64, f64, bool), String> {
-    let mut paths = Vec::new();
-    let mut max_ratio = 2.5;
-    let mut min_seed_s = 0.05;
-    let mut rates = false;
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        let mut take = |flag: &str| -> Result<Option<f64>, String> {
-            if arg == flag {
-                let value = iter
-                    .next()
-                    .ok_or_else(|| format!("{flag} requires a value"))?;
-                return parse_f64(flag, value).map(Some);
-            }
-            match arg.strip_prefix(&format!("{flag}=")) {
-                Some(value) => parse_f64(flag, value).map(Some),
-                None => Ok(None),
-            }
-        };
-        if let Some(v) = take("--max-ratio")? {
-            max_ratio = v;
-        } else if let Some(v) = take("--min-seed-s")? {
-            min_seed_s = v;
-        } else if arg == "--rates" {
-            rates = true;
-        } else if arg.starts_with('-') {
-            return Err(format!("unknown flag `{arg}`\n{USAGE}"));
-        } else {
-            paths.push(arg.clone());
+/// The two paths, or a usage error: the gate takes no flags.
+fn parse_args(args: &[String]) -> Result<(&str, &str), String> {
+    match args {
+        [seed, current] if !seed.starts_with('-') && !current.starts_with('-') => {
+            Ok((seed, current))
         }
+        _ => Err(USAGE.to_string()),
     }
-    let [seed_path, current_path] =
-        <[String; 2]>::try_from(paths).map_err(|_| USAGE.to_string())?;
-    Ok((seed_path, current_path, max_ratio, min_seed_s, rates))
 }
 
 fn run() -> Result<bool, String> {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let (seed_path, current_path, max_ratio, min_seed_s, rates) = parse_args(&args)?;
-    let (seed_path, current_path) = (&seed_path, &current_path);
+    let (seed_path, current_path) = parse_args(&args)?;
 
     let seed_text =
         std::fs::read_to_string(seed_path).map_err(|e| format!("read {seed_path}: {e}"))?;
@@ -86,30 +46,16 @@ fn run() -> Result<bool, String> {
 
     println!(
         "bench_check: seed {seed_path} ({} workers) vs current {current_path} ({} workers), \
-         max-ratio {max_ratio}, {}",
+         max-ratio {} on cost per unit, noise floor {} s for wall-only stages",
         seed.workers.map_or("?".into(), |w| w.to_string()),
         current.workers.map_or("?".into(), |w| w.to_string()),
-        if rates {
-            "records/sec gate".to_string()
-        } else {
-            format!("noise floor {min_seed_s} s")
-        },
+        regress::MAX_RATIO,
+        regress::MIN_SEED_S,
     );
     if let Some(note) = workers_mismatch_note(seed.workers, current.workers) {
         println!("{note}");
     }
-    let (report, pass) = if rates {
-        if seed.rates.is_empty() {
-            return Err(format!(
-                "{seed_path}: no records_per_s entries (not a throughput artifact)"
-            ));
-        }
-        let comparisons = regress::compare_rates(&seed, &current, max_ratio);
-        regress::render_rate_report(&comparisons, max_ratio)
-    } else {
-        let comparisons = regress::compare(&seed, &current, max_ratio, min_seed_s);
-        regress::render_report(&comparisons, max_ratio)
-    };
+    let (report, pass) = regress::render_report(&regress::compare(&seed, &current));
     print!("{report}");
     Ok(pass)
 }
@@ -158,31 +104,23 @@ mod tests {
     }
 
     #[test]
-    fn accepts_space_and_equals_flag_forms() {
-        let (s, c, r, f, rates) = parse_args(&args(&["a.json", "b.json"])).unwrap();
-        assert_eq!((s.as_str(), c.as_str()), ("a.json", "b.json"));
-        assert_eq!((r, f, rates), (2.5, 0.05, false));
-        // The usage line's own space-separated form must parse.
-        let (_, _, r, f, _) =
-            parse_args(&args(&["a.json", "b.json", "--max-ratio", "3.0"])).unwrap();
-        assert_eq!((r, f), (3.0, 0.05));
-        let (_, _, r, f, rates) = parse_args(&args(&[
-            "--min-seed-s=0.2",
-            "a.json",
-            "--max-ratio=4",
-            "b.json",
-            "--rates",
-        ]))
-        .unwrap();
-        assert_eq!((r, f, rates), (4.0, 0.2, true));
+    fn accepts_exactly_two_paths() {
+        let a = args(&["a.json", "b.json"]);
+        assert_eq!(parse_args(&a), Ok(("a.json", "b.json")));
     }
 
     #[test]
     fn rejects_bad_invocations() {
-        assert!(parse_args(&args(&["a.json"])).is_err());
-        assert!(parse_args(&args(&["a.json", "b.json", "c.json"])).is_err());
-        assert!(parse_args(&args(&["a.json", "b.json", "--max-ratio"])).is_err());
-        assert!(parse_args(&args(&["a.json", "b.json", "--max-ratio", "x"])).is_err());
-        assert!(parse_args(&args(&["a.json", "b.json", "--bogus"])).is_err());
+        for bad in [
+            &["a.json"][..],
+            &["a.json", "b.json", "c.json"],
+            &["a.json", "b.json", "--max-ratio", "3.0"],
+            &["--min-seed-s=0.2", "a.json", "b.json"],
+            &["a.json", "b.json", "--rates"],
+            &["--rates", "b.json"],
+            &["a.json", "--bogus"],
+        ] {
+            assert_eq!(parse_args(&args(bad)), Err(USAGE.to_string()), "{bad:?}");
+        }
     }
 }

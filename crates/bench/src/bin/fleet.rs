@@ -9,9 +9,9 @@
 //! Stdout carries only deterministic artifacts — the [`FleetReport`]
 //! and float digests byte-identical at any worker count, so CI can
 //! `cmp` a serial run against `PSA_JOBS=2`. Rates go to stderr, and
-//! `--bench-json` writes `psa-bench-json/1` rate stages (default path
-//! `BENCH_fleet.json`) that `bench_check --rates` gates against the
-//! committed seed. Set `PSA_BENCH_FAST=1` for a reduced smoke shape.
+//! `--bench-json` writes `psa-bench-json/1` counted stages (default
+//! path `BENCH_fleet.json`) that `bench_check` gates, per record or
+//! chip, against the committed seed. Set `PSA_BENCH_FAST=1` for a reduced smoke shape.
 //!
 //! A "record" is one full-resolution capture
 //! (`calib::RECORD_CYCLES × calib::SAMPLES_PER_CYCLE` samples); the

@@ -14,9 +14,9 @@
 //! accuracy table (exact-count rate, mean per-source error, miss /
 //! false-alarm rates, drive-power error). Stdout is byte-identical at
 //! any worker count — CI `cmp`s `--jobs 1` against `PSA_JOBS=2`; rates
-//! go to stderr, and `--bench-json` writes `psa-bench-json/1` rate
-//! stages (default path `BENCH_multiloc.json`) that `bench_check
-//! --rates` gates against the committed seed. Set `PSA_BENCH_FAST=1`
+//! go to stderr, and `--bench-json` writes `psa-bench-json/1` counted
+//! stages (default path `BENCH_multiloc.json`) that `bench_check`
+//! gates, per record or tuple, against the committed seed. Set `PSA_BENCH_FAST=1`
 //! for a reduced smoke shape.
 
 use psa_bench::experiments;

@@ -13,10 +13,10 @@
 //! Stdout carries only deterministic artifacts — per-stage record
 //! counts and float digests byte-identical at any worker count — so CI
 //! can diff a serial run against `PSA_JOBS=2`. Rates go to stderr, and
-//! `--bench-json` writes them as `psa-bench-json/1` with a
-//! `records_per_s` field per stage (default path
-//! `BENCH_throughput.json`), the document `bench_check --rates` gates
-//! against. Set `PSA_BENCH_FAST=1` to cut record counts (CI smoke).
+//! `--bench-json` writes them as `psa-bench-json/1` with `records` and
+//! `records_per_s` fields per stage (default path
+//! `BENCH_throughput.json`), the document `bench_check` gates on
+//! seconds per record. Set `PSA_BENCH_FAST=1` to cut record counts (CI smoke).
 //!
 //! A "record" is one full-resolution capture:
 //! `calib::RECORD_CYCLES × calib::SAMPLES_PER_CYCLE` samples

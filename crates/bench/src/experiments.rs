@@ -16,7 +16,7 @@ use psa_core::detector::{
     decide, BackscatterDetector, CrossDomainDetector, Detector, EuclideanDetector,
 };
 use psa_core::monitor::{ActivationSchedule, ScheduleChange, SlidingConfig};
-use psa_core::mttd::{mttd_trial_with, MonitorTiming};
+use psa_core::mttd::mttd_trial_with;
 use psa_core::multiloc::MultiLocConfig;
 use psa_core::progsearch::{DetectionSnr, ProgramSearchConfig, TURNS_MAX, TURNS_MIN};
 use psa_core::report::{db, pct, sparkline, yes_no, Table};
@@ -549,10 +549,9 @@ pub fn mttd_rows(
     engine: &Engine,
 ) -> Vec<(TrojanKind, bool, f64, usize)> {
     let campaign = Campaign::new(chip, *engine);
-    let timing = MonitorTiming::default();
     campaign.run(&TrojanKind::ALL, |ctx, _, &kind| {
         let scenario = Scenario::trojan_active(kind).with_seed(888);
-        let r = mttd_trial_with(ctx, &scenario, baseline, 10, &timing, 64).expect("mttd trial");
+        let r = mttd_trial_with(ctx, &scenario, baseline, 10, 64).expect("mttd trial");
         (kind, r.detected, r.time_to_detect_s * 1e3, r.traces_used)
     })
 }

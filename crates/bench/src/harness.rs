@@ -190,9 +190,9 @@ impl Harness {
 /// An entry records a stage's wall time and, for throughput stages, how
 /// many records it processed. `repro_all --bench-json [path]` writes
 /// per-artifact wall times this way; `throughput --bench-json` adds the
-/// record counts, and the export then carries a `records_per_s` field
-/// per stage — the higher-is-better metric
-/// [`crate::regress::compare_rates`] gates on.
+/// record counts, and the export then carries `records` and
+/// `records_per_s` fields per stage. [`crate::regress::compare`] gates
+/// a counted stage on its seconds per record.
 #[derive(Debug, Default)]
 pub struct ArtifactTimer {
     entries: Vec<(String, f64, Option<u64>)>,
@@ -235,8 +235,7 @@ impl ArtifactTimer {
     }
 
     /// Records/sec for one entry (0 when the stage took no measurable
-    /// time — a degenerate rate [`crate::regress::compare_rates`]
-    /// skips rather than gates).
+    /// time).
     pub fn rate(wall_s: f64, records: u64) -> f64 {
         if wall_s > 0.0 {
             records as f64 / wall_s
@@ -393,11 +392,13 @@ mod tests {
         let json = timer.to_json(1);
         let parsed = crate::regress::parse_bench_json(&json).expect("parses");
         assert_eq!(parsed.workers, Some(1));
-        assert_eq!(parsed.rates.len(), 2);
-        assert_eq!(parsed.rates[0].0, "acquire");
-        assert!(parsed.rates[0].1 > 0.0 && parsed.rates[0].1 <= 5000.0);
-        // Wall times ride along, so the doc doubles as a timing artifact.
+        assert!(json.contains("\"records_per_s\": "));
         assert_eq!(parsed.artifacts.len(), 2);
+        assert_eq!(parsed.artifacts[0].name, "acquire");
+        assert_eq!(parsed.artifacts[0].records, Some(10));
+        assert_eq!(parsed.artifacts[1].records, Some(5));
+        // At most 5000 records/sec: at least 0.2 ms per record.
+        assert!(parsed.artifacts[0].cost() >= 2.0e-4);
         assert_eq!(ArtifactTimer::rate(0.0, 100), 0.0);
     }
 
@@ -413,9 +414,10 @@ mod tests {
         let json = timer.to_json(2);
         let parsed = crate::regress::parse_bench_json(&json).expect("parses");
         assert_eq!(parsed.workers, Some(2));
-        assert_eq!(parsed.rates.len(), 2);
-        assert!((parsed.rates[0].1 - 500.0).abs() < 1e-9);
-        assert!((parsed.rates[1].1 - 50.0).abs() < 1e-9);
+        assert!(json.contains("\"records_per_s\": 500.000000"));
+        assert!(json.contains("\"records_per_s\": 50.000000"));
+        assert_eq!(parsed.artifacts[0].cost(), 2.0 / 1000.0);
+        assert_eq!(parsed.artifacts[1].cost(), 2.0 / 100.0);
         assert!((timer.total_s() - 4.0).abs() < 1e-12);
     }
 

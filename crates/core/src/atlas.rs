@@ -247,18 +247,6 @@ impl<'c> PlacementSweep<'c> {
         Ok(Baseline { per_sensor_db })
     }
 
-    /// Precomputed per-sensor local-max envelopes of a corner baseline —
-    /// a pure function of the baseline,
-    /// so a campaign computes them once per corner instead of once per
-    /// placement.
-    pub fn baseline_envelopes(&self, baseline: &Baseline) -> Vec<Vec<f64>> {
-        baseline
-            .per_sensor_db
-            .iter()
-            .map(|b| peak::local_max_envelope(b, calib::ENVELOPE_HALF_WINDOW))
-            .collect()
-    }
-
     /// Rejects per-sensor rows that miss a sensor or were learned at
     /// another record length than this sweep's.
     pub(crate) fn check_sensor_rows(&self, rows: &[Vec<f64>]) -> Result<(), CoreError> {

@@ -73,7 +73,7 @@ impl Baseline {
     /// per-bin noise flicker between the learning and test windows
     /// cannot false-alarm. Callers that decide many times against one
     /// baseline compute this once.
-    pub(crate) fn envelopes(&self) -> Vec<Vec<f64>> {
+    pub fn envelopes(&self) -> Vec<Vec<f64>> {
         self.per_sensor_db
             .iter()
             .map(|base| peak::local_max_envelope(base, calib::ENVELOPE_HALF_WINDOW))

@@ -34,9 +34,11 @@ pub struct MonitorEvent {
     /// (`(record + 1) ×` record length; warm-up excluded).
     pub cycle: u64,
     /// Monitor-loop wall time since stream start, seconds (acquisition
-    /// plus processing, per the [`MonitorTiming`] model).
+    /// plus processing, per [`calib::RECORD_ACQUISITION_S`] and
+    /// [`calib::RECORD_PROCESSING_S`]).
     ///
-    /// [`MonitorTiming`]: crate::mttd::MonitorTiming
+    /// [`calib::RECORD_ACQUISITION_S`]: crate::calib::RECORD_ACQUISITION_S
+    /// [`calib::RECORD_PROCESSING_S`]: crate::calib::RECORD_PROCESSING_S
     pub elapsed_s: f64,
     /// The sensor concerned.
     pub sensor: usize,

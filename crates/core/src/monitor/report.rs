@@ -1,8 +1,8 @@
 //! Session-level aggregation of the streaming monitor's events.
 
+use crate::calib;
 use crate::monitor::event::{MonitorEvent, MonitorEventKind};
 use crate::monitor::schedule::ActivationSchedule;
-use crate::mttd::MonitorTiming;
 use std::fmt;
 
 /// What one monitor session amounted to: the run-time MTTD, the
@@ -44,7 +44,6 @@ impl MonitorReport {
     pub fn from_events(
         events: &[MonitorEvent],
         schedule: &ActivationSchedule,
-        timing: &MonitorTiming,
         lanes: usize,
         expected_sensor: Option<usize>,
     ) -> Self {
@@ -97,7 +96,7 @@ impl MonitorReport {
 
         // The MTTD clock starts when the Trojan activates, i.e. at the
         // beginning of the activation record's monitor iteration.
-        let per_tick_s = lanes as f64 * (timing.acquisition_s + timing.processing_s);
+        let per_tick_s = lanes as f64 * (calib::RECORD_ACQUISITION_S + calib::RECORD_PROCESSING_S);
         let (mttd_s, traces_to_detect) = match (detection, activation_record) {
             _ if standing_at_activation => (Some(per_tick_s), Some(1)),
             (Some(e), Some(a)) => (
@@ -171,7 +170,6 @@ mod tests {
     #[test]
     fn report_scores_detection_and_localization() {
         let schedule = ActivationSchedule::trojan_at(TrojanKind::T1, 2, 8);
-        let timing = MonitorTiming::default();
         let events = vec![
             event(
                 3,
@@ -184,7 +182,7 @@ mod tests {
             event(3, 10, MonitorEventKind::Localized),
             event(6, 10, MonitorEventKind::Clear),
         ];
-        let r = MonitorReport::from_events(&events, &schedule, &timing, 1, Some(10));
+        let r = MonitorReport::from_events(&events, &schedule, 1, Some(10));
         assert!(r.detected);
         assert_eq!(r.activation_record, Some(2));
         assert_eq!(r.traces_to_detect, Some(2));
@@ -194,7 +192,7 @@ mod tests {
         assert_eq!(r.localized_sensor, Some(10));
         assert_eq!(r.localization_correct, Some(true));
         // MTTD: elapsed at the alarm minus two pre-activation ticks.
-        let per_tick = timing.acquisition_s + timing.processing_s;
+        let per_tick = calib::RECORD_ACQUISITION_S + calib::RECORD_PROCESSING_S;
         let want = 4.0 * 650.0e-6 - 2.0 * per_tick;
         assert!((r.mttd_s.unwrap() - want).abs() < 1e-12);
         let line = r.to_string();
@@ -209,7 +207,6 @@ mod tests {
         // monitor is flagging when the Trojan activates — one trace,
         // one tick.
         let schedule = ActivationSchedule::trojan_at(TrojanKind::T4, 4, 10);
-        let timing = MonitorTiming::default();
         let events = vec![event(
             1,
             10,
@@ -218,16 +215,16 @@ mod tests {
                 freq_hz: 66.0e6,
             },
         )];
-        let r = MonitorReport::from_events(&events, &schedule, &timing, 1, None);
+        let r = MonitorReport::from_events(&events, &schedule, 1, None);
         assert!(r.detected);
         assert_eq!(r.traces_to_detect, Some(1));
-        let per_tick = timing.acquisition_s + timing.processing_s;
+        let per_tick = calib::RECORD_ACQUISITION_S + calib::RECORD_PROCESSING_S;
         assert_eq!(r.mttd_s, Some(per_tick));
         assert_eq!(r.false_alarms, 1, "the pre-activation alarm stays false");
 
         // A Clear before activation drops the flag: no detection.
         let cleared = vec![events[0].clone(), event(2, 10, MonitorEventKind::Clear)];
-        let r = MonitorReport::from_events(&cleared, &schedule, &timing, 1, None);
+        let r = MonitorReport::from_events(&cleared, &schedule, 1, None);
         assert!(!r.detected);
         assert_eq!(r.mttd_s, None);
     }
@@ -248,8 +245,7 @@ mod tests {
             ),
             event(2, 0, MonitorEventKind::Clear),
         ];
-        let r =
-            MonitorReport::from_events(&events, &schedule, &MonitorTiming::default(), 2, Some(10));
+        let r = MonitorReport::from_events(&events, &schedule, 2, Some(10));
         assert!(!r.detected);
         assert_eq!(r.false_alarms, 1);
         assert_eq!(r.mttd_s, None);
@@ -277,7 +273,7 @@ mod tests {
                 },
             ),
         ];
-        let r = MonitorReport::from_events(&events, &schedule, &MonitorTiming::default(), 1, None);
+        let r = MonitorReport::from_events(&events, &schedule, 1, None);
         assert_eq!(r.activation_record, None);
         assert!(!r.detected);
         assert_eq!(r.false_alarms, 1);

@@ -8,7 +8,6 @@ use crate::monitor::event::{MonitorEvent, MonitorEventKind};
 use crate::monitor::report::MonitorReport;
 use crate::monitor::sliding::SlidingDetector;
 use crate::monitor::stream::StreamSource;
-use crate::mttd::MonitorTiming;
 
 /// A running monitor session.
 ///
@@ -22,19 +21,19 @@ use crate::mttd::MonitorTiming;
 pub struct Monitor {
     stream: StreamSource,
     detector: SlidingDetector,
-    timing: MonitorTiming,
     events: Vec<MonitorEvent>,
     next_record: usize,
     elapsed_s: f64,
 }
 
 impl Monitor {
-    /// Ties a stream to a detector under the monitor-loop timing model.
-    pub fn new(stream: StreamSource, detector: SlidingDetector, timing: MonitorTiming) -> Self {
+    /// Ties a stream to a detector on the monitor-loop clock
+    /// ([`calib::RECORD_ACQUISITION_S`] plus
+    /// [`calib::RECORD_PROCESSING_S`] per watched sensor and record).
+    pub fn new(stream: StreamSource, detector: SlidingDetector) -> Self {
         Monitor {
             stream,
             detector,
-            timing,
             events: Vec::new(),
             next_record: 0,
             elapsed_s: 0.0,
@@ -79,8 +78,8 @@ impl Monitor {
         let mut tick = Vec::with_capacity(self.detector.lanes());
         for lane in 0..self.detector.lanes() {
             let obs = self.detector.observe(ctx, &self.stream, &scenario, lane)?;
-            self.elapsed_s += self.timing.acquisition_s;
-            self.elapsed_s += self.timing.processing_s;
+            self.elapsed_s += calib::RECORD_ACQUISITION_S;
+            self.elapsed_s += calib::RECORD_PROCESSING_S;
             if obs.newly_alarmed {
                 new_alarm = true;
                 let bin = obs.top_bin.expect("newly alarmed lane has a top bin");
@@ -178,7 +177,6 @@ impl Monitor {
         MonitorReport::from_events(
             &self.events,
             self.stream.schedule(),
-            &self.timing,
             self.detector.lanes(),
             expected_sensor,
         )

@@ -14,30 +14,6 @@ use crate::error::CoreError;
 use crate::monitor::{ActivationSchedule, Monitor, SlidingConfig, SlidingDetector, StreamSource};
 use crate::scenario::Scenario;
 
-/// Timing model of the run-time monitor loop.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MonitorTiming {
-    /// Seconds to acquire one record (4096 samples at 264 MS/s plus
-    /// retrigger overhead).
-    pub acquisition_s: f64,
-    /// Seconds to process one record (4096-point FFT + baseline compare
-    /// on the companion FPGA).
-    pub processing_s: f64,
-}
-
-impl Default for MonitorTiming {
-    fn default() -> Self {
-        MonitorTiming {
-            // 65 536 samples / 264 MS/s = 248 µs, plus retrigger and
-            // transfer overhead.
-            acquisition_s: 300.0e-6,
-            // Streaming 65 536-pt FFT on the companion FPGA plus the
-            // baseline comparison.
-            processing_s: 350.0e-6,
-        }
-    }
-}
-
 /// Result of one MTTD trial.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MttdResult {
@@ -74,7 +50,6 @@ pub fn mttd_trial_with(
     scenario: &Scenario,
     baseline: &Baseline,
     sensor: usize,
-    timing: &MonitorTiming,
     max_traces: usize,
 ) -> Result<MttdResult, CoreError> {
     // A constant schedule is Trojan-active from record 0 or never, so
@@ -83,7 +58,7 @@ pub fn mttd_trial_with(
     let armed = !scenario.active_trojans().is_empty();
     let detector = SlidingDetector::new(baseline, &[sensor], SlidingConfig::default())?;
     let stream = StreamSource::new(ActivationSchedule::constant(scenario.clone(), max_traces));
-    let mut monitor = Monitor::new(stream, detector, *timing);
+    let mut monitor = Monitor::new(stream, detector);
     while !monitor.finished() {
         let events = monitor.step(ctx)?;
         if let Some(alarm) = events.iter().find(|e| armed && e.is_alarm()) {
@@ -113,22 +88,6 @@ pub fn baseline_latency_s(traces_needed: usize, per_trace_s: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn default_timing_is_sub_1ms_per_iteration() {
-        let t = MonitorTiming::default();
-        assert!(t.acquisition_s + t.processing_s < 1.0e-3);
-        assert!(t.acquisition_s > 0.0 && t.processing_s > 0.0);
-    }
-
-    #[test]
-    fn ten_traces_fit_in_10ms() {
-        // The paper's claim is structural: <10 traces at the monitor's
-        // loop rate lands far inside 10 ms.
-        let t = MonitorTiming::default();
-        let ten = 10.0 * (t.acquisition_s + t.processing_s);
-        assert!(ten < 10.0e-3, "ten traces take {ten} s");
-    }
 
     #[test]
     fn baseline_latency_scales() {

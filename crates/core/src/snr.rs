@@ -8,7 +8,7 @@
 //! HH100-6 from its datasheet.
 
 use crate::acquisition::AcqContext;
-use crate::chip::{SensorSelect, TestChip};
+use crate::chip::SensorSelect;
 use crate::error::CoreError;
 use crate::scenario::Scenario;
 
@@ -59,26 +59,6 @@ pub fn measure_snr_with(
     })
 }
 
-/// Measures all four Sec. VI-B rows: PSA (sensor 10), single coil, LF1,
-/// ICR, on one context.
-///
-/// # Errors
-///
-/// Propagates acquisition errors.
-pub fn snr_comparison(chip: &TestChip, seed: u64) -> Result<Vec<SnrMeasurement>, CoreError> {
-    let selections = [
-        SensorSelect::Psa(10),
-        SensorSelect::SingleCoil,
-        SensorSelect::IcrHh100,
-        SensorSelect::LangerLf1,
-    ];
-    let mut ctx = AcqContext::new(chip);
-    selections
-        .iter()
-        .map(|&s| measure_snr_with(&mut ctx, s, 4, seed))
-        .collect()
-}
-
 fn label_of(sensor: SensorSelect) -> String {
     match sensor {
         SensorSelect::Psa(i) => format!("PSA sensor {i}"),
@@ -92,6 +72,7 @@ fn label_of(sensor: SensorSelect) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chip::TestChip;
     use std::sync::OnceLock;
 
     fn chip() -> &'static TestChip {
@@ -109,32 +90,14 @@ mod tests {
     }
 
     #[test]
-    fn ranking_matches_paper() {
-        // Paper ordering: PSA (41) > ICR (~34) > single coil (30.5) >
-        // LF1 (14.3).
-        let rows = snr_comparison(chip(), 3).unwrap();
-        let get = |s: SensorSelect| {
-            rows.iter()
-                .find(|m| m.sensor == s)
-                .map(|m| m.snr_db)
-                .unwrap()
-        };
-        let psa = get(SensorSelect::Psa(10));
-        let single = get(SensorSelect::SingleCoil);
-        let lf1 = get(SensorSelect::LangerLf1);
-        let icr = get(SensorSelect::IcrHh100);
-        assert!(psa > single, "psa {psa} vs single {single}");
-        assert!(psa > icr, "psa {psa} vs icr {icr}");
-        assert!(single > lf1, "single {single} vs lf1 {lf1}");
-        assert!(icr > lf1, "icr {icr} vs lf1 {lf1}");
-    }
-
-    #[test]
     fn labels_are_informative() {
-        let rows = snr_comparison(chip(), 5).unwrap();
-        assert!(rows.iter().any(|m| m.label.contains("PSA")));
-        assert!(rows.iter().any(|m| m.label.contains("LF1")));
-        for m in &rows {
+        let mut ctx = AcqContext::new(chip());
+        for (sensor, name) in [
+            (SensorSelect::Psa(10), "PSA"),
+            (SensorSelect::LangerLf1, "LF1"),
+        ] {
+            let m = measure_snr_with(&mut ctx, sensor, 4, 5).unwrap();
+            assert!(m.label.contains(name), "{}", m.label);
             assert!(m.signal_vrms > 0.0);
             assert!(m.noise_vrms > 0.0);
         }

@@ -38,7 +38,6 @@ use psa_core::calib;
 use psa_core::chip::{ChipVariation, SensorSelect, TestChip};
 use psa_core::error::CoreError;
 use psa_core::monitor::{ActivationSchedule, AlarmLatch};
-use psa_core::mttd::MonitorTiming;
 use psa_core::scenario::Scenario;
 use psa_dsp::peak;
 use psa_dsp::rng::splitmix64;
@@ -169,12 +168,14 @@ impl ChipOutcome {
         )
     }
 
-    /// Mean-time-to-detect under `timing`'s per-record model: records
-    /// from activation through detection, inclusive.
-    pub fn mttd_s(&self, timing: &MonitorTiming) -> Option<f64> {
+    /// Mean-time-to-detect on the monitor-loop clock: records from
+    /// activation through detection, inclusive.
+    pub fn mttd_s(&self) -> Option<f64> {
         let a = self.activation_record?;
         let d = self.detect_record?;
-        (d >= a).then(|| (d - a + 1) as f64 * (timing.acquisition_s + timing.processing_s))
+        (d >= a).then(|| {
+            (d - a + 1) as f64 * (calib::RECORD_ACQUISITION_S + calib::RECORD_PROCESSING_S)
+        })
     }
 }
 
@@ -227,14 +228,13 @@ pub struct FleetReport {
 }
 
 impl FleetReport {
-    /// Aggregates chip outcomes under `config`'s shape and the default
-    /// [`MonitorTiming`].
+    /// Aggregates chip outcomes under `config`'s shape and the
+    /// monitor-loop clock.
     pub fn from_outcomes(outcomes: &[ChipOutcome], config: &FleetConfig) -> Self {
-        let timing = MonitorTiming::default();
-        let per_tick_s = timing.acquisition_s + timing.processing_s;
+        let per_tick_s = calib::RECORD_ACQUISITION_S + calib::RECORD_PROCESSING_S;
         let records = outcomes.len() * config.records;
         let stream_s = records as f64 * per_tick_s;
-        let mut mttds: Vec<f64> = outcomes.iter().filter_map(|o| o.mttd_s(&timing)).collect();
+        let mut mttds: Vec<f64> = outcomes.iter().filter_map(ChipOutcome::mttd_s).collect();
         mttds.sort_by(f64::total_cmp);
         let mut fas: Vec<f64> = outcomes.iter().map(|o| o.false_alarms as f64).collect();
         fas.sort_by(f64::total_cmp);
@@ -625,10 +625,6 @@ mod tests {
 
     #[test]
     fn chip_outcome_mttd_counts_inclusive_records() {
-        let timing = MonitorTiming {
-            acquisition_s: 300e-6,
-            processing_s: 350e-6,
-        };
         let o = ChipOutcome {
             chip: 0,
             infected: true,
@@ -639,8 +635,9 @@ mod tests {
             clears: 0,
         };
         assert!(o.detected());
-        let mttd = o.mttd_s(&timing).unwrap();
-        assert!((mttd - 3.0 * 650e-6).abs() < 1e-12);
+        let mttd = o.mttd_s().unwrap();
+        let per_tick = calib::RECORD_ACQUISITION_S + calib::RECORD_PROCESSING_S;
+        assert_eq!(mttd, 3.0 * per_tick);
         let clean = ChipOutcome {
             activation_record: None,
             detect_record: None,
@@ -648,7 +645,7 @@ mod tests {
             ..o.clone()
         };
         assert!(!clean.detected());
-        assert_eq!(clean.mttd_s(&timing), None);
+        assert_eq!(clean.mttd_s(), None);
     }
 
     #[test]
@@ -695,8 +692,7 @@ mod tests {
         assert_eq!(report.alarms, 3);
         assert_eq!(report.false_alarms, 1);
         assert_eq!(report.clears, 1);
-        let timing = MonitorTiming::default();
-        let per_tick = timing.acquisition_s + timing.processing_s;
+        let per_tick = calib::RECORD_ACQUISITION_S + calib::RECORD_PROCESSING_S;
         assert!((report.stream_s - 12.0 * per_tick).abs() < 1e-12);
         assert_eq!(report.mttd_p50_s, Some(2.0 * per_tick));
         assert_eq!(report.mttd_max_s, Some(3.0 * per_tick));

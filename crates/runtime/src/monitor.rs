@@ -18,7 +18,6 @@ use psa_core::monitor::{
     ActivationSchedule, Monitor, MonitorEvent, MonitorReport, SlidingConfig, SlidingDetector,
     StreamSource,
 };
-use psa_core::mttd::MonitorTiming;
 
 /// One streaming monitor session to run.
 #[derive(Debug, Clone, PartialEq)]
@@ -31,8 +30,6 @@ pub struct MonitorJob {
     pub sensors: Vec<usize>,
     /// Detector configuration.
     pub config: SlidingConfig,
-    /// Monitor-loop timing model.
-    pub timing: MonitorTiming,
     /// Ground-truth closest sensor, for localization scoring.
     pub expected_sensor: Option<usize>,
 }
@@ -45,7 +42,6 @@ impl MonitorJob {
             schedule,
             sensors: vec![10],
             config: SlidingConfig::default(),
-            timing: MonitorTiming::default(),
             expected_sensor: None,
         }
     }
@@ -181,11 +177,7 @@ impl<'c> MonitorCampaign<'c> {
             .run(jobs, |ctx, _, job| {
                 let detector =
                     SlidingDetector::new(&self.baseline, &job.sensors, job.config.clone())?;
-                let mut monitor = Monitor::new(
-                    StreamSource::new(job.schedule.clone()),
-                    detector,
-                    job.timing,
-                );
+                let mut monitor = Monitor::new(StreamSource::new(job.schedule.clone()), detector);
                 monitor.run_to_end(ctx)?;
                 let report = monitor.report(job.expected_sensor);
                 Ok(MonitorOutcome {

@@ -132,10 +132,7 @@ impl<'c> MultilocCampaign<'c> {
             })
             .into_iter()
             .collect::<Result<Vec<_>, _>>()?;
-        let envelopes: Vec<_> = baselines
-            .iter()
-            .map(|b| sweep.baseline_envelopes(b))
-            .collect();
+        let envelopes: Vec<_> = baselines.iter().map(Baseline::envelopes).collect();
         let calibrations = campaign
             .run(&corner_idx, |ctx, _, &c| {
                 let scenario = corners[c]

@@ -11,9 +11,10 @@
 //! activation to detection (MTTD) for each Trojan.
 
 use psa_repro::core::acquisition::AcqContext;
+use psa_repro::core::calib;
 use psa_repro::core::chip::TestChip;
 use psa_repro::core::cross_domain::{AnalyzerConfig, Baseline};
-use psa_repro::core::mttd::{mttd_trial_with, MonitorTiming};
+use psa_repro::core::mttd::mttd_trial_with;
 use psa_repro::core::scenario::Scenario;
 use psa_repro::gatesim::trojan::TrojanKind;
 
@@ -22,19 +23,17 @@ fn main() {
     let chip = TestChip::date24();
     let mut ctx = AcqContext::new(&chip);
     let baseline = Baseline::learn_with(&AnalyzerConfig::default(), &mut ctx, 0xBA5E);
-    let timing = MonitorTiming::default();
 
     println!(
         "monitor loop: {:.0} us acquisition + {:.0} us processing per trace\n",
-        timing.acquisition_s * 1e6,
-        timing.processing_s * 1e6
+        calib::RECORD_ACQUISITION_S * 1e6,
+        calib::RECORD_PROCESSING_S * 1e6
     );
     println!("trojan  detected  MTTD        traces   (paper: <10 ms, <10 traces)");
     println!("------------------------------------------------------------------");
     for kind in TrojanKind::ALL {
         let scenario = Scenario::trojan_active(kind).with_seed(991 + kind.index() as u64);
-        let result =
-            mttd_trial_with(&mut ctx, &scenario, &baseline, 10, &timing, 64).expect("trial runs");
+        let result = mttd_trial_with(&mut ctx, &scenario, &baseline, 10, 64).expect("trial runs");
         println!(
             "{:<7} {:<9} {:>7.2} ms  {:>6}",
             kind.to_string(),

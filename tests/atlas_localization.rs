@@ -50,7 +50,7 @@ fn localize_one(
         &corner.scenario(),
         std::slice::from_ref(emitter),
         &baseline,
-        &localizer.sweep().baseline_envelopes(&baseline),
+        &baseline.envelopes(),
         None,
     )
 }

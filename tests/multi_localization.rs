@@ -50,7 +50,7 @@ fn zero_drive_tuple_reports_no_sources() {
         .sweep()
         .learn_baseline_with(&mut ctx, &corner.scenario())
         .expect("baseline learns");
-    let envelopes = localizer.sweep().baseline_envelopes(&baseline);
+    let envelopes = baseline.envelopes();
 
     let quiet = [emitter_at(300.0, 300.0, 0.0), emitter_at(700.0, 700.0, 0.0)];
     let outcome = localizer
@@ -81,7 +81,7 @@ fn concurrent_sources_are_counted_located_and_powered() {
         .sweep()
         .learn_baseline_with(&mut ctx, &corner.scenario())
         .expect("baseline learns");
-    let envelopes = localizer.sweep().baseline_envelopes(&baseline);
+    let envelopes = baseline.envelopes();
     let calibration = localizer
         .calibrate_with(
             &mut ctx,
@@ -222,7 +222,7 @@ fn baselines_of_another_record_length_are_rejected() {
     let long = Baseline {
         per_sensor_db: vec![vec![-100.0; bins]; n_sensors],
     };
-    let envelopes = localizer.sweep().baseline_envelopes(&long);
+    let envelopes = long.envelopes();
     let emitters = [emitter_at(500.0, 500.0, 800.0)];
     let mut ctx = AcqContext::new(chip());
     let invalid = |r: Result<(), CoreError>| matches!(r, Err(CoreError::InvalidParameter { .. }));

@@ -11,9 +11,8 @@ use psa_repro::core::cross_domain::{AnalyzerConfig, Baseline};
 use psa_repro::core::monitor::{
     ActivationSchedule, Monitor, ScheduleChange, SlidingConfig, SlidingDetector, StreamSource,
 };
-use psa_repro::core::mttd::{mttd_trial_with, MonitorTiming};
+use psa_repro::core::mttd::mttd_trial_with;
 use psa_repro::core::scenario::Scenario;
-use psa_repro::core::snr;
 use psa_repro::dsp::peak;
 use psa_repro::gatesim::trojan::TrojanKind;
 use psa_repro::runtime::{Engine, MonitorCampaign, MonitorJob};
@@ -38,17 +37,14 @@ fn baseline() -> &'static Baseline {
 #[test]
 fn snr_values_land_in_paper_regime() {
     // Paper: PSA 41.0, single coil 30.5, ICR ~34, LF1 14.3 (dB).
-    let rows = snr::snr_comparison(chip(), 3).expect("snr comparison");
-    let get = |s: SensorSelect| {
+    // Rows come in selection order: PSA sensor 10, single coil, ICR, LF1.
+    let rows = psa_bench::experiments::snr_rows(chip(), &Engine::serial());
+    let [psa, single, icr, lf1] = <[f64; 4]>::try_from(
         rows.iter()
-            .find(|m| m.sensor == s)
-            .map(|m| m.snr_db)
-            .unwrap()
-    };
-    let psa = get(SensorSelect::Psa(10));
-    let single = get(SensorSelect::SingleCoil);
-    let icr = get(SensorSelect::IcrHh100);
-    let lf1 = get(SensorSelect::LangerLf1);
+            .map(|(_, measured, _)| *measured)
+            .collect::<Vec<_>>(),
+    )
+    .expect("four SNR rows");
     assert!((37.0..46.0).contains(&psa), "PSA {psa}");
     assert!((26.0..35.0).contains(&single), "single coil {single}");
     assert!((29.0..39.0).contains(&icr), "ICR {icr}");
@@ -59,18 +55,10 @@ fn snr_values_land_in_paper_regime() {
 
 #[test]
 fn mttd_under_10ms_with_under_10_traces() {
-    let timing = MonitorTiming::default();
     for kind in [TrojanKind::T4, TrojanKind::T3] {
         let scenario = Scenario::trojan_active(kind).with_seed(900);
-        let r = mttd_trial_with(
-            &mut AcqContext::new(chip()),
-            &scenario,
-            baseline(),
-            10,
-            &timing,
-            64,
-        )
-        .expect("trial runs");
+        let r = mttd_trial_with(&mut AcqContext::new(chip()), &scenario, baseline(), 10, 64)
+            .expect("trial runs");
         assert!(r.detected, "{kind} undetected");
         assert!(
             r.time_to_detect_s < 10.0e-3,
@@ -83,13 +71,11 @@ fn mttd_under_10ms_with_under_10_traces() {
 
 #[test]
 fn no_trojan_monitor_does_not_false_alarm() {
-    let timing = MonitorTiming::default();
     let r = mttd_trial_with(
         &mut AcqContext::new(chip()),
         &Scenario::baseline().with_seed(901),
         baseline(),
         10,
-        &timing,
         12,
     )
     .expect("trial runs");
@@ -107,7 +93,6 @@ fn batch_replay_reference(
     scenario: &Scenario,
     base: &[f64],
     sensor: usize,
-    timing: &MonitorTiming,
     max_traces: usize,
 ) -> (bool, f64, usize) {
     let mut ctx = AcqContext::new(chip());
@@ -123,7 +108,7 @@ fn batch_replay_reference(
             &mut fresh,
         )
         .expect("acquisition");
-        elapsed += timing.acquisition_s;
+        elapsed += calib::RECORD_ACQUISITION_S;
         window.fs_hz = fresh.fs_hz;
         window.sensor = fresh.sensor;
         window.records.push(std::mem::take(&mut fresh.records[0]));
@@ -132,7 +117,7 @@ fn batch_replay_reference(
             fresh.records[0] = evicted;
         }
         let spec = ctx.fullres_spectrum_db(&window).expect("spectrum");
-        elapsed += timing.processing_s;
+        elapsed += calib::RECORD_PROCESSING_S;
         let hits = peak::excess_over_baseline_db(&spec, &base_env, calib::DETECTION_THRESHOLD_DB);
         if !hits.is_empty() {
             return (true, elapsed, trace_idx + 1);
@@ -143,7 +128,6 @@ fn batch_replay_reference(
 
 #[test]
 fn streaming_mttd_is_bit_identical_to_batch_replay() {
-    let timing = MonitorTiming::default();
     // A detecting trial (T4) and a non-detecting one (T1 watched from
     // the silent corner sensor 0 would still detect; use a quiet
     // baseline stream instead).
@@ -157,17 +141,11 @@ fn streaming_mttd_is_bit_identical_to_batch_replay() {
             &scenario,
             baseline(),
             10,
-            &timing,
             max_traces,
         )
         .expect("streaming trial");
-        let (detected, elapsed, traces) = batch_replay_reference(
-            &scenario,
-            &baseline().per_sensor_db[10],
-            10,
-            &timing,
-            max_traces,
-        );
+        let (detected, elapsed, traces) =
+            batch_replay_reference(&scenario, &baseline().per_sensor_db[10], 10, max_traces);
         assert_eq!(r.detected, detected, "{scenario:?}");
         assert_eq!(
             r.time_to_detect_s.to_bits(),
@@ -183,11 +161,10 @@ fn streaming_mttd_is_bit_identical_to_batch_replay() {
 
 #[test]
 fn scheduled_trial_counts_mttd_from_activation() {
-    let timing = MonitorTiming::default();
     let schedule = ActivationSchedule::trojan_at(TrojanKind::T4, 3, 12).with_seed(920);
     let detector = SlidingDetector::new(baseline(), &[10], SlidingConfig::default())
         .expect("baseline covers sensor 10");
-    let mut monitor = Monitor::new(StreamSource::new(schedule), detector, timing);
+    let mut monitor = Monitor::new(StreamSource::new(schedule), detector);
     monitor
         .run_to_end(&mut AcqContext::new(chip()))
         .expect("scheduled session");
