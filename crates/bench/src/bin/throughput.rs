@@ -255,8 +255,7 @@ fn main() {
         &mut traces,
     )
     .expect("built-in sensor acquisition");
-    let mut capture = Vec::new();
-    traces.concat_into(&mut capture);
+    let capture = traces.records.concat();
     let zs = ZeroSpan::with_rbw(48.0e6, traces.fs_hz, psa_core::calib::IDENTIFY_RBW_HZ)
         .expect("identification zero-span configuration");
     let mut envelope = Vec::new();

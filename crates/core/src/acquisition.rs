@@ -42,6 +42,7 @@ use psa_analog::specan::SpectrumAnalyzer;
 use psa_array::program::CoilProgram;
 use psa_dsp::batch::{mean_amplitude_db_in_place, SpectrumScratch};
 use psa_dsp::window::Window;
+use psa_dsp::zero_span::ZeroSpan;
 use psa_field::induction::{emf_central, emf_one_sided, flux_weight};
 use psa_field::noise::GaussianNoise;
 use psa_gatesim::activity::{ActivitySimulator, Source};
@@ -113,17 +114,6 @@ impl TraceSet {
         }
         (self.samples().map(|v| v * v).sum::<f64>() / n as f64).sqrt()
     }
-
-    /// Concatenates all records into a caller-owned buffer (cleared
-    /// first, reserved exactly once), so zero-span callers can reuse one
-    /// allocation across acquisitions.
-    pub fn concat_into(&self, out: &mut Vec<f64>) {
-        out.clear();
-        out.reserve(self.num_samples());
-        for r in &self.records {
-            out.extend_from_slice(r);
-        }
-    }
 }
 
 impl Default for TraceSet {
@@ -192,10 +182,9 @@ pub struct AcqContext<'c> {
     fullres: SpectrumScratch,
     display: SpectrumScratch,
     scratch: RecordScratch,
-    /// One digitized record of a sensor sweep, recycled across sensors
-    /// and records.
+    /// One digitized record of a sensor sweep or a zero-span stream,
+    /// recycled across sensors and records.
     record: Vec<f64>,
-    concat: Vec<f64>,
     traces: TraceSet,
     /// Per-worker cache of synthesized custom programmings: deriving a
     /// coupling row is a flux integral per source cluster, far too
@@ -227,7 +216,6 @@ impl<'c> AcqContext<'c> {
             display,
             scratch: RecordScratch::default(),
             record: Vec::new(),
-            concat: Vec::new(),
             traces: TraceSet::default(),
             customs: Vec::new(),
             variation: None,
@@ -296,7 +284,7 @@ impl<'c> AcqContext<'c> {
         record_cycles: usize,
         out: &mut TraceSet,
     ) -> Result<(), CoreError> {
-        self.acquire_records(scenario, sensor, n_records, record_cycles, &[], out)
+        self.acquire_len_with_emitters_into(scenario, sensor, n_records, record_cycles, &[], out)
     }
 
     /// [`acquire_len_into`](Self::acquire_len_into) with a **set** of
@@ -321,9 +309,27 @@ impl<'c> AcqContext<'c> {
         emitters: &[InjectedEmitter<'_>],
         out: &mut TraceSet,
     ) -> Result<(), CoreError> {
-        self.acquire_records(scenario, sensor, n_records, record_cycles, emitters, out)
+        out.fs_hz = calib::sample_rate_hz();
+        out.sensor = sensor;
+        out.records.resize_with(n_records, Vec::new);
+        let records = &mut out.records;
+        self.acquire_records(
+            scenario,
+            sensor,
+            n_records,
+            record_cycles,
+            emitters,
+            |rec_idx, scratch, lanes| {
+                scratch.record_into(lanes, 0, &mut records[rec_idx]);
+                Ok(())
+            },
+        )
     }
 
+    /// The one-sensor record loop: runs `n_records` consecutive records
+    /// of `sensor` through the record kernel and hands each, by index,
+    /// to `sink`, which decodes it from the kernel's codes
+    /// ([`RecordScratch::record_into`]) where it keeps it.
     fn acquire_records(
         &mut self,
         scenario: &Scenario,
@@ -331,19 +337,13 @@ impl<'c> AcqContext<'c> {
         n_records: usize,
         record_cycles: usize,
         emitters: &[InjectedEmitter<'_>],
-        out: &mut TraceSet,
+        mut sink: impl FnMut(usize, &RecordScratch, &Lanes<1>) -> Result<(), CoreError>,
     ) -> Result<(), CoreError> {
         check_record_shape(n_records, record_cycles)?;
         let chain = self.sensor_chain(scenario, sensor, emitters.iter().map(|e| e.coupling))?;
         let lanes = Lanes::<1>::new(frontend_for(sensor, scenario.seed ^ 0xFE), &[chain])?;
         let mut sim = start_activity(scenario);
-        out.fs_hz = calib::sample_rate_hz();
-        out.sensor = sensor;
-        out.records.truncate(n_records);
-        while out.records.len() < n_records {
-            out.records.push(Vec::new());
-        }
-        for (rec_idx, record) in out.records.iter_mut().enumerate() {
+        for rec_idx in 0..n_records {
             self.scratch.run_chip(
                 self.chip,
                 &mut sim,
@@ -351,7 +351,7 @@ impl<'c> AcqContext<'c> {
                 emitters.iter().map(|e| (e.trojan, e.charge_fc)),
             );
             self.scratch.sense(&lanes, rec_idx)?;
-            self.scratch.record_into(&lanes, 0, record);
+            sink(rec_idx, &self.scratch, &lanes)?;
         }
         Ok(())
     }
@@ -609,16 +609,25 @@ impl<'c> AcqContext<'c> {
         psa_dsp::fft::freq_bin(freq_hz, n, calib::sample_rate_hz())
     }
 
-    /// Zero-span envelope of `center_hz` over `n_records` concatenated
+    /// Zero-span envelope of `center_hz` over `n_records` consecutive
     /// records — one Fig 5 panel — with an explicit resolution
     /// bandwidth (identification uses [`calib::IDENTIFY_RBW_HZ`] to
     /// reject the 3 MHz family neighbour and the AES block-rate lines),
-    /// reusing the concatenation scratch.
+    /// returned with its sample rate.
+    ///
+    /// Each record leaves the record kernel into the context's one
+    /// record buffer and is pushed straight into a [`ZeroSpanStream`]
+    /// (mixer and first decimating filter), so the records are never
+    /// held together. The envelope is bit-identical to
+    /// [`ZeroSpan::envelope_trimmed`] over the concatenated records of
+    /// [`acquire_into`](Self::acquire_into).
     ///
     /// # Errors
     ///
     /// Same as [`acquire_into`](Self::acquire_into), plus zero-span
     /// configuration errors.
+    ///
+    /// [`ZeroSpanStream`]: psa_dsp::zero_span::ZeroSpanStream
     pub fn zero_span_rbw(
         &mut self,
         scenario: &Scenario,
@@ -626,21 +635,25 @@ impl<'c> AcqContext<'c> {
         center_hz: f64,
         rbw_hz: f64,
         n_records: usize,
-    ) -> Result<Vec<f64>, CoreError> {
-        let mut traces = std::mem::take(&mut self.traces);
-        let result = self
-            .acquire_into(scenario, sensor, n_records, &mut traces)
-            .and_then(|()| {
-                traces.concat_into(&mut self.concat);
-                Ok(self.specan.zero_span_trace_rbw(
-                    &self.concat,
-                    traces.fs_hz,
-                    center_hz,
-                    rbw_hz,
-                )?)
-            });
-        self.traces = traces;
-        result
+    ) -> Result<(Vec<f64>, f64), CoreError> {
+        check_record_shape(n_records, calib::RECORD_CYCLES)?;
+        let zs = ZeroSpan::with_rbw(center_hz, calib::sample_rate_hz(), rbw_hz)?;
+        let mut stream = zs.stream(n_records * calib::RECORD_CYCLES * calib::SAMPLES_PER_CYCLE)?;
+        let mut record = std::mem::take(&mut self.record);
+        let result = self.acquire_records(
+            scenario,
+            sensor,
+            n_records,
+            calib::RECORD_CYCLES,
+            &[],
+            |_, scratch, lanes| {
+                scratch.record_into(lanes, 0, &mut record);
+                Ok(stream.push(&record)?)
+            },
+        );
+        self.record = record;
+        result?;
+        Ok((stream.finish_trimmed()?, zs.output_fs_hz()))
     }
 }
 
@@ -1005,9 +1018,6 @@ mod tests {
         };
         let cat = t.records.concat();
         assert_eq!(t.samples().collect::<Vec<_>>(), cat);
-        let mut buf = vec![9.0; 100];
-        t.concat_into(&mut buf);
-        assert_eq!(buf, cat);
         let rms_cat = (cat.iter().map(|v| v * v).sum::<f64>() / cat.len() as f64).sqrt();
         assert_eq!(t.rms().to_bits(), rms_cat.to_bits());
         assert_eq!(TraceSet::default().rms(), 0.0);
@@ -1736,6 +1746,46 @@ mod tests {
             .acquire(&s, SensorSelect::Psa(5), 2)
             .unwrap();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn streamed_zero_span_matches_the_slice_envelope_bitwise() {
+        let scenario = Scenario::trojan_active(TrojanKind::T1).with_seed(0x1D);
+        let sensor = SensorSelect::Psa(10);
+        let mut ctx = AcqContext::new(chip());
+        let capture = ctx
+            .acquire(&scenario, sensor, calib::IDENTIFY_RECORDS)
+            .unwrap()
+            .records
+            .concat();
+        let zs =
+            ZeroSpan::with_rbw(48.0e6, calib::sample_rate_hz(), calib::IDENTIFY_RBW_HZ).unwrap();
+        let want = bits(&zs.envelope_trimmed(&capture).unwrap());
+        for chunk in [1, 7, 4096, 65_536, capture.len()] {
+            let mut stream = zs.stream(capture.len()).unwrap();
+            for piece in capture.chunks(chunk) {
+                stream.push(piece).unwrap();
+            }
+            assert_eq!(
+                bits(&stream.finish_trimmed().unwrap()),
+                want,
+                "chunk {chunk}"
+            );
+        }
+        let (envelope, fs) = ctx
+            .zero_span_rbw(
+                &scenario,
+                sensor,
+                48.0e6,
+                calib::IDENTIFY_RBW_HZ,
+                calib::IDENTIFY_RECORDS,
+            )
+            .unwrap();
+        assert_eq!(bits(&envelope), want);
+        assert_eq!(fs.to_bits(), zs.output_fs_hz().to_bits());
+        assert!(ctx
+            .zero_span_rbw(&scenario, sensor, 48.0e6, calib::IDENTIFY_RBW_HZ, 0)
+            .is_err());
     }
 
     #[test]

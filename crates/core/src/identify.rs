@@ -260,8 +260,12 @@ impl TemplateLibrary {
         // in the heap, so the allocator can return their space at the
         // end of the call.
         let records = crate::calib::IDENTIFY_RECORDS * crate::calib::RECORD_CYCLES;
-        let envelope_len =
-            identify_zero_span(48.0e6)?.trimmed_len(records * crate::calib::SAMPLES_PER_CYCLE);
+        let envelope_len = psa_dsp::zero_span::ZeroSpan::with_rbw(
+            48.0e6,
+            crate::calib::sample_rate_hz(),
+            crate::calib::IDENTIFY_RBW_HZ,
+        )?
+        .trimmed_len(records * crate::calib::SAMPLES_PER_CYCLE);
         psa_dsp::rfft::SpectrumPlan::shared(envelope_len.max(1), psa_dsp::window::Window::Hann)?;
         let mut ctx = AcqContext::new(chip);
         let mut samples = Vec::new();
@@ -333,15 +337,6 @@ impl TemplateLibrary {
     }
 }
 
-/// The zero-span analyzer of identification at `line_freq_hz`.
-fn identify_zero_span(line_freq_hz: f64) -> Result<psa_dsp::zero_span::ZeroSpan, CoreError> {
-    Ok(psa_dsp::zero_span::ZeroSpan::with_rbw(
-        line_freq_hz,
-        crate::calib::sample_rate_hz(),
-        crate::calib::IDENTIFY_RBW_HZ,
-    )?)
-}
-
 /// Acquires a full [`TrojanSignature`] for `scenario` on one sensor:
 /// averaged spectra for the spectral context plus a zero-span envelope
 /// at `line_freq_hz` (the 48 MHz family line).
@@ -389,14 +384,13 @@ pub fn signature_from_parts_with(
     let (satellite_offset_mhz, pedestal_width_mhz) =
         spectral_context(&excess, line_bin.min(n.saturating_sub(1)), df);
 
-    let envelope = ctx.zero_span_rbw(
+    let (envelope, env_fs) = ctx.zero_span_rbw(
         scenario,
         SensorSelect::Psa(sensor),
         line_freq_hz,
         crate::calib::IDENTIFY_RBW_HZ,
         crate::calib::IDENTIFY_RECORDS,
     )?;
-    let env_fs = identify_zero_span(line_freq_hz)?.output_fs_hz();
     let env = extract_features(&envelope, env_fs)?;
     let signature = TrojanSignature {
         env,

@@ -193,10 +193,9 @@ fn identification_features_match_reference_pipeline_bitwise() {
     .unwrap()
     .output_fs_hz();
     let mut traces = TraceSet::default();
-    let mut concat = Vec::new();
     for kind in TrojanKind::ALL {
         let scenario = Scenario::trojan_active(kind).with_seed(555 + kind.index() as u64);
-        let envelope = ctx
+        let (envelope, envelope_fs) = ctx
             .zero_span_rbw(
                 &scenario,
                 SensorSelect::Psa(SENSOR),
@@ -205,9 +204,10 @@ fn identification_features_match_reference_pipeline_bitwise() {
                 RECORDS,
             )
             .unwrap();
+        assert_eq!(envelope_fs.to_bits(), env_fs.to_bits(), "{kind} rate");
         ctx.acquire_into(&scenario, SensorSelect::Psa(SENSOR), RECORDS, &mut traces)
             .unwrap();
-        traces.concat_into(&mut concat);
+        let concat = traces.records.concat();
         let reference = reference_envelope(&concat, traces.fs_hz, LINE_HZ, calib::IDENTIFY_RBW_HZ);
         assert_eq!(bits(&envelope), bits(&reference), "{kind} envelope");
 

@@ -7,6 +7,7 @@
 use crate::error::DspError;
 use crate::window::Window;
 use std::f64::consts::PI;
+use std::ops::Range;
 
 /// A finite-impulse-response filter (its tap coefficients).
 ///
@@ -36,7 +37,8 @@ impl FirFilter {
     /// # Errors
     ///
     /// Returns [`DspError::FrequencyOutOfRange`] if `cutoff_hz` is not in
-    /// `(0, fs/2)`, [`DspError::NonPositive`] for a bad sample rate, or
+    /// `(0, fs/2)` (NaN included), [`DspError::NonPositive`] for a
+    /// sample rate that is not finite and positive, or
     /// [`DspError::InvalidLength`] when `num_taps == 0`.
     pub fn low_pass(
         cutoff_hz: f64,
@@ -44,12 +46,12 @@ impl FirFilter {
         num_taps: usize,
         window: Window,
     ) -> Result<Self, DspError> {
-        if fs_hz <= 0.0 {
+        if !(fs_hz.is_finite() && fs_hz > 0.0) {
             return Err(DspError::NonPositive {
                 what: "sample rate",
             });
         }
-        if cutoff_hz <= 0.0 || cutoff_hz >= fs_hz / 2.0 {
+        if !(cutoff_hz > 0.0 && cutoff_hz < fs_hz / 2.0) {
             return Err(DspError::FrequencyOutOfRange {
                 freq_hz: cutoff_hz,
                 fs_hz,
@@ -115,43 +117,106 @@ impl FirFilter {
             });
         }
         let n = signal.len();
-        if n == 0 {
-            return Ok(Vec::new());
+        let n_out = n.div_ceil(factor);
+        let mut out = Vec::with_capacity(n_out);
+        Decimator::new(self, factor).run(signal, 0, n, 0..n_out, &mut out);
+        Ok(out)
+    }
+}
+
+/// Decimating "same"-mode filtering of an `n`-sample signal that may
+/// arrive in pieces: output `q` is full-convolution sample
+/// `j = q·factor + delay`, which sums `x[i]·taps[j − i]` over `i` in
+/// `j+1−m ..= j` clipped to the signal, in ascending `i`, zero samples
+/// skipped. Each output reads only its own window of inputs, so any
+/// split of the outputs into runs yields the same bits.
+/// [`FirFilter::filter_decimated`] runs every output over the whole
+/// signal; the zero-span stream runs them block by block.
+#[derive(Debug, Clone)]
+pub(crate) struct Decimator {
+    /// The taps, last first: `reversed[t]` weighs the `t`-th sample of
+    /// an output's window.
+    reversed: Vec<f64>,
+    factor: usize,
+}
+
+impl Decimator {
+    /// Decimation of `fir`'s output by `factor` (at least 1).
+    pub(crate) fn new(fir: &FirFilter, factor: usize) -> Self {
+        Decimator {
+            reversed: fir.taps.iter().rev().copied().collect(),
+            factor,
         }
-        let m = self.taps.len();
-        let delay = (m - 1) / 2;
-        // Output k is full-convolution sample j = k + delay, which sums
-        // signal[i]·taps[j − i] over i in j+1−m ..= j clipped to the
-        // signal. Away from the edges all m taps apply, in reverse order.
-        let edge = |k: usize| {
-            let j = k + delay;
+    }
+
+    /// The full-convolution index of output `q`.
+    fn centre(&self, q: usize) -> usize {
+        q * self.factor + (self.reversed.len() - 1) / 2
+    }
+
+    /// The first input sample output `q` reads.
+    pub(crate) fn first_input(&self, q: usize) -> usize {
+        self.centre(q).saturating_sub(self.reversed.len() - 1)
+    }
+
+    /// Outputs of an `n`-sample signal whose inputs all lie below
+    /// `avail`.
+    pub(crate) fn ready(&self, avail: usize, n: usize) -> usize {
+        let n_out = n.div_ceil(self.factor);
+        if avail >= n {
+            return n_out;
+        }
+        let delay = self.centre(0);
+        if avail > delay {
+            ((avail - 1 - delay) / self.factor + 1).min(n_out)
+        } else {
+            0
+        }
+    }
+
+    /// Appends outputs `qs` of an `n`-sample signal to `out`, reading
+    /// input sample `i` at `window[i − start]`; `window` holds every
+    /// input those outputs read.
+    pub(crate) fn run(
+        &self,
+        window: &[f64],
+        start: usize,
+        n: usize,
+        qs: Range<usize>,
+        out: &mut Vec<f64>,
+    ) {
+        let taps = &self.reversed[..];
+        let m = taps.len();
+        let edge = |q: usize| {
+            let j = self.centre(q);
             let lo = j.saturating_sub(m - 1);
             let mut acc = 0.0;
-            for (i, &x) in (lo..).zip(&signal[lo..=j.min(n - 1)]) {
-                mac(&mut acc, x, self.taps[j - i]);
+            for (i, &x) in (lo..).zip(&window[lo - start..=j.min(n - 1) - start]) {
+                mac(&mut acc, x, taps[i + m - 1 - j]);
             }
             acc
         };
-        let reversed: Vec<f64> = self.taps.iter().rev().copied().collect();
-        let n_out = n.div_ceil(factor);
-        // Outputs q·factor with delay + q·factor in m−1 ..= n−1.
-        let first = (m - 1 - delay).div_ceil(factor).min(n_out);
+        // Away from the signal's edges (j in m−1 ..= n−1) all m taps
+        // apply.
+        let delay = self.centre(0);
+        let first = (m - 1 - delay)
+            .div_ceil(self.factor)
+            .clamp(qs.start, qs.end);
         let end = if n > delay {
-            ((n - 1 - delay) / factor + 1).min(n_out).max(first)
+            (n - 1 - delay) / self.factor + 1
         } else {
-            first
-        };
-        let mut out = Vec::with_capacity(n_out);
-        out.extend((0..first).map(|q| edge(q * factor)));
+            0
+        }
+        .clamp(first, qs.end);
+        out.extend((qs.start..first).map(edge));
         // Four interior outputs per pass over the taps, one accumulator
         // each, so four independent add chains.
         let mut q = first;
         while q + 4 <= end {
-            let start = |r: usize| (q + r) * factor + delay + 1 - m;
-            let (w0, w1) = (&signal[start(0)..][..m], &signal[start(1)..][..m]);
-            let (w2, w3) = (&signal[start(2)..][..m], &signal[start(3)..][..m]);
+            let at = |r: usize| &window[self.centre(q + r) + 1 - m - start..][..m];
+            let (w0, w1, w2, w3) = (at(0), at(1), at(2), at(3));
             let mut acc = [0.0f64; 4];
-            for (t, &tap) in reversed.iter().enumerate() {
+            for (t, &tap) in taps.iter().enumerate() {
                 mac(&mut acc[0], w0[t], tap);
                 mac(&mut acc[1], w1[t], tap);
                 mac(&mut acc[2], w2[t], tap);
@@ -160,8 +225,7 @@ impl FirFilter {
             out.extend_from_slice(&acc);
             q += 4;
         }
-        out.extend((q..n_out).map(|q| edge(q * factor)));
-        Ok(out)
+        out.extend((q..qs.end).map(edge));
     }
 }
 
@@ -356,6 +420,32 @@ mod tests {
         assert!(FirFilter::low_pass(6e5, 1e6, 11, Window::Hann).is_err());
         assert!(FirFilter::low_pass(1e3, 0.0, 11, Window::Hann).is_err());
         assert!(FirFilter::low_pass(1e3, 1e6, 0, Window::Hann).is_err());
+    }
+
+    #[test]
+    fn low_pass_rejects_non_finite_cutoff() {
+        for cutoff in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(
+                matches!(
+                    FirFilter::low_pass(cutoff, 1e6, 11, Window::Hann),
+                    Err(DspError::FrequencyOutOfRange { .. })
+                ),
+                "cutoff {cutoff}"
+            );
+        }
+    }
+
+    #[test]
+    fn low_pass_rejects_non_finite_sample_rate() {
+        for fs in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(
+                matches!(
+                    FirFilter::low_pass(1e3, fs, 11, Window::Hann),
+                    Err(DspError::NonPositive { .. })
+                ),
+                "fs {fs}"
+            );
+        }
     }
 
     #[test]

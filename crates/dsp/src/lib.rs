@@ -32,7 +32,8 @@
 //!   and decimation.
 //! * [`zero_span`] — digital down-conversion replicating the spectrum
 //!   analyzer's zero-span mode: mix to baseband, low-pass, decimate, take
-//!   the envelope at one chosen frequency.
+//!   the envelope at one chosen frequency, with the input streamed in
+//!   pieces.
 //! * [`stats`] — running and batch statistics (RMS, variance, percentiles,
 //!   kurtosis) used by the SNR procedure and feature extraction.
 //! * [`peak`] — excess-over-baseline detection and local-max envelopes

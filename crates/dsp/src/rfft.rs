@@ -397,16 +397,22 @@ fn radix2_stage(re: &mut [f64], im: &mut [f64], (ar, ai): (&[f64], &[f64])) {
 /// The radix-2 stages of half-sizes `m` and `2m` as one pass over
 /// blocks of `4m`: quarters `(0,1)` and `(2,3)` with `a[k]`, then
 /// `(0,2)` with `b[k]` and `(1,3)` with `b[m+k]`.
+///
+/// The butterflies run four `k` at a time in explicit lanes (loads of
+/// `[f64; 4]`, the same [`butterfly`] per lane), then a scalar tail;
+/// each lane's arithmetic is the scalar loop's, so the bits are too.
 fn radix4_pass(
     re: &mut [f64],
     im: &mut [f64],
     (ar, ai): (&[f64], &[f64]),
     (br, bi): (&[f64], &[f64]),
 ) {
+    const LANES: usize = 4;
     let m = ar.len();
     let (ar, ai) = (&ar[..m], &ai[..m]);
     let (b0r, b1r) = (&br[..m], &br[m..2 * m]);
     let (b0i, b1i) = (&bi[..m], &bi[m..2 * m]);
+    let wide = m - m % LANES;
     for (r, i) in re.chunks_exact_mut(4 * m).zip(im.chunks_exact_mut(4 * m)) {
         let (r0, r) = r.split_at_mut(m);
         let (r1, r) = r.split_at_mut(m);
@@ -415,7 +421,32 @@ fn radix4_pass(
         let (i1, i) = i.split_at_mut(m);
         let (i2, i3) = i.split_at_mut(m);
         let (r3, i3) = (&mut r3[..m], &mut i3[..m]);
-        for k in 0..m {
+        for k in (0..wide).step_by(LANES) {
+            let load = |x: &[f64]| -> [f64; LANES] { std::array::from_fn(|l| x[k + l]) };
+            let (x0r, x0i, x1r, x1i) = (load(r0), load(i0), load(r1), load(i1));
+            let (x2r, x2i, x3r, x3i) = (load(r2), load(i2), load(r3), load(i3));
+            let (war, wai) = (load(ar), load(ai));
+            let (w0r, w0i, w1r, w1i) = (load(b0r), load(b0i), load(b1r), load(b1i));
+            let mut y = [[0.0; LANES]; 8];
+            for l in 0..LANES {
+                let [p0r, p0i, p1r, p1i] =
+                    butterfly(x0r[l], x0i[l], x1r[l], x1i[l], war[l], wai[l]);
+                let [p2r, p2i, p3r, p3i] =
+                    butterfly(x2r[l], x2i[l], x3r[l], x3i[l], war[l], wai[l]);
+                [y[0][l], y[1][l], y[4][l], y[5][l]] =
+                    butterfly(p0r, p0i, p2r, p2i, w0r[l], w0i[l]);
+                [y[2][l], y[3][l], y[6][l], y[7][l]] =
+                    butterfly(p1r, p1i, p3r, p3i, w1r[l], w1i[l]);
+            }
+            let outs = [&mut *r0, &mut *i0, &mut *r1, &mut *i1];
+            let outs = outs
+                .into_iter()
+                .chain([&mut *r2, &mut *i2, &mut *r3, &mut *i3]);
+            for (out, y) in outs.zip(&y) {
+                out[k..k + LANES].copy_from_slice(y);
+            }
+        }
+        for k in wide..m {
             let [p0r, p0i, p1r, p1i] = butterfly(r0[k], i0[k], r1[k], i1[k], ar[k], ai[k]);
             let [p2r, p2i, p3r, p3i] = butterfly(r2[k], i2[k], r3[k], i3[k], ar[k], ai[k]);
             [r0[k], i0[k], r2[k], i2[k]] = butterfly(p0r, p0i, p2r, p2i, b0r[k], b0i[k]);
