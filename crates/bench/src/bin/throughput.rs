@@ -225,8 +225,7 @@ fn main() {
     timer.time("monitor_fullring", Some(n_ticks as u64), || {
         for record in 0..stream.horizon() {
             let scenario = stream.schedule().scenario_at(record);
-            stream
-                .pull_scenario_into(&mut ctx, &scenario, SENSOR, &mut fresh)
+            ctx.acquire_into(&scenario, SensorSelect::Psa(SENSOR), 1, &mut fresh)
                 .expect("monitor pull");
             ring.fs_hz = fresh.fs_hz;
             ring.sensor = fresh.sensor;

@@ -6,30 +6,34 @@
 //! spectrum-analyzer model renders 2000-point DC–120 MHz traces.
 //!
 //! [`AcqContext`] is the one entry point: a reusable **per-worker
-//! context** owning all scratch state (window coefficients, FFT plans,
-//! current/EMF/record buffers). The campaign engine in `psa-runtime`
+//! context** owning all scratch state (spectrum work buffers, the
+//! kernel's toggle rows and codes, one record buffer). The campaign engine in `psa-runtime`
 //! gives each worker thread one context; record after record then runs
 //! with no hot-path allocations. One-shot callers build a context for
 //! the call with [`AcqContext::new`].
 //!
 //! Every record runs one body in two halves. The chip half (activity
-//! simulation, current synthesis, emitter toggles) depends only on the
-//! scenario and the record's start cycle; the sensor half (flux
-//! superposition, EMF, analog front end) depends on the sensor too. The
-//! sensor half is one **record kernel** that walks the record's
-//! currents once, tile by tile, and runs every sensor of the call in
-//! lockstep through flux, EMF, noise, op-amp and ADC. A one-sensor
-//! acquisition runs it with one lane; [`AcqContext::sensor_sweep_db`]
-//! runs the chip half once per record and the kernel with 16 lanes, so
-//! all 16 sensors share one activity pass and one pass over the
-//! currents.
+//! simulation, emitter toggles) depends only on the scenario and the
+//! record's start cycle; the sensor half (currents, flux superposition,
+//! EMF, analog front end) depends on the sensor too. The sensor half is
+//! one **record kernel** that walks the record's per-cycle toggle rows
+//! once, tile by tile: it expands each tile's cycles into current
+//! pulses on the stack and runs every sensor of the call in lockstep
+//! through flux, EMF, noise, op-amp and ADC. A one-sensor acquisition
+//! runs it with one lane; [`AcqContext::sensor_sweep_db`] runs the chip
+//! half once per record and the kernel with 16 lanes, so all 16 sensors
+//! share one activity pass and one pass over the toggles.
 //!
 //! The kernel keeps every `f64` operation of the layer functions
-//! ([`induced_emf_into`](psa_field::induction::induced_emf_into), then
+//! ([`toggles_to_current_into`](psa_gatesim::current::toggles_to_current_into),
+//! [`induced_emf_into`](psa_field::induction::induced_emf_into), then
 //! [`AnalogFrontEnd::capture_record_into`]) in the same per-sample
-//! order: it calls their per-sample formulas and changes only the loop
-//! order, so its records are bit-identical to theirs. It holds each
-//! lane's record as 2-byte ADC codes until the spectrum reads it.
+//! order: it calls their per-cycle and per-sample formulas and changes
+//! only the loop order, so its records are bit-identical to theirs. No
+//! buffer of record length is held but each lane's record as 2-byte
+//! ADC codes, until the record is decoded for its consumer: a
+//! [`TraceSet`], a sweep's spectrum accumulator, the zero-span stream
+//! or a monitor tick's amplitude row.
 
 use crate::calib;
 use crate::chip::{ChipVariation, CustomSensor, SensorSelect, TestChip};
@@ -45,8 +49,8 @@ use psa_dsp::window::Window;
 use psa_dsp::zero_span::ZeroSpan;
 use psa_field::induction::{emf_central, emf_one_sided, flux_weight};
 use psa_field::noise::GaussianNoise;
-use psa_gatesim::activity::{ActivitySimulator, Source};
-use psa_gatesim::current::{toggles_to_current_into, trace_to_currents_into};
+use psa_gatesim::activity::ActivitySimulator;
+use psa_gatesim::current::{charge_fc, CyclePulse};
 use psa_gatesim::synth::SyntheticTrojan;
 
 /// A synthetic emitter injected into an acquisition: its switching
@@ -131,10 +135,9 @@ impl Default for TraceSet {
 /// Reusable per-worker acquisition context.
 ///
 /// Owns every scratch buffer of the acquisition → spectrum pipeline:
-/// synthesized current waveforms, the record kernel's codes, the record
-/// buffers themselves (via reusable [`TraceSet`] slots), and the cached
-/// window/FFT state for both the detector-resolution and display-trace
-/// spectra. One context per worker thread; the shared [`TestChip`] is
+/// the record kernel's toggle rows and codes, one decoded record, a
+/// reusable [`TraceSet`] slot, and the window/FFT work buffers for both
+/// the detector-resolution and display-trace spectra. One context per worker thread; the shared [`TestChip`] is
 /// borrowed immutably (it is `Sync`).
 ///
 /// # Determinism
@@ -169,9 +172,12 @@ impl Default for TraceSet {
 ///     let scenario = Scenario::baseline().with_seed(seed);
 ///     // Refills `out`, recycling its record buffers.
 ///     ctx.acquire_into(&scenario, SensorSelect::Psa(10), 1, &mut out)?;
-///     // One cached-plan FFT of the newest record (linear amplitude).
-///     let row = ctx.fullres_amplitude_row(&out.records[0])?;
-///     assert!(!row.is_empty());
+///     // One cached-plan FFT of the record (linear amplitude).
+///     let kept = ctx.fullres_amplitude_row(&out.records[0])?.to_vec();
+///     // A monitor tick: the same record straight to its row, held
+///     // only in the context's one record buffer.
+///     let row = ctx.acquire_amplitude_row(&scenario, SensorSelect::Psa(10))?;
+///     assert_eq!(row, &kept[..]);
 /// }
 /// # Ok::<(), psa_core::CoreError>(())
 /// ```
@@ -182,8 +188,8 @@ pub struct AcqContext<'c> {
     fullres: SpectrumScratch,
     display: SpectrumScratch,
     scratch: RecordScratch,
-    /// One digitized record of a sensor sweep or a zero-span stream,
-    /// recycled across sensors and records.
+    /// One digitized record of a sensor sweep, a zero-span stream or a
+    /// monitor tick, recycled across sensors and records.
     record: Vec<f64>,
     traces: TraceSet,
     /// Per-worker cache of synthesized custom programmings: deriving a
@@ -362,9 +368,10 @@ impl<'c> AcqContext<'c> {
     /// baseline learning and localization.
     ///
     /// The sweep is record-major. Per record the chip runs once: one
-    /// activity pass, one current synthesis, one toggle train per
-    /// emitter. Then the record kernel runs the 16 sensors in lockstep
-    /// over the currents, drawing the record's unit-normal front-end
+    /// activity pass and one toggle train per emitter. Then the record
+    /// kernel runs the 16 sensors in lockstep over the toggle rows,
+    /// expanding each tile's currents once for all of them, drawing the
+    /// record's unit-normal front-end
     /// noise once and scaling it by each sensor's own σ, and each
     /// sensor adds its record's amplitude spectrum into its own
     /// accumulator. Besides the 16 one-sided accumulators, only the
@@ -553,6 +560,30 @@ impl<'c> AcqContext<'c> {
         Ok(self.fullres.amplitude_spectrum(record)?)
     }
 
+    /// Acquires one record from `sensor` while the chip runs
+    /// `scenario` and returns its full-resolution linear amplitude
+    /// spectrum, borrowed like
+    /// [`fullres_amplitude_row`](Self::fullres_amplitude_row)'s — a
+    /// monitor tick.
+    ///
+    /// The record leaves the record kernel into the context's one
+    /// record buffer and goes straight to the FFT, so no caller holds a
+    /// record between ticks. The row is bit-identical to
+    /// [`acquire_into`](Self::acquire_into) with one record, then
+    /// [`fullres_amplitude_row`](Self::fullres_amplitude_row) of it.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`acquire_into`](Self::acquire_into).
+    pub fn acquire_amplitude_row(
+        &mut self,
+        scenario: &Scenario,
+        sensor: SensorSelect,
+    ) -> Result<&[f64], CoreError> {
+        self.stream_records(scenario, sensor, 1, |_| Ok(()))?;
+        Ok(self.fullres.amplitude_spectrum(&self.record)?)
+    }
+
     /// Acquire `n_records` and render the full-resolution detector
     /// spectrum in one call, reusing the context's internal trace slot —
     /// the campaign hot path (no record-buffer allocation after the
@@ -639,6 +670,22 @@ impl<'c> AcqContext<'c> {
         check_record_shape(n_records, calib::RECORD_CYCLES)?;
         let zs = ZeroSpan::with_rbw(center_hz, calib::sample_rate_hz(), rbw_hz)?;
         let mut stream = zs.stream(n_records * calib::RECORD_CYCLES * calib::SAMPLES_PER_CYCLE)?;
+        self.stream_records(scenario, sensor, n_records, |record| {
+            Ok(stream.push(record)?)
+        })?;
+        Ok((stream.finish_trimmed()?, zs.output_fs_hz()))
+    }
+
+    /// The one-sensor record loop over `n_records` standard records,
+    /// each decoded into the context's one record buffer and handed to
+    /// `each`; the buffer holds the last record afterwards.
+    fn stream_records(
+        &mut self,
+        scenario: &Scenario,
+        sensor: SensorSelect,
+        n_records: usize,
+        mut each: impl FnMut(&[f64]) -> Result<(), CoreError>,
+    ) -> Result<(), CoreError> {
         let mut record = std::mem::take(&mut self.record);
         let result = self.acquire_records(
             scenario,
@@ -648,12 +695,11 @@ impl<'c> AcqContext<'c> {
             &[],
             |_, scratch, lanes| {
                 scratch.record_into(lanes, 0, &mut record);
-                Ok(stream.push(&record)?)
+                each(&record)
             },
         );
         self.record = record;
-        result?;
-        Ok((stream.finish_trimmed()?, zs.output_fs_hz()))
+        result
     }
 }
 
@@ -702,7 +748,7 @@ const SWEEP_LANES: usize = 16;
 const TILE: usize = 256;
 
 /// One sensor's measurement chain, fixed for the length of one call:
-/// the flux weight of each current row (the chip's sources in
+/// the flux weight of each toggle row's current (the chip's sources in
 /// `Source::ALL` order, then one per injected emitter, each coupling
 /// times the die's signal scale, times the moment area) and the
 /// sensor-referred noise floor.
@@ -714,7 +760,7 @@ struct SensorChain {
 /// `L` sensor chains that share one front end, laid out for the record
 /// kernel: lane `s` of every array belongs to the group's sensor `s`.
 struct Lanes<const L: usize> {
-    /// Per current row, each lane's flux weight.
+    /// Per toggle row, each lane's flux weight.
     weights: Vec<[f64; L]>,
     /// Each lane's input-noise σ.
     sigma: [f64; L],
@@ -776,24 +822,53 @@ fn unpack(code: Code) -> f64 {
 }
 
 /// The per-record scratch of the shared record body: the chip half
-/// ([`run_chip`](Self::run_chip)) fills the current waveforms, the
-/// sensor half ([`sense`](Self::sense)) turns them into every lane's
-/// ADC codes.
+/// ([`run_chip`](Self::run_chip)) keeps the record's toggle rows, the
+/// sensor half ([`sense`](Self::sense)) turns them, tile by tile, into
+/// every lane's ADC codes. No current row of record length is ever
+/// held.
 #[derive(Debug, Default)]
 struct RecordScratch {
-    currents: Vec<(Source, Vec<f64>)>,
-    extra_toggles: Vec<f64>,
-    extra_currents: Vec<Vec<f64>>,
+    /// The last record's toggles per cycle: the chip's sources in
+    /// `Source::ALL` order (moved out of the activity trace), then one
+    /// row per injected emitter.
+    toggles: Vec<Vec<f64>>,
+    /// Each toggle row's current pulses, memoized across the record's
+    /// tiles.
+    pulses: Vec<CyclePulse>,
     /// The last record's ADC codes, lane-major: lane `s` of an
     /// `n`-sample record is `codes[s·n..(s+1)·n]`.
     codes: Vec<Code>,
 }
 
+/// Cycles per kernel tile.
+const TILE_CYCLES: usize = TILE / calib::SAMPLES_PER_CYCLE;
+
+/// One toggle row's current over a tile and its one-sample halo on
+/// each side, as whole cycles.
+type TileCurrent = [[f64; calib::SAMPLES_PER_CYCLE]; TILE_CYCLES + 2];
+
+/// The current of cycles `cycles` of toggle row `toggles`, one whole
+/// cycle's pulse at a time, as samples from the first cycle's start.
+#[inline]
+fn expand_cycles<'b>(
+    toggles: &[f64],
+    pulses: &mut CyclePulse,
+    cycles: std::ops::Range<usize>,
+    out: &'b mut TileCurrent,
+) -> &'b [f64] {
+    let out = &mut out[..cycles.len()];
+    for (chunk, &t) in out.iter_mut().zip(&toggles[cycles]) {
+        *chunk = pulses.pulse(t);
+    }
+    out.as_flattened()
+}
+
 impl RecordScratch {
     /// The chip half of a record: advance the activity one record and
-    /// synthesize every source's current, then each emitter's. Each
-    /// emitter is pure in the absolute cycle, so records join
-    /// seamlessly exactly like the chip's own sources.
+    /// keep every source's toggles, then each emitter's, with each
+    /// row's pulse synthesis. Each emitter is pure in the absolute
+    /// cycle, so records join seamlessly exactly like the chip's own
+    /// sources.
     fn run_chip<'t>(
         &mut self,
         chip: &TestChip,
@@ -803,30 +878,32 @@ impl RecordScratch {
     ) {
         let record_start_cycle = sim.cycle();
         let trace = sim.advance(record_cycles);
-        trace_to_currents_into(&trace, chip.charges_fc(), calib::CLK_HZ, &mut self.currents);
-        if self.extra_currents.len() < emitters.len() {
-            self.extra_currents.resize_with(emitters.len(), Vec::new);
+        let sources = trace.per_source.len();
+        self.toggles.resize_with(sources + emitters.len(), Vec::new);
+        self.pulses.clear();
+        for (row, (source, toggles)) in self.toggles.iter_mut().zip(trace.per_source) {
+            *row = toggles;
+            let charge = charge_fc(chip.charges_fc(), source);
+            self.pulses.push(CyclePulse::new(charge, calib::CLK_HZ));
         }
-        for ((trojan, charge_fc), current) in emitters.zip(&mut self.extra_currents) {
-            trojan.toggles_into(
-                record_start_cycle,
-                record_cycles,
-                calib::CLK_HZ,
-                &mut self.extra_toggles,
-            );
-            toggles_to_current_into(&self.extra_toggles, charge_fc, calib::CLK_HZ, current);
+        for ((trojan, charge_fc), row) in emitters.zip(&mut self.toggles[sources..]) {
+            trojan.toggles_into(record_start_cycle, record_cycles, calib::CLK_HZ, row);
+            self.pulses.push(CyclePulse::new(charge_fc, calib::CLK_HZ));
         }
     }
 
     /// The record kernel, the sensor half of record `rec_idx`: turns the
-    /// currents of the last [`run_chip`](Self::run_chip) into the ADC
+    /// toggle rows of the last [`run_chip`](Self::run_chip) into the ADC
     /// codes of every lane of `lanes`.
     ///
     /// One pass walks the record tile by tile; within a tile, sample `k`
     /// of every lane sits side by side, so each step below is a loop
     /// over independent lanes. Per tile:
     ///
-    /// 1. each lane's flux over the current rows (chip sources, then
+    /// 1. each toggle row's current over the tile's whole cycles and
+    ///    the cycle on each side ([`CyclePulse`], the pulses of
+    ///    [`toggles_to_current_into`](psa_gatesim::current::toggles_to_current_into)),
+    ///    then each lane's flux over the rows (chip sources, then
     ///    emitters, each sum from `0.0`), for the tile and its two
     ///    neighbour samples;
     /// 2. the EMF, [`emf_central`] inside the record and
@@ -847,14 +924,12 @@ impl RecordScratch {
     /// the record non-finite: some sample's EMF or state overflowed or
     /// was NaN, so a code may be NaN, which no [`Code`] holds.
     fn sense<const L: usize>(&mut self, lanes: &Lanes<L>, rec_idx: usize) -> Result<(), CoreError> {
-        let n = self.currents[0].1.len();
+        let rows = lanes.weights.len();
+        let toggles = &self.toggles[..rows];
+        let pulses = &mut self.pulses[..rows];
+        // Whole cycles: a record holds at least 8 samples.
+        let n = toggles[0].len() * calib::SAMPLES_PER_CYCLE;
         let fs = calib::sample_rate_hz();
-        let rows = self
-            .currents
-            .iter()
-            .map(|(_, wave)| wave.as_slice())
-            .chain(self.extra_currents.iter().map(Vec::as_slice))
-            .zip(&lanes.weights);
         self.codes.resize(L * n, 0);
         let mut noise = lanes
             .sigma
@@ -864,24 +939,39 @@ impl RecordScratch {
         let (amp, adc, sigma) = (lanes.amp, lanes.adc, lanes.sigma);
         let mut y = [0.0; L];
         let mut z = [0.0; TILE];
+        let mut current = [[0.0; calib::SAMPLES_PER_CYCLE]; TILE_CYCLES + 2];
+        let mut next_current = current;
         let mut flux = [[0.0; L]; TILE + 2];
         let mut tile = [[0.0; L]; TILE];
         let mut tile_codes = [[0; L]; TILE];
         for t0 in (0..n).step_by(TILE) {
             let t1 = (t0 + TILE).min(n);
-            // 1. The flux of samples lo..hi: the tile and its neighbours.
+            // 1. The flux of samples lo..hi: the tile and its neighbours,
+            // from the currents of the whole cycles that hold them.
             let lo = t0.saturating_sub(1);
             let hi = (t1 + 1).min(n);
+            let cycles = lo / calib::SAMPLES_PER_CYCLE..hi.div_ceil(calib::SAMPLES_PER_CYCLE);
+            let from = cycles.start * calib::SAMPLES_PER_CYCLE;
+            let span = lo - from..hi - from;
             // Rows are added two per pass, each in its turn, so the flux
             // tile is read and written half as often.
             let flux = &mut flux[..hi - lo];
             flux.fill([0.0; L]);
-            let mut rows = rows.clone();
-            while let Some((wave, w)) = rows.next() {
-                let wave = &wave[lo..hi];
-                match rows.next() {
-                    Some((next, v)) => {
-                        for ((f, &i), &j) in flux.iter_mut().zip(wave).zip(&next[lo..hi]) {
+            for r in (0..rows).step_by(2) {
+                let w = &lanes.weights[r];
+                let wave =
+                    &expand_cycles(&toggles[r], &mut pulses[r], cycles.clone(), &mut current)
+                        [span.clone()];
+                match toggles.get(r + 1) {
+                    Some(next) => {
+                        let v = &lanes.weights[r + 1];
+                        let next = &expand_cycles(
+                            next,
+                            &mut pulses[r + 1],
+                            cycles.clone(),
+                            &mut next_current,
+                        )[span.clone()];
+                        for ((f, &i), &j) in flux.iter_mut().zip(wave).zip(next) {
                             for s in 0..L {
                                 f[s] = (f[s] + w[s] * i) + v[s] * j;
                             }
@@ -902,21 +992,16 @@ impl RecordScratch {
             let edge = |a: &[f64; L], b: &[f64; L]| -> [f64; L] {
                 std::array::from_fn(|s| emf_one_sided(a[s], b[s], fs))
             };
-            let body = match (t0, n) {
-                (_, 1) => {
-                    x[0] = [-0.0; L];
-                    &mut x[1..]
-                }
-                (0, _) => {
-                    x[0] = edge(&flux[0], &flux[1]);
-                    &mut x[1..]
-                }
-                _ => &mut x[..],
+            let body = if t0 == 0 {
+                x[0] = edge(&flux[0], &flux[1]);
+                &mut x[1..]
+            } else {
+                &mut x[..]
             };
             for (x, w) in body.iter_mut().zip(flux.windows(3)) {
                 *x = std::array::from_fn(|s| emf_central(w[0][s], w[2][s], fs));
             }
-            if t1 == n && n > 1 {
+            if t1 == n {
                 x[t1 - t0 - 1] = edge(&flux[hi - lo - 2], &flux[hi - lo - 1]);
             }
             let z = &mut z[..t1 - t0];
@@ -979,6 +1064,7 @@ mod tests {
     use super::*;
     use psa_analog::opamp::OpAmp;
     use psa_field::induction::induced_emf_into;
+    use psa_gatesim::current::{toggles_to_current_into, trace_to_currents_into};
     use psa_gatesim::trojan::TrojanKind;
     use std::sync::OnceLock;
 
@@ -1318,16 +1404,16 @@ mod tests {
         let chain = ctx
             .sensor_chain(&scenario, SensorSelect::Psa(SENSOR), std::iter::empty())
             .unwrap();
-        let mut scratch = RecordScratch::default();
+        let mut currents = Vec::new();
         let mut sim = start_activity(&scenario);
         let mut sum = vec![0.0; sweep[SENSOR].len()];
         let (mut flux, mut emf) = (Vec::new(), Vec::new());
         for rec in 0..n_records {
-            scratch.run_chip(chip(), &mut sim, record_cycles, std::iter::empty());
+            let trace = sim.advance(record_cycles);
+            trace_to_currents_into(&trace, chip().charges_fc(), calib::CLK_HZ, &mut currents);
             // The chain's weights are flux weights already: a unit area
             // keeps them exactly.
-            let pairs: Vec<(&[f64], f64)> = scratch
-                .currents
+            let pairs: Vec<(&[f64], f64)> = currents
                 .iter()
                 .zip(&chain.weights)
                 .map(|((_, wave), &w)| (wave.as_slice(), w))
@@ -1364,20 +1450,47 @@ mod tests {
         assert!(ctx.sensor_sweep_db(&scenario, 1, 256, &[e]).is_err());
     }
 
-    /// A deterministic current waveform: mA-scale pulses, with exact
-    /// zeros and negative zeros among them.
-    fn synthetic_current(n: usize, row: u64) -> Vec<f64> {
+    /// Deterministic toggle counts per cycle: up to 1 023 toggles, in
+    /// runs of repeated counts, with `+0.0` and `−0.0` side by side.
+    fn synthetic_toggles(cycles: usize, row: u64) -> Vec<f64> {
         let mut state = 0x9E37_79B9_7F4A_7C15 ^ row.wrapping_mul(0xD1B5_4A32_D192_ED03);
-        (0..n)
+        let mut count = 0.0;
+        (0..cycles)
             .map(|i| {
                 state = state
                     .wrapping_mul(6_364_136_223_846_793_005)
                     .wrapping_add(1_442_695_040_888_963_407);
-                match (i + row as usize) % 5 {
+                match (i + row as usize) % 7 {
                     0 => 0.0,
                     1 => -0.0,
-                    _ => 1e-3 * ((state >> 11) as f64 / (1u64 << 53) as f64),
+                    2 | 3 => count,
+                    _ => {
+                        count = (state >> 54) as f64;
+                        count
+                    }
                 }
+            })
+            .collect()
+    }
+
+    /// Charge per toggle of toggle row `r`, fC: every fourth negative,
+    /// so `+0.0` and `−0.0` counts give pulses of opposite sign.
+    fn row_charge_fc(r: usize) -> f64 {
+        if r % 4 == 3 {
+            -1.5
+        } else {
+            1.5 + r as f64 / 4.0
+        }
+    }
+
+    /// Each toggle row's current through [`toggles_to_current_into`].
+    fn currents(rows: &[Vec<f64>], charges_fc: &[f64]) -> Vec<Vec<f64>> {
+        rows.iter()
+            .zip(charges_fc)
+            .map(|(row, &q)| {
+                let mut current = Vec::new();
+                toggles_to_current_into(row, q, calib::CLK_HZ, &mut current);
+                current
             })
             .collect()
     }
@@ -1428,12 +1541,15 @@ mod tests {
         xs.iter().map(|x| x.to_bits()).collect()
     }
 
-    /// Runs the kernel with `L` lanes over `rows` (the first seven as
-    /// the chip's sources) and checks every lane against
-    /// [`layered_record`]. Lane `s` couples row `r` with
-    /// `couplings[s][r]`; a `None` noise floor runs the lane at σ = 0.
+    /// Runs the kernel with `L` lanes over the toggle rows `rows` (the
+    /// first seven as the chip's sources), row `r` switching
+    /// `charges_fc[r]` per toggle, and checks every lane against
+    /// [`layered_record`] of the rows' currents. Lane `s` couples row `r`
+    /// with `couplings[s][r]`; a `None` noise floor runs the lane at
+    /// σ = 0.
     fn assert_kernel_matches_layers<const L: usize>(
         rows: &[Vec<f64>],
+        charges_fc: &[f64],
         couplings: &[Vec<f64>],
         noise: &[Option<f64>],
         rec_idx: usize,
@@ -1455,16 +1571,16 @@ mod tests {
             }
         }
         let mut scratch = RecordScratch {
-            currents: Source::ALL
+            toggles: rows.to_vec(),
+            pulses: charges_fc
                 .iter()
-                .zip(rows)
-                .map(|(&src, row)| (src, row.clone()))
+                .map(|&q| CyclePulse::new(q, calib::CLK_HZ))
                 .collect(),
-            extra_currents: rows[Source::ALL.len()..].to_vec(),
             ..RecordScratch::default()
         };
         scratch.sense(&lanes, rec_idx).unwrap();
-        let views: Vec<&[f64]> = rows.iter().map(Vec::as_slice).collect();
+        let currents = currents(rows, charges_fc);
+        let views: Vec<&[f64]> = currents.iter().map(Vec::as_slice).collect();
         let mut got = Vec::new();
         for s in 0..L {
             scratch.record_into(&lanes, s, &mut got);
@@ -1472,10 +1588,42 @@ mod tests {
             assert_eq!(
                 bits(&got),
                 bits(&want),
-                "n {} rows {} lane {s} of {L} noise {:?}",
+                "cycles {} rows {} lane {s} of {L} noise {:?}",
                 rows[0].len(),
                 rows.len(),
                 noise[s]
+            );
+        }
+    }
+
+    /// Expands `toggles` tile by tile as the kernel does, the memo
+    /// carried across tiles, and checks each tile's current, halo
+    /// included, against cycle-at-a-time [`toggles_to_current_into`]
+    /// (no memo) and the whole row's.
+    fn assert_tiles_match_current(toggles: &[f64], charge_fc: f64) {
+        let whole = &currents(&[toggles.to_vec()], &[charge_fc])[0];
+        let mut one = Vec::new();
+        let fresh: Vec<f64> = toggles
+            .iter()
+            .flat_map(|&t| {
+                toggles_to_current_into(&[t], charge_fc, calib::CLK_HZ, &mut one);
+                one.clone()
+            })
+            .collect();
+        assert_eq!(bits(whole), bits(&fresh), "{charge_fc} fC");
+        let n = fresh.len();
+        let mut pulses = CyclePulse::new(charge_fc, calib::CLK_HZ);
+        let mut buf = [[0.0; calib::SAMPLES_PER_CYCLE]; TILE_CYCLES + 2];
+        for t0 in (0..n).step_by(TILE) {
+            let lo = t0.saturating_sub(1);
+            let hi = (t0 + TILE + 1).min(n);
+            let cycles = lo / calib::SAMPLES_PER_CYCLE..hi.div_ceil(calib::SAMPLES_PER_CYCLE);
+            let from = cycles.start * calib::SAMPLES_PER_CYCLE;
+            let got = expand_cycles(toggles, &mut pulses, cycles, &mut buf);
+            assert_eq!(
+                bits(&got[lo - from..hi - from]),
+                bits(&fresh[lo..hi]),
+                "tile at {t0} of {n}, {charge_fc} fC"
             );
         }
     }
@@ -1512,26 +1660,32 @@ mod tests {
                 _ => Some(2e-6 * s as f64),
             })
             .collect();
+        let charges: Vec<f64> = (0..10).map(row_charge_fc).collect();
         let mut saturated = false;
-        for n in [1, 2, 3, TILE - 1, TILE, TILE + 1, 16_384, 65_536] {
-            // 7 chip sources, then 1–3 emitters.
-            for n_rows in [8, 10] {
-                let rows: Vec<Vec<f64>> = (0..n_rows as u64)
-                    .map(|r| synthetic_current(n, r))
-                    .collect();
+        for cycles in [1, TILE_CYCLES - 1, TILE_CYCLES, TILE_CYCLES + 1, 256, 8192] {
+            let rows: Vec<Vec<f64>> = (0..10).map(|r| synthetic_toggles(cycles, r)).collect();
+            for (row, &q) in rows.iter().zip(&charges) {
+                assert_tiles_match_current(row, q);
+            }
+            // 7 chip sources, then 0–3 emitters.
+            for n_rows in 7..=10 {
+                let rows = &rows[..n_rows];
+                let charges = &charges[..n_rows];
                 let couplings: Vec<Vec<f64>> =
                     couplings.iter().map(|c| c[..n_rows].to_vec()).collect();
-                assert_kernel_matches_layers::<16>(&rows, &couplings, &noise, 3);
+                assert_kernel_matches_layers::<16>(rows, charges, &couplings, &noise, 3);
                 for lane in [0, 1, 15] {
                     assert_kernel_matches_layers::<1>(
-                        &rows,
+                        rows,
+                        charges,
                         &couplings[lane..=lane],
                         &noise[lane..=lane],
-                        n,
+                        cycles,
                     );
                 }
-                if n >= TILE {
-                    let views: Vec<&[f64]> = rows.iter().map(Vec::as_slice).collect();
+                if cycles >= TILE_CYCLES {
+                    let currents = currents(rows, charges);
+                    let views: Vec<&[f64]> = currents.iter().map(Vec::as_slice).collect();
                     let top =
                         layered_record(&views, &couplings[15], &AnalogFrontEnd::date24(0), None, 0);
                     let rail = Adc::rasc().level(2048.0);
@@ -1545,8 +1699,8 @@ mod tests {
     #[test]
     fn acquisition_matches_layer_functions_bitwise() {
         // The context's records against the layer functions on the same
-        // chip half (as a layer-by-layer replay drives them): a varied
-        // die, and 0–3 injected emitters.
+        // chip half, toggles to currents included (as a layer-by-layer
+        // replay drives them): a varied die, and 0–3 injected emitters.
         let trojans = [
             SyntheticTrojan::am_reference(800.0),
             SyntheticTrojan::am_reference(1200.0),
@@ -1568,7 +1722,7 @@ mod tests {
                     .enumerate()
                     .map(|(j, trojan)| InjectedEmitter {
                         trojan,
-                        charge_fc: 2.0,
+                        charge_fc: 2.0 - j as f64 / 2.0,
                         coupling: k * (0.5 - j as f64 / 3.0),
                     })
                     .collect();
@@ -1595,26 +1749,28 @@ mod tests {
                     chip().sensor_noise_vrms(select, fs / 2.0, scenario.vdd, scenario.temp_c)
                         * noise_scale;
                 let frontend = AnalogFrontEnd::date24(scenario.seed ^ 0xFE);
-                let mut scratch = RecordScratch::default();
                 let mut sim = start_activity(&scenario);
+                let (mut sources, mut toggles) = (Vec::new(), Vec::new());
                 for (rec, record) in traces.records.iter().enumerate() {
-                    scratch.run_chip(
-                        chip(),
-                        &mut sim,
-                        2048,
-                        emitters.iter().map(|e| (e.trojan, e.charge_fc)),
+                    let start = sim.cycle();
+                    let trace = sim.advance(2048);
+                    trace_to_currents_into(
+                        &trace,
+                        chip().charges_fc(),
+                        calib::CLK_HZ,
+                        &mut sources,
                     );
-                    let rows: Vec<&[f64]> = scratch
-                        .currents
-                        .iter()
-                        .map(|(_, wave)| wave.as_slice())
-                        .chain(
-                            scratch.extra_currents[..n_emitters]
-                                .iter()
-                                .map(Vec::as_slice),
-                        )
-                        .collect();
-                    let want = layered_record(&rows, &couplings, &frontend, Some(noise), rec);
+                    let mut rows: Vec<Vec<f64>> =
+                        sources.iter().map(|(_, wave)| wave.clone()).collect();
+                    for e in &emitters {
+                        e.trojan
+                            .toggles_into(start, 2048, calib::CLK_HZ, &mut toggles);
+                        let mut wave = Vec::new();
+                        toggles_to_current_into(&toggles, e.charge_fc, calib::CLK_HZ, &mut wave);
+                        rows.push(wave);
+                    }
+                    let views: Vec<&[f64]> = rows.iter().map(Vec::as_slice).collect();
+                    let want = layered_record(&views, &couplings, &frontend, Some(noise), rec);
                     assert_eq!(
                         bits(record),
                         bits(&want),

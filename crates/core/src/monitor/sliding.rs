@@ -1,7 +1,7 @@
 //! The sliding detector: per-sensor rolling spectra compared against
 //! (optionally rolling) baseline envelopes.
 
-use crate::acquisition::{AcqContext, TraceSet};
+use crate::acquisition::AcqContext;
 use crate::calib;
 use crate::cross_domain::Baseline;
 use crate::error::CoreError;
@@ -48,14 +48,12 @@ impl Default for SlidingConfig {
 
 /// One watched sensor's streaming state.
 ///
-/// A tick transforms only the record it pulls; the rest of the window
-/// lives on as cached amplitude rows. So no record outlives its tick:
-/// `fresh` holds the one just pulled, and its buffer is refilled in
-/// place by the next pull.
+/// A tick transforms only the record it pulls, in the context's one
+/// record buffer; the window lives on as cached amplitude rows. So a
+/// lane holds no record.
 #[derive(Debug)]
 struct Lane {
     sensor: usize,
-    fresh: TraceSet,
     /// Cached per-record amplitude rows of the last `window_records`
     /// pulls, averaged in dB each tick.
     rows: SlidingSpectrum,
@@ -180,7 +178,6 @@ impl SlidingDetector {
                     })?;
                 Ok(Lane {
                     sensor,
-                    fresh: TraceSet::default(),
                     rows: SlidingSpectrum::new(config.window_records)?,
                     base_env: peak::local_max_envelope(base, calib::ENVELOPE_HALF_WINDOW),
                     latch: AlarmLatch::new(1),
@@ -229,11 +226,10 @@ impl SlidingDetector {
         lane_idx: usize,
     ) -> Result<LaneObservation, CoreError> {
         let lane = &mut self.lanes[lane_idx];
-        stream.pull_scenario_into(ctx, scenario, lane.sensor, &mut lane.fresh)?;
         // Transform only the record just pulled; the cached rows of the
         // older records are reused, so a steady-state tick costs one FFT
         // instead of `window_records`.
-        let row = ctx.fullres_amplitude_row(&lane.fresh.records[0])?;
+        let row = stream.pull_row(ctx, scenario, lane.sensor)?;
         lane.rows.push_row(row)?;
         if lane.rows.len() < self.config.min_window_records {
             // Warm fill: the window is still too shallow for a stable
@@ -390,34 +386,41 @@ mod tests {
     }
 
     #[test]
-    fn steady_state_ticks_refill_the_pulled_record_in_place() {
-        use crate::chip::TestChip;
+    fn pulled_row_matches_acquire_and_fullres_row_bitwise() {
+        use crate::acquisition::TraceSet;
+        use crate::chip::{ChipVariation, SensorSelect, TestChip};
         use crate::monitor::{ActivationSchedule, StreamSource};
+        use psa_array::program::CoilProgram;
         use psa_gatesim::trojan::TrojanKind;
 
         let chip = TestChip::date24();
+        // One context pulls every row, as a monitor worker's does; the
+        // reference runs on its own.
         let mut ctx = AcqContext::new(&chip);
-        let bins = psa_dsp::fft::one_sided_len(calib::RECORD_CYCLES * calib::SAMPLES_PER_CYCLE);
-        let baseline = Baseline {
-            per_sensor_db: vec![vec![0.0; bins]],
-        };
-        let config = SlidingConfig {
-            window_records: 2,
-            ..SlidingConfig::default()
-        };
-        let mut detector = SlidingDetector::new(&baseline, &[0], config).unwrap();
-        let stream = StreamSource::new(ActivationSchedule::trojan_at(TrojanKind::T1, 1, 5));
-        let mut buffer = None;
-        for record in 0..stream.horizon() {
-            let scenario = stream.schedule().scenario_at(record);
-            let obs = detector.observe(&mut ctx, &stream, &scenario, 0).unwrap();
-            assert!(!obs.spec.is_empty(), "record {record}: compared");
-            let fresh = &detector.lanes[0].fresh.records[0];
-            let now = (fresh.as_ptr() as usize, fresh.capacity());
-            // The first pull allocates; every later one, through warm
-            // fill and the full window alike, refills that buffer.
-            assert_eq!(*buffer.get_or_insert(now), now, "record {record}");
+        let mut reference = AcqContext::new(&chip);
+        let mut traces = TraceSet::default();
+        let stream = StreamSource::new(ActivationSchedule::trojan_at(TrojanKind::T1, 1, 3));
+        let preset = SensorSelect::Custom(CoilProgram::preset(10).unwrap());
+        let bits = |row: &[f64]| row.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for variation in [None, Some(ChipVariation::new(7))] {
+            ctx.set_variation(variation.clone());
+            reference.set_variation(variation.clone());
+            for record in 0..stream.horizon() {
+                let scenario = stream.schedule().scenario_at(record);
+                for select in [SensorSelect::Psa(10), preset] {
+                    let got = match select {
+                        SensorSelect::Psa(s) => {
+                            bits(stream.pull_row(&mut ctx, &scenario, s).unwrap())
+                        }
+                        _ => bits(ctx.acquire_amplitude_row(&scenario, select).unwrap()),
+                    };
+                    reference
+                        .acquire_into(&scenario, select, 1, &mut traces)
+                        .unwrap();
+                    let want = bits(reference.fullres_amplitude_row(&traces.records[0]).unwrap());
+                    assert_eq!(got, want, "record {record} {select:?} {variation:?}");
+                }
+            }
         }
-        assert_eq!(detector.lanes[0].rows.len(), 2);
     }
 }

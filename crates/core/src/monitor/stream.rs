@@ -1,7 +1,7 @@
 //! The record stream: one-at-a-time acquisition from a live chip under
 //! an [`ActivationSchedule`].
 
-use crate::acquisition::{AcqContext, TraceSet};
+use crate::acquisition::AcqContext;
 use crate::chip::SensorSelect;
 use crate::error::CoreError;
 use crate::monitor::schedule::ActivationSchedule;
@@ -11,10 +11,10 @@ use crate::monitor::schedule::ActivationSchedule;
 ///
 /// The source itself is stateless between pulls: record `r` on sensor
 /// `s` is a pure function of `(schedule, r, s)`, acquired through the
-/// caller's reusable [`AcqContext`] with zero hot-path allocations once
-/// the context's buffers are warm. That purity is what lets whole
-/// monitor sessions fan out across the campaign engine with
-/// byte-identical output.
+/// caller's reusable [`AcqContext`] into its one record buffer, with
+/// zero hot-path allocations once the context's buffers are warm.
+/// That purity is what lets whole monitor sessions fan out across the
+/// campaign engine with byte-identical output.
 ///
 /// [`TestChip`]: crate::chip::TestChip
 #[derive(Debug, Clone, PartialEq)]
@@ -38,21 +38,21 @@ impl StreamSource {
         self.schedule.horizon()
     }
 
-    /// Acquires one stream record from PSA sensor `sensor` into `out`
-    /// (`out`'s buffer is recycled) under the record's effective
-    /// `scenario`, which the session computes once per tick and shares
-    /// across sensor lanes.
+    /// Acquires one stream record from PSA sensor `sensor` under the
+    /// record's effective `scenario`, which the session computes once
+    /// per tick and shares across sensor lanes, and returns its
+    /// full-resolution linear amplitude row
+    /// ([`AcqContext::acquire_amplitude_row`]), borrowed from `ctx`.
     ///
     /// # Errors
     ///
     /// Propagates acquisition errors ([`CoreError`]).
-    pub fn pull_scenario_into(
+    pub fn pull_row<'a>(
         &self,
-        ctx: &mut AcqContext<'_>,
+        ctx: &'a mut AcqContext<'_>,
         scenario: &crate::scenario::Scenario,
         sensor: usize,
-        out: &mut TraceSet,
-    ) -> Result<(), CoreError> {
-        ctx.acquire_into(scenario, SensorSelect::Psa(sensor), 1, out)
+    ) -> Result<&'a [f64], CoreError> {
+        ctx.acquire_amplitude_row(scenario, SensorSelect::Psa(sensor))
     }
 }

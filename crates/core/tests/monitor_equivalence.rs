@@ -2,7 +2,7 @@
 //! sessions byte-identical to the historical full-ring recompute.
 
 use psa_core::acquisition::{AcqContext, TraceSet};
-use psa_core::chip::TestChip;
+use psa_core::chip::{SensorSelect, TestChip};
 use psa_core::cross_domain::{AnalyzerConfig, Baseline};
 use psa_core::monitor::{
     ActivationSchedule, ScheduleChange, SlidingConfig, SlidingDetector, StreamSource,
@@ -68,8 +68,8 @@ fn cached_rows_match_full_window_recompute_bitwise() {
         saw_clear |= obs.cleared;
         saw_recalib |= obs.recalibrated;
 
-        stream
-            .pull_scenario_into(&mut mirror_ctx, &scenario, SENSOR, &mut mirror_fresh)
+        mirror_ctx
+            .acquire_into(&scenario, SensorSelect::Psa(SENSOR), 1, &mut mirror_fresh)
             .unwrap();
         mirror_window.fs_hz = mirror_fresh.fs_hz;
         mirror_window.sensor = mirror_fresh.sensor;

@@ -6,7 +6,7 @@
 //! charge appears as a short triangular pulse at the start of the cycle.
 //! The pulse shape conserves charge exactly: `∫ i dt = toggles · q_sw`.
 
-use crate::activity::ActivityTrace;
+use crate::activity::{ActivityTrace, Source};
 
 /// Samples per clock cycle in the current/EM simulation.
 pub const SAMPLES_PER_CYCLE: usize = 8;
@@ -16,19 +16,57 @@ pub const SAMPLES_PER_CYCLE: usize = 8;
 /// edge. Index = sample within the cycle.
 pub const PULSE_SHAPE: [f64; SAMPLES_PER_CYCLE] = [0.50, 0.30, 0.15, 0.05, 0.0, 0.0, 0.0, 0.0];
 
-/// Converts one source's per-cycle toggle counts into a current waveform
-/// in amperes, written into a caller-owned buffer (resized to the output
-/// length) so per-record synthesis in the acquisition hot path reuses
-/// allocations.
+/// One source's current pulse per cycle: a cycle's toggle charge
+/// spread over [`PULSE_SHAPE`], in amperes.
 ///
 /// `charge_per_toggle_fc` is the mean switching charge (femtocoulombs)
 /// of the source's cell mix; `clk_hz` sets the sample interval.
 ///
-/// Each cycle writes one [`SAMPLES_PER_CYCLE`] chunk. A cycle whose
-/// toggle count has the same bits as the previous cycle's copies that
-/// cycle's pulse: the same IEEE operations on the same operands give
-/// the same bits, and most sources repeat their count cycle after
-/// cycle.
+/// A count whose bits equal the previous count's returns that pulse
+/// again: the same IEEE operations on the same operands give the same
+/// bits, and most sources repeat their count cycle after cycle. The
+/// key is the bits, not the value: `−0.0` after `+0.0` (equal values
+/// whose pulses differ in sign) is computed as its own, and a NaN is
+/// reused only after the identical NaN.
+#[derive(Debug, Clone, Copy)]
+pub struct CyclePulse {
+    q_scale: f64,
+    dt: f64,
+    last: Option<(u64, [f64; SAMPLES_PER_CYCLE])>,
+}
+
+impl CyclePulse {
+    /// The pulses of a source switching `charge_per_toggle_fc` per
+    /// toggle under a `clk_hz` clock.
+    pub fn new(charge_per_toggle_fc: f64, clk_hz: f64) -> Self {
+        CyclePulse {
+            q_scale: charge_per_toggle_fc * 1.0e-15, // fC → C
+            dt: 1.0 / (clk_hz * SAMPLES_PER_CYCLE as f64),
+            last: None,
+        }
+    }
+
+    /// The current of a cycle with `toggles` toggles, one sample per
+    /// [`PULSE_SHAPE`] entry.
+    #[inline]
+    pub fn pulse(&mut self, toggles: f64) -> [f64; SAMPLES_PER_CYCLE] {
+        let key = toggles.to_bits();
+        match self.last {
+            Some((bits, pulse)) if bits == key => pulse,
+            _ => {
+                let q_total = toggles * self.q_scale;
+                let pulse = PULSE_SHAPE.map(|shape| q_total * shape / self.dt);
+                self.last = Some((key, pulse));
+                pulse
+            }
+        }
+    }
+}
+
+/// Converts one source's per-cycle toggle counts into a current waveform
+/// in amperes, written into a caller-owned buffer (resized to the output
+/// length): one [`CyclePulse`] chunk of [`SAMPLES_PER_CYCLE`] samples
+/// per cycle.
 ///
 /// # Example
 ///
@@ -48,52 +86,43 @@ pub fn toggles_to_current_into(
     clk_hz: f64,
     out: &mut Vec<f64>,
 ) {
-    let dt = 1.0 / (clk_hz * SAMPLES_PER_CYCLE as f64);
-    let q_scale = charge_per_toggle_fc * 1.0e-15; // fC → C
+    let mut pulses = CyclePulse::new(charge_per_toggle_fc, clk_hz);
     out.resize(toggles_per_cycle.len() * SAMPLES_PER_CYCLE, 0.0);
-    let mut memo: Option<(u64, [f64; SAMPLES_PER_CYCLE])> = None;
     for (chunk, &toggles) in out
         .chunks_exact_mut(SAMPLES_PER_CYCLE)
         .zip(toggles_per_cycle)
     {
-        let key = toggles.to_bits();
-        let pulse = match memo {
-            Some((bits, pulse)) if bits == key => pulse,
-            _ => {
-                let q_total = toggles * q_scale;
-                let pulse = PULSE_SHAPE.map(|shape| q_total * shape / dt);
-                memo = Some((key, pulse));
-                pulse
-            }
-        };
-        chunk.copy_from_slice(&pulse);
+        chunk.copy_from_slice(&pulses.pulse(toggles));
     }
+}
+
+/// The switching charge per toggle of `source` in `charges_fc`, fC:
+/// 2.5 fC for a source the list omits.
+pub fn charge_fc(charges_fc: &[(Source, f64)], source: Source) -> f64 {
+    charges_fc
+        .iter()
+        .find(|(s, _)| *s == source)
+        .map_or(2.5, |(_, q)| *q)
 }
 
 /// Current waveforms for every source of an [`ActivityTrace`], in the
 /// trace's deterministic source order, with per-source charge taken from
-/// `charges_fc` (same order as [`Source::ALL`](crate::activity::Source::ALL)),
+/// `charges_fc` (same order as [`Source::ALL`]; see [`charge_fc`]),
 /// written into a caller-owned buffer: the outer vector and every
 /// per-source waveform allocation are reused across records.
-///
-/// Sources missing from `charges_fc` default to 2.5 fC per toggle.
 pub fn trace_to_currents_into(
     trace: &ActivityTrace,
-    charges_fc: &[(crate::activity::Source, f64)],
+    charges_fc: &[(Source, f64)],
     clk_hz: f64,
-    out: &mut Vec<(crate::activity::Source, Vec<f64>)>,
+    out: &mut Vec<(Source, Vec<f64>)>,
 ) {
     out.truncate(trace.per_source.len());
     while out.len() < trace.per_source.len() {
-        out.push((crate::activity::Source::ALL[0], Vec::new()));
+        out.push((Source::ALL[0], Vec::new()));
     }
     for (slot, (&source, toggles)) in out.iter_mut().zip(trace.per_source.iter()) {
-        let q = charges_fc
-            .iter()
-            .find(|(s, _)| *s == source)
-            .map_or(2.5, |(_, q)| *q);
         slot.0 = source;
-        toggles_to_current_into(toggles, q, clk_hz, &mut slot.1);
+        toggles_to_current_into(toggles, charge_fc(charges_fc, source), clk_hz, &mut slot.1);
     }
 }
 
@@ -105,7 +134,7 @@ pub fn sample_rate_hz(clk_hz: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::activity::{ActivitySimulator, ChipConfig, Source};
+    use crate::activity::{ActivitySimulator, ChipConfig};
 
     fn current(toggles: &[f64], q_fc: f64, clk_hz: f64) -> Vec<f64> {
         let mut out = Vec::new();

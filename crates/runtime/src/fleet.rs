@@ -16,8 +16,9 @@
 //! - **Decimated sliding rings** — a full-resolution
 //!   [`SlidingDetector`](psa_core::monitor::SlidingDetector) caches one
 //!   32 769-bin amplitude row per windowed record (~1.3 MB/chip at the
-//!   five-record window — over 10 GB for 10k chips). Here each
-//!   fresh record gets one cached-plan FFT and its amplitude row is
+//!   five-record window — over 10 GB for 10k chips). Here each tick's
+//!   one-record amplitude row
+//!   ([`AcqContext::acquire_amplitude_row`], one cached-plan FFT) is
 //!   max-pooled by `DECIMATE` (64) before entering a per-chip
 //!   [`SlidingSpectrum`] ring, so per-chip state is a few KB and total
 //!   memory is O(chips × window) with a small constant. Max-pooling preserves emergent Trojan lines (the pooled
@@ -534,7 +535,6 @@ impl<'c> Fleet<'c> {
                 schedule,
             });
         }
-        let mut fresh = TraceSet::default();
         let mut pooled = Vec::with_capacity(self.pooled_bins());
         let mut spec = Vec::with_capacity(self.pooled_bins());
         let sensor = SensorSelect::Psa(SENSOR);
@@ -542,8 +542,7 @@ impl<'c> Fleet<'c> {
             for lane in lanes.iter_mut() {
                 ctx.set_variation(Some(lane.variation.clone()));
                 let scenario = lane.schedule.scenario_at(r);
-                ctx.acquire_into(&scenario, sensor, 1, &mut fresh)?;
-                let row = ctx.fullres_amplitude_row(&fresh.records[0])?;
+                let row = ctx.acquire_amplitude_row(&scenario, sensor)?;
                 decimate_max_into(row, &mut pooled);
                 lane.rows.push_row(&pooled)?;
                 if lane.rows.len() < MIN_WINDOW_RECORDS {
