@@ -80,15 +80,16 @@ fn rbw_ablation() {
         psa_bench::harness::engine_from_cli(&std::env::args().skip(1).collect::<Vec<String>>());
     let campaign = psa_runtime::Campaign::new(&chip, engine);
     let jobs = [
-        psa_runtime::AcquireJob::new(Scenario::baseline(), SensorSelect::Psa(10), 5).with_seed(61),
-        psa_runtime::AcquireJob::new(
-            Scenario::trojan_active(TrojanKind::T3),
-            SensorSelect::Psa(10),
-            5,
-        )
-        .with_seed(62),
+        (Scenario::baseline(), 61),
+        (Scenario::trojan_active(TrojanKind::T3), 62),
     ];
-    let mut acquired = campaign.acquire(&jobs).expect("ablation traces");
+    let mut acquired = campaign
+        .run(&jobs, |ctx, _, (scenario, seed)| {
+            ctx.acquire(&scenario.clone().with_seed(*seed), SensorSelect::Psa(10), 5)
+        })
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()
+        .expect("ablation traces");
     let act = acquired.pop().expect("two jobs");
     let base = acquired.pop().expect("two jobs");
 

@@ -218,7 +218,6 @@ fn main() {
     // record, then re-transform the whole K-record ring — kept
     // measurable so the cached-row win stays an observed number rather
     // than a claim.
-    let depth = detector.config().window_records;
     let mut ring = TraceSet::default();
     let mut fresh = TraceSet::default();
     let mut mid_bins = Vec::new();
@@ -230,7 +229,7 @@ fn main() {
             ring.fs_hz = fresh.fs_hz;
             ring.sensor = fresh.sensor;
             ring.records.push(fresh.records[0].clone());
-            if ring.records.len() > depth {
+            if ring.records.len() > psa_core::calib::TRACES_PER_SPECTRUM {
                 ring.records.remove(0);
             }
             let spec = ctx.fullres_spectrum_db(&ring).expect("ring spectrum");

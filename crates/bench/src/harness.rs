@@ -476,6 +476,103 @@ mod tests {
         }
     }
 
+    /// Random argument lists built from flag tokens, `=` forms and
+    /// awkward values, fed to the three hand-written flag parsers: none
+    /// may panic, and each must answer for the first occurrence of its
+    /// flag only. A positive-integer flag yields `Ok(Some(n))` with
+    /// `n ≥ 1` equal to that occurrence's value, and `Err` for a missing,
+    /// zero or non-integer one. No parsed value reaches `Engine::new`,
+    /// which would spawn that many threads.
+    #[test]
+    fn flag_parsers_survive_mutated_argument_lists() {
+        use psa_runtime::engine::{parse_jobs_arg, JobsArgError};
+        const FLAGS: &[&str] = &["--jobs", "--seeds", "--bench-json", "--job", "-j", "--"];
+        const VALUES: &[&str] = &[
+            "0",
+            "1",
+            "7",
+            "-1",
+            "-0",
+            "+3",
+            "3.0",
+            " 3",
+            "",
+            "18446744073709551615",
+            "18446744073709551616",
+            "out.json",
+            "-x.json",
+        ];
+        const ALPHABET: &[char] = &['-', '=', '0', '1', '9', 'j', 'o', 'b', 's', ' ', 'µ'];
+        let mut rng = psa_dsp::rng::SmallRng::seed_from_u64(0xF1A6);
+        let mut pick = |n: usize| rng.gen_index(n);
+        let mut outcomes = [0usize; 3];
+        for _ in 0..4000 {
+            let len = pick(6);
+            let args: Vec<String> = (0..len)
+                .map(|_| match pick(4) {
+                    0 => FLAGS[pick(FLAGS.len())].to_string(),
+                    1 => format!(
+                        "{}={}",
+                        FLAGS[pick(FLAGS.len())],
+                        VALUES[pick(VALUES.len())]
+                    ),
+                    2 => VALUES[pick(VALUES.len())].to_string(),
+                    _ => (0..pick(8))
+                        .map(|_| ALPHABET[pick(ALPHABET.len())])
+                        .collect(),
+                })
+                .collect();
+            // The first occurrence of `flag`: whether it is the bare
+            // flag, and its value (`None` when a bare flag ends the list).
+            let first = |flag: &str| -> Option<(bool, Option<&str>)> {
+                let prefix = format!("{flag}=");
+                let i = args
+                    .iter()
+                    .position(|a| a == flag || a.starts_with(&prefix))?;
+                Some(match args[i].strip_prefix(&prefix) {
+                    Some(v) => (false, Some(v)),
+                    None => (true, args.get(i + 1).map(String::as_str)),
+                })
+            };
+            let positive = |v: &str| v.parse::<usize>().ok().filter(|&n| n >= 1);
+
+            let jobs = std::panic::catch_unwind(|| parse_jobs_arg(&args))
+                .unwrap_or_else(|_| panic!("parse_jobs_arg panicked on {args:?}"));
+            match (first("--jobs").map(|(_, v)| v), &jobs) {
+                (None, Ok(None)) => outcomes[0] += 1,
+                (Some(None), Err(JobsArgError::MissingValue)) => outcomes[1] += 1,
+                (Some(Some("0")), Err(JobsArgError::Zero)) => outcomes[1] += 1,
+                (Some(Some(v)), Ok(Some(n))) if positive(v) == Some(*n) => outcomes[2] += 1,
+                (Some(Some(v)), Err(JobsArgError::Zero | JobsArgError::Invalid(_)))
+                    if positive(v).is_none() => {}
+                (want, got) => panic!("--jobs in {args:?}: first {want:?}, parsed {got:?}"),
+            }
+
+            let seeds = std::panic::catch_unwind(|| parse_positive_usize(&args, "--seeds"))
+                .unwrap_or_else(|_| panic!("parse_positive_usize panicked on {args:?}"));
+            match (first("--seeds").map(|(_, v)| v), &seeds) {
+                (None, Ok(None)) | (Some(None), Err(_)) => {}
+                (Some(Some(v)), Ok(Some(n))) => assert_eq!(positive(v), Some(*n), "{args:?}"),
+                (Some(Some(v)), Err(_)) => assert_eq!(positive(v), None, "{args:?}"),
+                (want, got) => panic!("--seeds in {args:?}: first {want:?}, parsed {got:?}"),
+            }
+
+            let json = std::panic::catch_unwind(|| bench_json_path(&args, "D.json"))
+                .unwrap_or_else(|_| panic!("bench_json_path panicked on {args:?}"));
+            // A bare flag takes the next argument as its path unless that
+            // looks like another flag.
+            let want = first("--bench-json").map(|first| match first {
+                (true, Some(v)) if v.starts_with('-') => PathBuf::from("D.json"),
+                (_, Some(v)) => PathBuf::from(v),
+                (_, None) => PathBuf::from("D.json"),
+            });
+            assert_eq!(json, want, "--bench-json in {args:?}");
+        }
+        // Every branch must be exercised, or the checks above check
+        // nothing: absent, rejected and accepted `--jobs` values.
+        assert!(outcomes.iter().all(|&n| n > 0), "{outcomes:?}");
+    }
+
     #[test]
     fn filter_skips_nonmatching() {
         let harness = Harness {

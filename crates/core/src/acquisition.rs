@@ -7,10 +7,12 @@
 //!
 //! [`AcqContext`] is the one entry point: a reusable **per-worker
 //! context** owning all scratch state (spectrum work buffers, the
-//! kernel's toggle rows and codes, one record buffer). The campaign engine in `psa-runtime`
-//! gives each worker thread one context; record after record then runs
-//! with no hot-path allocations. One-shot callers build a context for
-//! the call with [`AcqContext::new`].
+//! kernel's toggle rows and codes, one record buffer). The campaign
+//! engine in `psa-runtime` gives each worker thread one context; record
+//! after record then reuses those buffers. The chip half still
+//! allocates per record: the activity simulator returns each record's
+//! rows in a fresh trace. One-shot callers build a context for the call
+//! with [`AcqContext::new`].
 //!
 //! Every record runs one body in two halves. The chip half (activity
 //! simulation, emitter toggles) depends only on the scenario and the

@@ -42,7 +42,8 @@ pub struct Baseline {
 }
 
 impl Baseline {
-    /// Learns the run-time baseline with `config`'s trace budget — the
+    /// Learns the run-time baseline from
+    /// [`calib::TRACES_PER_SPECTRUM`] traces per sensor — the
     /// template-free path: callers that only need baseline spectra (the
     /// campaign engine, detector construction) never pay for the
     /// detector's identification template library.
@@ -50,16 +51,11 @@ impl Baseline {
     /// One sensor sweep ([`AcqContext::sensor_sweep_db`]) learns all 16
     /// sensors, bit-identical to [`sensor_db_with`](Self::sensor_db_with)
     /// per sensor.
-    ///
-    /// # Panics
-    ///
-    /// When `config.traces_per_sensor` is zero; built-in sensor indices
-    /// are in range by construction.
-    pub fn learn_with(config: &AnalyzerConfig, ctx: &mut AcqContext<'_>, seed: u64) -> Baseline {
+    pub fn learn_with(ctx: &mut AcqContext<'_>, seed: u64) -> Baseline {
         let per_sensor_db = ctx
             .sensor_sweep_db(
                 &Scenario::baseline().with_seed(seed),
-                config.traces_per_sensor,
+                calib::TRACES_PER_SPECTRUM,
                 calib::RECORD_CYCLES,
                 &[],
             )
@@ -152,7 +148,10 @@ pub struct Verdict {
     pub peak_excess_db: f64,
 }
 
-/// Configuration of the cross-domain pipeline.
+/// Configuration of the cross-domain pipeline: only
+/// [`Baseline::sensor_db_with`] still takes one, and only its default
+/// ([`calib::TRACES_PER_SPECTRUM`], [`calib::DETECTION_THRESHOLD_DB`])
+/// is ever built.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AnalyzerConfig {
     /// Traces averaged per sensor per decision (paper: ≤ 5, fewer than
@@ -179,7 +178,6 @@ impl Default for AnalyzerConfig {
 #[derive(Debug)]
 pub struct CrossDomainDetector {
     baseline: Baseline,
-    config: AnalyzerConfig,
     /// The identification template library, built once on first
     /// identification and shared across workers thereafter.
     templates: OnceLock<TemplateLibrary>,
@@ -197,7 +195,6 @@ impl CrossDomainDetector {
     pub fn with_baseline(baseline: Baseline) -> Self {
         CrossDomainDetector {
             baseline,
-            config: AnalyzerConfig::default(),
             templates: OnceLock::new(),
             template_build: Mutex::new(()),
             envelopes: OnceLock::new(),
@@ -262,7 +259,7 @@ impl CrossDomainDetector {
         let mut peak_excess_db = f64::NEG_INFINITY;
         for (i, (spec, base_env)) in spectra.iter().zip(base_envs).enumerate() {
             peak_excess_db = peak_excess_over(spec, base_env, peak_excess_db);
-            let hits = peak::excess_over_baseline_db(spec, base_env, self.config.threshold_db);
+            let hits = peak::excess_over_baseline_db(spec, base_env, calib::DETECTION_THRESHOLD_DB);
             let merged = merge_adjacent_bins(&hits);
             let energy: f64 = merged.iter().map(|(_, e)| e).sum();
             let components: Vec<(f64, f64)> = merged
@@ -289,7 +286,7 @@ impl CrossDomainDetector {
                 identified: None,
                 identification_distance: None,
                 identification_envelope: None,
-                traces_per_sensor: self.config.traces_per_sensor,
+                traces_per_sensor: calib::TRACES_PER_SPECTRUM,
                 peak_excess_db,
             });
         }
@@ -350,7 +347,7 @@ impl CrossDomainDetector {
             identified: Some(identified),
             identification_distance: Some(dist),
             identification_envelope: Some(envelope),
-            traces_per_sensor: self.config.traces_per_sensor,
+            traces_per_sensor: calib::TRACES_PER_SPECTRUM,
             peak_excess_db,
         })
     }
@@ -370,7 +367,7 @@ impl CrossDomainDetector {
         )?;
         ctx.sensor_sweep_db(
             scenario,
-            self.config.traces_per_sensor,
+            calib::TRACES_PER_SPECTRUM,
             calib::RECORD_CYCLES,
             &[],
         )
@@ -390,17 +387,17 @@ impl Detector for CrossDomainDetector {
     }
 
     fn threshold(&self) -> f64 {
-        self.config.threshold_db
+        calib::DETECTION_THRESHOLD_DB
     }
 
     fn traces_per_score(&self) -> usize {
-        self.config.traces_per_sensor
+        calib::TRACES_PER_SPECTRUM
     }
 
     /// The peak per-bin excess (dB) of any sensor's spectrum over its
     /// baseline local-max envelope — the statistic
     /// [`analyze_with`](CrossDomainDetector::analyze_with) thresholds at
-    /// [`AnalyzerConfig::threshold_db`]. This is the detection-only
+    /// [`calib::DETECTION_THRESHOLD_DB`]. This is the detection-only
     /// path: no localization ranking, no zero-span identification, no
     /// template library, which makes it the cheap per-job unit of the
     /// bake-off and of Table I.
@@ -431,7 +428,7 @@ impl Detector for CrossDomainDetector {
         Ok(DetectionOutcome {
             detected: verdict.detected,
             score: verdict.peak_excess_db,
-            threshold: self.config.threshold_db,
+            threshold: calib::DETECTION_THRESHOLD_DB,
             // Detection itself needs only the monitored sensor's traces
             // (< 10); the full verdict scans all sensors for
             // localization.

@@ -30,11 +30,11 @@
 //!   backscattering PCA+K-means, Nguyen HOST'20), and the
 //!   reference-free statistics of [`detector::reference_free`].
 //! * [`snr`] — the RMS-ratio SNR procedure of Eq. (1).
-//! * [`mttd`] — mean-time-to-detect simulation of the run-time loop,
-//!   now a thin batch adapter over the streaming monitor.
 //! * [`monitor`] — the streaming run-time monitor: record streams under
 //!   activation schedules, sliding spectral detection, typed
-//!   cycle-stamped events, and per-session MTTD reports.
+//!   cycle-stamped events, and per-session MTTD reports (the one
+//!   run-time path: the Sec. VI-D MTTD is read from a session's
+//!   [`monitor::MonitorReport`]).
 //! * [`atlas`] — the localization-accuracy atlas: parametric synthetic-
 //!   Trojan placement sweeps scored as localization error in µm.
 //! * [`localize`] — the shared common-line localization primitives
@@ -54,13 +54,13 @@
 //! ```no_run
 //! use psa_core::acquisition::AcqContext;
 //! use psa_core::chip::TestChip;
-//! use psa_core::cross_domain::{AnalyzerConfig, Baseline, CrossDomainDetector};
+//! use psa_core::cross_domain::{Baseline, CrossDomainDetector};
 //! use psa_core::scenario::Scenario;
 //! use psa_gatesim::trojan::TrojanKind;
 //!
 //! let chip = TestChip::date24();
 //! let mut ctx = AcqContext::new(&chip);
-//! let baseline = Baseline::learn_with(&AnalyzerConfig::default(), &mut ctx, 42);
+//! let baseline = Baseline::learn_with(&mut ctx, 42);
 //! let detector = CrossDomainDetector::with_baseline(baseline);
 //! let verdict = detector
 //!     .analyze_with(&mut ctx, &Scenario::trojan_active(TrojanKind::T1).with_seed(7))
@@ -81,7 +81,6 @@ pub mod error;
 pub mod identify;
 pub mod localize;
 pub mod monitor;
-pub mod mttd;
 pub mod multiloc;
 pub mod progsearch;
 pub mod report;

@@ -13,8 +13,7 @@ pub enum MonitorEventKind {
         /// Frequency of the strongest emergent bin, Hz.
         freq_hz: f64,
     },
-    /// A previously alarming sensor has been quiet long enough: the
-    /// flag drops.
+    /// A previously alarming sensor compared quiet: the flag drops.
     Clear,
     /// Start of an alarm episode: the sensor whose emergent amplitude
     /// is strongest — its footprint localizes the Trojan.
@@ -74,13 +73,6 @@ impl fmt::Display for MonitorEvent {
     }
 }
 
-impl MonitorEvent {
-    /// `true` for [`MonitorEventKind::Alarm`].
-    pub fn is_alarm(&self) -> bool {
-        matches!(self.kind, MonitorEventKind::Alarm { .. })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -101,13 +93,11 @@ mod tests {
             e.to_string(),
             "rec   3  cycle    32768  t     5.200 ms  sensor 10  ALARM         +18.2 dB @ 48.000 MHz"
         );
-        assert!(e.is_alarm());
         let c = MonitorEvent {
             kind: MonitorEventKind::Clear,
             ..e.clone()
         };
         assert!(c.to_string().ends_with("CLEAR"));
-        assert!(!c.is_alarm());
         let l = MonitorEvent {
             kind: MonitorEventKind::Localized,
             ..e.clone()

@@ -106,9 +106,9 @@ pub struct ActivationSchedule {
 
 impl ActivationSchedule {
     /// A schedule that holds `base` unchanged for `horizon` records —
-    /// the shape under which the streaming monitor coincides
-    /// bit-for-bit with the batch
-    /// [`mttd_trial_with`](crate::mttd::mttd_trial_with) replay.
+    /// the shape of the Sec. VI-D MTTD sessions, under which the
+    /// streaming monitor coincides bit-for-bit with the historical batch
+    /// replay loop.
     pub fn constant(base: Scenario, horizon: usize) -> Self {
         ActivationSchedule {
             base,

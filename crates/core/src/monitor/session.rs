@@ -11,12 +11,14 @@ use crate::monitor::stream::StreamSource;
 
 /// A running monitor session.
 ///
-/// Each [`step`](Self::step) processes one stream record across every
-/// watched sensor: acquire, roll the window, render the spectrum,
-/// compare, and emit cycle-stamped [`MonitorEvent`]s. The session holds
-/// no acquisition scratch of its own — the caller threads a reusable
-/// [`AcqContext`] through, so a whole session is one job on the
-/// campaign engine with zero hot-path allocations.
+/// [`run_to_end`](Self::run_to_end) processes the stream one record at
+/// a time across every watched sensor: acquire, roll the window, render
+/// the spectrum, compare, and emit cycle-stamped [`MonitorEvent`]s. The
+/// session holds no acquisition scratch of its own — the caller threads
+/// a reusable [`AcqContext`] through, so a whole session is one job on
+/// the campaign engine. A tick still allocates: the chip half builds
+/// each record's activity rows, and the window renders a fresh
+/// spectrum.
 #[derive(Debug)]
 pub struct Monitor {
     stream: StreamSource,
@@ -40,13 +42,8 @@ impl Monitor {
         }
     }
 
-    /// Monitor-loop wall time accumulated so far, seconds.
-    pub fn elapsed_s(&self) -> f64 {
-        self.elapsed_s
-    }
-
     /// `true` once the stream's horizon is exhausted.
-    pub fn finished(&self) -> bool {
+    fn finished(&self) -> bool {
         self.next_record >= self.stream.horizon()
     }
 
@@ -55,23 +52,12 @@ impl Monitor {
         self.events
     }
 
-    /// Processes one stream record across all lanes; returns the events
-    /// emitted by this tick (possibly empty).
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::InvalidParameter`] when the stream is exhausted;
-    /// otherwise propagates acquisition/DSP errors.
-    pub fn step(&mut self, ctx: &mut AcqContext<'_>) -> Result<&[MonitorEvent], CoreError> {
-        if self.finished() {
-            return Err(CoreError::InvalidParameter {
-                what: "stream horizon exhausted",
-            });
-        }
+    /// Processes the next stream record across all lanes, appending the
+    /// tick's events to the log.
+    fn step(&mut self, ctx: &mut AcqContext<'_>) -> Result<(), CoreError> {
         let record = self.next_record;
         let scenario = self.stream.schedule().scenario_at(record);
         let cycle = ((record + 1) * calib::RECORD_CYCLES) as u64;
-        let before = self.events.len();
         let episode_open = self.detector.any_alarmed();
 
         let mut new_alarm = false;
@@ -125,7 +111,7 @@ impl Monitor {
             });
         }
         self.next_record += 1;
-        Ok(&self.events[before..])
+        Ok(())
     }
 
     /// Localizes an alarm episode the way the batch analyzer does:

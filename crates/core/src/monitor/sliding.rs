@@ -12,34 +12,28 @@ use psa_dsp::sliding::SlidingSpectrum;
 
 /// Configuration of the sliding detector.
 ///
-/// The defaults coincide exactly with the batch
-/// [`mttd_trial_with`](crate::mttd::mttd_trial_with) comparison
-/// (5-record rolling window, frozen baseline), which is what makes the
-/// batch path a thin adapter over this one. The threshold is
+/// The rolling window holds the last [`calib::TRACES_PER_SPECTRUM`]
+/// records, the batch detector's per-decision average. The threshold is
 /// [`calib::DETECTION_THRESHOLD_DB`] over the baseline's
-/// [`calib::ENVELOPE_HALF_WINDOW`] envelope, and an alarm clears on the
-/// first quiet tick.
+/// [`calib::ENVELOPE_HALF_WINDOW`] envelope; a hit raises the alarm and
+/// the first quiet comparison clears it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SlidingConfig {
-    /// Records in the rolling averaging window (ring buffer depth).
-    pub window_records: usize,
     /// Records the window must hold before comparisons start (warm-fill
     /// suppression): a single-record spectrum compared against an
     /// averaged baseline can flicker past the threshold on a quiet
     /// noise-floor sensor. `1` compares from the very first record —
-    /// the batch-compatible setting.
+    /// the setting of the Sec. VI-D MTTD table.
     pub min_window_records: usize,
     /// Quiet ticks between rolling-baseline refreshes; `None` freezes
-    /// the learned baseline (the batch-compatible setting). Refreshing
-    /// absorbs slow operating-condition drift instead of alarming on
-    /// it.
+    /// the learned baseline. Refreshing absorbs slow operating-condition
+    /// drift instead of alarming on it.
     pub recalibrate_after: Option<usize>,
 }
 
 impl Default for SlidingConfig {
     fn default() -> Self {
         SlidingConfig {
-            window_records: calib::TRACES_PER_SPECTRUM,
             min_window_records: 1,
             recalibrate_after: None,
         }
@@ -54,56 +48,14 @@ impl Default for SlidingConfig {
 #[derive(Debug)]
 struct Lane {
     sensor: usize,
-    /// Cached per-record amplitude rows of the last `window_records`
-    /// pulls, averaged in dB each tick.
+    /// Cached per-record amplitude rows of the last
+    /// [`calib::TRACES_PER_SPECTRUM`] pulls, averaged in dB each tick.
     rows: SlidingSpectrum,
     base_env: Vec<f64>,
-    latch: AlarmLatch,
-    quiet_since_recalib: usize,
-}
-
-/// The alarm state machine of one watched stream: a hit raises the
-/// alarm, and `clear_after_quiet` consecutive quiet ticks clear it.
-/// Shared by the [`SlidingDetector`] lanes and the fleet's per-chip
-/// lanes.
-#[derive(Debug, Clone)]
-pub struct AlarmLatch {
-    clear_after_quiet: usize,
+    /// Whether the lane's alarm is standing: set by a hit, cleared by
+    /// the next quiet comparison.
     alarmed: bool,
-    quiet_ticks: usize,
-}
-
-impl AlarmLatch {
-    /// A quiet latch that clears after `clear_after_quiet` consecutive
-    /// quiet ticks.
-    pub fn new(clear_after_quiet: usize) -> Self {
-        AlarmLatch {
-            clear_after_quiet,
-            alarmed: false,
-            quiet_ticks: 0,
-        }
-    }
-
-    /// Whether the alarm is standing.
-    pub fn alarmed(&self) -> bool {
-        self.alarmed
-    }
-
-    /// Advances one tick on whether it `hit`; returns whether the tick
-    /// raised (a hit) or cleared (no hit) the alarm.
-    pub fn update(&mut self, hit: bool) -> bool {
-        if hit {
-            self.quiet_ticks = 0;
-            let raised = !self.alarmed;
-            self.alarmed = true;
-            raised
-        } else {
-            self.quiet_ticks += 1;
-            let cleared = self.alarmed && self.quiet_ticks >= self.clear_after_quiet;
-            self.alarmed &= !cleared;
-            cleared
-        }
-    }
+    quiet_since_recalib: usize,
 }
 
 /// What one lane saw during one stream tick.
@@ -143,8 +95,9 @@ impl SlidingDetector {
     /// # Errors
     ///
     /// [`CoreError::InvalidParameter`] when `sensors` is empty, the
-    /// window is zero, or the baseline lacks a watched sensor or holds
-    /// it at another resolution than a stream record's spectrum.
+    /// warm-fill minimum exceeds the window, or the baseline lacks a
+    /// watched sensor or holds it at another resolution than a stream
+    /// record's spectrum.
     pub fn new(
         baseline: &Baseline,
         sensors: &[usize],
@@ -155,12 +108,7 @@ impl SlidingDetector {
                 what: "monitor needs at least one sensor",
             });
         }
-        if config.window_records == 0 {
-            return Err(CoreError::InvalidParameter {
-                what: "rolling window must hold at least one record",
-            });
-        }
-        if config.min_window_records > config.window_records {
+        if config.min_window_records > calib::TRACES_PER_SPECTRUM {
             return Err(CoreError::InvalidParameter {
                 what: "warm-fill minimum exceeds the rolling window depth",
             });
@@ -178,19 +126,14 @@ impl SlidingDetector {
                     })?;
                 Ok(Lane {
                     sensor,
-                    rows: SlidingSpectrum::new(config.window_records)?,
+                    rows: SlidingSpectrum::new(calib::TRACES_PER_SPECTRUM)?,
                     base_env: peak::local_max_envelope(base, calib::ENVELOPE_HALF_WINDOW),
-                    latch: AlarmLatch::new(1),
+                    alarmed: false,
                     quiet_since_recalib: 0,
                 })
             })
             .collect::<Result<Vec<_>, CoreError>>()?;
         Ok(SlidingDetector { config, lanes })
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &SlidingConfig {
-        &self.config
     }
 
     /// Number of watched sensors.
@@ -200,7 +143,7 @@ impl SlidingDetector {
 
     /// Whether any lane currently holds a standing alarm.
     pub fn any_alarmed(&self) -> bool {
-        self.lanes.iter().any(|l| l.latch.alarmed())
+        self.lanes.iter().any(|l| l.alarmed)
     }
 
     /// Processes one stream tick for lane `lane_idx`: pull the record,
@@ -209,7 +152,7 @@ impl SlidingDetector {
     /// machine.
     ///
     /// The acquisition→comparison sequence is bit-identical to one
-    /// iteration of the batch MTTD replay loop.
+    /// iteration of the historical batch MTTD replay loop.
     ///
     /// # Errors
     ///
@@ -228,7 +171,7 @@ impl SlidingDetector {
         let lane = &mut self.lanes[lane_idx];
         // Transform only the record just pulled; the cached rows of the
         // older records are reused, so a steady-state tick costs one FFT
-        // instead of `window_records`.
+        // instead of one per windowed record.
         let row = stream.pull_row(ctx, scenario, lane.sensor)?;
         lane.rows.push_row(row)?;
         if lane.rows.len() < self.config.min_window_records {
@@ -246,7 +189,7 @@ impl SlidingDetector {
             });
         }
         // Window average from the cached rows — bit-identical to
-        // `ctx.fullres_spectrum_db` over the last `window_records` pulls
+        // `ctx.fullres_spectrum_db` over the last `TRACES_PER_SPECTRUM` pulls
         // (a regression test replays whole sessions against that full
         // recompute).
         let spec = lane.rows.averaged_db()?;
@@ -263,7 +206,9 @@ impl SlidingDetector {
             top_excess_db: 0.0,
             spec: Vec::new(),
         };
-        let flipped = lane.latch.update(obs.hit);
+        // A tick flips the alarm exactly when its hit disagrees with it.
+        let flipped = obs.hit != lane.alarmed;
+        lane.alarmed = obs.hit;
         if let Some((bin, excess)) = top_hit(&hits) {
             lane.quiet_since_recalib = 0;
             obs.top_bin = Some(bin);
@@ -273,7 +218,7 @@ impl SlidingDetector {
             lane.quiet_since_recalib += 1;
             obs.cleared = flipped;
             if let Some(every) = self.config.recalibrate_after {
-                if !lane.latch.alarmed() && lane.quiet_since_recalib >= every {
+                if lane.quiet_since_recalib >= every {
                     lane.base_env = peak::local_max_envelope(&spec, calib::ENVELOPE_HALF_WINDOW);
                     lane.quiet_since_recalib = 0;
                     obs.recalibrated = true;
@@ -312,27 +257,21 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_config_coincides_with_batch_mttd() {
+    fn default_config_compares_from_the_first_record() {
         let c = SlidingConfig::default();
-        assert_eq!(c.window_records, calib::TRACES_PER_SPECTRUM);
         assert_eq!(c.min_window_records, 1);
         assert_eq!(c.recalibrate_after, None);
     }
 
     #[test]
-    fn rejects_empty_sensor_list_and_zero_window() {
+    fn rejects_empty_sensor_list_and_overdeep_warm_fill() {
         let bins = psa_dsp::fft::one_sided_len(calib::RECORD_CYCLES * calib::SAMPLES_PER_CYCLE);
         let baseline = Baseline {
             per_sensor_db: vec![vec![0.0; bins], vec![0.0; 8]],
         };
         assert!(SlidingDetector::new(&baseline, &[], SlidingConfig::default()).is_err());
-        let bad = SlidingConfig {
-            window_records: 0,
-            ..SlidingConfig::default()
-        };
-        assert!(SlidingDetector::new(&baseline, &[0], bad).is_err());
         let bad_fill = SlidingConfig {
-            min_window_records: 9,
+            min_window_records: calib::TRACES_PER_SPECTRUM + 1,
             ..SlidingConfig::default()
         };
         assert!(SlidingDetector::new(&baseline, &[0], bad_fill).is_err());
@@ -344,21 +283,6 @@ mod tests {
         assert_eq!(ok.lanes(), 1);
         assert_eq!(ok.lanes[0].sensor, 0);
         assert!(!ok.any_alarmed());
-    }
-
-    #[test]
-    fn alarm_latch_raises_once_and_clears_after_a_quiet_run() {
-        let mut latch = AlarmLatch::new(2);
-        assert!(latch.update(true), "a hit raises");
-        assert!(!latch.update(true), "a standing alarm is not raised again");
-        // A hit inside the quiet run restarts it.
-        assert!(!latch.update(false));
-        assert!(!latch.update(true));
-        assert!(!latch.update(false));
-        assert!(latch.alarmed());
-        assert!(latch.update(false), "two quiet ticks clear");
-        assert!(!latch.alarmed());
-        assert!(!latch.update(false), "quiet while clear changes nothing");
     }
 
     #[test]

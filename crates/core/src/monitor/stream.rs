@@ -11,9 +11,8 @@ use crate::monitor::schedule::ActivationSchedule;
 ///
 /// The source itself is stateless between pulls: record `r` on sensor
 /// `s` is a pure function of `(schedule, r, s)`, acquired through the
-/// caller's reusable [`AcqContext`] into its one record buffer, with
-/// zero hot-path allocations once the context's buffers are warm.
-/// That purity is what lets whole monitor sessions fan out across the
+/// caller's reusable [`AcqContext`] into its one record buffer. That
+/// purity is what lets whole monitor sessions fan out across the
 /// campaign engine with byte-identical output.
 ///
 /// [`TestChip`]: crate::chip::TestChip

@@ -1,7 +1,10 @@
 //! Regression: the cached-row sliding spectrum must leave monitor
-//! sessions byte-identical to the historical full-ring recompute.
+//! sessions byte-identical to the historical full-ring recompute, and a
+//! lane's alarm must rise on a hit and clear on the first quiet
+//! comparison.
 
 use psa_core::acquisition::{AcqContext, TraceSet};
+use psa_core::calib;
 use psa_core::chip::{SensorSelect, TestChip};
 use psa_core::cross_domain::{AnalyzerConfig, Baseline};
 use psa_core::monitor::{
@@ -33,7 +36,6 @@ fn config() -> SlidingConfig {
     SlidingConfig {
         min_window_records: 2,
         recalibrate_after: Some(2),
-        ..SlidingConfig::default()
     }
 }
 
@@ -43,6 +45,9 @@ fn config() -> SlidingConfig {
 /// full-window recompute (`fullres_spectrum_db` over the rolled ring).
 /// Events are a pure function of these spectra through unchanged code,
 /// so this pins the event log bit-for-bit.
+///
+/// Every tick also pins the alarm timing: a hit raises the alarm only
+/// when none stands, and a quiet tick clears a standing alarm at once.
 #[test]
 fn cached_rows_match_full_window_recompute_bitwise() {
     let chip = TestChip::date24();
@@ -56,14 +61,24 @@ fn cached_rows_match_full_window_recompute_bitwise() {
     let mut mirror_ctx = AcqContext::new(&chip);
     let mut mirror_fresh = TraceSet::default();
     let mut mirror_window = TraceSet::default();
-    let depth = detector.config().window_records;
 
     let mut saw_alarm = false;
     let mut saw_clear = false;
     let mut saw_recalib = false;
     for record in 0..stream.horizon() {
         let scenario = stream.schedule().scenario_at(record);
+        let was_alarmed = detector.any_alarmed();
         let obs = detector.observe(&mut ctx, &stream, &scenario, 0).unwrap();
+        assert_eq!(
+            obs.newly_alarmed,
+            obs.hit && !was_alarmed,
+            "record {record}: alarm timing"
+        );
+        assert_eq!(
+            obs.cleared,
+            !obs.hit && was_alarmed,
+            "record {record}: clear timing"
+        );
         saw_alarm |= obs.newly_alarmed;
         saw_clear |= obs.cleared;
         saw_recalib |= obs.recalibrated;
@@ -74,7 +89,7 @@ fn cached_rows_match_full_window_recompute_bitwise() {
         mirror_window.fs_hz = mirror_fresh.fs_hz;
         mirror_window.sensor = mirror_fresh.sensor;
         mirror_window.records.push(mirror_fresh.records[0].clone());
-        if mirror_window.records.len() > depth {
+        if mirror_window.records.len() > calib::TRACES_PER_SPECTRUM {
             mirror_window.records.remove(0);
         }
         if obs.spec.is_empty() {

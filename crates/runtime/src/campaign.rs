@@ -1,5 +1,5 @@
-//! Acquisition-level campaigns: fan `(Scenario, SensorSelect, records,
-//! seed)` jobs across the engine against one shared [`TestChip`].
+//! Acquisition-level campaigns: fan arbitrary per-job work across the
+//! engine against one shared [`TestChip`].
 //!
 //! The chip is built once (the expensive step: placement + coupling
 //! matrices) and borrowed immutably by every worker; each worker owns a
@@ -9,51 +9,9 @@
 //! count.
 
 use crate::engine::Engine;
-use psa_core::acquisition::{AcqContext, TraceSet};
-use psa_core::chip::{SensorSelect, TestChip};
+use psa_core::acquisition::AcqContext;
+use psa_core::chip::TestChip;
 use psa_core::cross_domain::{AnalyzerConfig, Baseline};
-use psa_core::error::CoreError;
-use psa_core::scenario::Scenario;
-
-/// One acquisition job: a scenario on one sensor for a number of
-/// records, with an explicit per-job seed.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AcquireJob {
-    /// What the chip is doing during the measurement.
-    pub scenario: Scenario,
-    /// The sensing selection measured.
-    pub sensor: SensorSelect,
-    /// Records to capture.
-    pub records: usize,
-    /// Per-job seed applied to the scenario (plaintexts and noise);
-    /// this is what decouples a job's result from its neighbours and
-    /// from execution order.
-    pub seed: u64,
-}
-
-impl AcquireJob {
-    /// A job inheriting the scenario's own seed.
-    pub fn new(scenario: Scenario, sensor: SensorSelect, records: usize) -> Self {
-        let seed = scenario.seed;
-        AcquireJob {
-            scenario,
-            sensor,
-            records,
-            seed,
-        }
-    }
-
-    /// Overrides the per-job seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// The scenario actually executed (seed applied).
-    pub fn effective_scenario(&self) -> Scenario {
-        self.scenario.clone().with_seed(self.seed)
-    }
-}
 
 /// A campaign: an engine bound to one shared chip.
 ///
@@ -62,18 +20,17 @@ impl AcquireJob {
 /// ```no_run
 /// use psa_core::chip::{SensorSelect, TestChip};
 /// use psa_core::scenario::Scenario;
-/// use psa_runtime::campaign::{AcquireJob, Campaign};
+/// use psa_runtime::campaign::Campaign;
 /// use psa_runtime::engine::Engine;
 ///
 /// let chip = TestChip::date24();
 /// let campaign = Campaign::new(&chip, Engine::from_env());
-/// let jobs: Vec<AcquireJob> = (0..8)
-///     .map(|s| {
-///         AcquireJob::new(Scenario::baseline(), SensorSelect::Psa(10), 5).with_seed(100 + s)
-///     })
-///     .collect();
-/// let traces = campaign.acquire(&jobs).unwrap();
+/// let seeds: Vec<u64> = (100..108).collect();
+/// let traces = campaign.run(&seeds, |ctx, _, &seed| {
+///     ctx.acquire(&Scenario::baseline().with_seed(seed), SensorSelect::Psa(10), 5)
+/// });
 /// assert_eq!(traces.len(), 8);
+/// assert!(traces.iter().all(Result::is_ok));
 /// ```
 #[derive(Debug, Clone, Copy)]
 pub struct Campaign<'c> {
@@ -104,23 +61,9 @@ impl<'c> Campaign<'c> {
         self.engine.map_ctx(jobs, || AcqContext::new(self.chip), f)
     }
 
-    /// Acquires every job's trace set.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first failing job's error (jobs are still attempted
-    /// independently).
-    pub fn acquire(&self, jobs: &[AcquireJob]) -> Result<Vec<TraceSet>, CoreError> {
-        self.run(jobs, |ctx, _, job| {
-            ctx.acquire(&job.effective_scenario(), job.sensor, job.records)
-        })
-        .into_iter()
-        .collect()
-    }
-
     /// Learns the 16-sensor run-time baseline in parallel (one job per
-    /// sensor). Byte-identical to [`Baseline::learn_with`] at the
-    /// default configuration with the same seed, since each sensor's
+    /// sensor). Byte-identical to [`Baseline::learn_with`] with the
+    /// same seed, since each sensor's
     /// spectrum depends only on `(seed, sensor)` — and template-free,
     /// so no worker pays for the identification reference library.
     pub fn learn_baseline(&self, seed: u64) -> Baseline {

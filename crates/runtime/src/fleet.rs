@@ -38,7 +38,7 @@ use psa_core::acquisition::{AcqContext, TraceSet};
 use psa_core::calib;
 use psa_core::chip::{ChipVariation, SensorSelect, TestChip};
 use psa_core::error::CoreError;
-use psa_core::monitor::{ActivationSchedule, AlarmLatch};
+use psa_core::monitor::ActivationSchedule;
 use psa_core::scenario::Scenario;
 use psa_dsp::peak;
 use psa_dsp::rng::splitmix64;
@@ -308,7 +308,9 @@ struct Lane {
     schedule: ActivationSchedule,
     rows: SlidingSpectrum,
     base_env: Vec<f64>,
-    latch: AlarmLatch,
+    /// Whether the chip's alarm is standing: set by a hit, cleared by
+    /// the next quiet comparison.
+    alarmed: bool,
     outcome: ChipOutcome,
 }
 
@@ -522,7 +524,7 @@ impl<'c> Fleet<'c> {
                     baselines.chip_db(c),
                     POOLED_ENVELOPE_HALF_WINDOW,
                 ),
-                latch: AlarmLatch::new(1),
+                alarmed: false,
                 outcome: ChipOutcome {
                     chip: c,
                     infected,
@@ -555,7 +557,8 @@ impl<'c> Fleet<'c> {
                     calib::DETECTION_THRESHOLD_DB,
                 );
                 let hit = !hits.is_empty();
-                let flipped = lane.latch.update(hit);
+                let flipped = hit != lane.alarmed;
+                lane.alarmed = hit;
                 let active = lane.schedule.trojan_active_at(r);
                 if hit {
                     if active && lane.outcome.detect_record.is_none() {

@@ -12,12 +12,10 @@
 //!   fallback (no threads spawned at all), and `--jobs 0` is rejected
 //!   with a [`JobsArgError`](engine::JobsArgError) rather than being
 //!   silently coerced.
-//! * [`campaign`] — the acquisition-level [`Campaign`]/
-//!   [`AcquireJob`] abstraction: jobs are
-//!   `(Scenario, SensorSelect, records, per-job seed)` fanned against
-//!   one shared [`TestChip`](psa_core::chip::TestChip), with one
-//!   reusable [`AcqContext`](psa_core::acquisition::AcqContext) per
-//!   worker.
+//! * [`campaign`] — the acquisition-level [`Campaign`]: any per-job
+//!   closure, seeded by its job, fanned against one shared
+//!   [`TestChip`](psa_core::chip::TestChip), with one reusable
+//!   [`AcqContext`](psa_core::acquisition::AcqContext) per worker.
 //! * [`monitor`] — streaming-session campaigns: whole
 //!   [`psa_core::monitor`] sessions (schedule, sliding detector, event
 //!   log) fanned across workers as single jobs, with submission-order
@@ -78,7 +76,7 @@ pub mod progsearch;
 
 pub use atlas::AtlasCorner;
 pub use bakeoff::{Bakeoff, BakeoffCell, BakeoffReport, RocSummary};
-pub use campaign::{AcquireJob, Campaign};
+pub use campaign::Campaign;
 pub use engine::Engine;
 pub use fleet::{ChipOutcome, Fleet, FleetBaselines, FleetConfig, FleetReport};
 pub use monitor::{MonitorCampaign, MonitorJob, MonitorOutcome, MonitorSummary};

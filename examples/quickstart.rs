@@ -13,7 +13,7 @@
 
 use psa_repro::core::acquisition::AcqContext;
 use psa_repro::core::chip::TestChip;
-use psa_repro::core::cross_domain::{AnalyzerConfig, Baseline, CrossDomainDetector};
+use psa_repro::core::cross_domain::{Baseline, CrossDomainDetector};
 use psa_repro::core::scenario::Scenario;
 use psa_repro::gatesim::trojan::TrojanKind;
 
@@ -23,7 +23,7 @@ fn main() {
     let mut ctx = AcqContext::new(&chip);
 
     println!("learning the run-time baseline (Trojans dormant, same chip)...");
-    let baseline = Baseline::learn_with(&AnalyzerConfig::default(), &mut ctx, 42);
+    let baseline = Baseline::learn_with(&mut ctx, 42);
     let detector = CrossDomainDetector::with_baseline(baseline);
 
     println!("activating T3 (CDMA key-leak Trojan, 1.14 % of cells) and analyzing...");

@@ -47,13 +47,13 @@
 //! ```no_run
 //! use psa_repro::core::acquisition::AcqContext;
 //! use psa_repro::core::chip::TestChip;
-//! use psa_repro::core::cross_domain::{AnalyzerConfig, Baseline, CrossDomainDetector};
+//! use psa_repro::core::cross_domain::{Baseline, CrossDomainDetector};
 //! use psa_repro::core::scenario::Scenario;
 //! use psa_repro::gatesim::trojan::TrojanKind;
 //!
 //! let chip = TestChip::date24();
 //! let mut ctx = AcqContext::new(&chip);
-//! let baseline = Baseline::learn_with(&AnalyzerConfig::default(), &mut ctx, 42);
+//! let baseline = Baseline::learn_with(&mut ctx, 42);
 //! let detector = CrossDomainDetector::with_baseline(baseline);
 //! let verdict = detector
 //!     .analyze_with(&mut ctx, &Scenario::trojan_active(TrojanKind::T3))

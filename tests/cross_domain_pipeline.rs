@@ -5,7 +5,7 @@
 use psa_repro::core::acquisition::AcqContext;
 use psa_repro::core::calib;
 use psa_repro::core::chip::TestChip;
-use psa_repro::core::cross_domain::{AnalyzerConfig, Baseline, Verdict};
+use psa_repro::core::cross_domain::{Baseline, Verdict};
 use psa_repro::core::detector::{CrossDomainDetector, Detector};
 use psa_repro::core::identify::TemplateLibrary;
 use psa_repro::core::scenario::Scenario;
@@ -24,7 +24,7 @@ fn detector() -> &'static CrossDomainDetector {
     static DETECTOR: OnceLock<CrossDomainDetector> = OnceLock::new();
     DETECTOR.get_or_init(|| {
         let mut ctx = AcqContext::new(chip());
-        let baseline = Baseline::learn_with(&AnalyzerConfig::default(), &mut ctx, 42);
+        let baseline = Baseline::learn_with(&mut ctx, 42);
         let templates = TemplateLibrary::reference(chip()).unwrap();
         CrossDomainDetector::with_baseline_and_templates(baseline, templates)
     })

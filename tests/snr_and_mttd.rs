@@ -1,17 +1,17 @@
 //! Integration: the SNR procedure (Sec. VI-B) and the MTTD run-time
 //! loop (Sec. VI-D) against the paper's headline numbers — plus the
-//! streaming-monitor equivalences: the batch `mttd_trial_with` must be
-//! bit-identical to the streaming path it now adapts, and monitor
+//! streaming-monitor equivalences: a monitor session's MTTD must be
+//! bit-identical to the historical batch replay loop, and monitor
 //! campaigns must be invariant under the worker count.
 
 use psa_repro::core::acquisition::{AcqContext, TraceSet};
 use psa_repro::core::calib;
 use psa_repro::core::chip::{SensorSelect, TestChip};
-use psa_repro::core::cross_domain::{AnalyzerConfig, Baseline};
+use psa_repro::core::cross_domain::Baseline;
 use psa_repro::core::monitor::{
-    ActivationSchedule, Monitor, ScheduleChange, SlidingConfig, SlidingDetector, StreamSource,
+    ActivationSchedule, Monitor, MonitorReport, ScheduleChange, SlidingConfig, SlidingDetector,
+    StreamSource,
 };
-use psa_repro::core::mttd::mttd_trial_with;
 use psa_repro::core::scenario::Scenario;
 use psa_repro::dsp::peak;
 use psa_repro::gatesim::trojan::TrojanKind;
@@ -25,13 +25,20 @@ fn chip() -> &'static TestChip {
 
 fn baseline() -> &'static Baseline {
     static BASELINE: OnceLock<Baseline> = OnceLock::new();
-    BASELINE.get_or_init(|| {
-        Baseline::learn_with(
-            &AnalyzerConfig::default(),
-            &mut AcqContext::new(chip()),
-            0xBA5E,
-        )
-    })
+    BASELINE.get_or_init(|| Baseline::learn_with(&mut AcqContext::new(chip()), 0xBA5E))
+}
+
+/// The Sec. VI-D run-time session: `scenario` held for `records`
+/// records, watched on sensor 10 with the default detector.
+fn session(scenario: Scenario, records: usize) -> MonitorReport {
+    let detector = SlidingDetector::new(baseline(), &[10], SlidingConfig::default())
+        .expect("baseline covers sensor 10");
+    let stream = StreamSource::new(ActivationSchedule::constant(scenario, records));
+    let mut monitor = Monitor::new(stream, detector);
+    monitor
+        .run_to_end(&mut AcqContext::new(chip()))
+        .expect("session runs");
+    monitor.report(None)
 }
 
 #[test]
@@ -56,31 +63,21 @@ fn snr_values_land_in_paper_regime() {
 #[test]
 fn mttd_under_10ms_with_under_10_traces() {
     for kind in [TrojanKind::T4, TrojanKind::T3] {
-        let scenario = Scenario::trojan_active(kind).with_seed(900);
-        let r = mttd_trial_with(&mut AcqContext::new(chip()), &scenario, baseline(), 10, 64)
-            .expect("trial runs");
+        let r = session(Scenario::trojan_active(kind).with_seed(900), 10);
         assert!(r.detected, "{kind} undetected");
-        assert!(
-            r.time_to_detect_s < 10.0e-3,
-            "{kind} MTTD {} ms",
-            r.time_to_detect_s * 1e3
-        );
-        assert!(r.traces_used < 10, "{kind} used {} traces", r.traces_used);
+        let mttd_s = r.mttd_s.expect("detected");
+        assert!(mttd_s < 10.0e-3, "{kind} MTTD {} ms", mttd_s * 1e3);
+        let traces = r.traces_to_detect.expect("detected");
+        assert!(traces < 10, "{kind} used {traces} traces");
     }
 }
 
 #[test]
 fn no_trojan_monitor_does_not_false_alarm() {
-    let r = mttd_trial_with(
-        &mut AcqContext::new(chip()),
-        &Scenario::baseline().with_seed(901),
-        baseline(),
-        10,
-        12,
-    )
-    .expect("trial runs");
-    assert!(!r.detected, "false alarm on quiet chip");
-    assert_eq!(r.traces_used, 12);
+    let r = session(Scenario::baseline().with_seed(901), 12);
+    assert_eq!(r.alarms, 0, "false alarm on quiet chip");
+    assert!(!r.detected);
+    assert_eq!(r.records, 12);
 }
 
 /// The historical batch MTTD replay, reimplemented verbatim: acquire
@@ -128,34 +125,27 @@ fn batch_replay_reference(
 
 #[test]
 fn streaming_mttd_is_bit_identical_to_batch_replay() {
-    // A detecting trial (T4) and a non-detecting one (T1 watched from
+    // A detecting session (T4) and a non-detecting one (T1 watched from
     // the silent corner sensor 0 would still detect; use a quiet
     // baseline stream instead).
     let cases = [
         (Scenario::trojan_active(TrojanKind::T4).with_seed(910), 6),
         (Scenario::baseline().with_seed(911), 4),
     ];
-    for (scenario, max_traces) in cases {
-        let r = mttd_trial_with(
-            &mut AcqContext::new(chip()),
-            &scenario,
-            baseline(),
-            10,
-            max_traces,
-        )
-        .expect("streaming trial");
+    for (scenario, records) in cases {
         let (detected, elapsed, traces) =
-            batch_replay_reference(&scenario, &baseline().per_sensor_db[10], 10, max_traces);
+            batch_replay_reference(&scenario, &baseline().per_sensor_db[10], 10, records);
+        let r = session(scenario.clone(), records);
         assert_eq!(r.detected, detected, "{scenario:?}");
+        // A constant schedule alarms on its first hit, Trojan or not.
+        assert_eq!(r.alarms > 0, detected, "{scenario:?}");
         assert_eq!(
-            r.time_to_detect_s.to_bits(),
-            elapsed.to_bits(),
-            "MTTD bits differ: streaming {} vs batch {}",
-            r.time_to_detect_s,
-            elapsed
+            r.mttd_s.map(f64::to_bits),
+            detected.then_some(elapsed.to_bits()),
+            "MTTD bits differ: streaming {:?} vs batch {elapsed}",
+            r.mttd_s
         );
-        assert_eq!(r.traces_used, traces);
-        assert_eq!(r.sensor, 10);
+        assert_eq!(r.traces_to_detect, detected.then_some(traces));
     }
 }
 
